@@ -1,7 +1,7 @@
 """Benchmarks of the wider GraphBLAS substrate surface.
 
 Covers the storage-format providers head to head (SpMV and RBGS per
-substrate, discovered through the auto-selection registry, so the
+substrate, discovered through the provider registry, so the
 format tradeoff is *measured*, not asserted), plus the operations HPCG
 doesn't use but a standalone GraphBLAS release must perform sensibly:
 matrix elementwise algebra, select, reductions-to-vector, graph
@@ -69,7 +69,7 @@ def bench_provider_rbgs(benchmark, name, problem16, rhs16):
 
 @pytest.mark.parametrize("name", substrate.available())
 def bench_provider_build(benchmark, name, problem16):
-    """Format construction cost — the price auto-selection must amortise."""
+    """Format construction cost — what pinning a format pays up front."""
     csr = problem16.A.to_scipy()
     prov = benchmark(substrate.get(name), csr)
     assert prov.nnz == problem16.A.nvals

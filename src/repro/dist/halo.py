@@ -12,10 +12,10 @@ Bit-equality holds because each local matrix keeps its row entries in
 ascending *global* column order (the local column renumbering is
 monotone), so the local kernel accumulates partial products in exactly
 the order the global kernel uses.  The local kernels themselves run on
-:mod:`repro.graphblas.substrate` providers — per-node format selection
-(or a global ``REPRO_SUBSTRATE`` force, or the ``substrate=`` argument)
-applies to the distributed executors exactly as it does to the serial
-``Matrix``, and every provider honours the same accumulation-order
+:mod:`repro.graphblas.substrate` providers — the ``substrate=``
+argument or a global ``REPRO_SUBSTRATE`` force applies to the
+distributed executors exactly as it does to the serial ``Matrix``,
+and every provider honours the same accumulation-order
 contract, so the executors are substrate-agnostic by construction.
 
 :class:`LocalRBGSExecutor` implements the paper's §IV per-colour
@@ -159,9 +159,8 @@ class LocalSpmvExecutor:
             cols = np.unique(block.indices)
             local = block[:, cols]
             local.sort_indices()
-            # each node picks its substrate for its own local block
-            # (explicit > REPRO_SUBSTRATE > per-matrix heuristic);
-            # resolved now, built lazily on first use
+            # each node's substrate is resolved now (explicit >
+            # REPRO_SUBSTRATE > CSR), built lazily on first use
             self.nodes.append(LocalNode(
                 rank=k, rows=rows, cols=cols, local_matrix=local,
                 substrate=substrate_mod.resolve(local, substrate),

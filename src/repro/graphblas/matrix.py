@@ -6,10 +6,10 @@ operations) and delegates its *hot* paths — ``mxv``, masked ``mxv``,
 the ``transpose_matrix`` descriptor, the fused RBGS product — to a
 :mod:`repro.graphblas.substrate` kernel provider selected per matrix:
 
-* the substrate is chosen at construction by the registry's structure
-  heuristic, forced globally via ``REPRO_SUBSTRATE``, or pinned
-  explicitly (``Matrix(csr, substrate="sellcs")`` /
-  :meth:`set_substrate`) — the paper's per-container format freedom;
+* the substrate is pinned explicitly (``Matrix(csr, substrate="sellcs")``
+  / :meth:`set_substrate`), else forced globally via
+  ``REPRO_SUBSTRATE``, else CSR — the paper's per-container format
+  freedom;
 * every provider is bit-identical to the CSR reference, so the choice
   is invisible to algorithm code (Section III-B's claim, enforced by
   the substrate equivalence suite).
@@ -70,7 +70,7 @@ class Matrix:
         csr.sort_indices()
         gbtypes.as_dtype(csr.dtype)
         if substrate is not None:
-            substrate_mod.validate_request(substrate)  # eager typo check
+            substrate_mod.get(substrate)  # eager typo check
         self._csr = csr
         self._csr_t: Optional[sp.csr_matrix] = None
         # LRU of (id(mask), version, transpose) -> (rows, substructure)
@@ -179,7 +179,7 @@ class Matrix:
     # --- substrate ---------------------------------------------------------
     @property
     def substrate(self) -> str:
-        """The active provider name (explicit pin > env force > heuristic)."""
+        """The active provider name (explicit pin > env force > CSR)."""
         if self._substrate is None:
             self._substrate = substrate_mod.resolve(
                 self._csr, self._substrate_request
@@ -187,10 +187,9 @@ class Matrix:
         return self._substrate
 
     def set_substrate(self, name: Optional[str]) -> "Matrix":
-        """Pin this matrix to a provider (``None`` returns it to auto;
-        ``"model"`` pins it to profile-driven selection)."""
+        """Pin this matrix to a provider (``None`` unpins it)."""
         if name is not None:
-            substrate_mod.validate_request(name)
+            substrate_mod.get(name)
         self._substrate_request = name
         self._substrate = None
         self._provider = None
@@ -249,9 +248,6 @@ class Matrix:
         self._csr_t = None
         self._mask_cache.clear()
         self._version += 1
-        # re-resolve on next use: the structure (and with it the
-        # heuristic's choice) may have changed
-        self._substrate = None
         self._provider = None
         self._provider_t = None
 

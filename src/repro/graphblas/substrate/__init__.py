@@ -3,22 +3,17 @@
 The substrate layer is the reproduction of the paper's key freedom: the
 algorithm (``repro.hpcg``) names GraphBLAS operations; *this* package
 decides how each matrix stores its entries and which kernel executes
-them, per matrix, with an explicit override and a CI-enforced
-bit-exactness contract across formats.
+them, with an explicit per-matrix pin and a CI-enforced bit-exactness
+contract across formats.
 
 Public surface:
 
-* :class:`KernelProvider` / :class:`MatrixProfile` — the format
-  contract and the structure statistics selection reads;
+* :class:`KernelProvider` — the format contract;
 * :class:`CsrProvider`, :class:`SellCSigmaProvider`,
   :class:`BlockedDenseProvider` — the three built-in formats;
 * :func:`register` / :func:`available` / :func:`get` — the registry;
-* :func:`choose` / :func:`choose_model` / :func:`resolve` /
-  :func:`make` — per-matrix auto-selection (``REPRO_SUBSTRATE`` forces
-  every unpinned matrix; ``REPRO_SUBSTRATE=model`` or
-  ``selection="model"`` prices candidates with the measured
-  :mod:`repro.tune` machine profile, falling back to the structure
-  heuristic when none is cached);
+* :func:`resolve` / :func:`make` / :func:`forced` — the selection rule:
+  an explicit pin, else the ``REPRO_SUBSTRATE`` force, else CSR;
 * :class:`ColorSweep` — the fused multi-colour Gauss-Seidel sweep
   capability every provider serves (the smoother fast path);
 * :mod:`~repro.graphblas.substrate.jit` — the optional numba-compiled
@@ -28,32 +23,22 @@ Public surface:
 """
 
 from repro.graphblas.substrate import jit
-from repro.graphblas.substrate.base import (
-    ColorSweep,
-    KernelProvider,
-    MatrixProfile,
-)
+from repro.graphblas.substrate.base import ColorSweep, KernelProvider
 from repro.graphblas.substrate.blocked import BlockedDenseProvider
 from repro.graphblas.substrate.csr import CsrProvider
 from repro.graphblas.substrate.registry import (
-    AUTO_MIN_SIZE,
     ENV_VAR,
-    MODEL,
     available,
-    choose,
-    choose_model,
     forced,
     get,
     make,
     register,
     resolve,
-    validate_request,
 )
 from repro.graphblas.substrate.sellcs import SellCSigmaProvider
 
 __all__ = [
     "KernelProvider",
-    "MatrixProfile",
     "ColorSweep",
     "jit",
     "CsrProvider",
@@ -62,13 +47,8 @@ __all__ = [
     "register",
     "available",
     "get",
-    "choose",
-    "choose_model",
     "resolve",
     "make",
     "forced",
-    "validate_request",
     "ENV_VAR",
-    "MODEL",
-    "AUTO_MIN_SIZE",
 ]

@@ -1,10 +1,10 @@
-"""The kernel-provider interface and the per-matrix structure profile.
+"""The kernel-provider interface.
 
 The paper's central architectural claim (Section III) is that an
 ALP/GraphBLAS program names *what* to compute while the library is free
 to choose *how*: the storage format and the kernel implementation — the
-"substrate" — are selected per container, per matrix structure, without
-the algorithm changing.  This package realises that split for the
+"substrate" — are selected per container without the algorithm
+changing.  This package realises that split for the
 reproduction: :class:`KernelProvider` is the contract a storage format
 implements, and :class:`~repro.graphblas.matrix.Matrix` delegates its
 hot paths (mxv, masked mxv, the transpose descriptor, the fused RBGS
@@ -30,48 +30,10 @@ source of truth.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-
-
-@dataclass(frozen=True)
-class MatrixProfile:
-    """Structure statistics driving per-matrix format selection.
-
-    These are the quantities the auto-selection heuristic reads: size,
-    density, and the shape of the row-length distribution (its mean and
-    coefficient of variation).  A 27-point stencil row block has
-    ``cv ≈ 0.2`` (fixed-length interior rows, shorter boundary rows); a
-    power-law graph has ``cv >> 1``.
-    """
-
-    nrows: int
-    ncols: int
-    nnz: int
-    mean_row_nnz: float
-    max_row_nnz: int
-    cv_row_nnz: float     # std/mean of the row-length distribution
-    density: float        # nnz / (nrows * ncols)
-
-    @classmethod
-    def from_csr(cls, csr: sp.csr_matrix) -> "MatrixProfile":
-        row_nnz = np.diff(csr.indptr)
-        nnz = int(csr.nnz)
-        nrows, ncols = csr.shape
-        mean = float(row_nnz.mean()) if nrows else 0.0
-        cv = float(row_nnz.std() / mean) if mean > 0 else 0.0
-        return cls(
-            nrows=nrows,
-            ncols=ncols,
-            nnz=nnz,
-            mean_row_nnz=mean,
-            max_row_nnz=int(row_nnz.max()) if nrows else 0,
-            cv_row_nnz=cv,
-            density=nnz / (nrows * ncols) if nrows and ncols else 0.0,
-        )
 
 
 class KernelProvider(abc.ABC):
@@ -142,9 +104,6 @@ class KernelProvider(abc.ABC):
     def row_nnz(self) -> np.ndarray:
         """Stored entries per row (drives output-presence semantics)."""
         return self._row_nnz
-
-    def profile(self) -> MatrixProfile:
-        return MatrixProfile.from_csr(self._csr)
 
     # --- hot paths ---------------------------------------------------------
     @abc.abstractmethod

@@ -1,38 +1,17 @@
-"""Provider registry, forcing, and the per-matrix selection heuristic.
+"""Provider registry, forcing, and the one substrate-selection rule.
 
-Selection order, mirroring how ALP picks a backend:
+Selection order — this module is the only place that knows it:
 
-1. an explicit request (``Matrix(..., substrate="sellcs")`` or
-   ``Matrix.set_substrate``) always wins — algorithm studies need to
-   pin a format.  The request may also be the selection *mode*
-   ``"model"``, pinning this matrix to model-driven selection;
+1. an explicit request (``Matrix(..., substrate="sellcs")``,
+   ``Matrix.set_substrate``, ``generate_problem(substrate=)``) always
+   wins — algorithm studies need to pin a format;
 2. the ``REPRO_SUBSTRATE`` environment variable forces every
    *unpinned* matrix onto one provider — the CI lever proving the
-   algorithm layer is substrate-independent — or, with
-   ``REPRO_SUBSTRATE=model``, onto model-driven selection;
-3. otherwise :func:`choose` inspects the matrix structure.
-
-**Model-driven selection** (``"model"``, either as a pin, as a
-``selection="model"`` argument to :func:`resolve`/:func:`make`, or via
-the environment force) prices every registered provider with the
-measured per-format byte rates of the cached
-:class:`repro.tune.MachineProfile` and picks the cheapest
-structurally-safe one.  When no profile is cached (or it is stale or
-schema-incompatible) the mode falls back to the structure heuristic
-below, silently — an uncalibrated machine behaves exactly as before.
-
-The heuristic reads three signals from :class:`MatrixProfile` (size,
-row-length coefficient of variation, density):
-
-* small matrices stay on CSR — the coarse MG levels and test matrices
-  never amortise a format conversion (``AUTO_MIN_SIZE`` rows);
-* near-constant row lengths with substantial rows (the 27-point
-  stencil: cv ≈ 0.2, ~27 nnz/row) take the dense-blocked provider,
-  whose per-block ``x`` reuse is built for exactly that shape;
-* moderately varying rows take SELL-C-σ, whose sorted slices keep
-  vector lanes busy without ELLPACK's worst-case padding;
-* heavy skew (power-law-ish, cv > 2) falls back to CSR, where padding
-  cannot explode.
+   algorithm layer is substrate-independent (empty or ``auto`` means
+   unset);
+3. otherwise CSR.  The performance ledger (``benchmarks/ledger``)
+   measures every provider on every workload and has none where a
+   padded format beats CSR, so nothing inspects the matrix to pick one.
 """
 
 from __future__ import annotations
@@ -42,19 +21,13 @@ from typing import Dict, Optional, Tuple, Type
 
 import scipy.sparse as sp
 
-from repro.graphblas.substrate.base import KernelProvider, MatrixProfile
+from repro.graphblas.substrate.base import KernelProvider
 from repro.graphblas.substrate.blocked import BlockedDenseProvider
 from repro.graphblas.substrate.csr import CsrProvider
 from repro.graphblas.substrate.sellcs import SellCSigmaProvider
 from repro.util.errors import InvalidValue
 
 ENV_VAR = "REPRO_SUBSTRATE"
-
-#: the selection-mode sentinel: not a provider, a way of choosing one
-MODEL = "model"
-
-#: below this many rows auto-selection always stays on CSR
-AUTO_MIN_SIZE = 32768
 
 _REGISTRY: Dict[str, Type[KernelProvider]] = {}
 
@@ -70,9 +43,9 @@ def register(cls: Type[KernelProvider],
     """
     if not cls.name or cls.name == "abstract":
         raise InvalidValue("provider classes must define a unique name")
-    if cls.name.lower() in (MODEL, "auto"):
+    if cls.name.lower() == "auto":
         raise InvalidValue(
-            f"{cls.name!r} is a reserved selection-mode name"
+            f"{cls.name!r} is reserved: {ENV_VAR}=auto means unset"
         )
     existing = _REGISTRY.get(cls.name)
     if existing is not None and existing is not cls and not replace:
@@ -100,128 +73,43 @@ def get(name: str) -> Type[KernelProvider]:
 
 
 def forced() -> Optional[str]:
-    """The ``REPRO_SUBSTRATE`` override, validated; None when unset/auto.
-
-    Besides a provider name, the value may be :data:`MODEL` — the
-    model-driven selection mode, returned as the literal ``"model"``.
-    """
+    """The ``REPRO_SUBSTRATE`` override, validated; None when unset/auto."""
     name = os.environ.get(ENV_VAR, "").strip()
     if name.lower() in ("", "auto"):
         return None
-    if name.lower() == MODEL:
-        return MODEL
     get(name)  # raise on typos rather than silently ignoring the force
     return name
 
 
-def validate_request(name: str) -> str:
-    """Check a pin string: a registered provider name or ``"model"``."""
-    if name != MODEL:
-        get(name)
-    return name
+def resolve(csr: sp.csr_matrix, request: Optional[str] = None) -> str:
+    """Apply the selection order: explicit pin > environment force > CSR.
 
-
-def choose(csr: sp.csr_matrix) -> str:
-    """Pick a provider name from the matrix structure (rule order matters).
-
-    Besides the row-length *distribution*, the gates bound the *maximum*
-    row length relative to the mean: one outlier megarow barely moves
-    the cv of a large matrix, but blocked-dense pads every block to the
-    global maximum width (memory explodes) and SELL-C-σ pays one lane
-    pass per entry of its widest row (mxv degenerates to a scalar loop).
+    When observability is enabled every call records its decision —
+    which provider was chosen and which rung fired (``pin``, ``env`` or
+    ``default``) — on the run manifest (see
+    :func:`repro.obs.record_selection`).  Free when observability is
+    off: one lazy import + one stack read.
     """
-    p = MatrixProfile.from_csr(csr)
-    if p.nrows < AUTO_MIN_SIZE or p.nnz == 0:
-        return CsrProvider.name
-    if p.density > 0.25:
-        return BlockedDenseProvider.name
-    if (p.cv_row_nnz <= 0.25 and p.mean_row_nnz >= 8.0
-            and p.max_row_nnz <= 2.0 * p.mean_row_nnz):
-        return BlockedDenseProvider.name
-    if p.cv_row_nnz <= 2.0 and p.max_row_nnz <= 16.0 * p.mean_row_nnz:
-        return SellCSigmaProvider.name
-    return CsrProvider.name
-
-
-def choose_model(csr: sp.csr_matrix, profile=None) -> str:
-    """Pick a provider by predicted cost under a measured profile.
-
-    ``profile`` defaults to the cached :func:`repro.tune.current_profile`;
-    with none available this degrades to :func:`choose` — model mode on
-    an uncalibrated machine is exactly the heuristic, no warnings.
-    """
-    from repro.tune import cache as tune_cache
-    from repro.tune import select as tune_select
-
-    if profile is None:
-        profile = tune_cache.current_profile()
-    if profile is None:
-        return choose(csr)
-    p = MatrixProfile.from_csr(csr)
-    return tune_select.choose_model(p, profile, available(),
-                                    min_size=AUTO_MIN_SIZE)
-
-
-def _decided(csr: sp.csr_matrix, request: Optional[str],
-             selection: Optional[str], chosen: str, reason: str) -> str:
-    """Report one selection decision to the observability layer.
-
-    ``reason`` names the rung of the selection ladder that fired:
-    ``pin`` (explicit request), ``env`` (``REPRO_SUBSTRATE`` force),
-    ``model`` (profile-priced) or ``heuristic`` (structure rules).
-    Free when observability is off: one lazy import + one stack read.
-    """
+    if request is not None:
+        get(request)
+        chosen, reason = request, "pin"
+    else:
+        chosen, reason = forced(), "env"
+        if chosen is None:
+            chosen, reason = CsrProvider.name, "default"
     from repro import obs
 
     if obs.enabled():
         obs.record_selection(
             nrows=int(csr.shape[0]), ncols=int(csr.shape[1]),
-            nnz=int(csr.nnz), request=request, selection=selection,
-            chosen=chosen, reason=reason,
+            nnz=int(csr.nnz), request=request, chosen=chosen, reason=reason,
         )
     return chosen
 
 
-def resolve(csr: sp.csr_matrix, request: Optional[str] = None,
-            selection: Optional[str] = None) -> str:
-    """Apply the selection order: explicit > environment force > automatic.
-
-    ``request`` is a provider name (or ``"model"``, equivalent to
-    ``selection="model"``); ``selection`` picks the automatic mode —
-    ``"heuristic"`` (default), ``"model"``, or ``None``/``"auto"``.
-
-    When observability is enabled every call records its decision —
-    which provider was chosen and *why* — on the run manifest (see
-    :func:`repro.obs.record_selection`).
-    """
-    if request == MODEL:
-        request, selection = None, MODEL
-    if request is not None:
-        get(request)
-        return _decided(csr, request, selection, request, "pin")
-    if selection not in (None, "auto", "heuristic", MODEL):
-        raise InvalidValue(
-            f"unknown selection mode {selection!r}; expected "
-            f"'heuristic' or 'model'"
-        )
-    # an explicit selection mode is a pin: it beats the env force,
-    # exactly as an explicit provider request does
-    if selection == MODEL:
-        return _decided(csr, request, selection, choose_model(csr), "model")
-    if selection == "heuristic":
-        return _decided(csr, request, selection, choose(csr), "heuristic")
-    env = forced()
-    if env == MODEL:
-        return _decided(csr, request, selection, choose_model(csr), "model")
-    if env is not None:
-        return _decided(csr, request, selection, env, "env")
-    return _decided(csr, request, selection, choose(csr), "heuristic")
-
-
-def make(csr: sp.csr_matrix, request: Optional[str] = None,
-         selection: Optional[str] = None) -> KernelProvider:
+def make(csr: sp.csr_matrix, request: Optional[str] = None) -> KernelProvider:
     """Build the provider :func:`resolve` selects for ``csr``."""
-    return get(resolve(csr, request, selection))(csr)
+    return get(resolve(csr, request))(csr)
 
 
 register(CsrProvider)

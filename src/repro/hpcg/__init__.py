@@ -23,7 +23,6 @@ from repro.hpcg.coloring import (
     num_colors,
     validate_coloring,
 )
-from repro.hpcg.driver import HPCGResult, run_hpcg
 from repro.hpcg.multigrid import (
     MGLevel,
     MGPreconditioner,
@@ -35,6 +34,18 @@ from repro.hpcg.report import render_report, to_dict as report_dict
 from repro.hpcg.restriction import build_restriction, prolong_add, restrict
 from repro.hpcg.smoothers import JacobiSmoother, RBGSSmoother
 from repro.hpcg.symmetry import SymmetryReport, validate
+
+
+def __getattr__(name):
+    # lazy (PEP 562): an eager driver import would put the module in
+    # sys.modules before ``python -m repro.hpcg.driver`` executes it,
+    # which runpy reports as a RuntimeWarning on every CLI run
+    if name in ("HPCGResult", "run_hpcg"):
+        from repro.hpcg import driver
+
+        return getattr(driver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CGResult",

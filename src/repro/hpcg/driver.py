@@ -25,11 +25,13 @@ from typing import Dict, List, Optional
 
 from repro import graphblas as grb
 from repro import obs
+from repro.graphblas import substrate as substrate_mod
 from repro.hpcg import flops as flops_mod
 from repro.hpcg.cg import CGResult, CGWorkspace, pcg
 from repro.hpcg.multigrid import MGLevel, MGPreconditioner, build_hierarchy
 from repro.hpcg.problem import Problem, generate_problem
 from repro.hpcg.symmetry import SymmetryReport, validate
+from repro.util.errors import InvalidValue
 from repro.util.timer import TimerRegistry
 
 
@@ -451,10 +453,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                          f"got {args.push_interval}")
     if args.nprocs < 1:
         return _fail(f"--nprocs must be >= 1, got {args.nprocs}")
+    try:
+        substrate_mod.forced()
+    except InvalidValue as exc:
+        return _fail(f"{substrate_mod.ENV_VAR}: {exc}")
     fault_plan = None
     if args.faults is not None:
         from repro.dist import FaultPlan
-        from repro.util.errors import InvalidValue
         try:
             fault_plan = FaultPlan.from_json(args.faults)
             fault_plan.validate_for(args.nprocs)

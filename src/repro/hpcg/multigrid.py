@@ -94,9 +94,7 @@ def build_hierarchy(
         def smoother_factory(A, A_diag, colors):
             return RBGSSmoother(A, A_diag, colors, fused=fused)
     stencil = getattr(problem, "stencil", "27pt")
-    # honour the problem's substrate pin on every coarse operator; None
-    # leaves each level to the per-matrix heuristic (the coarse levels
-    # are small enough that auto-selection keeps them on CSR).
+    # honour the problem's substrate pin on every coarse operator
     substrate = getattr(problem, "substrate", None)
 
     def make_level(index: int, grid: Grid3D, A: grb.Matrix,

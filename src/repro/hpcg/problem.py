@@ -44,7 +44,7 @@ class Problem:
     exact: grb.Vector
     b_style: BStyle = "reference"
     stencil: Stencil = "27pt"
-    # requested storage substrate (None = per-matrix auto-selection);
+    # requested storage substrate (None = unpinned: REPRO_SUBSTRATE or CSR);
     # recorded so the MG hierarchy can honour the same pin per level
     substrate: Optional[str] = None
 
@@ -65,7 +65,7 @@ def build_operator(grid: Grid3D, stencil: Stencil = "27pt",
     """The stencil operator as a GraphBLAS matrix (27-point = HPCG).
 
     ``substrate`` pins the storage format/kernel provider; the default
-    lets the registry heuristic pick per matrix (paper Section III-B).
+    leaves the matrix unpinned (``REPRO_SUBSTRATE`` force, else CSR).
     """
     rows, cols, vals = stencil_coo(grid, stencil)
     return grb.Matrix.from_coo(rows, cols, vals, grid.npoints, grid.npoints,
@@ -87,7 +87,7 @@ def generate_problem(
     Laplacian — not HPCG, but useful for studies (its dependency graph
     is 2-colourable, the original red-black setting).  ``substrate``
     pins every operator (fine and, via :func:`build_hierarchy`, coarse)
-    to one storage format; ``None`` means per-matrix auto-selection.
+    to one storage format; ``None`` leaves them unpinned.
     """
     ny = ny or nx
     nz = nz or nx

@@ -10,9 +10,10 @@ needed — the subset we emit is plain nested scalars).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.hpcg.driver import HPCGResult
+if TYPE_CHECKING:  # annotation only: keeps `import repro.hpcg` off the driver
+    from repro.hpcg.driver import HPCGResult
 
 
 def to_dict(result: HPCGResult, profile=None, obs_ctx=None,

@@ -10,7 +10,7 @@ the *what* — so any result file can answer "how was this run
 configured, and why did it pick these kernels?".
 
 Selection decisions carry their **reason** (``pin``, ``env``,
-``model``, ``heuristic``) as recorded by
+``default``) as recorded by
 :mod:`repro.graphblas.substrate.registry` at resolve time; seeds and
 arbitrary config are recorded by whoever owns them (the driver records
 its CLI, simulated runs record backend/partition/machine).

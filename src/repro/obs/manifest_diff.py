@@ -12,7 +12,7 @@ its reason.  :func:`diff_manifests` compares two of them structurally:
 * a decision diff: substrate selections are keyed by the matrix they
   describe (shape + nnz + request), so a forced-substrate run against
   a default run reports *which matrices* changed format **and why**
-  (``heuristic -> env``), not just that something did.
+  (``default -> env``), not just that something did.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ SECTIONS = ("toggles", "environment", "seeds", "config", "tune_profile",
 SCALARS = ("schema_version", "package_version")
 
 #: Per-decision fields that identify *which matrix* was resolved.
-DECISION_KEY_FIELDS = ("nrows", "ncols", "nnz", "request", "selection")
+DECISION_KEY_FIELDS = ("nrows", "ncols", "nnz", "request")
 
 
 def load_manifest(source: Any) -> Dict[str, Any]:

@@ -1,32 +1,28 @@
-"""``repro.tune`` — measured machine profiles and model-driven tuning.
+"""``repro.tune`` — measured machine profiles.
 
-The fourth subsystem: it makes the other three self-calibrating.  The
-modelling pipeline (BSP pricing in :mod:`repro.dist`, the scaling model
-in :mod:`repro.perf`, substrate selection in
-:mod:`repro.graphblas.substrate`) was seeded with the paper's Table II
-datasheet constants; this package replaces them with *measurements of
-the machine the code is running on*:
+The fourth subsystem: it makes the modelling pipeline self-calibrating.
+BSP pricing in :mod:`repro.dist`, the scaling model in
+:mod:`repro.perf` and the thread lane in
+:mod:`repro.graphblas.substrate.threads` were seeded with the paper's
+Table II datasheet constants; this package replaces them with
+*measurements of the machine the code is running on*:
 
-* :mod:`repro.tune.microbench` — the probe suite (STREAM triad,
-  per-substrate SpMV/RBGS rates over a shape grid, a BSP ``g``/``L``
-  fit from simulated h-relation timings, a compute-under-copy
-  interference probe for ``overlap_efficiency``);
+* :mod:`repro.tune.microbench` — the probe suite (STREAM triad, a BSP
+  ``g``/``L`` fit from simulated h-relation timings, a
+  compute-under-copy interference probe for ``overlap_efficiency``,
+  a thread sweep);
 * :mod:`repro.tune.profile` — the schema-versioned, canonically
   serialised :class:`MachineProfile` the probes produce;
 * :mod:`repro.tune.cache` — persistence under ``REPRO_TUNE_CACHE``
-  with staleness checks and a never-raising :func:`current_profile`;
-* :mod:`repro.tune.select` — model-driven substrate selection
-  (``REPRO_SUBSTRATE=model`` / ``selection="model"``) pricing each
-  provider with the profile's measured per-format byte rates.
+  with staleness checks and a never-raising :func:`current_profile`.
 
 Consumers: ``BSPMachine.from_profile(...)`` and
 ``MachineSpec.from_profile(...)`` construct measurement-driven machine
 models; ``python -m repro.tune measure`` (``--fast`` for CI) produces
 the profile.
 
-``microbench`` is imported lazily (via :func:`measure`) so that the
-substrate registry can read profiles without dragging the whole HPCG
-stack into every ``Matrix`` construction.
+``microbench`` is imported lazily (via :func:`measure`) so that
+reading a profile does not drag the whole HPCG stack in.
 """
 
 from repro.tune.cache import (
@@ -41,16 +37,9 @@ from repro.tune.cache import (
 )
 from repro.tune.profile import (
     SCHEMA_VERSION,
-    SHAPE_CLASSES,
     MachineProfile,
     ProfileVersionError,
     synthetic_profile,
-)
-from repro.tune.select import (
-    choose_model,
-    predict_seconds,
-    shape_class,
-    useful_bytes,
 )
 
 
@@ -68,19 +57,14 @@ __all__ = [
     "ENV_VAR",
     "MAX_AGE_ENV_VAR",
     "SCHEMA_VERSION",
-    "SHAPE_CLASSES",
     "MachineProfile",
     "ProfileVersionError",
     "cache_dir",
-    "choose_model",
     "clear",
     "current_profile",
     "load_profile",
     "measure",
-    "predict_seconds",
     "profile_path",
     "save_profile",
-    "shape_class",
     "synthetic_profile",
-    "useful_bytes",
 ]

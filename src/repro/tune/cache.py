@@ -2,8 +2,8 @@
 
 One machine profile lives at ``$REPRO_TUNE_CACHE/machine_profile.json``
 (default ``~/.cache/repro/tune``).  :func:`current_profile` is the
-soft accessor every automatic consumer uses — the substrate registry's
-``model`` selection mode, the driver's ``--profile`` report — and it
+soft accessor every automatic consumer uses — unpinned simulated runs,
+``REPRO_THREADS=auto``, the driver's ``--profile`` report — and it
 *never raises*: a missing, corrupt, schema-incompatible or stale file
 simply yields ``None`` so callers fall back to their uncalibrated
 behaviour without warning noise.  :func:`load_profile` is the strict
@@ -111,8 +111,8 @@ def current_profile(
 ) -> Optional[MachineProfile]:
     """The cached profile, or ``None`` — never raises.
 
-    Memoised per (path, mtime, size) so per-matrix substrate selection
-    does not re-read and re-parse the JSON; the memo invalidates itself
+    Memoised per (path, mtime, size) so repeated consumers do not
+    re-read and re-parse the JSON; the memo invalidates itself
     when the file changes or ``REPRO_TUNE_CACHE`` points elsewhere.
     """
     global _memo_key, _memo_profile
@@ -129,7 +129,7 @@ def current_profile(
             profile = MachineProfile.load(path)
         except (InvalidValue, OSError):
             # memoise the failure too: an unreadable file must not be
-            # re-parsed on every matrix construction
+            # re-parsed by every consumer
             profile = None
         _memo_key = key
         _memo_profile = profile

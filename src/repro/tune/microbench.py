@@ -1,18 +1,11 @@
 """The micro-benchmark suite behind ``python -m repro.tune measure``.
 
-Six probes, each answering one question the modelling pipeline
+Four probes, each answering one question the modelling pipeline
 otherwise answers with a datasheet constant:
 
 * **STREAM triad** — the machine's attainable memory bandwidth (the
   number every bandwidth-bound prediction divides by); reuses
   :func:`repro.perf.calibrate.measure_triad_bandwidth`.
-* **SpMV shape grid** — each registered substrate provider's effective
-  byte rate on three reference shapes (uniform 27-point stencil,
-  high-cv skewed rows, dense-ish), the rates the registry's ``model``
-  selection mode prices candidates with.
-* **RBGS probe** — each provider's effective rate over a full
-  multi-colour half-sweep (prebuilt colour blocks, the smoother's
-  steady state).
 * **Message cost** — BSP ``g`` and ``L`` fitted by least squares to
   timed simulated h-relations (staged buffer copies standing in for
   the wire, exactly what the simulated backends' sends are).
@@ -40,19 +33,15 @@ import platform
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
 from repro.grid import Grid3D, stencil_coo
-from repro.hpcg.coloring import lattice_coloring
 from repro.perf.calibrate import measure_triad_bandwidth
 from repro.tune.profile import MachineProfile
-from repro.tune.select import useful_bytes
-from repro.graphblas import substrate as substrate_mod
-from repro.graphblas.substrate.base import MatrixProfile
 
 
 @dataclass(frozen=True)
@@ -62,11 +51,7 @@ class ProbeBudget:
     name: str
     triad_size: int
     triad_repeats: int
-    stencil_nx: int            # uniform probe: nx^3 27-point stencil
-    highcv_rows: int           # skewed-row probe size
-    dense_rows: int            # dense-ish probe rows (64 columns)
-    spmv_repeats: int
-    rbgs_repeats: int
+    stencil_nx: int            # thread sweep: nx^3 27-point stencil
     message_sizes: Tuple[int, ...]
     message_repeats: int
     overlap_size: int
@@ -78,8 +63,7 @@ class ProbeBudget:
 FULL = ProbeBudget(
     name="full",
     triad_size=4_000_000, triad_repeats=5,
-    stencil_nx=24, highcv_rows=16384, dense_rows=4096,
-    spmv_repeats=7, rbgs_repeats=5,
+    stencil_nx=24,
     message_sizes=(4_096, 32_768, 262_144, 1_048_576, 4_194_304),
     message_repeats=7,
     overlap_size=4_000_000, overlap_repeats=5,
@@ -89,8 +73,7 @@ FULL = ProbeBudget(
 FAST = ProbeBudget(
     name="fast",
     triad_size=1_000_000, triad_repeats=3,
-    stencil_nx=16, highcv_rows=8192, dense_rows=2048,
-    spmv_repeats=3, rbgs_repeats=3,
+    stencil_nx=16,
     message_sizes=(4_096, 65_536, 524_288, 2_097_152),
     message_repeats=3,
     overlap_size=1_000_000, overlap_repeats=3,
@@ -102,8 +85,7 @@ FAST = ProbeBudget(
 SMOKE = ProbeBudget(
     name="smoke",
     triad_size=100_000, triad_repeats=1,
-    stencil_nx=8, highcv_rows=1024, dense_rows=256,
-    spmv_repeats=1, rbgs_repeats=1,
+    stencil_nx=8,
     message_sizes=(4_096, 65_536, 262_144),
     message_repeats=1,
     overlap_size=100_000, overlap_repeats=1,
@@ -124,122 +106,8 @@ def _best_of(fn, repeats: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# probe matrices: the shape grid
-# ---------------------------------------------------------------------------
-
-def probe_matrices(budget: ProbeBudget) -> Dict[str, sp.csr_matrix]:
-    """The shape grid: one representative CSR per shape class."""
-    # uniform: the 27-point stencil, near-constant row lengths
-    grid = Grid3D(budget.stencil_nx, budget.stencil_nx, budget.stencil_nx)
-    rows, cols, vals = stencil_coo(grid, "27pt")
-    uniform = sp.csr_matrix((vals, (rows, cols)),
-                            shape=(grid.npoints, grid.npoints))
-    uniform.sort_indices()
-    # highcv: skewed row lengths (geometric-ish), the SELL-C-σ case
-    rng = np.random.default_rng(7)
-    n = budget.highcv_rows
-    row_nnz = np.minimum(1 + rng.geometric(1.0 / 12.0, size=n), n)
-    r = np.repeat(np.arange(n, dtype=np.int64), row_nnz)
-    c = rng.integers(0, n, size=r.size, dtype=np.int64)
-    v = rng.standard_normal(r.size)
-    highcv = sp.csr_matrix((v, (r, c)), shape=(n, n))
-    highcv.sum_duplicates()
-    highcv.sort_indices()
-    # dense-ish: a tall block over few columns, density well above 0.25
-    dn, dm = budget.dense_rows, 64
-    mask = rng.random((dn, dm)) < 0.4
-    dense_arr = rng.standard_normal((dn, dm)) * mask
-    dense = sp.csr_matrix(dense_arr)
-    dense.sort_indices()
-    return {"uniform": uniform, "highcv": highcv, "dense": dense}
-
-
-# ---------------------------------------------------------------------------
 # the probes
 # ---------------------------------------------------------------------------
-
-def measure_spmv_rates(
-    budget: ProbeBudget,
-    names: Optional[Sequence[str]] = None,
-    matrices: Optional[Dict[str, sp.csr_matrix]] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Effective SpMV bytes/s per (provider, shape class).
-
-    The rate normaliser is the csr-equivalent useful stream, so rates
-    across formats are directly comparable: ``useful / rate`` is each
-    format's measured seconds on that shape.
-    """
-    if names is None:
-        names = substrate_mod.available()
-    if matrices is None:
-        matrices = probe_matrices(budget)
-    rng = np.random.default_rng(3)
-    out: Dict[str, Dict[str, float]] = {name: {} for name in names}
-    with obs.span("tune/probe/spmv", "tune",
-                  {"budget": budget.name,
-                   "repeats": budget.spmv_repeats}) as span:
-        for shape, csr in matrices.items():
-            nbytes = useful_bytes(MatrixProfile.from_csr(csr))
-            x = rng.standard_normal(csr.shape[1])
-            for name in names:
-                provider = substrate_mod.get(name)(csr)
-                provider.mxv(x)   # warm-up (and structure build check)
-                elapsed = _best_of(lambda: provider.mxv(x),
-                                   budget.spmv_repeats)
-                out[name][shape] = nbytes / elapsed if elapsed > 0 else 0.0
-        if span is not None:
-            span.set(rates={name: dict(shapes)
-                            for name, shapes in out.items()})
-    return out
-
-
-def measure_rbgs_rates(
-    budget: ProbeBudget,
-    names: Optional[Sequence[str]] = None,
-) -> Dict[str, float]:
-    """Effective bytes/s of a full RBGS half-sweep per provider.
-
-    Colour blocks are prebuilt (the smoother's steady state — the
-    hierarchy builds them once) so the probe times the per-colour
-    masked products, not format construction.
-    """
-    if names is None:
-        names = substrate_mod.available()
-    grid = Grid3D(budget.stencil_nx, budget.stencil_nx, budget.stencil_nx)
-    rows, cols, vals = stencil_coo(grid, "27pt")
-    A = sp.csr_matrix((vals, (rows, cols)),
-                      shape=(grid.npoints, grid.npoints))
-    A.sort_indices()
-    colors = lattice_coloring(grid, "27pt")
-    ncolors = int(colors.max()) + 1
-    color_rows = [np.flatnonzero(colors == c) for c in range(ncolors)]
-    diag = A.diagonal()
-    rng = np.random.default_rng(5)
-    r = rng.standard_normal(A.shape[0])
-    nbytes = useful_bytes(MatrixProfile.from_csr(A))
-    out: Dict[str, float] = {}
-    with obs.span("tune/probe/rbgs", "tune",
-                  {"budget": budget.name, "nx": budget.stencil_nx,
-                   "repeats": budget.rbgs_repeats}) as span:
-        for name in names:
-            blocks = [substrate_mod.get(name)(A[sel, :]) for sel in color_rows]
-
-            def half_sweep():
-                z = np.zeros(A.shape[0])
-                for c in range(ncolors):
-                    sel = color_rows[c]
-                    s = blocks[c].mxv(z)
-                    d = diag[sel]
-                    z[sel] = (r[sel] - s + z[sel] * d) / d
-                return z
-
-            half_sweep()   # warm-up
-            elapsed = _best_of(half_sweep, budget.rbgs_repeats)
-            out[name] = nbytes / elapsed if elapsed > 0 else 0.0
-        if span is not None:
-            span.set(rates=dict(out))
-    return out
-
 
 def fit_message_cost(budget: ProbeBudget) -> Tuple[float, float]:
     """Fit BSP ``(g, L)`` to timed simulated h-relations.
@@ -369,7 +237,7 @@ def measure_thread_scaling(
     csr = sp.csr_matrix((vals, (rows, cols)),
                         shape=(grid.npoints, grid.npoints))
     csr.sort_indices()
-    nbytes = useful_bytes(MatrixProfile.from_csr(csr))
+    nbytes = csr.nnz * 16 + csr.shape[0] * 16   # the csr-equivalent stream
     x = np.random.default_rng(11).standard_normal(csr.shape[1])
     counts = _sweep_counts(budget)
     rates: Dict[str, float] = {}
@@ -418,8 +286,6 @@ def measure(budget: ProbeBudget = FULL,
                                         repeats=budget.triad_repeats)
         if span is not None:
             span.set(bandwidth=float(triad))
-    spmv_rates = measure_spmv_rates(budget)
-    rbgs_rates = measure_rbgs_rates(budget)
     g, latency = fit_message_cost(budget)
     overlap = measure_overlap_efficiency(budget)
     half_sat, thread_rates = measure_thread_scaling(budget)
@@ -429,8 +295,6 @@ def measure(budget: ProbeBudget = FULL,
         host=platform.node() or "unknown",
         cores=os.cpu_count() or 1,
         triad_bandwidth=triad,
-        spmv_rates=spmv_rates,
-        rbgs_rates=rbgs_rates,
         net_bandwidth=g,
         latency=latency,
         overlap_efficiency=overlap,

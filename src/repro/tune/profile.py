@@ -6,9 +6,8 @@ consumer reads: ``BSPMachine.from_profile`` prices simulated
 distributed runs with the *measured* memory bandwidth, fitted BSP
 ``g``/``L`` and measured overlap efficiency instead of the Table II
 datasheet constants; ``MachineSpec.from_profile`` feeds the
-shared-memory scaling model; and the substrate registry's ``model``
-selection mode divides a matrix's byte stream by the profile's
-measured per-format rates.
+shared-memory scaling model; and ``REPRO_THREADS=auto`` sizes the
+thread lane from the fitted ``half_sat_threads``.
 
 Serialisation is canonical JSON — keys sorted, two-space indent, one
 trailing newline — so ``save → load → save`` is byte-identical (the
@@ -27,12 +26,10 @@ from repro.util.errors import InvalidValue
 
 #: Bump on any incompatible change to the on-disk layout.
 #: v2 added the thread-scaling fields (``half_sat_threads``,
-#: ``thread_rates``) that size the ``REPRO_THREADS=auto`` lane.
-SCHEMA_VERSION = 2
-
-#: The matrix-shape grid the SpMV probes cover (and the classes the
-#: model-driven selection maps a :class:`MatrixProfile` onto).
-SHAPE_CLASSES = ("uniform", "highcv", "dense")
+#: ``thread_rates``) that size the ``REPRO_THREADS=auto`` lane;
+#: v3 dropped the per-substrate SpMV / RBGS rate tables (per-format
+#: cost is measured by ``benchmarks/ledger`` instead).
+SCHEMA_VERSION = 3
 
 
 class ProfileVersionError(InvalidValue):
@@ -44,9 +41,7 @@ class MachineProfile:
     """Measured rates of one machine, as captured by ``repro.tune``.
 
     Rates are *effective* bytes/second over the csr-equivalent byte
-    stream of the probed kernel (``nnz*16 + nrows*16`` for SpMV), so
-    ``useful_bytes / rate`` predicts seconds regardless of how much
-    padding a format physically streams.
+    stream of the probed kernel (``nnz*16 + nrows*16`` for SpMV).
     """
 
     name: str
@@ -54,10 +49,6 @@ class MachineProfile:
     host: str
     cores: int
     triad_bandwidth: float          # bytes/s, STREAM-triad
-    #: {provider name: {shape class: effective bytes/s}}
-    spmv_rates: Dict[str, Dict[str, float]]
-    #: {provider name: effective bytes/s of a full RBGS half-sweep}
-    rbgs_rates: Dict[str, float]
     net_bandwidth: float            # fitted BSP g, bytes/s
     latency: float                  # fitted BSP L, seconds
     overlap_efficiency: float       # measured compute-under-copy hiding
@@ -91,30 +82,6 @@ class MachineProfile:
             )
 
     # --- rate lookups -------------------------------------------------------
-    def spmv_rate(self, fmt: str, shape_class: Optional[str] = None) -> float:
-        """Effective SpMV bytes/s of ``fmt`` on a shape class.
-
-        Falls back gracefully: an unprobed shape class gets the
-        geometric mean of the format's probed classes; an unprobed
-        format gets the triad bandwidth (the bandwidth-bound ceiling),
-        so a newly registered provider is priced neutrally rather than
-        crashing selection.
-        """
-        per_shape = self.spmv_rates.get(fmt)
-        if not per_shape:
-            return self.triad_bandwidth
-        if shape_class is not None and shape_class in per_shape:
-            return per_shape[shape_class]
-        prod, count = 1.0, 0
-        for rate in per_shape.values():
-            if rate > 0:
-                prod *= rate
-                count += 1
-        return prod ** (1.0 / count) if count else self.triad_bandwidth
-
-    def rbgs_rate(self, fmt: str) -> float:
-        return self.rbgs_rates.get(fmt, self.triad_bandwidth)
-
     def thread_rate(self, kernel: str, nthreads: int) -> Optional[float]:
         """Measured effective bytes/s of ``kernel`` at ``nthreads``
         (``None`` when that point was not probed)."""
@@ -191,21 +158,7 @@ class MachineProfile:
             f"  BSP g (net)       {self.net_bandwidth / 1e9:.2f} GB/s",
             f"  BSP L (latency)   {self.latency * 1e6:.2f} us",
             f"  overlap efficiency {self.overlap_efficiency:.2f}",
-            "  SpMV effective rates (GB/s):",
         ]
-        for fmt in sorted(self.spmv_rates):
-            per = self.spmv_rates[fmt]
-            cells = ", ".join(
-                f"{shape}={per[shape] / 1e9:.2f}"
-                for shape in SHAPE_CLASSES if shape in per
-            )
-            lines.append(f"    {fmt:8s} {cells}")
-        if self.rbgs_rates:
-            cells = ", ".join(
-                f"{fmt}={rate / 1e9:.2f}"
-                for fmt, rate in sorted(self.rbgs_rates.items())
-            )
-            lines.append(f"  RBGS effective rates (GB/s): {cells}")
         lines.append(
             f"  half-saturation threads: {self.half_sat_threads} "
             f"(REPRO_THREADS=auto target, "
@@ -227,36 +180,17 @@ def synthetic_profile(
     net_bandwidth: float = 1e9,
     latency: float = 10e-6,
     overlap_efficiency: float = 0.8,
-    spmv_rates: Optional[Dict[str, Dict[str, float]]] = None,
-    rbgs_rates: Optional[Dict[str, float]] = None,
     fast: bool = True,
     half_sat_threads: int = 1,
     thread_rates: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> MachineProfile:
-    """A hand-built profile for tests and documentation examples.
-
-    The default per-format rates encode the relative strengths the
-    structure heuristic assumes — blocked fastest on uniform/dense
-    shapes, SELL-C-σ ahead on moderately varying rows, CSR the safe
-    baseline — so model-driven selection with this profile reproduces
-    the heuristic's choices on the reference shapes.
-    """
-    if spmv_rates is None:
-        spmv_rates = {
-            "csr": {"uniform": 4e9, "highcv": 4e9, "dense": 4e9},
-            "sellcs": {"uniform": 5e9, "highcv": 6e9, "dense": 4.5e9},
-            "blocked": {"uniform": 7e9, "highcv": 2e9, "dense": 8e9},
-        }
-    if rbgs_rates is None:
-        rbgs_rates = {"csr": 3e9, "sellcs": 4e9, "blocked": 5e9}
+    """A hand-built profile for tests and documentation examples."""
     return MachineProfile(
         name=name,
         created_at=0.0,
         host="synthetic",
         cores=1,
         triad_bandwidth=triad_bandwidth,
-        spmv_rates=spmv_rates,
-        rbgs_rates=rbgs_rates,
         net_bandwidth=net_bandwidth,
         latency=latency,
         overlap_efficiency=overlap_efficiency,

@@ -1,6 +1,10 @@
 """The HPCG benchmark driver end-to-end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,30 @@ class TestCliRobustness:
         self._expect_error(
             capsys, ["--nx", "4", "--dist", "ref-3d", "--nprocs", "0"],
             "nprocs")
+
+    @pytest.mark.parametrize("value", ["bogus", "model"])
+    def test_bad_substrate_force(self, capsys, monkeypatch, value):
+        """A typo and the retired ``model`` value get the same one-line
+        error, naming the providers that remain."""
+        monkeypatch.setenv("REPRO_SUBSTRATE", value)
+        self._expect_error(
+            capsys, ["--nx", "8", "--iters", "1"],
+            f"REPRO_SUBSTRATE: unknown substrate {value!r}; "
+            f"available: csr, sellcs, blocked")
+
+    def test_module_run_is_silent_on_stderr(self):
+        """``python -m repro.hpcg.driver`` used to print a runpy
+        RuntimeWarning on every run (eager driver import in the package
+        ``__init__``)."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH":
+               src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.hpcg.driver",
+             "--nx", "8", "--iters", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 class TestDistCli:

@@ -244,18 +244,20 @@ class TestManifest:
         monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
         csr = problem4.A.to_scipy().tocsr()
         with obs.run() as ctx:
-            substrate_registry.resolve(csr)                    # heuristic
+            substrate_registry.resolve(csr)                    # default
             substrate_registry.resolve(csr, request="sellcs")  # pin
             monkeypatch.setenv("REPRO_SUBSTRATE", "csr")
             substrate_registry.resolve(csr)                    # env force
             reasons = [d["reason"] for d in ctx.manifest.decisions]
             chosen = [d["chosen"] for d in ctx.manifest.decisions]
-        assert reasons == ["heuristic", "pin", "env"]
-        assert chosen[1] == "sellcs" and chosen[2] == "csr"
+        assert reasons == ["default", "pin", "env"]
+        assert chosen == ["csr", "sellcs", "csr"]
+        assert all("selection" not in d for d in ctx.manifest.decisions)
         # decisions double as trace events
         assert len(ctx.tracer.find("substrate_selection")) == 3
 
-    def test_decisions_free_when_disabled(self, problem4):
+    def test_decisions_free_when_disabled(self, monkeypatch, problem4):
+        monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
         csr = problem4.A.to_scipy().tocsr()
         assert substrate_registry.resolve(csr) == "csr"  # no context: no-op
 

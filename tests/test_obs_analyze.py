@@ -269,6 +269,7 @@ class TestManifestDiff:
     def test_forced_substrate_change_carries_reason(self, monkeypatch):
         import repro.hpcg.problem as problem_mod
 
+        monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
         with obs.run() as ctx:
             problem_mod.generate_problem(12)
         base = ctx.build_manifest()
@@ -286,7 +287,7 @@ class TestManifestDiff:
         assert changed, "the forced format must change recorded decisions"
         outcomes = " ".join(" ".join((change["old"] or {}) | (change["new"] or {}))
                             for change in changed)
-        assert "(env)" in outcomes and "(heuristic)" in outcomes
+        assert "csr (env)" in outcomes and "csr (default)" in outcomes
         text = manifest_diff.format_manifest_diff(diff)
         assert "substrate decisions" in text and "(env)" in text
 
@@ -545,13 +546,12 @@ class TestProducerSpans:
         with obs.run() as ctx:
             microbench.measure(microbench.SMOKE, name="test")
         spans = {s.name: s for s in ctx.tracer.spans}
-        for probe in ("triad", "spmv", "rbgs", "message_cost", "overlap"):
+        for probe in ("triad", "message_cost", "overlap", "threads"):
             name = f"tune/probe/{probe}"
             assert name in spans, sorted(spans)
             assert spans[name].args["budget"] == "smoke"
         assert spans["tune/probe/triad"].args["bandwidth"] > 0
-        assert "csr" in spans["tune/probe/spmv"].args["rates"]
-        assert "csr" in spans["tune/probe/rbgs"].args["rates"]
+        assert spans["tune/probe/threads"].args["rates"]["1"] > 0
         assert spans["tune/probe/message_cost"].args["g"] > 0
         assert 0.0 <= spans["tune/probe/overlap"].args[
             "overlap_efficiency"] <= 1.0

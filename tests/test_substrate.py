@@ -20,7 +20,6 @@ from repro.graphblas.substrate import (
     BlockedDenseProvider,
     CsrProvider,
     KernelProvider,
-    MatrixProfile,
     SellCSigmaProvider,
 )
 from repro.hpcg.cg import pcg
@@ -45,6 +44,34 @@ def random_csr(rng, n, m, density=0.2):
     mat = sp.random(n, m, density=density, random_state=rng, format="csr")
     mat.sort_indices()
     return mat
+
+
+def _stencil(nx, stencil):
+    return generate_problem(nx, stencil=stencil).A.to_scipy()
+
+
+def _dense_tall(n=32768, m=16):
+    rng = np.random.default_rng(13)
+    return sp.csr_matrix((rng.random((n, m)) < 0.4).astype(np.float64))
+
+
+def _skewed(n=32768):
+    # one megarow + singleton rows: row-length cv >> 2
+    rows = np.concatenate([np.zeros(n // 2, dtype=np.int64),
+                           np.arange(1, n, 50, dtype=np.int64)])
+    cols = np.concatenate([np.arange(n // 2, dtype=np.int64),
+                           np.zeros(rows.size - n // 2, dtype=np.int64)])
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+
+
+#: what an unpinned matrix may look like; every one resolves to CSR
+UNPINNED_SHAPES = {
+    "tiny": lambda: sp.identity(4, format="csr"),
+    "hpcg27-32": lambda: _stencil(32, "27pt"),
+    "lap7-40": lambda: _stencil(40, "7pt"),
+    "dense-32768": _dense_tall,
+    "skewed-32768": _skewed,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +213,6 @@ class TestProviderInterface:
         # the reduce/ewise cold paths read the canonical storage
         assert prov.reduce_values().size == prov.nnz
         assert prov.csr.nnz == prov.nnz
-        assert isinstance(prov.profile(), MatrixProfile)
 
     def test_padded_formats_price_their_padding(self, rng):
         """A skewed matrix must cost more in padded formats than CSR."""
@@ -202,7 +228,7 @@ class TestProviderInterface:
 
 
 # ---------------------------------------------------------------------------
-# registry + selection heuristic
+# registry + the selection rule (pin > REPRO_SUBSTRATE > CSR)
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
@@ -270,58 +296,18 @@ class TestRegistry:
         grb.mxv(y1, None, m, x)
         assert np.array_equal(y0.to_dense(), y1.to_dense())
         m.set_substrate(None)
-        assert m.substrate == "csr"  # small matrix -> heuristic stays CSR
+        assert m.substrate == "csr"  # unpinned, unforced -> CSR
 
 
-class TestHeuristic:
-    def test_small_matrices_stay_csr(self, problem8):
-        assert substrate.choose(problem8.A.to_scipy()) == "csr"
-
-    def test_stencil_rows_pick_blocked(self):
-        # a large fixed-row-length stencil-like band matrix
-        n = substrate.AUTO_MIN_SIZE
-        csr = sp.diags([1.0] * 9, offsets=range(-4, 5), shape=(n, n),
-                       format="csr")
-        prof = MatrixProfile.from_csr(csr.tocsr())
-        assert prof.cv_row_nnz < 0.25
-        assert substrate.choose(csr.tocsr()) == "blocked"
-
-    def test_moderate_variance_picks_sellcs(self, rng):
-        n = substrate.AUTO_MIN_SIZE
-        row_nnz = rng.integers(1, 12, size=n)
-        rows = np.repeat(np.arange(n), row_nnz)
-        cols = rng.integers(0, n, size=rows.size)
-        csr = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        csr.sum_duplicates()
-        assert substrate.choose(csr) == "sellcs"
-
-    def test_single_megarow_rejects_padded_formats(self):
-        """One outlier row barely moves the cv of a big matrix, but it
-        poisons both padded formats (global-max block width; one lane
-        pass per megarow entry) — the max/mean gates must catch it."""
-        n = substrate.AUTO_MIN_SIZE
-        band = sp.diags([1.0] * 9, offsets=range(-4, 5), shape=(n, n),
-                        format="lil")
-        band[0, :1000] = 1.0
-        csr = band.tocsr()
-        prof = MatrixProfile.from_csr(csr)
-        assert prof.cv_row_nnz <= 2.0  # would pass the variance gates...
-        assert substrate.choose(csr) == "csr"  # ...but not the max gates
-
-    def test_heavy_skew_falls_back_to_csr(self, rng):
-        n = substrate.AUTO_MIN_SIZE
-        # one megarow + singleton rows: cv blows past the sellcs gate
-        rows = np.concatenate([np.zeros(n // 2, dtype=np.int64),
-                               np.arange(1, n, 50, dtype=np.int64)])
-        cols = np.concatenate([np.arange(n // 2, dtype=np.int64),
-                               np.zeros(rows.size - n // 2, dtype=np.int64)])
-        csr = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        assert substrate.choose(csr) == "csr"
-
-    def test_resolution_order(self, monkeypatch):
+    @pytest.mark.parametrize("shape", UNPINNED_SHAPES)
+    def test_resolution_order(self, shape, monkeypatch):
+        """Pin > env force > CSR, whatever the matrix looks like: the
+        ledger's two ex-threshold-crossing operators and a dense and a
+        skewed matrix of >= 32768 rows all default to CSR."""
+        csr = UNPINNED_SHAPES[shape]()
         monkeypatch.delenv(substrate.ENV_VAR, raising=False)
-        csr = sp.identity(4, format="csr")
         assert substrate.resolve(csr) == "csr"
+        assert grb.Matrix.from_scipy(csr).substrate == "csr"
         assert substrate.resolve(csr, "sellcs") == "sellcs"
         monkeypatch.setenv(substrate.ENV_VAR, "blocked")
         assert substrate.resolve(csr) == "blocked"

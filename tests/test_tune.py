@@ -1,4 +1,4 @@
-"""The autotuning subsystem: profiles, cache, selection, consumers.
+"""The autotuning subsystem: profiles, cache, consumers.
 
 The contracts this file enforces:
 
@@ -7,11 +7,7 @@ The contracts this file enforces:
 * **consumers** — ``BSPMachine.from_profile`` prices a trace exactly
   like the equivalent hand-built machine, and profile-priced simulated
   runs keep bit-identical numerics (the pricing source must never
-  touch the mathematics);
-* **model-driven selection** — on the reference shapes the structure
-  heuristic already classifies, ``selection="model"`` with the
-  synthetic profile agrees with the heuristic, and with no profile
-  cached it falls back silently.
+  touch the mathematics).
 """
 
 import json
@@ -20,14 +16,8 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from repro import graphblas as grb
 from repro.dist import BSPMachine, CommTracker, RefDistRun, bsp_time
-from repro.graphblas import substrate
-from repro.graphblas.substrate import registry
-from repro.graphblas.substrate.base import MatrixProfile
-from repro.grid import Grid3D, stencil_coo
 from repro.perf import ALP_PROFILE, MachineSpec, Placement, ScalingModel
 from repro.tune import (
     MachineProfile,
@@ -35,7 +25,6 @@ from repro.tune import (
     cache,
     synthetic_profile,
 )
-from repro.tune import select as tune_select
 from repro.tune.profile import SCHEMA_VERSION
 from repro.util.errors import InvalidValue
 
@@ -48,33 +37,6 @@ def tmp_cache(tmp_path, monkeypatch):
     cache.invalidate()
     yield tmp_path
     cache.invalidate()
-
-
-def stencil_csr(nx: int) -> sp.csr_matrix:
-    grid = Grid3D(nx, nx, nx)
-    rows, cols, vals = stencil_coo(grid, "27pt")
-    csr = sp.csr_matrix((vals, (rows, cols)),
-                        shape=(grid.npoints, grid.npoints))
-    csr.sort_indices()
-    return csr
-
-
-def highcv_csr(n: int = 2048) -> sp.csr_matrix:
-    rng = np.random.default_rng(11)
-    row_nnz = np.minimum(1 + rng.geometric(1.0 / 12.0, size=n), n)
-    r = np.repeat(np.arange(n, dtype=np.int64), row_nnz)
-    c = rng.integers(0, n, size=r.size, dtype=np.int64)
-    csr = sp.csr_matrix((np.ones(r.size), (r, c)), shape=(n, n))
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return csr
-
-
-def dense_csr(n: int = 1024, m: int = 16) -> sp.csr_matrix:
-    rng = np.random.default_rng(13)
-    csr = sp.csr_matrix((rng.random((n, m)) < 0.4).astype(np.float64))
-    csr.sort_indices()
-    return csr
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +84,10 @@ class TestProfileRoundTrip:
         with pytest.raises(InvalidValue):
             synthetic_profile(net_bandwidth=0.0)
 
-    def test_rate_fallbacks(self):
-        prof = synthetic_profile()
-        # unprobed format: priced at the triad ceiling, not a crash
-        assert prof.spmv_rate("exotic") == prof.triad_bandwidth
-        assert prof.rbgs_rate("exotic") == prof.triad_bandwidth
-        # unprobed shape class: the format's geometric mean
-        rate = prof.spmv_rate("csr", "never-probed")
-        lo = min(prof.spmv_rates["csr"].values())
-        hi = max(prof.spmv_rates["csr"].values())
-        assert lo * (1 - 1e-9) <= rate <= hi * (1 + 1e-9)
-
     def test_summary_mentions_rates(self):
         text = synthetic_profile().summary()
         assert "triad bandwidth" in text
-        assert "sellcs" in text
+        assert "BSP g" in text
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +123,18 @@ class TestCache:
             cache.load_profile()
 
     def test_version_mismatch_soft_none(self, tmp_cache):
-        data = synthetic_profile().to_dict()
-        data["schema_version"] = SCHEMA_VERSION + 7
-        with open(cache.profile_path(), "w") as fh:
-            json.dump(data, fh)
-        assert cache.current_profile() is None
+        current = synthetic_profile().to_dict()
+        # a file left behind by the previous release: schema v2 still
+        # carried the per-substrate rate tables
+        v2 = {**current, "schema_version": 2,
+              "spmv_rates": {"csr": {"uniform": 4e9}},
+              "rbgs_rates": {"csr": 3e9}}
+        for data in ({**current, "schema_version": SCHEMA_VERSION + 7}, v2):
+            with open(cache.profile_path(), "w") as fh:
+                json.dump(data, fh)
+            assert cache.current_profile() is None
+            with pytest.raises(ProfileVersionError):
+                cache.load_profile()
 
     def test_staleness(self, tmp_cache, monkeypatch):
         old = synthetic_profile()
@@ -269,147 +227,6 @@ class TestFromProfile:
 
 
 # ---------------------------------------------------------------------------
-# model-driven selection
-# ---------------------------------------------------------------------------
-
-class TestModelSelection:
-    @pytest.fixture()
-    def small_gate(self, monkeypatch):
-        """Shrink the conversion-amortisation floor so the reference
-        shapes stay test-sized."""
-        monkeypatch.setattr(registry, "AUTO_MIN_SIZE", 64)
-
-    def reference_shapes(self):
-        return {
-            "tiny": sp.csr_matrix(np.eye(10)),
-            "uniform": stencil_csr(12),     # cv ~= 0.23: blocked
-            "highcv": highcv_csr(),         # skewed rows: sellcs
-            "dense": dense_csr(),           # density 0.4: blocked
-        }
-
-    def test_shape_classes(self):
-        shapes = self.reference_shapes()
-        got = {name: tune_select.shape_class(MatrixProfile.from_csr(csr))
-               for name, csr in shapes.items()}
-        assert got["uniform"] == "uniform"
-        assert got["highcv"] == "highcv"
-        assert got["dense"] == "dense"
-
-    def test_model_agrees_with_heuristic_on_reference_shapes(
-            self, small_gate):
-        prof = synthetic_profile()
-        for name, csr in self.reference_shapes().items():
-            heuristic = substrate.choose(csr)
-            model = substrate.choose_model(csr, profile=prof)
-            assert model == heuristic, (
-                f"{name}: heuristic={heuristic} model={model}"
-            )
-        assert substrate.choose(self.reference_shapes()["tiny"]) == "csr"
-
-    def test_no_profile_falls_back_silently(self, tmp_cache, small_gate,
-                                            recwarn):
-        for csr in self.reference_shapes().values():
-            assert (substrate.resolve(csr, selection="model")
-                    == substrate.choose(csr))
-        assert len(recwarn) == 0
-
-    def test_env_model_force(self, tmp_cache, small_gate, monkeypatch):
-        monkeypatch.setenv(substrate.ENV_VAR, "model")
-        assert substrate.forced() == substrate.MODEL
-        cache.save_profile(synthetic_profile())
-        csr = stencil_csr(12)
-        assert substrate.resolve(csr) == substrate.choose_model(csr)
-        # an explicit provider pin still beats the env force
-        assert substrate.resolve(csr, "csr") == "csr"
-
-    def test_model_pin_on_matrix(self, tmp_cache, small_gate):
-        cache.save_profile(synthetic_profile())
-        m = grb.Matrix.from_scipy(stencil_csr(12), substrate="model")
-        assert m.substrate == "blocked"
-        # resolution is concrete: the provider actually runs
-        x = grb.Vector.from_dense(np.ones(m.ncols))
-        y = grb.Vector.dense(m.nrows)
-        grb.mxv(y, None, m, x)
-        want = grb.Matrix.from_scipy(stencil_csr(12), substrate="csr")
-        yw = grb.Vector.dense(m.nrows)
-        grb.mxv(yw, None, want, x)
-        assert np.array_equal(y.to_dense(), yw.to_dense())
-        # and set_substrate accepts the mode too
-        m.set_substrate("csr")
-        assert m.substrate == "csr"
-        m.set_substrate("model")
-        assert m.substrate == "blocked"
-
-    def test_selection_mode_validation(self):
-        csr = sp.csr_matrix(np.eye(4))
-        with pytest.raises(InvalidValue, match="selection mode"):
-            substrate.resolve(csr, selection="typo")
-
-    def test_explicit_heuristic_selection_beats_env_force(
-            self, tmp_cache, small_gate, monkeypatch):
-        """selection= is a pin for *both* modes: asking for the
-        heuristic explicitly bypasses REPRO_SUBSTRATE, just as
-        selection='model' does."""
-        cache.save_profile(synthetic_profile())
-        csr = stencil_csr(12)
-        monkeypatch.setenv(substrate.ENV_VAR, "sellcs")
-        assert substrate.resolve(csr) == "sellcs"
-        assert (substrate.resolve(csr, selection="heuristic")
-                == substrate.choose(csr))
-        monkeypatch.setenv(substrate.ENV_VAR, "model")
-        assert (substrate.resolve(csr, selection="heuristic")
-                == substrate.choose(csr))
-
-    def test_model_is_a_reserved_registry_name(self):
-        from repro.graphblas.substrate import CsrProvider
-
-        class Impostor(CsrProvider):
-            name = "model"
-
-        with pytest.raises(InvalidValue, match="reserved"):
-            substrate.register(Impostor)
-
-    def test_profile_rates_steer_the_choice(self, small_gate):
-        """The decision is genuinely rate-driven: invert the measured
-        rates and the model must abandon the heuristic's pick."""
-        csr = stencil_csr(12)
-        csr_wins = synthetic_profile(spmv_rates={
-            "csr": {"uniform": 9e9, "highcv": 9e9, "dense": 9e9},
-            "sellcs": {"uniform": 1e9, "highcv": 1e9, "dense": 1e9},
-            "blocked": {"uniform": 1e9, "highcv": 1e9, "dense": 1e9},
-        })
-        assert substrate.choose_model(csr, profile=csr_wins) == "csr"
-        assert substrate.choose(csr) == "blocked"
-
-    def test_guards_override_rates(self):
-        """One megarow keeps blocked/sellcs out no matter how fast the
-        profile claims they are (padding explosion is structural)."""
-        n = 512
-        rows = [0] * n + list(range(1, n))
-        cols = list(range(n)) + [0] * (n - 1)
-        csr = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                            shape=(n, n))
-        csr.sort_indices()
-        p = MatrixProfile.from_csr(csr)
-        blocked_fast = synthetic_profile(spmv_rates={
-            "csr": {"uniform": 1e9, "highcv": 1e9, "dense": 1e9},
-            "sellcs": {"uniform": 9e9, "highcv": 9e9, "dense": 9e9},
-            "blocked": {"uniform": 9e10, "highcv": 9e10, "dense": 9e10},
-        })
-        choice = tune_select.choose_model(
-            p, blocked_fast, ("csr", "sellcs", "blocked"))
-        assert choice == "csr"
-
-    def test_predict_seconds_shape(self):
-        prof = synthetic_profile()
-        p = MatrixProfile.from_csr(stencil_csr(8))
-        costs = tune_select.predict_seconds(
-            p, prof, ("csr", "sellcs", "blocked"))
-        assert set(costs) == {"csr", "sellcs", "blocked"}
-        assert all(c > 0 for c in costs.values())
-
-
-# ---------------------------------------------------------------------------
 # the micro-benchmark suite (smoke budget) and the CLI
 # ---------------------------------------------------------------------------
 
@@ -425,11 +242,6 @@ class TestMicrobench:
         assert measured.net_bandwidth > 0
         assert measured.latency >= 0
         assert 0.0 <= measured.overlap_efficiency <= 1.0
-        for fmt in substrate.available():
-            assert set(measured.spmv_rates[fmt]) == {
-                "uniform", "highcv", "dense"}
-            assert all(r > 0 for r in measured.spmv_rates[fmt].values())
-            assert measured.rbgs_rates[fmt] > 0
         path = str(tmp_path / "measured.json")
         measured.save(path)
         assert MachineProfile.load(path) == measured
@@ -440,13 +252,6 @@ class TestMicrobench:
                          machine=machine).run_cg(max_iters=2)
         assert res.modelled_seconds > 0
         assert res.machine == f"profile:{measured.name}"
-
-    def test_probe_matrices_cover_the_grid(self):
-        from repro.tune import microbench
-        mats = microbench.probe_matrices(microbench.SMOKE)
-        assert set(mats) == {"uniform", "highcv", "dense"}
-        dense_p = MatrixProfile.from_csr(mats["dense"])
-        assert tune_select.shape_class(dense_p) == "dense"
 
 
 class TestCli:
