@@ -51,8 +51,7 @@ def per_node_color_work(A: sp.csr_matrix, owners: np.ndarray,
     nnz = np.bincount(key, weights=row_nnz,
                       minlength=p * ncolors).reshape(p, ncolors)
     rows = np.bincount(key, minlength=p * ncolors).reshape(p, ncolors)
-    work = nnz * _MXV_NNZ_BYTES + rows * _MXV_ROW_BYTES
-    return work.max(axis=0)
+    return mxv_bytes(nnz, rows).max(axis=0)
 
 
 def rows_touching_remote(A: sp.csr_matrix,
@@ -100,7 +99,7 @@ def per_node_interior_work(
     rows = np.bincount(owners[interior], minlength=p).astype(np.int64)
     nnz = np.bincount(owners[interior], weights=row_nnz[interior],
                       minlength=p).astype(np.int64)
-    per_node = nnz * _MXV_NNZ_BYTES + rows * _MXV_ROW_BYTES
+    per_node = mxv_bytes(nnz, rows)
     return float(per_node.max()) if p else 0.0, per_node
 
 
@@ -122,5 +121,4 @@ def per_node_interior_color_work(
     nnz = np.bincount(key, weights=row_nnz[interior],
                       minlength=p * ncolors).reshape(p, ncolors)
     rows = np.bincount(key, minlength=p * ncolors).reshape(p, ncolors)
-    work = nnz * _MXV_NNZ_BYTES + rows * _MXV_ROW_BYTES
-    return work.max(axis=0)
+    return mxv_bytes(nnz, rows).max(axis=0)

@@ -48,7 +48,7 @@ class NodeCrash(Exception):
     """Control-flow signal: a planned node failure reached its superstep.
 
     Raised by :meth:`FaultInjector.check_crash` out of the pricing
-    engine; caught by the resilient run loop, which rolls back and
+    engine; caught by ``run_cg``, which rolls back and
     repartitions.  Deliberately *not* an :class:`InvalidValue` — a
     crash is a simulated event, not a caller mistake.
     """

@@ -25,20 +25,16 @@ import numpy as np
 
 from repro.dist.bsp import BSPMachine
 from repro.dist.cost import (
+    _RESTRICT_MXV_BYTES,
     interior_row_mask,
+    mxv_bytes,
+    per_node_color_work,
     per_node_interior_color_work,
     per_node_interior_work,
-)
-from repro.dist.partition import BlockCyclic1D
-from repro.dist.simulate import (
-    SimLevel,
-    SimulatedDistRun,
-    _MXV_NNZ_BYTES,
-    _MXV_ROW_BYTES,
-    _RESTRICT_MXV_BYTES,
-    per_node_color_work,
     per_node_rows_and_nnz,
 )
+from repro.dist.partition import BlockCyclic1D
+from repro.dist.simulate import SimLevel, SimulatedDistRun
 from repro.hpcg.problem import Problem
 
 
@@ -58,31 +54,23 @@ def _allgather_matrix(part) -> np.ndarray:
 
 
 class HybridALPRun(SimulatedDistRun):
-    """Simulated distributed HPCG over 1D block-cyclic ALP containers."""
+    """Simulated distributed HPCG over 1D block-cyclic ALP containers.
+
+    ``engine`` keywords are :class:`~repro.dist.simulate.SimulatedDistRun`'s,
+    passed through unchanged: ``comm_mode``, ``overlap_efficiency``,
+    ``agglomerate_below``, ``execute_local``, ``node_threads``, ``faults``.
+    """
 
     backend = "alp-1d"
 
     def __init__(self, problem: Problem, nprocs: int, mg_levels: int = 4,
                  machine: Optional[BSPMachine] = None, block: int = 1,
-                 comm_mode: Optional[str] = None,
-                 overlap_efficiency: Optional[float] = None,
-                 agglomerate_below: int = 0,
-                 execute_local: bool = False,
-                 node_threads: Optional[int] = None,
-                 faults=None):
+                 **engine):
         self._block = block
-        super().__init__(problem, nprocs, mg_levels, machine,
-                         comm_mode=comm_mode,
-                         overlap_efficiency=overlap_efficiency,
-                         agglomerate_below=agglomerate_below,
-                         execute_local=execute_local,
-                         node_threads=node_threads,
-                         faults=faults)
+        super().__init__(problem, nprocs, mg_levels, machine, **engine)
 
-    def _respawn_kwargs(self) -> dict:
-        kw = super()._respawn_kwargs()
-        kw["block"] = self._block
-        return kw
+    def _respawn(self, nprocs: int) -> "HybridALPRun":
+        return super()._respawn(nprocs, block=self._block)
 
     def _init_level_comm(self, level: SimLevel) -> None:
         p = self.nprocs
@@ -94,9 +82,8 @@ class HybridALPRun(SimulatedDistRun):
             [part.local_size(k) * 8 for k in range(p)], dtype=np.int64
         )
         rows, nnz = per_node_rows_and_nnz(level.A, owners, p)
-        work_bytes = nnz * _MXV_NNZ_BYTES + rows * _MXV_ROW_BYTES
         level.spmv_comm = _allgather_matrix(part)
-        level.spmv_work = (work_bytes, rows)
+        level.spmv_work = (mxv_bytes(nnz, rows), rows)
         level.color_work = per_node_color_work(
             level.A, owners, level.colors, p, level.ncolors
         )

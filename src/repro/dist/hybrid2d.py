@@ -29,31 +29,25 @@ from typing import Optional
 import numpy as np
 
 from repro.dist.bsp import BSPMachine
+from repro.dist.cost import _RESTRICT_MXV_BYTES, mxv_bytes
 from repro.dist.partition import Block1D, largest_square
-from repro.dist.simulate import (
-    SimLevel,
-    SimulatedDistRun,
-    _MXV_NNZ_BYTES,
-    _MXV_ROW_BYTES,
-    _RESTRICT_MXV_BYTES,
-)
+from repro.dist.simulate import SimLevel, SimulatedDistRun
 from repro.hpcg.problem import Problem
 from repro.util.errors import InvalidValue
 
 
 class Hybrid2DRun(SimulatedDistRun):
-    """Simulated distributed HPCG over a 2D block matrix distribution."""
+    """Simulated distributed HPCG over a 2D block matrix distribution.
+
+    ``engine`` keywords are :class:`~repro.dist.simulate.SimulatedDistRun`'s,
+    passed through unchanged: ``comm_mode``, ``overlap_efficiency``,
+    ``agglomerate_below``, ``execute_local``, ``node_threads``, ``faults``.
+    """
 
     backend = "alp-2d"
 
     def __init__(self, problem: Problem, nprocs: int, mg_levels: int = 4,
-                 machine: Optional[BSPMachine] = None,
-                 comm_mode: Optional[str] = None,
-                 overlap_efficiency: Optional[float] = None,
-                 agglomerate_below: int = 0,
-                 execute_local: bool = False,
-                 node_threads: Optional[int] = None,
-                 faults=None):
+                 machine: Optional[BSPMachine] = None, **engine):
         q = int(round(math.sqrt(nprocs)))
         if q * q != nprocs:
             raise InvalidValue(
@@ -61,19 +55,12 @@ class Hybrid2DRun(SimulatedDistRun):
                 f"got {nprocs}"
             )
         self.q = q
-        super().__init__(problem, nprocs, mg_levels, machine,
-                         comm_mode=comm_mode,
-                         overlap_efficiency=overlap_efficiency,
-                         agglomerate_below=agglomerate_below,
-                         execute_local=execute_local,
-                         node_threads=node_threads,
-                         faults=faults)
+        super().__init__(problem, nprocs, mg_levels, machine, **engine)
 
     def _respawn(self, nprocs: int) -> "Hybrid2DRun":
         """The √p x √p grid needs a square node count: continue on the
         largest square subset of the survivors."""
-        return type(self)(self.problem, largest_square(nprocs),
-                          **self._respawn_kwargs())
+        return super()._respawn(largest_square(nprocs))
 
     def _rank(self, i: int, j: int) -> int:
         return i * self.q + j
@@ -88,8 +75,7 @@ class Hybrid2DRun(SimulatedDistRun):
         # worst-block mxv work: blocks are ~uniform, price the average
         nnz_per_block = level.A.nnz / max(self.nprocs, 1)
         rows_per_block = level.n / q
-        level.block_work = (nnz_per_block * _MXV_NNZ_BYTES
-                            + rows_per_block * _MXV_ROW_BYTES)
+        level.block_work = mxv_bytes(nnz_per_block, rows_per_block)
         # per-colour output block sizes (bytes) for the row reduction
         level.color_block_bytes = []
         block_of = part.owner(np.arange(level.n, dtype=np.int64))

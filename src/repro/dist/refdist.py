@@ -33,9 +33,13 @@ import numpy as np
 
 from repro.dist.bsp import BSPMachine
 from repro.dist.cost import (
+    _RESTRICT_COPY_BYTES,
     interior_row_mask,
+    mxv_bytes,
+    per_node_color_work,
     per_node_interior_color_work,
     per_node_interior_work,
+    per_node_rows_and_nnz,
 )
 from repro.dist.partition import (
     Grid3DPartition,
@@ -43,15 +47,7 @@ from repro.dist.partition import (
     factor3,
     halo_for_owners,
 )
-from repro.dist.simulate import (
-    SimLevel,
-    SimulatedDistRun,
-    _MXV_NNZ_BYTES,
-    _MXV_ROW_BYTES,
-    _RESTRICT_COPY_BYTES,
-    per_node_color_work,
-    per_node_rows_and_nnz,
-)
+from repro.dist.simulate import SimLevel, SimulatedDistRun
 from repro.hpcg.problem import Problem
 from repro.util.errors import InvalidValue
 
@@ -60,20 +56,19 @@ PARTITIONS = ("grid3d", "bfs")
 
 
 class RefDistRun(SimulatedDistRun):
-    """Simulated distributed HPCG with the reference 3D distribution."""
+    """Simulated distributed HPCG with the reference 3D distribution.
+
+    ``engine`` keywords are :class:`~repro.dist.simulate.SimulatedDistRun`'s,
+    passed through unchanged: ``comm_mode``, ``overlap_efficiency``,
+    ``agglomerate_below``, ``execute_local``, ``node_threads``, ``faults``.
+    """
 
     backend = "ref-3d"
 
     def __init__(self, problem: Problem, nprocs: int, mg_levels: int = 4,
                  machine: Optional[BSPMachine] = None,
                  process_grid: Optional[Tuple[int, int, int]] = None,
-                 partition: str = "grid3d",
-                 comm_mode: Optional[str] = None,
-                 overlap_efficiency: Optional[float] = None,
-                 agglomerate_below: int = 0,
-                 execute_local: bool = False,
-                 node_threads: Optional[int] = None,
-                 faults=None):
+                 partition: str = "grid3d", **engine):
         if partition not in PARTITIONS:
             raise InvalidValue(
                 f"unknown partition {partition!r}, "
@@ -81,31 +76,19 @@ class RefDistRun(SimulatedDistRun):
             )
         self._partition_kind = partition
         self._process_grid = process_grid if process_grid else factor3(nprocs)
-        super().__init__(problem, nprocs, mg_levels, machine,
-                         comm_mode=comm_mode,
-                         overlap_efficiency=overlap_efficiency,
-                         agglomerate_below=agglomerate_below,
-                         execute_local=execute_local,
-                         node_threads=node_threads,
-                         faults=faults)
+        super().__init__(problem, nprocs, mg_levels, machine, **engine)
 
     # --- crash recovery ------------------------------------------------------
-    def _respawn_kwargs(self) -> dict:
-        kw = super()._respawn_kwargs()
-        kw["partition"] = self._partition_kind
-        return kw
-
     def _respawn(self, nprocs: int) -> "RefDistRun":
         """Repartition onto the survivors: geometric boxes when the
         survivor count still factors into the grid, else fall back to
         the black-box BFS partition (which accepts any node count)."""
-        kw = self._respawn_kwargs()
-        if kw["partition"] == "grid3d":
+        if self._partition_kind == "grid3d":
             try:
-                return type(self)(self.problem, nprocs, **kw)
+                return super()._respawn(nprocs, partition="grid3d")
             except InvalidValue:
-                kw["partition"] = "bfs"
-        return type(self)(self.problem, nprocs, **kw)
+                pass
+        return super()._respawn(nprocs, partition="bfs")
 
     def _init_level_comm(self, level: SimLevel) -> None:
         p = self.nprocs
@@ -131,8 +114,7 @@ class RefDistRun(SimulatedDistRun):
                     per[pair] = npoints * 8
             level.color_halo.append(per)
         rows, nnz = per_node_rows_and_nnz(level.A, owners, p)
-        work_bytes = nnz * _MXV_NNZ_BYTES + rows * _MXV_ROW_BYTES
-        level.spmv_work = (work_bytes, rows)
+        level.spmv_work = (mxv_bytes(nnz, rows), rows)
         level.color_work = per_node_color_work(
             level.A, owners, level.colors, p, level.ncolors
         )

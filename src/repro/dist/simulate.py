@@ -2,15 +2,19 @@
 
 The three backends (:class:`~repro.dist.hybrid.HybridALPRun`,
 :class:`~repro.dist.hybrid2d.Hybrid2DRun`,
-:class:`~repro.dist.refdist.RefDistRun`) run *identical numerics*: a
-scipy transcription of the serial GraphBLAS CG + multigrid V-cycle
-whose every floating-point operation mirrors the substrate's kernels —
-the same CSR row reductions, the same ``waxpby`` in-place update forms,
-the same colour order — so residual histories are bit-identical to
-``run_hpcg``.  What differs per backend is *communication*: subclasses
-override the ``*_comm`` hooks to record sends on the
-:class:`~repro.dist.comm.CommTracker` and to price each superstep on
-the BSP machine.
+:class:`~repro.dist.refdist.RefDistRun`) run *identical numerics*, and
+they are the reference's by construction: every floating-point
+operation is a :mod:`repro.ref` kernel (``compute_spmv`` /
+``compute_waxpby`` / ``compute_dot``, ``RefRBGS.update_color`` per
+colour step, operators from ``repro.ref.multigrid.build_csr``), so
+residual histories are bit-identical to ``run_hpcg``.  The engine adds
+the accounting only: **one** CG loop and one V-cycle walk in which each
+kernel call is followed by the backend's ``*_comm`` hook, which records
+the sends on the :class:`~repro.dist.comm.CommTracker` and prices the
+superstep on the BSP machine.  ``run_cg`` wraps that loop — on a
+:class:`~repro.dist.faults.NodeCrash` it repartitions onto the
+survivors and re-attempts from the last checkpoint; a fault-free run is
+the same wrapper with no injector and a single attempt.
 
 This separation is the point of the simulation: convergence is provably
 unchanged by the distribution (the paper's Section V precondition), so
@@ -65,8 +69,10 @@ on the :class:`DistRunResult`.  Numerics are untouched either way.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
+from types import SimpleNamespace
 from typing import List, Optional
 
 import numpy as np
@@ -75,29 +81,28 @@ import scipy.sparse as sp
 from repro import obs
 from repro.dist.bsp import ARM_CLUSTER_NODE, BSPMachine
 from repro.dist.comm import CommTracker, SuperstepStats, resolve_comm_mode
-from repro.dist.faults import FaultInjector, FaultPlan, NodeCrash
 from repro.dist.cost import (
     _DOT_BYTES,
-    _MXV_NNZ_BYTES,
-    _MXV_ROW_BYTES,
     _RESTRICT_COPY_BYTES,
-    _RESTRICT_MXV_BYTES,
     _WAXPBY_BYTES,
     mxv_bytes,
-    per_node_color_work,
-    per_node_rows_and_nnz,
 )
+from repro.dist.faults import FaultInjector, FaultPlan, NodeCrash
 from repro.dist.partition import Block1D
 from repro.dist.result import DistRunResult
-from repro.grid import Grid3D, stencil_coo
+from repro.grid import Grid3D
 from repro.hpcg.coloring import lattice_coloring
 from repro.hpcg.problem import Problem
+from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
+from repro.ref.multigrid import build_csr
+from repro.ref.sgs import RefRBGS
 from repro.util.errors import InvalidValue
 from repro.util.timer import TimerRegistry
 
 
 class SimLevel:
-    """One multigrid level's numeric data (operator, colours, injection)."""
+    """One multigrid level: the operator, its colouring and the
+    reference smoother that owns the per-colour blocks."""
 
     def __init__(self, index: int, grid: Grid3D, A: sp.csr_matrix,
                  stencil: str):
@@ -105,41 +110,101 @@ class SimLevel:
         self.grid = grid
         self.A = A
         self.n = A.shape[0]
-        self.diag = A.diagonal()
         self.colors = lattice_coloring(grid, stencil)
-        self.ncolors = int(self.colors.max()) + 1
-        self.color_rows = [np.flatnonzero(self.colors == c)
-                           for c in range(self.ncolors)]
-        self.color_blocks = [A[rows, :] for rows in self.color_rows]
+        self.smoother = RefRBGS(A, self.colors)
+        self.color_rows = self.smoother.color_rows
+        self.ncolors = len(self.color_rows)
         # set by the hierarchy builder when a coarser level exists
         self.injection: Optional[np.ndarray] = None
         # set when the level is gathered onto one node (agglomeration)
         self.agglomerated = False
-        self.agg_spmv_work = 0.0
-        self.agg_color_work: List[float] = []
 
 
-class CGCheckpoint:
-    """One CG-state snapshot: everything a rollback needs to resume
-    iteration ``k + 1`` exactly where the clean run would be."""
+@dataclasses.dataclass
+class CGState:
+    """The CG loop's variables after iteration ``k``.  A ``copy()`` is a
+    checkpoint: everything a rollback needs to resume iteration
+    ``k + 1`` exactly where the clean run would be."""
 
-    __slots__ = ("k", "x", "r", "p", "rtz", "normr", "normr0", "residuals")
+    k: int
+    x: np.ndarray
+    r: np.ndarray
+    p: np.ndarray
+    rtz: float
+    residuals: List[float]        # [||r_0||, ..., ||r_k||]
 
-    def __init__(self, k: int, x: np.ndarray, r: np.ndarray, p: np.ndarray,
-                 rtz: float, normr: float, normr0: float,
-                 residuals: List[float]):
-        self.k = k
-        self.x = x
-        self.r = r
-        self.p = p
-        self.rtz = rtz
-        self.normr = normr
-        self.normr0 = normr0
-        self.residuals = residuals
+    def copy(self) -> "CGState":
+        return dataclasses.replace(
+            self, x=self.x.copy(), r=self.r.copy(), p=self.p.copy(),
+            residuals=list(self.residuals))
+
+
+class _RunState:
+    """Everything one :meth:`SimulatedDistRun.run_cg` accumulates.
+
+    Recovery hands this object to the survivor run by reference, so the
+    final totals honestly include every failed attempt.  Only the
+    tracker restarts (its per-node arrays are sized to the node count);
+    what the discarded ones counted is kept in ``lost_*``.
+    """
+
+    def __init__(self, nprocs: int, injector: Optional[FaultInjector]):
+        self.tracker = CommTracker(nprocs)
+        self.timers = TimerRegistry()
+        # wire-time accounting lives in its own registry so the main
+        # timers' report() shares still sum to modelled_seconds
+        self.comm_timers = TimerRegistry()
+        self.seconds = 0.0
+        self.comm_seconds = 0.0
+        self.exposed_comm_seconds = 0.0
+        self.injector = injector
+        self.checkpoint: Optional[CGState] = None
+        self.checkpoint_seconds = 0.0
+        self.checkpoints = 0
+        self.iteration = 0            # the iteration in progress
+        self.reexecuted = 0
+        self.lost_supersteps = 0
+        self.lost_bytes = 0
+        # observability taps (None when tracing is off); the fault
+        # metrics are declared only on faulted runs
+        self.metrics: Optional[SimpleNamespace] = None
+        registry = obs.metrics_registry()
+        if registry is None:
+            return
+        self.metrics = m = SimpleNamespace(
+            supersteps=registry.counter(
+                "dist_supersteps_total", "BSP supersteps closed"),
+            h=registry.series(
+                "dist_h_relation", "h-relation bytes per superstep"),
+            comm=registry.counter(
+                "dist_comm_seconds",
+                "modelled wire seconds by exposure (full/exposed/hidden)"),
+            residual=registry.series(
+                "dist_cg_residual",
+                "simulated CG residual 2-norm per iteration"),
+            iteration=registry.gauge(
+                "dist_cg_iteration",
+                "current simulated-CG iteration (live progress)"),
+            residual_last=registry.gauge(
+                "dist_cg_residual_last",
+                "most recent simulated-CG residual 2-norm"),
+        )
+        if injector is not None:
+            m.faults = registry.counter(
+                "faults_injected_total", "injected fault events by kind")
+            m.retries = registry.counter(
+                "exchange_retries_total",
+                "lost-exchange re-deliveries priced as extra supersteps")
+            m.checkpoint = registry.counter(
+                "checkpoint_seconds",
+                "modelled seconds spent taking CG-state checkpoints")
+            m.recoveries = registry.counter(
+                "dist_recoveries_total",
+                "crash recoveries (rollback + repartition onto survivors)")
 
 
 class SimulatedDistRun:
-    """Base class: exact CG+MG numerics with pluggable communication."""
+    """Base class: reference CG+MG numerics, pluggable communication."""
 
     backend = "dist"
 
@@ -212,49 +277,36 @@ class SimulatedDistRun:
             if index + 1 < mg_levels:
                 level.injection = grid.injection_indices()
                 grid = grid.coarsen()
-                rows, cols, vals = stencil_coo(grid, stencil)
-                A = sp.csr_matrix((vals, (rows, cols)),
-                                  shape=(grid.npoints, grid.npoints))
-                A.sort_indices()
+                A = build_csr(grid, stencil)
         for level in self.levels:
             # agglomeration: gather small coarse levels onto node 0
             # (never the finest level, which CG itself runs on)
             if (agglomerate_below and level.index > 0
                     and level.n <= agglomerate_below):
                 level.agglomerated = True
-                level.agg_spmv_work = mxv_bytes(level.A.nnz, level.n)
-                level.agg_color_work = [
-                    mxv_bytes(block.nnz, rows.size)
-                    for block, rows in zip(level.color_blocks,
-                                           level.color_rows)
-                ]
-            else:
+                continue
+            try:
                 self._init_level_comm(level)
-        # fault model: an inactive plan keeps run_cg on the
-        # bit-identical fault-free path
+            except InvalidValue as exc:
+                # the partitioners know neither the level nor the way out
+                fixes = [f"a node count that divides it (got {nprocs})"]
+                if level.index > 0:
+                    fixes = [f"agglomerate_below >= {level.n}",
+                             f"mg_levels <= {level.index}"] + fixes
+                raise InvalidValue(
+                    f"MG level {level.index} (grid {level.grid.dims}, "
+                    f"{level.n} rows) cannot be distributed: {exc}; "
+                    f"use " + " or ".join(fixes)) from exc
         if faults is not None:
             faults.validate_for(nprocs)
         self.faults = faults
-        self._injector: Optional[FaultInjector] = None
-        self._checkpoint_state: Optional[CGCheckpoint] = None
-        self._checkpoint_seconds = 0.0
-        self._checkpoints = 0
-        self._current_iteration = 0
-        # populated by run_cg
-        self.tracker: Optional[CommTracker] = None
-        self.timers: Optional[TimerRegistry] = None
-        self.comm_timers: Optional[TimerRegistry] = None
-        self._seconds = 0.0
-        self._comm_seconds = 0.0
-        self._exposed_comm_seconds = 0.0
-        # observability taps, armed per run_cg (None when tracing is off)
-        self._m_supersteps = None
-        self._m_h = None
-        self._m_comm = None
-        self._m_faults = None
-        self._m_retries = None
-        self._m_ckpt = None
-        self._m_recoveries = None
+        # one object per run_cg; shared with the survivor run on recovery
+        self._state: Optional[_RunState] = None
+
+    @property
+    def tracker(self) -> CommTracker:
+        """The current solve's tracker (backends record sends on it)."""
+        return self._state.tracker
 
     # --- backend hooks -------------------------------------------------------
     def _init_level_comm(self, level: SimLevel) -> None:
@@ -286,12 +338,13 @@ class SimulatedDistRun:
     def _close_superstep(self, sync_label: str, timer_key: str,
                          work_bytes: float,
                          overlap_bytes: float = 0.0) -> None:
-        """Close the sends recorded on the tracker into one superstep
-        and price it.
+        """Close the sends recorded on the tracker into one *exchange*
+        superstep and price it.
 
         Eager mode synchronises (``work + comm``); overlap mode posts
         and waits the same sends as a split-phase exchange, hiding wire
-        time behind ``overlap_bytes`` of tagged local compute.
+        time behind ``overlap_bytes`` of tagged local compute.  Under a
+        lossy plan the exchange may be re-driven.
         """
         if self.overlap:
             handle = self.tracker.post(label=sync_label)
@@ -302,18 +355,68 @@ class SimulatedDistRun:
             stats = self.tracker.sync(label=sync_label)
             overlap_bytes = 0.0
         self._tick_superstep(timer_key, work_bytes, stats.h, overlap_bytes)
-        if (self._injector is not None
-                and self._injector.plan.message_loss is not None):
+        if self._state.injector is not None:
             self._retry_exchange(stats, sync_label, timer_key)
 
+    def _barrier(self, sync_label: str, timer_key: str,
+                 work_bytes: float) -> None:
+        """Close the recorded sends into one *collective* superstep
+        (dot allreduce, checkpoint, restore): synchronous in either
+        mode, and reliable — never re-driven."""
+        stats = self.tracker.sync(label=sync_label)
+        self._tick_superstep(timer_key, work_bytes, stats.h)
+
+    def _root_exchange(self, close, sync_label: str, timer_key: str,
+                       n: int, vectors: int = 1,
+                       to_root: bool = True) -> None:
+        """One superstep in which every node ships its share of
+        ``vectors`` ``n``-vectors to node 0 (or gets it back); ``close``
+        is :meth:`_close_superstep` or :meth:`_barrier`."""
+        shares = Block1D(n, self.nprocs)
+        for node in range(1, self.nprocs):
+            src, dst = (node, 0) if to_root else (0, node)
+            self.tracker.send(src, dst, vectors * shares.local_size(node) * 8,
+                              label=sync_label)
+        close(sync_label, timer_key,
+              _RESTRICT_COPY_BYTES * vectors * self._vector_share(n))
+
     # --- pricing helpers -----------------------------------------------------
+    @contextlib.contextmanager
+    def _span(self, name: str, category: str, args: Optional[dict] = None):
+        """An obs span that, unless a crash unwinds it, is ticked with
+        the modelled seconds priced inside its extent (nested spans —
+        coarser MG levels — included, just like the span nesting)."""
+        with obs.span(name, category, args) as sp:
+            before = self._state.seconds
+            yield sp
+            if sp is not None:
+                sp.tick(self._state.seconds - before)
+
     def _tick(self, key: str, seconds: float) -> None:
-        self.timers.tick(key, seconds)
-        self._seconds += seconds
+        self._state.timers.tick(key, seconds)
+        self._state.seconds += seconds
+
+    def _account_superstep(self, key: str, h: int, total: float,
+                           comm_full: float, comm_exposed: float,
+                           comm_hidden: float) -> None:
+        """Book one priced superstep (a first delivery or a retry)."""
+        state = self._state
+        self._tick(key, total)
+        state.comm_seconds += comm_full
+        state.exposed_comm_seconds += comm_exposed
+        state.comm_timers.tick(f"full/{key}", comm_full)
+        state.comm_timers.tick(f"exposed/{key}", comm_exposed)
+        m = state.metrics
+        if m is not None:
+            m.supersteps.inc(1, mode=self.comm_mode)
+            m.h.observe(h)
+            m.comm.inc(comm_full, kind="full")
+            m.comm.inc(comm_exposed, kind="exposed")
+            m.comm.inc(comm_hidden, kind="hidden")
 
     def _tick_superstep(self, key: str, work_bytes: float, h: int,
                         overlap_bytes: float = 0.0) -> None:
-        inj = self._injector
+        inj = self._state.injector
         if inj is not None:
             # every barrier advances the fault clock; the slowest
             # surviving node's straggler/speed factor inflates the
@@ -331,13 +434,8 @@ class SimulatedDistRun:
             work_bytes /= self.node_speedup
             overlap_bytes /= self.node_speedup
         costs = self.machine.superstep_costs(work_bytes, h, overlap_bytes)
-        self._tick(key, costs["total"])
-        # wire-time accounting lives in its own registry so the main
-        # timers' report() shares still sum to modelled_seconds
-        self._comm_seconds += costs["comm_full"]
-        self._exposed_comm_seconds += costs["comm_exposed"]
-        self.comm_timers.tick(f"full/{key}", costs["comm_full"])
-        self.comm_timers.tick(f"exposed/{key}", costs["comm_exposed"])
+        self._account_superstep(key, h, costs["total"], costs["comm_full"],
+                                costs["comm_exposed"], costs["comm_hidden"])
         with obs.span(f"superstep/{key}", "dist") as sp:
             if sp is not None:
                 sp.tick(costs["total"])
@@ -348,21 +446,15 @@ class SimulatedDistRun:
                     comm_exposed=costs["comm_exposed"],
                     comm_hidden=costs["comm_hidden"],
                 )
-        if self._m_supersteps is not None:
-            self._m_supersteps.inc(1, mode=self.comm_mode)
-            self._m_h.observe(h)
-            self._m_comm.inc(costs["comm_full"], kind="full")
-            self._m_comm.inc(costs["comm_exposed"], kind="exposed")
-            self._m_comm.inc(costs["comm_hidden"], kind="hidden")
         if inj is not None:
             # crashes surface at the barrier: the superstep is priced,
             # then the failure is detected
             inj.check_crash(step)
 
     def _tick_local(self, key: str, work_bytes: float) -> None:
-        if self._injector is not None:
-            work_bytes *= self._injector.work_factor(
-                self._injector.superstep)
+        inj = self._state.injector
+        if inj is not None:
+            work_bytes *= inj.work_factor(inj.superstep)
         self._tick(key, self.machine.work_time(
             work_bytes / self.node_speedup))
 
@@ -376,27 +468,18 @@ class SimulatedDistRun:
         sender backoff — nothing hidden, a retry has no compute to
         overlap.
         """
-        inj = self._injector
-        loss = inj.plan.message_loss
+        inj = self._state.injector
         origin = inj.superstep - 1          # the just-priced superstep
         retries = inj.exchange_retries_for(stats.h, sync_label, origin)
         for attempt in range(retries):
             retry_stats = self.tracker.retry(stats, label=sync_label)
             step = inj.begin_superstep()
-            cost = self.machine.retry_comm_time(stats.h, attempt,
-                                                loss.backoff)
-            self._tick(timer_key, cost)
-            self._comm_seconds += cost
-            self._exposed_comm_seconds += cost
-            self.comm_timers.tick(f"full/{timer_key}", cost)
-            self.comm_timers.tick(f"exposed/{timer_key}", cost)
-            if self._m_retries is not None:
-                self._m_retries.inc(1, label=sync_label)
-            if self._m_supersteps is not None:
-                self._m_supersteps.inc(1, mode=self.comm_mode)
-                self._m_h.observe(retry_stats.h)
-                self._m_comm.inc(cost, kind="full")
-                self._m_comm.inc(cost, kind="exposed")
+            cost = self.machine.retry_comm_time(
+                stats.h, attempt, inj.plan.message_loss.backoff)
+            if self._state.metrics is not None:
+                self._state.metrics.retries.inc(1, label=sync_label)
+            self._account_superstep(timer_key, retry_stats.h, cost,
+                                    cost, cost, 0.0)
             inj.check_crash(step)
 
     # --- hybrid node-local execution -----------------------------------------
@@ -488,200 +571,98 @@ class SimulatedDistRun:
         """Largest per-node share of an ``n``-vector (for local-op work)."""
         return float(-(-n // self.nprocs))
 
-    def _dot_comm(self, n: int) -> None:
-        self.tracker.allreduce_scalar(label="dot")
-        stats = self.tracker.sync(label="dot")
-        self._tick_superstep("cg/dot", _DOT_BYTES * self._vector_share(n),
-                             stats.h)
-
-    def _waxpby_cost(self, n: int) -> None:
-        self._tick_local("cg/waxpby", _WAXPBY_BYTES * self._vector_share(n))
-
-    # --- agglomerated-level pricing ------------------------------------------
-    def _agg_share_bytes(self, k: int, n: int) -> int:
-        """Node ``k``'s share of an ``n``-vector during gather/scatter."""
-        return Block1D(n, self.nprocs).local_size(k) * 8
-
-    def _agg_gather(self, fine: SimLevel, coarse: SimLevel) -> None:
-        """Restriction into an agglomerated level: ship every node's
-        share of the coarse residual to node 0 (one superstep)."""
-        for k in range(1, self.nprocs):
-            self.tracker.send(k, 0, self._agg_share_bytes(k, coarse.n),
-                              label="agg_gather")
-        self._close_superstep(
-            "agg_gather", f"mg/L{fine.index}/restrict",
-            _RESTRICT_COPY_BYTES * self._vector_share(coarse.n),
-        )
-
-    def _agg_scatter(self, fine: SimLevel, coarse: SimLevel) -> None:
-        """Prolongation out of an agglomerated level: node 0 returns
-        each node its share of the coarse correction (one superstep)."""
-        for k in range(1, self.nprocs):
-            self.tracker.send(0, k, self._agg_share_bytes(k, coarse.n),
-                              label="agg_scatter")
-        self._close_superstep(
-            "agg_scatter", f"mg/L{fine.index}/prolong",
-            _RESTRICT_COPY_BYTES * self._vector_share(coarse.n),
-        )
-
-    # --- exact numerics ------------------------------------------------------
+    # --- the reference kernels, each followed by its accounting --------------
     def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
-        value = float(np.dot(u, v))
-        self._dot_comm(u.shape[0])
+        value = compute_dot(u, v)
+        self.tracker.allreduce_scalar(label="dot")
+        self._barrier("dot", "cg/dot",
+                      _DOT_BYTES * self._vector_share(u.shape[0]))
         return value
 
-    def _norm(self, r: np.ndarray) -> float:
-        return float(np.sqrt(self._dot(r, r)))
+    def _waxpby(self, w: np.ndarray, alpha: float, x: np.ndarray,
+                beta: float, y: np.ndarray) -> np.ndarray:
+        compute_waxpby(w, alpha, x, beta, y)
+        self._tick_local("cg/waxpby",
+                         _WAXPBY_BYTES * self._vector_share(w.shape[0]))
+        return w
 
     def _spmv(self, level: SimLevel, x: np.ndarray, sync_label: str,
               timer_key: str) -> np.ndarray:
         if level.agglomerated:
             # the whole level lives on node 0: full work, no messages
-            self._tick_local(timer_key, level.agg_spmv_work)
+            self._tick_local(timer_key, mxv_bytes(level.A.nnz, level.n))
         else:
             self._spmv_comm(level, sync_label, timer_key)
-        return level.A @ x
+        return compute_spmv(np.empty(level.n), level.A, x)
 
-    def _smooth(self, level: SimLevel, z: np.ndarray, r: np.ndarray,
-                sweeps: int) -> None:
-        for _ in range(sweeps):
-            self._half_sweep(level, z, r, range(level.ncolors))
-            self._half_sweep(level, z, r,
-                             range(level.ncolors - 1, -1, -1))
-
-    def _half_sweep(self, level: SimLevel, z: np.ndarray, r: np.ndarray,
-                    order) -> None:
-        order = list(order)
-        for pos, c in enumerate(order):
-            rows = level.color_rows[c]
-            s = level.color_blocks[c] @ z
-            d = level.diag[rows]
-            z[rows] = (r[rows] - s + z[rows] * d) / d
-            if level.agglomerated:
-                self._tick_local(f"mg/L{level.index}/rbgs",
-                                 level.agg_color_work[c])
-            else:
-                nxt = order[pos + 1] if pos + 1 < len(order) else None
-                self._rbgs_comm(level, c, nxt)
+    def _smooth(self, level: SimLevel, z: np.ndarray, r: np.ndarray) -> None:
+        """One symmetric sweep: colours ascending, then descending."""
+        forward = list(range(level.ncolors))
+        for order in (forward, forward[::-1]):
+            for pos, c in enumerate(order):
+                level.smoother.update_color(c, z, r)
+                if level.agglomerated:
+                    block = level.smoother.color_blocks[c]
+                    self._tick_local(f"mg/L{level.index}/rbgs",
+                                     mxv_bytes(block.nnz, block.shape[0]))
+                else:
+                    nxt = order[pos + 1] if pos + 1 < len(order) else None
+                    self._rbgs_comm(level, c, nxt)
 
     def _vcycle(self, li: int, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The engine's one V-cycle walk: ``ref_mg_vcycle``'s kernels in
+        its order, re-walked here because per-colour exchanges and
+        agglomeration pricing interleave with every step."""
         level = self.levels[li]
-        with obs.span(f"mg/L{li}", "mg",
-                      {"level": li, "n": level.n,
-                       "agglomerated": level.agglomerated}) as sp:
-            modelled_before = self._seconds
-            self._smooth(level, z, r, sweeps=1)      # pre-smoothing
+        with self._span(f"mg/L{li}", "mg",
+                        {"level": li, "n": level.n,
+                         "agglomerated": level.agglomerated}):
+            self._smooth(level, z, r)                 # pre-smoothing
             if li + 1 == len(self.levels):
-                if sp is not None:
-                    sp.tick(self._seconds - modelled_before)
                 return z
             coarse = self.levels[li + 1]
             f = self._spmv(level, z, "mg_spmv", f"mg/L{li}/spmv")
-            f *= -1.0
-            f += 1.0 * r                              # f <- r - A z
+            compute_waxpby(f, -1.0, f, 1.0, r)        # f <- r - A z
             rc = f[level.injection].copy()            # restrict (injection)
-            if coarse.agglomerated:
-                if level.agglomerated:
-                    # both levels already sit on node 0: a local copy
-                    self._tick_local(f"mg/L{li}/restrict",
-                                     _RESTRICT_COPY_BYTES * coarse.n)
-                else:
-                    self._agg_gather(level, coarse)
-            else:
+            if not coarse.agglomerated:
                 self._restrict_comm(level, coarse)
+            elif level.agglomerated:
+                # both levels already sit on node 0: a local copy
+                self._tick_local(f"mg/L{li}/restrict",
+                                 _RESTRICT_COPY_BYTES * coarse.n)
+            else:
+                self._root_exchange(self._close_superstep, "agg_gather",
+                                    f"mg/L{li}/restrict", coarse.n)
             zc = np.zeros(coarse.n)
             self._vcycle(li + 1, zc, rc)
             z[level.injection] += zc                  # refine-and-add
-            if coarse.agglomerated:
-                if level.agglomerated:
-                    self._tick_local(f"mg/L{li}/prolong",
-                                     _RESTRICT_COPY_BYTES * coarse.n)
-                else:
-                    self._agg_scatter(level, coarse)
-            else:
+            if not coarse.agglomerated:
                 self._prolong_comm(level, coarse)
-            self._smooth(level, z, r, sweeps=1)       # post-smoothing
-            if sp is not None:
-                # modelled time at this level *includes* coarser levels
-                # (they execute within this span's dynamic extent, just
-                # like the span nesting shows)
-                sp.tick(self._seconds - modelled_before)
+            elif level.agglomerated:
+                self._tick_local(f"mg/L{li}/prolong",
+                                 _RESTRICT_COPY_BYTES * coarse.n)
+            else:
+                self._root_exchange(self._close_superstep, "agg_scatter",
+                                    f"mg/L{li}/prolong", coarse.n,
+                                    to_root=False)
+            self._smooth(level, z, r)                 # post-smoothing
         return z
-
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        z = np.zeros(self.n)
-        self._vcycle(0, z, r)
-        return z
-
-    # --- run bookkeeping -----------------------------------------------------
-    def _fresh_clocks(self) -> None:
-        """Reset every accumulator a solve writes into."""
-        self.tracker = CommTracker(self.nprocs)
-        self.timers = TimerRegistry()
-        self.comm_timers = TimerRegistry()
-        self._seconds = 0.0
-        self._comm_seconds = 0.0
-        self._exposed_comm_seconds = 0.0
-
-    def _arm_metrics(self):
-        """Arm the per-run metric taps; returns the CG progress tuple
-        ``(res_series, iter_gauge, res_gauge)`` (Nones when off)."""
-        registry = obs.metrics_registry()
-        self._m_supersteps = self._m_h = self._m_comm = None
-        res_series = iter_gauge = res_gauge = None
-        if registry is not None:
-            self._m_supersteps = registry.counter(
-                "dist_supersteps_total", "BSP supersteps closed")
-            self._m_h = registry.series(
-                "dist_h_relation", "h-relation bytes per superstep")
-            self._m_comm = registry.counter(
-                "dist_comm_seconds",
-                "modelled wire seconds by exposure (full/exposed/hidden)")
-            res_series = registry.series(
-                "dist_cg_residual",
-                "simulated CG residual 2-norm per iteration")
-            iter_gauge = registry.gauge(
-                "dist_cg_iteration",
-                "current simulated-CG iteration (live progress)")
-            res_gauge = registry.gauge(
-                "dist_cg_residual_last",
-                "most recent simulated-CG residual 2-norm")
-        return res_series, iter_gauge, res_gauge
-
-    def _arm_fault_metrics(self) -> None:
-        registry = obs.metrics_registry()
-        self._m_faults = self._m_retries = None
-        self._m_ckpt = self._m_recoveries = None
-        if registry is not None:
-            self._m_faults = registry.counter(
-                "faults_injected_total", "injected fault events by kind")
-            self._m_retries = registry.counter(
-                "exchange_retries_total",
-                "lost-exchange re-deliveries priced as extra supersteps")
-            self._m_ckpt = registry.counter(
-                "checkpoint_seconds",
-                "modelled seconds spent taking CG-state checkpoints")
-            self._m_recoveries = registry.counter(
-                "dist_recoveries_total",
-                "crash recoveries (rollback + repartition onto survivors)")
-
-    def _on_fault_event(self, event) -> None:
-        """Mirror every injector event into the trace and metrics."""
-        if obs.enabled():
-            obs.event(f"fault/{event.kind}", "fault", event.as_dict())
-        if (self._m_faults is not None
-                and event.kind in ("straggler", "node_speeds",
-                                   "message_loss", "crash")):
-            self._m_faults.inc(1, kind=event.kind)
 
     # --- checkpoint / restart ------------------------------------------------
     #: vectors a CG checkpoint persists (x, r, p)
     _CKPT_VECTORS = 3
 
-    def _take_checkpoint(self, k: int, x: np.ndarray, r: np.ndarray,
-                         p: np.ndarray, rtz: float, normr: float,
-                         normr0: float, residuals: List[float]) -> None:
-        """Snapshot CG state after iteration ``k``, priced as a gather.
+    def _on_fault_event(self, event) -> None:
+        """Mirror every injector event into the trace and metrics."""
+        if obs.enabled():
+            obs.event(f"fault/{event.kind}", "fault", event.as_dict())
+        m = self._state.metrics
+        if m is not None and event.kind in ("straggler", "node_speeds",
+                                            "message_loss", "crash"):
+            m.faults.inc(1, kind=event.kind)
+
+    def _take_checkpoint(self, cg: CGState) -> None:
+        """Snapshot CG state after iteration ``cg.k``, priced as a gather.
 
         Every node ships its share of the three CG vectors to node 0
         (which persists them to stable storage) — one superstep.  The
@@ -690,467 +671,279 @@ class SimulatedDistRun:
         snapshot as the rollback target, exactly like a torn write to
         stable storage would.
         """
-        with obs.span("fault/checkpoint", "fault", {"iteration": k}) as sp:
-            before = self._seconds
-            for node in range(1, self.nprocs):
-                self.tracker.send(
-                    node, 0,
-                    self._CKPT_VECTORS * self._agg_share_bytes(node, self.n),
-                    label="checkpoint")
-            stats = self.tracker.sync(label="checkpoint")
-            self._tick_superstep(
-                "fault/checkpoint",
-                _RESTRICT_COPY_BYTES * self._CKPT_VECTORS
-                * self._vector_share(self.n),
-                stats.h)
-            delta = self._seconds - before
-            self._checkpoint_seconds += delta
-            self._checkpoints += 1
-            self._checkpoint_state = CGCheckpoint(
-                k=k, x=x.copy(), r=r.copy(), p=p.copy(), rtz=rtz,
-                normr=normr, normr0=normr0, residuals=list(residuals))
-            if self._m_ckpt is not None:
-                self._m_ckpt.inc(delta)
-            self._injector.record("checkpoint",
-                                  self._injector.superstep - 1,
-                                  iteration=k)
+        state = self._state
+        with self._span("fault/checkpoint", "fault",
+                        {"iteration": cg.k}) as sp:
+            before = state.seconds
+            self._root_exchange(self._barrier, "checkpoint",
+                                "fault/checkpoint", self.n,
+                                self._CKPT_VECTORS)
+            delta = state.seconds - before
+            state.checkpoint_seconds += delta
+            state.checkpoints += 1
+            state.checkpoint = cg.copy()
+            if state.metrics is not None:
+                state.metrics.checkpoint.inc(delta)
+            state.injector.record("checkpoint",
+                                  state.injector.superstep - 1,
+                                  iteration=cg.k)
             if sp is not None:
                 sp.set(seconds=delta)
-                sp.tick(delta)
 
-    def _price_recovery(self, checkpoint: CGCheckpoint) -> None:
-        """Price the post-repartition restore: node 0 scatters each
-        survivor its share of the checkpointed vectors (one superstep
-        on the *new* node count)."""
-        with obs.span("fault/restore", "fault",
-                      {"iteration": checkpoint.k,
-                       "nprocs": self.nprocs}) as sp:
-            before = self._seconds
-            for node in range(1, self.nprocs):
-                self.tracker.send(
-                    0, node,
-                    self._CKPT_VECTORS * self._agg_share_bytes(node, self.n),
-                    label="restore")
-            stats = self.tracker.sync(label="restore")
-            self._tick_superstep(
-                "fault/restore",
-                _RESTRICT_COPY_BYTES * self._CKPT_VECTORS
-                * self._vector_share(self.n),
-                stats.h)
-            if sp is not None:
-                sp.tick(self._seconds - before)
+    def _restore(self, checkpoint: CGState) -> CGState:
+        """Resume from ``checkpoint`` after a repartition: node 0
+        scatters each survivor its share of the checkpointed vectors
+        (one superstep on the *new* node count)."""
+        with self._span("fault/restore", "fault",
+                        {"iteration": checkpoint.k, "nprocs": self.nprocs}):
+            self._root_exchange(self._barrier, "restore", "fault/restore",
+                                self.n, self._CKPT_VECTORS, to_root=False)
+        return checkpoint.copy()
 
     # --- crash recovery ------------------------------------------------------
-    def _respawn_kwargs(self) -> dict:
-        """Constructor kwargs a survivor run inherits (subclasses add
-        their own).  Hybrid calibration is not re-run: the measured
-        node_speedup is adopted instead."""
-        return dict(
+    def _respawn(self, nprocs: int, **backend) -> "SimulatedDistRun":
+        """Rebuild this run on ``nprocs`` surviving nodes, repartitioning
+        every level with the backend's own partitioner (subclasses add
+        their constructor arguments as ``backend``).  Hybrid calibration
+        is not re-run: :meth:`_recover` hands node_speedup over."""
+        return type(self)(
+            self.problem, nprocs,
             mg_levels=self.mg_levels,
             machine=self.machine,
             comm_mode=self.comm_mode,
             agglomerate_below=self.agglomerate_below,
-            execute_local=False,
             node_threads=self.node_threads,
-        )
+            **backend)
 
-    def _respawn(self, nprocs: int) -> "SimulatedDistRun":
-        """Rebuild this run on ``nprocs`` surviving nodes, repartitioning
-        every level with the backend's own partitioner."""
-        return type(self)(self.problem, nprocs, **self._respawn_kwargs())
+    def _recover(self, crash: NodeCrash) -> "SimulatedDistRun":
+        """Roll back after ``crash``: repartition onto the survivors and
+        return the survivor run, which continues this solve on the same
+        run state (only the tracker restarts)."""
+        state = self._state
+        inj = state.injector
+        resume_k = state.checkpoint.k if state.checkpoint is not None else 0
+        state.reexecuted += max(state.iteration - resume_k, 0)
+        state.lost_supersteps += state.tracker.num_syncs
+        state.lost_bytes += state.tracker.total_bytes
+        survivors = inj.alive_count
+        with obs.span("fault/recovery", "fault", {
+            "crashed_node": crash.node,
+            "superstep": crash.superstep,
+            "survivors": survivors,
+            "resume_iteration": resume_k,
+        }):
+            survivor = self._respawn(survivors)
+        survivor._state = state
+        survivor.node_speedup = self.node_speedup
+        survivor.executed_local = self.executed_local
+        state.tracker = CommTracker(survivor.nprocs)
+        inj.recoveries += 1
+        inj.record(
+            "recovery", inj.superstep, node=crash.node,
+            survivors=survivors, new_nprocs=survivor.nprocs,
+            resume_iteration=resume_k,
+            from_checkpoint=state.checkpoint is not None)
+        if state.metrics is not None:
+            state.metrics.recoveries.inc(1)
+        return survivor
 
-    def _adopt(self, prior: "SimulatedDistRun") -> None:
-        """Continue ``prior``'s solve on this (survivor) run: inherit
-        its clocks, fault state and metric taps.  The timer registries
-        are shared objects, so the final run's totals are the honest
-        whole-execution time including every failed attempt; only the
-        tracker restarts (its per-node arrays are sized to the new
-        node count)."""
-        self.timers = prior.timers
-        self.comm_timers = prior.comm_timers
-        self._seconds = prior._seconds
-        self._comm_seconds = prior._comm_seconds
-        self._exposed_comm_seconds = prior._exposed_comm_seconds
-        self.tracker = CommTracker(self.nprocs)
-        self.faults = prior.faults
-        self._injector = prior._injector
-        self._checkpoint_state = prior._checkpoint_state
-        self._checkpoint_seconds = prior._checkpoint_seconds
-        self._checkpoints = prior._checkpoints
-        self._current_iteration = prior._current_iteration
-        self._m_supersteps = prior._m_supersteps
-        self._m_h = prior._m_h
-        self._m_comm = prior._m_comm
-        self._m_faults = prior._m_faults
-        self._m_retries = prior._m_retries
-        self._m_ckpt = prior._m_ckpt
-        self._m_recoveries = prior._m_recoveries
-        self.node_speedup = prior.node_speedup
-        self.node_threads = prior.node_threads
-        self.executed_local = prior.executed_local
+    # --- the one CG loop -----------------------------------------------------
+    def _cg_attempt(self, max_iters: int, use_mg: bool,
+                    tolerance: float) -> CGState:
+        """One (re)execution attempt of the CG loop — the only one:
+        :func:`repro.ref.cg.ref_pcg`'s iteration operation for
+        operation, on the reference kernels.
 
-    # --- the resilient execution loop ----------------------------------------
-    def _run_cg_resilient(self, max_iters: int, use_mg: bool,
-                          tolerance: float) -> DistRunResult:
-        """Execute the solve under the active fault plan.
-
-        The numerics are the same transcription :meth:`run_cg` runs;
-        only pricing degrades (stragglers, heterogeneous speeds, retry
-        supersteps) and the execution path grows checkpoint supersteps
-        and — on a planned crash — rollback: repartition onto the
-        survivors, restore the last snapshot, re-execute from there.
-        The recovered residual history therefore equals the clean
-        run's exactly, while ``modelled_seconds`` honestly includes
-        checkpoint overhead, rollback and re-execution.
+        Without a checkpoint it starts from the problem's initial
+        guess; otherwise CG state is restored from the checkpoint and
+        the loop re-enters at ``k + 1`` — on the ``k > 1`` beta branch,
+        with ``rtz`` restored, so every subsequent residual equals the
+        clean run's.  Raises :class:`~repro.dist.faults.NodeCrash` when
+        the injector detects a planned failure at a barrier.
         """
-        injector = FaultInjector(self.faults, self.nprocs)
-        injector.on_event = self._on_fault_event
-        run = self
-        run._injector = injector
-        run._checkpoint_state = None
-        run._checkpoint_seconds = 0.0
-        run._checkpoints = 0
-        run._current_iteration = 0
-        run._fresh_clocks()
-        res_series, iter_gauge, res_gauge = run._arm_metrics()
-        run._arm_fault_metrics()
-        injector.announce_speeds()
-        if run.execute_local and not run.executed_local:
-            run._calibrate_hybrid()
-
-        initial_nprocs = self.nprocs
-        reexecuted = 0
-        prior_supersteps = 0
-        prior_bytes = 0
-        pending_recovery: Optional[CGCheckpoint] = None
-        with obs.span("dist/run_cg", "dist", {
-            "backend": self.backend, "nprocs": self.nprocs, "n": self.n,
-            "mode": self.comm_mode, "machine": self.machine.name,
-            "mg_levels": self.mg_levels,
-            "node_speedup": self.node_speedup,
-            "faulted": True,
-        }) as rsp:
-            while True:
-                try:
-                    if pending_recovery is not None:
-                        run._price_recovery(pending_recovery)
-                    iterations, residuals = run._cg_attempt(
-                        max_iters, use_mg, tolerance,
-                        resume=pending_recovery,
-                        res_series=res_series, iter_gauge=iter_gauge,
-                        res_gauge=res_gauge)
-                    break
-                except NodeCrash as crash:
-                    checkpoint = run._checkpoint_state
-                    resume_k = checkpoint.k if checkpoint is not None else 0
-                    reexecuted += max(run._current_iteration - resume_k, 0)
-                    prior_supersteps += run.tracker.num_syncs
-                    prior_bytes += run.tracker.total_bytes
-                    survivors = injector.alive_count
-                    with obs.span("fault/recovery", "fault", {
-                        "crashed_node": crash.node,
-                        "superstep": crash.superstep,
-                        "survivors": survivors,
-                        "resume_iteration": resume_k,
-                    }):
-                        new_run = run._respawn(survivors)
-                    new_run._adopt(run)
-                    injector.recoveries += 1
-                    injector.record(
-                        "recovery", injector.superstep, node=crash.node,
-                        survivors=survivors, new_nprocs=new_run.nprocs,
-                        resume_iteration=resume_k,
-                        from_checkpoint=checkpoint is not None)
-                    if run._m_recoveries is not None:
-                        run._m_recoveries.inc(1)
-                    pending_recovery = checkpoint
-                    run = new_run
-            if rsp is not None:
-                rsp.set(iterations=iterations,
-                        recoveries=injector.recoveries,
-                        final_nprocs=run.nprocs)
-                rsp.tick(run._seconds)
-
-        manifest, run_metrics = run._obs_attachments(iterations)
-        resilience = {
-            "plan": self.faults.to_dict(),
-            "seed": self.faults.seed,
-            "events": [e.as_dict() for e in injector.events],
-            "injected": injector.injected_counts(),
-            "recoveries": injector.recoveries,
-            "checkpoints": run._checkpoints,
-            "checkpoint_seconds": run._checkpoint_seconds,
-            "exchange_retries": injector.exchange_retries,
-            "initial_nprocs": initial_nprocs,
-            "final_nprocs": run.nprocs,
-            "reexecuted_iterations": reexecuted,
-            "supersteps_total": prior_supersteps + run.tracker.num_syncs,
-            "comm_bytes_total": prior_bytes + run.tracker.total_bytes,
-        }
-        if run_metrics is not None:
-            run_metrics["recoveries"] = injector.recoveries
-            run_metrics["checkpoint_seconds"] = run._checkpoint_seconds
-            run_metrics["exchange_retries"] = injector.exchange_retries
-        return DistRunResult(
-            backend=run.backend,
-            nprocs=run.nprocs,
-            n=run.n,
-            iterations=iterations,
-            residuals=residuals,
-            modelled_seconds=run._seconds,
-            timers=run.timers,
-            tracker=run.tracker,
-            mg_levels=run.mg_levels,
-            comm_mode=run.comm_mode,
-            comm_seconds=run._comm_seconds,
-            exposed_comm_seconds=run._exposed_comm_seconds,
-            comm_timers=run.comm_timers,
-            machine=run.machine.name,
-            manifest=manifest,
-            metrics=run_metrics,
-            executed_local=run.executed_local,
-            node_threads=run.node_threads or 0,
-            node_speedup=run.node_speedup,
-            resilience=resilience,
-        )
-
-    def _cg_attempt(self, max_iters: int, use_mg: bool, tolerance: float,
-                    resume: Optional[CGCheckpoint], res_series,
-                    iter_gauge, res_gauge):
-        """One (re)execution attempt of the CG loop.
-
-        ``resume=None`` starts from the problem's initial guess with
-        exactly :meth:`run_cg`'s operation sequence; otherwise CG state
-        is restored from the checkpoint and the loop re-enters at
-        ``resume.k + 1`` — on the ``k > 1`` beta branch, with ``rtz``
-        restored, so every subsequent residual equals the clean run's.
-        Raises :class:`~repro.dist.faults.NodeCrash` when the injector
-        detects a planned failure at a barrier.
-        """
+        state = self._state
+        m = state.metrics
         level0 = self.levels[0]
         n = self.n
-        if resume is None:
-            b = self.problem.b.to_dense()
+        if state.checkpoint is None:
             x = self.problem.x0.to_dense()
             Ap = self._spmv(level0, x, "spmv", "cg/spmv")
-            r = np.multiply(b, 1.0)
-            r += -1.0 * Ap                             # r <- b - A x
-            self._waxpby_cost(n)
-            normr0 = normr = self._norm(r)
-            residuals = [normr]
-            if res_series is not None:
-                res_series.observe(normr, backend=self.backend)
-            rtz = 0.0
-            p = np.empty(n)
-            k_start = 1
-            iterations = 0
+            r = self._waxpby(np.empty(n), 1.0, self.problem.b.to_dense(),
+                             -1.0, Ap)                 # r <- b - A x
+            normr = float(np.sqrt(self._dot(r, r)))
+            cg = CGState(k=0, x=x, r=r, p=np.empty(n), rtz=0.0,
+                         residuals=[normr])
+            if m is not None:
+                m.residual.observe(normr, backend=self.backend)
         else:
-            x = resume.x.copy()
-            r = resume.r.copy()
-            p = resume.p.copy()
-            rtz = resume.rtz
-            normr = resume.normr
-            normr0 = resume.normr0
-            residuals = list(resume.residuals)
-            k_start = resume.k + 1
-            iterations = resume.k
-        ckpt_plan = self.faults.checkpoint
-        if normr0 != 0.0:
-            for k in range(k_start, max_iters + 1):
-                if tolerance > 0 and normr / normr0 <= tolerance:
-                    break
-                self._current_iteration = k
-                with obs.span("cg/iteration", "cg", {"k": k}) as sp:
-                    modelled_before = self._seconds
-                    if use_mg:
-                        z = self._precondition(r)      # z <- M r
-                    else:
-                        z = np.multiply(r, 1.0)
-                        z += 0.0 * r                   # z <- r
-                        self._waxpby_cost(n)
-                    if k == 1:
-                        np.multiply(z, 1.0, out=p)
-                        p += 0.0 * z                   # p <- z
-                        self._waxpby_cost(n)
-                        rtz = self._dot(r, z)
-                    else:
-                        rtz_old = rtz
-                        rtz = self._dot(r, z)
-                        beta = rtz / rtz_old
-                        p *= beta
-                        p += 1.0 * z                   # p <- z + beta p
-                        self._waxpby_cost(n)
-                    Ap = self._spmv(level0, p, "spmv", "cg/spmv")
-                    pAp = self._dot(p, Ap)
-                    alpha = rtz / pAp
-                    x *= 1.0
-                    x += alpha * p                     # x <- x + alpha p
-                    self._waxpby_cost(n)
-                    r *= 1.0
-                    r += -alpha * Ap                   # r <- r - alpha Ap
-                    self._waxpby_cost(n)
-                    normr = self._norm(r)
-                    if sp is not None:
-                        sp.set(normr=normr)
-                        sp.tick(self._seconds - modelled_before)
-                residuals.append(normr)
-                if res_series is not None:
-                    res_series.observe(normr, backend=self.backend)
-                    iter_gauge.set(k)
-                    res_gauge.set(normr)
-                iterations = k
-                if (ckpt_plan is not None and k % ckpt_plan.interval == 0
-                        and k < max_iters):
-                    self._take_checkpoint(k, x, r, p, rtz, normr, normr0,
-                                          residuals)
-        return iterations, residuals
+            cg = self._restore(state.checkpoint)
+        x, r, p = cg.x, cg.r, cg.p
+        ckpt_plan = (state.injector.plan.checkpoint
+                     if state.injector is not None else None)
+        normr0 = cg.residuals[0]
+        if normr0 == 0.0:
+            # the initial guess already solves the system exactly
+            return cg
+        for k in range(cg.k + 1, max_iters + 1):
+            if tolerance > 0 and cg.residuals[-1] / normr0 <= tolerance:
+                break
+            state.iteration = k
+            with self._span("cg/iteration", "cg", {"k": k}) as sp:
+                if use_mg:
+                    z = self._vcycle(0, np.zeros(n), r)    # z <- M r
+                else:
+                    z = self._waxpby(np.empty(n), 1.0, r, 0.0, r)  # z <- r
+                if k == 1:
+                    self._waxpby(p, 1.0, z, 0.0, z)        # p <- z
+                    cg.rtz = self._dot(r, z)
+                else:
+                    rtz_old = cg.rtz
+                    cg.rtz = self._dot(r, z)
+                    beta = cg.rtz / rtz_old
+                    self._waxpby(p, 1.0, z, beta, p)       # p <- z + beta p
+                Ap = self._spmv(level0, p, "spmv", "cg/spmv")
+                alpha = cg.rtz / self._dot(p, Ap)
+                self._waxpby(x, 1.0, x, alpha, p)          # x <- x + alpha p
+                self._waxpby(r, 1.0, r, -alpha, Ap)        # r <- r - alpha Ap
+                normr = float(np.sqrt(self._dot(r, r)))
+                if sp is not None:
+                    sp.set(normr=normr)
+            cg.residuals.append(normr)
+            cg.k = k
+            if m is not None:
+                m.residual.observe(normr, backend=self.backend)
+                m.iteration.set(k)
+                m.residual_last.set(normr)
+            if (ckpt_plan is not None and k % ckpt_plan.interval == 0
+                    and k < max_iters):
+                self._take_checkpoint(cg)
+        return cg
 
     def run_cg(self, max_iters: int = 50, use_mg: bool = True,
                tolerance: float = 0.0) -> DistRunResult:
         """Simulate a full preconditioned CG solve.
 
-        The iteration structure transcribes :func:`repro.hpcg.cg.pcg`
-        operation for operation, so the residual history is
-        bit-identical to the serial driver's — in either communication
-        mode, which changes pricing only.
-
-        Under an *active* :class:`~repro.dist.faults.FaultPlan` the
-        solve routes through the resilient execution loop instead
-        (same numerics, degraded pricing, checkpoint/restart recovery);
-        ``faults=None`` or an empty plan keeps this exact path.
+        Attempts :meth:`_cg_attempt`; on a planned crash rolls back —
+        repartition onto the survivors, restore the last snapshot,
+        re-attempt from there.  The residual history is bit-identical
+        to the serial driver's in either communication mode and under
+        any fault plan (both change pricing and the execution path
+        only); ``modelled_seconds`` honestly includes checkpoint
+        overhead, rollback and re-execution.  ``faults=None`` or an
+        inactive plan means no injector: one attempt,
+        ``resilience=None``.
         """
+        injector = None
         if self.faults is not None and self.faults.active():
-            return self._run_cg_resilient(max_iters, use_mg, tolerance)
-        self._fresh_clocks()
-        res_series, iter_gauge, res_gauge = self._arm_metrics()
-        level0 = self.levels[0]
-        n = self.n
-        b = self.problem.b.to_dense()
-        x = self.problem.x0.to_dense()
-
+            injector = FaultInjector(self.faults, self.nprocs)
+            injector.on_event = self._on_fault_event
+        self._state = _RunState(self.nprocs, injector)
+        if injector is not None:
+            injector.announce_speeds()
         if self.execute_local and not self.executed_local:
             self._calibrate_hybrid()
 
-        run_span = obs.span("dist/run_cg", "dist", {
-            "backend": self.backend, "nprocs": self.nprocs, "n": n,
+        attrs = {
+            "backend": self.backend, "nprocs": self.nprocs, "n": self.n,
             "mode": self.comm_mode, "machine": self.machine.name,
             "mg_levels": self.mg_levels,
             "node_speedup": self.node_speedup,
-        })
-        with run_span as rsp:
-            Ap = self._spmv(level0, x, "spmv", "cg/spmv")
-            r = np.multiply(b, 1.0)
-            r += -1.0 * Ap                             # r <- b - A x
-            self._waxpby_cost(n)
-            normr0 = normr = self._norm(r)
-            residuals = [normr]
-            if res_series is not None:
-                res_series.observe(normr, backend=self.backend)
-
-            iterations = 0
-            if normr0 != 0.0:
-                rtz = 0.0
-                p = np.empty(n)
-                for k in range(1, max_iters + 1):
-                    if tolerance > 0 and normr / normr0 <= tolerance:
-                        break
-                    with obs.span("cg/iteration", "cg", {"k": k}) as sp:
-                        modelled_before = self._seconds
-                        if use_mg:
-                            z = self._precondition(r)  # z <- M r
-                        else:
-                            z = np.multiply(r, 1.0)
-                            z += 0.0 * r               # z <- r
-                            self._waxpby_cost(n)
-                        if k == 1:
-                            np.multiply(z, 1.0, out=p)
-                            p += 0.0 * z               # p <- z
-                            self._waxpby_cost(n)
-                            rtz = self._dot(r, z)
-                        else:
-                            rtz_old = rtz
-                            rtz = self._dot(r, z)
-                            beta = rtz / rtz_old
-                            p *= beta
-                            p += 1.0 * z               # p <- z + beta p
-                            self._waxpby_cost(n)
-                        Ap = self._spmv(level0, p, "spmv", "cg/spmv")
-                        pAp = self._dot(p, Ap)
-                        alpha = rtz / pAp
-                        x *= 1.0
-                        x += alpha * p                 # x <- x + alpha p
-                        self._waxpby_cost(n)
-                        r *= 1.0
-                        r += -alpha * Ap               # r <- r - alpha Ap
-                        self._waxpby_cost(n)
-                        normr = self._norm(r)
-                        if sp is not None:
-                            sp.set(normr=normr)
-                            sp.tick(self._seconds - modelled_before)
-                    residuals.append(normr)
-                    if res_series is not None:
-                        res_series.observe(normr, backend=self.backend)
-                        iter_gauge.set(k)
-                        res_gauge.set(normr)
-                    iterations = k
+        }
+        if injector is not None:
+            attrs["faulted"] = True
+        run = self
+        with self._span("dist/run_cg", "dist", attrs) as rsp:
+            while True:
+                try:
+                    cg = run._cg_attempt(max_iters, use_mg, tolerance)
+                    break
+                except NodeCrash as crash:
+                    run = run._recover(crash)
             if rsp is not None:
-                rsp.set(iterations=iterations)
-                rsp.tick(self._seconds)
+                rsp.set(iterations=cg.k)
+                if injector is not None:
+                    rsp.set(recoveries=injector.recoveries,
+                            final_nprocs=run.nprocs)
+        return run._result(cg)
 
-        manifest, run_metrics = self._obs_attachments(iterations)
+    def _result(self, cg: CGState) -> DistRunResult:
+        """The result record of the solve this (final) run finished,
+        with manifest + compact metrics attached when obs is on."""
+        state = self._state
+        inj = state.injector
+        resilience = None
+        if inj is not None:
+            resilience = {
+                "plan": inj.plan.to_dict(),
+                "seed": inj.plan.seed,
+                "events": [e.as_dict() for e in inj.events],
+                "injected": inj.injected_counts(),
+                "recoveries": inj.recoveries,
+                "checkpoints": state.checkpoints,
+                "checkpoint_seconds": state.checkpoint_seconds,
+                "exchange_retries": inj.exchange_retries,
+                "initial_nprocs": inj.nprocs,
+                "final_nprocs": self.nprocs,
+                "reexecuted_iterations": state.reexecuted,
+                "supersteps_total": (state.lost_supersteps
+                                     + state.tracker.num_syncs),
+                "comm_bytes_total": (state.lost_bytes
+                                     + state.tracker.total_bytes),
+            }
+        manifest = run_metrics = None
+        if obs.enabled():
+            recorder = obs.manifest_recorder()
+            recorder.record_config(dist={
+                "backend": self.backend,
+                "nprocs": self.nprocs,
+                "mg_levels": self.mg_levels,
+                "machine": self.machine.name,
+                "comm_mode": self.comm_mode,
+                "overlap_efficiency": self.overlap_efficiency,
+                "agglomerate_below": self.agglomerate_below,
+                "execute_local": self.execute_local,
+                "node_threads": self.node_threads or 0,
+                "node_speedup": self.node_speedup,
+            })
+            if inj is not None:
+                recorder.record_config(faults=inj.plan.to_dict())
+                recorder.record_seed("fault_plan", inj.plan.seed)
+            manifest = obs.current().build_manifest()
+            run_metrics = {
+                "supersteps": state.tracker.num_syncs,
+                "comm_bytes": state.tracker.total_bytes,
+                "total_h": state.tracker.total_h,
+                "modelled_seconds": state.seconds,
+                "comm_seconds": state.comm_seconds,
+                "exposed_comm_seconds": state.exposed_comm_seconds,
+                "hidden_comm_seconds": (
+                    state.comm_seconds - state.exposed_comm_seconds),
+                "iterations": cg.k,
+                "node_speedup": self.node_speedup,
+            }
+            if inj is not None:
+                run_metrics["recoveries"] = inj.recoveries
+                run_metrics["checkpoint_seconds"] = state.checkpoint_seconds
+                run_metrics["exchange_retries"] = inj.exchange_retries
         return DistRunResult(
             backend=self.backend,
             nprocs=self.nprocs,
-            n=n,
-            iterations=iterations,
-            residuals=residuals,
-            modelled_seconds=self._seconds,
-            timers=self.timers,
-            tracker=self.tracker,
+            n=self.n,
+            iterations=cg.k,
+            residuals=cg.residuals,
+            modelled_seconds=state.seconds,
+            timers=state.timers,
+            tracker=state.tracker,
             mg_levels=self.mg_levels,
             comm_mode=self.comm_mode,
-            comm_seconds=self._comm_seconds,
-            exposed_comm_seconds=self._exposed_comm_seconds,
-            comm_timers=self.comm_timers,
+            comm_seconds=state.comm_seconds,
+            exposed_comm_seconds=state.exposed_comm_seconds,
+            comm_timers=state.comm_timers,
             machine=self.machine.name,
             manifest=manifest,
             metrics=run_metrics,
             executed_local=self.executed_local,
             node_threads=self.node_threads or 0,
             node_speedup=self.node_speedup,
+            resilience=resilience,
         )
-
-    def _obs_attachments(self, iterations: int):
-        """Manifest + compact metrics for the result (None when off)."""
-        if not obs.enabled():
-            return None, None
-        recorder = obs.manifest_recorder()
-        recorder.record_config(dist={
-            "backend": self.backend,
-            "nprocs": self.nprocs,
-            "mg_levels": self.mg_levels,
-            "machine": self.machine.name,
-            "comm_mode": self.comm_mode,
-            "overlap_efficiency": self.overlap_efficiency,
-            "agglomerate_below": self.agglomerate_below,
-            "execute_local": self.execute_local,
-            "node_threads": self.node_threads or 0,
-            "node_speedup": self.node_speedup,
-        })
-        if self.faults is not None and self.faults.active():
-            recorder.record_config(faults=self.faults.to_dict())
-            recorder.record_seed("fault_plan", self.faults.seed)
-        manifest = obs.current().build_manifest()
-        run_metrics = {
-            "supersteps": self.tracker.num_syncs,
-            "comm_bytes": self.tracker.total_bytes,
-            "total_h": self.tracker.total_h,
-            "modelled_seconds": self._seconds,
-            "comm_seconds": self._comm_seconds,
-            "exposed_comm_seconds": self._exposed_comm_seconds,
-            "hidden_comm_seconds": (
-                self._comm_seconds - self._exposed_comm_seconds),
-            "iterations": iterations,
-            "node_speedup": self.node_speedup,
-        }
-        return manifest, run_metrics

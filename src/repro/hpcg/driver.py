@@ -317,12 +317,16 @@ def _run_dist(args, plan) -> int:
 
     With an active fault plan, a clean twin of the run prices the
     fault-free baseline so the Resilience section can report the
-    degraded-vs-clean time-to-solution honestly.
+    degraded-vs-clean time-to-solution honestly.  A grid/node-count
+    combination the backend cannot distribute is a CLI error (exit 2).
     """
     problem = generate_problem(args.nx, args.ny, args.nz,
                                b_style=args.b_style)
-    result = _dist_backend(args.dist, problem, args, faults=plan).run_cg(
-        max_iters=args.iters, tolerance=args.tolerance)
+    try:
+        run = _dist_backend(args.dist, problem, args, faults=plan)
+    except InvalidValue as exc:
+        return _fail(f"--dist {args.dist} --nprocs {args.nprocs}: {exc}")
+    result = run.run_cg(max_iters=args.iters, tolerance=args.tolerance)
     print(result.summary())
     if plan is not None and plan.active():
         clean = _dist_backend(args.dist, problem, args).run_cg(
@@ -430,7 +434,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.threads is not None:
         from repro.graphblas.substrate import threads as threads_mod
         os.environ[threads_mod.ENV_VAR] = args.threads
-        threads_mod.requested()   # fail fast on an unparsable value
+        try:
+            threads_mod.requested()   # fail fast on an unparsable value
+        except InvalidValue as exc:
+            return _fail(f"--threads: {exc}")
     # CLI robustness: every artifact/plan problem is a one-line error
     # and exit code 2 — discovered before any solve work starts
     for flag, path in (("--trace-json", args.trace_json),
@@ -521,7 +528,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print(f"pushing metrics -> {pusher.target} on exit")
         result = None
         if args.dist is not None:
-            _run_dist(args, fault_plan)
+            status = _run_dist(args, fault_plan)
+            if status:
+                return status
         else:
             result = run_hpcg(
                 args.nx, args.ny, args.nz,

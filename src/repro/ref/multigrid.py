@@ -53,7 +53,8 @@ class RefMGLevel:
         return out
 
 
-def _build_csr(grid: Grid3D, stencil: str = "27pt") -> sp.csr_matrix:
+def build_csr(grid: Grid3D, stencil: str = "27pt") -> sp.csr_matrix:
+    """The stencil operator on ``grid`` as sorted CSR (coarse levels)."""
     rows, cols, vals = stencil_coo(grid, stencil)
     A = sp.csr_matrix((vals, (rows, cols)), shape=(grid.npoints, grid.npoints))
     A.sort_indices()
@@ -96,7 +97,7 @@ def build_ref_hierarchy(
     current = top
     for idx in range(1, levels):
         coarse_grid = current.grid.coarsen()
-        A_c = _build_csr(coarse_grid, stencil)
+        A_c = build_csr(coarse_grid, stencil)
         level = RefMGLevel(
             index=idx, grid=coarse_grid, A=A_c, diag=A_c.diagonal(),
             smoother=make_smoother(A_c, coarse_grid),

@@ -95,11 +95,12 @@ class RefRBGS:
         if (self.diag == 0).any():
             raise InvalidValue("RBGS requires a nonzero diagonal")
         ncolors = int(colors.max()) + 1
+        # a class may be empty (thin coarse grids such as 1x1x2 leave
+        # lattice colours unused): its step is a no-op, exactly like the
+        # GraphBLAS smoother's empty mask
         self.color_rows: List[np.ndarray] = [
             np.flatnonzero(colors == c) for c in range(ncolors)
         ]
-        if any(rows.size == 0 for rows in self.color_rows):
-            raise InvalidValue("empty colour class; colour ids must be contiguous")
         # Direct storage manipulation: one row-submatrix per colour.
         self.color_blocks: List[sp.csr_matrix] = [
             A[rows, :] for rows in self.color_rows
@@ -108,7 +109,9 @@ class RefRBGS:
             self.diag[rows] for rows in self.color_rows
         ]
 
-    def _update_color(self, k: int, z: np.ndarray, r: np.ndarray) -> None:
+    def update_color(self, k: int, z: np.ndarray, r: np.ndarray) -> None:
+        """Relax colour ``k``'s rows in place (one step of a sweep; the
+        simulated distributed engine interleaves its exchanges here)."""
         rows = self.color_rows[k]
         d = self.color_diag[k]
         s = self.color_blocks[k].dot(z)          # full row product incl. diagonal
@@ -117,13 +120,13 @@ class RefRBGS:
     def forward(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
         self._check(z, r)
         for k in range(len(self.color_rows)):
-            self._update_color(k, z, r)
+            self.update_color(k, z, r)
         return z
 
     def backward(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
         self._check(z, r)
         for k in range(len(self.color_rows) - 1, -1, -1):
-            self._update_color(k, z, r)
+            self.update_color(k, z, r)
         return z
 
     def smooth(self, z: np.ndarray, r: np.ndarray, sweeps: int = 1) -> np.ndarray:

@@ -236,3 +236,20 @@ class TestAgglomeration:
     def test_negative_threshold_rejected(self, dist_problem):
         with pytest.raises(InvalidValue):
             RefDistRun(dist_problem, nprocs=4, agglomerate_below=-1)
+
+    def test_indivisible_coarse_level_names_level_and_remedies(self):
+        """A 2^3 coarse grid cannot be cut into 4x4x4 boxes: the error
+        says which level, and each remedy it offers works."""
+        problem = generate_problem(16)
+        with pytest.raises(InvalidValue) as exc:
+            RefDistRun(problem, nprocs=64, mg_levels=4)
+        message = str(exc.value)
+        assert "MG level 3 (grid (2, 2, 2), 8 rows)" in message
+        assert "not divisible by process grid (4, 4, 4)" in message
+        assert "agglomerate_below >= 8" in message
+        assert "mg_levels <= 3" in message
+        agg = RefDistRun(problem, nprocs=64, mg_levels=4,
+                         agglomerate_below=8)
+        assert [lvl.agglomerated for lvl in agg.levels] \
+            == [False, False, False, True]
+        RefDistRun(problem, nprocs=64, mg_levels=3)

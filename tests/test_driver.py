@@ -94,6 +94,7 @@ class TestCliRobustness:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
         assert fragment in err
         assert "Traceback" not in err
 
@@ -160,6 +161,25 @@ class TestCliRobustness:
         self._expect_error(
             capsys, ["--nx", "4", "--dist", "ref-3d", "--nprocs", "0"],
             "nprocs")
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["--nx", "16", "--dist", "ref-3d", "--nprocs", "64"],
+         "MG level 3 (grid (2, 2, 2), 8 rows) cannot be distributed"),
+        (["--nx", "16", "--dist", "ref-3d", "--nprocs", "7"],
+         "not divisible by process grid (1, 1, 7)"),
+        (["--nx", "16", "--dist", "alp-2d", "--nprocs", "6"],
+         "needs a square process count"),
+        (["--nx", "8", "--threads", "bogus"],
+         "--threads: REPRO_THREADS must be"),
+    ])
+    def test_unrunnable_configuration(self, capsys, monkeypatch, argv,
+                                      fragment):
+        """Errors raised while *constructing* the run (a node count the
+        backend cannot distribute the grid over, an unparsable thread
+        count) used to escape as tracebacks."""
+        # --threads writes REPRO_THREADS; let monkeypatch restore it
+        monkeypatch.setenv("REPRO_THREADS", "1")
+        self._expect_error(capsys, argv + ["--iters", "1"], fragment)
 
     @pytest.mark.parametrize("value", ["bogus", "model"])
     def test_bad_substrate_force(self, capsys, monkeypatch, value):

@@ -257,6 +257,15 @@ class TestFaultFreeBitIdentity:
         assert clean.modelled_seconds == empty.modelled_seconds
         assert clean.comm_bytes == empty.comm_bytes
         assert empty.resilience is None
+        # both are the one run_cg wrapper with no injector, so every
+        # counter and every per-key total agrees, not just the headline
+        assert clean.syncs == empty.syncs
+        assert clean.comm_seconds == empty.comm_seconds
+        assert clean.exposed_comm_seconds == empty.exposed_comm_seconds
+        assert clean.timers.as_dict(counts=True) \
+            == empty.timers.as_dict(counts=True)
+        assert clean.comm_timers.as_dict(counts=True) \
+            == empty.comm_timers.as_dict(counts=True)
 
 
 class TestSeededDeterminism:
@@ -362,13 +371,20 @@ class TestCrashRecovery:
         assert faulted.modelled_seconds > clean.modelled_seconds
 
     def test_checkpoint_only_plan_adds_overhead(self, dist_problem):
-        clean = _run(RefDistRun, dist_problem)
-        ckpt = _run(RefDistRun, dist_problem, faults=FaultPlan(
-            checkpoint=Checkpoint(interval=1)))
-        assert ckpt.residuals == clean.residuals
-        assert ckpt.modelled_seconds > clean.modelled_seconds
-        assert ckpt.resilience["checkpoints"] == 4
-        assert ckpt.resilience["recoveries"] == 0
+        # a loop, not a parametrisation, so the test keeps its id
+        for cls in ALL_BACKENDS:
+            clean = _run(cls, dist_problem)
+            ckpt = _run(cls, dist_problem, faults=FaultPlan(
+                checkpoint=Checkpoint(interval=1)))
+            assert ckpt.residuals == clean.residuals
+            assert ckpt.modelled_seconds > clean.modelled_seconds
+            assert ckpt.resilience["checkpoints"] == 4
+            assert ckpt.resilience["recoveries"] == 0
+            # the faulted run is the clean loop plus its checkpoint
+            # supersteps and nothing else
+            assert ckpt.modelled_seconds == pytest.approx(
+                clean.modelled_seconds
+                + ckpt.resilience["checkpoint_seconds"], rel=1e-12), cls
 
     def test_injector_crash_bookkeeping(self):
         plan = FaultPlan(crashes=(Crash(2, 5),))

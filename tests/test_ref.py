@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.hpcg.driver import run_hpcg
+from repro.hpcg.problem import generate_problem
 from repro.ref import (
     RefRBGS,
     RefSymGS,
@@ -130,12 +131,19 @@ class TestRefRBGS:
         with pytest.raises(DimensionMismatch):
             RefRBGS(A, np.zeros(3, dtype=np.int64))
 
-    def test_gap_in_color_ids_rejected(self, problem4):
+    def test_empty_color_class_is_a_noop_step(self, problem4, rng):
+        """Thin coarse grids (1x1x2) leave lattice colours unused; the
+        GraphBLAS smoother skips them through empty masks, and the
+        reference must solve the same problems."""
+        from repro.hpcg.coloring import lattice_coloring
         A = problem4.A.to_scipy()
-        colors = np.zeros(64, dtype=np.int64)
-        colors[0] = 5  # colours 1..4 empty
-        with pytest.raises(InvalidValue):
-            RefRBGS(A, colors)
+        colors = lattice_coloring(problem4.grid)
+        r = rng.standard_normal(problem4.n)
+        dense = RefRBGS(A, colors).smooth(np.zeros(problem4.n), r)
+        gapped = RefRBGS(A, 2 * colors)      # odd classes empty
+        assert [rows.size for rows in gapped.color_rows[1::2]] == [0] * 7
+        np.testing.assert_array_equal(
+            gapped.smooth(np.zeros(problem4.n), r), dense)
 
     def test_smooth_reduces_residual(self, problem8, rng):
         from repro.hpcg.coloring import lattice_coloring
@@ -175,6 +183,16 @@ class TestParityWithALP:
         alp = run_hpcg(nx=0, problem=problem8, max_iters=15, mg_levels=3,
                        validate_symmetry=False)
         ref = run_ref_hpcg(nx=0, problem=problem8, max_iters=15, mg_levels=3)
+        np.testing.assert_allclose(alp.cg.residuals, ref.cg.residuals,
+                                   rtol=1e-12)
+
+    def test_thin_coarse_grid_matches_alp(self):
+        """8x8x16 at four levels coarsens to 1x1x2, where six of the
+        eight lattice colours are unused: both solvers must accept it."""
+        problem = generate_problem(8, 8, 16)
+        alp = run_hpcg(nx=0, problem=problem, max_iters=4, mg_levels=4,
+                       validate_symmetry=False)
+        ref = run_ref_hpcg(nx=0, problem=problem, max_iters=4, mg_levels=4)
         np.testing.assert_allclose(alp.cg.residuals, ref.cg.residuals,
                                    rtol=1e-12)
 
