@@ -17,13 +17,7 @@ Two checks, in decreasing portability:
    within one process on one machine, so it transfers across hosts —
    a fused lane slower than the reference transcription is a
    regression wherever it happens.
-2. **Parallel-speedup floors** (enforced only when baseline and fresh
-   carry the *same* ``cores`` count and it exceeds one): every
-   ``parallel_speedup`` metric must stay >= 1.0.  Unlike the fused
-   ratio, thread scaling depends on how many cores the host offers —
-   a single-core runner legitimately measures <= 1.0, so a core-count
-   mismatch (or a 1-core run) downgrades this floor to a note.
-3. **Wall-clock trend** (only when the two files carry the same
+2. **Wall-clock trend** (only when the two files carry the same
    ``host``): per-bench ``fused_seconds``-style absolute timings may
    not regress by more than ``--max-regression`` (default 25%).
    Absolute seconds measured on different machines are not comparable,
@@ -55,8 +49,7 @@ import sys
 from typing import Dict, List, Tuple
 
 #: metrics keys holding absolute wall-clock seconds worth trending
-WALL_CLOCK_KEYS = ("fused_seconds", "reference_seconds",
-                   "serial_seconds", "parallel_seconds")
+WALL_CLOCK_KEYS = ("fused_seconds", "reference_seconds")
 
 
 def load(path: str) -> Dict:
@@ -82,42 +75,6 @@ def check_speedups(fresh: Dict) -> List[str]:
             failures.append(
                 f"{nodeid}: fused lane slower than reference "
                 f"(speedup {speedup:.3f} < 1.0)"
-            )
-    return failures
-
-
-def check_parallel_speedups(baseline: Dict, fresh: Dict) -> List[str]:
-    """``parallel_speedup`` floors, gated on comparable core counts.
-
-    Thread scaling is a property of the host's core count, not of the
-    code alone: a 1-core runner measures pool overhead with no
-    parallelism to pay for it.  The floor therefore only binds when
-    the baseline was produced on a host with the *same* number of
-    cores as the fresh run and that count exceeds one; anything else
-    is reported but not enforced.
-    """
-    base_cores = baseline.get("cores")
-    fresh_cores = fresh.get("cores")
-    enforced = bool(base_cores and base_cores == fresh_cores
-                    and fresh_cores > 1)
-    if not enforced:
-        print(f"  note: parallel-speedup floor informational only "
-              f"(baseline cores={base_cores!r}, fresh "
-              f"cores={fresh_cores!r}; needs matching multi-core hosts)")
-    failures = []
-    for nodeid, metrics in sorted(fresh["metrics"].items()):
-        speedup = metrics.get("parallel_speedup")
-        if speedup is None:
-            continue
-        ok = speedup >= 1.0 or not enforced
-        marker = "ok" if ok else "FAIL"
-        print(f"  {marker:>4}  {nodeid}: parallel_speedup={speedup:.3f}"
-              f" (floor 1.0, {'enforced' if enforced else 'informational'})")
-        if not ok:
-            failures.append(
-                f"{nodeid}: parallel lane slower than serial "
-                f"(speedup {speedup:.3f} < 1.0 on a "
-                f"{fresh_cores}-core host)"
             )
     return failures
 
@@ -229,9 +186,6 @@ def main(argv=None) -> int:
     failures = check_speedups(fresh)
     if not fresh["metrics"]:
         print("  note: fresh run carries no metrics")
-
-    print("parallel-speedup floors:")
-    failures.extend(check_parallel_speedups(baseline, fresh))
 
     print("wall-clock trend:")
     wall_failures, _ = check_wall_clock(baseline, fresh,

@@ -15,7 +15,6 @@ can be produced from plain pytest without extra tooling.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import time
 from typing import Dict, Optional
@@ -24,28 +23,6 @@ import numpy as np
 import pytest
 
 from repro.hpcg.problem import generate_problem
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_tune_cache(tmp_path_factory):
-    """Keep benches hermetic: unpinned simulated runs pull the cached
-    machine profile's measured overlap efficiency, and bench_halo makes
-    hard assertions on overlap behaviour that a developer's global
-    cache (a legitimately-measured 0.0) would break.  An explicit
-    ``REPRO_TUNE_CACHE`` is honoured, as in ``tests/conftest.py``.
-    """
-    from repro.tune import cache as tune_cache
-
-    if os.environ.get(tune_cache.ENV_VAR, "").strip():
-        yield
-        return
-    os.environ[tune_cache.ENV_VAR] = str(tmp_path_factory.mktemp("tune-cache"))
-    tune_cache.invalidate()
-    try:
-        yield
-    finally:
-        os.environ.pop(tune_cache.ENV_VAR, None)
-        tune_cache.invalidate()
 
 
 def pytest_addoption(parser):
@@ -88,9 +65,6 @@ class BenchJsonCollector:
         payload = {
             "created_at": time.time(),
             "host": platform.node() or "unknown",
-            # core count gates the cross-host comparability of
-            # parallel-speedup floors in check_trend.py
-            "cores": os.cpu_count() or 1,
             "benches": self.benches,
             "metrics": self.metrics,
         }

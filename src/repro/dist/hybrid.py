@@ -58,7 +58,7 @@ class HybridALPRun(SimulatedDistRun):
 
     ``engine`` keywords are :class:`~repro.dist.simulate.SimulatedDistRun`'s,
     passed through unchanged: ``comm_mode``, ``overlap_efficiency``,
-    ``agglomerate_below``, ``execute_local``, ``node_threads``, ``faults``.
+    ``agglomerate_below``, ``faults``.
     """
 
     backend = "alp-1d"

@@ -60,7 +60,7 @@ class RefDistRun(SimulatedDistRun):
 
     ``engine`` keywords are :class:`~repro.dist.simulate.SimulatedDistRun`'s,
     passed through unchanged: ``comm_mode``, ``overlap_efficiency``,
-    ``agglomerate_below``, ``execute_local``, ``node_threads``, ``faults``.
+    ``agglomerate_below``, ``faults``.
     """
 
     backend = "ref-3d"

@@ -52,15 +52,6 @@ class DistRunResult:
     #: compact per-run metrics dict (supersteps, comm bytes/seconds by
     #: exposure) attached under the same condition
     metrics: Optional[Dict] = None
-    #: True when the run *executed* its node-local SpMV blocks (hybrid
-    #: mode, ``execute_local=True``) instead of only pricing them
-    executed_local: bool = False
-    #: thread-pool width the hybrid calibration ran with (0 = priced
-    #: only, no execution)
-    node_threads: int = 0
-    #: measured serial/threaded ratio of the node-local SpMV pass; it
-    #: scaled every superstep's work term (1.0 = no hybrid execution)
-    node_speedup: float = 1.0
     #: fault-injection summary (:mod:`repro.dist.faults`) when the run
     #: executed under an active FaultPlan: the plan + seed, every
     #: injected event, recovery/checkpoint/retry counts and the
@@ -121,11 +112,6 @@ class DistRunResult:
     def summary(self) -> str:
         final = self.final_residual
         priced = f" priced by {self.machine}" if self.machine else ""
-        hybrid = (
-            f" [hybrid: {self.node_threads} node threads, "
-            f"x{self.node_speedup:.2f} measured]"
-            if self.executed_local else ""
-        )
         faulted = ""
         if self.resilience is not None:
             r = self.resilience
@@ -142,5 +128,5 @@ class DistRunResult:
             f"comm {self.comm_bytes / 1e6:.3f} MB over {self.syncs} "
             f"supersteps [{self.comm_mode}: "
             f"{self.exposed_comm_seconds:.6f}s exposed of "
-            f"{self.comm_seconds:.6f}s wire time]{priced}{hybrid}{faulted}"
+            f"{self.comm_seconds:.6f}s wire time]{priced}{faulted}"
         )

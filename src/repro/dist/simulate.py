@@ -20,6 +20,16 @@ This separation is the point of the simulation: convergence is provably
 unchanged by the distribution (the paper's Section V precondition), so
 backends compete purely on the communication they induce.
 
+Machine
+-------
+
+A run is priced on the ``machine=`` it is given, else on the Table-II
+``ARM_CLUSTER_NODE`` preset (``overlap_efficiency=`` overrides that one
+field of either).  Nothing measured on the host or cached on disk enters
+the modelled seconds; pricing with a measured profile is spelled
+``machine=BSPMachine.from_profile(profile)``, as ``python -m repro.tune
+scale`` does.
+
 Communication modes
 -------------------
 
@@ -51,27 +61,12 @@ of one gather superstep entering the level, one scatter leaving it, and
 the loss of ``p``-way parallelism on the agglomerated work.  The
 tradeoff is priced through the same engine, so ``bsp_time`` shows
 whether dodging the tiny-superstep latencies pays.
-
-Hybrid node-local execution
----------------------------
-
-``execute_local=True`` makes the run *measure* its node-local speedup
-instead of only pricing it: before the solve, the finest level's
-per-node SpMV (the :class:`~repro.dist.halo.LocalSpmvExecutor` node
-blocks under a Block1D ownership) executes once serially and once with
-the nodes dispatched across a ``ThreadPoolExecutor`` of
-``node_threads`` workers (default: the ``REPRO_THREADS`` resolution) —
-bit-identical outputs, asserted.  The observed serial/threaded ratio
-becomes ``node_speedup``, which scales every superstep's *work* term
-(communication is unchanged — threads share the NIC), and is surfaced
-on the :class:`DistRunResult`.  Numerics are untouched either way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import time
 from types import SimpleNamespace
 from typing import List, Optional
 
@@ -93,6 +88,7 @@ from repro.dist.result import DistRunResult
 from repro.grid import Grid3D
 from repro.hpcg.coloring import lattice_coloring
 from repro.hpcg.problem import Problem
+from repro.ref.cg import require_finite_residual
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
 from repro.ref.multigrid import build_csr
 from repro.ref.sgs import RefRBGS
@@ -213,20 +209,9 @@ class SimulatedDistRun:
                  comm_mode: Optional[str] = None,
                  overlap_efficiency: Optional[float] = None,
                  agglomerate_below: int = 0,
-                 execute_local: bool = False,
-                 node_threads: Optional[int] = None,
                  faults: Optional[FaultPlan] = None):
         if machine is None:
-            # no machine pinned: the Table-II ARM preset, but with the
-            # *measured* overlap efficiency when this machine has a
-            # cached tune profile (PR-4 follow-up) — an explicit
-            # machine= or overlap_efficiency= always wins
             machine = ARM_CLUSTER_NODE
-            if overlap_efficiency is None:
-                from repro.tune import cache as tune_cache
-                profile = tune_cache.current_profile()
-                if profile is not None:
-                    overlap_efficiency = profile.overlap_efficiency
         if nprocs < 1:
             raise InvalidValue(f"need at least one process, got {nprocs}")
         if mg_levels < 1:
@@ -258,14 +243,6 @@ class SimulatedDistRun:
         self.overlap = self.comm_mode == "overlap"
         self.overlap_efficiency = machine.overlap_efficiency
         self.agglomerate_below = agglomerate_below
-        if node_threads is not None and node_threads < 1:
-            raise InvalidValue(
-                f"node_threads must be >= 1, got {node_threads}"
-            )
-        self.execute_local = execute_local
-        self.node_threads = node_threads   # resolved at calibration
-        self.node_speedup = 1.0
-        self.executed_local = False
         self.n = problem.n
         stencil = getattr(problem, "stencil", "27pt")
         self.levels: List[SimLevel] = []
@@ -426,13 +403,6 @@ class SimulatedDistRun:
             if factor != 1.0:
                 work_bytes *= factor
                 overlap_bytes *= factor
-        if self.node_speedup != 1.0:
-            # measured hybrid speedup scales the compute terms only:
-            # wire terms are unchanged (threads share the NIC), and a
-            # faster node also has *less* compute to hide a posted
-            # exchange behind, hence overlap_bytes shrinks with it
-            work_bytes /= self.node_speedup
-            overlap_bytes /= self.node_speedup
         costs = self.machine.superstep_costs(work_bytes, h, overlap_bytes)
         self._account_superstep(key, h, costs["total"], costs["comm_full"],
                                 costs["comm_exposed"], costs["comm_hidden"])
@@ -455,8 +425,7 @@ class SimulatedDistRun:
         inj = self._state.injector
         if inj is not None:
             work_bytes *= inj.work_factor(inj.superstep)
-        self._tick(key, self.machine.work_time(
-            work_bytes / self.node_speedup))
+        self._tick(key, self.machine.work_time(work_bytes))
 
     def _retry_exchange(self, stats: SuperstepStats, sync_label: str,
                         timer_key: str) -> None:
@@ -481,91 +450,6 @@ class SimulatedDistRun:
             self._account_superstep(timer_key, retry_stats.h, cost,
                                     cost, cost, 0.0)
             inj.check_crash(step)
-
-    # --- hybrid node-local execution -----------------------------------------
-    #: timing repeats per calibration pass (best-of, noise rejection)
-    _CALIBRATE_REPEATS = 3
-    #: pricing floor: a measured slowdown never inflates work terms by
-    #: more than 20x (guards against degenerate timer readings)
-    _MIN_NODE_SPEEDUP = 0.05
-
-    def _calibrate_hybrid(self) -> None:
-        """Execute the finest level's per-node SpMV for real and
-        measure the node-local thread speedup.
-
-        The per-node blocks come from a
-        :class:`~repro.dist.halo.LocalSpmvExecutor` over the same
-        Block1D row ownership the 1-D backends partition with.  A
-        serial pass loops the nodes; a threaded pass dispatches them
-        across a ``ThreadPoolExecutor`` — each node writes a disjoint
-        ``y[node.rows]`` slice, so the two passes are bit-identical
-        (asserted).  The best-of-:attr:`_CALIBRATE_REPEATS` ratio
-        becomes :attr:`node_speedup`; it scales *pricing only* — the
-        solve's numerics never touch these vectors.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.dist.halo import LocalSpmvExecutor
-        from repro.graphblas.substrate import threads as threads_mod
-
-        nthreads = self.node_threads
-        if nthreads is None:
-            nthreads = threads_mod.resolve()
-        # more workers than nodes cannot help: one task per node
-        nthreads = max(1, min(nthreads, self.nprocs))
-        level0 = self.levels[0]
-        owners = Block1D(level0.n, self.nprocs).owner(
-            np.arange(level0.n, dtype=np.int64))
-        executor = LocalSpmvExecutor(level0.A, owners, self.nprocs,
-                                     comm_mode="eager")
-        for node in executor.nodes:
-            node.provider          # build providers outside the timing
-        x = np.random.default_rng(13).standard_normal(level0.n)
-
-        def run_serial(y: np.ndarray) -> float:
-            start = time.perf_counter()
-            for node in executor.nodes:
-                y[node.rows] = node.provider.mxv(x[node.cols])
-            return time.perf_counter() - start
-
-        y_serial = np.empty(level0.n)
-        serial_s = min(run_serial(y_serial)
-                       for _ in range(self._CALIBRATE_REPEATS))
-        if nthreads > 1:
-            def node_task(node, y: np.ndarray) -> None:
-                y[node.rows] = node.provider.mxv(x[node.cols])
-
-            y_threaded = np.empty(level0.n)
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                def run_threaded() -> float:
-                    start = time.perf_counter()
-                    futures = [pool.submit(node_task, node, y_threaded)
-                               for node in executor.nodes]
-                    for future in futures:
-                        future.result()
-                    return time.perf_counter() - start
-
-                threaded_s = min(run_threaded()
-                                 for _ in range(self._CALIBRATE_REPEATS))
-            if not np.array_equal(y_serial, y_threaded):
-                raise AssertionError(
-                    "hybrid node-local execution diverged from the "
-                    "serial node loop — disjoint-slice dispatch broken"
-                )
-            speedup = serial_s / max(threaded_s, 1e-12)
-        else:
-            threaded_s = serial_s
-            speedup = 1.0
-        self.node_threads = nthreads
-        self.node_speedup = max(speedup, self._MIN_NODE_SPEEDUP)
-        self.executed_local = True
-        with obs.span("dist/hybrid_calibrate", "dist") as sp:
-            if sp is not None:
-                sp.set(node_threads=nthreads,
-                       node_speedup=self.node_speedup,
-                       serial_seconds=serial_s,
-                       threaded_seconds=threaded_s,
-                       nprocs=self.nprocs, n=level0.n)
 
     def _vector_share(self, n: int) -> float:
         """Largest per-node share of an ``n``-vector (for local-op work)."""
@@ -704,15 +588,13 @@ class SimulatedDistRun:
     def _respawn(self, nprocs: int, **backend) -> "SimulatedDistRun":
         """Rebuild this run on ``nprocs`` surviving nodes, repartitioning
         every level with the backend's own partitioner (subclasses add
-        their constructor arguments as ``backend``).  Hybrid calibration
-        is not re-run: :meth:`_recover` hands node_speedup over."""
+        their constructor arguments as ``backend``)."""
         return type(self)(
             self.problem, nprocs,
             mg_levels=self.mg_levels,
             machine=self.machine,
             comm_mode=self.comm_mode,
             agglomerate_below=self.agglomerate_below,
-            node_threads=self.node_threads,
             **backend)
 
     def _recover(self, crash: NodeCrash) -> "SimulatedDistRun":
@@ -734,8 +616,6 @@ class SimulatedDistRun:
         }):
             survivor = self._respawn(survivors)
         survivor._state = state
-        survivor.node_speedup = self.node_speedup
-        survivor.executed_local = self.executed_local
         state.tracker = CommTracker(survivor.nprocs)
         inj.recoveries += 1
         inj.record(
@@ -771,6 +651,7 @@ class SimulatedDistRun:
             r = self._waxpby(np.empty(n), 1.0, self.problem.b.to_dense(),
                              -1.0, Ap)                 # r <- b - A x
             normr = float(np.sqrt(self._dot(r, r)))
+            require_finite_residual(normr, r)
             cg = CGState(k=0, x=x, r=r, p=np.empty(n), rtz=0.0,
                          residuals=[normr])
             if m is not None:
@@ -840,14 +721,11 @@ class SimulatedDistRun:
         self._state = _RunState(self.nprocs, injector)
         if injector is not None:
             injector.announce_speeds()
-        if self.execute_local and not self.executed_local:
-            self._calibrate_hybrid()
 
         attrs = {
             "backend": self.backend, "nprocs": self.nprocs, "n": self.n,
             "mode": self.comm_mode, "machine": self.machine.name,
             "mg_levels": self.mg_levels,
-            "node_speedup": self.node_speedup,
         }
         if injector is not None:
             attrs["faulted"] = True
@@ -901,9 +779,6 @@ class SimulatedDistRun:
                 "comm_mode": self.comm_mode,
                 "overlap_efficiency": self.overlap_efficiency,
                 "agglomerate_below": self.agglomerate_below,
-                "execute_local": self.execute_local,
-                "node_threads": self.node_threads or 0,
-                "node_speedup": self.node_speedup,
             })
             if inj is not None:
                 recorder.record_config(faults=inj.plan.to_dict())
@@ -919,7 +794,6 @@ class SimulatedDistRun:
                 "hidden_comm_seconds": (
                     state.comm_seconds - state.exposed_comm_seconds),
                 "iterations": cg.k,
-                "node_speedup": self.node_speedup,
             }
             if inj is not None:
                 run_metrics["recoveries"] = inj.recoveries
@@ -942,8 +816,5 @@ class SimulatedDistRun:
             machine=self.machine.name,
             manifest=manifest,
             metrics=run_metrics,
-            executed_local=self.executed_local,
-            node_threads=self.node_threads or 0,
-            node_speedup=self.node_speedup,
             resilience=resilience,
         )

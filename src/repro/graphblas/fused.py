@@ -148,7 +148,7 @@ def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
     flops, mxv_bytes = prov.mxv_traffic()
     if jit.available():
         jit.csr_mxv_waxpby(A._csr, zv, alpha, xv, beta, wv,
-                           nthreads=threads.effective(mxv_bytes))
+                           nthreads=threads.resolve())
     else:
         s = prov.mxv(zv)
         np.multiply(xv, alpha, out=wv)

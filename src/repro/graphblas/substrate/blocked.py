@@ -89,8 +89,7 @@ class BlockedDenseProvider(KernelProvider):
             # with the presence mask, minus the per-lane numpy dispatch
             return jit.blocked_mxv(
                 self._colmap, self._data, self._present, self._widths,
-                x, self.nrows,
-                nthreads=threads.effective(self.mxv_traffic()[1]))
+                x, self.nrows, nthreads=threads.resolve())
         xs = x[self._colmap]                      # (nblocks, W): one gather
         acc = np.zeros((self._nblocks, self.block_rows), dtype=out_dtype)
         for lane in range(self._colmap.shape[1]):

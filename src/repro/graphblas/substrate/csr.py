@@ -47,9 +47,7 @@ class CsrProvider(KernelProvider):
         csr = self._csr
         if (jit.available() and csr.dtype == np.float64
                 and x.dtype == np.float64):
-            return jit.csr_mxv(csr, x,
-                               nthreads=threads.effective(
-                                   self.mxv_traffic()[1]))
+            return jit.csr_mxv(csr, x, nthreads=threads.resolve())
         return csr @ x
 
     def gs_color_sweep(self, color_rows: Sequence[np.ndarray],
@@ -91,8 +89,7 @@ class CsrColorSweep(ColorSweep):
         work = self._work[k]
         if jit.available():
             jit.csr_gs_step(block, rows, d, z, r, work,
-                            nthreads=threads.effective(
-                                self.subs[k].mxv_traffic()[1]))
+                            nthreads=threads.resolve())
             return
         if _csr_matvec is not None:
             work.fill(0.0)  # csr_matvec accumulates onto its output

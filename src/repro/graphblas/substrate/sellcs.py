@@ -101,7 +101,7 @@ class SellCSigmaProvider(KernelProvider):
             return csr @ x
         if (jit.available() and csr.dtype == np.float64
                 and x.dtype == np.float64):
-            nthreads = threads.effective(self.mxv_traffic()[1])
+            nthreads = threads.resolve()
             if nthreads > 1 and jit.parallel_available():
                 # parallel over permuted rows, each accumulating its
                 # CSR entries ascending — per-row arithmetic identical

@@ -1,61 +1,39 @@
-"""``REPRO_THREADS``: resolution of the shared-memory parallel lane.
+"""``REPRO_THREADS``: the switch for the shared-memory parallel lane.
 
-Every fast lane so far (``REPRO_JIT``, ``REPRO_FUSED``) is
+Every other fast lane (``REPRO_JIT``, ``REPRO_FUSED``) is
 single-threaded; this module owns the toggle that arms the *parallel*
-variants of those lanes and the policy that sizes them:
+(``numba.prange``) variants of those lanes:
 
-* ``REPRO_THREADS=0`` (or ``off``/``no``/``false``) — kill switch: the
-  parallel lane is disabled everywhere, serial kernels run bit-for-bit
-  as before;
-* ``REPRO_THREADS=1`` — explicitly serial (same kernels as ``0``; the
-  distinction only matters to manifests, which record what was asked);
+* unset or ``REPRO_THREADS=1`` — serial;
 * ``REPRO_THREADS=N`` — exactly ``N`` threads wherever a parallel
   kernel exists;
-* ``REPRO_THREADS=auto`` (or unset) — profile-driven: the cached
-  :class:`~repro.tune.profile.MachineProfile`'s measured
-  ``half_sat_threads`` (the thread count reaching half the saturated
-  parallel SpMV rate) sizes the lane, and matrices too small to
-  amortise fork/join overhead stay serial.  Without a cached profile
-  the answer is 1 — **zero behaviour change by default**.
+* ``REPRO_THREADS=0`` (or ``off``/``no``/``false``) — alias of 1, the
+  kill switch spelling the other lanes use.
 
-Like the other switches, the environment is read per call so tests can
-flip the lane without reimporting.
+The count depends on that variable and nothing else: no machine
+profile, operator size or core count is consulted.  Like the other
+switches, the environment is read per call so tests can flip the lane
+without reimporting.
 
-Bit-exactness is a property of the kernels, not of this policy: every
+Bit-exactness is a property of the kernels, not of this switch: every
 parallel variant partitions *rows* across threads and keeps each row's
 left-to-right accumulation (each output element is written by exactly
-one thread with unchanged per-row arithmetic), so any resolved count
-produces byte-identical results.  :class:`ChunkedSpmv` is the
-numba-free embodiment used by the tune probe and the hybrid dist
-executors: contiguous row blocks of a CSR matrix dispatched to a
-``ThreadPoolExecutor`` (scipy's compiled ``csr_matvec`` releases the
-GIL), each block writing its own disjoint output slice.
+one thread with unchanged per-row arithmetic), so any count produces
+byte-identical results.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
-from typing import List, Optional
+from typing import Optional
 
-import numpy as np
-import scipy.sparse as sp
+from repro.util.errors import InvalidValue
 
-from repro.util.errors import DimensionMismatch, InvalidValue
-
-#: The environment toggle: ``0`` / ``1`` / ``N`` / ``auto`` (default).
+#: The environment toggle: unset / ``0`` / ``1`` / ``N``.
 ENV_VAR = "REPRO_THREADS"
 
 #: Values meaning "parallel lane off" (mirrors the other kill switches).
 _OFF = ("0", "off", "no", "false")
-
-#: Values meaning "size from the machine profile".
-_AUTO = ("", "auto")
-
-#: In ``auto`` mode, operators streaming fewer bytes than this stay
-#: serial — fork/join overhead never amortises on tiny colour blocks.
-#: An explicit ``REPRO_THREADS=N`` is always honoured.
-AUTO_MIN_BYTES = 1 << 20
 
 
 def raw() -> str:
@@ -68,13 +46,14 @@ def enabled() -> bool:
 
 
 def requested() -> Optional[int]:
-    """The explicit thread count, or ``None`` for auto.
+    """The thread count the environment asks for, ``None`` when unset.
 
-    The kill switch and ``1`` both resolve to an explicit 1; malformed
-    values raise :class:`InvalidValue` (manifest capture catches it).
+    The kill switch and ``1`` both read as 1; anything else that is not
+    a positive integer raises :class:`InvalidValue` (manifest capture
+    catches it).
     """
     value = raw()
-    if value in _AUTO:
+    if not value:
         return None
     if value in _OFF:
         return 1
@@ -82,8 +61,7 @@ def requested() -> Optional[int]:
         count = int(value)
     except ValueError:
         raise InvalidValue(
-            f"{ENV_VAR} must be 0, 1, a thread count or 'auto', "
-            f"got {value!r}"
+            f"{ENV_VAR} must be 0, 1 or a thread count, got {value!r}"
         ) from None
     if count < 1:
         raise InvalidValue(
@@ -93,46 +71,11 @@ def requested() -> Optional[int]:
 
 
 def resolve() -> int:
-    """The effective thread count of the parallel lane.
-
-    Explicit requests win verbatim; ``auto`` consults the cached
-    machine profile's thread-sweep fit (and demotes to 1 when the
-    measured scaling shows no win, or when no profile is cached).
-    """
-    explicit = requested()
-    if explicit is not None:
-        return explicit
-    from repro.tune import cache as tune_cache  # lazy: tune imports us
-
-    profile = tune_cache.current_profile()
-    if profile is None:
-        return 1
-    half_sat = getattr(profile, "half_sat_threads", 1)
-    if half_sat <= 1:
-        return 1
-    # only parallelise when the measured sweep says the fitted count
-    # actually beats one thread on the probed kernel
-    rates = getattr(profile, "thread_rates", {}).get("spmv", {})
-    serial = rates.get("1")
-    fitted = rates.get(str(half_sat))
-    if serial and fitted and fitted <= serial:
-        return 1
-    return max(1, min(int(half_sat), os.cpu_count() or 1))
+    """The thread count of the parallel lane: the request, else 1."""
+    return requested() or 1
 
 
-def effective(nbytes: Optional[float] = None) -> int:
-    """Per-matrix thread count: :func:`resolve`, with the auto policy
-    demoting operators too small to amortise fork/join."""
-    count = resolve()
-    if count <= 1:
-        return 1
-    if (nbytes is not None and nbytes < AUTO_MIN_BYTES
-            and requested() is None):
-        return 1
-    return count
-
-
-def lane_name(nbytes: Optional[float] = None) -> str:
+def lane_name() -> str:
     """Which kernel lane a float64 hot loop runs on right now:
     ``numpy`` / ``jit`` / ``jit-parallel`` — the span attribute
     ``obs diff`` uses to attribute serial-vs-parallel movement."""
@@ -140,91 +83,6 @@ def lane_name(nbytes: Optional[float] = None) -> str:
 
     if not jit.available():
         return "numpy"
-    if jit.parallel_available() and effective(nbytes) > 1:
+    if jit.parallel_available() and resolve() > 1:
         return "jit-parallel"
     return "jit"
-
-
-class ChunkedSpmv:
-    """``csr @ x`` over contiguous row chunks on a thread pool.
-
-    Row slicing keeps every row's entries in ascending column order, so
-    each chunk accumulates exactly as the whole matrix does and the
-    result is bit-identical to ``csr @ x`` for any chunk count.  With
-    one thread the kernel runs inline (no pool, no overhead) — the
-    serial baseline the tune probe and hybrid calibration compare
-    against.
-    """
-
-    def __init__(self, csr: sp.csr_matrix, nthreads: int):
-        if nthreads < 1:
-            raise InvalidValue(f"need >= 1 thread, got {nthreads}")
-        csr = csr.tocsr()
-        if not csr.has_sorted_indices:
-            csr = csr.copy()
-            csr.sort_indices()
-        self.csr = csr
-        self.n = csr.shape[0]
-        self.nthreads = min(nthreads, max(self.n, 1))
-        bounds = np.linspace(0, self.n, self.nthreads + 1).astype(np.int64)
-        self._spans = [(int(lo), int(hi))
-                       for lo, hi in zip(bounds[:-1], bounds[1:])
-                       if hi > lo]
-        self._blocks: List[sp.csr_matrix] = [
-            csr[lo:hi, :] for lo, hi in self._spans
-        ]
-        self._pool = (ThreadPoolExecutor(max_workers=len(self._spans))
-                      if len(self._spans) > 1 else None)
-
-    def _run_block(self, block: sp.csr_matrix, x: np.ndarray,
-                   out: np.ndarray) -> None:
-        # the same compiled accumulation loop the CSR provider uses
-        try:
-            from scipy.sparse import _sparsetools
-
-            out.fill(0.0)  # csr_matvec accumulates onto its output
-            _sparsetools.csr_matvec(
-                block.shape[0], block.shape[1], block.indptr,
-                block.indices, block.data, x, out)
-        except (ImportError, AttributeError):  # pragma: no cover
-            out[:] = block @ x
-
-    def __call__(self, x: np.ndarray,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        # csr_matvec trusts its operand sizes (it would read out of
-        # bounds), so the bounds live here
-        if x.shape[0] != self.csr.shape[1]:
-            raise DimensionMismatch(
-                f"vector size {x.shape[0]} != matrix columns "
-                f"{self.csr.shape[1]}"
-            )
-        if out is None:
-            out = np.empty(self.n, dtype=np.float64)
-        elif out.shape[0] != self.n:
-            raise DimensionMismatch(
-                f"output size {out.shape[0]} != matrix rows {self.n}"
-            )
-        if self._pool is None:
-            if self._blocks:
-                self._run_block(self._blocks[0], x, out)
-            return out
-        futures = [
-            self._pool.submit(self._run_block, block, x, out[lo:hi])
-            for (lo, hi), block in zip(self._spans, self._blocks)
-        ]
-        wait(futures)
-        for future in futures:
-            future.result()   # re-raise any worker exception
-        return out
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ChunkedSpmv":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -12,13 +12,16 @@ that preconditioning reduces iterations).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
+
+import numpy as np
 
 from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import fused as fused_ext
-from repro.util.errors import DimensionMismatch
+from repro.util.errors import DimensionMismatch, InvalidValue
 from repro.util.timer import null_timer
 
 Preconditioner = Callable[[grb.Vector, grb.Vector], grb.Vector]
@@ -116,6 +119,12 @@ def pcg(
             grb.waxpby(r, 1.0, b, -1.0, Ap)         # r <- b - A x
     with timers.measure("cg/dot"), grb.backend.labelled("dot"):
         normr0 = normr = grb.norm2(r)
+    if not math.isfinite(normr0) and not np.isfinite(r.to_dense()).all():
+        # r is scanned only on this failure path; finite entries whose
+        # norm merely overflows are not an input error and run on
+        raise InvalidValue(
+            f"CG: non-finite initial residual (norm {normr0}): b, x0 or "
+            f"the operator holds a NaN/Inf")
     residuals = [normr]
     if res_series is not None:
         res_series.observe(normr)

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import substrate as substrate_mod
+from repro.graphblas.substrate import threads as threads_mod
 from repro.hpcg import flops as flops_mod
 from repro.hpcg.cg import CGResult, CGWorkspace, pcg
 from repro.hpcg.multigrid import MGLevel, MGPreconditioner, build_hierarchy
@@ -407,11 +408,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write the sampling profiler's folded "
                              "stacks to PATH (for obs flame/top or "
                              "flamegraph.pl; needs --sample-profile)")
-    parser.add_argument("--threads", metavar="N|auto|0", default=None,
+    parser.add_argument("--threads", metavar="N|0", default=None,
                         help="thread count for the parallel kernel lane "
                              "(sets REPRO_THREADS for this run: a count, "
-                             "'auto' for the profile-fitted width, '0' to "
-                             "kill the lane)")
+                             "or '0' to kill the lane)")
     parser.add_argument("--dist", choices=DIST_BACKENDS, default=None,
                         help="run the simulated distributed solver with "
                              "this backend instead of the serial benchmark")
@@ -431,13 +431,28 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also push periodically during the run, every "
                              "SECONDS (needs --push-url)")
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        from repro.graphblas.substrate import threads as threads_mod
-        os.environ[threads_mod.ENV_VAR] = args.threads
-        try:
-            threads_mod.requested()   # fail fast on an unparsable value
-        except InvalidValue as exc:
-            return _fail(f"--threads: {exc}")
+    if args.threads is None:
+        return _run_cli(args)
+    # --threads is REPRO_THREADS for this run only: an in-process
+    # caller gets its environment back
+    previous = os.environ.get(threads_mod.ENV_VAR)
+    os.environ[threads_mod.ENV_VAR] = args.threads
+    try:
+        return _run_cli(args)
+    finally:
+        if previous is None:
+            os.environ.pop(threads_mod.ENV_VAR, None)
+        else:
+            os.environ[threads_mod.ENV_VAR] = previous
+
+
+def _run_cli(args: argparse.Namespace) -> int:
+    """Everything :func:`main` does once the arguments are parsed."""
+    try:
+        threads_mod.requested()   # fail fast on an unparsable value
+    except InvalidValue as exc:
+        return _fail(f"--threads: {exc}" if args.threads is not None
+                     else str(exc))
     # CLI robustness: every artifact/plan problem is a one-line error
     # and exit code 2 — discovered before any solve work starts
     for flag, path in (("--trace-json", args.trace_json),
@@ -551,7 +566,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   "`python -m repro.tune measure`)")
         else:
             print(f"machine profile: {profile.name} "
-                  f"(triad {profile.triad_bandwidth / 1e9:.2f} GB/s)")
+                  f"(triad {profile.triad_bandwidth / 1e9:.2f} GB/s, "
+                  f"measured {profile.measured_at})")
     if obs_ctx is not None:
         print(f"observability: run {obs_ctx.run_id}: "
               f"{len(obs_ctx.tracer.spans)} spans "

@@ -133,7 +133,7 @@ def capture_toggles() -> Dict[str, Any]:
         "substrate_force": substrate_force,
         "trace": trace_env_enabled(),
         # the REPRO_THREADS resolution pair: what was asked (None =
-        # auto) and what the parallel lane resolved it to
+        # unset) and what the parallel lane resolved it to
         "threads_requested": threads_requested,
         "threads_effective": threads_effective,
     }
@@ -156,8 +156,6 @@ def capture_tune_profile() -> Optional[Dict[str, Any]]:
         "latency": profile.latency,
         "overlap_efficiency": profile.overlap_efficiency,
         "fast": profile.fast,
-        "half_sat_threads": profile.half_sat_threads,
-        "thread_speedup": profile.thread_speedup(),
     }
 
 

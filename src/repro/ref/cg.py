@@ -8,6 +8,7 @@ paper relies on to fix the iteration count and compare times directly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
-from repro.util.errors import DimensionMismatch
+from repro.util.errors import DimensionMismatch, InvalidValue
 from repro.util.timer import null_timer
 
 RefPreconditioner = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -33,6 +34,17 @@ class RefCGResult:
     @property
     def relative_residual(self) -> float:
         return self.normr / self.normr0 if self.normr0 else 0.0
+
+
+def require_finite_residual(normr0: float, r: np.ndarray) -> None:
+    """Reject an initial residual holding a NaN/Inf, once, before the
+    loop would turn it into an all-NaN history.  ``r`` is scanned only
+    when the norm is already non-finite; finite entries whose norm
+    merely overflows are not an input error and run on."""
+    if not math.isfinite(normr0) and not np.isfinite(r).all():
+        raise InvalidValue(
+            f"CG: non-finite initial residual (norm {normr0}): b, x0 or "
+            f"the operator holds a NaN/Inf")
 
 
 def ref_pcg(
@@ -59,6 +71,7 @@ def ref_pcg(
         compute_waxpby(r, 1.0, b, -1.0, Ap)
     with timers.measure("cg/dot"):
         normr0 = normr = float(np.sqrt(compute_dot(r, r)))
+    require_finite_residual(normr0, r)
     residuals = [normr]
     rtz = 0.0
 

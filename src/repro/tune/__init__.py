@@ -1,24 +1,27 @@
 """``repro.tune`` — measured machine profiles.
 
-The fourth subsystem: it makes the modelling pipeline self-calibrating.
-BSP pricing in :mod:`repro.dist`, the scaling model in
-:mod:`repro.perf` and the thread lane in
-:mod:`repro.graphblas.substrate.threads` were seeded with the paper's
-Table II datasheet constants; this package replaces them with
-*measurements of the machine the code is running on*:
+The fourth subsystem: it lets the modelling pipeline be calibrated.
+BSP pricing in :mod:`repro.dist` and the scaling model in
+:mod:`repro.perf` are seeded with the paper's Table II datasheet
+constants; this package offers *measurements of the machine the code is
+running on* in their place:
 
 * :mod:`repro.tune.microbench` — the probe suite (STREAM triad, a BSP
   ``g``/``L`` fit from simulated h-relation timings, a
-  compute-under-copy interference probe for ``overlap_efficiency``,
-  a thread sweep);
+  compute-under-copy interference probe for ``overlap_efficiency``);
 * :mod:`repro.tune.profile` — the schema-versioned, canonically
   serialised :class:`MachineProfile` the probes produce;
 * :mod:`repro.tune.cache` — persistence under ``REPRO_TUNE_CACHE``
-  with staleness checks and a never-raising :func:`current_profile`.
+  and a never-raising :func:`current_profile`.
 
-Consumers: ``BSPMachine.from_profile(...)`` and
-``MachineSpec.from_profile(...)`` construct measurement-driven machine
-models; ``python -m repro.tune measure`` (``--fast`` for CI) produces
+A leaf package: it consumes ``perf``/``dist``, and neither
+:mod:`repro.graphblas` nor :mod:`repro.dist` imports it.  A profile
+changes a result only when passed as an argument —
+``BSPMachine.from_profile(...)`` / ``MachineSpec.from_profile(...)``
+construct measurement-driven machine models (``python -m repro.tune
+scale`` does exactly that); the cache is otherwise read only to
+*report* (the driver's ``--profile``, manifest provenance, ``tune
+show``).  ``python -m repro.tune measure`` (``--fast`` for CI) produces
 the profile.
 
 ``microbench`` is imported lazily (via :func:`measure`) so that
@@ -27,7 +30,6 @@ reading a profile does not drag the whole HPCG stack in.
 
 from repro.tune.cache import (
     ENV_VAR,
-    MAX_AGE_ENV_VAR,
     cache_dir,
     clear,
     current_profile,
@@ -55,7 +57,6 @@ def measure(*args, **kwargs):
 
 __all__ = [
     "ENV_VAR",
-    "MAX_AGE_ENV_VAR",
     "SCHEMA_VERSION",
     "MachineProfile",
     "ProfileVersionError",

@@ -2,23 +2,17 @@
 
 One machine profile lives at ``$REPRO_TUNE_CACHE/machine_profile.json``
 (default ``~/.cache/repro/tune``).  :func:`current_profile` is the
-soft accessor every automatic consumer uses — unpinned simulated runs,
-``REPRO_THREADS=auto``, the driver's ``--profile`` report — and it
-*never raises*: a missing, corrupt, schema-incompatible or stale file
-simply yields ``None`` so callers fall back to their uncalibrated
-behaviour without warning noise.  :func:`load_profile` is the strict
+soft accessor of the two reporting consumers — the driver's
+``--profile`` section and manifest provenance — and it *never raises*:
+a missing, corrupt or schema-incompatible file simply yields ``None``.
+Nothing reads the cache to change a result: pricing and kernel lanes
+take a profile only as an argument.  :func:`load_profile` is the strict
 accessor for explicit CLI/tooling use and raises with a real message.
-
-Staleness: a profile older than ``max_age_seconds`` (argument, or the
-``REPRO_TUNE_MAX_AGE`` environment variable) is treated as absent by
-:func:`current_profile` — machines drift, and a months-old measurement
-silently mis-pricing every run is worse than no measurement.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import Optional, Tuple
 
 from repro.tune.profile import MachineProfile
@@ -26,9 +20,6 @@ from repro.util.errors import InvalidValue
 
 #: Environment variable pointing at the cache directory.
 ENV_VAR = "REPRO_TUNE_CACHE"
-
-#: Optional staleness bound (seconds) applied by :func:`current_profile`.
-MAX_AGE_ENV_VAR = "REPRO_TUNE_MAX_AGE"
 
 #: File name of the cached profile inside the cache directory.
 PROFILE_FILENAME = "machine_profile.json"
@@ -94,21 +85,7 @@ def clear(path: Optional[str] = None) -> bool:
     return False
 
 
-def _max_age(max_age_seconds: Optional[float]) -> Optional[float]:
-    if max_age_seconds is not None:
-        return max_age_seconds
-    raw = os.environ.get(MAX_AGE_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None    # a malformed bound must not break the soft path
-
-
-def current_profile(
-    max_age_seconds: Optional[float] = None,
-) -> Optional[MachineProfile]:
+def current_profile() -> Optional[MachineProfile]:
     """The cached profile, or ``None`` — never raises.
 
     Memoised per (path, mtime, size) so repeated consumers do not
@@ -122,9 +99,7 @@ def current_profile(
     except OSError:
         return None
     key = (path, stat.st_mtime_ns, stat.st_size)
-    if key == _memo_key:
-        profile = _memo_profile
-    else:
+    if key != _memo_key:
         try:
             profile = MachineProfile.load(path)
         except (InvalidValue, OSError):
@@ -133,9 +108,4 @@ def current_profile(
             profile = None
         _memo_key = key
         _memo_profile = profile
-    if profile is None:
-        return None
-    bound = _max_age(max_age_seconds)
-    if bound is not None and time.time() - profile.created_at > bound:
-        return None
-    return profile
+    return _memo_profile

@@ -1,6 +1,6 @@
 """The micro-benchmark suite behind ``python -m repro.tune measure``.
 
-Four probes, each answering one question the modelling pipeline
+Three probes, each answering one question the modelling pipeline
 otherwise answers with a datasheet constant:
 
 * **STREAM triad** — the machine's attainable memory bandwidth (the
@@ -12,11 +12,6 @@ otherwise answers with a datasheet constant:
 * **Compute-under-copy interference** — a copy thread running against
   a triad loop; the measured fraction of the shorter phase that the
   concurrency hides is the machine's ``overlap_efficiency``.
-* **Thread sweep** — the uniform-stencil SpMV at 1, 2, 4, … threads
-  (row-chunked over a thread pool — numba-free, so it runs on the
-  supported-everywhere configuration); the fitted ``half_sat_threads``
-  and the per-count rates are what ``REPRO_THREADS=auto`` and the
-  hybrid dist pricing consume.
 
 Budgets: :data:`FULL` for a real calibration, :data:`FAST` for the CI
 leg (the whole suite in well under a minute), :data:`SMOKE` for tests.
@@ -33,13 +28,11 @@ import platform
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
-from repro.grid import Grid3D, stencil_coo
 from repro.perf.calibrate import measure_triad_bandwidth
 from repro.tune.profile import MachineProfile
 
@@ -51,33 +44,26 @@ class ProbeBudget:
     name: str
     triad_size: int
     triad_repeats: int
-    stencil_nx: int            # thread sweep: nx^3 27-point stencil
     message_sizes: Tuple[int, ...]
     message_repeats: int
     overlap_size: int
     overlap_repeats: int
-    thread_repeats: int = 3    # thread-sweep probe best-of repeats
-    thread_max: int = 16       # sweep ceiling (always capped by cores)
 
 
 FULL = ProbeBudget(
     name="full",
     triad_size=4_000_000, triad_repeats=5,
-    stencil_nx=24,
     message_sizes=(4_096, 32_768, 262_144, 1_048_576, 4_194_304),
     message_repeats=7,
     overlap_size=4_000_000, overlap_repeats=5,
-    thread_repeats=5, thread_max=32,
 )
 
 FAST = ProbeBudget(
     name="fast",
     triad_size=1_000_000, triad_repeats=3,
-    stencil_nx=16,
     message_sizes=(4_096, 65_536, 524_288, 2_097_152),
     message_repeats=3,
     overlap_size=1_000_000, overlap_repeats=3,
-    thread_repeats=3, thread_max=16,
 )
 
 #: Minimal budget for unit tests: validity of the pipeline, not of the
@@ -85,11 +71,9 @@ FAST = ProbeBudget(
 SMOKE = ProbeBudget(
     name="smoke",
     triad_size=100_000, triad_repeats=1,
-    stencil_nx=8,
     message_sizes=(4_096, 65_536, 262_144),
     message_repeats=1,
     overlap_size=100_000, overlap_repeats=1,
-    thread_repeats=1, thread_max=4,
 )
 
 BUDGETS = {b.name: b for b in (FULL, FAST, SMOKE)}
@@ -201,77 +185,6 @@ def measure_overlap_efficiency(budget: ProbeBudget) -> float:
     return efficiency
 
 
-def _sweep_counts(budget: ProbeBudget) -> List[int]:
-    """1, 2, 4, … up to min(thread_max, cores), cores always included."""
-    cores = os.cpu_count() or 1
-    ceiling = max(1, min(budget.thread_max, cores))
-    counts = [1]
-    t = 2
-    while t < ceiling:
-        counts.append(t)
-        t *= 2
-    if ceiling > 1:
-        counts.append(ceiling)
-    return counts
-
-
-def measure_thread_scaling(
-    budget: ProbeBudget,
-) -> Tuple[int, Dict[str, Dict[str, float]]]:
-    """The thread sweep: per-count SpMV rates and the half-saturation
-    fit.
-
-    Runs the uniform-stencil SpMV through
-    :class:`~repro.graphblas.substrate.threads.ChunkedSpmv` at each
-    count (the same rows-partitioned execution shape as the prange
-    kernels, so the scaling transfers), and fits ``half_sat_threads``
-    as the smallest count capturing at least half of the measured
-    parallel *gain* (``rate(t) >= rate(1) + (saturated - rate(1))/2``)
-    — the knee the auto policy targets instead of oversubscribing; a
-    sweep with no gain over serial fits 1.
-    """
-    from repro.graphblas.substrate.threads import ChunkedSpmv
-
-    grid = Grid3D(budget.stencil_nx, budget.stencil_nx, budget.stencil_nx)
-    rows, cols, vals = stencil_coo(grid, "27pt")
-    csr = sp.csr_matrix((vals, (rows, cols)),
-                        shape=(grid.npoints, grid.npoints))
-    csr.sort_indices()
-    nbytes = csr.nnz * 16 + csr.shape[0] * 16   # the csr-equivalent stream
-    x = np.random.default_rng(11).standard_normal(csr.shape[1])
-    counts = _sweep_counts(budget)
-    rates: Dict[str, float] = {}
-    with obs.span("tune/probe/threads", "tune",
-                  {"budget": budget.name, "counts": list(counts),
-                   "repeats": budget.thread_repeats}) as span:
-        reference = None
-        for t in counts:
-            with ChunkedSpmv(csr, t) as kernel:
-                y = kernel(x)   # warm-up (threads spawned, caches hot)
-                if reference is None:
-                    reference = y.copy()
-                elif not np.array_equal(y, reference):
-                    raise AssertionError(
-                        f"thread sweep at {t} threads diverged from the "
-                        f"serial result"
-                    )
-                elapsed = _best_of(lambda: kernel(x),
-                                   budget.thread_repeats)
-            rates[str(t)] = nbytes / elapsed if elapsed > 0 else 0.0
-        serial = rates.get("1", 0.0)
-        saturated = max(rates.values()) if rates else 0.0
-        half_sat = 1
-        if saturated > serial > 0:
-            knee = serial + 0.5 * (saturated - serial)
-            for t in sorted(rates, key=int):
-                if rates[t] >= knee:
-                    half_sat = int(t)
-                    break
-        if span is not None:
-            span.set(half_sat_threads=half_sat, rates=dict(rates))
-    return half_sat, {"spmv": rates}
-
-
 # ---------------------------------------------------------------------------
 # the full suite
 # ---------------------------------------------------------------------------
@@ -288,7 +201,6 @@ def measure(budget: ProbeBudget = FULL,
             span.set(bandwidth=float(triad))
     g, latency = fit_message_cost(budget)
     overlap = measure_overlap_efficiency(budget)
-    half_sat, thread_rates = measure_thread_scaling(budget)
     return MachineProfile(
         name=name or platform.node() or "local",
         created_at=time.time(),
@@ -299,6 +211,4 @@ def measure(budget: ProbeBudget = FULL,
         latency=latency,
         overlap_efficiency=overlap,
         fast=budget.name != "full",
-        half_sat_threads=half_sat,
-        thread_rates=thread_rates,
     )

@@ -1,13 +1,12 @@
 """The persisted, versioned record of a measured machine.
 
 A :class:`MachineProfile` is what the micro-benchmark suite
-(:mod:`repro.tune.microbench`) produces and what every downstream
-consumer reads: ``BSPMachine.from_profile`` prices simulated
+(:mod:`repro.tune.microbench`) produces and what its consumers are
+handed explicitly: ``BSPMachine.from_profile`` prices simulated
 distributed runs with the *measured* memory bandwidth, fitted BSP
 ``g``/``L`` and measured overlap efficiency instead of the Table II
-datasheet constants; ``MachineSpec.from_profile`` feeds the
-shared-memory scaling model; and ``REPRO_THREADS=auto`` sizes the
-thread lane from the fitted ``half_sat_threads``.
+datasheet constants, and ``MachineSpec.from_profile`` feeds the
+shared-memory scaling model.
 
 Serialisation is canonical JSON — keys sorted, two-space indent, one
 trailing newline — so ``save → load → save`` is byte-identical (the
@@ -19,17 +18,17 @@ incompatible release is rejected cleanly rather than misread.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.util.errors import InvalidValue
 
 #: Bump on any incompatible change to the on-disk layout.
-#: v2 added the thread-scaling fields (``half_sat_threads``,
-#: ``thread_rates``) that size the ``REPRO_THREADS=auto`` lane;
 #: v3 dropped the per-substrate SpMV / RBGS rate tables (per-format
-#: cost is measured by ``benchmarks/ledger`` instead).
-SCHEMA_VERSION = 3
+#: cost is measured by ``benchmarks/ledger`` instead); v4 dropped the
+#: thread-scaling fields (nothing sizes a lane from a profile).
+SCHEMA_VERSION = 4
 
 
 class ProfileVersionError(InvalidValue):
@@ -40,8 +39,7 @@ class ProfileVersionError(InvalidValue):
 class MachineProfile:
     """Measured rates of one machine, as captured by ``repro.tune``.
 
-    Rates are *effective* bytes/second over the csr-equivalent byte
-    stream of the probed kernel (``nnz*16 + nrows*16`` for SpMV).
+    Bandwidths are bytes/second, the latency seconds.
     """
 
     name: str
@@ -53,12 +51,6 @@ class MachineProfile:
     latency: float                  # fitted BSP L, seconds
     overlap_efficiency: float       # measured compute-under-copy hiding
     fast: bool = False              # produced under the --fast CI budget
-    #: smallest thread count reaching half the saturated parallel SpMV
-    #: rate — what ``REPRO_THREADS=auto`` resolves to (1 = stay serial)
-    half_sat_threads: int = 1
-    #: {kernel: {thread count (str, JSON-keyable): effective bytes/s}}
-    #: from the thread-sweep probe; "1" is the serial baseline
-    thread_rates: Dict[str, Dict[str, float]] = field(default_factory=dict)
     schema_version: int = field(default=SCHEMA_VERSION)
 
     def __post_init__(self):
@@ -76,25 +68,6 @@ class MachineProfile:
                 f"overlap efficiency must lie in [0, 1], "
                 f"got {self.overlap_efficiency}"
             )
-        if self.half_sat_threads < 1:
-            raise InvalidValue(
-                f"half_sat_threads must be >= 1, got {self.half_sat_threads}"
-            )
-
-    # --- rate lookups -------------------------------------------------------
-    def thread_rate(self, kernel: str, nthreads: int) -> Optional[float]:
-        """Measured effective bytes/s of ``kernel`` at ``nthreads``
-        (``None`` when that point was not probed)."""
-        return self.thread_rates.get(kernel, {}).get(str(nthreads))
-
-    def thread_speedup(self, kernel: str = "spmv") -> float:
-        """Measured parallel speedup at the fitted ``half_sat_threads``
-        over the serial baseline (1.0 when unprobed or serial-only)."""
-        serial = self.thread_rate(kernel, 1)
-        fitted = self.thread_rate(kernel, self.half_sat_threads)
-        if not serial or not fitted:
-            return 1.0
-        return fitted / serial
 
     # --- serialisation ------------------------------------------------------
     def to_dict(self) -> Dict:
@@ -149,29 +122,24 @@ class MachineProfile:
             return cls.loads(fh.read())
 
     # --- presentation -------------------------------------------------------
+    @property
+    def measured_at(self) -> str:
+        """``created_at`` in UTC: every report that names the profile
+        says how old it is (nothing expires a profile silently)."""
+        return time.strftime("%Y-%m-%d %H:%M UTC",
+                             time.gmtime(self.created_at))
+
     def summary(self) -> str:
-        lines = [
+        return "\n".join([
             f"MachineProfile {self.name!r} (schema v{self.schema_version}, "
             f"host {self.host}, {self.cores} cores"
-            f"{', fast budget' if self.fast else ''})",
+            f"{', fast budget' if self.fast else ''}, "
+            f"measured {self.measured_at})",
             f"  triad bandwidth   {self.triad_bandwidth / 1e9:.2f} GB/s",
             f"  BSP g (net)       {self.net_bandwidth / 1e9:.2f} GB/s",
             f"  BSP L (latency)   {self.latency * 1e6:.2f} us",
             f"  overlap efficiency {self.overlap_efficiency:.2f}",
-        ]
-        lines.append(
-            f"  half-saturation threads: {self.half_sat_threads} "
-            f"(REPRO_THREADS=auto target, "
-            f"x{self.thread_speedup():.2f} vs serial)"
-        )
-        for kernel in sorted(self.thread_rates):
-            per = self.thread_rates[kernel]
-            cells = ", ".join(
-                f"{t}t={per[t] / 1e9:.2f}"
-                for t in sorted(per, key=int)
-            )
-            lines.append(f"  thread scaling {kernel} (GB/s): {cells}")
-        return "\n".join(lines)
+        ])
 
 
 def synthetic_profile(
@@ -181,8 +149,6 @@ def synthetic_profile(
     latency: float = 10e-6,
     overlap_efficiency: float = 0.8,
     fast: bool = True,
-    half_sat_threads: int = 1,
-    thread_rates: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> MachineProfile:
     """A hand-built profile for tests and documentation examples."""
     return MachineProfile(
@@ -195,6 +161,4 @@ def synthetic_profile(
         latency=latency,
         overlap_efficiency=overlap_efficiency,
         fast=fast,
-        half_sat_threads=half_sat_threads,
-        thread_rates=thread_rates if thread_rates is not None else {},
     )

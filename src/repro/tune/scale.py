@@ -88,7 +88,7 @@ def render(comp: ScaleComparison) -> str:
         f"Weak scaling (local grid {pre.local_nx}^3/node, "
         f"{pre.iterations} iters) — Table-II preset "
         f"{comp.preset_machine.name!r} vs measured profile "
-        f"{comp.profile.name!r}",
+        f"{comp.profile.name!r} ({comp.profile.measured_at})",
         table,
         "",
         f"measured machine: mem {comp.measured_machine.mem_bandwidth / 1e9:.2f} GB/s, "

@@ -12,10 +12,10 @@ from repro.hpcg.problem import generate_problem
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_tune_cache(tmp_path_factory):
-    """Keep tier-1 hermetic: a developer's cached machine profile must
-    not leak measured rates (substrate choices, overlap efficiencies)
-    into the suite.  An explicit ``REPRO_TUNE_CACHE`` is honoured — the
-    CI tune leg measures a profile on purpose and runs tests under it.
+    """Keep tier-1 hermetic: manifest provenance records the cached
+    machine profile, and a developer's own cache must not show up in
+    the manifests the suite compares.  An explicit ``REPRO_TUNE_CACHE``
+    is honoured.
     """
     from repro.tune import cache as tune_cache
 

@@ -2,6 +2,7 @@
 faults (stragglers, heterogeneous speeds, message loss, node crashes)
 are deterministic, priced honestly, and recovered from exactly."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
 from repro.hpcg.problem import generate_problem
 from repro.hpcg.smoothers import RBGSSmoother
 from repro.hpcg.symmetry import validate
+from repro.ref.cg import ref_pcg
 from repro.ref.sgs import RefRBGS, RefSymGS
 from repro.util.errors import InvalidValue
 
@@ -87,12 +89,27 @@ class TestBrokenOperators:
 
 
 class TestNumericalEdgeCases:
-    def test_nan_rhs_propagates_not_hangs(self):
-        problem = generate_problem(4)
-        b = grb.Vector.dense(problem.n, np.nan)
-        x = problem.x0.dup()
-        res = pcg(problem.A, b, x, max_iters=3)
-        assert np.isnan(res.normr) or np.isnan(res.residuals[-1])
+    @pytest.mark.parametrize("entry", ["hpcg.pcg", "ref_pcg", "dist"])
+    def test_nan_rhs_is_a_one_line_error(self, entry):
+        """A NaN in ``b`` fails at the first residual, in every CG
+        transcription, instead of returning an all-NaN history."""
+        problem = generate_problem(8)
+        b = problem.b.to_dense()
+        b[3] = np.nan
+        with pytest.raises(InvalidValue,
+                           match="non-finite initial residual") as err:
+            if entry == "hpcg.pcg":
+                pcg(problem.A, grb.Vector.from_dense(b), problem.x0.dup(),
+                    max_iters=3)
+            elif entry == "ref_pcg":
+                ref_pcg(problem.A.to_scipy(), b, problem.x0.to_dense(),
+                        max_iters=3)
+            else:
+                poisoned = dataclasses.replace(
+                    problem, b=grb.Vector.from_dense(b))
+                RefDistRun(poisoned, nprocs=2,
+                           mg_levels=2).run_cg(max_iters=3)
+        assert "\n" not in str(err.value)
 
     def test_huge_values_no_overflow_crash(self):
         import warnings

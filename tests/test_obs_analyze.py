@@ -546,12 +546,11 @@ class TestProducerSpans:
         with obs.run() as ctx:
             microbench.measure(microbench.SMOKE, name="test")
         spans = {s.name: s for s in ctx.tracer.spans}
-        for probe in ("triad", "message_cost", "overlap", "threads"):
+        for probe in ("triad", "message_cost", "overlap"):
             name = f"tune/probe/{probe}"
             assert name in spans, sorted(spans)
             assert spans[name].args["budget"] == "smoke"
         assert spans["tune/probe/triad"].args["bandwidth"] > 0
-        assert spans["tune/probe/threads"].args["rates"]["1"] > 0
         assert spans["tune/probe/message_cost"].args["g"] > 0
         assert 0.0 <= spans["tune/probe/overlap"].args[
             "overlap_efficiency"] <= 1.0
