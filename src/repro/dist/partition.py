@@ -193,20 +193,27 @@ def halo_for_owners(
     indices: np.ndarray,
     owners: np.ndarray,
     p: int,
+    entry_owners: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Dict[Tuple[int, int], np.ndarray]:
     """The halo induced by an arbitrary ownership vector.
 
     For every node ``dst``, the remote columns referenced by the rows it
     owns, grouped by the owning node ``src``; each value array is sorted
     by global index.  Serial ownership yields ``{}``.
+
+    ``entry_owners`` is the per-stored-entry expansion ``(owner of the
+    entry's row, column owned by another node?)`` for callers that need
+    it themselves as well; it is derived here when not given.
     """
     owners = np.asarray(owners, dtype=np.int64)
     n = owners.shape[0]
     with obs.span("dist/partition/halo", "dist", {"n": n, "p": p}) as span:
-        row_nnz = np.diff(indptr).astype(np.int64)
-        dst = np.repeat(owners, row_nnz)
         cols = np.asarray(indices, dtype=np.int64)
-        remote = owners[cols] != dst
+        if entry_owners is None:
+            dst = np.repeat(owners, np.diff(indptr))
+            remote = owners[cols] != dst
+        else:
+            dst, remote = entry_owners
         if not remote.any():
             if span is not None:
                 span.set(remote_entries=0, pairs=0)

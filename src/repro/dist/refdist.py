@@ -34,12 +34,12 @@ import numpy as np
 from repro.dist.bsp import BSPMachine
 from repro.dist.cost import (
     _RESTRICT_COPY_BYTES,
-    interior_row_mask,
     mxv_bytes,
     per_node_color_work,
     per_node_interior_color_work,
     per_node_interior_work,
     per_node_rows_and_nnz,
+    rows_touching_remote,
 )
 from repro.dist.partition import (
     Grid3DPartition,
@@ -101,7 +101,12 @@ class RefDistRun(SimulatedDistRun):
             owners = bfs_partition(level.A.indptr, level.A.indices,
                                    level.n, p)
         level.owners = owners
-        halos = halo_for_owners(level.A.indptr, level.A.indices, owners, p)
+        # per stored entry: the node owning its row, and whether its column
+        # lives elsewhere — expanded once, read by the halo and the interior split
+        row_owner = np.repeat(owners, np.diff(level.A.indptr))
+        entry_remote = owners[level.A.indices] != row_owner
+        halos = halo_for_owners(level.A.indptr, level.A.indices, owners, p,
+                                entry_owners=(row_owner, entry_remote))
         level.spmv_halo = {pair: int(idxs.size) * 8
                            for pair, idxs in halos.items()}
         # the colour classes partition every halo point
@@ -119,7 +124,7 @@ class RefDistRun(SimulatedDistRun):
             level.A, owners, level.colors, p, level.ncolors
         )
         # interior shares: the overlap candidates of split-phase mode
-        interior = interior_row_mask(level.A, owners)
+        interior = ~rows_touching_remote(level.A, entry_remote)
         level.interior_spmv_work, _ = per_node_interior_work(
             level.A, owners, p, interior=interior)
         level.interior_color_work = per_node_interior_color_work(

@@ -247,7 +247,7 @@ class SimulatedDistRun:
         stencil = getattr(problem, "stencil", "27pt")
         self.levels: List[SimLevel] = []
         grid = problem.grid
-        A = problem.A.to_scipy()
+        A = problem.A.to_scipy(copy=False)
         for index in range(mg_levels):
             level = SimLevel(index, grid, A, stencil)
             self.levels.append(level)

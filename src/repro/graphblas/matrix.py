@@ -14,6 +14,11 @@ the ``transpose_matrix`` descriptor, the fused RBGS product — to a
   is invisible to algorithm code (Section III-B's claim, enforced by
   the substrate equivalence suite).
 
+Construction costs one COO→CSR conversion and nothing per row: duplicate
+coordinates are detected from that conversion's entry count
+(:meth:`Matrix.from_coo`), diagonal presence from one comparison of the
+pattern's column indices with their row numbers (:meth:`Matrix.diag`).
+
 Two backend caches matter for performance and are part of the
 reproduction's story:
 
@@ -96,8 +101,11 @@ class Matrix:
     ) -> "Matrix":
         """Build from coordinates; ``dup_op`` combines duplicates.
 
-        Only ``plus``-like (ufunc-backed) dup_ops get the fast path; any
-        other associative op is honoured through a sorted segmented pass.
+        One COO→CSR conversion builds the matrix and answers "are there
+        duplicates?": scipy sums them while converting (the ``plus``
+        dup_op), so a result with fewer entries than coordinates given
+        had some.  Any other ``dup_op`` folds each coordinate's values in
+        input order through one sorted ``reduceat`` pass.
         """
         r = np.asarray(rows, dtype=np.int64)
         c = np.asarray(cols, dtype=np.int64)
@@ -109,27 +117,20 @@ class Matrix:
         if r.size:
             if r.min() < 0 or r.max() >= nrows or c.min() < 0 or c.max() >= ncols:
                 raise InvalidValue("coordinate out of range")
-        key = r * ncols + c
-        has_dups = np.unique(key).size != key.size
-        if has_dups and dup_op is None:
-            raise InvalidValue("duplicate coordinates and no dup_op given")
-        if has_dups and not (dup_op.ufunc is np.add):
-            order = np.argsort(key, kind="stable")
-            key_s, r_s, c_s, v_s = key[order], r[order], c[order], v[order]
-            boundaries = np.flatnonzero(np.diff(key_s)) + 1
-            starts = np.concatenate(([0], boundaries))
-            ends = np.concatenate((boundaries, [key_s.size]))
-            out_vals = np.empty(starts.size, dtype=v.dtype)
-            for i, (s, e) in enumerate(zip(starts, ends)):
-                acc = v_s[s]
-                for k in range(s + 1, e):
-                    acc = dup_op(acc, v_s[k])
-                out_vals[i] = acc
-            coo = sp.coo_matrix((out_vals, (r_s[starts], c_s[starts])), shape=(nrows, ncols))
-        else:
-            # scipy's duplicate handling sums entries, matching plus.
-            coo = sp.coo_matrix((v, (r, c)), shape=(nrows, ncols))
-        return cls(coo.tocsr(), substrate=substrate)
+        csr = sp.coo_matrix((v, (r, c)), shape=(nrows, ncols)).tocsr()
+        if csr.nnz != r.size:
+            if dup_op is None:
+                raise InvalidValue("duplicate coordinates and no dup_op given")
+            if dup_op.ufunc is not np.add:
+                order = np.lexsort((c, r))  # stable: duplicates keep input order
+                r, c, v = r[order], c[order], v[order]
+                starts = np.flatnonzero(
+                    np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+                fold = dup_op.ufunc or np.frompyfunc(dup_op.fn, 2, 1)
+                v = fold.reduceat(v, starts).astype(v.dtype, copy=False)
+                csr = sp.coo_matrix((v, (r[starts], c[starts])),
+                                    shape=(nrows, ncols)).tocsr()
+        return cls(csr, substrate=substrate)
 
     @classmethod
     def from_dense(cls, array, dtype=None, substrate: Optional[str] = None) -> "Matrix":
@@ -279,20 +280,21 @@ class Matrix:
         return Matrix(self._csr.T.tocsr(), substrate=self._substrate_request)
 
     def diag(self) -> Vector:
-        """The main diagonal as a vector (absent where not stored)."""
+        """The main diagonal as a vector (absent where not stored).
+
+        Presence is read off the pattern — entry ``k`` is on the diagonal
+        when its column index equals its row — so a stored zero is
+        present and a missing entry absent (``csr.diagonal()`` cannot
+        tell them apart).
+        """
         n = min(self.nrows, self.ncols)
         out = Vector.sparse(n, dtype=self.dtype)
-        d = self._csr.diagonal()
-        # Presence: (i, i) stored in the pattern.  scipy's diagonal() cannot
-        # distinguish stored zeros from absent; recover presence from indptr.
-        present = np.zeros(n, dtype=bool)
-        indptr, indices = self._csr.indptr, self._csr.indices
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            pos = np.searchsorted(indices[lo:hi], i)
-            present[i] = pos < hi - lo and indices[lo + pos] == i
-        out._values[:n] = d
-        out._present[:] = present
+        csr = self._csr
+        row_of = np.repeat(np.arange(self.nrows), np.diff(csr.indptr))
+        hit = np.flatnonzero(csr.indices == row_of)
+        on_diag = row_of[hit]
+        out._values[on_diag] = csr.data[hit]
+        out._present[on_diag] = True
         out._bump()
         return out
 

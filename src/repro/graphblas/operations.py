@@ -112,19 +112,32 @@ def _filter_segments(
 
 def _writeback(
     w: Vector,
-    rows: np.ndarray,
+    rows: Optional[np.ndarray],
     values: np.ndarray,
     present: np.ndarray,
     accum: Optional[BinaryOp],
     desc: Descriptor,
 ) -> None:
-    """Merge computed (rows, values, present) into ``w`` per the spec."""
+    """Merge computed (rows, values, present) into ``w`` per the spec.
+
+    ``rows=None`` means every row in order (an unmasked ``mxv``): the
+    merge then runs on whole vectors under boolean ``where=`` selections
+    — the same scalar operations, no index array gathered or scattered.
+    """
     if desc.replace:
         w._values.fill(0)
         w._present.fill(False)
     if accum is None:
-        w._values[rows] = np.where(present, values, 0).astype(w.dtype, copy=False)
-        w._present[rows] = present
+        target = slice(None) if rows is None else rows
+        w._values[target] = np.where(present, values, 0).astype(w.dtype, copy=False)
+        w._present[target] = present
+    elif rows is None:
+        both = w._present & present
+        only_new = present & ~w._present
+        fold = accum.ufunc or np.frompyfunc(accum.fn, 2, 1)
+        fold(w._values, values, out=w._values, where=both, casting="unsafe")
+        np.copyto(w._values, values, where=only_new, casting="unsafe")
+        w._present |= present
     else:
         old_present = w._present[rows]
         both = old_present & present
@@ -174,23 +187,22 @@ def mxv(
         (u.size, csr_shape[1], "mxv input"),
     )
     sel = _mask_bool(mask, csr_shape[0], desc)
-    if sel is None:
-        rows = np.arange(csr_shape[0], dtype=np.int64)
-    else:
-        rows = np.flatnonzero(sel)
+    # unmasked: every row, so no index array is built (rows=None)
+    rows = None if sel is None else np.flatnonzero(sel)
+    nrows = csr_shape[0] if rows is None else rows.size
 
     u_dense = u.is_dense()
     if semiring.is_plus_times and u_dense:
         values, present, nnz, flops, nbytes, fmt = _mxv_fast(
-            A, u, rows, sel is not None, mask, desc
+            A, u, rows, mask, desc
         )
     else:
         values, present, nnz = _mxv_generic(A, u, rows, semiring, desc)
         flops = 2 * nnz
-        nbytes = nnz * 16 + rows.size * 16
+        nbytes = nnz * 16 + nrows * 16
         fmt = "csr"
     if backend.active():
-        backend.record("mxv", rows.size, nnz, flops, nbytes, fmt=fmt)
+        backend.record("mxv", nrows, nnz, flops, nbytes, fmt=fmt)
     values = values.astype(w.dtype, copy=False)
     _writeback(w, rows, values, present, accum, desc)
     return w
@@ -199,8 +211,7 @@ def mxv(
 def _mxv_fast(
     A: Matrix,
     u: Vector,
-    rows: np.ndarray,
-    masked: bool,
+    rows: Optional[np.ndarray],
     mask: Optional[Vector],
     desc: Descriptor,
 ) -> Tuple[np.ndarray, np.ndarray, int, int, int, str]:
@@ -210,7 +221,7 @@ def _mxv_fast(
     priced by the provider's own format model, so a SELL-C-σ run and a
     CSR run of the same algorithm emit different byte streams.
     """
-    if not masked:
+    if rows is None:
         prov = A.provider(desc.transpose_matrix)
         y = prov.mxv(u._values)
         flops, nbytes = prov.mxv_traffic()
@@ -237,13 +248,16 @@ def _mxv_fast(
 def _mxv_generic(
     A: Matrix,
     u: Vector,
-    rows: np.ndarray,
+    rows: Optional[np.ndarray],
     semiring: Semiring,
     desc: Descriptor,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Arbitrary semiring and/or sparse input: gather + segment reduce."""
     csr = A._transposed_csr() if desc.transpose_matrix else A._csr
-    ptr, cols, vals = _gather_rows(csr, rows)
+    if rows is None:
+        ptr, cols, vals = csr.indptr, csr.indices, csr.data
+    else:
+        ptr, cols, vals = _gather_rows(csr, rows)
     keep = u._present[cols]
     if not keep.all():
         ptr = _filter_segments(ptr, keep)
@@ -323,8 +337,7 @@ def _mxm_generic(a: sp.csr_matrix, b: sp.csr_matrix, semiring: Semiring) -> sp.c
             av._values[bc.indices[lo:hi]] = bc.data[lo:hi]
             av._present[bc.indices[lo:hi]] = True
             av._bump()
-        rows = np.arange(n_out_rows, dtype=np.int64)
-        vals, present, _ = _mxv_generic(amat, av, rows, semiring, desc_mod.default)
+        vals, present, _ = _mxv_generic(amat, av, None, semiring, desc_mod.default)
         nz = np.flatnonzero(present)
         out_rows.append(nz)
         out_cols.append(np.full(nz.size, j, dtype=np.int64))

@@ -6,7 +6,8 @@ off-diagonal entry is ``-1`` (a discrete Laplacian scaled so interior
 rows sum to zero, the discretisation of the heat-diffusion problem).
 
 Assembly iterates over the 27 offsets, not over the ``n`` points, so it
-is pure numpy: 27 vectorised passes of O(n) each.
+is pure numpy: per offset, AND the per-axis "has a neighbour" masks and
+gather the valid rows once; columns are rows plus a constant shift.
 """
 
 from __future__ import annotations
@@ -86,22 +87,26 @@ def _stencil_coo(
     diag_value: float,
     offdiag_value: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ix, iy, iz = grid.all_coords()
     all_idx = np.arange(grid.npoints, dtype=np.int64)
-    rows_parts: List[np.ndarray] = []
-    cols_parts: List[np.ndarray] = []
-    vals_parts: List[np.ndarray] = []
-    for dx, dy, dz in offsets:
-        jx, jy, jz = ix + dx, iy + dy, iz + dz
-        valid = grid.in_bounds(jx, jy, jz)
-        r = all_idx[valid]
-        c = np.asarray(grid.index(jx[valid], jy[valid], jz[valid]), dtype=np.int64)
-        rows_parts.append(r)
-        cols_parts.append(c)
-        value = diag_value if (dx == dy == dz == 0) else offdiag_value
-        vals_parts.append(np.full(r.size, value, dtype=np.float64))
-    return (
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        np.concatenate(vals_parts),
-    )
+    everywhere = np.ones(grid.npoints, dtype=bool)
+    # per axis: which points have a lower (-1) / upper (+1) neighbour
+    has = [
+        {-1: i > 0, 0: everywhere, 1: i < n - 1}
+        for i, n in zip(grid.coords(all_idx), grid.dims)
+    ]
+    valid = [has[0][dx] & has[1][dy] & has[2][dz] for dx, dy, dz in offsets]
+    counts = [np.count_nonzero(ok) for ok in valid]
+    ends = np.cumsum(counts)
+    # sizes are known before anything is gathered, so each triplet array is
+    # allocated once and filled one offset's segment at a time
+    rows = np.empty(ends[-1], dtype=np.int64)
+    cols = np.empty(ends[-1], dtype=np.int64)
+    vals = np.empty(ends[-1], dtype=np.float64)
+    for (dx, dy, dz), ok, count, end in zip(offsets, valid, counts, ends):
+        seg = slice(end - count, end)
+        # the one gather: rows whose neighbour at this offset is in bounds ...
+        rows[seg] = all_idx[ok]
+        # ... and that neighbour's linear index is the row's plus a constant
+        np.add(rows[seg], (dz * grid.ny + dy) * grid.nx + dx, out=cols[seg])
+        vals[seg] = diag_value if dx == dy == dz == 0 else offdiag_value
+    return rows, cols, vals

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.grid import Grid3D, stencil_27pt_coo, stencil_offsets
+from repro.grid import (
+    Grid3D,
+    stencil_27pt_coo,
+    stencil_coo,
+    stencil_offsets,
+    stencil_offsets_7pt,
+)
 from repro.util.errors import InvalidValue
 
 
@@ -143,3 +149,45 @@ class TestStencil:
         g = Grid3D(2, 2, 2)
         _, _, vals = stencil_27pt_coo(g, diag_value=8.0, offdiag_value=-0.5)
         assert set(np.unique(vals)) == {8.0, -0.5}
+
+
+def _oracle_coo(grid, offsets, diag_value):
+    """Point-by-point transcription of the assembly: offset-major, rows
+    ascending within an offset, bounds decided by ``Grid3D.in_bounds``."""
+    rows, cols, vals = [], [], []
+    for dx, dy, dz in offsets:
+        for i in range(grid.npoints):
+            jx, jy, jz = (int(c) + d for c, d in zip(grid.coords(i), (dx, dy, dz)))
+            if grid.in_bounds(jx, jy, jz):
+                rows.append(i)
+                cols.append(int(grid.index(jx, jy, jz)))
+                vals.append(diag_value if dx == dy == dz == 0 else -1.0)
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(vals, dtype=np.float64))
+
+
+class TestStencilAgainstOracle:
+    """The vectorised assembly returns exactly the slow transcription's
+    triplets — same order, same dtypes — on non-cubic and degenerate grids."""
+
+    DIMS = [(5, 3, 2), (4, 1, 1), (1, 1, 1), (2, 2, 2), (1, 4, 3), (3, 2, 1)]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("stencil, offsets, diag_value", [
+        ("27pt", stencil_offsets(), 26.0),
+        ("7pt", stencil_offsets_7pt(), 6.0),
+    ])
+    def test_triplets_equal_oracle(self, dims, stencil, offsets, diag_value):
+        g = Grid3D(*dims)
+        got = stencil_coo(g, stencil)
+        want = _oracle_coo(g, offsets, diag_value)
+        for name, a, b in zip(("rows", "cols", "vals"), got, want):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_27pt_pattern_is_neighbours_plus_self(self, dims):
+        g = Grid3D(*dims)
+        rows, cols, _ = stencil_coo(g, "27pt")
+        for i in range(g.npoints):
+            assert sorted(cols[rows == i]) == sorted([i, *g.neighbours(i)])

@@ -34,9 +34,45 @@ class TestConstruction:
                             dup_op=grb.ops.max_)
         assert A.extract_element(0, 0) == 9.0
 
+    @pytest.mark.parametrize("op, at_00, at_12", [
+        (grb.ops.min_, 2.0, 3.0),
+        (grb.ops.times, 80.0, 21.0),
+        (grb.ops.minus, -5.0, 4.0),           # not associative: left fold
+        (grb.ops.first, 5.0, 7.0),
+        (grb.ops.second, 2.0, 3.0),
+        (grb.BinaryOp("avg", lambda x, y: (x + y) / 2), 4.25, 5.0),
+    ])
+    def test_from_coo_duplicates_folded_in_input_order(self, op, at_00, at_12):
+        # duplicates interleaved with other coordinates, not adjacent
+        A = Matrix.from_coo([0, 1, 0, 2, 1, 0], [0, 2, 0, 1, 2, 0],
+                            [5.0, 7.0, 8.0, 1.0, 3.0, 2.0], 3, 3, dup_op=op)
+        assert A.nvals == 3
+        assert A.extract_element(0, 0) == at_00
+        assert A.extract_element(1, 2) == at_12
+        assert A.extract_element(2, 1) == 1.0
+
     def test_from_coo_duplicates_no_op_raises(self):
         with pytest.raises(InvalidValue):
             Matrix.from_coo([0, 0], [0, 0], [1.0, 2.0], 1, 1)
+
+    def test_from_coo_cancelling_duplicates(self):
+        # the sum is zero but the coordinate was still given twice ...
+        with pytest.raises(InvalidValue, match="duplicate"):
+            Matrix.from_coo([0, 0], [1, 1], [1.0, -1.0], 2, 2)
+        # ... and under plus the zero is a stored value, not an absent one
+        A = Matrix.from_coo([0, 0], [1, 1], [1.0, -1.0], 2, 2,
+                            dup_op=grb.ops.plus)
+        assert A.nvals == 1 and A.extract_element(0, 1) == 0.0
+
+    def test_from_coo_distinct_coordinates_in_a_huge_shape(self):
+        # nrows * ncols >= 2**63: a product key r * ncols + c wraps in
+        # int64 and (0, 0), (4, 0) collide; coordinates must not be hashed
+        A = Matrix.from_coo([0, 4], [0, 0], [1.0, 2.0], 5, 2**62)
+        assert A.nvals == 2
+        assert A.extract_element(0, 0) == 1.0 and A.extract_element(4, 0) == 2.0
+        B = Matrix.from_coo([0, 4, 4], [0, 0, 0], [1.0, 2.0, 5.0], 5, 2**62,
+                            dup_op=grb.ops.max_)
+        assert B.nvals == 2 and B.extract_element(4, 0) == 5.0
 
     def test_from_coo_out_of_range(self):
         with pytest.raises(InvalidValue):

@@ -201,6 +201,38 @@ class TestAccum:
         grb.mxv(y, None, A, x, accum=grb.ops.second)
         np.testing.assert_array_equal(y.to_dense(), [5.0, 6.0, 19.0])
 
+    @pytest.mark.parametrize("accum", [
+        None, grb.ops.plus, grb.ops.min_, grb.ops.minus, grb.ops.second,
+        grb.BinaryOp("avg", lambda a, b: (a + b) / 2),
+    ])
+    @pytest.mark.parametrize("desc", [d.default, d.replace, d.transpose_matrix])
+    @pytest.mark.parametrize("semiring", [grb.plus_times, grb.min_plus])
+    def test_unmasked_equals_all_true_mask(self, accum, desc, semiring):
+        """No mask and a mask selecting every row are the same operation
+        (the first merges whole vectors, the second by row index): equal
+        values *and* presence, with empty rows, absent inputs and a
+        partly absent output."""
+        rng = np.random.default_rng(11)
+        n = 40
+        dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.08)
+        dense[::7, :] = 0.0                   # rows ...
+        dense[:, 3::9] = 0.0                  # ... and columns with no entry
+        M = Matrix.from_dense(dense)
+        if semiring is grb.min_plus:          # generic path: sparse input
+            u = Vector.from_coo(np.arange(0, n, 2),
+                                rng.standard_normal(n // 2), n)
+        else:
+            u = Vector.from_dense(rng.standard_normal(n))
+        some = np.arange(0, n, 3)
+        w0 = Vector.from_coo(some, rng.standard_normal(some.size), n)
+        everything = Vector.dense(n, True, dtype=bool)
+        got, want = w0.dup(), w0.dup()
+        grb.mxv(got, None, M, u, semiring=semiring, desc=desc, accum=accum)
+        grb.mxv(want, everything, M, u, semiring=semiring, desc=desc,
+                accum=accum)
+        np.testing.assert_array_equal(got._present, want._present)
+        np.testing.assert_array_equal(got.to_dense(), want.to_dense())
+
 
 class TestVxm:
     def test_vxm_is_transposed_mxv(self, A, x):

@@ -1,9 +1,12 @@
 """HPCG problem generation: operator properties and right-hand sides."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro import graphblas as grb
+from repro.hpcg.multigrid import build_hierarchy
 from repro.hpcg.problem import build_operator, generate_problem
 from repro.grid import Grid3D
 from repro.util.errors import InvalidValue
@@ -76,3 +79,37 @@ class TestRightHandSide:
         assert problem8.residual_norm(problem8.x0) == pytest.approx(
             float(np.linalg.norm(problem8.b.to_dense()))
         )
+
+
+def _python_calls(fn) -> int:
+    """Python-level ``call`` + ``c_call`` events while ``fn()`` runs."""
+    count = 0
+
+    def tick(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(tick)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+class TestSetupIsVectorised:
+    """Set-up issues a fixed number of array operations whatever the grid
+    size: per-row or per-entry Python anywhere in assembly, conversion,
+    diagonal extraction, colouring or the hierarchy shows up as a call
+    count that grows with ``n``."""
+
+    @pytest.mark.parametrize("stencil", ["27pt", "7pt"])
+    def test_call_count_does_not_grow_with_the_grid(self, stencil):
+        def setup(nx):
+            build_hierarchy(generate_problem(nx, stencil=stencil), levels=3)
+
+        setup(8)    # one-time lazy imports and caches stay out of the count
+        small, large = _python_calls(lambda: setup(8)), _python_calls(lambda: setup(24))
+        assert large <= 1.05 * small, (small, large)

@@ -43,6 +43,29 @@ def dense_vector(draw, size):
     return Vector.from_dense(np.array(vals))
 
 
+@st.composite
+def matrix_with_diagonal_cases(draw, max_n=9):
+    """Rectangular either way; every diagonal slot is independently
+    absent, a stored zero or a nonzero; some rows are left empty."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_n))
+    empty_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    cells = {}
+    for i in range(min(n, m)):
+        kind = draw(st.sampled_from(["absent", "zero", "value"]))
+        if kind != "absent" and i not in empty_rows:
+            cells[(i, i)] = 0.0 if kind == "zero" else draw(
+                st.floats(0.5, 100, allow_nan=False))
+    for i, j in draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, m - 1)))):
+        if i != j and i not in empty_rows:
+            cells[(i, j)] = draw(st.floats(-100, 100, allow_nan=False))
+    rows = np.array([c[0] for c in cells], dtype=np.int64)
+    cols = np.array([c[1] for c in cells], dtype=np.int64)
+    vals = np.array(list(cells.values()), dtype=np.float64)
+    return grb.Matrix.from_coo(rows, cols, vals, n, m)
+
+
 # --- GraphBLAS algebra -------------------------------------------------------
 
 class TestMxvProperties:
@@ -98,6 +121,27 @@ class TestMxvProperties:
             entries = vals[rows == i]
             if entries.size:
                 assert y.to_dense()[i] == pytest.approx(entries.min() + 3.0)
+
+
+class TestDiagProperties:
+    @settings(common, max_examples=60)
+    @given(matrix_with_diagonal_cases())
+    def test_diag_is_elementwise_extraction(self, A):
+        """Value *and* presence: a stored zero is an entry, a missing
+        diagonal slot is not, whichever way the matrix is rectangular."""
+        d = A.diag()
+        assert d.size == min(A.shape)
+        assert [d.extract_element(i) for i in range(d.size)] == [
+            A.extract_element(i, i) for i in range(d.size)]
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5)])
+    def test_tall_and_wide_with_zero_missing_and_empty_row(self, shape):
+        # (0,0) stored zero, (1,1) missing in an empty row, (2,2) a value
+        A = grb.Matrix.from_coo([0, 0, 2, 2], [0, 2, 2, 0],
+                                [0.0, 4.0, 7.0, 1.0], *shape)
+        d = A.diag()
+        assert [d.extract_element(i) for i in range(3)] == [0.0, None, 7.0]
+        assert d.nvals == 2
 
 
 class TestVectorProperties:
