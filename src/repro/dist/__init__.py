@@ -33,6 +33,7 @@ from repro.dist.bsp import (
 )
 from repro.dist.comm import (
     CommTracker,
+    ExchangePlan,
     InFlightExchange,
     SuperstepStats,
     resolve_comm_mode,
@@ -71,6 +72,7 @@ __all__ = [
     "CommTracker",
     "Crash",
     "DistRunResult",
+    "ExchangePlan",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",

@@ -28,12 +28,24 @@ with :meth:`InFlightExchange.overlap`, and ``wait`` closes it into a
 :class:`SuperstepStats` whose ``overlapped_work`` the BSP model can
 hide behind the wire time.  ``sync`` remains the eager path and is
 exactly ``wait(post())`` with nothing overlapped.
+
+Exchange plans
+--------------
+
+A solver closes the same few patterns thousands of times (a level's
+SpMV halo, one halo per colour, an allgather, ...).  :meth:`freeze`
+turns the sends recorded so far — through the ordinary :meth:`send`
+API, so elision and rank checks have one definition — into a read-only
+:class:`ExchangePlan`; :meth:`replay` makes it the pending superstep in
+O(1): no per-message call, no allocation, ``h`` computed once.  A plan
+is valid for the node count it was recorded on and nothing else.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -77,14 +89,34 @@ def resolve_comm_mode(mode: Optional[str] = None) -> str:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class ExchangePlan:
+    """One static exchange pattern: read-only per-node byte counts,
+    their totals computed once however often the plan is replayed."""
+
+    sent: np.ndarray           # bytes sent per node
+    received: np.ndarray       # bytes received per node
+    messages: int              # point-to-point messages (self/empty elided)
+
+    def __post_init__(self):
+        self.sent.flags.writeable = self.received.flags.writeable = False
+
+    @cached_property
+    def total_bytes(self) -> int:
+        return int(self.sent.sum())
+
+    @cached_property
+    def h(self) -> int:
+        """The h-relation: the busiest node's traffic in either direction."""
+        return int(max(self.sent.max(), self.received.max()))
+
+
 @dataclass
 class SuperstepStats:
     """The closed ledger of one BSP superstep."""
 
     index: int
-    sent: np.ndarray           # bytes sent per node
-    received: np.ndarray       # bytes received per node
-    messages: int              # point-to-point messages (self/empty elided)
+    plan: ExchangePlan         # what moved (shared with every replay of it)
     label: Optional[str] = None
     #: Local-compute bytes tagged as running while this exchange was in
     #: flight (only split-phase supersteps carry a nonzero value); the
@@ -97,25 +129,18 @@ class SuperstepStats:
     #: lost exchange is resent as an extra superstep); None normally.
     retry_of: Optional[int] = None
 
-    @property
-    def total_bytes(self) -> int:
-        return int(self.sent.sum())
-
-    @property
-    def h(self) -> int:
-        """The h-relation: the busiest node's traffic in either direction."""
-        if self.sent.size == 0:
-            return 0
-        return int(max(self.sent.max(), self.received.max()))
+    sent = property(lambda self: self.plan.sent)
+    received = property(lambda self: self.plan.received)
+    messages = property(lambda self: self.plan.messages)
+    total_bytes = property(lambda self: self.plan.total_bytes)
+    h = property(lambda self: self.plan.h)
 
 
-@dataclass
+@dataclass(eq=False)
 class InFlightExchange:
     """A posted, not-yet-waited exchange (the ``MPI_Request`` analogue)."""
 
-    sent: np.ndarray
-    received: np.ndarray
-    messages: int
+    plan: ExchangePlan
     label: Optional[str] = None
     overlapped_work: float = 0.0
     closed: bool = field(default=False, repr=False)
@@ -130,12 +155,6 @@ class InFlightExchange:
         self.overlapped_work += float(work_bytes)
         return self
 
-    @property
-    def h(self) -> int:
-        if self.sent.size == 0:
-            return 0
-        return int(max(self.sent.max(), self.received.max()))
-
 
 class CommTracker:
     """Records sends and supersteps for ``nprocs`` simulated nodes.
@@ -143,31 +162,36 @@ class CommTracker:
     Supports use as a context manager — ``with CommTracker(p) as t:`` —
     which verifies on exit that no posted exchange was left un-waited
     (a leaked ``wait`` is a deadlock in a real runtime).
+
+    Trace events go to the :mod:`repro.obs` context active at
+    construction (or :meth:`reset`): no superstep reads the environment.
     """
 
     def __init__(self, nprocs: int):
         if nprocs < 1:
             raise InvalidValue(f"need at least one process, got {nprocs}")
         self.nprocs = nprocs
-        self.supersteps: List[SuperstepStats] = []
-        self.label_bytes: Dict[str, int] = {}
-        self.label_syncs: Dict[str, int] = {}
-        self._in_flight: List[InFlightExchange] = []
-        self._reset_pending()
-
-    def _reset_pending(self) -> None:
-        self._sent = np.zeros(self.nprocs, dtype=np.int64)
-        self._received = np.zeros(self.nprocs, dtype=np.int64)
-        self._messages = 0
+        zero = np.zeros(nprocs, dtype=np.int64)
+        self._empty = ExchangePlan(zero, zero, 0)
+        self.reset()
 
     def reset(self) -> None:
         """Forget everything: supersteps, labels, pending sends and
         in-flight exchanges — the tracker is as freshly constructed."""
-        self.supersteps = []
-        self.label_bytes = {}
-        self.label_syncs = {}
-        self._in_flight = []
-        self._reset_pending()
+        self.supersteps: List[SuperstepStats] = []
+        self.label_bytes: Dict[str, int] = {}
+        self.label_syncs: Dict[str, int] = {}
+        self._in_flight: List[InFlightExchange] = []
+        # the pending superstep: a frozen plan (nothing yet, or exactly
+        # one replay) until a send thaws it into writable accumulators
+        self._plan: Optional[ExchangePlan] = self._empty
+        self._obs = obs.current()
+
+    def _thaw(self) -> None:
+        plan, self._plan = self._plan, None
+        self._sent = plan.sent.copy()
+        self._received = plan.received.copy()
+        self._messages = plan.messages
 
     # --- context manager ----------------------------------------------------
     def __enter__(self) -> "CommTracker":
@@ -192,6 +216,8 @@ class CommTracker:
             raise InvalidValue(f"negative message size: {nbytes}")
         if src == dst or nbytes == 0:
             return
+        if self._plan is not None:
+            self._thaw()
         self._sent[src] += nbytes
         self._received[dst] += nbytes
         self._messages += 1
@@ -226,9 +252,49 @@ class CommTracker:
     def allreduce_scalar(self, nbytes: int = 8,
                          label: Optional[str] = None) -> None:
         """All-to-all exchange of one scalar (CG's dot products)."""
-        for src in range(self.nprocs):
-            for dst in range(self.nprocs):
-                self.send(src, dst, nbytes, label=label)
+        self.allgather([nbytes] * self.nprocs, label=label)
+
+    # --- exchange plans -----------------------------------------------------
+    def freeze(self) -> ExchangePlan:
+        """Take the sends recorded so far as a read-only plan; the
+        pending superstep restarts empty.  Labels are given at
+        :meth:`replay`, so one pattern serves every label it runs under."""
+        plan = self._plan
+        if plan is None:
+            plan = ExchangePlan(self._sent, self._received, self._messages)
+        self._plan = self._empty
+        return plan
+
+    def replay(self, plan: ExchangePlan, label: Optional[str] = None) -> None:
+        """Record every message of ``plan`` at once, as if re-sent."""
+        if plan.sent.shape[0] != self.nprocs:
+            raise InvalidValue(f"plan recorded on {plan.sent.shape[0]} "
+                               f"nodes replayed on {self.nprocs}")
+        if self._plan is self._empty:
+            self._plan = plan
+        else:
+            if self._plan is not None:
+                self._thaw()
+            self._sent += plan.sent
+            self._received += plan.received
+            self._messages += plan.messages
+        if label is not None and plan.messages:
+            self.label_bytes[label] = (self.label_bytes.get(label, 0)
+                                       + plan.total_bytes)
+
+    def _close(self, event: str, plan: ExchangePlan, label: Optional[str],
+               **extra) -> SuperstepStats:
+        """Append ``plan`` as the next closed superstep."""
+        stats = SuperstepStats(len(self.supersteps), plan, label, **extra)
+        self.supersteps.append(stats)
+        if label is not None:
+            self.label_syncs[label] = self.label_syncs.get(label, 0) + 1
+        if self._obs is not None:
+            self._obs.tracer.event(f"comm/{event}", "comm", {
+                "index": stats.index, "label": label, "h": stats.h,
+                "bytes": stats.total_bytes, "messages": stats.messages,
+                **extra})
+        return stats
 
     # --- split-phase supersteps ---------------------------------------------
     def post(self, label: Optional[str] = None) -> InFlightExchange:
@@ -238,14 +304,8 @@ class CommTracker:
         next eager superstep).  The exchange stays open — accumulating
         overlapped-work tags — until :meth:`wait` closes it.
         """
-        handle = InFlightExchange(
-            sent=self._sent,
-            received=self._received,
-            messages=self._messages,
-            label=label,
-        )
+        handle = InFlightExchange(self.freeze(), label)
         self._in_flight.append(handle)
-        self._reset_pending()
         return handle
 
     def wait(self, handle: Optional[InFlightExchange] = None,
@@ -268,27 +328,9 @@ class CommTracker:
         except ValueError:
             raise InvalidValue("handle does not belong to this tracker")
         handle.closed = True
-        label = label if label is not None else handle.label
-        stats = SuperstepStats(
-            index=len(self.supersteps),
-            sent=handle.sent,
-            received=handle.received,
-            messages=handle.messages,
-            label=label,
-            overlapped_work=handle.overlapped_work,
-            posted=True,
-        )
-        self.supersteps.append(stats)
-        if label is not None:
-            self.label_syncs[label] = self.label_syncs.get(label, 0) + 1
-        if obs.enabled():
-            obs.event("comm/wait", "comm", {
-                "index": stats.index, "label": label, "h": stats.h,
-                "bytes": stats.total_bytes, "messages": stats.messages,
-                "posted": True,
-                "overlapped_work": stats.overlapped_work,
-            })
-        return stats
+        return self._close(
+            "wait", handle.plan, label if label is not None else handle.label,
+            posted=True, overlapped_work=handle.overlapped_work)
 
     @property
     def in_flight(self) -> int:
@@ -298,24 +340,7 @@ class CommTracker:
     # --- eager supersteps ---------------------------------------------------
     def sync(self, label: Optional[str] = None) -> SuperstepStats:
         """Close the current superstep and return its statistics."""
-        stats = SuperstepStats(
-            index=len(self.supersteps),
-            sent=self._sent,
-            received=self._received,
-            messages=self._messages,
-            label=label,
-        )
-        self.supersteps.append(stats)
-        if label is not None:
-            self.label_syncs[label] = self.label_syncs.get(label, 0) + 1
-        self._reset_pending()
-        if obs.enabled():
-            obs.event("comm/sync", "comm", {
-                "index": stats.index, "label": label, "h": stats.h,
-                "bytes": stats.total_bytes, "messages": stats.messages,
-                "posted": False,
-            })
-        return stats
+        return self._close("sync", self.freeze(), label, posted=False)
 
     # --- fault-injected retries ----------------------------------------------
     def retry(self, stats: SuperstepStats,
@@ -329,26 +354,10 @@ class CommTracker:
         Nothing is overlapped — a retry is pure exposed wire time.
         """
         label = label if label is not None else stats.label
-        retry = SuperstepStats(
-            index=len(self.supersteps),
-            sent=stats.sent,
-            received=stats.received,
-            messages=stats.messages,
-            label=label,
-            retry_of=stats.index,
-        )
-        self.supersteps.append(retry)
         if label is not None:
             self.label_bytes[label] = (self.label_bytes.get(label, 0)
-                                       + retry.total_bytes)
-            self.label_syncs[label] = self.label_syncs.get(label, 0) + 1
-        if obs.enabled():
-            obs.event("comm/retry", "comm", {
-                "index": retry.index, "retry_of": stats.index,
-                "label": label, "h": retry.h, "bytes": retry.total_bytes,
-                "messages": retry.messages,
-            })
-        return retry
+                                       + stats.total_bytes)
+        return self._close("retry", stats.plan, label, retry_of=stats.index)
 
     # --- aggregates ---------------------------------------------------------
     @property

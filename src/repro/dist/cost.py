@@ -62,14 +62,11 @@ def rows_touching_remote(A: sp.csr_matrix,
     with ``A.indices``); the caller decides what "remote" means — a
     global owner mismatch, a local halo column, ...
     """
-    nrows = A.shape[0]
-    if nrows == 0 or A.nnz == 0:
-        return np.zeros(nrows, dtype=bool)
-    row_nnz = np.diff(A.indptr).astype(np.int64)
-    row_of_entry = np.repeat(np.arange(nrows, dtype=np.int64), row_nnz)
-    remote_per_row = np.bincount(row_of_entry, weights=entry_remote,
-                                 minlength=nrows)
-    return remote_per_row > 0
+    # OR each non-empty row's run of flags (a row with no entry has none)
+    rows = np.flatnonzero(np.diff(A.indptr))
+    touching = np.zeros(A.shape[0], dtype=bool)
+    touching[rows] = np.logical_or.reduceat(entry_remote, A.indptr[rows])
+    return touching
 
 
 def interior_row_mask(A: sp.csr_matrix, owners: np.ndarray) -> np.ndarray:

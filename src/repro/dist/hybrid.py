@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.dist.bsp import BSPMachine
+from repro.dist.comm import CommTracker
 from repro.dist.cost import (
     _RESTRICT_MXV_BYTES,
     interior_row_mask,
@@ -69,18 +70,12 @@ class HybridALPRun(SimulatedDistRun):
         self._block = block
         super().__init__(problem, nprocs, mg_levels, machine, **engine)
 
-    def _respawn(self, nprocs: int) -> "HybridALPRun":
-        return super()._respawn(nprocs, block=self._block)
-
     def _init_level_comm(self, level: SimLevel) -> None:
         p = self.nprocs
         part = BlockCyclic1D(level.n, p, block=self._block)
         level.partition = part
         owners = part.owner(np.arange(level.n, dtype=np.int64))
         level.owners = owners
-        level.share_bytes = np.array(
-            [part.local_size(k) * 8 for k in range(p)], dtype=np.int64
-        )
         rows, nnz = per_node_rows_and_nnz(level.A, owners, p)
         level.spmv_comm = _allgather_matrix(part)
         level.spmv_work = (mxv_bytes(nnz, rows), rows)
@@ -96,35 +91,36 @@ class HybridALPRun(SimulatedDistRun):
             level.A, owners, level.colors, p, level.ncolors,
             interior=interior,
         )
+        # the level's one pattern (p^2 sends), recorded once
+        scratch = CommTracker(p)
+        scratch.allgather([part.local_size(k) * 8 for k in range(p)])
+        level.allgather_plan = scratch.freeze()
 
     # --- communication hooks -------------------------------------------------
-    def _allgather(self, level: SimLevel, sync_label: str, timer_key: str,
-                   work_bytes: float, overlap_bytes: float = 0.0) -> None:
-        self.tracker.allgather(level.share_bytes, label=sync_label)
-        self._close_superstep(sync_label, timer_key, work_bytes,
-                              overlap_bytes)
-
     def _spmv_comm(self, level: SimLevel, sync_label: str,
                    timer_key: str) -> None:
-        self._allgather(level, sync_label, timer_key,
-                        float(level.spmv_work[0].max()),
-                        overlap_bytes=level.interior_spmv_work)
+        self._close_superstep(level.allgather_plan, sync_label, timer_key,
+                              float(level.spmv_work[0].max()),
+                              overlap_bytes=level.interior_spmv_work)
 
     def _rbgs_comm(self, level: SimLevel, color: int,
                    next_color: Optional[int] = None) -> None:
         # the allgather precedes colour ``color``'s masked mxv, so the
         # only compute it can hide behind is that colour's own interior
-        self._allgather(level, "rbgs_mxv", f"mg/L{level.index}/rbgs",
-                        float(level.color_work[color]),
-                        overlap_bytes=float(
-                            level.interior_color_work[color]))
+        self._close_superstep(level.allgather_plan, "rbgs_mxv",
+                              f"mg/L{level.index}/rbgs",
+                              float(level.color_work[color]),
+                              overlap_bytes=float(
+                                  level.interior_color_work[color]))
 
     def _restrict_comm(self, fine: SimLevel, coarse: SimLevel) -> None:
         # rc = R f is an mxv over the fine vector: full replication of f
         work = _RESTRICT_MXV_BYTES * self._vector_share(coarse.n)
-        self._allgather(fine, "restrict", f"mg/L{fine.index}/restrict", work)
+        self._close_superstep(fine.allgather_plan, "restrict",
+                              f"mg/L{fine.index}/restrict", work)
 
     def _prolong_comm(self, fine: SimLevel, coarse: SimLevel) -> None:
         # z += R' zc is an mxv over the coarse vector: replication of zc
         work = _RESTRICT_MXV_BYTES * self._vector_share(coarse.n)
-        self._allgather(coarse, "refine", f"mg/L{fine.index}/prolong", work)
+        self._close_superstep(coarse.allgather_plan, "refine",
+                              f"mg/L{fine.index}/prolong", work)

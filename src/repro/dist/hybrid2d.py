@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from repro.dist.bsp import BSPMachine
+from repro.dist.comm import CommTracker, ExchangePlan
 from repro.dist.cost import _RESTRICT_MXV_BYTES, mxv_bytes
 from repro.dist.partition import Block1D, largest_square
 from repro.dist.simulate import SimLevel, SimulatedDistRun
@@ -60,7 +61,8 @@ class Hybrid2DRun(SimulatedDistRun):
     def _respawn(self, nprocs: int) -> "Hybrid2DRun":
         """The √p x √p grid needs a square node count: continue on the
         largest square subset of the survivors."""
-        return super()._respawn(largest_square(nprocs))
+        square = largest_square(nprocs)
+        return super()._respawn(square, q=math.isqrt(square))
 
     def _rank(self, i: int, j: int) -> int:
         return i * self.q + j
@@ -69,67 +71,69 @@ class Hybrid2DRun(SimulatedDistRun):
         q = self.q
         part = Block1D(level.n, q)
         level.partition = part
-        level.block_bytes = np.array(
-            [part.local_size(k) * 8 for k in range(q)], dtype=np.int64
-        )
+        block_bytes = [part.local_size(k) * 8 for k in range(q)]
         # worst-block mxv work: blocks are ~uniform, price the average
         nnz_per_block = level.A.nnz / max(self.nprocs, 1)
         rows_per_block = level.n / q
         level.block_work = mxv_bytes(nnz_per_block, rows_per_block)
-        # per-colour output block sizes (bytes) for the row reduction
-        level.color_block_bytes = []
+        # the level's patterns, recorded once.  Column broadcast: the
+        # diagonal process of column j ships its input block down the
+        # column; row reduction: row i's partial outputs go to (i, i)
+        scratch = CommTracker(self.nprocs)
+        off_diagonal = [(i, j) for i in range(q) for j in range(q) if i != j]
+
+        def reduction(out_bytes) -> ExchangePlan:
+            for i, j in off_diagonal:
+                scratch.send(self._rank(i, j), self._rank(i, i),
+                             int(out_bytes[i]))
+            return scratch.freeze()
+
+        for i, j in off_diagonal:
+            scratch.send(self._rank(j, j), self._rank(i, j), block_bytes[j])
+        level.broadcast_plan = scratch.freeze()
+        level.reduce_plan = reduction(block_bytes)
+        # per colour, the output blocks hold only that colour's rows
         block_of = part.owner(np.arange(level.n, dtype=np.int64))
-        for c in range(level.ncolors):
-            counts = np.bincount(block_of[level.color_rows[c]], minlength=q)
-            level.color_block_bytes.append(counts.astype(np.int64) * 8)
+        level.color_reduce_plans = [
+            reduction(np.bincount(block_of[rows], minlength=q) * 8)
+            for rows in level.color_rows]
 
     # --- the two-superstep mxv ----------------------------------------------
-    def _two_phase_mxv(self, in_bytes: np.ndarray, out_bytes: np.ndarray,
+    def _two_phase_mxv(self, broadcast: ExchangePlan, reduce: ExchangePlan,
                        sync_label: str, timer_key: str,
                        work_bytes: float) -> None:
-        q = self.q
         # phase 1: column broadcast of the input blocks — nothing to
         # overlap: the receivers own no part of the block they await
-        for j in range(q):
-            for i in range(q):
-                if i != j:
-                    self.tracker.send(self._rank(j, j), self._rank(i, j),
-                                      int(in_bytes[j]), label=sync_label)
-        self._close_superstep(sync_label, timer_key, 0.0)
+        self._close_superstep(broadcast, sync_label, timer_key, 0.0)
         # phase 2: row reduction of the partial outputs — posted only
         # after the partials exist, so it too stays exposed
-        for i in range(q):
-            for j in range(q):
-                if j != i:
-                    self.tracker.send(self._rank(i, j), self._rank(i, i),
-                                      int(out_bytes[i]), label=sync_label)
-        self._close_superstep(sync_label, timer_key, work_bytes)
+        self._close_superstep(reduce, sync_label, timer_key, work_bytes)
 
     # --- communication hooks -------------------------------------------------
     def _spmv_comm(self, level: SimLevel, sync_label: str,
                    timer_key: str) -> None:
         label = "spmv2d" if sync_label == "spmv" else sync_label
-        self._two_phase_mxv(level.block_bytes, level.block_bytes,
+        self._two_phase_mxv(level.broadcast_plan, level.reduce_plan,
                             label, timer_key, level.block_work)
 
     def _rbgs_comm(self, level: SimLevel, color: int,
                    next_color: Optional[int] = None) -> None:
         self._two_phase_mxv(
-            level.block_bytes, level.color_block_bytes[color],
+            level.broadcast_plan, level.color_reduce_plans[color],
             "rbgs2d", f"mg/L{level.index}/rbgs",
             level.block_work / level.ncolors,
         )
 
     def _restrict_comm(self, fine: SimLevel, coarse: SimLevel) -> None:
         self._two_phase_mxv(
-            fine.block_bytes, coarse.block_bytes,
+            fine.broadcast_plan, coarse.reduce_plan,
             "restrict2d", f"mg/L{fine.index}/restrict",
             _RESTRICT_MXV_BYTES * coarse.n / self.q,
         )
 
     def _prolong_comm(self, fine: SimLevel, coarse: SimLevel) -> None:
         self._two_phase_mxv(
-            coarse.block_bytes, fine.block_bytes,
+            coarse.broadcast_plan, fine.reduce_plan,
             "refine2d", f"mg/L{fine.index}/prolong",
             _RESTRICT_MXV_BYTES * coarse.n / self.q,
         )

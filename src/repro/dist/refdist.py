@@ -32,6 +32,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.dist.bsp import BSPMachine
+from repro.dist.comm import CommTracker, ExchangePlan
 from repro.dist.cost import (
     _RESTRICT_COPY_BYTES,
     mxv_bytes,
@@ -83,12 +84,17 @@ class RefDistRun(SimulatedDistRun):
         """Repartition onto the survivors: geometric boxes when the
         survivor count still factors into the grid, else fall back to
         the black-box BFS partition (which accepts any node count)."""
-        if self._partition_kind == "grid3d":
+        kind, shape = self._partition_kind, factor3(nprocs)
+        if kind == "grid3d":
             try:
-                return super()._respawn(nprocs, partition="grid3d")
+                # the boxes' own divisibility check, before anything is built
+                for level in self.levels:
+                    if not level.agglomerated:
+                        Grid3DPartition(level.grid, nprocs, shape=shape)
             except InvalidValue:
-                pass
-        return super()._respawn(nprocs, partition="bfs")
+                kind = "bfs"
+        return super()._respawn(nprocs, _partition_kind=kind,
+                                _process_grid=shape)
 
     def _init_level_comm(self, level: SimLevel) -> None:
         p = self.nprocs
@@ -131,23 +137,32 @@ class RefDistRun(SimulatedDistRun):
             level.A, owners, level.colors, p, level.ncolors,
             interior=interior,
         )
-        # lazily built cross-node injection traffic (bfs owners only)
-        level.restrict_halo = None
+        # every pattern this level closes, recorded once
+        scratch = CommTracker(p)
+
+        def plan(halo: Dict[Tuple[int, int], int]) -> ExchangePlan:
+            for (src, dst), nbytes in halo.items():
+                scratch.send(src, dst, nbytes)
+            return scratch.freeze()
+
+        level.spmv_plan = plan(level.spmv_halo)
+        level.color_plans = [plan(per) for per in level.color_halo]
+        if level.index:
+            # cross-node injection traffic from the finer level (bfs
+            # owners only); the correction travels the opposite way
+            fine = self.levels[level.index - 1]
+            halo = self._injection_halo(fine, level)
+            fine.restrict_plan = plan(halo)
+            fine.prolong_plan = plan({(dst, src): nbytes
+                                      for (src, dst), nbytes in halo.items()})
 
     # --- communication hooks -------------------------------------------------
-    def _halo_exchange(self, halo, sync_label: str, timer_key: str,
-                       work_bytes: float, overlap_bytes: float = 0.0) -> None:
-        for (src, dst), nbytes in halo.items():
-            self.tracker.send(src, dst, nbytes, label=sync_label)
-        self._close_superstep(sync_label, timer_key, work_bytes,
-                              overlap_bytes)
-
     def _spmv_comm(self, level: SimLevel, sync_label: str,
                    timer_key: str) -> None:
         # split-phase: the posted halo hides behind the interior rows
-        self._halo_exchange(level.spmv_halo, sync_label, timer_key,
-                            float(level.spmv_work[0].max()),
-                            overlap_bytes=level.interior_spmv_work)
+        self._close_superstep(level.spmv_plan, sync_label, timer_key,
+                              float(level.spmv_work[0].max()),
+                              overlap_bytes=level.interior_spmv_work)
 
     def _rbgs_comm(self, level: SimLevel, color: int,
                    next_color: Optional[int] = None) -> None:
@@ -156,10 +171,10 @@ class RefDistRun(SimulatedDistRun):
         # behind and stays exposed
         overlap = (float(level.interior_color_work[next_color])
                    if next_color is not None else 0.0)
-        self._halo_exchange(level.color_halo[color], "rbgs_halo",
-                            f"mg/L{level.index}/rbgs",
-                            float(level.color_work[color]),
-                            overlap_bytes=overlap)
+        self._close_superstep(level.color_plans[color], "rbgs_halo",
+                              f"mg/L{level.index}/rbgs",
+                              float(level.color_work[color]),
+                              overlap_bytes=overlap)
 
     # --- restriction / refinement --------------------------------------------
     def _injection_halo(self, fine: SimLevel,
@@ -170,39 +185,32 @@ class RefDistRun(SimulatedDistRun):
         nonzero for BFS owners, whose levels are partitioned
         independently.
         """
-        if fine.restrict_halo is None:
-            src = fine.owners[fine.injection]
-            dst = coarse.owners
-            cross = src != dst
-            halo: Dict[Tuple[int, int], int] = {}
-            if cross.any():
-                pair = src[cross] * self.nprocs + dst[cross]
-                counts = np.bincount(pair)
-                for key in np.flatnonzero(counts):
-                    halo[(int(key) // self.nprocs,
-                          int(key) % self.nprocs)] = int(counts[key]) * 8
-            fine.restrict_halo = halo
-        return fine.restrict_halo
+        src = fine.owners[fine.injection]
+        dst = coarse.owners
+        cross = src != dst
+        halo: Dict[Tuple[int, int], int] = {}
+        if cross.any():
+            pair = src[cross] * self.nprocs + dst[cross]
+            counts = np.bincount(pair)
+            for key in np.flatnonzero(counts):
+                halo[(int(key) // self.nprocs,
+                      int(key) % self.nprocs)] = int(counts[key]) * 8
+        return halo
 
     def _restrict_comm(self, fine: SimLevel, coarse: SimLevel) -> None:
-        halo = self._injection_halo(fine, coarse)
         work = _RESTRICT_COPY_BYTES * self._vector_share(coarse.n)
-        if not halo:
+        if not fine.restrict_plan.messages:
             # injection source (2x, 2y, 2z) lies in the same node's box:
             # a local index copy, no messages, no barrier (paper §IV)
             self._tick_local(f"mg/L{fine.index}/restrict", work)
         else:
-            self._halo_exchange(halo, "restrict",
-                                f"mg/L{fine.index}/restrict", work)
+            self._close_superstep(fine.restrict_plan, "restrict",
+                                  f"mg/L{fine.index}/restrict", work)
 
     def _prolong_comm(self, fine: SimLevel, coarse: SimLevel) -> None:
-        halo = self._injection_halo(fine, coarse)
         work = _RESTRICT_COPY_BYTES * self._vector_share(coarse.n)
-        if not halo:
+        if not fine.prolong_plan.messages:
             self._tick_local(f"mg/L{fine.index}/prolong", work)
         else:
-            # the correction travels the opposite way
-            reverse = {(dst, src): nbytes
-                       for (src, dst), nbytes in halo.items()}
-            self._halo_exchange(reverse, "refine",
-                                f"mg/L{fine.index}/prolong", work)
+            self._close_superstep(fine.prolong_plan, "refine",
+                                  f"mg/L{fine.index}/prolong", work)

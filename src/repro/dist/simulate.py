@@ -16,6 +16,15 @@ superstep on the BSP machine.  ``run_cg`` wraps that loop — on a
 survivors and re-attempts from the last checkpoint; a fault-free run is
 the same wrapper with no injector and a single attempt.
 
+The patterns are static, so the host cost of a superstep does not
+depend on its message count: construction records each one (per level,
+hook and colour; the dot allreduce; the root exchanges) as an
+:class:`~repro.dist.comm.ExchangePlan` and a hook replays it.  Modelled
+seconds are a float sum in superstep order, so every superstep is still
+closed and priced on its own — plans are replayed, never multiplied
+out.  Survivors share their parent's level numerics and rebuild only
+the communication record: a recovery costs one repartition.
+
 This separation is the point of the simulation: convergence is provably
 unchanged by the distribution (the paper's Section V precondition), so
 backends compete purely on the communication they induce.
@@ -66,6 +75,7 @@ whether dodging the tiny-superstep latencies pays.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 from types import SimpleNamespace
 from typing import List, Optional
@@ -75,7 +85,12 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.dist.bsp import ARM_CLUSTER_NODE, BSPMachine
-from repro.dist.comm import CommTracker, SuperstepStats, resolve_comm_mode
+from repro.dist.comm import (
+    CommTracker,
+    ExchangePlan,
+    SuperstepStats,
+    resolve_comm_mode,
+)
 from repro.dist.cost import (
     _DOT_BYTES,
     _RESTRICT_COPY_BYTES,
@@ -98,7 +113,11 @@ from repro.util.timer import TimerRegistry
 
 class SimLevel:
     """One multigrid level: the operator, its colouring and the
-    reference smoother that owns the per-colour blocks."""
+    reference smoother that owns the per-colour blocks.  None of it
+    depends on the node count and nothing writes to it, so a run and
+    its survivors work on shallow copies sharing these numerics; what
+    ``_init_level_comm`` attaches (partition, work shares, exchange
+    plans) belongs to the copy."""
 
     def __init__(self, index: int, grid: Grid3D, A: sp.csr_matrix,
                  stencil: str):
@@ -161,12 +180,15 @@ class _RunState:
         self.reexecuted = 0
         self.lost_supersteps = 0
         self.lost_bytes = 0
-        # observability taps (None when tracing is off); the fault
-        # metrics are declared only on faulted runs
+        # the obs context, read once (no environment lookup per
+        # superstep); the fault metrics are declared only on faulted runs
+        self.ctx = obs.current()
+        self.span = (self.ctx.tracer.span if self.ctx is not None
+                     else lambda *args: obs.NULL_SPAN)
         self.metrics: Optional[SimpleNamespace] = None
-        registry = obs.metrics_registry()
-        if registry is None:
+        if self.ctx is None:
             return
+        registry = self.ctx.metrics
         self.metrics = m = SimpleNamespace(
             supersteps=registry.counter(
                 "dist_supersteps_total", "BSP supersteps closed"),
@@ -228,7 +250,6 @@ class SimulatedDistRun:
                 f"got {agglomerate_below}"
             )
         self.problem = problem
-        self.nprocs = nprocs
         self.mg_levels = mg_levels
         # an overlap_efficiency override is folded into the machine
         # itself (dataclass validation included), so every pricing
@@ -245,22 +266,40 @@ class SimulatedDistRun:
         self.agglomerate_below = agglomerate_below
         self.n = problem.n
         stencil = getattr(problem, "stencil", "27pt")
-        self.levels: List[SimLevel] = []
+        # built here and only here; this run and its survivors get copies
+        self._numerics: List[SimLevel] = []
         grid = problem.grid
         A = problem.A.to_scipy(copy=False)
         for index in range(mg_levels):
             level = SimLevel(index, grid, A, stencil)
-            self.levels.append(level)
+            self._numerics.append(level)
             if index + 1 < mg_levels:
                 level.injection = grid.injection_indices()
                 grid = grid.coarsen()
                 A = build_csr(grid, stencil)
+        self._distribute(nprocs)
+        if faults is not None:
+            faults.validate_for(nprocs)
+        self.faults = faults
+        # one object per run_cg; shared with the survivor run on recovery
+        self._state: Optional[_RunState] = None
+
+    def _distribute(self, nprocs: int) -> None:
+        """Build this run's communication record for ``nprocs`` nodes:
+        the backend's partition, work shares and exchange plans per
+        level, the engine's dot allreduce and root exchanges — every
+        pattern the run will ever close, recorded here once."""
+        self.nprocs = nprocs
+        self.levels = [copy.copy(level) for level in self._numerics]
+        self._root_plans = {}
         for level in self.levels:
             # agglomeration: gather small coarse levels onto node 0
             # (never the finest level, which CG itself runs on)
-            if (agglomerate_below and level.index > 0
-                    and level.n <= agglomerate_below):
+            if (self.agglomerate_below and level.index > 0
+                    and level.n <= self.agglomerate_below):
                 level.agglomerated = True
+                if not self.levels[level.index - 1].agglomerated:
+                    self._record_root_exchanges(level.n)   # gather, scatter
                 continue
             try:
                 self._init_level_comm(level)
@@ -274,30 +313,29 @@ class SimulatedDistRun:
                     f"MG level {level.index} (grid {level.grid.dims}, "
                     f"{level.n} rows) cannot be distributed: {exc}; "
                     f"use " + " or ".join(fixes)) from exc
-        if faults is not None:
-            faults.validate_for(nprocs)
-        self.faults = faults
-        # one object per run_cg; shared with the survivor run on recovery
-        self._state: Optional[_RunState] = None
+        scratch = CommTracker(nprocs)
+        scratch.allreduce_scalar()
+        self._dot_plan = scratch.freeze()
+        self._record_root_exchanges(self.n, self._CKPT_VECTORS)
 
     @property
     def tracker(self) -> CommTracker:
-        """The current solve's tracker (backends record sends on it)."""
+        """The current solve's tracker (hooks replay their plans on it)."""
         return self._state.tracker
 
     # --- backend hooks -------------------------------------------------------
     def _init_level_comm(self, level: SimLevel) -> None:
-        """Attach the backend's partition/communication data to a level."""
+        """Attach partition, work shares and every exchange plan."""
         raise NotImplementedError
 
     def _spmv_comm(self, level: SimLevel, sync_label: str,
                    timer_key: str) -> None:
-        """Record the communication of one full operator mxv."""
+        """Close the supersteps of one full operator mxv."""
         raise NotImplementedError
 
     def _rbgs_comm(self, level: SimLevel, color: int,
                    next_color: Optional[int] = None) -> None:
-        """Record the communication of one colour's masked mxv.
+        """Close the supersteps of one colour's masked mxv.
 
         ``next_color`` is the colour the sweep updates next (``None``
         at the end of a half-sweep): in overlap mode its interior work
@@ -312,17 +350,17 @@ class SimulatedDistRun:
         raise NotImplementedError
 
     # --- the split-phase superstep engine ------------------------------------
-    def _close_superstep(self, sync_label: str, timer_key: str,
-                         work_bytes: float,
+    def _close_superstep(self, plan: ExchangePlan, sync_label: str,
+                         timer_key: str, work_bytes: float,
                          overlap_bytes: float = 0.0) -> None:
-        """Close the sends recorded on the tracker into one *exchange*
-        superstep and price it.
+        """Replay ``plan`` as one *exchange* superstep and price it.
 
         Eager mode synchronises (``work + comm``); overlap mode posts
         and waits the same sends as a split-phase exchange, hiding wire
         time behind ``overlap_bytes`` of tagged local compute.  Under a
         lossy plan the exchange may be re-driven.
         """
+        self.tracker.replay(plan, label=sync_label)
         if self.overlap:
             handle = self.tracker.post(label=sync_label)
             if overlap_bytes:
@@ -335,13 +373,24 @@ class SimulatedDistRun:
         if self._state.injector is not None:
             self._retry_exchange(stats, sync_label, timer_key)
 
-    def _barrier(self, sync_label: str, timer_key: str,
+    def _barrier(self, plan: ExchangePlan, sync_label: str, timer_key: str,
                  work_bytes: float) -> None:
-        """Close the recorded sends into one *collective* superstep
-        (dot allreduce, checkpoint, restore): synchronous in either
-        mode, and reliable — never re-driven."""
+        """Replay ``plan`` as one *collective* superstep (dot allreduce,
+        checkpoint, restore): synchronous in either mode, and reliable
+        — never re-driven."""
+        self.tracker.replay(plan, label=sync_label)
         stats = self.tracker.sync(label=sync_label)
         self._tick_superstep(timer_key, work_bytes, stats.h)
+
+    def _record_root_exchanges(self, n: int, vectors: int = 1) -> None:
+        """Plan the gather and the scatter :meth:`_root_exchange` replays."""
+        shares = Block1D(n, self.nprocs)
+        scratch = CommTracker(self.nprocs)
+        for to_root in (True, False):
+            for node in range(1, self.nprocs):
+                src, dst = (node, 0) if to_root else (0, node)
+                scratch.send(src, dst, vectors * shares.local_size(node) * 8)
+            self._root_plans[n, vectors, to_root] = scratch.freeze()
 
     def _root_exchange(self, close, sync_label: str, timer_key: str,
                        n: int, vectors: int = 1,
@@ -349,12 +398,7 @@ class SimulatedDistRun:
         """One superstep in which every node ships its share of
         ``vectors`` ``n``-vectors to node 0 (or gets it back); ``close``
         is :meth:`_close_superstep` or :meth:`_barrier`."""
-        shares = Block1D(n, self.nprocs)
-        for node in range(1, self.nprocs):
-            src, dst = (node, 0) if to_root else (0, node)
-            self.tracker.send(src, dst, vectors * shares.local_size(node) * 8,
-                              label=sync_label)
-        close(sync_label, timer_key,
+        close(self._root_plans[n, vectors, to_root], sync_label, timer_key,
               _RESTRICT_COPY_BYTES * vectors * self._vector_share(n))
 
     # --- pricing helpers -----------------------------------------------------
@@ -363,7 +407,7 @@ class SimulatedDistRun:
         """An obs span that, unless a crash unwinds it, is ticked with
         the modelled seconds priced inside its extent (nested spans —
         coarser MG levels — included, just like the span nesting)."""
-        with obs.span(name, category, args) as sp:
+        with self._state.span(name, category, args) as sp:
             before = self._state.seconds
             yield sp
             if sp is not None:
@@ -406,8 +450,8 @@ class SimulatedDistRun:
         costs = self.machine.superstep_costs(work_bytes, h, overlap_bytes)
         self._account_superstep(key, h, costs["total"], costs["comm_full"],
                                 costs["comm_exposed"], costs["comm_hidden"])
-        with obs.span(f"superstep/{key}", "dist") as sp:
-            if sp is not None:
+        if self._state.ctx is not None:
+            with self._state.span(f"superstep/{key}", "dist") as sp:
                 sp.tick(costs["total"])
                 sp.set(
                     h=h, work_bytes=work_bytes, mode=self.comm_mode,
@@ -458,8 +502,7 @@ class SimulatedDistRun:
     # --- the reference kernels, each followed by its accounting --------------
     def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
         value = compute_dot(u, v)
-        self.tracker.allreduce_scalar(label="dot")
-        self._barrier("dot", "cg/dot",
+        self._barrier(self._dot_plan, "dot", "cg/dot",
                       _DOT_BYTES * self._vector_share(u.shape[0]))
         return value
 
@@ -538,8 +581,9 @@ class SimulatedDistRun:
 
     def _on_fault_event(self, event) -> None:
         """Mirror every injector event into the trace and metrics."""
-        if obs.enabled():
-            obs.event(f"fault/{event.kind}", "fault", event.as_dict())
+        if self._state.ctx is not None:
+            self._state.ctx.tracer.event(f"fault/{event.kind}", "fault",
+                                         event.as_dict())
         m = self._state.metrics
         if m is not None and event.kind in ("straggler", "node_speeds",
                                             "message_loss", "crash"):
@@ -585,17 +629,16 @@ class SimulatedDistRun:
         return checkpoint.copy()
 
     # --- crash recovery ------------------------------------------------------
-    def _respawn(self, nprocs: int, **backend) -> "SimulatedDistRun":
-        """Rebuild this run on ``nprocs`` surviving nodes, repartitioning
-        every level with the backend's own partitioner (subclasses add
-        their constructor arguments as ``backend``)."""
-        return type(self)(
-            self.problem, nprocs,
-            mg_levels=self.mg_levels,
-            machine=self.machine,
-            comm_mode=self.comm_mode,
-            agglomerate_below=self.agglomerate_below,
-            **backend)
+    def _respawn(self, nprocs: int, **changed) -> "SimulatedDistRun":
+        """This run on ``nprocs`` surviving nodes: a shallow copy that
+        shares the level numerics and the run state, and rebuilds only
+        the communication record with the backend's own partitioner
+        (subclasses pass the fields the node count ``changed``).  One
+        repartition is all a recovery costs on the host."""
+        survivor = copy.copy(self)
+        vars(survivor).update(changed)
+        survivor._distribute(nprocs)
+        return survivor
 
     def _recover(self, crash: NodeCrash) -> "SimulatedDistRun":
         """Roll back after ``crash``: repartition onto the survivors and
@@ -608,14 +651,13 @@ class SimulatedDistRun:
         state.lost_supersteps += state.tracker.num_syncs
         state.lost_bytes += state.tracker.total_bytes
         survivors = inj.alive_count
-        with obs.span("fault/recovery", "fault", {
+        with state.span("fault/recovery", "fault", {
             "crashed_node": crash.node,
             "superstep": crash.superstep,
             "survivors": survivors,
             "resume_iteration": resume_k,
         }):
             survivor = self._respawn(survivors)
-        survivor._state = state
         state.tracker = CommTracker(survivor.nprocs)
         inj.recoveries += 1
         inj.record(
@@ -769,8 +811,8 @@ class SimulatedDistRun:
                                      + state.tracker.total_bytes),
             }
         manifest = run_metrics = None
-        if obs.enabled():
-            recorder = obs.manifest_recorder()
+        if state.ctx is not None:
+            recorder = state.ctx.manifest
             recorder.record_config(dist={
                 "backend": self.backend,
                 "nprocs": self.nprocs,
@@ -783,7 +825,7 @@ class SimulatedDistRun:
             if inj is not None:
                 recorder.record_config(faults=inj.plan.to_dict())
                 recorder.record_seed("fault_plan", inj.plan.seed)
-            manifest = obs.current().build_manifest()
+            manifest = state.ctx.build_manifest()
             run_metrics = {
                 "supersteps": state.tracker.num_syncs,
                 "comm_bytes": state.tracker.total_bytes,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -52,3 +53,32 @@ def problem16():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def python_calls():
+    """``python_calls(fn, code=None)``: the Python-level ``call`` +
+    ``c_call`` events while ``fn()`` runs — deterministic, so a loop that
+    crept back into vectorised code shows up as a count, not a timing.
+    With ``code`` (a function's ``__code__``), only calls of that
+    function are counted."""
+
+    def count_calls(fn, code=None) -> int:
+        count = 0
+
+        def tick(frame, event, arg):
+            nonlocal count
+            if event == "call" and (code is None or frame.f_code is code):
+                count += 1
+            elif event == "c_call" and code is None:
+                count += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(tick)
+        try:
+            fn()
+        finally:
+            sys.setprofile(previous)
+        return count
+
+    return count_calls

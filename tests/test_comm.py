@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dist.comm import CommTracker
 from repro.util.errors import InvalidValue
@@ -149,6 +150,17 @@ class TestSplitPhase:
         assert first.closed and t.in_flight == 1
         t.wait()
 
+    def test_wait_out_of_order(self):
+        """Handles are compared by identity, never by their arrays."""
+        t = CommTracker(3)
+        t.send(0, 1, 5)
+        first = t.post(label="a")
+        t.send(1, 2, 7)
+        second = t.post(label="b")
+        assert t.wait(second).total_bytes == 7
+        assert t.wait(first).total_bytes == 5
+        assert [s.label for s in t.supersteps] == ["b", "a"]
+
     def test_wait_errors(self):
         t = CommTracker(2)
         with pytest.raises(InvalidValue):
@@ -176,6 +188,126 @@ class TestSplitPhase:
         t.wait(t.post().overlap(64.0))
         t.sync()
         assert t.total_overlapped_work == 64.0
+
+
+@st.composite
+def send_lists(draw):
+    """``(nprocs, label, [(src, dst, nbytes), ...])`` with self-sends,
+    zero-byte messages and repeated pairs all likely."""
+    nprocs = draw(st.integers(1, 9))
+    rank = st.integers(0, nprocs - 1)
+    sends = draw(st.lists(
+        st.tuples(rank, rank, st.sampled_from([0, 0, 8, 24, 1000])),
+        max_size=30))
+    return nprocs, draw(st.sampled_from([None, "halo"])), sends
+
+
+def _stats_fields(stats):
+    return (stats.sent.tolist(), stats.received.tolist(), stats.messages,
+            stats.h, stats.total_bytes, stats.overlapped_work, stats.posted,
+            stats.label, stats.retry_of)
+
+
+def _aggregates(t):
+    return (t.label_bytes, t.label_syncs, t.total_bytes, t.total_h,
+            t.num_syncs)
+
+
+class TestExchangePlans:
+    """A plan is the sends it was recorded from: replaying it and
+    issuing them are indistinguishable once the superstep is closed."""
+
+    @staticmethod
+    def _trackers(nprocs, label, sends):
+        """One tracker with the sends issued, one with their recorded
+        plan replayed — both with the superstep still open."""
+        spelled, replayed, scratch = (CommTracker(nprocs) for _ in range(3))
+        for src, dst, nbytes in sends:
+            spelled.send(src, dst, nbytes, label=label)
+            scratch.send(src, dst, nbytes)
+        replayed.replay(scratch.freeze(), label=label)
+        return spelled, replayed
+
+    @given(send_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_replay_then_sync_equals_the_sends(self, case):
+        _, label, _ = case
+        spelled, replayed = self._trackers(*case)
+        a, b = spelled.sync(label=label), replayed.sync(label=label)
+        assert _stats_fields(a) == _stats_fields(b)
+        assert _aggregates(spelled) == _aggregates(replayed)
+        # a lost exchange re-drives the same bytes either way
+        ra, rb = spelled.retry(a), replayed.retry(b)
+        assert _stats_fields(ra) == _stats_fields(rb)
+        assert ra.retry_of == a.index and ra.total_bytes == a.total_bytes
+        assert _aggregates(spelled) == _aggregates(replayed)
+
+    @given(send_lists(), st.sampled_from([0.0, 64.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_replay_then_post_wait_equals_the_sends(self, case, work):
+        _, label, _ = case
+        spelled, replayed = self._trackers(*case)
+        stats = []
+        for t in (spelled, replayed):
+            handle = t.post(label=label)
+            if work:
+                handle.overlap(work)
+            stats.append(t.wait(handle))
+        assert _stats_fields(stats[0]) == _stats_fields(stats[1])
+        assert stats[1].posted and stats[1].overlapped_work == work
+        assert _aggregates(spelled) == _aggregates(replayed)
+
+    def test_plans_are_read_only_and_shared_without_copies(self):
+        scratch = CommTracker(3)
+        scratch.send(0, 1, 100)
+        scratch.send(2, 1, 50)
+        plan = scratch.freeze()
+        assert (plan.messages, plan.total_bytes, plan.h) == (2, 150, 150)
+        for array in (plan.sent, plan.received):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        t = CommTracker(3)
+        t.replay(plan)
+        first = t.sync()
+        t.replay(plan)
+        second = t.sync()
+        assert first.sent is plan.sent and second.received is plan.received
+        # the recording tracker starts its next superstep from nothing
+        assert scratch.sync().total_bytes == 0
+
+    def test_send_after_replay_never_writes_into_the_plan(self):
+        scratch = CommTracker(3)
+        scratch.send(0, 1, 100)
+        plan = scratch.freeze()
+        sent, received = plan.sent.copy(), plan.received.copy()
+        t, spelled = CommTracker(3), CommTracker(3)
+        t.replay(plan, label="halo")
+        t.send(1, 2, 7, label="halo")
+        spelled.send(0, 1, 100, label="halo")
+        spelled.send(1, 2, 7, label="halo")
+        assert (_stats_fields(t.sync(label="halo"))
+                == _stats_fields(spelled.sync(label="halo")))
+        assert _aggregates(t) == _aggregates(spelled)
+        np.testing.assert_array_equal(plan.sent, sent)
+        np.testing.assert_array_equal(plan.received, received)
+        assert (plan.messages, plan.total_bytes, plan.h) == (1, 100, 100)
+
+    def test_replays_accumulate_on_pending_sends_and_on_each_other(self):
+        scratch = CommTracker(2)
+        scratch.send(0, 1, 10)
+        plan = scratch.freeze()
+        t = CommTracker(2)
+        t.send(1, 0, 5)
+        t.replay(plan)
+        t.replay(plan)
+        stats = t.sync()
+        assert stats.sent.tolist() == [20, 5] and stats.messages == 3
+        assert (plan.sent.tolist(), plan.messages) == ([10, 0], 1)
+
+    def test_plan_from_another_node_count_is_rejected(self):
+        plan = CommTracker(4).freeze()
+        with pytest.raises(InvalidValue, match="4 nodes replayed on 3"):
+            CommTracker(3).replay(plan)
 
 
 class TestResetAndContext:

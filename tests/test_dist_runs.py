@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.dist import HybridALPRun, RefDistRun, factor3
+from repro import obs
+from repro.dist import (
+    Checkpoint,
+    CommTracker,
+    FaultPlan,
+    Hybrid2DRun,
+    HybridALPRun,
+    RefDistRun,
+    factor3,
+)
 from repro.dist.hybrid import _allgather_matrix
 from repro.dist.partition import BlockCyclic1D
 from repro.hpcg.driver import run_hpcg
@@ -253,3 +262,69 @@ class TestAgglomeration:
         assert [lvl.agglomerated for lvl in agg.levels] \
             == [False, False, False, True]
         RefDistRun(problem, nprocs=64, mg_levels=3)
+
+
+class TestHostCostPerSuperstep:
+    """The engine adds accounting only, and a superstep's accounting
+    must not cost more the more messages it carries: every pattern is
+    recorded at construction and replayed.  Deterministic call counts,
+    not timings."""
+
+    CONFIGS = {
+        "ref-3d": (RefDistRun, {}),
+        "ref-3d/bfs": (RefDistRun, {"partition": "bfs"}),   # injection halo
+        "ref-3d/agg": (RefDistRun, {"agglomerate_below": 64}),
+        "ref-3d/checkpointed": (
+            RefDistRun, {"faults": FaultPlan(checkpoint=Checkpoint(1))}),
+        "alp-1d": (HybridALPRun, {}),
+        "alp-1d/agg": (HybridALPRun, {"agglomerate_below": 64}),
+        "alp-2d": (Hybrid2DRun, {}),
+    }
+
+    @pytest.mark.parametrize("mode", ["eager", "overlap"])
+    @pytest.mark.parametrize("cls,kwargs", CONFIGS.values(), ids=CONFIGS)
+    def test_a_constructed_run_issues_no_send(self, problem8, python_calls,
+                                              cls, kwargs, mode):
+        run = cls(problem8, 4, mg_levels=3, comm_mode=mode, **kwargs)
+        results = []
+        sends = python_calls(
+            lambda: results.append(run.run_cg(max_iters=2)),
+            code=CommTracker.send.__code__)
+        assert sends == 0
+        assert results[0].syncs > 50 and results[0].comm_bytes > 0
+
+    def test_host_cost_does_not_grow_with_the_node_count(self, problem8,
+                                                         python_calls):
+        """alp-1d replicates every vector: p^2 messages per exchange,
+        one replay whatever p."""
+        def calls(nprocs):
+            run = HybridALPRun(problem8, nprocs, mg_levels=3)
+            run.run_cg(max_iters=2)                  # warm
+            return python_calls(lambda: run.run_cg(max_iters=2))
+
+        few, many = calls(4), calls(16)
+        assert many <= 1.05 * few, (few, many)
+
+    @pytest.mark.parametrize("cls", [RefDistRun, HybridALPRun, Hybrid2DRun])
+    def test_untraced_supersteps_read_no_environment(self, problem8,
+                                                     monkeypatch, cls):
+        """Whether a context is active is decided once per run: between
+        the first and the last superstep ``REPRO_TRACE`` is not looked
+        up again."""
+        monkeypatch.delenv(obs.ENV_TRACE, raising=False)
+        reads = []
+        monkeypatch.setattr(obs.context, "trace_env_enabled",
+                            lambda: reads.append(1) or False)
+        at_superstep = []
+        for close in ("sync", "wait"):
+            original = getattr(CommTracker, close)
+
+            def counted(self, *args, _original=original, **kwargs):
+                at_superstep.append(len(reads))
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(CommTracker, close, counted)
+        result = cls(problem8, 4, mg_levels=3,
+                     comm_mode="overlap").run_cg(max_iters=2)
+        assert len(at_superstep) == result.syncs > 50
+        assert reads and at_superstep[0] == at_superstep[-1]

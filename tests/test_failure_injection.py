@@ -375,6 +375,79 @@ class TestCrashRecovery:
         assert faulted.nprocs == r["final_nprocs"]
         assert "[faults:" in faulted.summary()
 
+    @staticmethod
+    def _snapshot(result):
+        """What a run priced and counted (residuals compared apart)."""
+        return (result.nprocs, result.syncs, result.comm_bytes,
+                result.tracker.total_h, result.modelled_seconds,
+                result.comm_seconds, result.exposed_comm_seconds,
+                result.timers.as_dict(counts=True), result.resilience)
+
+    @pytest.mark.parametrize("cls", ALL_BACKENDS)
+    def test_backend_object_is_reusable_after_a_recovery(self, dist_problem,
+                                                         cls):
+        """Recovery builds the survivors' communication record on a copy:
+        the crashed run's own node count, partitions and plans are as
+        constructed, so the same object runs again — faulted or clean —
+        exactly like a fresh one."""
+        run = cls(dist_problem, 4, mg_levels=3, faults=self.PLAN)
+        first = run.run_cg(max_iters=5)
+        again = run.run_cg(max_iters=5)
+        assert first.resilience["recoveries"] == 1
+        assert again.residuals == first.residuals
+        assert self._snapshot(again) == self._snapshot(first)
+        assert run.nprocs == 4
+        # ... and, with the plan taken off, like a fresh clean object
+        run.faults = None
+        clean = _run(cls, dist_problem)
+        after = run.run_cg(max_iters=5)
+        assert after.residuals == clean.residuals
+        assert self._snapshot(after) == self._snapshot(clean)
+
+    @pytest.mark.parametrize("cls", ALL_BACKENDS)
+    def test_survivors_share_the_level_numerics(self, dist_problem, cls):
+        """Operator, colouring, smoother blocks and injection indices do
+        not depend on the node count: a survivor run borrows its
+        parent's (same objects) and partitions anew."""
+        run = cls(dist_problem, 4, mg_levels=3, faults=self.PLAN)
+        survivor = run._respawn(3)
+        assert survivor.nprocs < 4 and run.nprocs == 4
+        for mine, theirs in zip(run.levels, survivor.levels):
+            assert theirs is not mine
+            for name in ("A", "colors", "smoother", "color_rows",
+                         "injection", "grid"):
+                assert getattr(theirs, name) is getattr(mine, name), name
+            assert theirs.partition is not mine.partition
+        # borrowed, never written: a recovery leaves every operator as is
+        before = [level.A.data.copy() for level in run.levels]
+        assert run.run_cg(max_iters=5).resilience["recoveries"] == 1
+        for level, data in zip(run.levels, before):
+            np.testing.assert_array_equal(level.A.data, data)
+
+    def test_indivisible_survivor_count_falls_back_without_building(
+            self, dist_problem, monkeypatch):
+        """3 survivors do not factor into the grid: the geometric attempt
+        must be turned down by the divisibility check alone — no level is
+        constructed, no halo derived for it — before BFS partitions."""
+        import repro.dist.refdist as refdist
+        import repro.dist.simulate as simulate
+
+        run = RefDistRun(dist_problem, 4, mg_levels=3)
+        built = []
+        monkeypatch.setattr(
+            simulate.SimLevel, "__init__",
+            lambda self, *a, **k: built.append("level"))
+        halo_for_owners = refdist.halo_for_owners
+        monkeypatch.setattr(
+            refdist, "halo_for_owners",
+            lambda *a, **k: built.append("halo") or halo_for_owners(*a, **k))
+        survivor = run._respawn(3)
+        assert survivor._partition_kind == "bfs"
+        assert built == ["halo"] * 3          # one per level, all for BFS
+        assert all(level.partition is None for level in survivor.levels)
+        # ... while a count that still factors keeps the boxes
+        assert run._respawn(2)._partition_kind == "grid3d"
+
     def test_crash_without_checkpoint_restarts(self, dist_problem):
         clean = _run(RefDistRun, dist_problem)
         faulted = _run(RefDistRun, dist_problem, faults=FaultPlan(

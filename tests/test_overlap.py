@@ -147,6 +147,22 @@ class TestExecutorEquivalenceStencil:
             sub = node.local_matrix[split.interior_sel, :]
             assert (col_owner[sub.indices] == node.rank).all()
 
+    def test_rows_touching_remote_is_a_per_row_any(self):
+        """Rectangular shapes, empty rows (leading, trailing, all), no
+        entries and no rows: the answer is ``any`` over each row's flags."""
+        from repro.dist.cost import rows_touching_remote
+
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n, m = int(rng.integers(0, 25)), int(rng.integers(1, 25))
+            A = sp.random(n, m, density=rng.uniform(0.0, 0.3), format="csr",
+                          random_state=int(rng.integers(1 << 30)))
+            flags = rng.random(A.nnz) < rng.uniform(0.0, 1.0)
+            want = [bool(flags[A.indptr[i]:A.indptr[i + 1]].any())
+                    for i in range(n)]
+            got = rows_touching_remote(A, flags)
+            assert got.dtype == bool and got.tolist() == want
+
     def test_overlap_work_tagged_on_trace(self, stencil, rng):
         problem, A, colors, owners = stencil
         tracker = CommTracker(4)

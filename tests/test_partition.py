@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.dist.partition import (
     Block1D,
@@ -13,6 +14,7 @@ from repro.dist.partition import (
 )
 from repro.grid import Grid3D
 from repro.grid.stencil import stencil_27pt_coo
+from repro.ref.multigrid import build_csr
 from repro.hpcg.problem import generate_problem
 from repro.util.errors import InvalidValue
 
@@ -189,3 +191,114 @@ class TestBlackBoxPartition:
         A = problem4.A.to_scipy()
         owners = np.zeros(problem4.n, dtype=np.int64)
         assert halo_for_owners(A.indptr, A.indices, owners, 1) == {}
+
+
+def _bfs_partition_loop(indptr, indices, n, p):
+    """The per-vertex, per-neighbour loop ``bfs_partition`` used to be —
+    kept as its oracle: level-synchronous BFS over the stored entries,
+    restarting at the lowest unseen vertex, visit ranks cut into
+    balanced chunks."""
+    seen = np.zeros(n, dtype=bool)
+    order = []
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        queue = [seed]
+        seen[seed] = True
+        while queue:
+            next_queue = []
+            for i in queue:
+                order.append(i)
+                for j in indices[indptr[i]:indptr[i + 1]]:
+                    if not seen[j]:
+                        seen[j] = True
+                        next_queue.append(int(j))
+            queue = next_queue
+    visit_rank = np.empty(n, dtype=np.int64)
+    visit_rank[np.array(order, dtype=np.int64)] = np.arange(n)
+    return Block1D(n, p).owner(visit_rank)
+
+
+def _random_pattern(rng, n, density, symmetric, isolated=0):
+    """A random sparsity pattern; ``isolated`` randomly chosen vertices
+    get their row and column emptied (components of size one)."""
+    M = sp.random(n, n, density=density, format="lil",
+                  random_state=int(rng.integers(1 << 30)))
+    if symmetric:
+        M = (M + M.T).tolil()
+    for v in rng.choice(n, size=min(isolated, n), replace=False):
+        M[v, :] = 0
+        M[:, v] = 0
+    M = M.tocsr()
+    M.eliminate_zeros()
+    M.sort_indices()
+    return M
+
+
+class TestBfsPartitionMatchesTheLoop:
+    """The compiled traversal returns exactly the owners the Python
+    loop did, on every kind of structure the loop accepted."""
+
+    @staticmethod
+    def _check(A, p):
+        n = A.shape[0]
+        np.testing.assert_array_equal(
+            bfs_partition(A.indptr, A.indices, n, p),
+            _bfs_partition_loop(A.indptr, A.indices, n, p))
+
+    @pytest.mark.parametrize("dims,stencil,p", [
+        ((16, 16, 16), "27pt", 3), ((8, 8, 8), "27pt", 4),
+        ((8, 4, 6), "27pt", 5), ((12, 12, 12), "7pt", 3),
+        ((8, 4, 6), "7pt", 7), ((2, 3, 1), "7pt", 2),
+    ])
+    def test_grids(self, dims, stencil, p):
+        self._check(build_csr(Grid3D(*dims), stencil), p)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_random_patterns(self, symmetric):
+        rng = np.random.default_rng(20 + symmetric)
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            A = _random_pattern(rng, n, rng.uniform(0.0, 0.12), symmetric,
+                                isolated=int(rng.integers(0, 4)))
+            self._check(A, int(rng.integers(1, 9)))
+
+    def test_disconnected_components_restart_at_lowest_unseen(self):
+        # {0, 3} and {1, 2, 4}: the second traversal starts at vertex 1
+        rows = np.array([0, 3, 1, 2, 2, 4])
+        cols = np.array([3, 0, 2, 1, 4, 2])
+        A = sp.csr_matrix((np.ones(6), (rows, cols)), shape=(5, 5))
+        A.sort_indices()
+        self._check(A, 5)
+        np.testing.assert_array_equal(
+            bfs_partition(A.indptr, A.indices, 5, 5), [0, 2, 3, 1, 4])
+
+    def test_one_way_edges_into_an_earlier_component(self):
+        # 2 -> 0 only: vertex 2's traversal reaches the already-owned
+        # {0, 1} again and must not re-rank it
+        A = sp.csr_matrix((np.ones(3), ([0, 1, 2], [1, 0, 0])), shape=(4, 4))
+        self._check(A, 2)
+        np.testing.assert_array_equal(
+            bfs_partition(A.indptr, A.indices, 4, 4), [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("n,p", [(0, 1), (0, 3), (1, 1), (1, 4), (3, 8)])
+    def test_degenerate_sizes(self, n, p):
+        self._check(sp.csr_matrix((n, n)), p)           # all rows empty
+        self._check(sp.identity(n, format="csr"), p)    # self-loops only
+
+    def test_rejects_zero_nodes(self):
+        with pytest.raises(InvalidValue):
+            bfs_partition(np.zeros(1, dtype=np.int64),
+                          np.zeros(0, dtype=np.int64), 0, 0)
+
+    def test_call_count_does_not_grow_with_the_operator(self, python_calls):
+        """One compiled traversal per component: no Python per vertex,
+        per neighbour or per BFS level."""
+        def calls(nx):
+            A = build_csr(Grid3D(nx, nx, nx), "27pt")
+            bfs_partition(A.indptr, A.indices, A.shape[0], 3)   # warm
+            return python_calls(
+                lambda: bfs_partition(A.indptr, A.indices, A.shape[0], 3))
+
+        small, large = calls(8), calls(16)
+        assert large <= 1.05 * small, (small, large)

@@ -1,7 +1,5 @@
 """HPCG problem generation: operator properties and right-hand sides."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -81,24 +79,6 @@ class TestRightHandSide:
         )
 
 
-def _python_calls(fn) -> int:
-    """Python-level ``call`` + ``c_call`` events while ``fn()`` runs."""
-    count = 0
-
-    def tick(frame, event, arg):
-        nonlocal count
-        if event in ("call", "c_call"):
-            count += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(tick)
-    try:
-        fn()
-    finally:
-        sys.setprofile(previous)
-    return count
-
-
 class TestSetupIsVectorised:
     """Set-up issues a fixed number of array operations whatever the grid
     size: per-row or per-entry Python anywhere in assembly, conversion,
@@ -106,10 +86,11 @@ class TestSetupIsVectorised:
     count that grows with ``n``."""
 
     @pytest.mark.parametrize("stencil", ["27pt", "7pt"])
-    def test_call_count_does_not_grow_with_the_grid(self, stencil):
+    def test_call_count_does_not_grow_with_the_grid(self, stencil,
+                                                    python_calls):
         def setup(nx):
             build_hierarchy(generate_problem(nx, stencil=stencil), levels=3)
 
         setup(8)    # one-time lazy imports and caches stay out of the count
-        small, large = _python_calls(lambda: setup(8)), _python_calls(lambda: setup(24))
+        small, large = python_calls(lambda: setup(8)), python_calls(lambda: setup(24))
         assert large <= 1.05 * small, (small, large)
