@@ -12,16 +12,15 @@ RBGS needs.  It is an *extension*: HPCG code using it is no longer
 portable GraphBLAS — which is why it lives here, below the operations
 API, and why the smoothers reach it only through the plan objects:
 
-* :class:`ColorSweepPlan` — the default smoother's fast path since the
-  fused-sweep PR: a whole forward-or-backward multi-colour sweep
-  executed by the active provider's prebuilt
-  :class:`~repro.graphblas.substrate.base.ColorSweep` (colour
-  substructures, row partitions and diagonals hoisted to construction,
-  products through the jit lane when numba is available), version-
-  validated against the operator, masks and diagonal, and priced
-  through the provider's fused-traffic hook so collected byte streams
-  stay honest.  ``REPRO_FUSED=0`` (or any unsupported configuration —
-  sparse vectors, non-float64 domains) makes the plan decline, and the
+* :class:`ColorSweepPlan` — the default smoother's fast path: any list
+  of colour steps (a symmetric pass is one run) executed by the active
+  provider's prebuilt :class:`~repro.graphblas.substrate.base.ColorSweep`
+  — on CSR one colour-major copy of the operator, iterate and rhs
+  gathered once per run — version-validated against the operator,
+  masks and diagonal, and priced per colour step through the
+  provider's fused-traffic hook so collected byte streams stay honest.
+  ``REPRO_FUSED=0`` (or any unsupported call — sparse vectors,
+  non-float64 domains, ``z is r``) makes the plan decline, and the
   smoother falls back to the reference masked-mxv + eWiseLambda
   transcription, bit for bit.
 * :class:`JacobiSweepPlan` — the same fusion for the damped-Jacobi
@@ -140,7 +139,7 @@ def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
     if w.size != A.nrows or z.size != A.ncols or x.size != w.size:
         return False
     prov = A.provider()
-    if not bool((prov.row_nnz > 0).all()):
+    if not prov.rows_all_present:
         return False
     from repro.graphblas.substrate import jit, threads
 
@@ -151,8 +150,13 @@ def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
                            nthreads=threads.resolve())
     else:
         s = prov.mxv(zv)
-        np.multiply(xv, alpha, out=wv)
-        wv += beta * s
+        if alpha == 1.0 and beta == -1.0:
+            # the residual, the only pair the solver passes: 1*x = x,
+            # (-1)*s = -s and x + (-s) == x - s bit for bit in IEEE-754
+            np.subtract(xv, s, out=wv)
+        else:
+            np.multiply(xv, alpha, out=wv)
+            wv += beta * s
     w._present.fill(True)
     w._bump()
     if backend.active():
@@ -171,14 +175,14 @@ class ColorSweepPlan:
     """The fused smoother fast path: a provider sweep with caching.
 
     Binds an operator, its colour masks and its diagonal vector once;
-    :meth:`run` executes a whole forward-or-backward sweep through the
+    :meth:`run` executes a list of colour steps through the
     active provider's :class:`ColorSweep`, rebuilding it only when the
     operator, a mask or the diagonal changes (version counters — the
     same invalidation contract the masked-mxv substructure cache uses).
 
     :meth:`run` returns ``False`` when the fast path cannot serve the
-    call bit-identically — non-dense vectors, a non-float64 domain, or
-    a provider that opted out of the capability — and the caller is
+    call bit-identically — non-dense or aliased vectors, a non-float64
+    domain, a provider that opted out of the capability — and the caller is
     expected to fall back to the reference transcription.
     """
 
@@ -219,28 +223,27 @@ class ColorSweepPlan:
         return self._sweep
 
     def run(self, z: Vector, r: Vector, order) -> bool:
-        """Execute one sweep over ``order``; False means "fall back"."""
+        """Run the colour steps ``order`` lists; False means "fall back"."""
         if not fused_enabled():      # the kill switch works per call
             return False
-        if (z.dtype != np.float64 or r.dtype != np.float64
+        if (z is r       # r would change under the sweep
+                or z.size != self.A.ncols or r.size != self.A.nrows
+                or z.dtype != np.float64 or r.dtype != np.float64
                 or not z.is_dense() or not r.is_dense()):
             return False
         sweep = self._current_sweep()
         if sweep is None:
             return False
-        zv, rv = z._values, r._values
+        sweep.run(z._values, r._values, order)
+        z._bump()
         if backend.active():
             label = self._event_label()
             for k in order:
-                sweep.step(k, zv, rv)
                 flops, nbytes = sweep.traffic[k]
                 backend.record(
-                    "fused_mxv_lambda", sweep.rows[k].size, sweep.nnzs[k],
+                    "fused_mxv_lambda", sweep.sizes[k], sweep.nnzs[k],
                     flops, nbytes, fmt=sweep.fmt, label=label,
                 )
-        else:
-            sweep.run(zv, rv, order)
-        z._bump()
         return True
 
 

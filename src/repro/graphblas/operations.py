@@ -225,7 +225,7 @@ def _mxv_fast(
         prov = A.provider(desc.transpose_matrix)
         y = prov.mxv(u._values)
         flops, nbytes = prov.mxv_traffic()
-        return y, prov.row_nnz > 0, prov.nnz, flops, nbytes, prov.name
+        return y, prov.row_present, prov.nnz, flops, nbytes, prov.name
     # Masked: invert_mask and value-masks change the row set per call, so
     # only structural non-inverted masks hit the substructure cache;
     # transient row subsets run on the reference CSR path.
@@ -236,7 +236,7 @@ def _mxv_fast(
         )
         y = sub.mxv(u._values)
         flops, nbytes = sub.mxv_traffic()
-        return y, sub.row_nnz > 0, sub.nnz, flops, nbytes, sub.name
+        return y, sub.row_present, sub.nnz, flops, nbytes, sub.name
     base = A._transposed_csr() if desc.transpose_matrix else A._csr
     sub = base[rows, :]
     y = sub @ u._values

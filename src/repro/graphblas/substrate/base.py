@@ -68,6 +68,11 @@ class KernelProvider(abc.ABC):
             csr.sum_duplicates()
         self._csr = csr
         self._row_nnz = np.diff(csr.indptr)
+        #: output presence of a full product, shared read-only, and
+        #: whether no row is empty
+        self.row_present = self._row_nnz > 0
+        self.row_present.flags.writeable = False
+        self.rows_all_present = bool(self.row_present.all())
         self._build()
 
     # --- structure ---------------------------------------------------------
@@ -143,7 +148,7 @@ class KernelProvider(abc.ABC):
         The base implementation serves every format through its own
         :meth:`extract_rows` substructures and :meth:`mxv` kernel, so a
         provider gets the fast path for free; formats with a sharper
-        fused kernel (CSR's compiled colour step) override.  Return
+        one (CSR's colour-major sweep) override.  Return
         ``None`` to opt out — callers fall back to the reference
         masked-mxv + eWiseLambda transcription.
         """
@@ -158,12 +163,7 @@ class KernelProvider(abc.ABC):
         resident (4 B/entry — the seed model's CSR numbers, applied
         uniformly), then adds the lambda's own vector traffic.
         """
-        flops, nbytes = self.mxv_traffic()
-        rows = self.nrows
-        return (
-            flops + 4 * rows,
-            nbytes - rows * 16 - self.nnz * 4 + rows * 8 * (nvec + 1),
-        )
+        return fused_traffic(self.mxv_traffic(), self.nrows, self.nnz, nvec)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -172,16 +172,26 @@ class KernelProvider(abc.ABC):
         )
 
 
+def fused_traffic(mxv_traffic: Tuple[int, int], rows: int, nnz: int,
+                  nvec: int) -> Tuple[int, int]:
+    """``fused_mxv_traffic`` from a structure's size and product price."""
+    flops, nbytes = mxv_traffic
+    return (
+        flops + 4 * rows,
+        nbytes - rows * 16 - nnz * 4 + rows * 8 * (nvec + 1),
+    )
+
+
 class ColorSweep:
     """A fused multi-colour Gauss-Seidel sweep, prebuilt for one provider.
 
-    This is the hot path of the paper's centrepiece loop with every
-    per-call cost hoisted to construction time: the per-colour row
-    partitions (contiguous ``int64``), the gathered per-colour
-    diagonals, one same-format substructure per colour (the provider's
-    own :meth:`~KernelProvider.extract_rows`), and the per-colour
-    ``(flops, bytes)`` price from the provider's fused-traffic hook.
-    One :meth:`step` is then a direct gather/scatter:
+    The natural-order sweep — for the padded formats, and for what CSR's
+    colour-major one declines — with every per-call cost hoisted to
+    construction: the per-colour row partitions and diagonals, one
+    same-format substructure per colour (the provider's own
+    :meth:`~KernelProvider.extract_rows`) and the per-colour ``(flops,
+    bytes)`` price from the provider's fused-traffic hook.  One
+    :meth:`step` is then a direct gather/scatter:
 
     1. ``s = (A z)[rows_k]`` — the colour block's product, through the
        provider's kernel (compiled when the jit lane is available);
@@ -208,6 +218,8 @@ class ColorSweep:
         self.subs: List[KernelProvider] = [
             provider.extract_rows(r) for r in self.rows
         ]
+        #: per-colour rows and stored entries, as the perf events report
+        self.sizes: List[int] = [r.size for r in self.rows]
         self.nnzs: List[int] = [s.nnz for s in self.subs]
         #: per-colour (flops, bytes) — what the perf layer records per step
         self.traffic: List[Tuple[int, int]] = [
@@ -216,7 +228,7 @@ class ColorSweep:
 
     @property
     def ncolors(self) -> int:
-        return len(self.rows)
+        return len(self.sizes)
 
     def step(self, k: int, z: np.ndarray, r: np.ndarray) -> None:
         """One colour's fused product + pointwise update, in place."""
@@ -226,6 +238,7 @@ class ColorSweep:
         z[rows] = (r[rows] - s + z[rows] * d) / d
 
     def run(self, z: np.ndarray, r: np.ndarray, order) -> None:
-        """A whole forward or backward sweep (``order`` = colour ids)."""
+        """Relax the colours listed in ``order`` (one direction, a
+        symmetric pass, any subset) in sequence, in place on ``z``."""
         for k in order:
             self.step(k, z, r)

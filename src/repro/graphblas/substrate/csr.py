@@ -11,10 +11,12 @@ Two accelerations ride on top without changing a single bit of output:
 * with numba importable, ``mxv`` runs the compiled lane's CSR kernel
   (:mod:`repro.graphblas.substrate.jit`) — the identical sequential
   accumulation loop, minus scipy's per-call dispatch;
-* :meth:`gs_color_sweep` returns :class:`CsrColorSweep`, whose colour
-  step calls scipy's ``csr_matvec`` C kernel directly into a
-  preallocated workspace (or, jitted, fuses product and pointwise
-  update into one compiled pass).
+* :meth:`gs_color_sweep` returns :class:`CsrColorSweep`: the operator
+  held once with its rows grouped by colour, so a whole symmetric
+  smooth gathers iterate and right-hand side once, relaxes every
+  colour on contiguous slices and scatters once.  Inputs a colour-major
+  layout cannot express — a row in two classes, a non-square operator
+  — get the generic natural-order :class:`ColorSweep`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphblas.substrate import jit, threads
-from repro.graphblas.substrate.base import ColorSweep, KernelProvider
+from repro.graphblas.substrate.base import (
+    ColorSweep, KernelProvider, fused_traffic,
+)
 
 try:  # scipy's compiled SpMV entry point: zero-copy, no wrapper layers.
     from scipy.sparse import _sparsetools as _sp_tools
@@ -52,6 +56,11 @@ class CsrProvider(KernelProvider):
 
     def gs_color_sweep(self, color_rows: Sequence[np.ndarray],
                        diag: np.ndarray) -> Optional[ColorSweep]:
+        hits = np.bincount(np.concatenate(color_rows), minlength=self.nrows)
+        if (self.nrows != self.ncols or hits.max(initial=0) > 1
+                or _csr_matvec is None):
+            # colour-major needs every row in at most one class
+            return ColorSweep(self, color_rows, diag)
         return CsrColorSweep(self, color_rows, diag)
 
     def stored_entries(self) -> int:
@@ -62,40 +71,83 @@ class CsrProvider(KernelProvider):
         # entry, plus read+write of the output row (the seed formula,
         # kept verbatim so CSR-run byte streams match the original
         # perf-model calibration).
-        nnz, rows = self.nnz, self.nrows
-        return 2 * nnz, nnz * 16 + rows * 16
+        return _mxv_traffic(self.nnz, self.nrows)
+
+
+def _mxv_traffic(nnz: int, rows: int) -> Tuple[int, int]:
+    return 2 * nnz, nnz * 16 + rows * 16
 
 
 class CsrColorSweep(ColorSweep):
-    """The CSR fused sweep: raw C kernels over per-colour row blocks.
+    """The CSR fused sweep: one colour-major copy of the operator.
 
-    The generic sweep's substructure ``mxv`` would pay scipy's
-    ``__matmul__`` dispatch per colour step; this one holds the blocks'
-    raw CSR arrays and a per-colour product workspace, and calls the
-    ``csr_matvec`` C routine (or the jit lane's fully fused colour
-    step) directly — the same accumulation loop either way.
+    ``perm`` lists the rows colour by colour (rows in no class last,
+    never relaxed).  The sweep holds ``A[perm, :]``, columns relabelled
+    through ``perm``'s inverse, as three raw arrays: colour ``k`` is the
+    row range ``off[k]:off[k+1]`` (``indptr`` offsets are absolute, so
+    a slice of it is a valid block) and its product reads the
+    colour-major iterate directly.  Each row keeps its entries in
+    stored order — ascending *natural* column, never re-sorted, which
+    is why nothing that canonicalises may wrap the arrays — so it
+    accumulates exactly as the reference ``csr_matvec`` does and
+    iterates are bit-identical to the natural-order sweep.  The numpy
+    lane (``csr_matvec`` + four ``out=`` ufuncs per colour) and the jit
+    lane's fused colour step read the same arrays.
     """
 
     def __init__(self, provider: CsrProvider,
                  color_rows: Sequence[np.ndarray], diag: np.ndarray):
-        super().__init__(provider, color_rows, diag)
-        self._blocks = [sub.csr for sub in self.subs]
-        self._work = [np.empty(r.size, dtype=np.float64) for r in self.rows]
+        self.fmt = provider.name
+        csr, n = provider.csr, provider.nrows
+        self.sizes = [len(r) for r in color_rows]
+        self._off = off = [0, *np.cumsum(self.sizes).tolist()]
+        colored = np.concatenate(color_rows).astype(np.int64, copy=False)
+        rest = np.ones(n, dtype=bool)
+        rest[colored] = False
+        self._perm = perm = np.concatenate((colored, np.flatnonzero(rest)))
+        block = csr[perm, :]                 # one row gather, order kept
+        self._indptr, self._data = block.indptr, block.data
+        self._indices = idx = block.indices
+        inverse = np.empty(n, dtype=idx.dtype)
+        inverse[perm] = np.arange(n, dtype=idx.dtype)
+        # relabel in place, a cache-sized chunk at a time: one fancy
+        # index over all entries would hold two more copies of them
+        for lo in range(0, idx.size, 1 << 16):
+            idx[lo:lo + (1 << 16)] = inverse[idx[lo:lo + (1 << 16)]]
+        self._diag = diag[perm]
+        self._z, self._r = np.empty(n), np.empty(n)
+        self._s = np.empty(max(self.sizes))
+        self.nnzs = np.diff(self._indptr[off]).tolist()
+        self.traffic = [fused_traffic(_mxv_traffic(nnz, rows), rows, nnz, 3)
+                        for rows, nnz in zip(self.sizes, self.nnzs)]
 
     def step(self, k: int, z: np.ndarray, r: np.ndarray) -> None:
-        block = self._blocks[k]
-        rows = self.rows[k]
-        d = self.diags[k]
-        work = self._work[k]
-        if jit.available():
-            jit.csr_gs_step(block, rows, d, z, r, work,
-                            nthreads=threads.resolve())
-            return
-        if _csr_matvec is not None:
-            work.fill(0.0)  # csr_matvec accumulates onto its output
-            _csr_matvec(block.shape[0], block.shape[1], block.indptr,
-                        block.indices, block.data, z, work)
-            s = work
-        else:  # pragma: no cover - scipy without the private entry point
-            s = block @ z
-        z[rows] = (r[rows] - s + z[rows] * d) / d
+        self.run(z, r, (k,))
+
+    def run(self, z: np.ndarray, r: np.ndarray, order) -> None:
+        perm, off, n = self._perm, self._off, self._perm.size
+        indptr, indices, data = self._indptr, self._indices, self._data
+        zp, rp, dp = self._z, self._r, self._diag
+        # mode="clip": the default "raise" buffers a full copy of out
+        np.take(z, perm, out=zp, mode="clip")
+        np.take(r, perm, out=rp, mode="clip")
+        jitted = jit.available()
+        nthreads = threads.resolve() if jitted else 1
+        for k in order:
+            lo, hi = off[k], off[k + 1]
+            s = self._s[:hi - lo]
+            if jitted:
+                jit.csr_gs_step(indptr[lo:hi + 1], indices, data,
+                                np.arange(lo, hi), dp[lo:hi], zp, rp, s,
+                                nthreads=nthreads)
+                continue
+            zk, dk = zp[lo:hi], dp[lo:hi]
+            s.fill(0.0)  # csr_matvec accumulates onto its output
+            _csr_matvec(hi - lo, n, indptr[lo:hi + 1], indices, data, zp, s)
+            # z_k = (r_k - s + z_k * d_k) / d_k, operation for operation;
+            # the product above read the pre-update z_k throughout
+            np.subtract(rp[lo:hi], s, out=s)
+            np.multiply(zk, dk, out=zk)
+            np.add(s, zk, out=zk)
+            np.divide(zk, dk, out=zk)
+        z[perm] = zp

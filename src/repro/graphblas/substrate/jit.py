@@ -15,8 +15,9 @@ The serial kernels match the fast paths the fused smoother sweep needs:
   the exact loop of scipy's compiled ``csr_matvec``, so results are
   bit-identical to the reference;
 * :func:`csr_gs_step` — one fused multi-colour Gauss-Seidel colour
-  step (product + pointwise update) over a colour's row block, in two
-  phases (all products from the pre-update ``z``, then all updates) so
+  step (product + pointwise update) over a row range of the CSR
+  sweep's colour-major arrays, in two phases (all products from the
+  pre-update ``z``, then all updates) so
   it is bit-identical to the masked-mxv + eWiseLambda transcription
   for *arbitrary* colour masks, proper colourings or not;
 * :func:`sell_mxv` — the SELL-C-σ lane product over the provider's
@@ -266,17 +267,16 @@ def csr_mxv(csr, x: np.ndarray,
     return out
 
 
-def csr_gs_step(csr, rows: np.ndarray, diag: np.ndarray, z: np.ndarray,
+def csr_gs_step(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                rows: np.ndarray, diag: np.ndarray, z: np.ndarray,
                 r: np.ndarray, work: np.ndarray,
                 nthreads: int = 1) -> None:  # pragma: no cover
-    """One fused colour step over the row block ``csr`` (= A[rows, :])."""
+    """One fused colour step over a CSR row block as raw arrays: block
+    row ``i`` spans ``indptr[i]:indptr[i+1]`` and updates ``z[rows[i]]``."""
     if nthreads > 1:
         _set_threads(nthreads)
-        _load_parallel().csr_gs_step(csr.indptr, csr.indices, csr.data,
-                                     rows, diag, z, r, work)
-    else:
-        _load().csr_gs_step(csr.indptr, csr.indices, csr.data, rows, diag,
-                            z, r, work)
+    kernels = _load_parallel() if nthreads > 1 else _load()
+    kernels.csr_gs_step(indptr, indices, data, rows, diag, z, r, work)
 
 
 def sell_mxv(lane_rows: np.ndarray, lane_entries: np.ndarray,

@@ -16,17 +16,18 @@ within one colour everything is data-parallel (here: vectorised).
 **The fused fast path.**  Executing that transcription literally pays
 mask materialisation, row re-extraction, a workspace round trip and
 several layers of Python dispatch per colour × sweep × MG level × CG
-iteration.  Since the fused-sweep PR the smoother therefore runs whole
-sweeps through :class:`repro.graphblas.fused.ColorSweepPlan` — the
-active substrate provider's prebuilt
-:class:`~repro.graphblas.substrate.base.ColorSweep`, with per-colour
-row partitions, substructures and diagonals hoisted to construction
-and products on the compiled jit lane when numba is available.  The
-fast path is *bit-identical* to the transcription (same kernels, same
-accumulation order — ``tests/test_fused_smoother.py`` proves it per
-provider, colouring and sweep order) and declines whenever it cannot
-be: ``REPRO_FUSED=0``, an explicit ``fused=False``, sparse vectors or
-non-float64 domains all fall back to the literal Listing 2/3 path.
+iteration.  The smoother therefore hands each symmetric pass to
+:class:`repro.graphblas.fused.ColorSweepPlan` as *one* run of the
+active provider's prebuilt
+:class:`~repro.graphblas.substrate.base.ColorSweep` — on CSR one
+colour-major copy of the operator: ``z`` and ``r`` gathered once per
+pass, every colour relaxed on contiguous slices, ``z`` scattered back
+once.  The fast path is *bit-identical* to the transcription (same
+per-row accumulation order — ``tests/test_fused_smoother.py`` proves
+it per provider, colouring and operation) and declines whenever it
+cannot be: ``REPRO_FUSED=0``, an explicit ``fused=False``, sparse
+vectors, non-float64 domains or ``z is r`` fall back to the Listing
+2/3 path.
 
 The smoothers stay *substrate-agnostic*: both paths execute whichever
 kernel provider the matrix's substrate selection picked (CSR,
@@ -158,10 +159,12 @@ class RBGSSmoother:
         return z
 
     def smooth(self, z: grb.Vector, r: grb.Vector, sweeps: int = 1) -> grb.Vector:
-        """``sweeps`` symmetric (forward+backward) Gauss-Seidel passes."""
+        """``sweeps`` symmetric passes: colours forward then backward."""
+        self._check(z, r)
+        ncolors = len(self.colors)
+        order = [*range(ncolors), *range(ncolors - 1, -1, -1)]
         for _ in range(sweeps):
-            self.forward(z, r)
-            self.backward(z, r)
+            self._sweep(z, r, order)
         return z
 
     def _check(self, z: grb.Vector, r: grb.Vector) -> None:

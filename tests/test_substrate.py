@@ -214,6 +214,26 @@ class TestProviderInterface:
         assert prov.reduce_values().size == prov.nnz
         assert prov.csr.nnz == prov.nnz
 
+    @pytest.mark.parametrize("cls", ALL_PROVIDERS)
+    def test_row_presence_is_computed_once_and_shared(self, cls, problem4):
+        """``mxv`` hands the same mask to every write-back, so it must
+        not be writable; the flag is what the fused residual asks."""
+        full = cls(problem4.A.to_scipy())
+        assert full.rows_all_present and full.row_present.all()
+        holed = cls(sp.csr_matrix(([2.0, 3.0], ([0, 3], [1, 0])),
+                                  shape=(4, 4)))
+        assert not holed.rows_all_present
+        assert holed.row_present.tolist() == [True, False, False, True]
+        assert holed.row_present is holed.row_present
+        with pytest.raises(ValueError):
+            holed.row_present[1] = True
+        # and the write-back only reads it: two products, same presence
+        A = grb.Matrix.from_scipy(holed.csr, substrate=cls.name)
+        for _ in range(2):
+            w = grb.Vector.dense(4, 9.0)
+            grb.mxv(w, None, A, grb.Vector.dense(4, 1.0))
+            assert w.to_coo()[0].tolist() == [0, 3]
+
     def test_padded_formats_price_their_padding(self, rng):
         """A skewed matrix must cost more in padded formats than CSR."""
         rows = np.concatenate([np.zeros(50, dtype=np.int64),

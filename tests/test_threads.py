@@ -24,6 +24,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import graphblas as grb
 from repro.graphblas import fused as fused_mod
@@ -155,6 +156,48 @@ class TestFusedSpmvWaxpby:
         assert fused_mod.fused_spmv_waxpby(w, 1.0, x, -1.0, problem8.A, z)
         expect = self._unfused(1.0, x, -1.0, problem8.A, z)
         assert w.to_dense().tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("kind", ["random", "signed-zeros", "huge"])
+    def test_residual_coefficients_match_the_general_expression(self, kind):
+        """``(alpha, beta) = (1.0, -1.0)`` runs as one subtract; the
+        general multiply-then-add expression must give the same bits,
+        zero signs included, wherever no NaN is involved."""
+        rng = np.random.default_rng(23)
+        n = 257
+        if kind == "random":
+            xv, zv = rng.standard_normal(n), rng.standard_normal(n)
+        elif kind == "signed-zeros":
+            # every pairing of +-0.0 and a nonzero, cancellations included
+            xv = rng.choice([0.0, -0.0, 1.5, -1.5], n)
+            zv = rng.choice([0.0, -0.0, 1.5, -1.5], n)
+        else:
+            # huge but finite: differences that overflow to +-inf, and
+            # exact cancellations at the top of the range
+            big = np.finfo(np.float64).max
+            xv = rng.choice([big, -big, big / 2, 1e-300, -0.0], n)
+            zv = rng.choice([big, -big, big / 2, -1e-300, 0.0], n)
+        # A = I, entries 1.0: the product is s = +0.0 + 1.0 * z
+        A = grb.Matrix.from_scipy(sp.identity(n, format="csr"))
+        w = grb.Vector.dense(n)
+        s = 0.0 + 1.0 * zv
+        with np.errstate(over="ignore"):
+            assert fused_mod.fused_spmv_waxpby(
+                w, 1.0, grb.Vector.from_dense(xv), -1.0, A,
+                grb.Vector.from_dense(zv))
+            want = np.multiply(xv, 1.0)
+            want += -1.0 * s
+        got = w.to_dense()
+        assert not np.isnan(want).any()
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # and a negative-zero product, which no accumulation from +0.0
+        # yields: the identity the shortcut rests on, at the ufunc level
+        s = np.where(rng.random(n) < 0.5, -0.0, s)
+        with np.errstate(over="ignore"):
+            general = np.multiply(xv, 1.0) + -1.0 * s
+            special = np.subtract(xv, s)
+        assert np.array_equal(special, general)
+        assert np.array_equal(np.signbit(special), np.signbit(general))
 
     def test_bit_identical_under_parallel_lane(self, problem8,
                                                monkeypatch):
