@@ -1,12 +1,10 @@
 """End-to-end benchmarks: the V-cycle and full HPCG iterations, ALP vs Ref."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro import graphblas as grb
-from repro.hpcg.cg import CGWorkspace, pcg
+from repro.hpcg.cg import pcg
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy, mg_vcycle
 from repro.hpcg.problem import generate_problem
 from repro.ref.cg import ref_pcg
@@ -69,48 +67,6 @@ def bench_hpcg_iterations_ref(benchmark, problem16, hierarchies):
 
     result = benchmark(run)
     assert result.residuals[-1] < result.residuals[0]
-
-
-def bench_fused_vs_reference_driver(problem16, bench_json, request):
-    """The PR-5 headline: measured wall-clock of the full CG+MG driver,
-    fused fast path (plus the jit lane where numba is installed) vs the
-    reference Listing 2/3 transcription — byte-identical residual
-    histories, asserted strictly faster, ratio recorded as a named
-    ``--bench-json`` metric (``fused_speedup``)."""
-    hierarchies = {
-        "fused": build_hierarchy(problem16, levels=4, fused=True),
-        "reference": build_hierarchy(problem16, levels=4, fused=False),
-    }
-    workspace = CGWorkspace(problem16.n)
-
-    def solve(tag):
-        x = problem16.x0.dup()
-        return pcg(problem16.A, problem16.b, x,
-                   preconditioner=MGPreconditioner(hierarchies[tag]),
-                   max_iters=25, workspace=workspace)
-
-    # byte-identical residual histories (the acceptance criterion)
-    assert solve("fused").residuals == solve("reference").residuals
-
-    seconds = {}
-    for tag in hierarchies:
-        solve(tag)                                   # warm caches
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            solve(tag)
-            best = min(best, time.perf_counter() - t0)
-        seconds[tag] = best
-
-    ratio = seconds["reference"] / seconds["fused"]
-    bench_json.record(
-        request.node.nodeid,
-        fused_seconds=seconds["fused"],
-        reference_seconds=seconds["reference"],
-        fused_speedup=ratio,
-        jit_lane=grb.substrate.jit.available(),
-    )
-    assert ratio > 1.0, seconds
 
 
 def bench_problem_generation(benchmark):

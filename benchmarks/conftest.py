@@ -5,11 +5,11 @@ Every paper table/figure has a ``bench_*`` module here; each both
 shape claims, so ``pytest benchmarks/ --benchmark-only`` doubles as the
 reproduction check.
 
-``--bench-json PATH`` starts the perf trajectory: any bench run dumps
-per-bench wall-clock (and whatever named metrics a bench records via
-the :func:`bench_json` fixture — per-format priced bytes, hidden comm
-seconds, ...) as machine-readable JSON, so ``BENCH_*.json`` artifacts
-can be produced from plain pytest without extra tooling.
+``--bench-json PATH`` dumps any bench run's per-bench wall-clock (and
+whatever named metrics a bench records via the :func:`bench_json`
+fixture — per-format priced bytes, hidden comm seconds, ...) as
+machine-readable JSON.  It is a dump, not a gate: the numbers that are
+compared across commits come from ``benchmarks/ledger/run.py``.
 """
 
 from __future__ import annotations

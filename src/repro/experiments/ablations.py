@@ -8,7 +8,8 @@ Four studies, each mapped to a paper section:
   (what Ref knows), and a black-box BFS partition (solution iv,
   measured from structure alone).
 * **fusion** (§VI / ref. [32]): memory traffic of the RBGS colour step
-  with and without the fused masked-mxv+lambda extension.
+  as the reference transcription and as the fused sweep plan the solve
+  runs.
 * **smoothers** (§III-A): CG iterations to tolerance with RBGS vs
   damped Jacobi vs the exact sequential SYMGS — showing RBGS costs a
   few extra iterations vs SYMGS but parallelises, and beats Jacobi.
@@ -33,7 +34,6 @@ from repro.dist.partition import (
     halo_for_owners,
 )
 from repro.experiments.common import format_table
-from repro.graphblas.fused import FusedRBGSSmoother
 from repro.hpcg.coloring import color_masks, greedy_coloring, lattice_coloring, num_colors
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
 from repro.hpcg.cg import pcg
@@ -162,11 +162,11 @@ def fusion_ablation(nx: int = 16, sweeps: int = 2) -> FusionResult:
     rng = np.random.default_rng(3)
     r = grb.Vector.from_dense(rng.standard_normal(problem.n))
 
-    # the unfused arm pins the reference transcription — the default
-    # smoother has taken the fused fast path itself since PR 5, which
-    # would make this comparison vacuous
+    # fused=False pins the transcription; fused=True only arms the plan,
+    # which still declines per call under the REPRO_FUSED=0 kill switch
+    # (checked below: two transcriptions are not an ablation)
     base = RBGSSmoother(problem.A, problem.A_diag, colors, fused=False)
-    fused = FusedRBGSSmoother(problem.A, problem.A_diag, colors)
+    fused = RBGSSmoother(problem.A, problem.A_diag, colors, fused=True)
 
     z1 = grb.Vector.dense(problem.n, 0.0)
     log1 = grb.backend.EventLog()
@@ -177,6 +177,10 @@ def fusion_ablation(nx: int = 16, sweeps: int = 2) -> FusionResult:
     log2 = grb.backend.EventLog()
     with grb.backend.collect(log2):
         fused.smooth(z2, r, sweeps=sweeps)
+    if not log2.count("fused_mxv_lambda"):
+        raise RuntimeError(
+            "fusion ablation: the fused plan declined every call "
+            "(REPRO_FUSED=0?), so there is no fused arm to price")
 
     return FusionResult(
         unfused_bytes=log1.total("bytes"),

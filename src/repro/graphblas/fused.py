@@ -7,10 +7,11 @@ through memory for a value that is consumed once.  Mastoras et al.'s
 nonblocking ALP fuses such producer-consumer pairs; the paper's Related
 Work singles this out as the main shared-memory headroom.
 
-:func:`fused_masked_mxv_lambda` is that fusion for the exact pattern
-RBGS needs.  It is an *extension*: HPCG code using it is no longer
-portable GraphBLAS — which is why it lives here, below the operations
-API, and why the smoothers reach it only through the plan objects:
+This module is exactly what the solve calls — three fusions and their
+``REPRO_FUSED`` kill switch.  They are *extensions* (code using them is
+no longer portable GraphBLAS), so they live below the operations API,
+and each declines a call it cannot reproduce bit for bit; the caller
+then runs the reference transcription (``fused=False``, the oracle):
 
 * :class:`ColorSweepPlan` — the default smoother's fast path: any list
   of colour steps (a symmetric pass is one run) executed by the active
@@ -19,10 +20,6 @@ API, and why the smoothers reach it only through the plan objects:
   gathered once per run — version-validated against the operator,
   masks and diagonal, and priced per colour step through the
   provider's fused-traffic hook so collected byte streams stay honest.
-  ``REPRO_FUSED=0`` (or any unsupported call — sparse vectors,
-  non-float64 domains, ``z is r``) makes the plan decline, and the
-  smoother falls back to the reference masked-mxv + eWiseLambda
-  transcription, bit for bit.
 * :class:`JacobiSweepPlan` — the same fusion for the damped-Jacobi
   update (a full product, no mask).
 * :func:`fused_spmv_waxpby` — CG's hot pair ``w = alpha*x + beta*(A z)``
@@ -35,16 +32,13 @@ API, and why the smoothers reach it only through the plan objects:
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.graphblas import backend
-from repro.graphblas import descriptor as desc_mod
 from repro.graphblas.matrix import Matrix
-from repro.graphblas.operations import _mask_bool
 from repro.graphblas.substrate.base import ColorSweep
-from repro.graphblas.substrate.csr import CsrProvider
 from repro.graphblas.vector import Vector
 from repro.util.errors import InvalidValue
 
@@ -61,51 +55,6 @@ def fused_enabled(default: bool = True) -> bool:
     if raw in ("1", "on", "yes", "true"):
         return True
     return default
-
-
-def fused_masked_mxv_lambda(
-    fn: Callable[..., None],
-    mask: Vector,
-    A: Matrix,
-    x: Vector,
-    *vectors: Vector,
-    desc=desc_mod.structural,
-) -> None:
-    """``t = (A x)[mask]; fn(rows, t, *vector_storages)`` without
-    materialising ``t`` as a container.
-
-    ``fn`` receives the masked row indices, the *local* product values
-    (one per masked row, in row order), and the dense storage of each
-    trailing vector; it must only write positions ``rows`` of those.
-    Compared to the mxv + eWiseLambda pair this elides one vector write
-    and one vector read per element (16 bytes/row), which is exactly
-    the traffic the fusion ablation measures.
-    """
-    if mask is None:
-        raise InvalidValue("fused step requires a mask (the colour vector)")
-    sel = _mask_bool(mask, A.nrows, desc)
-    rows = np.flatnonzero(sel)
-    cacheable = desc.structural and not desc.invert_mask
-    if cacheable:
-        sub = A._rows_substructure(
-            (id(mask), mask.version), rows, desc.transpose_matrix
-        )
-    else:
-        base = A._transposed_csr() if desc.transpose_matrix else A._csr
-        sub = CsrProvider(base[rows, :])
-    t = sub.mxv(x._values)
-    fn(rows, t, *(v._values for v in vectors))
-    for v in vectors:
-        v._bump()
-    if backend.active():
-        # the unfused pair costs the provider's full mxv traffic (tmp
-        # write + read included) plus the lambda's rows*8*(k+1); the
-        # provider prices what fusion elides in its format.
-        flops, nbytes = sub.fused_mxv_traffic(len(vectors))
-        backend.record(
-            "fused_mxv_lambda", rows.size, sub.nnz, flops, nbytes,
-            fmt=sub.name,
-        )
 
 
 def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
@@ -288,49 +237,3 @@ class JacobiSweepPlan:
                 )
         z._bump()
         return True
-
-
-class FusedRBGSSmoother:
-    """RBGS built on the fused colour step (the [32] ablation subject).
-
-    Produces bit-identical iterates to
-    :class:`repro.hpcg.smoothers.RBGSSmoother`; only the memory traffic
-    (and, on a real machine, the runtime) differs.
-    """
-
-    def __init__(self, A: Matrix, A_diag: Vector, colors):
-        self.A = A
-        self.A_diag = A_diag
-        self.colors = list(colors)
-        if not self.colors:
-            raise InvalidValue("at least one colour mask is required")
-
-    @property
-    def n(self) -> int:
-        return self.A.nrows
-
-    @staticmethod
-    def _pointwise(rows: np.ndarray, s: np.ndarray, z: np.ndarray,
-                   r: np.ndarray, d: np.ndarray) -> None:
-        dd = d[rows]
-        z[rows] = (r[rows] - s + z[rows] * dd) / dd
-
-    def _sweep(self, z: Vector, r: Vector, order) -> None:
-        for k in order:
-            fused_masked_mxv_lambda(
-                self._pointwise, self.colors[k], self.A, z, z, r, self.A_diag
-            )
-
-    def forward(self, z: Vector, r: Vector) -> Vector:
-        self._sweep(z, r, range(len(self.colors)))
-        return z
-
-    def backward(self, z: Vector, r: Vector) -> Vector:
-        self._sweep(z, r, range(len(self.colors) - 1, -1, -1))
-        return z
-
-    def smooth(self, z: Vector, r: Vector, sweeps: int = 1) -> Vector:
-        for _ in range(sweeps):
-            self.forward(z, r)
-            self.backward(z, r)
-        return z

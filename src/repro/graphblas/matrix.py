@@ -338,12 +338,6 @@ class Matrix:
         self._mask_cache[key] = (rows.copy(), sub)
         return sub
 
-    def _rows_submatrix(
-        self, mask_key: Tuple, rows: np.ndarray, transpose: bool = False
-    ) -> sp.csr_matrix:
-        """Row extraction ``A[rows, :]`` as CSR, via the substructure cache."""
-        return self._rows_substructure(mask_key, rows, transpose).csr
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Matrix(shape={self.shape}, nvals={self.nvals}, "

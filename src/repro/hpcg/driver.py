@@ -422,14 +422,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "node speeds, message loss, crashes, "
                              "checkpoint cadence (see repro.dist.faults); "
                              "adds a Resilience report section")
-    parser.add_argument("--push-url", metavar="URL", default=None,
-                        help="push the metrics exposition to this "
-                             "pushgateway-style URL when the run finishes "
-                             "(implies tracing on)")
-    parser.add_argument("--push-interval", metavar="SECONDS", type=float,
-                        default=None,
-                        help="also push periodically during the run, every "
-                             "SECONDS (needs --push-url)")
     args = parser.parse_args(argv)
     if args.threads is None:
         return _run_cli(args)
@@ -467,12 +459,6 @@ def _run_cli(args: argparse.Namespace) -> int:
     if args.faults is not None and args.dist is None:
         return _fail("--faults needs --dist (the fault model applies to "
                      "the simulated distributed solver)")
-    if args.push_interval is not None:
-        if args.push_url is None:
-            return _fail("--push-interval needs --push-url")
-        if args.push_interval <= 0:
-            return _fail(f"--push-interval must be positive, "
-                         f"got {args.push_interval}")
     if args.nprocs < 1:
         return _fail(f"--nprocs must be >= 1, got {args.nprocs}")
     try:
@@ -491,7 +477,6 @@ def _run_cli(args: argparse.Namespace) -> int:
         args.trace_json or args.metrics_json or args.manifest_json
         or args.compare_trace or args.serve_metrics is not None
         or args.trace_stream or args.sample_profile is not None
-        or args.push_url
     )
     sampler = None
     with contextlib.ExitStack() as scope:
@@ -526,21 +511,6 @@ def _run_cli(args: argparse.Namespace) -> int:
                                                tracer=live_ctx.tracer,
                                                registry=live_ctx.metrics)
                 scope.enter_context(sampler)
-            if args.push_url:
-                pusher = obs.MetricsPusher(
-                    args.push_url,
-                    source=obs.live.context_source(live_ctx).metrics_text,
-                    registry=live_ctx.metrics)
-                if args.push_interval is not None:
-                    scope.enter_context(
-                        obs.PeriodicPusher(pusher, args.push_interval))
-                    print(f"pushing metrics -> {pusher.target} "
-                          f"every {args.push_interval:g}s")
-                else:
-                    # one push on the way out (crash-safe: the stack
-                    # unwinds even when the solve raises)
-                    scope.callback(pusher.push)
-                    print(f"pushing metrics -> {pusher.target} on exit")
         result = None
         if args.dist is not None:
             status = _run_dist(args, fault_plan)

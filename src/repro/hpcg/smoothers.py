@@ -34,10 +34,10 @@ kernel provider the matrix's substrate selection picked (CSR,
 SELL-C-σ, dense-blocked — see :mod:`repro.graphblas.substrate`), with
 bit-identical iterates.
 
-A damped Jacobi smoother is provided for the smoother-choice ablation;
-it is *not* HPCG-legal (fails the symmetry requirement less strictly
-speaking — it is symmetric, but converges slower) and is benchmarked as
-such.
+A damped Jacobi smoother is provided for the smoother-choice ablation:
+it is symmetric, hence admissible as a CG preconditioner, but a weaker
+smoother than RBGS (more iterations to tolerance) and kept only for
+that study.
 """
 
 from __future__ import annotations
@@ -51,6 +51,14 @@ from repro import obs
 from repro.graphblas import fused as fused_mod
 from repro.graphblas.substrate import threads as threads_mod
 from repro.util.errors import DimensionMismatch, InvalidValue
+
+
+def _check_sizes(n: int, z: grb.Vector, r: grb.Vector) -> None:
+    """Both smoothers' up-front size check, fused path or not."""
+    if z.size != n or r.size != n:
+        raise DimensionMismatch(
+            f"vector sizes ({z.size}, {r.size}) != operator size {n}"
+        )
 
 
 class RBGSSmoother:
@@ -148,30 +156,24 @@ class RBGSSmoother:
 
     def forward(self, z: grb.Vector, r: grb.Vector) -> grb.Vector:
         """One forward multi-colour Gauss-Seidel sweep (Listing 2)."""
-        self._check(z, r)
+        _check_sizes(self.n, z, r)
         self._sweep(z, r, range(len(self.colors)))
         return z
 
     def backward(self, z: grb.Vector, r: grb.Vector) -> grb.Vector:
         """One backward sweep: colours in decreasing order."""
-        self._check(z, r)
+        _check_sizes(self.n, z, r)
         self._sweep(z, r, range(len(self.colors) - 1, -1, -1))
         return z
 
     def smooth(self, z: grb.Vector, r: grb.Vector, sweeps: int = 1) -> grb.Vector:
         """``sweeps`` symmetric passes: colours forward then backward."""
-        self._check(z, r)
+        _check_sizes(self.n, z, r)
         ncolors = len(self.colors)
         order = [*range(ncolors), *range(ncolors - 1, -1, -1)]
         for _ in range(sweeps):
             self._sweep(z, r, order)
         return z
-
-    def _check(self, z: grb.Vector, r: grb.Vector) -> None:
-        if z.size != self.n or r.size != self.n:
-            raise DimensionMismatch(
-                f"vector sizes ({z.size}, {r.size}) != operator size {self.n}"
-            )
 
 
 class JacobiSmoother:
@@ -214,6 +216,7 @@ class JacobiSmoother:
         return self._plan is not None
 
     def smooth(self, z: grb.Vector, r: grb.Vector, sweeps: int = 1) -> grb.Vector:
+        _check_sizes(self.n, z, r)
         with obs.span("smoother/jacobi_sweep", "smoother") as sp:
             if sp is not None:
                 sp.set(sweeps=sweeps, level=self.level, n=self.n,

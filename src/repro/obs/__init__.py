@@ -39,8 +39,7 @@ and residual histories are byte-identical traced or untraced.
 The **live side** (:mod:`repro.obs.live`, :mod:`repro.obs.stream`,
 :mod:`repro.obs.profiler`) observes runs *while they execute*: a
 zero-dependency HTTP endpoint serving ``/metrics`` (Prometheus text),
-``/healthz``, ``/manifest`` and ``/progress``; push transports
-(pushgateway-style HTTP and an atomic textfile collector); a streaming
+``/healthz``, ``/manifest`` and ``/progress``; a streaming
 JSONL trace sink whose partial output survives a killed run; and a
 sampling wall-clock profiler that attributes stacks to the innermost
 active span and emits ``obs flame``-compatible folded output.
@@ -70,9 +69,6 @@ from repro.obs.analyze import SpanStats, TraceDiff, diff_traces
 from repro.obs.flame import folded_stacks, parse_folded
 from repro.obs.live import (
     LiveServer,
-    MetricsPusher,
-    PeriodicPusher,
-    TextfileCollector,
     context_source,
     file_source,
     progress_snapshot,
@@ -115,9 +111,7 @@ __all__ = [
     "Histogram",
     "LiveServer",
     "ManifestRecorder",
-    "MetricsPusher",
     "MetricsRegistry",
-    "PeriodicPusher",
     "RunContext",
     "SamplingProfiler",
     "Series",
@@ -125,7 +119,6 @@ __all__ = [
     "SpanRecord",
     "SpanStats",
     "StreamingSink",
-    "TextfileCollector",
     "TraceDiff",
     "Tracer",
     "activate",

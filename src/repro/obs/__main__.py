@@ -18,10 +18,6 @@ Subcommands:
     variant for *running* solves is the driver's
     ``--serve-metrics PORT``.
 
-``push (--url URL [--job J] | --textfile OUT.prom) --metrics M.json``
-    One-shot push of a metrics artifact: pushgateway-style HTTP PUT
-    with bounded retry/backoff, or an atomic textfile-collector drop.
-
 ``diff OLD NEW [--by name|level|category] [--top N] [--json PATH]``
     Per-key wall/modelled self-time deltas between two traces, ranked
     by movement under a noise threshold, with an attribution verdict
@@ -182,34 +178,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_push(args) -> int:
-    from repro.obs import live
-    from repro.obs.metrics import MetricsRegistry
-
-    if not args.url and not args.textfile:
-        print("push needs --url or --textfile", file=sys.stderr)
-        return 2
-    with open(args.metrics, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    registry = MetricsRegistry.from_snapshot(
-        payload.get("metrics", payload))
-    text = registry.to_prometheus()
-    if args.textfile:
-        collector = live.TextfileCollector(args.textfile, lambda: text)
-        print(f"exposition -> {collector.write()} "
-              f"({len(text.splitlines())} lines)")
-        return 0
-    pusher = live.MetricsPusher(args.url, job=args.job,
-                                retries=args.retries,
-                                backoff=args.backoff)
-    if pusher.push(text):
-        print(f"pushed {len(text.splitlines())} lines -> {pusher.target}")
-        return 0
-    print(f"push failed after {args.retries + 1} attempt(s): "
-          f"{pusher.last_error}", file=sys.stderr)
-    return 1
-
-
 def _add_clock(parser) -> None:
     parser.add_argument("--clock", choices=list(flame.CLOCKS),
                         default="wall",
@@ -298,26 +266,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     srv.add_argument("--once", action="store_true",
                      help="bind, print the URL, exit (smoke-test hook)")
     srv.set_defaults(fn=_cmd_serve)
-
-    push = sub.add_parser("push",
-                          help="push a metrics artifact: pushgateway "
-                               "HTTP or textfile collector")
-    push.add_argument("--metrics", metavar="PATH", required=True,
-                      help="metrics snapshot JSON to push")
-    push.add_argument("--url", metavar="URL",
-                      help="pushgateway base URL (PUT "
-                           "<url>/metrics/job/<job>)")
-    push.add_argument("--job", default="repro",
-                      help="pushgateway job label (default repro)")
-    push.add_argument("--retries", type=int, default=3,
-                      help="bounded retry count (default 3)")
-    push.add_argument("--backoff", type=float, default=0.2,
-                      help="initial backoff seconds, doubled per retry "
-                           "(default 0.2)")
-    push.add_argument("--textfile", metavar="PATH",
-                      help="write an atomic textfile-collector .prom "
-                           "file instead of pushing over HTTP")
-    push.set_defaults(fn=_cmd_push)
 
     args = parser.parse_args(argv)
     try:

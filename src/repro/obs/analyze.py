@@ -19,8 +19,8 @@ Because every span carries both clocks, each delta is *attributed*:
 wall moved while modelled stayed flat means the execution changed
 (kernel, machine, noise), modelled moved while wall stayed flat means
 the cost model or communication plan changed, and both moving together
-points at a real algorithmic change.  That attribution line is what
-``check_trend.py --triage`` attaches to a CI perf failure.
+points at a real algorithmic change.  That attribution line closes
+``python -m repro.obs diff`` and the driver's ``--compare-trace``.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ class RunContext:
 
         The tracer's dropped-span counter (and sink-error count, when
         any) become gauges, so every exposition — ``/metrics`` scrape,
-        ``--metrics-json`` artifact, push — states whether the trace it
+        ``--metrics-json`` artifact — states whether the trace it
         accompanies was truncated by ``max_spans``.
         """
         self.metrics.gauge(

@@ -1,49 +1,36 @@
 """Live telemetry runtime: the transport the metrics layer was missing.
 
 PR 6 rendered hardened Prometheus text and PR 7 hardened it further —
-but only into files, after the run.  This module serves and pushes the
-same registry *while the run is executing*:
+but only into files, after the run.  This module serves the same
+registry *while the run is executing*: :class:`LiveServer` is a
+zero-dependency stdlib ``ThreadingHTTPServer`` on a daemon thread
+exposing
 
-* :class:`LiveServer` — a zero-dependency stdlib
-  ``ThreadingHTTPServer`` on a daemon thread exposing
+========== =================================================== =========
+endpoint   payload                                             content
+========== =================================================== =========
+/metrics   Prometheus text exposition of the live registry     text 0.0.4
+/healthz   liveness: run id, uptime, span/drop counts          JSON
+/manifest  the run-provenance manifest, built fresh            JSON
+/progress  live solve progress: CG iteration/residual,         JSON
+           MG level visits, dist supersteps
+========== =================================================== =========
 
-  ========== =================================================== =========
-  endpoint   payload                                             content
-  ========== =================================================== =========
-  /metrics   Prometheus text exposition of the live registry     text 0.0.4
-  /healthz   liveness: run id, uptime, span/drop counts          JSON
-  /manifest  the run-provenance manifest, built fresh            JSON
-  /progress  live solve progress: CG iteration/residual,         JSON
-             MG level visits, dist supersteps
-  ========== =================================================== =========
-
-  started in-process by the driver (``--serve-metrics PORT``) or
-  standalone over finished artifacts (``python -m repro.obs serve``);
-
-* :class:`MetricsPusher` — pushgateway-style HTTP ``PUT`` of the
-  exposition text with bounded retry + exponential backoff, for
-  environments where scraping in is impossible but pushing out is not;
-
-* :class:`TextfileCollector` — the node-exporter textfile-collector
-  pattern: atomically replace a ``.prom`` file on disk that an
-  external agent scrapes on its own schedule.
+started in-process by the driver (``--serve-metrics PORT``) or
+standalone over finished artifacts (``python -m repro.obs serve``).
 
 Everything here observes and exports; nothing touches the numerics.
 The server records its own behaviour into the registry it serves
-(``obs_http_requests_total``, ``obs_scrape_seconds``,
-``obs_push_total`` …) so the telemetry pipeline is itself observable.
+(``obs_http_requests_total``, ``obs_scrape_seconds``) so the telemetry
+pipeline is itself observable.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import random
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional
 
@@ -318,200 +305,3 @@ class LiveServer:
         self.stop()
         return False
 
-
-# ---------------------------------------------------------------------------
-# push transports
-# ---------------------------------------------------------------------------
-
-class MetricsPusher:
-    """Pushgateway-style push of the exposition text, with bounded retry.
-
-    ``push()`` renders the text from ``source`` (a callable returning
-    exposition text — e.g. ``context_source(ctx).metrics_text``) and
-    ``PUT``s it to ``<url>/metrics/job/<job>``.  Transient failures
-    retry up to ``retries`` times with *full-jitter* exponential
-    backoff starting at ``backoff`` seconds (each delay is a uniform
-    draw from ``[0, backoff * 2**attempt]``, so a fleet of pushers
-    never thunders in lockstep; ``jitter=False`` restores the
-    deterministic delays), and the whole retry loop is capped at
-    ``max_elapsed`` wall-clock seconds — a dead pushgateway can stall
-    the exit path no longer than that, whatever ``retries`` says.
-    Exhaustion returns ``False`` rather than raising, because a
-    telemetry push must never take the solve down with it.  Outcomes
-    land in the optional ``registry``
-    (``obs_push_total{outcome=...}``, ``obs_push_seconds``).
-    """
-
-    def __init__(self, url: str, job: str = "repro",
-                 source: Optional[Callable[[], str]] = None,
-                 timeout: float = 5.0, retries: int = 3,
-                 backoff: float = 0.2, jitter: bool = True,
-                 max_elapsed: float = 60.0,
-                 registry: Optional[MetricsRegistry] = None):
-        if retries < 0:
-            raise InvalidValue(f"retries must be >= 0, got {retries}")
-        if backoff < 0:
-            raise InvalidValue(f"backoff must be >= 0, got {backoff}")
-        if max_elapsed <= 0:
-            raise InvalidValue(
-                f"max_elapsed must be positive, got {max_elapsed}")
-        self.url = url.rstrip("/")
-        self.job = job
-        self.source = source
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.jitter = jitter
-        self.max_elapsed = max_elapsed
-        self.registry = registry
-        self.pushes = 0
-        self.failures = 0
-        self.last_error: Optional[str] = None
-        # injectable clock/sleep/randomness — tests monkeypatch these
-        # instead of slowing the suite down with real sleeps
-        self._monotonic = time.monotonic
-        self._sleep = time.sleep
-        self._random = random.random
-
-    @property
-    def target(self) -> str:
-        return f"{self.url}/metrics/job/{urllib.parse.quote(self.job)}"
-
-    def _retry_delay(self, attempt: int) -> float:
-        delay = self.backoff * (2 ** attempt)
-        if self.jitter:
-            delay *= self._random()
-        return delay
-
-    def push(self, text: Optional[str] = None) -> bool:
-        if text is None:
-            if self.source is None:
-                raise InvalidValue("no text given and no source configured")
-            text = self.source()
-        t0 = time.perf_counter()
-        started = self._monotonic()
-        ok = False
-        for attempt in range(self.retries + 1):
-            try:
-                request = urllib.request.Request(
-                    self.target, data=text.encode("utf-8"), method="PUT",
-                    headers={"Content-Type": PROMETHEUS_CONTENT_TYPE})
-                with urllib.request.urlopen(request, timeout=self.timeout):
-                    pass
-                ok = True
-                break
-            except (urllib.error.URLError, OSError) as exc:
-                self.last_error = str(exc)
-                if attempt >= self.retries:
-                    break
-                remaining = self.max_elapsed - (self._monotonic() - started)
-                if remaining <= 0:
-                    break              # wall-clock budget exhausted
-                self._sleep(min(self._retry_delay(attempt), remaining))
-        self.pushes += 1
-        if not ok:
-            self.failures += 1
-        if self.registry is not None:
-            self.registry.counter(
-                "obs_push_total", "metrics pushes by outcome",
-            ).inc(outcome="ok" if ok else "error")
-            self.registry.histogram(
-                "obs_push_seconds", "seconds per metrics push "
-                "(including retries)",
-            ).observe(time.perf_counter() - t0)
-        return ok
-
-
-class PeriodicPusher:
-    """In-run metric pushes on a timer: a daemon thread calling
-    ``pusher.push()`` every ``interval`` seconds until stopped.
-
-    ``stop()`` (or leaving the context manager) shuts the thread down
-    promptly — the wait is interruptible, not a sleep — and, with
-    ``final_push=True``, sends one last push so the gateway holds the
-    run's final state.  Push failures are already non-raising
-    (:meth:`MetricsPusher.push` returns ``False``), so a dead gateway
-    degrades to periodic no-ops rather than killing the solve.
-    """
-
-    def __init__(self, pusher: MetricsPusher, interval: float,
-                 final_push: bool = True):
-        if interval <= 0:
-            raise InvalidValue(
-                f"push interval must be positive, got {interval}")
-        self.pusher = pusher
-        self.interval = interval
-        self.final_push = final_push
-        self.ticks = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.ticks += 1
-            self.pusher.push()
-
-    def start(self) -> "PeriodicPusher":
-        if self._thread is not None:
-            raise InvalidValue("periodic pusher already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-obs-push", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=self.interval + 10.0)
-        self._thread = None
-        if self.final_push:
-            self.pusher.push()
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def __enter__(self) -> "PeriodicPusher":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
-
-
-class TextfileCollector:
-    """Atomic ``.prom`` file drops for a node-exporter-style collector.
-
-    ``write()`` renders the exposition text and atomically replaces
-    ``path`` (write-temp-then-rename), so a scraper never reads a
-    half-written exposition.
-    """
-
-    def __init__(self, path: str,
-                 source: Callable[[], str],
-                 registry: Optional[MetricsRegistry] = None):
-        self.path = path
-        self.source = source
-        self.registry = registry
-        self.writes = 0
-
-    def write(self) -> str:
-        text = self.source()
-        t0 = time.perf_counter()
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, self.path)
-        self.writes += 1
-        if self.registry is not None:
-            self.registry.counter(
-                "obs_textfile_writes_total",
-                "atomic textfile-collector exposition writes",
-            ).inc()
-            self.registry.histogram(
-                "obs_push_seconds", "seconds per metrics push "
-                "(including retries)",
-            ).observe(time.perf_counter() - t0)
-        return self.path

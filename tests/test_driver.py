@@ -153,10 +153,6 @@ class TestCliRobustness:
              "--faults", str(plan)],
             "out of range")
 
-    def test_push_interval_needs_push_url(self, capsys):
-        self._expect_error(
-            capsys, ["--nx", "4", "--push-interval", "5"], "--push-url")
-
     def test_nonpositive_nprocs(self, capsys):
         self._expect_error(
             capsys, ["--nx", "4", "--dist", "ref-3d", "--nprocs", "0"],

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import graphblas as grb
 from repro.experiments import ablations, fig1, fig2, fig3, fig4_7, table1, table2
 from repro.experiments.__main__ import main as experiments_main
 from repro.hpcg.problem import generate_problem
@@ -129,10 +130,34 @@ class TestAblations:
         assert rows["black-box BFS (solution iv)"] < rows["1D block-cyclic (ALP)"]
         assert rows["2D block (solution ii)"] < rows["1D block-cyclic (ALP)"]
 
-    def test_fusion_saves_traffic_identically(self):
+    def test_fusion_saves_traffic_identically(self, monkeypatch):
+        # the kill switch makes an armed plan decline by design, and the
+        # pinned bytes are the CSR stream (the problem is built inside
+        # fusion_ablation, after both patches)
+        monkeypatch.delenv("REPRO_FUSED", raising=False)
+        monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
+        logs = []
+
+        class SpyLog(grb.backend.EventLog):
+            def __init__(self):
+                super().__init__()
+                logs.append(self)
+
+        monkeypatch.setattr(grb.backend, "EventLog", SpyLog)
         res = ablations.fusion_ablation(nx=8, sweeps=1)
         assert res.identical_result
         assert 0.1 < res.savings < 0.5
+        assert (res.unfused_bytes, res.fused_bytes) == (398_080, 288_320)
+        # the fused arm is the plan the solve runs, and it did not decline
+        unfused, fused = logs
+        assert {(e.op, e.fmt) for e in fused.events} == {
+            ("fused_mxv_lambda", "csr")}
+        assert "fused_mxv_lambda" not in {e.op for e in unfused.events}
+
+    def test_fusion_refuses_a_vacuous_comparison(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FUSED", "0")
+        with pytest.raises(RuntimeError, match="REPRO_FUSED"):
+            ablations.fusion_ablation(nx=8, sweeps=1)
 
     def test_smoother_ordering(self):
         rows = {r.smoother: r for r in ablations.smoother_ablation(nx=8)}
@@ -146,7 +171,8 @@ class TestAblations:
         assert rows["natural (paper)"] == 8
         assert rows["lattice parity"] == 8
 
-    def test_render(self):
+    def test_render(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FUSED", raising=False)
         text = ablations.render(ablations.run(local_nx=8))
         assert "Ablation A" in text and "Ablation D" in text
 

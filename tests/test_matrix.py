@@ -186,22 +186,22 @@ class TestBackendCaches:
     def test_mask_cache_hit(self):
         A = small()
         rows = np.array([0, 2])
-        s1 = A._rows_submatrix((1, 0), rows)
-        s2 = A._rows_submatrix((1, 0), rows)
+        s1 = A._rows_substructure((1, 0), rows).csr
+        s2 = A._rows_substructure((1, 0), rows).csr
         assert s1 is s2
 
     def test_mask_cache_respects_version_key(self):
         A = small()
         rows = np.array([0, 2])
-        s1 = A._rows_submatrix((1, 0), rows)
-        s2 = A._rows_submatrix((1, 1), rows)  # same mask id, new version
+        s1 = A._rows_substructure((1, 0), rows).csr
+        s2 = A._rows_substructure((1, 1), rows).csr  # same mask id, new version
         assert s1 is not s2
 
     def test_mask_cache_transpose_separate(self):
         A = small()
         rows = np.array([0])
-        plain = A._rows_submatrix((1, 0), rows, transpose=False)
-        transposed = A._rows_submatrix((1, 0), rows, transpose=True)
+        plain = A._rows_substructure((1, 0), rows, transpose=False).csr
+        transposed = A._rows_substructure((1, 0), rows, transpose=True).csr
         assert plain.shape == transposed.shape == (1, 3)
         assert (plain != transposed).nnz > 0  # different content for small()
 

@@ -1,12 +1,11 @@
 """The obs *consumer* layer: trace diffing, flamegraphs, manifest
-diffing, the grown CLI, Prometheus hardening, triage wiring, and span
+diffing, the grown CLI, Prometheus hardening, and span
 coverage for the producers PR 6 skipped."""
 
 from __future__ import annotations
 
 import io
 import json
-import sys
 
 import pytest
 
@@ -16,9 +15,6 @@ from repro.obs import analyze, flame, manifest_diff
 from repro.obs.__main__ import main as obs_main
 from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import InvalidValue
-
-sys.path.insert(0, "benchmarks")   # check_trend is a script, not a package
-import check_trend  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -404,60 +400,6 @@ class TestValidateCLI:
                          "--manifest", str(manifest)]) == 0
         # a tagged flag pins the kind: a manifest is not a valid trace
         assert obs_main(["validate", "--trace", str(manifest)]) == 1
-
-
-class TestCheckTrendTriage:
-    def _bench_files(self, tmp_path, regressed):
-        base = {"benches": {"b::x": {"seconds": 1.0, "outcome": "passed"}},
-                "metrics": {"b::x": {"fused_speedup": 3.0}},
-                "host": "h", "created_at": 0}
-        fresh = json.loads(json.dumps(base))
-        if regressed:
-            fresh["metrics"]["b::x"]["fused_speedup"] = 0.5
-        b, f = tmp_path / "base.json", tmp_path / "fresh.json"
-        b.write_text(json.dumps(base))
-        f.write_text(json.dumps(fresh))
-        return b, f
-
-    def _trace_pair(self, tmp_path):
-        old = [_span(1, None, "smoother/rbgs_sweep", 0.1)]
-        new = [_span(1, None, "smoother/rbgs_sweep", 0.4)]
-        po, pn = tmp_path / "told.json", tmp_path / "tnew.json"
-        po.write_text(json.dumps({"spans": old}))
-        pn.write_text(json.dumps({"spans": new}))
-        return po, pn
-
-    def test_regression_attaches_span_attribution(self, tmp_path, capsys):
-        b, f = self._bench_files(tmp_path, regressed=True)
-        po, pn = self._trace_pair(tmp_path)
-        triage_json = tmp_path / "triage.json"
-        rc = check_trend.main([str(b), str(f), "--triage", str(po), str(pn),
-                               "--triage-json", str(triage_json)])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "span-level triage" in out
-        assert "smoother/rbgs_sweep" in out
-        assert "execution" in out and "attribution:" in out
-        payload = json.loads(triage_json.read_text())
-        assert payload["rows"][0]["key"] == "smoother/rbgs_sweep"
-
-    def test_passing_check_skips_triage(self, tmp_path, capsys):
-        b, f = self._bench_files(tmp_path, regressed=False)
-        po, pn = self._trace_pair(tmp_path)
-        rc = check_trend.main([str(b), str(f),
-                               "--triage", str(po), str(pn)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "triage skipped" in out
-        assert "smoother/rbgs_sweep" not in out
-
-    def test_triage_failure_never_masks_the_gate(self, tmp_path, capsys):
-        b, f = self._bench_files(tmp_path, regressed=True)
-        rc = check_trend.main([str(b), str(f), "--triage",
-                               str(tmp_path / "nope1"),
-                               str(tmp_path / "nope2")])
-        assert rc == 1
-        assert "triage failed" in capsys.readouterr().out
 
 
 class TestDriverCompareTrace:

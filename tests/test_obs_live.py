@@ -1,15 +1,13 @@
-"""repro.obs live telemetry: streaming trace sink, HTTP endpoint, push
-transports, sampling profiler — and the crash-safety + zero-numeric-
-impact guarantees the live runtime must keep."""
+"""repro.obs live telemetry: streaming trace sink, HTTP endpoint,
+sampling profiler — and the crash-safety + zero-numeric-impact
+guarantees the live runtime must keep."""
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -390,231 +388,6 @@ class TestLiveServer:
 
 
 # ---------------------------------------------------------------------------
-# push transports
-# ---------------------------------------------------------------------------
-
-class _PushReceiver:
-    """A local pushgateway stand-in that can fail the first N requests."""
-
-    def __init__(self, fail_first: int = 0):
-        self.received = []
-        self.requests = 0
-        receiver = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_PUT(self):        # noqa: N802
-                receiver.requests += 1
-                if receiver.requests <= fail_first:
-                    self.send_response(503)
-                    self.end_headers()
-                    return
-                length = int(self.headers.get("Content-Length", 0))
-                receiver.received.append({
-                    "path": self.path,
-                    "content_type": self.headers.get("Content-Type"),
-                    "body": self.rfile.read(length).decode("utf-8"),
-                })
-                self.send_response(200)
-                self.end_headers()
-
-            def log_message(self, format, *args):
-                pass
-
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self._httpd.server_address[1]}"
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        daemon=True)
-        self._thread.start()
-
-    def close(self):
-        self._httpd.shutdown()
-        self._thread.join(timeout=5.0)
-        self._httpd.server_close()
-
-
-@pytest.fixture
-def receiver():
-    rx = _PushReceiver()
-    yield rx
-    rx.close()
-
-
-class TestPushTransports:
-    def test_push_delivers_exposition(self, receiver):
-        registry = MetricsRegistry()
-        registry.counter("jobs_total", "jobs").inc(2)
-        pusher = live.MetricsPusher(receiver.url, job="hpcg run",
-                                    registry=registry)
-        assert pusher.push(registry.to_prometheus()) is True
-        (req,) = receiver.received
-        assert req["path"] == "/metrics/job/hpcg%20run"
-        assert req["content_type"] == live.PROMETHEUS_CONTENT_TYPE
-        assert "jobs_total 2" in req["body"]
-        assert pusher.pushes == 1 and pusher.failures == 0
-        assert registry.counter("obs_push_total", "").value(outcome="ok") == 1
-
-    def test_push_retries_through_transient_failures(self):
-        rx = _PushReceiver(fail_first=2)
-        try:
-            pusher = live.MetricsPusher(rx.url, retries=3, backoff=0.01)
-            assert pusher.push("x 1\n") is True
-            assert rx.requests == 3          # two 503s, then delivered
-        finally:
-            rx.close()
-
-    def test_push_exhaustion_returns_false(self):
-        registry = MetricsRegistry()
-        # a port nothing listens on: every attempt fails fast
-        pusher = live.MetricsPusher("http://127.0.0.1:9", retries=1,
-                                    backoff=0.0, timeout=0.5,
-                                    registry=registry)
-        assert pusher.push("x 1\n") is False
-        assert pusher.failures == 1
-        assert pusher.last_error
-        counter = registry.counter("obs_push_total", "")
-        assert counter.value(outcome="error") == 1
-
-    def test_push_from_source_callable(self, receiver):
-        with obs.run() as ctx:
-            ctx.metrics.gauge("cg_residual_last", "r").set(0.5)
-            source = live.context_source(ctx)
-            pusher = live.MetricsPusher(receiver.url,
-                                        source=source.metrics_text)
-            assert pusher.push() is True
-        assert "cg_residual_last 0.5" in receiver.received[0]["body"]
-
-    def test_push_parameter_validation(self):
-        with pytest.raises(InvalidValue):
-            live.MetricsPusher("http://x", retries=-1)
-        with pytest.raises(InvalidValue):
-            live.MetricsPusher("http://x", backoff=-0.1)
-        with pytest.raises(InvalidValue):
-            live.MetricsPusher("http://x").push()   # no text, no source
-
-    def test_textfile_collector_atomic_write(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.gauge("up", "liveness").set(1)
-        out = tmp_path / "node" / "repro.prom"
-        out.parent.mkdir()
-        collector = live.TextfileCollector(str(out),
-                                           registry.to_prometheus,
-                                           registry=registry)
-        assert collector.write() == str(out)
-        assert "# TYPE up gauge" in out.read_text()
-        # no temp debris: the rename already happened
-        assert [p.name for p in out.parent.iterdir()] == ["repro.prom"]
-        registry.gauge("up", "liveness").set(0)
-        collector.write()
-        assert "up 0" in out.read_text()
-        assert collector.writes == 2
-
-
-class TestPushBackoffHardening:
-    """Retry pacing under a dead gateway, on a monkeypatched clock —
-    no real sleeps, no real elapsed time."""
-
-    DEAD = "http://127.0.0.1:9"
-
-    @staticmethod
-    def _instrument(pusher, clock_step: float = 0.0):
-        """Replace the pusher's clock/sleep/random with fakes; returns
-        the list real sleeps would have drawn from."""
-        sleeps = []
-        now = [0.0]
-
-        def monotonic():
-            now[0] += clock_step
-            return now[0]
-
-        pusher._monotonic = monotonic
-        pusher._sleep = sleeps.append
-        pusher._random = lambda: 0.5
-        return sleeps
-
-    def test_full_jitter_scales_exponential_delays(self):
-        pusher = live.MetricsPusher(self.DEAD, retries=3, backoff=0.2,
-                                    timeout=0.2)
-        sleeps = self._instrument(pusher)
-        assert pusher.push("x 1\n") is False
-        # delay = backoff * 2**attempt * uniform(0,1), with the draw
-        # pinned at 0.5
-        assert sleeps == pytest.approx([0.1, 0.2, 0.4])
-
-    def test_jitter_off_restores_deterministic_backoff(self):
-        pusher = live.MetricsPusher(self.DEAD, retries=3, backoff=0.2,
-                                    jitter=False, timeout=0.2)
-        sleeps = self._instrument(pusher)
-        assert pusher.push("x 1\n") is False
-        assert sleeps == pytest.approx([0.2, 0.4, 0.8])
-
-    def test_wall_clock_cap_beats_retry_count(self):
-        # a generous retry budget, but the monotonic clock advances 25s
-        # per reading against a 60s cap: the loop must give up early
-        # and clamp its last sleep to the remaining budget
-        pusher = live.MetricsPusher(self.DEAD, retries=100, backoff=1000.0,
-                                    jitter=False, max_elapsed=60.0,
-                                    timeout=0.2)
-        sleeps = self._instrument(pusher, clock_step=25.0)
-        assert pusher.push("x 1\n") is False
-        assert pusher.failures == 1
-        assert sleeps == pytest.approx([35.0, 10.0])   # clamped, then done
-
-    def test_max_elapsed_validation(self):
-        with pytest.raises(InvalidValue):
-            live.MetricsPusher("http://x", max_elapsed=0.0)
-
-
-class _CountingPusher:
-    """Stands in for MetricsPusher where only push() counts matter."""
-
-    def __init__(self):
-        self.pushes = 0
-
-    def push(self, text=None):
-        self.pushes += 1
-        return True
-
-
-class TestPeriodicPusher:
-    def test_periodic_ticks_and_final_push(self):
-        pusher = _CountingPusher()
-        periodic = live.PeriodicPusher(pusher, interval=0.02)
-        periodic.start()
-        assert periodic.running
-        deadline = time.perf_counter() + 5.0
-        while periodic.ticks < 2 and time.perf_counter() < deadline:
-            time.sleep(0.01)
-        periodic.stop()
-        assert not periodic.running
-        assert periodic.ticks >= 2
-        # every tick pushed, plus the final push on stop
-        assert pusher.pushes == periodic.ticks + 1
-
-    def test_stop_without_final_push(self):
-        pusher = _CountingPusher()
-        with live.PeriodicPusher(pusher, interval=60.0,
-                                 final_push=False) as periodic:
-            assert periodic.running
-        assert not periodic.running
-        assert pusher.pushes == periodic.ticks  # no extra final push
-
-    def test_lifecycle_validation(self):
-        with pytest.raises(InvalidValue):
-            live.PeriodicPusher(_CountingPusher(), interval=0.0)
-        periodic = live.PeriodicPusher(_CountingPusher(), interval=60.0)
-        periodic.start()
-        try:
-            with pytest.raises(InvalidValue):
-                periodic.start()
-        finally:
-            periodic.stop()
-        periodic.stop()                          # idempotent
-
-    def test_exported_from_obs_package(self):
-        assert obs.PeriodicPusher is live.PeriodicPusher
-
-
-# ---------------------------------------------------------------------------
 # sampling profiler
 # ---------------------------------------------------------------------------
 
@@ -797,31 +570,3 @@ class TestCLI:
                        "--port", "0", "--once"])
         assert rc == 0
         assert "serving telemetry on http://" in capsys.readouterr().out
-
-    def test_obs_push_textfile(self, tmp_path, capsys):
-        metrics_path = tmp_path / "metrics.json"
-        with obs.run() as ctx:
-            ctx.metrics.gauge("up", "liveness").set(1)
-            obs.export.write_metrics(str(metrics_path), ctx)
-        prom = tmp_path / "out.prom"
-        rc = obs_main(["push", "--metrics", str(metrics_path),
-                       "--textfile", str(prom)])
-        assert rc == 0
-        assert "# TYPE up gauge" in prom.read_text()
-        assert obs_main(["push", "--metrics", str(metrics_path)]) == 2
-        capsys.readouterr()
-
-    def test_obs_push_http(self, tmp_path, receiver):
-        metrics_path = tmp_path / "metrics.json"
-        with obs.run() as ctx:
-            ctx.metrics.counter("pushed_total", "p").inc(5)
-            obs.export.write_metrics(str(metrics_path), ctx)
-        rc = obs_main(["push", "--metrics", str(metrics_path),
-                       "--url", receiver.url, "--job", "ci"])
-        assert rc == 0
-        assert "pushed_total 5" in receiver.received[0]["body"]
-        # an unreachable gateway: bounded failure, exit 1, no hang
-        rc = obs_main(["push", "--metrics", str(metrics_path),
-                       "--url", "http://127.0.0.1:9",
-                       "--retries", "0"])
-        assert rc == 1

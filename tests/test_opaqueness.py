@@ -15,7 +15,7 @@ SRC = Path(repro.__file__).parent
 # Backend-storage access patterns forbidden in the GraphBLAS-client layer.
 FORBIDDEN = [
     r"\._values", r"\._present", r"\._csr", r"\.to_scipy\(",
-    r"_rows_submatrix", r"_transposed_csr",
+    r"_transposed_csr",
     # the substrate layer's storage surface: a provider exposes the raw
     # CSR (cold-path escape), so reaching it from algorithm code is the
     # same boundary breach as touching ._csr directly

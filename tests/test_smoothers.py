@@ -1,10 +1,9 @@
-"""Smoothers: RBGS (GraphBLAS), fused RBGS, Jacobi, and Ref equivalence."""
+"""Smoothers: RBGS (GraphBLAS), Jacobi, and Ref equivalence."""
 
 import numpy as np
 import pytest
 
 from repro import graphblas as grb
-from repro.graphblas.fused import FusedRBGSSmoother
 from repro.hpcg.coloring import color_masks, lattice_coloring
 from repro.hpcg.smoothers import JacobiSmoother, RBGSSmoother
 from repro.ref.sgs import RefRBGS
@@ -92,38 +91,6 @@ class TestRBGS:
             RBGSSmoother(R, grb.Vector.dense(2), [grb.Vector.sparse(2, dtype=bool)])
 
 
-class TestFusedRBGS:
-    def test_bit_identical_to_unfused(self, setup8):
-        problem, colors, r = setup8
-        base = RBGSSmoother(problem.A, problem.A_diag, colors)
-        fused = FusedRBGSSmoother(problem.A, problem.A_diag, colors)
-        z1 = grb.Vector.dense(problem.n, 0.0)
-        z2 = grb.Vector.dense(problem.n, 0.0)
-        base.smooth(z1, r, sweeps=2)
-        fused.smooth(z2, r, sweeps=2)
-        np.testing.assert_array_equal(z1.to_dense(), z2.to_dense())
-
-    def test_fused_moves_fewer_bytes(self, setup8):
-        # pin the reference transcription: since the fused-sweep PR the
-        # default RBGSSmoother takes the fused path (and records the
-        # same fused traffic this test wants to see beaten)
-        problem, colors, r = setup8
-        base = RBGSSmoother(problem.A, problem.A_diag, colors, fused=False)
-        fused = FusedRBGSSmoother(problem.A, problem.A_diag, colors)
-        logs = []
-        for smoother in (base, fused):
-            z = grb.Vector.dense(problem.n, 0.0)
-            log = grb.backend.EventLog()
-            with grb.backend.collect(log):
-                smoother.smooth(z, r)
-            logs.append(log.total("bytes"))
-        assert logs[1] < logs[0]
-
-    def test_rejects_empty_colors(self, problem8):
-        with pytest.raises(InvalidValue):
-            FusedRBGSSmoother(problem8.A, problem8.A_diag, [])
-
-
 class TestJacobi:
     def test_reduces_residual(self, setup8):
         problem, colors, r = setup8
@@ -151,3 +118,22 @@ class TestJacobi:
             JacobiSmoother(problem8.A, problem8.A_diag, omega=0.0)
         with pytest.raises(InvalidValue):
             JacobiSmoother(problem8.A, problem8.A_diag, omega=1.5)
+
+    @pytest.mark.parametrize("fused", [None, False])
+    @pytest.mark.parametrize("wrong", ["z", "r"])
+    @pytest.mark.parametrize("size", ["1", "n+1"])
+    def test_wrong_size_is_a_dimension_mismatch(self, problem8, monkeypatch,
+                                                fused, wrong, size):
+        # a size-1 r used to broadcast silently on the fused path, and
+        # the other cases escaped as raw numpy ValueErrors
+        monkeypatch.delenv("REPRO_FUSED", raising=False)
+        n = problem8.n
+        sizes = {"z": n, "r": n}
+        sizes[wrong] = 1 if size == "1" else n + 1
+        smoother = JacobiSmoother(problem8.A, problem8.A_diag, fused=fused)
+        assert smoother.fused_active == (fused is None)
+        z = grb.Vector.dense(sizes["z"], 0.0)
+        r = grb.Vector.dense(sizes["r"], 1.0)
+        with pytest.raises(DimensionMismatch, match="operator size"):
+            smoother.smooth(z, r)
+        assert not z.to_dense().any()      # raised before any arithmetic
