@@ -7,7 +7,7 @@ through memory for a value that is consumed once.  Mastoras et al.'s
 nonblocking ALP fuses such producer-consumer pairs; the paper's Related
 Work singles this out as the main shared-memory headroom.
 
-This module is exactly what the solve calls — three fusions and their
+This module is exactly what the solve calls — four fusions and their
 ``REPRO_FUSED`` kill switch.  They are *extensions* (code using them is
 no longer portable GraphBLAS), so they live below the operations API,
 and each declines a call it cannot reproduce bit for bit; the caller
@@ -27,18 +27,23 @@ then runs the reference transcription (``fused=False``, the oracle):
   eliding the intermediate product vector's 16-byte-per-row round trip;
   through the jit lane it is a single compiled kernel, serial or
   ``prange``-parallel per the ``REPRO_THREADS`` policy.
+* :class:`VCyclePlan` — the whole preconditioner application on the
+  levels' colour-major sweeps: ``r`` gathered once, ``z`` scattered
+  once, smooths and residuals on the sweeps' own arrays in between and
+  the injection reduced to one index move each way.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphblas import backend
 from repro.graphblas.matrix import Matrix
 from repro.graphblas.substrate.base import ColorSweep
+from repro.graphblas.substrate.csr import CsrColorSweep
 from repro.graphblas.vector import Vector
 from repro.util.errors import InvalidValue
 
@@ -120,6 +125,15 @@ def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
     return True
 
 
+def _sweepable(z: Vector, r: Vector, ncols: int, nrows: int) -> bool:
+    """What a fused sweep needs of its iterate and right-hand side: two
+    distinct (``r`` would change under the sweep), dense, float64
+    vectors of the operator's shape."""
+    return (z is not r and z.size == ncols and r.size == nrows
+            and z.dtype == np.float64 and r.dtype == np.float64
+            and z.is_dense() and r.is_dense())
+
+
 class ColorSweepPlan:
     """The fused smoother fast path: a provider sweep with caching.
 
@@ -175,10 +189,7 @@ class ColorSweepPlan:
         """Run the colour steps ``order`` lists; False means "fall back"."""
         if not fused_enabled():      # the kill switch works per call
             return False
-        if (z is r       # r would change under the sweep
-                or z.size != self.A.ncols or r.size != self.A.nrows
-                or z.dtype != np.float64 or r.dtype != np.float64
-                or not z.is_dense() or not r.is_dense()):
+        if not _sweepable(z, r, self.A.ncols, self.A.nrows):
             return False
         sweep = self._current_sweep()
         if sweep is None:
@@ -237,3 +248,113 @@ class JacobiSweepPlan:
                 )
         z._bump()
         return True
+
+
+class VCyclePlan:
+    """The fused V-cycle: one preconditioner application, colour-major
+    from entry to exit.
+
+    Bound to a hierarchy's per-level ``(ColorSweepPlan, R)`` pairs,
+    finest first (``R`` restricts a level onto the next; ``None`` on the
+    coarsest).  :meth:`load` gathers ``r`` into the fine level's
+    :class:`CsrColorSweep` and zeroes its iterate; the caller walks the
+    levels through :meth:`relax`, :meth:`residual`, :meth:`restrict` and
+    :meth:`prolong`, each on the sweeps' own arrays, and :meth:`store`
+    scatters ``z`` once.  The grid transfers are index moves through the
+    injection read off ``R``'s stored pattern and relabelled by both
+    levels' permutations; ``+ 0.0`` on each reproduces the sign of zero
+    of the product's ``+0.0 + 1.0*x``.
+
+    :meth:`load` declines, before touching anything, what the plan
+    cannot reproduce bit for bit: ``REPRO_FUSED=0``, a level whose
+    smoother plan is not armed or whose sweep is not the CSR
+    colour-major one, an ``R`` that is not one stored ``1.0`` per row
+    over distinct columns, sparse, non-float64, aliased or mis-sized
+    vectors — and any call under a ``backend`` collector: the perf
+    model prices Listing 1's primitives, so there the primitives run.
+    One residual vector and one index array per level are built at the
+    first :meth:`load` and revalidated per application against each
+    level's current sweep and ``R.version``.
+    """
+
+    def __init__(self, levels: Sequence[Tuple[Optional[ColorSweepPlan],
+                                              Optional[Matrix]]]):
+        self._bound = [(p if isinstance(p, ColorSweepPlan) else None, R)
+                       for p, R in levels]
+        self._state = None      # (sweep, R.version) per level, as built for
+        self._levels = None     # (sweep, f, injection, f[:n_c]) per level
+
+    def _build(self, sweeps) -> Optional[list]:
+        if any(type(sweep) is not CsrColorSweep for sweep in sweeps):
+            return None
+        levels = []
+        for (plan, R), sweep, coarse in zip(self._bound, sweeps,
+                                            [*sweeps[1:], None]):
+            if not plan.A.provider().rows_all_present:
+                return None     # the residual's output would have holes
+            if coarse is None:
+                levels.append((sweep, None, None, None))
+                continue
+            nc, nf = coarse.perm.size, sweep.perm.size
+            csr = R._csr
+            if (csr.shape != (nc, nf) or csr.dtype != np.float64
+                    or csr.nnz != nc or (np.diff(csr.indptr) != 1).any()
+                    or (csr.data != 1.0).any()
+                    or np.unique(csr.indices).size != nc):
+                return None
+            inverse = np.empty(nf, dtype=np.intp)
+            inverse[sweep.perm] = np.arange(nf)
+            f = np.empty(nf)
+            levels.append((sweep, f, inverse[csr.indices[coarse.perm]],
+                           f[:nc]))
+        return levels
+
+    def load(self, z: Vector, r: Vector) -> bool:
+        """Start an application of ``z = M r``; False means "fall back"."""
+        if not fused_enabled() or backend.active():
+            return False
+        state = [(None if p is None else p._current_sweep(),
+                  None if R is None else R.version) for p, R in self._bound]
+        if state != self._state:
+            self._state = state
+            self._levels = self._build([sweep for sweep, _ in state])
+        if self._levels is None:
+            return False
+        fine = self._levels[0][0]
+        if not _sweepable(z, r, fine.perm.size, fine.perm.size):
+            return False
+        np.take(r._values, fine.perm, out=fine.r, mode="clip")
+        fine.z.fill(0.0)
+        return True
+
+    def relax(self, i: int, order) -> None:
+        """One smoother pass on level ``i``: its colours in ``order``."""
+        self._levels[i][0].relax(order)
+
+    def residual(self, i: int) -> None:
+        """``f_i = r_i - A_i z_i``."""
+        sweep, f, _, _ = self._levels[i]
+        sweep.residual(f)
+
+    def restrict(self, i: int) -> None:
+        """``r_{i+1} = R f_i`` and ``z_{i+1} = 0``."""
+        _, f, injection, _ = self._levels[i]
+        coarse = self._levels[i + 1][0]
+        np.take(f, injection, out=coarse.r, mode="clip")
+        np.add(coarse.r, 0.0, out=coarse.r)
+        coarse.z.fill(0.0)
+
+    def prolong(self, i: int) -> None:
+        """``z_i += R' z_{i+1}``, through the two vectors restriction
+        left free: the coarse right-hand side and the head of ``f_i``."""
+        sweep, _, injection, head = self._levels[i]
+        coarse = self._levels[i + 1][0]
+        np.add(coarse.z, 0.0, out=coarse.r)
+        np.take(sweep.z, injection, out=head, mode="clip")
+        np.add(head, coarse.r, out=head)
+        sweep.z[injection] = head
+
+    def store(self, z: Vector) -> None:
+        """Scatter the fine iterate into ``z`` — the application's end."""
+        self._levels[0][0].store(z._values)
+        z._bump()

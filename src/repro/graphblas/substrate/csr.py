@@ -92,7 +92,10 @@ class CsrColorSweep(ColorSweep):
     accumulates exactly as the reference ``csr_matvec`` does and
     iterates are bit-identical to the natural-order sweep.  The numpy
     lane (``csr_matvec`` + four ``out=`` ufuncs per colour) and the jit
-    lane's fused colour step read the same arrays.
+    lane's fused colour step read the same arrays.  The V-cycle plan of
+    :mod:`repro.graphblas.fused` keeps ``z`` and ``r``, the colour-major
+    iterate and right-hand side, loaded across smooths and calls
+    :meth:`relax` and :meth:`residual` on them directly.
     """
 
     def __init__(self, provider: CsrProvider,
@@ -104,7 +107,7 @@ class CsrColorSweep(ColorSweep):
         colored = np.concatenate(color_rows).astype(np.int64, copy=False)
         rest = np.ones(n, dtype=bool)
         rest[colored] = False
-        self._perm = perm = np.concatenate((colored, np.flatnonzero(rest)))
+        self.perm = perm = np.concatenate((colored, np.flatnonzero(rest)))
         block = csr[perm, :]                 # one row gather, order kept
         self._indptr, self._data = block.indptr, block.data
         self._indices = idx = block.indices
@@ -115,8 +118,15 @@ class CsrColorSweep(ColorSweep):
         for lo in range(0, idx.size, 1 << 16):
             idx[lo:lo + (1 << 16)] = inverse[idx[lo:lo + (1 << 16)]]
         self._diag = diag[perm]
-        self._z, self._r = np.empty(n), np.empty(n)
+        self.z, self.r = np.empty(n), np.empty(n)
         self._s = np.empty(max(self.sizes))
+        # each colour's slices of the arrays above, cut once: views, so
+        # a relaxation indexes nothing and allocates nothing
+        self._blocks = [
+            (hi - lo, self._indptr[lo:hi + 1], self.z[lo:hi], self.r[lo:hi],
+             self._diag[lo:hi], self._s[:hi - lo])
+            for lo, hi in zip(off, off[1:])
+        ]
         self.nnzs = np.diff(self._indptr[off]).tolist()
         self.traffic = [fused_traffic(_mxv_traffic(nnz, rows), rows, nnz, 3)
                         for rows, nnz in zip(self.sizes, self.nnzs)]
@@ -125,29 +135,50 @@ class CsrColorSweep(ColorSweep):
         self.run(z, r, (k,))
 
     def run(self, z: np.ndarray, r: np.ndarray, order) -> None:
-        perm, off, n = self._perm, self._off, self._perm.size
-        indptr, indices, data = self._indptr, self._indices, self._data
-        zp, rp, dp = self._z, self._r, self._diag
+        self.load(z, r)
+        self.relax(order)
+        self.store(z)
+
+    def load(self, z: np.ndarray, r: np.ndarray) -> None:
+        """Gather natural-order ``z`` and ``r`` into the sweep's buffers."""
         # mode="clip": the default "raise" buffers a full copy of out
-        np.take(z, perm, out=zp, mode="clip")
-        np.take(r, perm, out=rp, mode="clip")
-        jitted = jit.available()
-        nthreads = threads.resolve() if jitted else 1
-        for k in order:
-            lo, hi = off[k], off[k + 1]
-            s = self._s[:hi - lo]
-            if jitted:
+        np.take(z, self.perm, out=self.z, mode="clip")
+        np.take(r, self.perm, out=self.r, mode="clip")
+
+    def store(self, z: np.ndarray) -> None:
+        """Scatter the colour-major iterate into natural-order ``z``."""
+        z[self.perm] = self.z
+
+    def relax(self, order) -> None:
+        """Relax the colours ``order`` lists, in place on the loaded
+        iterate ``self.z`` against ``self.r``."""
+        n, zp = self.perm.size, self.z
+        indices, data = self._indices, self._data
+        if jit.available():
+            off, indptr, dp, rp = self._off, self._indptr, self._diag, self.r
+            nthreads = threads.resolve()
+            for k in order:
+                lo, hi = off[k], off[k + 1]
                 jit.csr_gs_step(indptr[lo:hi + 1], indices, data,
-                                np.arange(lo, hi), dp[lo:hi], zp, rp, s,
-                                nthreads=nthreads)
-                continue
-            zk, dk = zp[lo:hi], dp[lo:hi]
+                                np.arange(lo, hi), dp[lo:hi], zp, rp,
+                                self._s[:hi - lo], nthreads=nthreads)
+            return
+        for k in order:
+            rows, indptr, zk, rk, dk, s = self._blocks[k]
             s.fill(0.0)  # csr_matvec accumulates onto its output
-            _csr_matvec(hi - lo, n, indptr[lo:hi + 1], indices, data, zp, s)
+            _csr_matvec(rows, n, indptr, indices, data, zp, s)
             # z_k = (r_k - s + z_k * d_k) / d_k, operation for operation;
             # the product above read the pre-update z_k throughout
-            np.subtract(rp[lo:hi], s, out=s)
+            np.subtract(rk, s, out=s)
             np.multiply(zk, dk, out=zk)
             np.add(s, zk, out=zk)
             np.divide(zk, dk, out=zk)
-        z[perm] = zp
+
+    def residual(self, out: np.ndarray) -> None:
+        """``out = r - A z`` on the loaded vectors: one product over the
+        whole reordered operator — every row in its stored entry order,
+        so it accumulates as the natural-order ``mxv`` does."""
+        n = self.perm.size
+        out.fill(0.0)
+        _csr_matvec(n, n, self._indptr, self._indices, self._data, self.z, out)
+        np.subtract(self.r, out, out=out)

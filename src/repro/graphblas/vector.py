@@ -31,7 +31,7 @@ class Vector:
     HPCG layer (``repro.hpcg``) never does.
     """
 
-    __slots__ = ("_values", "_present", "_version")
+    __slots__ = ("_values", "_present", "_version", "_dense")
 
     def __init__(self, size: int, dtype=gbtypes.FP64):
         if size < 0:
@@ -40,6 +40,7 @@ class Vector:
         self._values = np.zeros(size, dtype=dt)
         self._present = np.zeros(size, dtype=bool)
         self._version = 0
+        self._dense = (-1, False)    # (version it was read at, answer)
 
     # --- constructors ------------------------------------------------------
     @classmethod
@@ -105,7 +106,11 @@ class Vector:
         return self._version
 
     def is_dense(self) -> bool:
-        return bool(self._present.all())
+        """True when every entry is present.  Cached on ``version``:
+        every writer of the presence pattern bumps it."""
+        if self._dense[0] != self._version:
+            self._dense = (self._version, bool(self._present.all()))
+        return self._dense[1]
 
     def _bump(self) -> None:
         self._version += 1

@@ -15,6 +15,15 @@ The cycle at one level:
 6. post-smooth.
 
 At the coarsest level only the smoother runs (Listing 1 lines 3-4).
+
+:func:`mg_vcycle` is that cycle on GraphBLAS primitives — restriction
+and refinement as products with the injection matrix ``R``.
+:class:`MGPreconditioner` runs it whenever the fused
+:class:`~repro.graphblas.fused.VCyclePlan` declines an application
+(``REPRO_FUSED=0``, ``fused=False``, a non-RBGS smoother, a non-CSR
+substrate, an installed perf collector, ...) and otherwise walks the
+same instrumented recursion on the plan's colour-major arrays, where
+the two products are index moves; the results are bit-identical.
 """
 
 from __future__ import annotations
@@ -29,8 +38,8 @@ from repro.grid import Grid3D
 from repro.hpcg.coloring import color_masks, coloring_for_problem, lattice_coloring
 from repro.hpcg.problem import Problem, build_operator
 from repro.hpcg.restriction import build_restriction, prolong_add, restrict
-from repro.hpcg.smoothers import RBGSSmoother
-from repro.util.errors import InvalidValue
+from repro.hpcg.smoothers import SWEEP_SPAN, RBGSSmoother
+from repro.util.errors import InvalidValue, OutputAliasing
 from repro.util.timer import null_timer
 
 SmootherFactory = Callable[[grb.Matrix, grb.Vector, List[grb.Vector]], object]
@@ -128,6 +137,102 @@ def build_hierarchy(
     return top
 
 
+def _null_scope(*args):
+    return obs.NULL_SPAN
+
+
+class _VCycle:
+    """One instrumented application of Listing 1.
+
+    :meth:`walk` is the only copy of the instrumented recursion; the
+    four per-level steps below are the transcription — GraphBLAS
+    primitives on the level's containers, the oracle — and
+    :class:`_PlannedVCycle` overrides them.  Timers, obs spans and
+    backend labels are resolved once per application, so no level
+    reads the environment.
+    """
+
+    def __init__(self, timers, pre_sweeps: int, post_sweeps: int):
+        ctx = obs.current()
+        self.measure = timers.measure
+        self.span = _null_scope if ctx is None else ctx.tracer.span
+        self.label = (grb.backend.labelled if grb.backend.active()
+                      else _null_scope)
+        self.visits = None if ctx is None else ctx.metrics.counter(
+            "mg_level_visits_total", "V-cycle visits per MG level")
+        self.pre_sweeps, self.post_sweeps = pre_sweeps, post_sweeps
+
+    def walk(self, level: MGLevel, z, r) -> None:
+        measure, label, span = self.measure, self.label, self.span
+        i = level.index
+        tag = f"mg/L{i}"
+        with span(tag, "mg", {"level": i, "n": level.n}):
+            if self.visits is not None:
+                self.visits.inc(level=i)
+            with measure(f"{tag}/rbgs"), label(f"rbgs@L{i}"):
+                self.smooth(level, z, r, self.pre_sweeps)
+            if level.coarser is None:
+                return
+            with measure(f"{tag}/spmv"), label(f"mg_spmv@L{i}"), \
+                    span(f"{tag}/spmv", "mg"):
+                self.residual(level, z, r)
+            with measure(f"{tag}/restrict"), label(f"restrict@L{i}"), \
+                    span(f"{tag}/restrict", "mg"):
+                self.restrict(level)
+            self.walk(level.coarser, level.zc, level.rc)
+            with measure(f"{tag}/prolong"), label(f"refine@L{i}"), \
+                    span(f"{tag}/prolong", "mg"):
+                self.prolong(level, z)
+            with measure(f"{tag}/rbgs"), label(f"rbgs@L{i}"):
+                self.smooth(level, z, r, self.post_sweeps)
+
+    def smooth(self, level: MGLevel, z, r, sweeps: int) -> None:
+        level.smoother.smooth(z, r, sweeps=sweeps)
+
+    def residual(self, level: MGLevel, z, r) -> None:
+        # f <- r - A z, fused when the extension accepts the call
+        if not fused_ext.fused_spmv_waxpby(level.f, 1.0, r, -1.0,
+                                           level.A, z):
+            grb.mxv(level.f, None, level.A, z)          # f <- A z
+            grb.waxpby(level.f, 1.0, r, -1.0, level.f)  # f <- r - f
+
+    def restrict(self, level: MGLevel) -> None:
+        restrict(level.rc, level.R, level.f)        # rc <- R (r - A z)
+        level.zc.fill(0.0)                          # zc <- 0
+
+    def prolong(self, level: MGLevel, z) -> None:
+        prolong_add(z, level.R, level.zc)           # z <- z + R' zc
+
+
+class _PlannedVCycle(_VCycle):
+    """The same walk over a loaded :class:`fused.VCyclePlan`: every
+    level's vectors live colour-major inside the plan, which knows a
+    level by its depth below the top.  A smoother pass records the span
+    the smoother itself would."""
+
+    def __init__(self, plan: fused_ext.VCyclePlan, top: MGLevel, *args):
+        super().__init__(*args)
+        self.plan, self.top = plan, top.index
+
+    def smooth(self, level: MGLevel, z, r, sweeps: int) -> None:
+        smoother = level.smoother
+        for _ in range(sweeps):
+            with self.span(*SWEEP_SPAN) as sp:
+                self.plan.relax(level.index - self.top,
+                                smoother.symmetric_order)
+                if sp is not None:
+                    sp.set(**smoother.sweep_attrs(True))
+
+    def residual(self, level: MGLevel, z, r) -> None:
+        self.plan.residual(level.index - self.top)
+
+    def restrict(self, level: MGLevel) -> None:
+        self.plan.restrict(level.index - self.top)
+
+    def prolong(self, level: MGLevel, z) -> None:
+        self.plan.prolong(level.index - self.top)
+
+
 def mg_vcycle(
     level: MGLevel,
     z: grb.Vector,
@@ -141,57 +246,42 @@ def mg_vcycle(
     Transcription of Listing 1; ``timers`` receives per-level entries
     under ``mg/L{i}/...`` which the breakdown figures consume.
     """
-    tag = f"mg/L{level.index}"
-    with obs.span(tag, "mg", {"level": level.index, "n": level.n}):
-        registry = obs.metrics_registry()
-        if registry is not None:
-            registry.counter(
-                "mg_level_visits_total", "V-cycle visits per MG level"
-            ).inc(level=level.index)
-        with timers.measure(f"{tag}/rbgs"), \
-                grb.backend.labelled(f"rbgs@L{level.index}"):
-            level.smoother.smooth(z, r, sweeps=pre_sweeps)
-        if level.coarser is None:
-            return z
-
-        with timers.measure(f"{tag}/spmv"), \
-                grb.backend.labelled(f"mg_spmv@L{level.index}"), \
-                obs.span(f"{tag}/spmv", "mg"):
-            # f <- r - A z, fused when the extension accepts the call
-            if not fused_ext.fused_spmv_waxpby(level.f, 1.0, r, -1.0,
-                                               level.A, z):
-                grb.mxv(level.f, None, level.A, z)          # f <- A z
-                grb.waxpby(level.f, 1.0, r, -1.0, level.f)  # f <- r - f
-        with timers.measure(f"{tag}/restrict"), \
-                grb.backend.labelled(f"restrict@L{level.index}"), \
-                obs.span(f"{tag}/restrict", "mg"):
-            restrict(level.rc, level.R, level.f)        # rc <- R (r - A z)
-        level.zc.fill(0.0)                              # zc <- 0
-        mg_vcycle(level.coarser, level.zc, level.rc, timers,
-                  pre_sweeps=pre_sweeps, post_sweeps=post_sweeps)
-        with timers.measure(f"{tag}/prolong"), \
-                grb.backend.labelled(f"refine@L{level.index}"), \
-                obs.span(f"{tag}/prolong", "mg"):
-            prolong_add(z, level.R, level.zc)           # z <- z + R' zc
-        with timers.measure(f"{tag}/rbgs"), \
-                grb.backend.labelled(f"rbgs@L{level.index}"):
-            level.smoother.smooth(z, r, sweeps=post_sweeps)
+    _VCycle(timers, pre_sweeps, post_sweeps).walk(level, z, r)
     return z
 
 
 class MGPreconditioner:
-    """Callable wrapper: ``M(z, r)`` overwrites ``z`` with ≈ ``A^-1 r``."""
+    """Callable wrapper: ``M(z, r)`` overwrites ``z`` with ≈ ``A^-1 r``.
+
+    Each application is offered to the hierarchy's fused
+    :class:`~repro.graphblas.fused.VCyclePlan` (bound to every level's
+    smoother plan and ``R``, revalidated per call) and runs
+    :func:`mg_vcycle` on the containers when the plan declines.
+    """
 
     def __init__(self, hierarchy: MGLevel, timers=null_timer,
                  pre_sweeps: int = 1, post_sweeps: int = 1):
+        if pre_sweeps < 0 or post_sweeps < 0:
+            raise InvalidValue(
+                f"sweep counts must be non-negative, got pre_sweeps="
+                f"{pre_sweeps}, post_sweeps={post_sweeps}")
         self.hierarchy = hierarchy
         self.timers = timers
         self.pre_sweeps = pre_sweeps
         self.post_sweeps = post_sweeps
+        self._plan = fused_ext.VCyclePlan(
+            [(getattr(lvl.smoother, "plan", None), lvl.R)
+             for lvl in hierarchy.levels()])
 
     def __call__(self, z: grb.Vector, r: grb.Vector) -> grb.Vector:
-        z.fill(0.0)
-        return mg_vcycle(
-            self.hierarchy, z, r, self.timers,
-            pre_sweeps=self.pre_sweeps, post_sweeps=self.post_sweeps,
-        )
+        if z is r:      # z is zero-filled before r is read
+            raise OutputAliasing(
+                "MG preconditioner output must not alias the residual")
+        args = self.timers, self.pre_sweeps, self.post_sweeps
+        if not self._plan.load(z, r):
+            z.fill(0.0)
+            return mg_vcycle(self.hierarchy, z, r, *args)
+        _PlannedVCycle(self._plan, self.hierarchy, *args).walk(
+            self.hierarchy, z, r)
+        self._plan.store(z)
+        return z

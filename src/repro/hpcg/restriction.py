@@ -14,6 +14,13 @@ The refinement accumulates only at injection points; all other fine
 entries are untouched, which matches "populate with the corresponding
 values of the coarse vector and zeroes elsewhere" composed with the
 ``z <- z + refine(zc)`` update of Listing 1 line 9.
+
+These products are what ``mg_vcycle`` executes and what the perf model
+prices.  The default preconditioner application reads the injection off
+``R``'s stored pattern instead and moves the ``n_c`` values by index
+(:class:`repro.graphblas.fused.VCyclePlan`), falling back to the
+products whenever ``R`` is not one stored ``1.0`` per row or the plan
+declines for any other reason.
 """
 
 from __future__ import annotations

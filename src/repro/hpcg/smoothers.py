@@ -53,6 +53,10 @@ from repro.graphblas.substrate import threads as threads_mod
 from repro.util.errors import DimensionMismatch, InvalidValue
 
 
+#: name and category of the span one symmetric RBGS pass records
+SWEEP_SPAN = ("smoother/rbgs_sweep", "smoother")
+
+
 def _check_sizes(n: int, z: grb.Vector, r: grb.Vector) -> None:
     """Both smoothers' up-front size check, fused path or not."""
     if z.size != n or r.size != n:
@@ -109,6 +113,19 @@ class RBGSSmoother:
             fused_mod.ColorSweepPlan(A, self.colors, A_diag)
             if use_fused else None
         )
+        ncolors = len(self.colors)
+        #: the colour steps of one symmetric pass: forward, then backward
+        self.symmetric_order = [*range(ncolors), *range(ncolors - 1, -1, -1)]
+
+    @property
+    def plan(self) -> Optional[fused_mod.ColorSweepPlan]:
+        """The armed fused plan a V-cycle plan binds to, or ``None``."""
+        return self._plan
+
+    def sweep_attrs(self, fused: bool) -> dict:
+        """The attributes a pass's :data:`SWEEP_SPAN` span carries."""
+        return dict(fused=fused, colors=len(self.colors), level=self.level,
+                    n=self.n, lane=threads_mod.lane_name())
 
     def set_level(self, index: Optional[int]) -> "RBGSSmoother":
         """Record the owning MG level (propagated into the fused plan)."""
@@ -135,24 +152,18 @@ class RBGSSmoother:
         z[idx] = (r[idx] - s[idx] + z[idx] * dd) / dd
 
     def _sweep(self, z: grb.Vector, r: grb.Vector, order) -> None:
-        with obs.span("smoother/rbgs_sweep", "smoother") as sp:
-            if self._plan is not None and self._plan.run(z, r, order):
-                if sp is not None:
-                    sp.set(fused=True, colors=len(self.colors),
-                           level=self.level, n=self.n,
-                           lane=threads_mod.lane_name())
-                return
-            for k in order:
-                mask = self.colors[k]
-                grb.mxv(self._tmp, mask, self.A, z,
-                        desc=grb.descriptors.structural)
-                grb.ewise_lambda(
-                    self._pointwise, mask, z, r, self._tmp, self.A_diag
-                )
+        with obs.span(*SWEEP_SPAN) as sp:
+            fused = self._plan is not None and self._plan.run(z, r, order)
+            if not fused:
+                for k in order:
+                    mask = self.colors[k]
+                    grb.mxv(self._tmp, mask, self.A, z,
+                            desc=grb.descriptors.structural)
+                    grb.ewise_lambda(
+                        self._pointwise, mask, z, r, self._tmp, self.A_diag
+                    )
             if sp is not None:
-                sp.set(fused=False, colors=len(self.colors),
-                       level=self.level, n=self.n,
-                       lane=threads_mod.lane_name())
+                sp.set(**self.sweep_attrs(fused))
 
     def forward(self, z: grb.Vector, r: grb.Vector) -> grb.Vector:
         """One forward multi-colour Gauss-Seidel sweep (Listing 2)."""
@@ -169,10 +180,8 @@ class RBGSSmoother:
     def smooth(self, z: grb.Vector, r: grb.Vector, sweeps: int = 1) -> grb.Vector:
         """``sweeps`` symmetric passes: colours forward then backward."""
         _check_sizes(self.n, z, r)
-        ncolors = len(self.colors)
-        order = [*range(ncolors), *range(ncolors - 1, -1, -1)]
         for _ in range(sweeps):
-            self._sweep(z, r, order)
+            self._sweep(z, r, self.symmetric_order)
         return z
 
 

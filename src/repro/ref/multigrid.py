@@ -22,7 +22,7 @@ from repro.hpcg.coloring import lattice_coloring
 from repro.hpcg.problem import Problem
 from repro.grid.stencil import stencil_coo
 from repro.ref.sgs import RefRBGS, RefSymGS
-from repro.util.errors import InvalidValue
+from repro.util.errors import InvalidValue, OutputAliasing
 from repro.util.timer import null_timer
 
 
@@ -145,12 +145,20 @@ class RefMGPreconditioner:
 
     def __init__(self, hierarchy: RefMGLevel, timers=null_timer,
                  pre_sweeps: int = 1, post_sweeps: int = 1):
+        if pre_sweeps < 0 or post_sweeps < 0:
+            raise InvalidValue(
+                f"sweep counts must be non-negative, got pre_sweeps="
+                f"{pre_sweeps}, post_sweeps={post_sweeps}")
         self.hierarchy = hierarchy
         self.timers = timers
         self.pre_sweeps = pre_sweeps
         self.post_sweeps = post_sweeps
 
     def __call__(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+        if np.shares_memory(z, r):
+            # z is zero-filled before r is read
+            raise OutputAliasing(
+                "MG preconditioner output must not alias the residual")
         z.fill(0.0)
         return ref_mg_vcycle(
             self.hierarchy, z, r, self.timers,

@@ -15,36 +15,40 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
-from contextlib import contextmanager
+from typing import Dict, Optional
 
 
 @dataclass
 class Timer:
-    """Accumulates elapsed seconds and invocation counts for one label."""
+    """Accumulates elapsed seconds and invocation counts for one label.
+
+    The timer is its own context manager: ``measure()`` returns it.
+    """
 
     name: str
     total: float = 0.0
     count: int = 0
-    _measuring: bool = field(default=False, repr=False, compare=False)
+    _start: Optional[float] = field(default=None, repr=False, compare=False)
 
-    @contextmanager
-    def measure(self) -> Iterator["Timer"]:
+    def measure(self) -> "Timer":
+        return self
+
+    def __enter__(self) -> "Timer":
         # Re-entrant measurement of one timer double-counts the outer
         # elapsed interval — a silent corruption of every breakdown
         # figure — so it is an error, not a merge.
-        if self._measuring:
+        if self._start is not None:
             raise RuntimeError(
                 f"re-entrant measure() on timer {self.name!r}"
             )
-        self._measuring = True
-        start = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self._measuring = False
-            self.total += time.perf_counter() - start
-            self.count += 1
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.total += time.perf_counter() - self._start
+        self._start = None
+        self.count += 1
+        return False
 
     def tick(self, seconds: float) -> None:
         """Record ``seconds`` of modelled (non-wall-clock) time."""
@@ -75,10 +79,7 @@ class TimerRegistry:
             self.timers[name] = timer
         return timer
 
-    @contextmanager
-    def measure(self, name: str) -> Iterator[Timer]:
-        with self.get(name).measure() as t:
-            yield t
+    measure = get   # ``with registry.measure(name) as timer:``
 
     def tick(self, name: str, seconds: float) -> None:
         self.get(name).tick(seconds)
@@ -137,9 +138,14 @@ class TimerRegistry:
 class _NullTimer:
     """A timer sink that ignores everything (used when timing is disabled)."""
 
-    @contextmanager
-    def measure(self, name: str = "") -> Iterator[None]:
-        yield None
+    def measure(self, name: str = "") -> "_NullTimer":
+        return self
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
 
     def tick(self, name: str, seconds: float = 0.0) -> None:
         pass

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import graphblas as grb
+from repro.graphblas import fused as fused_mod
 from repro.graphblas.vector import Vector
 from repro.util.errors import DimensionMismatch, DomainMismatch, InvalidValue
 
@@ -164,6 +165,49 @@ class TestVersioning:
         v.to_dense()
         v.to_coo()
         assert v.version == before
+
+    def test_is_dense_cache_follows_every_mutator(self, monkeypatch):
+        """``is_dense()`` is cached on ``version``: read between every
+        public writer of the presence pattern, it is never stale."""
+        monkeypatch.delenv(fused_mod.ENV_FUSED, raising=False)
+        n = 6
+        A = grb.Matrix.from_dense(np.eye(n) + np.eye(n, k=1))
+        holed = grb.Matrix.from_coo([0, 2], [1, 2], [1.0, 1.0], n, n)
+        mask = Vector.from_coo([1, 4], [True, True], n)
+        some = Vector.from_coo([0, 3], [1.0, 2.0], n)
+        ones = Vector.dense(n, 1.0)
+        v = Vector.sparse(n)
+        steps = [
+            lambda: v.fill(2.0),
+            lambda: v.remove_element(2),
+            lambda: v.set_element(2, 1.0),
+            lambda: v.clear(),
+            lambda: v.build(range(n), np.arange(n, dtype=float)),
+            lambda: v.resize(n + 2),
+            lambda: v.resize(n),
+            lambda: grb.mxv(v, None, holed, ones),
+            lambda: grb.mxv(v, None, A, ones),
+            lambda: grb.mxv(v, mask, holed, ones,
+                            desc=grb.descriptors.replace),
+            lambda: grb.mxv(v, None, A, ones, accum=grb.ops.plus),
+            lambda: grb.waxpby(v, 1.0, some, 2.0, some),
+            lambda: grb.waxpby(v, 1.0, ones, 2.0, ones),
+            lambda: grb.assign(v, mask, some, desc=grb.descriptors.replace),
+            lambda: grb.assign(v, None, 3.0),
+            lambda: grb.select_vector(v, grb.selectops.valuegt, ones, 2.0),
+            lambda: grb.reduce_rows(v, A, grb.plus_monoid),
+            # the fusion serves dense outputs only
+            lambda: fused_mod.fused_spmv_waxpby(v, 1.0, ones, -1.0, A, ones),
+            lambda: grb.reduce_rows(v, holed, grb.plus_monoid),
+        ]
+        answers = []
+        for step in steps:
+            assert step() is not False, "the fusion declined: nothing driven"
+            answers.append(v.is_dense())
+            assert answers[-1] == bool(v._present.all())
+        # every writer but the fusion flips the answer, so a writer that
+        # stopped bumping would serve the previous one
+        assert answers == [True, False] * 8 + [True, True, False]
 
 
 class TestEquality:
