@@ -2,12 +2,18 @@
 
 The three backends (:class:`~repro.dist.hybrid.HybridALPRun`,
 :class:`~repro.dist.hybrid2d.Hybrid2DRun`,
-:class:`~repro.dist.refdist.RefDistRun`) run *identical numerics*, and
-they are the reference's by construction: every floating-point
-operation is a :mod:`repro.ref` kernel (``compute_spmv`` /
-``compute_waxpby`` / ``compute_dot``, ``RefRBGS.update_color`` per
-colour step, operators from ``repro.ref.multigrid.build_csr``), so
-residual histories are bit-identical to ``run_hpcg``.  The engine adds
+:class:`~repro.dist.refdist.RefDistRun`) run *identical numerics*: CG's
+vector operations are :mod:`repro.ref` kernels (``compute_spmv`` /
+``compute_waxpby`` / ``compute_dot``) and the preconditioner is
+:class:`~repro.graphblas.substrate.csr.ColorMajorVCycle` — the array
+kernel under the serial fused V-cycle, relaxed one colour per call —
+over ``repro.ref.multigrid.build_csr`` operators.
+``tests/test_dist_vcycle.py`` holds its output to ``ref_mg_vcycle``'s
+value for value and to the GraphBLAS transcription's bit for bit; the
+one difference from the reference is the sign of an exact zero, which
+is the injection product's (``+0.0 + 1.0*x`` at restriction and
+prolongation, where the reference copies).  Residual histories are
+therefore bit-identical to ``run_hpcg``.  The engine adds
 the accounting only: **one** CG loop and one V-cycle walk in which each
 kernel call is followed by the backend's ``*_comm`` hook, which records
 the sends on the :class:`~repro.dist.comm.CommTracker` and prices the
@@ -100,35 +106,42 @@ from repro.dist.cost import (
 from repro.dist.faults import FaultInjector, FaultPlan, NodeCrash
 from repro.dist.partition import Block1D
 from repro.dist.result import DistRunResult
+from repro.graphblas.substrate.csr import ColorMajorVCycle, CsrColorSweep
 from repro.grid import Grid3D
-from repro.hpcg.coloring import lattice_coloring
+from repro.hpcg.coloring import lattice_coloring, num_colors
 from repro.hpcg.problem import Problem
 from repro.ref.cg import require_finite_residual
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
 from repro.ref.multigrid import build_csr
-from repro.ref.sgs import RefRBGS
 from repro.util.errors import InvalidValue
 from repro.util.timer import TimerRegistry
 
 
 class SimLevel:
     """One multigrid level: the operator, its colouring and the
-    reference smoother that owns the per-colour blocks.  None of it
-    depends on the node count and nothing writes to it, so a run and
-    its survivors work on shallow copies sharing these numerics; what
-    ``_init_level_comm`` attaches (partition, work shares, exchange
-    plans) belongs to the copy."""
+    colour-major sweep that relaxes it.  None of it depends on the node
+    count, so a run and its survivors work on shallow copies sharing
+    these numerics; what ``_init_level_comm`` attaches (partition, work
+    shares, exchange plans) belongs to the copy."""
 
     def __init__(self, index: int, grid: Grid3D, A: sp.csr_matrix,
                  stencil: str):
+        diag = A.diagonal()
+        if A.shape[0] != A.shape[1]:
+            raise InvalidValue("RBGS requires a square operator")
+        if (diag == 0).any():
+            raise InvalidValue("RBGS requires a nonzero diagonal")
         self.index = index
         self.grid = grid
         self.A = A
         self.n = A.shape[0]
         self.colors = lattice_coloring(grid, stencil)
-        self.smoother = RefRBGS(A, self.colors)
-        self.color_rows = self.smoother.color_rows
-        self.ncolors = len(self.color_rows)
+        # a thin coarse grid (1x1x2) leaves classes empty: no-op steps
+        self.ncolors = num_colors(self.colors)
+        self.smoother = CsrColorSweep(A, [
+            np.flatnonzero(self.colors == c) for c in range(self.ncolors)
+        ], diag)
+        self.color_rows = self.smoother.rows
         # set by the hierarchy builder when a coarser level exists
         self.injection: Optional[np.ndarray] = None
         # set when the level is gathered onto one node (agglomeration)
@@ -222,7 +235,7 @@ class _RunState:
 
 
 class SimulatedDistRun:
-    """Base class: reference CG+MG numerics, pluggable communication."""
+    """Base class: one CG+MG numerics, pluggable communication."""
 
     backend = "dist"
 
@@ -249,6 +262,8 @@ class SimulatedDistRun:
                 f"agglomeration threshold must be >= 0, "
                 f"got {agglomerate_below}"
             )
+        if faults is not None:
+            faults.validate_for(nprocs)
         self.problem = problem
         self.mg_levels = mg_levels
         # an overlap_efficiency override is folded into the machine
@@ -277,9 +292,11 @@ class SimulatedDistRun:
                 level.injection = grid.injection_indices()
                 grid = grid.coarsen()
                 A = build_csr(grid, stencil)
+        # shared with the survivors; every application loads it anew
+        self._kernel = ColorMajorVCycle(
+            [level.smoother for level in self._numerics],
+            [level.injection for level in self._numerics[:-1]])
         self._distribute(nprocs)
-        if faults is not None:
-            faults.validate_for(nprocs)
         self.faults = faults
         # one object per run_cg; shared with the survivor run on recovery
         self._state: Optional[_RunState] = None
@@ -499,7 +516,7 @@ class SimulatedDistRun:
         """Largest per-node share of an ``n``-vector (for local-op work)."""
         return float(-(-n // self.nprocs))
 
-    # --- the reference kernels, each followed by its accounting --------------
+    # --- the kernels, each followed by its accounting ------------------------
     def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
         value = compute_dot(u, v)
         self._barrier(self._dot_plan, "dot", "cg/dot",
@@ -513,67 +530,63 @@ class SimulatedDistRun:
                          _WAXPBY_BYTES * self._vector_share(w.shape[0]))
         return w
 
-    def _spmv(self, level: SimLevel, x: np.ndarray, sync_label: str,
-              timer_key: str) -> np.ndarray:
-        if level.agglomerated:
-            # the whole level lives on node 0: full work, no messages
-            self._tick_local(timer_key, mxv_bytes(level.A.nnz, level.n))
-        else:
-            self._spmv_comm(level, sync_label, timer_key)
-        return compute_spmv(np.empty(level.n), level.A, x)
+    def _spmv(self, x: np.ndarray) -> np.ndarray:
+        """CG's product, on the finest level (never agglomerated)."""
+        self._spmv_comm(self.levels[0], "spmv", "cg/spmv")
+        return compute_spmv(np.empty(self.n), self.levels[0].A, x)
 
-    def _smooth(self, level: SimLevel, z: np.ndarray, r: np.ndarray) -> None:
+    def _smooth(self, level: SimLevel) -> None:
         """One symmetric sweep: colours ascending, then descending."""
+        relax, sweep = self._kernel.relax, level.smoother
         forward = list(range(level.ncolors))
         for order in (forward, forward[::-1]):
-            for pos, c in enumerate(order):
-                level.smoother.update_color(c, z, r)
+            for c, nxt in zip(order, [*order[1:], None]):
+                relax(level.index, (c,))
                 if level.agglomerated:
-                    block = level.smoother.color_blocks[c]
                     self._tick_local(f"mg/L{level.index}/rbgs",
-                                     mxv_bytes(block.nnz, block.shape[0]))
+                                     mxv_bytes(sweep.nnzs[c], sweep.sizes[c]))
                 else:
-                    nxt = order[pos + 1] if pos + 1 < len(order) else None
                     self._rbgs_comm(level, c, nxt)
 
-    def _vcycle(self, li: int, z: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The engine's one V-cycle walk: ``ref_mg_vcycle``'s kernels in
-        its order, re-walked here because per-colour exchanges and
-        agglomeration pricing interleave with every step."""
-        level = self.levels[li]
+    def _transfer(self, fine: SimLevel, coarse: SimLevel, comm, key: str,
+                  sync_label: str, to_root: bool) -> None:
+        """Price one grid transfer between ``fine`` and ``coarse``."""
+        if not coarse.agglomerated:
+            comm(fine, coarse)
+        elif fine.agglomerated:
+            # both levels already sit on node 0: a local copy
+            self._tick_local(key, _RESTRICT_COPY_BYTES * coarse.n)
+        else:
+            self._root_exchange(self._close_superstep, sync_label, key,
+                                coarse.n, to_root=to_root)
+
+    def _vcycle(self, li: int) -> None:
+        """The engine's one V-cycle walk, on the loaded kernel:
+        ``ref_mg_vcycle``'s steps in its order, each followed by its
+        exchanges or, on an agglomerated level, its local price."""
+        level, kernel = self.levels[li], self._kernel
         with self._span(f"mg/L{li}", "mg",
                         {"level": li, "n": level.n,
                          "agglomerated": level.agglomerated}):
-            self._smooth(level, z, r)                 # pre-smoothing
+            self._smooth(level)                       # pre-smoothing
             if li + 1 == len(self.levels):
-                return z
+                return
             coarse = self.levels[li + 1]
-            f = self._spmv(level, z, "mg_spmv", f"mg/L{li}/spmv")
-            compute_waxpby(f, -1.0, f, 1.0, r)        # f <- r - A z
-            rc = f[level.injection].copy()            # restrict (injection)
-            if not coarse.agglomerated:
-                self._restrict_comm(level, coarse)
-            elif level.agglomerated:
-                # both levels already sit on node 0: a local copy
-                self._tick_local(f"mg/L{li}/restrict",
-                                 _RESTRICT_COPY_BYTES * coarse.n)
+            if level.agglomerated:
+                # the whole level lives on node 0: full work, no messages
+                self._tick_local(f"mg/L{li}/spmv",
+                                 mxv_bytes(level.A.nnz, level.n))
             else:
-                self._root_exchange(self._close_superstep, "agg_gather",
-                                    f"mg/L{li}/restrict", coarse.n)
-            zc = np.zeros(coarse.n)
-            self._vcycle(li + 1, zc, rc)
-            z[level.injection] += zc                  # refine-and-add
-            if not coarse.agglomerated:
-                self._prolong_comm(level, coarse)
-            elif level.agglomerated:
-                self._tick_local(f"mg/L{li}/prolong",
-                                 _RESTRICT_COPY_BYTES * coarse.n)
-            else:
-                self._root_exchange(self._close_superstep, "agg_scatter",
-                                    f"mg/L{li}/prolong", coarse.n,
-                                    to_root=False)
-            self._smooth(level, z, r)                 # post-smoothing
-        return z
+                self._spmv_comm(level, "mg_spmv", f"mg/L{li}/spmv")
+            kernel.residual(li)                       # f <- r - A z
+            kernel.restrict(li)                       # rc <- f[injection]
+            self._transfer(level, coarse, self._restrict_comm,
+                           f"mg/L{li}/restrict", "agg_gather", True)
+            self._vcycle(li + 1)
+            kernel.prolong(li)                        # refine-and-add
+            self._transfer(level, coarse, self._prolong_comm,
+                           f"mg/L{li}/prolong", "agg_scatter", False)
+            self._smooth(level)                       # post-smoothing
 
     # --- checkpoint / restart ------------------------------------------------
     #: vectors a CG checkpoint persists (x, r, p)
@@ -685,11 +698,10 @@ class SimulatedDistRun:
         """
         state = self._state
         m = state.metrics
-        level0 = self.levels[0]
         n = self.n
         if state.checkpoint is None:
             x = self.problem.x0.to_dense()
-            Ap = self._spmv(level0, x, "spmv", "cg/spmv")
+            Ap = self._spmv(x)
             r = self._waxpby(np.empty(n), 1.0, self.problem.b.to_dense(),
                              -1.0, Ap)                 # r <- b - A x
             normr = float(np.sqrt(self._dot(r, r)))
@@ -713,7 +725,10 @@ class SimulatedDistRun:
             state.iteration = k
             with self._span("cg/iteration", "cg", {"k": k}) as sp:
                 if use_mg:
-                    z = self._vcycle(0, np.zeros(n), r)    # z <- M r
+                    z = np.empty(n)                        # z <- M r
+                    self._kernel.load(r)
+                    self._vcycle(0)
+                    self._kernel.store(z)
                 else:
                     z = self._waxpby(np.empty(n), 1.0, r, 0.0, r)  # z <- r
                 if k == 1:
@@ -724,7 +739,7 @@ class SimulatedDistRun:
                     cg.rtz = self._dot(r, z)
                     beta = cg.rtz / rtz_old
                     self._waxpby(p, 1.0, z, beta, p)       # p <- z + beta p
-                Ap = self._spmv(level0, p, "spmv", "cg/spmv")
+                Ap = self._spmv(p)
                 alpha = cg.rtz / self._dot(p, Ap)
                 self._waxpby(x, 1.0, x, alpha, p)          # x <- x + alpha p
                 self._waxpby(r, 1.0, r, -alpha, Ap)        # r <- r - alpha Ap

@@ -28,9 +28,9 @@ then runs the reference transcription (``fused=False``, the oracle):
   through the jit lane it is a single compiled kernel, serial or
   ``prange``-parallel per the ``REPRO_THREADS`` policy.
 * :class:`VCyclePlan` — the whole preconditioner application on the
-  levels' colour-major sweeps: ``r`` gathered once, ``z`` scattered
-  once, smooths and residuals on the sweeps' own arrays in between and
-  the injection reduced to one index move each way.
+  levels' colour-major sweeps: the binding to containers, revalidation
+  and declines of :class:`~repro.graphblas.substrate.csr.ColorMajorVCycle`,
+  the one array kernel :mod:`repro.dist` runs too.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from repro.graphblas import backend
 from repro.graphblas.matrix import Matrix
 from repro.graphblas.substrate.base import ColorSweep
-from repro.graphblas.substrate.csr import CsrColorSweep
+from repro.graphblas.substrate.csr import ColorMajorVCycle, CsrColorSweep
 from repro.graphblas.vector import Vector
 from repro.util.errors import InvalidValue
 
@@ -251,30 +251,24 @@ class JacobiSweepPlan:
 
 
 class VCyclePlan:
-    """The fused V-cycle: one preconditioner application, colour-major
-    from entry to exit.
+    """The fused V-cycle: what is GraphBLAS about one application of
+    :class:`~repro.graphblas.substrate.csr.ColorMajorVCycle`.
 
     Bound to a hierarchy's per-level ``(ColorSweepPlan, R)`` pairs,
     finest first (``R`` restricts a level onto the next; ``None`` on the
-    coarsest).  :meth:`load` gathers ``r`` into the fine level's
-    :class:`CsrColorSweep` and zeroes its iterate; the caller walks the
-    levels through :meth:`relax`, :meth:`residual`, :meth:`restrict` and
-    :meth:`prolong`, each on the sweeps' own arrays, and :meth:`store`
-    scatters ``z`` once.  The grid transfers are index moves through the
-    injection read off ``R``'s stored pattern and relabelled by both
-    levels' permutations; ``+ 0.0`` on each reproduces the sign of zero
-    of the product's ``+0.0 + 1.0*x``.
+    coarsest).  A :meth:`load` that returns True leaves ``r`` gathered
+    in :attr:`kernel`, which the caller walks before :meth:`store`
+    scatters ``z``; its injections are read off each ``R``'s pattern.
 
-    :meth:`load` declines, before touching anything, what the plan
+    :meth:`load` declines, before touching anything, what the kernel
     cannot reproduce bit for bit: ``REPRO_FUSED=0``, a level whose
     smoother plan is not armed or whose sweep is not the CSR
     colour-major one, an ``R`` that is not one stored ``1.0`` per row
     over distinct columns, sparse, non-float64, aliased or mis-sized
     vectors — and any call under a ``backend`` collector: the perf
     model prices Listing 1's primitives, so there the primitives run.
-    One residual vector and one index array per level are built at the
-    first :meth:`load` and revalidated per application against each
-    level's current sweep and ``R.version``.
+    The kernel is built at the first :meth:`load` and revalidated per
+    application against each level's current sweep and ``R.version``.
     """
 
     def __init__(self, levels: Sequence[Tuple[Optional[ColorSweepPlan],
@@ -282,19 +276,19 @@ class VCyclePlan:
         self._bound = [(p if isinstance(p, ColorSweepPlan) else None, R)
                        for p, R in levels]
         self._state = None      # (sweep, R.version) per level, as built for
-        self._levels = None     # (sweep, f, injection, f[:n_c]) per level
+        #: the array kernel of the hierarchy as last validated, or None
+        self.kernel: Optional[ColorMajorVCycle] = None
 
-    def _build(self, sweeps) -> Optional[list]:
+    def _build(self, sweeps) -> Optional[ColorMajorVCycle]:
         if any(type(sweep) is not CsrColorSweep for sweep in sweeps):
             return None
-        levels = []
+        injections = []
         for (plan, R), sweep, coarse in zip(self._bound, sweeps,
                                             [*sweeps[1:], None]):
             if not plan.A.provider().rows_all_present:
                 return None     # the residual's output would have holes
             if coarse is None:
-                levels.append((sweep, None, None, None))
-                continue
+                break
             nc, nf = coarse.perm.size, sweep.perm.size
             csr = R._csr
             if (csr.shape != (nc, nf) or csr.dtype != np.float64
@@ -302,12 +296,8 @@ class VCyclePlan:
                     or (csr.data != 1.0).any()
                     or np.unique(csr.indices).size != nc):
                 return None
-            inverse = np.empty(nf, dtype=np.intp)
-            inverse[sweep.perm] = np.arange(nf)
-            f = np.empty(nf)
-            levels.append((sweep, f, inverse[csr.indices[coarse.perm]],
-                           f[:nc]))
-        return levels
+            injections.append(csr.indices)
+        return ColorMajorVCycle(sweeps, injections)
 
     def load(self, z: Vector, r: Vector) -> bool:
         """Start an application of ``z = M r``; False means "fall back"."""
@@ -317,44 +307,16 @@ class VCyclePlan:
                   None if R is None else R.version) for p, R in self._bound]
         if state != self._state:
             self._state = state
-            self._levels = self._build([sweep for sweep, _ in state])
-        if self._levels is None:
+            self.kernel = self._build([sweep for sweep, _ in state])
+        if self.kernel is None:
             return False
-        fine = self._levels[0][0]
-        if not _sweepable(z, r, fine.perm.size, fine.perm.size):
+        n = self._bound[0][0].A.nrows       # colour-major: square
+        if not _sweepable(z, r, n, n):
             return False
-        np.take(r._values, fine.perm, out=fine.r, mode="clip")
-        fine.z.fill(0.0)
+        self.kernel.load(r._values)
         return True
-
-    def relax(self, i: int, order) -> None:
-        """One smoother pass on level ``i``: its colours in ``order``."""
-        self._levels[i][0].relax(order)
-
-    def residual(self, i: int) -> None:
-        """``f_i = r_i - A_i z_i``."""
-        sweep, f, _, _ = self._levels[i]
-        sweep.residual(f)
-
-    def restrict(self, i: int) -> None:
-        """``r_{i+1} = R f_i`` and ``z_{i+1} = 0``."""
-        _, f, injection, _ = self._levels[i]
-        coarse = self._levels[i + 1][0]
-        np.take(f, injection, out=coarse.r, mode="clip")
-        np.add(coarse.r, 0.0, out=coarse.r)
-        coarse.z.fill(0.0)
-
-    def prolong(self, i: int) -> None:
-        """``z_i += R' z_{i+1}``, through the two vectors restriction
-        left free: the coarse right-hand side and the head of ``f_i``."""
-        sweep, _, injection, head = self._levels[i]
-        coarse = self._levels[i + 1][0]
-        np.add(coarse.z, 0.0, out=coarse.r)
-        np.take(sweep.z, injection, out=head, mode="clip")
-        np.add(head, coarse.r, out=head)
-        sweep.z[injection] = head
 
     def store(self, z: Vector) -> None:
         """Scatter the fine iterate into ``z`` — the application's end."""
-        self._levels[0][0].store(z._values)
+        self.kernel.store(z._values)
         z._bump()

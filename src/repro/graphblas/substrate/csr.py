@@ -61,7 +61,7 @@ class CsrProvider(KernelProvider):
                 or _csr_matvec is None):
             # colour-major needs every row in at most one class
             return ColorSweep(self, color_rows, diag)
-        return CsrColorSweep(self, color_rows, diag)
+        return CsrColorSweep(self.csr, color_rows, diag)
 
     def stored_entries(self) -> int:
         return self.nnz
@@ -92,16 +92,15 @@ class CsrColorSweep(ColorSweep):
     accumulates exactly as the reference ``csr_matvec`` does and
     iterates are bit-identical to the natural-order sweep.  The numpy
     lane (``csr_matvec`` + four ``out=`` ufuncs per colour) and the jit
-    lane's fused colour step read the same arrays.  The V-cycle plan of
-    :mod:`repro.graphblas.fused` keeps ``z`` and ``r``, the colour-major
-    iterate and right-hand side, loaded across smooths and calls
-    :meth:`relax` and :meth:`residual` on them directly.
+    lane's fused colour step read the same arrays; a
+    :class:`ColorMajorVCycle` keeps ``z`` and ``r`` loaded across
+    smooths and calls :meth:`relax` and :meth:`residual` directly.
     """
 
-    def __init__(self, provider: CsrProvider,
-                 color_rows: Sequence[np.ndarray], diag: np.ndarray):
-        self.fmt = provider.name
-        csr, n = provider.csr, provider.nrows
+    def __init__(self, csr, color_rows: Sequence[np.ndarray],
+                 diag: np.ndarray):
+        self.fmt = CsrProvider.name
+        n = csr.shape[0]
         self.sizes = [len(r) for r in color_rows]
         self._off = off = [0, *np.cumsum(self.sizes).tolist()]
         colored = np.concatenate(color_rows).astype(np.int64, copy=False)
@@ -116,7 +115,8 @@ class CsrColorSweep(ColorSweep):
         # relabel in place, a cache-sized chunk at a time: one fancy
         # index over all entries would hold two more copies of them
         for lo in range(0, idx.size, 1 << 16):
-            idx[lo:lo + (1 << 16)] = inverse[idx[lo:lo + (1 << 16)]]
+            chunk = idx[lo:lo + (1 << 16)]
+            np.take(inverse, chunk, out=chunk, mode="clip")
         self._diag = diag[perm]
         self.z, self.r = np.empty(n), np.empty(n)
         self._s = np.empty(max(self.sizes))
@@ -127,6 +127,7 @@ class CsrColorSweep(ColorSweep):
              self._diag[lo:hi], self._s[:hi - lo])
             for lo, hi in zip(off, off[1:])
         ]
+        self.rows = [perm[lo:hi] for lo, hi in zip(off, off[1:])]
         self.nnzs = np.diff(self._indptr[off]).tolist()
         self.traffic = [fused_traffic(_mxv_traffic(nnz, rows), rows, nnz, 3)
                         for rows, nnz in zip(self.sizes, self.nnzs)]
@@ -182,3 +183,73 @@ class CsrColorSweep(ColorSweep):
         out.fill(0.0)
         _csr_matvec(n, n, self._indptr, self._indices, self._data, self.z, out)
         np.subtract(self.r, out, out=out)
+
+
+class ColorMajorVCycle:
+    """One preconditioner application, colour-major from entry to exit,
+    on raw arrays: the kernel under the serial
+    :class:`repro.graphblas.fused.VCyclePlan` and under the simulated
+    distributed engine (:mod:`repro.dist.simulate`).
+
+    ``sweeps`` lists the levels' :class:`CsrColorSweep`, finest first;
+    ``injections[i]`` names, in natural order, the level-``i`` point each
+    level-``i + 1`` point injects from.  :meth:`load` gathers ``r`` and
+    zeroes the fine iterate; the caller walks the levels through
+    :meth:`relax`, :meth:`residual`, :meth:`restrict` and
+    :meth:`prolong`, each on the sweeps' own ``z`` / ``r``, and
+    :meth:`store` scatters ``z`` once.  The grid transfers are index
+    moves through the injection relabelled by both levels'
+    permutations; ``+ 0.0`` on each reproduces the sign of zero of the
+    injection product's ``+0.0 + 1.0*x``.  :meth:`load` and
+    :meth:`restrict` overwrite every vector a level reads, so a walk
+    abandoned half-way leaves nothing stale.
+    """
+
+    def __init__(self, sweeps: Sequence[CsrColorSweep],
+                 injections: Sequence[np.ndarray]):
+        self._levels = []       # (sweep, f, injection, f[:n_c]) per level
+        for sweep, coarse, source in zip(sweeps, sweeps[1:], injections):
+            nf = sweep.perm.size
+            inverse = np.empty(nf, dtype=np.intp)
+            inverse[sweep.perm] = np.arange(nf)
+            f = np.empty(nf)
+            self._levels.append((sweep, f, inverse[source[coarse.perm]],
+                                 f[:coarse.perm.size]))
+        self._levels.append((sweeps[-1], None, None, None))
+
+    def load(self, r: np.ndarray) -> None:
+        """Start an application of ``z = M r`` on natural-order ``r``."""
+        fine = self._levels[0][0]
+        np.take(r, fine.perm, out=fine.r, mode="clip")
+        fine.z.fill(0.0)
+
+    def store(self, z: np.ndarray) -> None:
+        """Scatter the fine iterate into natural-order ``z``."""
+        self._levels[0][0].store(z)
+
+    def relax(self, i: int, order) -> None:
+        """One smoother pass on level ``i``: its colours in ``order``."""
+        self._levels[i][0].relax(order)
+
+    def residual(self, i: int) -> None:
+        """``f_i = r_i - A_i z_i``."""
+        sweep, f, _, _ = self._levels[i]
+        sweep.residual(f)
+
+    def restrict(self, i: int) -> None:
+        """``r_{i+1} = R f_i`` and ``z_{i+1} = 0``."""
+        _, f, injection, _ = self._levels[i]
+        coarse = self._levels[i + 1][0]
+        np.take(f, injection, out=coarse.r, mode="clip")
+        np.add(coarse.r, 0.0, out=coarse.r)
+        coarse.z.fill(0.0)
+
+    def prolong(self, i: int) -> None:
+        """``z_i += R' z_{i+1}``, through the two vectors restriction
+        left free: the coarse right-hand side and the head of ``f_i``."""
+        sweep, _, injection, head = self._levels[i]
+        coarse = self._levels[i + 1][0]
+        np.add(coarse.z, 0.0, out=coarse.r)
+        np.take(sweep.z, injection, out=head, mode="clip")
+        np.add(head, coarse.r, out=head)
+        sweep.z[injection] = head

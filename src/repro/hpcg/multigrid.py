@@ -206,31 +206,31 @@ class _VCycle:
 
 class _PlannedVCycle(_VCycle):
     """The same walk over a loaded :class:`fused.VCyclePlan`: every
-    level's vectors live colour-major inside the plan, which knows a
-    level by its depth below the top.  A smoother pass records the span
-    the smoother itself would."""
+    level's vectors live colour-major inside the plan's array kernel,
+    which knows a level by its depth below the top.  A smoother pass
+    records the span the smoother itself would."""
 
     def __init__(self, plan: fused_ext.VCyclePlan, top: MGLevel, *args):
         super().__init__(*args)
-        self.plan, self.top = plan, top.index
+        self.kernel, self.top = plan.kernel, top.index
 
     def smooth(self, level: MGLevel, z, r, sweeps: int) -> None:
         smoother = level.smoother
         for _ in range(sweeps):
             with self.span(*SWEEP_SPAN) as sp:
-                self.plan.relax(level.index - self.top,
-                                smoother.symmetric_order)
+                self.kernel.relax(level.index - self.top,
+                                  smoother.symmetric_order)
                 if sp is not None:
                     sp.set(**smoother.sweep_attrs(True))
 
     def residual(self, level: MGLevel, z, r) -> None:
-        self.plan.residual(level.index - self.top)
+        self.kernel.residual(level.index - self.top)
 
     def restrict(self, level: MGLevel) -> None:
-        self.plan.restrict(level.index - self.top)
+        self.kernel.restrict(level.index - self.top)
 
     def prolong(self, level: MGLevel, z) -> None:
-        self.plan.prolong(level.index - self.top)
+        self.kernel.prolong(level.index - self.top)
 
 
 def mg_vcycle(

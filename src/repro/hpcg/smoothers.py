@@ -94,6 +94,8 @@ class RBGSSmoother:
             raise DimensionMismatch(
                 f"diagonal size {A_diag.size} != operator rows {A.nrows}"
             )
+        if not A_diag.to_dense().all():     # a missing entry reads as 0
+            raise InvalidValue("RBGS requires a nonzero diagonal")
         if not colors:
             raise InvalidValue("at least one colour mask is required")
         for c in colors:
@@ -198,6 +200,8 @@ class JacobiSmoother:
                  omega: float = 2.0 / 3.0, fused: Optional[bool] = None):
         if not 0 < omega <= 1.0:
             raise InvalidValue(f"damping factor must be in (0, 1], got {omega}")
+        if not A_diag.to_dense().all():     # a missing entry reads as 0
+            raise InvalidValue("Jacobi requires a nonzero diagonal")
         self.A = A
         self.A_diag = A_diag
         self.omega = omega

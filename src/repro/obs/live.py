@@ -293,8 +293,11 @@ class LiveServer:
     def stop(self) -> None:
         if self._thread is None:
             return
-        self._httpd.shutdown()
-        self._thread.join(timeout=5.0)
+        # shutdown() waits, unbounded, on an event only serve_forever
+        # sets; a dead serving thread has nothing left to shut down
+        if self._thread.is_alive():
+            self._httpd.shutdown()
+            self._thread.join(timeout=5.0)
         self._httpd.server_close()
         self._thread = None
 

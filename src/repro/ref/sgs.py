@@ -110,8 +110,8 @@ class RefRBGS:
         ]
 
     def update_color(self, k: int, z: np.ndarray, r: np.ndarray) -> None:
-        """Relax colour ``k``'s rows in place (one step of a sweep; the
-        simulated distributed engine interleaves its exchanges here)."""
+        """Relax colour ``k``'s rows in place: one step of
+        :meth:`forward` / :meth:`backward`."""
         rows = self.color_rows[k]
         d = self.color_diag[k]
         s = self.color_blocks[k].dot(z)          # full row product incl. diagonal

@@ -7,6 +7,7 @@ from repro import obs
 from repro.dist import (
     Checkpoint,
     CommTracker,
+    Crash,
     FaultPlan,
     Hybrid2DRun,
     HybridALPRun,
@@ -80,6 +81,28 @@ class TestHybridALP:
     def test_invalid_nprocs(self, dist_problem):
         with pytest.raises(InvalidValue):
             HybridALPRun(dist_problem, nprocs=0)
+
+
+@pytest.mark.parametrize("cls", [RefDistRun, HybridALPRun, Hybrid2DRun])
+def test_a_bad_fault_plan_fails_before_anything_is_built(dist_problem, cls,
+                                                         monkeypatch):
+    """A plan naming a node the run does not have is an argument error:
+    it must not cost the level numerics, partitions and exchange plans
+    first."""
+    import repro.dist.simulate as simulate
+
+    built = []
+    init = simulate.SimLevel.__init__
+    monkeypatch.setattr(
+        simulate.SimLevel, "__init__",
+        lambda self, *a, **k: built.append(a[0]) or init(self, *a, **k))
+    with pytest.raises(InvalidValue, match="crash node 4 out of range"):
+        cls(dist_problem, 4, mg_levels=3,
+            faults=FaultPlan(crashes=(Crash(4, 10),)))
+    assert built == []
+    cls(dist_problem, 4, mg_levels=3,
+        faults=FaultPlan(crashes=(Crash(3, 10),)))
+    assert built == [0, 1, 2]
 
 
 class TestRefDist:

@@ -1,0 +1,329 @@
+"""The simulated distributed engine's V-cycle: colour-major, one kernel.
+
+``repro.dist.simulate`` walks every preconditioner application on
+:class:`repro.graphblas.substrate.csr.ColorMajorVCycle` — the array
+kernel under the serial ``VCyclePlan`` — one colour per call, with the
+backend's exchange hook after each.  Enforced here: (i) the ``z`` an
+application returns equals ``ref_mg_vcycle``'s value for value and the
+GraphBLAS transcription's bit for bit, whatever the backend,
+agglomeration or communication mode; (ii) a crash that unwinds a
+V-cycle half-walked leaves nothing behind in the shared kernel;
+(iii) a warm CG iteration allocates its CG vectors and nothing that
+grows with the grid, and ``repro.dist`` has no second smoother and no
+switch; (iv) the kernel driven by hand equals the plan driven through
+``MGPreconditioner``.
+"""
+
+import contextlib
+import importlib
+import pathlib
+import pkgutil
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro.dist
+from repro import graphblas as grb
+from repro import obs
+from repro.dist import (Checkpoint, Crash, FaultPlan, Hybrid2DRun,
+                        HybridALPRun, RefDistRun, simulate)
+from repro.dist.simulate import _RunState
+from repro.graphblas import substrate
+from repro.graphblas.substrate import jit
+from repro.graphblas.substrate.csr import ColorMajorVCycle
+from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
+from repro.hpcg.problem import generate_problem
+from repro.ref import build_ref_hierarchy
+from repro.ref.multigrid import ref_mg_vcycle
+from test_vcycle_plan import assert_bit_identical   # values and signbits
+
+BACKENDS = {"ref3d": RefDistRun, "alp1d": HybridALPRun, "alp2d": Hybrid2DRun}
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -1.0]
+
+
+def engine_apply(run, r):
+    """One application ``z = M r`` as ``_cg_attempt`` makes it, outside
+    a solve (a fresh run state stands in for ``run_cg``'s)."""
+    run._state = _RunState(run.nprocs, None)
+    z = np.full(r.size, 7.0)            # the application overwrites z
+    run._kernel.load(r)
+    run._vcycle(0)
+    run._kernel.store(z)
+    return z
+
+
+def ref_apply(problem, levels, r):
+    return ref_mg_vcycle(build_ref_hierarchy(problem, levels=levels),
+                         np.zeros(r.size), r)
+
+
+def transcription_apply(problem, levels, r):
+    """Listing 1 on the containers, every fast path pinned off."""
+    z = grb.Vector.dense(r.size, 7.0)
+    MGPreconditioner(build_hierarchy(problem, levels=levels, fused=False))(
+        z, grb.Vector.from_dense(r))
+    return z.to_dense()
+
+
+@pytest.fixture(scope="module", params=["27pt", "7pt"])
+def stencil_problem(request):
+    # 4 nodes -> (1, 2, 2): four levels leave one point per node
+    return generate_problem(8, 16, 16, stencil=request.param)
+
+
+# ---------------------------------------------------------------------------
+# (i) the engine's z is the reference's
+# ---------------------------------------------------------------------------
+
+class TestApplicationEqualsReference:
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_every_backend_agglomeration_and_mode(self, stencil_problem,
+                                                  levels):
+        problem = stencil_problem
+        r = np.random.default_rng(levels).standard_normal(problem.n)
+        want = ref_apply(problem, levels, r)
+        assert_bit_identical(want, transcription_apply(problem, levels, r))
+        for cls in BACKENDS.values():
+            for below in (0, problem.n // 8):
+                for mode in ("eager", "overlap"):
+                    run = cls(problem, 4, mg_levels=levels, comm_mode=mode,
+                              agglomerate_below=below)
+                    assert_bit_identical(engine_apply(run, r), want)
+
+    def test_the_solve_applies_exactly_this(self, stencil_problem,
+                                            monkeypatch):
+        """What ``run_cg`` hands the kernel and takes back from it, read
+        off the real loop: each ``z`` is the reference's for that ``r``."""
+        pairs = []
+        load, store = ColorMajorVCycle.load, ColorMajorVCycle.store
+        monkeypatch.setattr(
+            ColorMajorVCycle, "load",
+            lambda self, r: (pairs.append([r.copy()]), load(self, r))[1])
+        monkeypatch.setattr(
+            ColorMajorVCycle, "store",
+            lambda self, z: (store(self, z), pairs[-1].append(z.copy()))[0])
+        run = RefDistRun(stencil_problem, 4, mg_levels=3)
+        assert run.run_cg(max_iters=3).iterations == 3
+        assert len(pairs) == 3
+        for r, z in pairs:
+            assert_bit_identical(z, ref_apply(stencil_problem, 3, r))
+
+    problem = generate_problem(4, 8, 8)     # n = 256; level 1 has 32 rows
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def test_signed_zeros_subnormals_and_huge_values(self, data):
+        """Overflow to inf/nan and underflow to zero come out of the
+        engine as they come out of the reference.  The *sign* of an
+        exact zero is the GraphBLAS product's — restriction and
+        prolongation add ``+0.0`` where the reference copies — so bits
+        are compared with the transcription, values with the reference."""
+        problem = self.problem
+        r = np.array(data.draw(st.lists(
+            st.sampled_from(EDGE)
+            | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=problem.n, max_size=problem.n)))
+        cls = BACKENDS[data.draw(st.sampled_from(sorted(BACKENDS)))]
+        levels = data.draw(st.sampled_from([1, 2]))
+        run = cls(problem, 4, mg_levels=levels,
+                  comm_mode=data.draw(st.sampled_from(["eager", "overlap"])),
+                  agglomerate_below=data.draw(st.sampled_from([0, 32])))
+        with np.errstate(all="ignore"):
+            z = engine_apply(run, r)
+            assert_bit_identical(z, transcription_apply(problem, levels, r))
+            assert np.array_equal(z, ref_apply(problem, levels, r),
+                                  equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# (ii) a V-cycle abandoned half-walked leaves nothing stale
+# ---------------------------------------------------------------------------
+
+def snapshot(result):
+    return (result.residuals, result.nprocs, result.syncs, result.comm_bytes,
+            result.modelled_seconds, result.comm_seconds,
+            result.exposed_comm_seconds, result.timers.as_dict(counts=True),
+            result.resilience)
+
+
+@pytest.mark.parametrize("cls", BACKENDS.values(), ids=list(BACKENDS))
+class TestCrashMidVCycle:
+    CKPT = Checkpoint(interval=2)
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return generate_problem(8, 16, 16)
+
+    def plan(self, cls, problem):
+        """A crash on the level-1 residual's exchange of iteration 3:
+        the fine level is pre-smoothed, the coarse one loaded."""
+        paced = cls(problem, 4, mg_levels=3,
+                    faults=FaultPlan(checkpoint=self.CKPT)).run_cg(max_iters=5)
+        steps = [i for i, s in enumerate(paced.tracker.supersteps)
+                 if s.label == "mg_spmv"]
+        per_iteration = len(steps) // 5
+        step = steps[2 * per_iteration + per_iteration // 2]
+        return FaultPlan(seed=7, crashes=(Crash(1, step),),
+                         checkpoint=self.CKPT), step
+
+    def test_the_crash_lands_inside_the_walk(self, cls, problem,
+                                             monkeypatch):
+        faults, step = self.plan(cls, problem)
+        depth, unwound = [], []
+        vcycle = cls._vcycle
+
+        def spy(run, li):
+            depth.append(li)
+            try:
+                vcycle(run, li)
+            except repro.dist.NodeCrash:
+                unwound.append(list(depth))
+                raise
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(cls, "_vcycle", spy)
+        result = cls(problem, 4, mg_levels=3, faults=faults).run_cg(5)
+        crash, = [e for e in result.resilience["events"]
+                  if e["kind"] == "crash"]
+        assert crash["superstep"] == step
+        assert unwound == [[0, 1], [0]]         # raised at L1, through L0
+
+    def test_same_object_equals_fresh_objects(self, cls, problem):
+        faults, _ = self.plan(cls, problem)
+        want_clean = snapshot(cls(problem, 4, mg_levels=3).run_cg(5))
+        want_faulted = snapshot(
+            cls(problem, 4, mg_levels=3, faults=faults).run_cg(5))
+        assert want_faulted[0] == want_clean[0]
+        assert want_faulted[-1]["recoveries"] == 1
+        run = cls(problem, 4, mg_levels=3, faults=faults)
+        assert snapshot(run.run_cg(5)) == want_faulted
+        assert snapshot(run.run_cg(5)) == want_faulted
+        run.faults = None
+        assert snapshot(run.run_cg(5)) == want_clean
+        run.faults = faults
+        assert snapshot(run.run_cg(5)) == want_faulted
+
+    def test_parent_and_survivor_interleaved(self, cls, problem):
+        """They share one kernel; neither may see the other's vectors."""
+        faults, _ = self.plan(cls, problem)
+        fresh = cls(problem, 4, mg_levels=3, faults=faults)
+        want_parent = snapshot(fresh.run_cg(5))
+        lone = fresh._respawn(3)
+        lone.faults = None
+        want_survivor = snapshot(lone.run_cg(5))
+        run = cls(problem, 4, mg_levels=3, faults=faults)
+        survivor = run._respawn(3)
+        survivor.faults = None
+        assert survivor._kernel is run._kernel
+        for _ in range(2):
+            assert snapshot(run.run_cg(5)) == want_parent
+            assert snapshot(survivor.run_cg(5)) == want_survivor
+
+
+# ---------------------------------------------------------------------------
+# (iii) guards
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(jit.available(),
+                    reason="guards the numpy lane's out= kernels")
+class TestGuards:
+    @staticmethod
+    def warm_iteration_peak(run, iters=3):
+        """``tracemalloc`` peak, above its entry level, of the last CG
+        iteration of a short solve."""
+        peaks = []
+        span = run._span
+
+        @contextlib.contextmanager
+        def measured(name, *args):
+            with span(name, *args) as sp:
+                if name != "cg/iteration":
+                    yield sp
+                    return
+                tracemalloc.reset_peak()
+                entry = tracemalloc.get_traced_memory()[0]
+                yield sp
+                peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+
+        run._span = measured
+        with obs.disabled():        # spans are allocations too
+            tracemalloc.start()
+            try:
+                run.run_cg(max_iters=iters)
+            finally:
+                tracemalloc.stop()
+        return peaks[-1]
+
+    @pytest.mark.parametrize("cls", BACKENDS.values(), ids=list(BACKENDS))
+    def test_an_iteration_allocates_its_cg_vectors_only(self, cls):
+        """``z`` and ``A p`` are the iteration's two fresh ``n``-vectors;
+        the V-cycle works in the kernel's buffers.  (Walking the
+        reference smoother took a residual, a coarse pair and three
+        gathered temporaries per colour step on top, per level visit.)"""
+        for nx in (16, 24):
+            problem = generate_problem(nx)
+            run = cls(problem, 4, mg_levels=3)
+            run.run_cg(max_iters=1)                     # warm
+            peak = self.warm_iteration_peak(run)
+            assert peak <= 2 * 8 * problem.n + 48 * 1024, (nx, peak)
+
+
+def test_dist_has_no_second_smoother_and_no_switch():
+    """No module of ``repro.dist`` imports the reference smoother or the
+    fusion switch, and the engine's source names neither."""
+    banned = {"RefRBGS", "fused_enabled", "ENV_FUSED"}
+    for info in pkgutil.iter_modules(repro.dist.__path__):
+        module = importlib.import_module(f"repro.dist.{info.name}")
+        assert not banned & set(vars(module)), info.name
+    source = pathlib.Path(simulate.__file__).read_text()
+    assert not re.search(r"RefRBGS|update_color|REPRO_FUSED|fused_enabled",
+                         source)
+
+
+# ---------------------------------------------------------------------------
+# (iv) the kernel by hand == the plan through MGPreconditioner
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(substrate.registry.forced() is not None,
+                    reason="the plan binds to CSR colour-major sweeps")
+@pytest.mark.parametrize("stencil", ["27pt", "7pt"])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_kernel_by_hand_equals_the_plan(monkeypatch, stencil, levels):
+    from repro.graphblas import fused as fused_mod
+    monkeypatch.delenv(fused_mod.ENV_FUSED, raising=False)
+    problem = generate_problem(8, 8, 16, stencil=stencil)
+    r = np.random.default_rng(3).standard_normal(problem.n)
+    top = build_hierarchy(problem, levels=levels)
+    M = MGPreconditioner(top)
+    z = grb.Vector.dense(problem.n, 7.0)
+    M(z, grb.Vector.from_dense(r))
+    assert M._plan.kernel is not None               # the plan ran
+
+    # the same sweeps, the injection straight off the grids: no Vector,
+    # no Matrix anywhere below this line
+    sweeps = [lvl.smoother.plan._current_sweep() for lvl in top.levels()]
+    injections = [lvl.grid.injection_indices()
+                  for lvl in top.levels()][:levels - 1]
+    kernel = ColorMajorVCycle(sweeps, injections)
+
+    def walk(i):
+        order = [*range(len(sweeps[i].sizes))]
+        kernel.relax(i, order + order[::-1])
+        if i + 1 == levels:
+            return
+        kernel.residual(i)
+        kernel.restrict(i)
+        walk(i + 1)
+        kernel.prolong(i)
+        kernel.relax(i, order + order[::-1])
+
+    got = np.full(problem.n, 7.0)
+    kernel.load(r)
+    walk(0)
+    kernel.store(got)
+    assert_bit_identical(got, z.to_dense())

@@ -362,6 +362,34 @@ class TestLiveServer:
             with pytest.raises(urllib.error.URLError):
                 _get(f"{url}/healthz", timeout=1.0)
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_stop_returns_when_the_serving_thread_died(self, monkeypatch):
+        """``socketserver.shutdown()`` waits without a timeout on an
+        event only ``serve_forever`` sets: with that thread dead,
+        ``stop()`` must skip it, return and still release the port."""
+        import socket
+        import threading
+
+        def die():
+            raise OSError("no selector")
+
+        server = live.LiveServer(live.TelemetrySource(
+            metrics_text=lambda: "", manifest=dict, progress=dict,
+            health=dict))
+        monkeypatch.setattr(server._httpd, "serve_forever", die)
+        server.start()
+        server._thread.join(timeout=5.0)
+        assert not server._thread.is_alive()
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        began = time.monotonic()
+        stopper.start()
+        stopper.join(timeout=6.0)
+        assert not stopper.is_alive(), "stop() still blocked after 6 s"
+        assert time.monotonic() - began < 6.0
+        with socket.socket() as probe:      # no SO_REUSEADDR: really free
+            probe.bind((server.host, server.port))
+
     def test_file_source_serves_finished_artifacts(self, tmp_path):
         metrics_path = tmp_path / "metrics.json"
         with obs.run() as ctx:

@@ -137,3 +137,23 @@ class TestJacobi:
         with pytest.raises(DimensionMismatch, match="operator size"):
             smoother.smooth(z, r)
         assert not z.to_dense().any()      # raised before any arithmetic
+
+
+@pytest.mark.parametrize("fused", [None, False])
+@pytest.mark.parametrize("defect", ["stored-zero", "missing"])
+def test_zero_or_missing_diagonal_rejected_at_construction(problem8, fused,
+                                                           defect):
+    """Both smoothers divide by every diagonal entry.  A stored zero used
+    to come back as nan (RBGS) or inf (Jacobi) iterates under numpy
+    warnings, a missing entry as an ``ewise_lambda`` complaint at smooth
+    time; either is one ``InvalidValue`` up front, as in ``RefRBGS``."""
+    diag = problem8.A_diag.dup()
+    if defect == "missing":
+        diag.remove_element(5)
+    else:
+        diag.set_element(5, 0.0)
+    colors = color_masks(lattice_coloring(problem8.grid))
+    with pytest.raises(InvalidValue, match="RBGS requires a nonzero diag"):
+        RBGSSmoother(problem8.A, diag, colors, fused=fused)
+    with pytest.raises(InvalidValue, match="Jacobi requires a nonzero diag"):
+        JacobiSmoother(problem8.A, diag, fused=fused)
