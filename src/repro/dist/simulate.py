@@ -110,7 +110,7 @@ from repro.graphblas.substrate.csr import ColorMajorVCycle, CsrColorSweep
 from repro.grid import Grid3D
 from repro.hpcg.coloring import lattice_coloring, num_colors
 from repro.hpcg.problem import Problem
-from repro.ref.cg import require_finite_residual
+from repro.ref.cg import require_definite, require_finite_residual
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
 from repro.ref.multigrid import build_csr
 from repro.util.errors import InvalidValue
@@ -578,8 +578,8 @@ class SimulatedDistRun:
                                  mxv_bytes(level.A.nnz, level.n))
             else:
                 self._spmv_comm(level, "mg_spmv", f"mg/L{li}/spmv")
-            kernel.residual(li)                       # f <- r - A z
-            kernel.restrict(li)                       # rc <- f[injection]
+            kernel.residual(li)                       # f <- A z, injected rows
+            kernel.restrict(li)                       # rc <- r[injection] - f
             self._transfer(level, coarse, self._restrict_comm,
                            f"mg/L{li}/restrict", "agg_gather", True)
             self._vcycle(li + 1)
@@ -740,7 +740,9 @@ class SimulatedDistRun:
                     beta = cg.rtz / rtz_old
                     self._waxpby(p, 1.0, z, beta, p)       # p <- z + beta p
                 Ap = self._spmv(p)
-                alpha = cg.rtz / self._dot(p, Ap)
+                pAp = self._dot(p, Ap)
+                require_definite(k, cg.rtz, pAp, cg.residuals[-1])
+                alpha = cg.rtz / pAp
                 self._waxpby(x, 1.0, x, alpha, p)          # x <- x + alpha p
                 self._waxpby(r, 1.0, r, -alpha, Ap)        # r <- r - alpha Ap
                 normr = float(np.sqrt(self._dot(r, r)))

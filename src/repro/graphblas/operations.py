@@ -590,15 +590,14 @@ def waxpby(
     """
     _check_vector_sizes((x.size, w.size, "waxpby x"), (y.size, w.size, "waxpby y"))
     if x.is_dense() and y.is_dense():
-        if w is x:
-            w._values *= alpha
-            w._values += beta * y._values
-        elif w is y:
-            w._values *= beta
-            w._values += alpha * x._values
-        else:
+        # an exact 1.0 factor (every CG update's) is skipped: x * 1.0 is x
+        if w is y and w is not x:   # w = beta*w + alpha*x: the same update
+            alpha, x, beta, y = beta, y, alpha, x
+        if w is not x:
             np.multiply(x._values, alpha, out=w._values, casting="unsafe")
-            w._values += beta * y._values
+        elif alpha != 1.0:
+            w._values *= alpha
+        w._values += y._values if beta == 1.0 else beta * y._values
         w._present.fill(True)
     else:
         both = x._present & y._present

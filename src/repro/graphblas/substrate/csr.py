@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.graphblas.substrate import jit, threads
 from repro.graphblas.substrate.base import (
@@ -83,7 +84,7 @@ class CsrColorSweep(ColorSweep):
 
     ``perm`` lists the rows colour by colour (rows in no class last,
     never relaxed).  The sweep holds ``A[perm, :]``, columns relabelled
-    through ``perm``'s inverse, as three raw arrays: colour ``k`` is the
+    through ``inverse`` (of ``perm``), as three raw arrays: colour ``k`` is the
     row range ``off[k]:off[k+1]`` (``indptr`` offsets are absolute, so
     a slice of it is a valid block) and its product reads the
     colour-major iterate directly.  Each row keeps its entries in
@@ -94,7 +95,7 @@ class CsrColorSweep(ColorSweep):
     lane (``csr_matvec`` + four ``out=`` ufuncs per colour) and the jit
     lane's fused colour step read the same arrays; a
     :class:`ColorMajorVCycle` keeps ``z`` and ``r`` loaded across
-    smooths and calls :meth:`relax` and :meth:`residual` directly.
+    smooths and calls :meth:`relax` and :meth:`block` directly.
     """
 
     def __init__(self, csr, color_rows: Sequence[np.ndarray],
@@ -110,7 +111,7 @@ class CsrColorSweep(ColorSweep):
         block = csr[perm, :]                 # one row gather, order kept
         self._indptr, self._data = block.indptr, block.data
         self._indices = idx = block.indices
-        inverse = np.empty(n, dtype=idx.dtype)
+        self.inverse = inverse = np.empty(n, dtype=idx.dtype)
         inverse[perm] = np.arange(n, dtype=idx.dtype)
         # relabel in place, a cache-sized chunk at a time: one fancy
         # index over all entries would hold two more copies of them
@@ -118,6 +119,8 @@ class CsrColorSweep(ColorSweep):
             chunk = idx[lo:lo + (1 << 16)]
             np.take(inverse, chunk, out=chunk, mode="clip")
         self._diag = diag[perm]
+        # a finite sum has only finite terms (relax's zero shortcut)
+        self._finite = bool(np.isfinite(self._data.sum()))
         self.z, self.r = np.empty(n), np.empty(n)
         self._s = np.empty(max(self.sizes))
         # each colour's slices of the arrays above, cut once: views, so
@@ -150,9 +153,13 @@ class CsrColorSweep(ColorSweep):
         """Scatter the colour-major iterate into natural-order ``z``."""
         z[self.perm] = self.z
 
-    def relax(self, order) -> None:
+    def relax(self, order, zero: bool = False) -> None:
         """Relax the colours ``order`` lists, in place on the loaded
-        iterate ``self.z`` against ``self.r``."""
+        iterate ``self.z`` against ``self.r``.  ``zero`` (only a
+        :class:`ColorMajorVCycle` passes it): the whole iterate is
+        ``+0.0``, so the first listed colour's product is ``+0.0`` and
+        ``r_k - (+0.0)`` is ``r_k`` bit for bit — it is not formed, unless
+        a stored value is not finite (``0 * Inf`` is NaN) or jit runs."""
         n, zp = self.perm.size, self.z
         indices, data = self._indices, self._data
         if jit.available():
@@ -164,25 +171,34 @@ class CsrColorSweep(ColorSweep):
                                 np.arange(lo, hi), dp[lo:hi], zp, rp,
                                 self._s[:hi - lo], nthreads=nthreads)
             return
+        zero = zero and self._finite
         for k in order:
             rows, indptr, zk, rk, dk, s = self._blocks[k]
-            s.fill(0.0)  # csr_matvec accumulates onto its output
-            _csr_matvec(rows, n, indptr, indices, data, zp, s)
+            if zero:
+                zero, s = False, rk
+            else:
+                s.fill(0.0)  # csr_matvec accumulates onto its output
+                _csr_matvec(rows, n, indptr, indices, data, zp, s)
+                np.subtract(rk, s, out=s)
             # z_k = (r_k - s + z_k * d_k) / d_k, operation for operation;
             # the product above read the pre-update z_k throughout
-            np.subtract(rk, s, out=s)
             np.multiply(zk, dk, out=zk)
             np.add(s, zk, out=zk)
             np.divide(zk, dk, out=zk)
 
-    def residual(self, out: np.ndarray) -> None:
-        """``out = r - A z`` on the loaded vectors: one product over the
-        whole reordered operator — every row in its stored entry order,
-        so it accumulates as the natural-order ``mxv`` does."""
-        n = self.perm.size
-        out.fill(0.0)
-        _csr_matvec(n, n, self._indptr, self._indices, self._data, self.z, out)
-        np.subtract(self.r, out, out=out)
+    def block(self, rows: np.ndarray):
+        """``(head, pick)`` for a product over the colour-major rows
+        ``rows``: ``csr_matvec``'s leading arguments and where in its
+        output each of ``rows`` lands (None: in order).  Views of the
+        sweep's arrays when the rows fill one range, else one copy."""
+        n, lo, hi = self.perm.size, int(rows.min()), int(rows.max()) + 1
+        if hi - lo == rows.size:
+            return (rows.size, n, self._indptr[lo:hi + 1], self._indices,
+                    self._data), rows - lo
+        # wrapped as they are; each row's entries copied in stored order
+        cut = csr_matrix((self._data, self._indices, self._indptr),
+                         shape=(n, n))[rows, :]
+        return (rows.size, n, cut.indptr, cut.indices, cut.data), None
 
 
 class ColorMajorVCycle:
@@ -200,28 +216,37 @@ class ColorMajorVCycle:
     :meth:`store` scatters ``z`` once.  The grid transfers are index
     moves through the injection relabelled by both levels'
     permutations; ``+ 0.0`` on each reproduces the sign of zero of the
-    injection product's ``+0.0 + 1.0*x``.  :meth:`load` and
-    :meth:`restrict` overwrite every vector a level reads, so a walk
-    abandoned half-way leaves nothing stale.
+    injection product's ``+0.0 + 1.0*x``.
+
+    No pass is made whose output nothing reads.  Restriction reads the
+    residual on the injected rows only, so :meth:`residual` multiplies
+    just that :meth:`~CsrColorSweep.block` (views of the fine sweep on
+    27-point levels, where they are colour 0; one copy on 7-point ones)
+    and :meth:`restrict` subtracts.  A per-level flag — set by
+    :meth:`load` / :meth:`restrict`, cleared by the first :meth:`relax`
+    and by :meth:`prolong` — marks a just-zeroed iterate, whose first
+    colour step skips the product.  That is the kernel's arithmetic, not
+    the algorithm's: a caller pricing Listing 1 (the dist engine) prices
+    every step as before.  :meth:`load` and :meth:`restrict` overwrite
+    every vector and flag a level reads: an abandoned walk leaves nothing.
     """
 
     def __init__(self, sweeps: Sequence[CsrColorSweep],
                  injections: Sequence[np.ndarray]):
-        self._levels = []       # (sweep, f, injection, f[:n_c]) per level
+        self._levels = []   # (sweep, block, pick, f, injection) per level
         for sweep, coarse, source in zip(sweeps, sweeps[1:], injections):
-            nf = sweep.perm.size
-            inverse = np.empty(nf, dtype=np.intp)
-            inverse[sweep.perm] = np.arange(nf)
-            f = np.empty(nf)
-            self._levels.append((sweep, f, inverse[source[coarse.perm]],
-                                 f[:coarse.perm.size]))
-        self._levels.append((sweeps[-1], None, None, None))
+            injection = sweep.inverse[source[coarse.perm]].astype(np.intp)
+            self._levels.append((sweep, *sweep.block(injection),
+                                 np.empty(injection.size), injection))
+        self._levels.append((sweeps[-1], None, None, None, None))
+        self._zero = [False] * len(sweeps)      # level iterate is all +0.0
 
     def load(self, r: np.ndarray) -> None:
         """Start an application of ``z = M r`` on natural-order ``r``."""
         fine = self._levels[0][0]
         np.take(r, fine.perm, out=fine.r, mode="clip")
         fine.z.fill(0.0)
+        self._zero[0] = True
 
     def store(self, z: np.ndarray) -> None:
         """Scatter the fine iterate into natural-order ``z``."""
@@ -229,27 +254,34 @@ class ColorMajorVCycle:
 
     def relax(self, i: int, order) -> None:
         """One smoother pass on level ``i``: its colours in ``order``."""
-        self._levels[i][0].relax(order)
+        zero, self._zero[i] = self._zero[i], False
+        self._levels[i][0].relax(order, zero)
 
     def residual(self, i: int) -> None:
-        """``f_i = r_i - A_i z_i``."""
-        sweep, f, _, _ = self._levels[i]
-        sweep.residual(f)
+        """``f_i = A_i z_i`` on the rows level ``i + 1`` injects from."""
+        sweep, block, _, f, _ = self._levels[i]
+        f.fill(0.0)
+        _csr_matvec(*block, sweep.z, f)
 
     def restrict(self, i: int) -> None:
-        """``r_{i+1} = R f_i`` and ``z_{i+1} = 0``."""
-        _, f, injection, _ = self._levels[i]
+        """``r_{i+1} = R (r_i - A_i z_i)`` and ``z_{i+1} = 0``."""
+        sweep, _, pick, f, injection = self._levels[i]
         coarse = self._levels[i + 1][0]
-        np.take(f, injection, out=coarse.r, mode="clip")
+        np.take(sweep.r, injection, out=coarse.r, mode="clip")
+        if pick is not None:
+            f = np.take(f, pick, out=coarse.z, mode="clip")
+        np.subtract(coarse.r, f, out=coarse.r)
         np.add(coarse.r, 0.0, out=coarse.r)
         coarse.z.fill(0.0)
+        self._zero[i + 1] = True
 
     def prolong(self, i: int) -> None:
         """``z_i += R' z_{i+1}``, through the two vectors restriction
-        left free: the coarse right-hand side and the head of ``f_i``."""
-        sweep, _, injection, head = self._levels[i]
+        left free: the coarse right-hand side and ``f_i``."""
+        sweep, _, _, f, injection = self._levels[i]
         coarse = self._levels[i + 1][0]
         np.add(coarse.z, 0.0, out=coarse.r)
-        np.take(sweep.z, injection, out=head, mode="clip")
-        np.add(head, coarse.r, out=head)
-        sweep.z[injection] = head
+        np.take(sweep.z, injection, out=f, mode="clip")
+        np.add(f, coarse.r, out=f)
+        sweep.z[injection] = f
+        self._zero[i] = False

@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import fused as fused_ext
-from repro.util.errors import DimensionMismatch, InvalidValue
+from repro.ref.cg import require_definite, require_finite_residual
+from repro.util.errors import DimensionMismatch
 from repro.util.timer import null_timer
 
 Preconditioner = Callable[[grb.Vector, grb.Vector], grb.Vector]
@@ -119,12 +118,8 @@ def pcg(
             grb.waxpby(r, 1.0, b, -1.0, Ap)         # r <- b - A x
     with timers.measure("cg/dot"), grb.backend.labelled("dot"):
         normr0 = normr = grb.norm2(r)
-    if not math.isfinite(normr0) and not np.isfinite(r.to_dense()).all():
-        # r is scanned only on this failure path; finite entries whose
-        # norm merely overflows are not an input error and run on
-        raise InvalidValue(
-            f"CG: non-finite initial residual (norm {normr0}): b, x0 or "
-            f"the operator holds a NaN/Inf")
+    if not math.isfinite(normr0):       # r is copied out on this path only
+        require_finite_residual(normr0, r.to_dense())
     residuals = [normr]
     if res_series is not None:
         res_series.observe(normr)
@@ -165,6 +160,7 @@ def pcg(
                 grb.mxv(Ap, None, A, p)                  # Ap <- A p
             with timers.measure("cg/dot"), grb.backend.labelled("dot"):
                 pAp = grb.dot(p, Ap)
+            require_definite(k, rtz, pAp, normr)
             alpha = rtz / pAp
             with timers.measure("cg/waxpby"), grb.backend.labelled("waxpby"):
                 grb.waxpby(x, 1.0, x, alpha, p)          # x <- x + alpha p

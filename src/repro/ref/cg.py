@@ -47,6 +47,16 @@ def require_finite_residual(normr0: float, r: np.ndarray) -> None:
             f"the operator holds a NaN/Inf")
 
 
+def require_definite(k: int, rtz: float, pAp: float, normr: float) -> None:
+    """Reject a CG breakdown at iteration ``k`` (``p'Ap <= 0`` or NaN, or
+    ``r'z < 0``) before it becomes a diverging or NaN history — under a
+    finite non-zero residual: an exact solve may reach ``0 / 0``."""
+    if 0.0 < normr < math.inf and (rtz < 0.0 or not pAp > 0.0):
+        raise InvalidValue(
+            f"CG: breakdown at iteration {k} (r'z = {rtz}, p'Ap = {pAp}): "
+            f"the operator/preconditioner is not positive definite")
+
+
 def ref_pcg(
     A: sp.csr_matrix,
     b: np.ndarray,
@@ -106,6 +116,7 @@ def ref_pcg(
             compute_spmv(Ap, A, p)
         with timers.measure("cg/dot"):
             pAp = compute_dot(p, Ap)
+        require_definite(k, rtz, pAp, normr)
         alpha = rtz / pAp
         with timers.measure("cg/waxpby"):
             compute_waxpby(x, 1.0, x, alpha, p)

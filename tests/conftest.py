@@ -82,3 +82,26 @@ def python_calls():
         return count
 
     return count_calls
+
+
+@pytest.fixture
+def entries_read(monkeypatch):
+    """``entries_read()``: per operator size, the stored entries each
+    ``csr_matvec`` call of the colour-major kernels has read so far, in
+    call order; forgotten once read."""
+    from repro.graphblas.substrate import csr as csr_mod
+
+    reads = {}
+    matvec = csr_mod._csr_matvec
+
+    def spy(rows, ncols, indptr, *rest):
+        reads.setdefault(ncols, []).append(int(indptr[rows] - indptr[0]))
+        matvec(rows, ncols, indptr, *rest)
+
+    def taken():
+        out = dict(reads)
+        reads.clear()
+        return out
+
+    monkeypatch.setattr(csr_mod, "_csr_matvec", spy)
+    return taken

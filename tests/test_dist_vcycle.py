@@ -6,7 +6,8 @@ kernel under the serial ``VCyclePlan`` — one colour per call, with the
 backend's exchange hook after each.  Enforced here: (i) the ``z`` an
 application returns equals ``ref_mg_vcycle``'s value for value and the
 GraphBLAS transcription's bit for bit, whatever the backend,
-agglomeration or communication mode; (ii) a crash that unwinds a
+agglomeration or communication mode, and its one-colour-per-call walk
+skips the passes the serial walk skips; (ii) a crash that unwinds a
 V-cycle half-walked leaves nothing behind in the shared kernel;
 (iii) a warm CG iteration allocates its CG vectors and nothing that
 grows with the grid, and ``repro.dist`` has no second smoother and no
@@ -111,6 +112,27 @@ class TestApplicationEqualsReference:
         for r, z in pairs:
             assert_bit_identical(z, ref_apply(stencil_problem, 3, r))
 
+    @pytest.mark.skipif(jit.available(),
+                        reason="the jit lane fuses the product into its step")
+    def test_one_colour_per_call_skips_what_the_serial_walk_skips(
+            self, stencil_problem, entries_read):
+        """The first colour step after ``load`` / ``restrict`` reads no
+        operator entry and the residual reads the injected rows only,
+        whichever walk drives the kernel (what the engine *prices* per
+        step is ``tests/data/dist_golden.json``'s, unchanged)."""
+        problem = stencil_problem
+        run = RefDistRun(problem, 4, mg_levels=3)
+        engine_apply(run, np.random.default_rng(1).standard_normal(problem.n))
+        got = entries_read()
+        for level in run.levels:
+            nnzs = level.smoother.nnzs
+            sweep = nnzs + nnzs[::-1]
+            if level is run.levels[-1]:
+                assert got[level.n] == sweep[1:]
+                continue
+            injected = level.A[level.grid.injection_indices()].nnz
+            assert got[level.n] == sweep[1:] + [injected] + sweep
+
     problem = generate_problem(4, 8, 8)     # n = 256; level 1 has 32 rows
 
     @settings(max_examples=40, deadline=None,
@@ -207,6 +229,27 @@ class TestCrashMidVCycle:
         assert snapshot(run.run_cg(5)) == want_clean
         run.faults = faults
         assert snapshot(run.run_cg(5)) == want_faulted
+
+    def test_abandoned_walk_then_reload_equals_a_fresh_kernel(
+            self, cls, problem, monkeypatch):
+        """``load`` and ``restrict`` rewrite the zero-iterate flags like
+        the vectors: the kernel the planned crash left at level 1,
+        pre-smoothed and unrestricted, serves the next application as
+        a new one does."""
+        class Abandoned(Exception):
+            pass
+
+        def no_recovery(run, crash):
+            raise Abandoned
+
+        faults, _ = self.plan(cls, problem)
+        run = cls(problem, 4, mg_levels=3, faults=faults)
+        monkeypatch.setattr(cls, "_recover", no_recovery)
+        with pytest.raises(Abandoned):
+            run.run_cg(5)
+        r = np.random.default_rng(9).standard_normal(problem.n)
+        assert_bit_identical(engine_apply(run, r),
+                             engine_apply(cls(problem, 4, mg_levels=3), r))
 
     def test_parent_and_survivor_interleaved(self, cls, problem):
         """They share one kernel; neither may see the other's vectors."""

@@ -2,6 +2,7 @@
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -47,12 +48,16 @@ class TestRunHpcg:
         # coarsest level performs no grid transfer
         assert rows[-1]["restrict_refine"] == 0.0
 
-    def test_rbgs_majority_of_time(self):
-        """The paper's headline breakdown: RBGS > 50% of execution."""
-        result = run_hpcg(nx=8, max_iters=10, mg_levels=3,
-                          validate_symmetry=False)
-        rbgs = sum(r["rbgs"] for r in result.mg_level_breakdown())
-        assert rbgs > 0.5
+    def test_rbgs_majority_of_time(self, problem16):
+        """The paper's headline breakdown: RBGS > 50% of execution.  A
+        wall-clock share: the median of three warm runs at 16^3 (reads
+        0.56-0.61; one run at 8^3 straddled the threshold)."""
+        def rbgs_share():
+            result = run_hpcg(nx=0, problem=problem16, max_iters=10,
+                              validate_symmetry=False)
+            return sum(r["rbgs"] for r in result.mg_level_breakdown())
+        rbgs_share()    # plans, sweeps and the V-cycle kernel are built
+        assert statistics.median(rbgs_share() for _ in range(3)) > 0.5
 
     def test_summary_renders(self):
         result = run_hpcg(nx=4, max_iters=3, mg_levels=2,

@@ -111,6 +111,45 @@ class TestNumericalEdgeCases:
                            mg_levels=2).run_cg(max_iters=3)
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("damage,iteration", [("negated", 1),
+                                                  ("indefinite-diagonal", 3)])
+    def test_indefinite_operator_is_a_one_line_error(self, damage, iteration):
+        """``p'Ap <= 0`` with a non-zero residual stops every CG
+        transcription with the same line, naming the iteration, instead
+        of a diverging or NaN history."""
+        problem = generate_problem(8)
+        if damage == "negated":
+            A = grb.Matrix.from_scipy(-problem.A.to_scipy())
+        else:
+            A = problem.A.dup()
+            A.set_element(5, 5, -26.0)      # symmetric, one negative pivot
+        broken = dataclasses.replace(problem, A=A, A_diag=grb.diag(A))
+        messages = []
+        for solve in (
+            lambda: pcg(A, problem.b, problem.x0.dup(), max_iters=10),
+            lambda: ref_pcg(A.to_scipy(), problem.b.to_dense(),
+                            problem.x0.to_dense(), max_iters=10),
+            lambda: RefDistRun(broken, nprocs=2, mg_levels=2).run_cg(
+                max_iters=10, use_mg=False),
+        ):
+            with pytest.raises(InvalidValue,
+                               match="not positive definite") as err:
+                solve()
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1 and "\n" not in messages[0]
+        assert f"breakdown at iteration {iteration} " in messages[0]
+
+    def test_indefinite_preconditioner_is_a_one_line_error(self):
+        """``r'z < 0``: the preconditioner's fault, same line."""
+        problem = generate_problem(4)
+        with pytest.raises(InvalidValue, match="breakdown at iteration 1 "):
+            pcg(problem.A, problem.b, problem.x0.dup(), max_iters=3,
+                preconditioner=lambda z, r: grb.waxpby(z, -1.0, r, 0.0, r))
+        with pytest.raises(InvalidValue, match="breakdown at iteration 1 "):
+            ref_pcg(problem.A.to_scipy(), problem.b.to_dense(),
+                    problem.x0.to_dense(), max_iters=3,
+                    preconditioner=lambda z, r: np.negative(r, out=z))
+
     def test_huge_values_no_overflow_crash(self):
         import warnings
         problem = generate_problem(4)

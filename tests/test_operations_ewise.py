@@ -203,6 +203,21 @@ class TestWaxpby:
         grb.waxpby(w, -0.7, Vector.from_dense(xv), 1.3, Vector.from_dense(yv))
         np.testing.assert_allclose(w.to_dense(), -0.7 * xv + 1.3 * yv)
 
+    @pytest.mark.parametrize("alias", ["none", "x", "y"])
+    @pytest.mark.parametrize("alpha,beta", [(1.0, -0.3), (0.7, 1.0),
+                                            (1.0, 1.0), (1.0, 0.0)])
+    def test_unit_factor_is_skipped_bit_for_bit(self, alias, alpha, beta):
+        """A factor of exactly 1.0 is not multiplied; the bits are the
+        multiplied expression's, signed zeros and extremes included."""
+        xv = np.array([-0.0, 0.0, 5e-324, -1e308, 1e308, 1.5, -2.25, np.inf])
+        yv = np.array([0.0, -0.0, -5e-324, 1e308, 3.0, -1.5, 1e-300, 1.0])
+        x, y = Vector.from_dense(xv), Vector.from_dense(yv)
+        w = {"none": Vector.dense(xv.size), "x": x, "y": y}[alias]
+        with np.errstate(all="ignore"):
+            expect = alpha * xv + beta * yv
+            grb.waxpby(w, alpha, x, beta, y)
+        assert w.to_dense().tobytes() == expect.tobytes()
+
 
 class TestEwiseLambda:
     def test_masked_update(self):

@@ -10,13 +10,15 @@ plan usable, and under an ``EventLog`` the priced stream is the
 primitives'; (iii) mutating an operator, diagonal, colour mask or ``R``
 is seen by the next application; (iv) a traced application records the
 transcription's spans; (v) a warm application's Python call count and
-allocations do not grow with the grid.
+allocations do not grow with the grid; (vi) an application makes no
+pass over an operator whose output nothing reads.
 
 Tests of the plan itself run armed even in the CI leg that sets
 ``REPRO_FUSED=0`` for the whole file (the ``armed`` fixture), and
 assert that the plan *ran*.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -531,11 +533,127 @@ class TestCostGuards:
         assert reads <= 1
 
     def test_plan_holds_one_vector_and_one_index_array_per_level(self):
+        """Per transfer: an ``n_c`` scratch vector, the injection and the
+        same injection relative to its range — and not one operator
+        entry, the residual's block being views of the fine sweep."""
         M, _, _ = self.warm(16, levels=4)
         seen = set()
         levels = M.hierarchy.levels()
         assert all(_held_bytes(lvl.smoother.plan, seen) for lvl in levels)
         extra = _held_bytes(M._plan, seen)
-        bound = sum(8 * fine.n + 8 * coarse.n
-                    for fine, coarse in zip(levels, levels[1:]))
-        assert 0 < extra <= bound
+        assert 0 < extra <= sum(3 * 8 * coarse.n for coarse in levels[1:])
+
+
+# ---------------------------------------------------------------------------
+# (vi) no pass over the operator whose output nothing reads
+# ---------------------------------------------------------------------------
+
+def negated(problem):
+    """``-A x = b``: every diagonal entry of the fine operator negative."""
+    A = grb.Matrix.from_scipy(-problem.A.to_scipy())
+    return dataclasses.replace(problem, A=A, A_diag=grb.diag(A))
+
+
+def injected_nnz(level):
+    """``nnz(A[injection])`` off the natural-order containers."""
+    return int(level.A.to_scipy()[level.grid.injection_indices()].nnz)
+
+
+def sweep_nnz(level):
+    """Entries each colour step of one symmetric sweep reads, in order."""
+    nnzs = level.smoother.plan._current_sweep().nnzs
+    return [nnzs[k] for k in level.smoother.symmetric_order]
+
+
+@pytest.mark.skipif(jit.available(),
+                    reason="the jit lane fuses the product into its step")
+@pytest.mark.usefixtures("armed")
+class TestNoUnreadPass:
+    @pytest.mark.parametrize("stencil", ["27pt", "7pt"])
+    @pytest.mark.parametrize("pre", [0, 1, 2])
+    def test_entries_one_application_reads(self, loads, entries_read,
+                                           stencil, pre):
+        """Per non-coarsest level the residual reads ``nnz(A[injection])``
+        and the first colour relaxed from a zero iterate reads nothing
+        (before: ``5 nnz`` a level — two sweeps and a full residual).
+        Without a pre-smooth ``prolong`` ends the zero iterate, so the
+        post-smooth reads everything; with two, only the first does
+        not."""
+        problem = generate_problem(8, stencil=stencil)
+        top = hierarchy(problem, 3)
+        M = MGPreconditioner(top, pre_sweeps=pre, post_sweeps=1)
+        apply(M, problem.b)                 # builds the kernel
+        entries_read()
+        apply(M, problem.b)
+        assert loads(M) == [True, True]
+        got = entries_read()
+        for level in top.levels():
+            sweep = sweep_nnz(level)
+            if level.coarser is None:       # pre-smoothed only
+                assert got.get(level.n, []) == (pre * sweep)[1:]
+                continue
+            assert got[level.n] == (
+                (pre * sweep)[1:] + [injected_nnz(level)] + sweep)
+            assert injected_nnz(level) < level.A.nvals / 4
+
+    EDGE_R = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.5])
+
+    @pytest.mark.parametrize("operator", ["A", "-A"])
+    @pytest.mark.parametrize("pre,post", [(0, 1), (1, 1), (2, 0)])
+    def test_zero_start_is_bit_identical(self, loads, operator, pre, post):
+        """``r_k - (+0.0)`` is ``r_k``: signed zeros, subnormals and
+        values that overflow come out as the product would make them,
+        under a negative diagonal too."""
+        problem = generate_problem(8)
+        if operator == "-A":
+            problem = negated(problem)
+        r = grb.Vector.from_dense(np.resize(self.EDGE_R, problem.n))
+        M = MGPreconditioner(hierarchy(problem, 3),
+                             pre_sweeps=pre, post_sweeps=post)
+        oracle = MGPreconditioner(hierarchy(problem, 3, fused=False),
+                                  pre_sweeps=pre, post_sweeps=post)
+        with np.errstate(all="ignore"):
+            assert_bit_identical(apply(M, r), apply(oracle, r))
+        assert loads(M) == [True]
+
+    def test_stored_inf_takes_no_shortcut(self, loads, entries_read):
+        """``0 * Inf`` is a NaN only the product makes: a sweep holding
+        a non-finite value multiplies its first colour like the rest."""
+        problem = generate_problem(8)       # edited below: not the fixture
+        top = hierarchy(problem, 2)
+        oracle = MGPreconditioner(hierarchy(problem, 2, fused=False))
+        problem.A.set_element(0, 1, np.inf)     # row 0: relaxed first
+        M = MGPreconditioner(top)
+        with np.errstate(all="ignore"):
+            z = apply(M, problem.b)
+            assert_bit_identical(z, apply(oracle, problem.b))
+        assert loads(M) == [True] and np.isnan(z[0])
+        sweep = sweep_nnz(top)
+        assert entries_read()[top.n] == sweep + [injected_nnz(top)] + sweep
+
+    @pytest.mark.parametrize("stencil,scheme,view", [
+        ("27pt", "auto", True),     # the injected rows are colour 0
+        ("7pt", "auto", False),     # a scattered quarter of colour 0
+        ("27pt", "jp", False),      # greedy colours: they straddle classes
+    ])
+    def test_residual_block_is_a_view_or_one_copy(self, loads, stencil,
+                                                  scheme, view):
+        problem = generate_problem(8, stencil=stencil)
+        top = hierarchy(problem, 3, scheme)
+        M = MGPreconditioner(top)
+        r = random_rhs(problem.n, seed=2)
+        assert_bit_identical(
+            apply(M, r),
+            apply(MGPreconditioner(hierarchy(problem, 3, scheme,
+                                             fused=False)), r))
+        assert loads(M) == [True]
+        for level, (sweep, block, *_) in zip(top.levels()[:-1],
+                                             M._plan.kernel._levels):
+            rows, ncols, indptr, indices, data = block
+            assert (rows, ncols) == (level.coarser.n, level.n)
+            assert data.size == (level.A.nvals if view
+                                 else injected_nnz(level))
+            for mine, whole in ((indptr, sweep._indptr),
+                                (indices, sweep._indices),
+                                (data, sweep._data)):
+                assert np.shares_memory(mine, whole) == view
