@@ -16,7 +16,7 @@ and what the BSP overlap pricing hides communication behind.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,23 +35,49 @@ def mxv_bytes(nnz, rows):
     return nnz * _MXV_NNZ_BYTES + rows * _MXV_ROW_BYTES
 
 
-def per_node_rows_and_nnz(A: sp.csr_matrix, owners: np.ndarray, p: int):
-    """Per-node owned-row counts and stored-entry counts."""
-    row_nnz = np.diff(A.indptr).astype(np.int64)
-    rows = np.bincount(owners, minlength=p).astype(np.int64)
-    nnz = np.bincount(owners, weights=row_nnz, minlength=p).astype(np.int64)
-    return rows, nnz
+def per_node_rows_and_nnz(A: sp.csr_matrix, owners: np.ndarray, p: int,
+                          rows=slice(None)):
+    """Per-node counts of the owned ``rows`` (default all) and of their
+    stored entries."""
+    row_nnz = np.diff(A.indptr).astype(np.int64)[rows]
+    owners = owners[rows]
+    return (np.bincount(owners, minlength=p).astype(np.int64),
+            np.bincount(owners, weights=row_nnz, minlength=p).astype(np.int64))
 
 
 def per_node_color_work(A: sp.csr_matrix, owners: np.ndarray,
-                        colors: np.ndarray, p: int, ncolors: int):
-    """Per-colour worst-node mxv work in bytes."""
-    row_nnz = np.diff(A.indptr).astype(np.int64)
-    key = owners * ncolors + colors
+                        colors: np.ndarray, p: int, ncolors: int,
+                        rows=slice(None)):
+    """Per-colour worst-node mxv work in bytes over ``rows`` (default
+    all).  Over the interior rows it is the overlap candidate of the
+    split-phase RBGS pipeline: while colour ``c``'s halo slice is in
+    flight, the next colour's interior rows update."""
+    row_nnz = np.diff(A.indptr).astype(np.int64)[rows]
+    key = (owners * ncolors + colors)[rows]
     nnz = np.bincount(key, weights=row_nnz,
                       minlength=p * ncolors).reshape(p, ncolors)
-    rows = np.bincount(key, minlength=p * ncolors).reshape(p, ncolors)
-    return mxv_bytes(nnz, rows).max(axis=0)
+    counts = np.bincount(key, minlength=p * ncolors).reshape(p, ncolors)
+    return mxv_bytes(nnz, counts).max(axis=0)
+
+
+def per_entry_owners(indptr: np.ndarray, indices: np.ndarray,
+                     owners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per stored entry: ``(owner of its row, column owned elsewhere?)``.
+
+    The owners are expanded in the narrowest unsigned dtype holding every
+    node id (one byte up to 256 nodes), not at int64, and the column
+    owners a cache-sized chunk at a time: each array is a copy per stored
+    entry, the largest a partition derives.
+    """
+    owners = np.asarray(owners)
+    narrow = owners.astype(np.min_scalar_type(int(owners.max(initial=0))))
+    row_owner = np.repeat(narrow, np.diff(indptr))
+    remote = np.empty(row_owner.size, dtype=bool)
+    for lo in range(0, remote.size, 1 << 16):
+        hi = lo + (1 << 16)
+        np.not_equal(narrow[indices[lo:hi]], row_owner[lo:hi],
+                     out=remote[lo:hi])
+    return row_owner, remote
 
 
 def rows_touching_remote(A: sp.csr_matrix,
@@ -75,47 +101,13 @@ def interior_row_mask(A: sp.csr_matrix, owners: np.ndarray) -> np.ndarray:
     Interior rows never read halo values: a node can update them while
     an exchange for its boundary rows is still on the wire.
     """
-    owners = np.asarray(owners, dtype=np.int64)
-    row_nnz = np.diff(A.indptr).astype(np.int64)
-    row_owner = np.repeat(owners, row_nnz)
-    return ~rows_touching_remote(A, owners[A.indices] != row_owner)
+    return ~rows_touching_remote(
+        A, per_entry_owners(A.indptr, A.indices, owners)[1])
 
 
-def per_node_interior_work(
-        A: sp.csr_matrix, owners: np.ndarray, p: int,
-        interior: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
-    """Worst-node and per-node interior mxv work in bytes.
-
-    The interior share of a full SpMV — what a node can compute while
-    its posted halo exchange is in flight.  Pass a precomputed
-    ``interior_row_mask`` to avoid rescanning the matrix.
-    """
-    if interior is None:
-        interior = interior_row_mask(A, owners)
-    row_nnz = np.diff(A.indptr).astype(np.int64)
-    rows = np.bincount(owners[interior], minlength=p).astype(np.int64)
-    nnz = np.bincount(owners[interior], weights=row_nnz[interior],
-                      minlength=p).astype(np.int64)
-    per_node = mxv_bytes(nnz, rows)
-    return float(per_node.max()) if p else 0.0, per_node
-
-
-def per_node_interior_color_work(
-        A: sp.csr_matrix, owners: np.ndarray, colors: np.ndarray, p: int,
-        ncolors: int, interior: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-colour worst-node *interior* mxv work in bytes.
-
-    The overlap candidate of the split-phase RBGS pipeline: while colour
-    ``c``'s halo slice is in flight, the next colour's interior rows
-    update — this is how much compute each colour step offers to hide
-    the previous exchange behind.  Pass a precomputed
-    ``interior_row_mask`` to avoid rescanning the matrix.
-    """
-    if interior is None:
-        interior = interior_row_mask(A, owners)
-    row_nnz = np.diff(A.indptr).astype(np.int64)
-    key = (owners * ncolors + colors)[interior]
-    nnz = np.bincount(key, weights=row_nnz[interior],
-                      minlength=p * ncolors).reshape(p, ncolors)
-    rows = np.bincount(key, minlength=p * ncolors).reshape(p, ncolors)
-    return mxv_bytes(nnz, rows).max(axis=0)
+def per_node_interior_work(A: sp.csr_matrix, owners: np.ndarray, p: int,
+                           interior: np.ndarray) -> float:
+    """Worst-node interior mxv work in bytes: the share of a full SpMV a
+    node computes while its posted halo exchange is in flight."""
+    rows, nnz = per_node_rows_and_nnz(A, owners, p, interior)
+    return float(mxv_bytes(nnz, rows).max())

@@ -30,7 +30,6 @@ from repro.dist.cost import (
     interior_row_mask,
     mxv_bytes,
     per_node_color_work,
-    per_node_interior_color_work,
     per_node_interior_work,
     per_node_rows_and_nnz,
 )
@@ -75,7 +74,6 @@ class HybridALPRun(SimulatedDistRun):
         part = BlockCyclic1D(level.n, p, block=self._block)
         level.partition = part
         owners = part.owner(np.arange(level.n, dtype=np.int64))
-        level.owners = owners
         rows, nnz = per_node_rows_and_nnz(level.A, owners, p)
         level.spmv_comm = _allgather_matrix(part)
         level.spmv_work = (mxv_bytes(nnz, rows), rows)
@@ -85,12 +83,10 @@ class HybridALPRun(SimulatedDistRun):
         # what little overlap the block-cyclic distribution offers: the
         # replication can only hide behind rows needing no remote entry
         interior = interior_row_mask(level.A, owners)
-        level.interior_spmv_work, _ = per_node_interior_work(
-            level.A, owners, p, interior=interior)
-        level.interior_color_work = per_node_interior_color_work(
-            level.A, owners, level.colors, p, level.ncolors,
-            interior=interior,
-        )
+        level.interior_spmv_work = per_node_interior_work(
+            level.A, owners, p, interior)
+        level.interior_color_work = per_node_color_work(
+            level.A, owners, level.colors, p, level.ncolors, interior)
         # the level's one pattern (p^2 sends), recorded once
         scratch = CommTracker(p)
         scratch.allgather([part.local_size(k) * 8 for k in range(p)])

@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
+from repro.dist.cost import per_entry_owners
 from repro.grid import Grid3D
 from repro.util.errors import InvalidValue
 
@@ -202,25 +203,25 @@ def halo_for_owners(
     owns, grouped by the owning node ``src``; each value array is sorted
     by global index.  Serial ownership yields ``{}``.
 
-    ``entry_owners`` is the per-stored-entry expansion ``(owner of the
-    entry's row, column owned by another node?)`` for callers that need
-    it themselves as well; it is derived here when not given.
+    ``entry_owners`` is :func:`~repro.dist.cost.per_entry_owners`'s
+    expansion, for callers that need it themselves as well; it is
+    derived here when not given.
     """
     owners = np.asarray(owners, dtype=np.int64)
     n = owners.shape[0]
     with obs.span("dist/partition/halo", "dist", {"n": n, "p": p}) as span:
-        if entry_owners is None:
-            dst = np.repeat(owners, np.diff(indptr))
-            remote = owners[indices] != dst
-        else:
-            dst, remote = entry_owners
-        remote = np.flatnonzero(remote)   # a surface's worth of entries
-        if remote.size == 0:
+        dst, remote = (entry_owners if entry_owners is not None
+                       else per_entry_owners(indptr, indices, owners))
+        if not remote.any():
             if span is not None:
                 span.set(remote_entries=0, pairs=0)
             return {}
-        # unique (dst, column) pairs; the column's owner is the source
-        key = np.sort(dst[remote] * n + indices[remote])
+        # unique (dst, column) pairs, built in place over a surface's
+        # worth of entries; the column's owner is the source
+        key = dst[remote].astype(np.int64)
+        key *= n
+        key += indices[remote]
+        key.sort()
         uniq = key[np.concatenate(([True], key[1:] != key[:-1]))]
         u_dst = uniq // n
         u_col = uniq % n
@@ -260,8 +261,10 @@ def bfs_partition(indptr: np.ndarray, indices: np.ndarray,
     if p < 1:
         raise InvalidValue(f"need at least one node, got {p}")
     with obs.span("dist/partition/bfs", "dist", {"n": n, "p": p}):
-        graph = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                              shape=(n, n))
+        # the traversal reads the structure only: values are a
+        # zero-stride view, not a float per stored entry
+        graph = sp.csr_matrix((np.broadcast_to(1.0, len(indices)), indices,
+                               indptr), shape=(n, n))
         unseen = np.ones(n, dtype=bool)
         order = np.empty(n, dtype=np.int64)
         count = seed = 0

@@ -36,8 +36,8 @@ from repro.dist.comm import CommTracker, ExchangePlan
 from repro.dist.cost import (
     _RESTRICT_COPY_BYTES,
     mxv_bytes,
+    per_entry_owners,
     per_node_color_work,
-    per_node_interior_color_work,
     per_node_interior_work,
     per_node_rows_and_nnz,
     rows_touching_remote,
@@ -106,11 +106,12 @@ class RefDistRun(SimulatedDistRun):
             level.partition = None
             owners = bfs_partition(level.A.indptr, level.A.indices,
                                    level.n, p)
-        level.owners = owners
+        # kept narrow for the next level's injection halo
+        level.owners = owners.astype(np.min_scalar_type(p - 1))
         # per stored entry: the node owning its row, and whether its column
         # lives elsewhere — expanded once, read by the halo and the interior split
-        row_owner = np.repeat(owners, np.diff(level.A.indptr))
-        entry_remote = owners[level.A.indices] != row_owner
+        row_owner, entry_remote = per_entry_owners(
+            level.A.indptr, level.A.indices, owners)
         halos = halo_for_owners(level.A.indptr, level.A.indices, owners, p,
                                 entry_owners=(row_owner, entry_remote))
         level.spmv_halo = {pair: int(idxs.size) * 8
@@ -131,12 +132,10 @@ class RefDistRun(SimulatedDistRun):
         )
         # interior shares: the overlap candidates of split-phase mode
         interior = ~rows_touching_remote(level.A, entry_remote)
-        level.interior_spmv_work, _ = per_node_interior_work(
-            level.A, owners, p, interior=interior)
-        level.interior_color_work = per_node_interior_color_work(
-            level.A, owners, level.colors, p, level.ncolors,
-            interior=interior,
-        )
+        level.interior_spmv_work = per_node_interior_work(
+            level.A, owners, p, interior)
+        level.interior_color_work = per_node_color_work(
+            level.A, owners, level.colors, p, level.ncolors, interior)
         # every pattern this level closes, recorded once
         scratch = CommTracker(p)
 
@@ -190,7 +189,7 @@ class RefDistRun(SimulatedDistRun):
         cross = src != dst
         halo: Dict[Tuple[int, int], int] = {}
         if cross.any():
-            pair = src[cross] * self.nprocs + dst[cross]
+            pair = src[cross].astype(np.int64) * self.nprocs + dst[cross]
             counts = np.bincount(pair)
             for key in np.flatnonzero(counts):
                 halo[(int(key) // self.nprocs,

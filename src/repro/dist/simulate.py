@@ -28,8 +28,19 @@ hook and colour; the dot allreduce; the root exchanges) as an
 :class:`~repro.dist.comm.ExchangePlan` and a hook replays it.  Modelled
 seconds are a float sum in superstep order, so every superstep is still
 closed and priced on its own — plans are replayed, never multiplied
-out.  Survivors share their parent's level numerics and rebuild only
-the communication record: a recovery costs one repartition.
+out.
+
+The level numerics — each level's operator (``problem.A``'s own CSR on
+the fine grid), colouring, injection and colour-major sweep arrays —
+depend on the problem and the depth alone, so they are built once per
+problem and shared read only by every run on it, whatever its backend,
+node count, mode, agglomeration or fault plan; a mutated operator (a
+new ``version``) gets fresh ones, and they die with the last run using
+them.  What a walk writes stays per run: each run's kernel relaxes
+twins of the shared sweeps holding their own ``z``, ``r`` and scratch,
+and so does each run's communication record.  Survivors of a crash
+share their parent's kernel too and rebuild only the communication
+record: a recovery costs one repartition.
 
 This separation is the point of the simulation: convergence is provably
 unchanged by the distribution (the paper's Section V precondition), so
@@ -83,6 +94,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import weakref
 from types import SimpleNamespace
 from typing import List, Optional
 
@@ -120,9 +132,10 @@ from repro.util.timer import TimerRegistry
 class SimLevel:
     """One multigrid level: the operator, its colouring and the
     colour-major sweep that relaxes it.  None of it depends on the node
-    count, so a run and its survivors work on shallow copies sharing
-    these numerics; what ``_init_level_comm`` attaches (partition, work
-    shares, exchange plans) belongs to the copy."""
+    count, the backend or the pricing, so every run on a problem works
+    on shallow copies sharing these numerics; what ``_init_level_comm``
+    attaches (partition, work shares, exchange plans) belongs to the
+    copy."""
 
     def __init__(self, index: int, grid: Grid3D, A: sp.csr_matrix,
                  stencil: str):
@@ -146,6 +159,30 @@ class SimLevel:
         self.injection: Optional[np.ndarray] = None
         # set when the level is gathered onto one node (agglomeration)
         self.agglomerated = False
+
+
+class _Numerics(list):
+    """The :class:`SimLevel` s of one problem to one depth, finest first:
+    the fine level on ``problem.A``'s own CSR, coarser ones on
+    ``build_csr``.  Read only, so one value serves every run on the
+    problem; it pins ``problem.A``, whose id keys it in :data:`_SHARED`."""
+
+    def __init__(self, problem: Problem, mg_levels: int, stencil: str):
+        super().__init__()
+        self.matrix = problem.A
+        grid, A = problem.grid, problem.A.to_scipy(copy=False)
+        for index in range(mg_levels):
+            level = SimLevel(index, grid, A, stencil)
+            self.append(level)
+            if index + 1 < mg_levels:
+                level.injection = grid.injection_indices()
+                grid = grid.coarsen()
+                A = build_csr(grid, stencil)
+
+
+#: every problem's numerics while some run uses them: a mutated operator
+#: (a new ``version``) keys fresh ones, the last run's death drops them
+_SHARED = weakref.WeakValueDictionary()
 
 
 @dataclasses.dataclass
@@ -262,6 +299,12 @@ class SimulatedDistRun:
                 f"agglomeration threshold must be >= 0, "
                 f"got {agglomerate_below}"
             )
+        n = problem.grid.npoints
+        shapes = (problem.A.shape, (problem.b.size,), (problem.x0.size,))
+        want = ((n, n), (n,), (n,))
+        if shapes != want:
+            raise InvalidValue(f"problem shapes (A, b, x0) {shapes} do not "
+                               f"fit grid {problem.grid.dims}: expected {want}")
         if faults is not None:
             faults.validate_for(nprocs)
         self.problem = problem
@@ -280,21 +323,18 @@ class SimulatedDistRun:
         self.overlap_efficiency = machine.overlap_efficiency
         self.agglomerate_below = agglomerate_below
         self.n = problem.n
+        # shared with every run on the problem; each gets copies
         stencil = getattr(problem, "stencil", "27pt")
-        # built here and only here; this run and its survivors get copies
-        self._numerics: List[SimLevel] = []
-        grid = problem.grid
-        A = problem.A.to_scipy(copy=False)
-        for index in range(mg_levels):
-            level = SimLevel(index, grid, A, stencil)
-            self._numerics.append(level)
-            if index + 1 < mg_levels:
-                level.injection = grid.injection_indices()
-                grid = grid.coarsen()
-                A = build_csr(grid, stencil)
-        # shared with the survivors; every application loads it anew
+        key = (id(problem.A), problem.A.version, problem.grid.dims, stencil,
+               mg_levels)
+        self._numerics = _SHARED.get(key)
+        if self._numerics is None:      # two racing threads: either serves
+            self._numerics = _SHARED[key] = _Numerics(problem, mg_levels,
+                                                      stencil)
+        # what a walk writes is this run's own (its survivors share it;
+        # every application loads it anew)
         self._kernel = ColorMajorVCycle(
-            [level.smoother for level in self._numerics],
+            [level.smoother.twin() for level in self._numerics],
             [level.injection for level in self._numerics[:-1]])
         self._distribute(nprocs)
         self.faults = faults

@@ -21,6 +21,7 @@ Two accelerations ride on top without changing a single bit of output:
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,19 +122,31 @@ class CsrColorSweep(ColorSweep):
         self._diag = diag[perm]
         # a finite sum has only finite terms (relax's zero shortcut)
         self._finite = bool(np.isfinite(self._data.sum()))
-        self.z, self.r = np.empty(n), np.empty(n)
+        self._buffers()
+        self.rows = [perm[lo:hi] for lo, hi in zip(off, off[1:])]
+        self.nnzs = np.diff(self._indptr[off]).tolist()
+        self.traffic = [fused_traffic(_mxv_traffic(nnz, rows), rows, nnz, 3)
+                        for rows, nnz in zip(self.sizes, self.nnzs)]
+
+    def _buffers(self) -> None:
+        """Allocate what a walk writes — ``z``, ``r``, the product scratch
+        — and cut each colour's slices of them and of the operator once:
+        views, so a relaxation indexes nothing and allocates nothing."""
+        off = self._off
+        self.z, self.r = np.empty(self.perm.size), np.empty(self.perm.size)
         self._s = np.empty(max(self.sizes))
-        # each colour's slices of the arrays above, cut once: views, so
-        # a relaxation indexes nothing and allocates nothing
         self._blocks = [
             (hi - lo, self._indptr[lo:hi + 1], self.z[lo:hi], self.r[lo:hi],
              self._diag[lo:hi], self._s[:hi - lo])
             for lo, hi in zip(off, off[1:])
         ]
-        self.rows = [perm[lo:hi] for lo, hi in zip(off, off[1:])]
-        self.nnzs = np.diff(self._indptr[off]).tolist()
-        self.traffic = [fused_traffic(_mxv_traffic(nnz, rows), rows, nnz, 3)
-                        for rows, nnz in zip(self.sizes, self.nnzs)]
+
+    def twin(self) -> "CsrColorSweep":
+        """This sweep over the same operator arrays, with buffers of its
+        own: two walks that may interleave must each hold one."""
+        twin = copy.copy(self)
+        twin._buffers()
+        return twin
 
     def step(self, k: int, z: np.ndarray, r: np.ndarray) -> None:
         self.run(z, r, (k,))

@@ -1,8 +1,14 @@
 """Simulated distributed runs: correctness and the Table-I behaviours."""
 
+import dataclasses
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro import graphblas as grb
 from repro import obs
 from repro.dist import (
     Checkpoint,
@@ -11,11 +17,16 @@ from repro.dist import (
     FaultPlan,
     Hybrid2DRun,
     HybridALPRun,
+    MessageLoss,
     RefDistRun,
     factor3,
+    simulate,
 )
+from repro.dist.cost import (interior_row_mask, per_entry_owners,
+                             rows_touching_remote)
 from repro.dist.hybrid import _allgather_matrix
-from repro.dist.partition import BlockCyclic1D
+from repro.dist.partition import BlockCyclic1D, bfs_partition, halo_for_owners
+from repro.grid import Grid3D
 from repro.hpcg.driver import run_hpcg
 from repro.hpcg.problem import generate_problem
 from repro.util.errors import InvalidValue
@@ -351,3 +362,182 @@ class TestHostCostPerSuperstep:
                      comm_mode="overlap").run_cg(max_iters=2)
         assert len(at_superstep) == result.syncs > 50
         assert reads and at_superstep[0] == at_superstep[-1]
+
+
+# ---------------------------------------------------------------------------
+# one problem, one copy of its level numerics
+# ---------------------------------------------------------------------------
+
+OPERATOR_ARRAYS = ("_indptr", "_indices", "_data", "perm", "inverse", "_diag")
+WALK_BUFFERS = ("z", "r", "_s")
+TWICE = grb.UnaryOp("twice", lambda x: 2.0 * x)
+
+
+def kernel_sweeps(run):
+    """The colour-major sweeps a run's V-cycle kernel relaxes."""
+    return [entry[0] for entry in run._kernel._levels]
+
+
+def ledger_style(problem, levels):
+    """Makers of the six runs of the ledger's ``dist-32`` pass."""
+    return [
+        lambda: RefDistRun(problem, 4, mg_levels=levels),
+        lambda: RefDistRun(problem, 4, mg_levels=levels, comm_mode="overlap"),
+        lambda: HybridALPRun(problem, 4, mg_levels=levels),
+        lambda: Hybrid2DRun(problem, 4, mg_levels=levels),
+        lambda: RefDistRun(problem, 4, mg_levels=levels, faults=FaultPlan(
+            seed=3, crashes=(Crash(1, 300),), checkpoint=Checkpoint(2))),
+        lambda: RefDistRun(problem, 4, mg_levels=levels, faults=FaultPlan(
+            seed=3, message_loss=MessageLoss(0.05))),
+    ]
+
+
+class TestSharedNumerics:
+    """Every run on one problem shares its level numerics read only —
+    operators, colourings, injections, colour-major sweep arrays — and
+    keeps what a walk writes to itself."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Names of the level constructors called, one entry per call."""
+        calls = []
+        for name in ("CsrColorSweep", "build_csr"):
+            real = getattr(simulate, name)
+            monkeypatch.setattr(
+                simulate, name, lambda *a, _real=real, _name=name, **k:
+                calls.append(_name) or _real(*a, **k))
+        return calls
+
+    @staticmethod
+    def assert_one_copy(runs):
+        first = runs[0]
+        for run in runs[1:]:
+            assert run._numerics is first._numerics
+            for mine, theirs in zip(first.levels, run.levels):
+                for name in ("A", "colors", "smoother", "injection"):
+                    assert getattr(theirs, name) is getattr(mine, name), name
+            for mine, theirs in zip(kernel_sweeps(first), kernel_sweeps(run)):
+                for name in OPERATOR_ARRAYS:
+                    assert getattr(theirs, name) is getattr(mine, name), name
+                for name in WALK_BUFFERS:
+                    assert getattr(theirs, name) is not getattr(mine, name)
+
+    def test_the_six_ledger_runs_hold_one_copy(self, built):
+        runs = [make() for make in ledger_style(generate_problem(16), 4)]
+        assert built.count("CsrColorSweep") == 4
+        assert built.count("build_csr") == 3
+        self.assert_one_copy(runs)
+
+    def test_runs_at_several_node_counts_hold_one_copy(self, built):
+        problem = generate_problem(16)
+        runs = [cls(problem, p, mg_levels=3)
+                for p in (1, 2, 4, 8) for cls in (RefDistRun, HybridALPRun)]
+        assert built.count("CsrColorSweep") == 3
+        assert built.count("build_csr") == 2
+        self.assert_one_copy(runs)
+
+    def test_runs_after_the_first_allocate_a_tenth_of_it(self):
+        sizes, runs = [], []
+        tracemalloc.start()
+        try:
+            for make in ledger_style(generate_problem(16), 4):
+                before = tracemalloc.get_traced_memory()[0]
+                runs.append(make())
+                sizes.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+        assert all(size <= 0.10 * sizes[0] for size in sizes[1:]), sizes
+
+    def test_a_mutated_operator_gets_fresh_numerics(self):
+        """The run built before the mutation keeps solving the operator
+        it was built on, the one after solves the new one: each history
+        is a fresh problem's."""
+        problem = generate_problem(8, 16, 16)
+        old = RefDistRun(problem, 4, mg_levels=3)
+        grb.apply_matrix(problem.A, TWICE, problem.A)       # a new version
+        new = RefDistRun(problem, 4, mg_levels=3)
+        assert new._numerics is not old._numerics
+        assert new.levels[0].smoother is not old.levels[0].smoother
+        # what fresh problems give, one as generated and one as mutated
+        scaled = generate_problem(8, 16, 16)
+        grb.apply_matrix(scaled.A, TWICE, scaled.A)
+        want_old = RefDistRun(generate_problem(8, 16, 16), 4,
+                              mg_levels=3).run_cg(5).residuals
+        want_new = RefDistRun(scaled, 4, mg_levels=3).run_cg(5).residuals
+        assert want_old != want_new
+        assert old.run_cg(5).residuals == want_old
+        assert new.run_cg(5).residuals == want_new
+
+    def test_a_different_depth_stencil_or_grid_shares_nothing(self):
+        problem = generate_problem(16)
+        base = RefDistRun(problem, 4, mg_levels=3)
+        others = [
+            RefDistRun(problem, 4, mg_levels=2),
+            RefDistRun(dataclasses.replace(problem, stencil="7pt"), 4,
+                       mg_levels=3),
+            RefDistRun(dataclasses.replace(problem, grid=Grid3D(8, 16, 32)),
+                       4, mg_levels=3),
+        ]
+        for other in others:
+            assert other._numerics is not base._numerics
+            for mine, theirs in zip(base.levels, other.levels):
+                # the fine operator is the problem's own, never a copy
+                if mine.index:
+                    assert theirs.A is not mine.A
+                for name in ("colors", "smoother"):
+                    assert getattr(theirs, name) is not getattr(mine, name)
+            for mine, theirs in zip(kernel_sweeps(base), kernel_sweeps(other)):
+                for name in OPERATOR_ARRAYS:
+                    assert getattr(theirs, name) is not getattr(mine, name)
+
+    def test_the_numerics_die_with_the_last_run(self):
+        problem = generate_problem(8, 16, 16)
+        runs = [make() for make in ledger_style(problem, 3)]
+        runs[4].run_cg(5)     # a faulted solve leaves a reference cycle
+        numerics = weakref.ref(runs[0]._numerics)
+        del runs
+        gc.collect()
+        assert numerics() is None
+        assert len(simulate._SHARED) == 0
+
+
+@pytest.mark.parametrize("cls", [RefDistRun, HybridALPRun, Hybrid2DRun])
+@pytest.mark.parametrize("field", ["A", "b", "x0"])
+def test_a_mis_sized_problem_is_refused_before_anything_is_built(
+        dist_problem, monkeypatch, cls, field):
+    small = generate_problem(8, 8, 16)             # 1024 points, not 2048
+    problem = dataclasses.replace(dist_problem,
+                                  **{field: getattr(small, field)})
+    monkeypatch.setattr(simulate, "_Numerics",
+                        lambda *a: pytest.fail("numerics built"))
+    with pytest.raises(InvalidValue) as exc:
+        cls(problem, 4, mg_levels=3)
+    message = str(exc.value)
+    assert "\n" not in message
+    want = {"A": ("(1024, 1024)", "(2048, 2048)"),
+            "b": ("(1024,)", "(2048,)"), "x0": ("(1024,)", "(2048,)")}
+    assert all(shape in message for shape in want[field]), message
+
+
+@pytest.mark.parametrize("p,dtype", [(3, np.uint8), (257, np.uint16)])
+def test_narrow_owner_expansion_equals_int64(dist_problem, p, dtype):
+    """Halos and interior masks from the narrow per-entry owners are the
+    int64 expansion's, element for element."""
+    A = dist_problem.A.to_scipy(copy=False)
+    for owners in (bfs_partition(A.indptr, A.indices, dist_problem.n, p),
+                   BlockCyclic1D(dist_problem.n, p).owner(
+                       np.arange(dist_problem.n))):
+        row_owner, remote = per_entry_owners(A.indptr, A.indices, owners)
+        assert row_owner.dtype == dtype and row_owner.size == A.nnz
+        wide = np.repeat(owners.astype(np.int64), np.diff(A.indptr))
+        wide_remote = owners[A.indices] != wide
+        np.testing.assert_array_equal(remote, wide_remote)
+        np.testing.assert_array_equal(row_owner, wide)
+        want = halo_for_owners(A.indptr, A.indices, owners, p,
+                               entry_owners=(wide, wide_remote))
+        got = halo_for_owners(A.indptr, A.indices, owners, p)
+        assert want and got.keys() == want.keys()
+        for pair, cols in want.items():
+            np.testing.assert_array_equal(got[pair], cols)
+        np.testing.assert_array_equal(interior_row_mask(A, owners),
+                                      ~rows_touching_remote(A, wide_remote))

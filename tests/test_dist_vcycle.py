@@ -8,7 +8,8 @@ application returns equals ``ref_mg_vcycle``'s value for value and the
 GraphBLAS transcription's bit for bit, whatever the backend,
 agglomeration or communication mode, and its one-colour-per-call walk
 skips the passes the serial walk skips; (ii) a crash that unwinds a
-V-cycle half-walked leaves nothing behind in the shared kernel;
+V-cycle half-walked leaves nothing behind in the shared kernel, and two
+runs on one problem walk buffers of their own;
 (iii) a warm CG iteration allocates its CG vectors and nothing that
 grows with the grid, and ``repro.dist`` has no second smoother and no
 switch; (iv) the kernel driven by hand equals the plan driven through
@@ -20,6 +21,8 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -266,6 +269,35 @@ class TestCrashMidVCycle:
         for _ in range(2):
             assert snapshot(run.run_cg(5)) == want_parent
             assert snapshot(survivor.run_cg(5)) == want_survivor
+
+
+def test_runs_on_one_problem_solved_from_several_threads():
+    """Runs on one problem share its numerics, not what a walk writes:
+    solved at once from more threads than cores, switching every
+    microsecond, each equals its sequential solve — residuals, modelled
+    seconds and supersteps."""
+    problem = generate_problem(8, 16, 16)
+    runs = [cls(problem, 4, mg_levels=3) for cls in BACKENDS.values()]
+    got = [None] * len(runs)
+
+    def solve(i):
+        got[i] = snapshot(runs[i].run_cg(8))
+
+    interval = sys.getswitchinterval()
+    with obs.disabled():            # the trace stack is one per process
+        want = [snapshot(run.run_cg(8)) for run in runs]
+        threads = [threading.Thread(target=solve, args=(i,))
+                   for i in range(len(runs))]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
