@@ -69,28 +69,6 @@ class BSPMachine:
                 f"got {self.overlap_efficiency}"
             )
 
-    @classmethod
-    def from_profile(cls, profile, name: Optional[str] = None,
-                     overlap_efficiency: Optional[float] = None
-                     ) -> "BSPMachine":
-        """A node priced by a measured :class:`repro.tune.MachineProfile`.
-
-        The measured STREAM triad becomes ``mem_bandwidth``, the fitted
-        BSP ``g``/``L`` become ``net_bandwidth``/``latency``, and the
-        measured compute-under-copy interference becomes
-        ``overlap_efficiency`` (overridable).  The name records the
-        profile so results report which measurement priced the run.
-        """
-        eff = (profile.overlap_efficiency if overlap_efficiency is None
-               else overlap_efficiency)
-        return cls(
-            name=name or f"profile:{profile.name}",
-            mem_bandwidth=profile.triad_bandwidth,
-            net_bandwidth=profile.net_bandwidth,
-            latency=profile.latency,
-            overlap_efficiency=eff,
-        )
-
     def comm_time(self, h_bytes: float) -> float:
         """Wire time of one superstep: ``h*g + L`` (no local work)."""
         return h_bytes / self.net_bandwidth + self.latency

@@ -7,8 +7,7 @@ declarative, *deterministic* input to the simulated runs:
 
 * a :class:`FaultPlan` — JSON-loadable and schema-validated — declares
   **stragglers** (transient or permanent per-node slowdown windows),
-  **heterogeneous node speeds** (optionally sourced from multiple
-  cached :mod:`repro.tune` profiles), **message loss** on exchanges
+  **heterogeneous node speeds**, **message loss** on exchanges
   (priced as bounded retry/backoff supersteps) and **node crashes** at
   a given superstep, plus the checkpoint cadence recovery relies on;
 
@@ -344,23 +343,6 @@ class FaultPlan:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
-
-    @staticmethod
-    def speeds_from_profiles(profiles: Sequence[Any],
-                             nprocs: int) -> Dict[int, float]:
-        """Heterogeneous node speeds from multiple cached tune profiles.
-
-        Each :class:`~repro.tune.profile.MachineProfile`'s STREAM triad
-        bandwidth becomes a relative speed (fastest profile = 1.0), and
-        the profiles are dealt round-robin across the ``nprocs`` nodes —
-        a cluster built from several measured machine generations.
-        """
-        if not profiles:
-            raise InvalidValue("need at least one profile for node speeds")
-        triads = [float(p.triad_bandwidth) for p in profiles]
-        fastest = max(triads)
-        return {node: triads[node % len(triads)] / fastest
-                for node in range(nprocs)}
 
 
 # ---------------------------------------------------------------------------

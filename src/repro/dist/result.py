@@ -38,9 +38,7 @@ class DistRunResult:
     comm_seconds: float = 0.0
     exposed_comm_seconds: float = 0.0
     #: name of the :class:`~repro.dist.bsp.BSPMachine` that priced the
-    #: run — ``profile:<name>`` when built via ``BSPMachine.from_profile``,
-    #: so reports show whether a measurement or a datasheet preset set
-    #: the modelled times
+    #: run, so reports show which machine set the modelled times
     machine: str = ""
     #: wire-time decomposition under ``full/<key>`` / ``exposed/<key>``
     #: labels — kept apart from ``timers`` so kernel-share reports
@@ -93,8 +91,8 @@ class DistRunResult:
     def exposed_comm_breakdown(self) -> List[Dict[str, float]]:
         """Per-MG-level full vs exposed RBGS wire time (seconds).
 
-        The quantity ``bench_halo`` reports: how much of each level's
-        smoother communication the split-phase engine hides.
+        How much of each level's smoother communication the split-phase
+        engine hides.
         """
         timers = self.comm_timers or TimerRegistry()
         rows = []

@@ -52,9 +52,7 @@ Machine
 A run is priced on the ``machine=`` it is given, else on the Table-II
 ``ARM_CLUSTER_NODE`` preset (``overlap_efficiency=`` overrides that one
 field of either).  Nothing measured on the host or cached on disk enters
-the modelled seconds; pricing with a measured profile is spelled
-``machine=BSPMachine.from_profile(profile)``, as ``python -m repro.tune
-scale`` does.
+the modelled seconds.
 
 Communication modes
 -------------------

@@ -60,9 +60,7 @@ def run(local_nx: int = 24, iterations: int = 3,
         mg_levels: int = 4, nodes: Tuple[int, ...] = NODES,
         machine: Optional[BSPMachine] = None) -> Fig3Result:
     """Run the weak-scaling study; ``machine`` prices every node class
-    (default: the Table-II ARM preset via the backends' own default).
-    The ``repro.tune scale`` CLI passes a measured-profile machine here
-    to rerun the study on this machine's numbers."""
+    (default: the Table-II ARM preset via the backends' own default)."""
     alp_s, ref_s, ns = [], [], []
     for p in nodes:
         px, py, pz = factor3(p)

@@ -20,6 +20,10 @@ from repro.graphblas.matrix import Matrix
 from repro.graphblas.vector import Vector
 from repro.util.errors import InvalidValue
 
+#: The one MatrixMarket flavour :func:`mmread` accepts (tokens compared
+#: case-insensitively, as the format specifies).
+BANNER = ("%%matrixmarket", "matrix", "coordinate", "real", "general")
+
 
 def mmwrite(target: Union[str, Path, _io.TextIOBase], A: Matrix, comment: str = "") -> None:
     """Write a matrix in MatrixMarket coordinate format (1-based)."""
@@ -41,7 +45,14 @@ def mmwrite(target: Union[str, Path, _io.TextIOBase], A: Matrix, comment: str = 
 
 
 def mmread(source: Union[str, Path, _io.TextIOBase]) -> Matrix:
-    """Read a MatrixMarket coordinate file written by :func:`mmwrite`."""
+    """Read a MatrixMarket ``matrix coordinate real general`` file, as
+    :func:`mmwrite` writes it.
+
+    Any other banner (``symmetric``, ``pattern``, ``array``, ...) and any
+    malformed size or entry line raise :class:`InvalidValue` naming what
+    was found: reading a symmetric file as general would silently drop
+    its upper triangle.
+    """
     with obs.span("io/mmread", "io") as span:
         if isinstance(source, (str, Path)):
             text = Path(source).read_text()
@@ -50,8 +61,18 @@ def mmread(source: Union[str, Path, _io.TextIOBase]) -> Matrix:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("%%MatrixMarket"):
             raise InvalidValue("not a MatrixMarket file")
+        if tuple(tok.lower() for tok in lines[0].split()) != BANNER:
+            raise InvalidValue(
+                f"unsupported MatrixMarket banner {lines[0].strip()!r}; "
+                f"only 'matrix coordinate real general' is read")
         body = [ln for ln in lines[1:] if not ln.startswith("%")]
-        nrows, ncols, nnz = (int(tok) for tok in body[0].split())
+        try:
+            nrows, ncols, nnz = (int(tok) for tok in body[0].split())
+        except (IndexError, ValueError):
+            found = repr(body[0].strip()) if body else "nothing"
+            raise InvalidValue(
+                f"malformed MatrixMarket size line: expected "
+                f"'nrows ncols nnz', found {found}") from None
         if len(body) - 1 != nnz:
             raise InvalidValue(
                 f"expected {nnz} entries, found {len(body) - 1}"
@@ -61,9 +82,14 @@ def mmread(source: Union[str, Path, _io.TextIOBase]) -> Matrix:
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz, dtype=np.float64)
-        for k, ln in enumerate(body[1:]):
-            r, c, v = ln.split()
-            rows[k], cols[k], vals[k] = int(r) - 1, int(c) - 1, float(v)
+        try:
+            for k, ln in enumerate(body[1:]):
+                r, c, v = ln.split()
+                rows[k], cols[k], vals[k] = int(r) - 1, int(c) - 1, float(v)
+        except ValueError:
+            raise InvalidValue(
+                f"malformed MatrixMarket entry line: expected "
+                f"'row col value', found {body[k + 1].strip()!r}") from None
         return Matrix.from_coo(rows, cols, vals, nrows, ncols)
 
 

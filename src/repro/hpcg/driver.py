@@ -370,10 +370,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="print the full timer table")
     parser.add_argument("--report", action="store_true",
                         help="print an official-HPCG-style YAML report")
-    parser.add_argument("--profile", action="store_true",
-                        help="attach the cached repro.tune machine "
-                             "profile to the report (run `python -m "
-                             "repro.tune measure` first)")
     parser.add_argument("--trace-json", metavar="PATH", default=None,
                         help="write a Chrome/Perfetto trace_event JSON "
                              "of the run (implies tracing on)")
@@ -527,17 +523,6 @@ def _run_cli(args: argparse.Namespace) -> int:
         obs_ctx = obs.current()   # env-armed context when no flag given
     if result is not None:
         print(result.summary())
-    profile = None
-    if args.profile:
-        from repro.tune import cache as tune_cache
-        profile = tune_cache.current_profile()
-        if profile is None:
-            print("(no machine profile cached; run "
-                  "`python -m repro.tune measure`)")
-        else:
-            print(f"machine profile: {profile.name} "
-                  f"(triad {profile.triad_bandwidth / 1e9:.2f} GB/s, "
-                  f"measured {profile.measured_at})")
     if obs_ctx is not None:
         print(f"observability: run {obs_ctx.run_id}: "
               f"{len(obs_ctx.tracer.spans)} spans "
@@ -572,7 +557,7 @@ def _run_cli(args: argparse.Namespace) -> int:
                   "print their own summary and Resilience section)")
         else:
             from repro.hpcg.report import render_report
-            print(render_report(result, profile=profile, obs_ctx=obs_ctx,
+            print(render_report(result, obs_ctx=obs_ctx,
                                 trace_diff=trace_diff,
                                 trace_baseline=args.compare_trace))
     if result is None:

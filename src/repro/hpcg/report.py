@@ -10,19 +10,16 @@ needed — the subset we emit is plain nested scalars).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # annotation only: keeps `import repro.hpcg` off the driver
     from repro.hpcg.driver import HPCGResult
 
 
-def to_dict(result: HPCGResult, profile=None, obs_ctx=None,
+def to_dict(result: HPCGResult, obs_ctx=None,
             trace_diff=None, trace_baseline=None) -> Dict:
     """The report as a nested dictionary.
 
-    ``profile`` (a :class:`repro.tune.MachineProfile`) adds a "Machine
-    Profile" section recording which measurement priced/contextualised
-    the run — the official report likewise names its machine.
     ``obs_ctx`` (a :class:`repro.obs.RunContext`) adds an
     "Observability" section identifying the trace the run produced.
     ``trace_diff`` (a :class:`repro.obs.TraceDiff`, from the driver's
@@ -46,21 +43,6 @@ def to_dict(result: HPCGResult, profile=None, obs_ctx=None,
         else:
             flops = counts.get(kernel, 0.0)
         gflops_per_kernel[kernel] = flops / seconds / 1e9 if seconds else 0.0
-    machine_section = {}
-    if profile is not None:
-        machine_section = {
-            "Machine Profile": {
-                "Name": profile.name,
-                "Host": profile.host,
-                "Schema Version": profile.schema_version,
-                "Triad Bandwidth (GB/s)": round(
-                    profile.triad_bandwidth / 1e9, 3),
-                "BSP g (GB/s)": round(profile.net_bandwidth / 1e9, 3),
-                "BSP L (us)": round(profile.latency * 1e6, 3),
-                "Overlap Efficiency": round(profile.overlap_efficiency, 3),
-                "Fast Budget": profile.fast,
-            }
-        }
     obs_section = {}
     if obs_ctx is not None:
         obs_section = {
@@ -128,7 +110,6 @@ def to_dict(result: HPCGResult, profile=None, obs_ctx=None,
                 **{f"Raw {k.upper()}": round(v, 6)
                    for k, v in gflops_per_kernel.items()},
             },
-            **machine_section,
             **obs_section,
             **diff_section,
             "Final Summary": {
@@ -151,9 +132,9 @@ def _render(node, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def render_report(result: HPCGResult, profile=None, obs_ctx=None,
+def render_report(result: HPCGResult, obs_ctx=None,
                   trace_diff=None, trace_baseline=None) -> str:
     """The report as YAML-formatted text (official-report lookalike)."""
-    return _render(to_dict(result, profile=profile, obs_ctx=obs_ctx,
+    return _render(to_dict(result, obs_ctx=obs_ctx,
                            trace_diff=trace_diff,
                            trace_baseline=trace_baseline))

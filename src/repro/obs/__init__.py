@@ -12,9 +12,9 @@ the one layer every piece of that evidence flows through:
   counters/gauges/histograms/series with JSON snapshots and Prometheus
   text exposition;
 * a **run manifest** (:mod:`repro.obs.manifest`) — every ``REPRO_*``
-  toggle, the resolved switch states, the active tune profile,
-  per-matrix substrate-selection decisions *with reasons*, seeds and
-  versions, in one reproducibility document.
+  toggle, the resolved switch states, per-matrix substrate-selection
+  decisions *with reasons*, seeds and versions, in one reproducibility
+  document.
 
 Tracing is **off by default**; enable it with ``REPRO_TRACE=1`` (any
 instrumented call then lazily creates a process-wide context) or
@@ -32,9 +32,9 @@ Instrumented seams: the HPCG driver (phases), the CG loop (per
 iteration + residual series), multigrid (per level), smoothers (per
 sweep, fused or reference), the simulated dist engine (per superstep,
 with exposed-vs-hidden comm), the substrate registry (selection
-decisions), the tune micro-benchmark probes, MatrixMarket I/O and the
-dist partitioners.  Spans observe — they never change the numerics,
-and residual histories are byte-identical traced or untraced.
+decisions), MatrixMarket I/O and the dist partitioners.  Spans observe
+— they never change the numerics, and residual histories are
+byte-identical traced or untraced.
 
 The **live side** (:mod:`repro.obs.live`, :mod:`repro.obs.stream`,
 :mod:`repro.obs.profiler`) observes runs *while they execute*: a

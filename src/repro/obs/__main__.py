@@ -35,8 +35,8 @@ Subcommands:
 
 ``diff-manifest OLD NEW [--json PATH]``
     Structural diff of two run manifests — toggles, environment,
-    seeds, config, tune profile, versions, and per-matrix substrate
-    decisions with their reasons.
+    seeds, config, versions, sections present on one side only, and
+    per-matrix substrate decisions with their reasons.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 One solver run's configuration is scattered across environment toggles
 (``REPRO_SUBSTRATE``, ``REPRO_FUSED``, ``REPRO_JIT``, ``REPRO_THREADS``,
-``REPRO_OVERLAP``, ``REPRO_TRACE``, the tune-cache location), the
-cached machine profile,
-per-matrix substrate-selection decisions, and driver arguments.  The
+``REPRO_OVERLAP``, ``REPRO_TRACE``), per-matrix substrate-selection
+decisions, and driver arguments.  The
 manifest captures all of it in one JSON document — the *why* next to
 the *what* — so any result file can answer "how was this run
 configured, and why did it pick these kernels?".
@@ -36,7 +35,7 @@ ENV_PREFIX = "REPRO_"
 #: Keys every valid manifest must carry (see :func:`validate_manifest`).
 REQUIRED_KEYS = (
     "schema_version", "run_id", "created_at", "package_version",
-    "python", "environment", "toggles", "tune_profile",
+    "python", "environment", "toggles",
     "substrate_decisions", "seeds", "config",
 )
 
@@ -139,26 +138,6 @@ def capture_toggles() -> Dict[str, Any]:
     }
 
 
-def capture_tune_profile() -> Optional[Dict[str, Any]]:
-    """Summary of the cached machine profile, or None when uncached."""
-    from repro.tune import cache as tune_cache
-
-    profile = tune_cache.current_profile()
-    if profile is None:
-        return None
-    return {
-        "name": profile.name,
-        "host": profile.host,
-        "schema_version": profile.schema_version,
-        "created_at": profile.created_at,
-        "triad_bandwidth": profile.triad_bandwidth,
-        "net_bandwidth": profile.net_bandwidth,
-        "latency": profile.latency,
-        "overlap_efficiency": profile.overlap_efficiency,
-        "fast": profile.fast,
-    }
-
-
 def build_manifest(
     run_id: str = "",
     seeds: Optional[Dict[str, Any]] = None,
@@ -180,7 +159,6 @@ def build_manifest(
         },
         "environment": capture_environment(),
         "toggles": capture_toggles(),
-        "tune_profile": capture_tune_profile(),
         "substrate_decisions": list(decisions or []),
         "seeds": dict(seeds or {}),
         "config": dict(config or {}),

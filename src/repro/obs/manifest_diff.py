@@ -1,14 +1,16 @@
 """Manifest diffing: "why is this run different", as one command.
 
 A run manifest (:mod:`repro.obs.manifest`) records everything a run's
-configuration resolved to — toggles, environment, tune profile, seeds,
-driver config, versions, and every substrate-selection decision with
-its reason.  :func:`diff_manifests` compares two of them structurally:
+configuration resolved to — toggles, environment, seeds, driver config,
+versions, and every substrate-selection decision with its reason.
+:func:`diff_manifests` compares two of them structurally:
 
 * per-section key diffs (added / removed / changed) over ``toggles``,
-  ``environment``, ``seeds``, ``config``, ``tune_profile``, ``python``
-  and the package version — identity fields (``run_id``,
-  ``created_at``) are ignored, they differ by construction;
+  ``environment``, ``seeds``, ``config``, ``python`` and the package
+  version — identity fields (``run_id``, ``created_at``) are ignored,
+  they differ by construction;
+* top-level sections present on one side only (a manifest written by
+  an older layout, say), reported as added or removed;
 * a decision diff: substrate selections are keyed by the matrix they
   describe (shape + nnz + request), so a forced-substrate run against
   a default run reports *which matrices* changed format **and why**
@@ -20,10 +22,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Sections compared key-by-key.  ``tune_profile`` may be None (no
-#: cached profile); ``python`` nests interpreter/platform identity.
-SECTIONS = ("toggles", "environment", "seeds", "config", "tune_profile",
-            "python")
+#: Sections compared key-by-key; ``python`` nests interpreter/platform
+#: identity.
+SECTIONS = ("toggles", "environment", "seeds", "config", "python")
 
 #: Top-level scalars worth flagging (identity fields excluded).
 SCALARS = ("schema_version", "package_version")
@@ -114,16 +115,20 @@ def diff_manifests(old: Any, new: Any) -> Dict[str, Any]:
         for name in SCALARS
         if old_m.get(name) != new_m.get(name)
     }
+    presence = {"added": sorted(set(new_m) - set(old_m)),
+                "removed": sorted(set(old_m) - set(new_m))}
     decisions = _decision_diff(
         list(old_m.get("substrate_decisions") or []),
         list(new_m.get("substrate_decisions") or []),
     )
-    identical = not sections and not scalars and not decisions["changed"]
+    identical = (not sections and not scalars and not decisions["changed"]
+                 and not presence["added"] and not presence["removed"])
     return {
         "identical": identical,
         "old_run_id": old_m.get("run_id"),
         "new_run_id": new_m.get("run_id"),
         "scalars": scalars,
+        "presence": presence,
         "sections": sections,
         "decisions": decisions,
     }
@@ -143,6 +148,10 @@ def format_manifest_diff(diff: Dict[str, Any]) -> str:
         return "\n".join(lines)
     for name, change in diff["scalars"].items():
         lines.append(f"  {name}: {change['old']!r} -> {change['new']!r}")
+    for name in diff["presence"]["added"]:
+        lines.append(f"  + section {name}")
+    for name in diff["presence"]["removed"]:
+        lines.append(f"  - section {name} (removed)")
     for section, body in diff["sections"].items():
         lines.append(f"  {section}:")
         for key, value in body["added"].items():

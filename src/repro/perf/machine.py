@@ -8,7 +8,7 @@ the bandwidth-bound kernel model divides by.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.util.errors import InvalidValue
 
@@ -43,8 +43,7 @@ class MachineSpec:
 
         The scaling model only consumes cores, sockets, NUMA domains
         and bandwidth; cache/frequency fields are zeroed.  This is the
-        shared shape behind :func:`repro.perf.calibrate.this_machine`
-        and :meth:`from_profile`.
+        shape behind :func:`repro.perf.calibrate.this_machine`.
         """
         return cls(
             name=name,
@@ -61,23 +60,6 @@ class MachineSpec:
             ddr_frequency_mhz=0,
             attained_bandwidth=bandwidth,
             network=network,
-        )
-
-    @classmethod
-    def from_profile(cls, profile, name: Optional[str] = None
-                     ) -> "MachineSpec":
-        """A single-socket spec built from a measured
-        :class:`repro.tune.MachineProfile` instead of a datasheet.
-
-        Core count and attained bandwidth come from the measurement.
-        """
-        return cls.single_socket(
-            name=name or f"profile:{profile.name}",
-            cpu=profile.host or "measured-host",
-            cores=profile.cores,
-            bandwidth=profile.triad_bandwidth,
-            network=(f"measured: g={profile.net_bandwidth / 1e9:.2f} GB/s, "
-                     f"L={profile.latency * 1e6:.2f} us"),
         )
 
     @property

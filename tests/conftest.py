@@ -2,34 +2,12 @@
 
 from __future__ import annotations
 
-import os
 import sys
 
 import numpy as np
 import pytest
 
 from repro.hpcg.problem import generate_problem
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_tune_cache(tmp_path_factory):
-    """Keep tier-1 hermetic: manifest provenance records the cached
-    machine profile, and a developer's own cache must not show up in
-    the manifests the suite compares.  An explicit ``REPRO_TUNE_CACHE``
-    is honoured.
-    """
-    from repro.tune import cache as tune_cache
-
-    if os.environ.get(tune_cache.ENV_VAR, "").strip():
-        yield
-        return
-    os.environ[tune_cache.ENV_VAR] = str(tmp_path_factory.mktemp("tune-cache"))
-    tune_cache.invalidate()
-    try:
-        yield
-    finally:
-        os.environ.pop(tune_cache.ENV_VAR, None)
-        tune_cache.invalidate()
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,8 @@ whole ``resilience`` summary — for 3 backends x eager/overlap x
 Residuals depend on the BLAS build, so none are stored: each run's
 history must ``==`` an in-process ``run_hpcg`` one instead.
 
-Machine and communication mode are explicit on every run, so neither a
-cached tune profile nor ``REPRO_OVERLAP`` can move the numbers.
+Machine and communication mode are explicit on every run, so
+``REPRO_OVERLAP`` cannot move the numbers.
 Regenerate (only when the cost model is *meant* to change) with
 ``PYTHONPATH=src python tests/test_dist_golden.py``.
 """

@@ -127,7 +127,7 @@ class TestAblations:
         rows = {r.scheme: r.max_send_values
                 for r in ablations.distribution_ablation(local_nx=8, p=4)}
         assert rows["geometric 3D (Ref)"] < rows["black-box BFS (solution iv)"]
-        assert rows["black-box BFS (solution iv)"] < rows["1D block-cyclic (ALP)"]
+        assert rows["black-box BFS (solution iv)"] < rows["2D block (solution ii)"]
         assert rows["2D block (solution ii)"] < rows["1D block-cyclic (ALP)"]
 
     def test_fusion_saves_traffic_identically(self, monkeypatch):

@@ -3,7 +3,6 @@ faults (stragglers, heterogeneous speeds, message loss, node crashes)
 are deterministic, priced honestly, and recovered from exactly."""
 
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -288,14 +287,6 @@ class TestFaultPlanSchema:
         with pytest.raises(InvalidValue, match="no survivors"):
             FaultPlan(crashes=tuple(
                 Crash(i, 10) for i in range(4))).validate_for(4)
-
-    def test_speeds_from_profiles_round_robin(self):
-        profiles = [SimpleNamespace(triad_bandwidth=20e9),
-                    SimpleNamespace(triad_bandwidth=10e9)]
-        speeds = FaultPlan.speeds_from_profiles(profiles, 4)
-        assert speeds == {0: 1.0, 1: 0.5, 2: 1.0, 3: 0.5}
-        with pytest.raises(InvalidValue):
-            FaultPlan.speeds_from_profiles([], 4)
 
     def test_empty_plan_is_inactive(self):
         assert not FaultPlan().active()

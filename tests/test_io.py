@@ -42,6 +42,24 @@ class TestMatrixMarket:
         with pytest.raises(InvalidValue):
             mmread(io.StringIO("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"))
 
+    @pytest.mark.parametrize("text, found", [
+        ("%%MatrixMarket matrix coordinate real symmetric\n"
+         "2 2 2\n1 1 4.0\n2 1 -1.0\n", "symmetric"),
+        ("%%MatrixMarket matrix coordinate pattern general\n"
+         "2 2 1\n1 2\n", "pattern"),
+        ("%%MatrixMarket matrix array real general\n2 2\n1.0\n0.0\n"
+         "0.0\n1.0\n", "array"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2\n1 1 1.0\n",
+         "'2 2'"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2\n",
+         "'1 2'"),
+    ], ids=["symmetric", "pattern", "array", "two-token-size", "short-entry"])
+    def test_unsupported_or_malformed_is_one_line_invalid_value(
+            self, text, found):
+        with pytest.raises(InvalidValue, match=found) as err:
+            mmread(io.StringIO(text))
+        assert "\n" not in str(err.value)
+
 
 class TestRandomGenerators:
     def test_matrix_density(self, rng):

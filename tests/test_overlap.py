@@ -216,6 +216,9 @@ class TestBackendEquivalence:
         assert over.modelled_seconds <= eager.modelled_seconds
         assert over.exposed_comm_seconds <= over.comm_seconds
         assert eager.hidden_comm_seconds == pytest.approx(0.0)
+        # eager hides nothing, and both modes move the same wire time
+        assert eager.exposed_comm_seconds == pytest.approx(eager.comm_seconds)
+        assert over.comm_seconds == pytest.approx(eager.comm_seconds)
 
     def test_ref_backend_hides_wire_time(self, dist_problem):
         """The geometric halos genuinely overlap: hidden time > 0."""
@@ -264,6 +267,7 @@ class TestBackendEquivalence:
             assert row["hidden"] == pytest.approx(
                 row["full"] - row["exposed"])
         assert sum(r["hidden"] for r in rows) > 0.0
+        assert rows[0]["hidden"] > 0.0   # the finest level hides wire time
 
     def test_env_force_applies(self, dist_problem, monkeypatch):
         monkeypatch.setenv("REPRO_OVERLAP", "1")

@@ -12,14 +12,10 @@ Three contracts under test:
 3. **The SpMV→waxpby fusion** — ``fused_spmv_waxpby`` is bit-identical
    to the unfused pair and declines (returns False) on every
    configuration it cannot serve.
-
-Plus the profile schema bump: a v1 profile file fails with
-:class:`~repro.tune.profile.ProfileVersionError`, never ``KeyError``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -30,11 +26,6 @@ from repro import graphblas as grb
 from repro.graphblas import fused as fused_mod
 from repro.graphblas.substrate import jit
 from repro.graphblas.substrate import threads
-from repro.tune.profile import (
-    MachineProfile,
-    ProfileVersionError,
-    synthetic_profile,
-)
 from repro.util.errors import InvalidValue
 
 needs_numba = pytest.mark.skipif(
@@ -255,24 +246,6 @@ class TestFusedSpmvWaxpby:
             histories[tag] = run_hpcg(8, max_iters=6,
                                       mg_levels=2).cg.residuals
         assert histories["fused"] == histories["unfused"]
-
-
-# --- schema v2 ---------------------------------------------------------------
-
-class TestProfileSchemaV2:
-    def test_v1_profile_rejected_with_version_error(self):
-        data = synthetic_profile().to_dict()
-        data["schema_version"] = 1
-        with pytest.raises(ProfileVersionError):
-            MachineProfile.from_dict(data)
-
-    def test_v1_file_rejected_cleanly(self, tmp_path):
-        data = synthetic_profile().to_dict()
-        data["schema_version"] = 1
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(ProfileVersionError):
-            MachineProfile.load(str(path))
 
 
 # --- manifests and the driver flag -------------------------------------------
