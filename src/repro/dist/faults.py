@@ -35,6 +35,7 @@ who communicates what).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -80,6 +81,14 @@ def _as_int(value: Any, where: str) -> int:
     return value
 
 
+def _section(doc: Mapping[str, Any], key: str, kind: type) -> Any:
+    """``doc[key]``, empty when absent, which must be a ``kind``."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        raise InvalidValue(f"{key} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidValue(f"{where} must be a number, got {value!r}")
@@ -100,10 +109,10 @@ class Straggler:
     def __post_init__(self):
         if self.node < 0:
             raise InvalidValue(f"straggler node must be >= 0, got {self.node}")
-        if self.factor < 1.0:
+        if not 1.0 <= self.factor < math.inf:
             raise InvalidValue(
-                f"straggler factor must be >= 1 (a slowdown), "
-                f"got {self.factor}"
+                f"straggler factor must be a finite number >= 1 "
+                f"(a slowdown), got {self.factor}"
             )
         if self.start_superstep < 0:
             raise InvalidValue(
@@ -139,8 +148,9 @@ class MessageLoss:
         if self.max_retries < 1:
             raise InvalidValue(
                 f"max_retries must be >= 1, got {self.max_retries}")
-        if self.backoff < 0:
-            raise InvalidValue(f"backoff must be >= 0, got {self.backoff}")
+        if not 0 <= self.backoff < math.inf:
+            raise InvalidValue(
+                f"backoff must be a finite number >= 0, got {self.backoff}")
 
 
 @dataclass(frozen=True)
@@ -198,12 +208,14 @@ class FaultPlan:
     checkpoint: Optional[Checkpoint] = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidValue(f"seed must be >= 0, got {self.seed}")
         for node, speed in self.node_speeds.items():
             if node < 0:
                 raise InvalidValue(f"node_speeds node must be >= 0, got {node}")
-            if speed <= 0:
-                raise InvalidValue(
-                    f"node {node} speed must be positive, got {speed}")
+            if not 0 < speed < math.inf:
+                raise InvalidValue(f"node_speeds[{node}] must be a finite "
+                                   f"positive number, got {speed}")
 
     def active(self) -> bool:
         """Does this plan change the run at all?  An empty plan keeps
@@ -268,7 +280,7 @@ class FaultPlan:
     def from_dict(cls, doc: Mapping[str, Any]) -> "FaultPlan":
         _require_keys(doc, _PLAN_KEYS, "fault plan")
         stragglers = []
-        for i, st in enumerate(doc.get("stragglers", [])):
+        for i, st in enumerate(_section(doc, "stragglers", list)):
             where = f"stragglers[{i}]"
             _require_keys(st, ("node", "factor", "start_superstep",
                                "end_superstep"), where)
@@ -282,12 +294,14 @@ class FaultPlan:
                                _as_int(end, f"{where}.end_superstep")),
             ))
         speeds: Dict[int, float] = {}
-        for key, value in dict(doc.get("node_speeds", {})).items():
+        for key, value in _section(doc, "node_speeds", dict).items():
             try:
                 node = int(key)
             except (TypeError, ValueError):
                 raise InvalidValue(
                     f"node_speeds key {key!r} is not a node id")
+            if node in speeds:
+                raise InvalidValue(f"node_speeds names node {node} twice")
             speeds[node] = _as_number(value, f"node_speeds[{key}]")
         loss = None
         if doc.get("message_loss") is not None:
@@ -302,7 +316,7 @@ class FaultPlan:
                                    "message_loss.backoff"),
             )
         crashes = []
-        for i, c in enumerate(doc.get("crashes", [])):
+        for i, c in enumerate(_section(doc, "crashes", list)):
             where = f"crashes[{i}]"
             _require_keys(c, ("node", "superstep"), where)
             crashes.append(Crash(
@@ -426,6 +440,16 @@ class FaultInjector:
         for event in self.events:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
+
+    def quiet(self, start: int, stop: int) -> bool:
+        """Can no event land in supersteps ``[start, stop)`` — no loss
+        draw, no slowdown, no crash — so they price as in a clean run?"""
+        plan, crashes = self.plan, self._pending_crashes
+        return not (plan.message_loss or plan.node_speeds
+                    or (crashes and crashes[0].superstep < stop)
+                    or any(st.start_superstep < stop
+                           and start < (st.end_superstep or math.inf)
+                           for st in plan.stragglers))
 
     # --- per-superstep hooks (called by the pricing engine) ------------------
     def begin_superstep(self) -> int:

@@ -5,15 +5,13 @@ The three backends (:class:`~repro.dist.hybrid.HybridALPRun`,
 :class:`~repro.dist.refdist.RefDistRun`) run *identical numerics*: CG's
 vector operations are :mod:`repro.ref` kernels (``compute_spmv`` /
 ``compute_waxpby`` / ``compute_dot``) and the preconditioner is
-:class:`~repro.graphblas.substrate.csr.ColorMajorVCycle` — the array
-kernel under the serial fused V-cycle, relaxed one colour per call —
-over ``repro.ref.multigrid.build_csr`` operators.
-``tests/test_dist_vcycle.py`` holds its output to ``ref_mg_vcycle``'s
-value for value and to the GraphBLAS transcription's bit for bit; the
-one difference from the reference is the sign of an exact zero, which
-is the injection product's (``+0.0 + 1.0*x`` at restriction and
-prolongation, where the reference copies).  Residual histories are
-therefore bit-identical to ``run_hpcg``.  The engine adds
+:class:`~repro.graphblas.substrate.csr.ColorMajorVCycle`, the array
+kernel under the serial fused V-cycle, over
+``repro.ref.multigrid.build_csr`` operators.  ``tests/test_dist_vcycle.py``
+holds its output to ``ref_mg_vcycle``'s value for value and to the
+GraphBLAS transcription's bit for bit (an exact zero takes the sign of
+the injection product's ``+0.0 + 1.0*x`` where the reference copies), so
+residual histories are bit-identical to ``run_hpcg``.  The engine adds
 the accounting only: **one** CG loop and one V-cycle walk in which each
 kernel call is followed by the backend's ``*_comm`` hook, which records
 the sends on the :class:`~repro.dist.comm.CommTracker` and prices the
@@ -22,69 +20,54 @@ superstep on the BSP machine.  ``run_cg`` wraps that loop — on a
 survivors and re-attempts from the last checkpoint; a fault-free run is
 the same wrapper with no injector and a single attempt.
 
-The patterns are static, so the host cost of a superstep does not
-depend on its message count: construction records each one (per level,
-hook and colour; the dot allreduce; the root exchanges) as an
-:class:`~repro.dist.comm.ExchangePlan` and a hook replays it.  Modelled
-seconds are a float sum in superstep order, so every superstep is still
-closed and priced on its own — plans are replayed, never multiplied
-out.
+What repeats is recorded once.  Construction records every exchange
+pattern (per level, hook and colour; the dot allreduce; the root
+exchanges) as an :class:`~repro.dist.comm.ExchangePlan` that a hook
+replays.  Every CG iteration after the first closes the same supersteps
+at the same prices unless a fault event lands in it, so an untraced run
+walks one such iteration stepwise — one colour per kernel call, each
+superstep closed and priced on its own — and records what it booked as
+a tape.  A later iteration whose window the injector finds quiet (no
+message loss, slowdown or crash) runs its numerics only, one kernel
+call per smoother direction, and folds the tape in, adding left to
+right as the walk does, so every total is bit-identical.  Traced runs
+walk every iteration: their per-superstep spans are the product.
 
 The level numerics — each level's operator (``problem.A``'s own CSR on
 the fine grid), colouring, injection and colour-major sweep arrays —
-depend on the problem and the depth alone, so they are built once per
-problem and shared read only by every run on it, whatever its backend,
-node count, mode, agglomeration or fault plan; a mutated operator (a
-new ``version``) gets fresh ones, and they die with the last run using
-them.  What a walk writes stays per run: each run's kernel relaxes
-twins of the shared sweeps holding their own ``z``, ``r`` and scratch,
-and so does each run's communication record.  Survivors of a crash
-share their parent's kernel too and rebuild only the communication
-record: a recovery costs one repartition.
+depend on the problem and the depth alone: built once per problem (and
+operator ``version``), they are shared read only by every run on it.
+What a walk writes stays per run: each run's kernel relaxes twins of
+the shared sweeps holding their own ``z``, ``r`` and scratch, and each
+run keeps its own communication record.  Survivors of a crash share
+their parent's kernel: a recovery costs one repartition.
 
 This separation is the point of the simulation: convergence is provably
 unchanged by the distribution (the paper's Section V precondition), so
-backends compete purely on the communication they induce.
-
-Machine
--------
-
-A run is priced on the ``machine=`` it is given, else on the Table-II
+backends compete purely on the communication they induce.  A run is
+priced on the ``machine=`` it is given, else on the Table-II
 ``ARM_CLUSTER_NODE`` preset (``overlap_efficiency=`` overrides that one
-field of either).  Nothing measured on the host or cached on disk enters
-the modelled seconds.
+field); nothing measured on the host or cached on disk enters it.
 
-Communication modes
--------------------
+Pricing options
+---------------
 
-Every run executes in one of two modes (explicit ``comm_mode=``
-argument, else the ``REPRO_OVERLAP`` environment force, else eager):
-
-* ``"eager"`` — each exchange is a synchronous superstep priced
-  ``work + comm`` (the original BSP sum);
-* ``"overlap"`` — exchanges are *posted* (split-phase): the backend
-  tags the local compute that can proceed while the exchange is in
-  flight (interior rows, the next colour's interior update, ...) and
-  the BSP model hides wire time behind it, up to the machine's
-  ``overlap_efficiency``.
-
-The mode changes **pricing only** — sends, supersteps and numerics are
-identical, so residual histories are bit-for-bit equal across modes.
-Both the full (eager-equivalent) and the exposed (post-overlap) wire
-time are accumulated, per timer key under ``comm/full/...`` /
-``comm/exposed/...`` and in total on the result, so experiments can
-report how much latency the split-phase engine hides.
-
-Coarse-grid agglomeration
--------------------------
+An explicit ``comm_mode=``, else the ``REPRO_OVERLAP`` force, else
+``"eager"``: each exchange is a synchronous superstep priced ``work +
+comm``.  Under ``"overlap"`` exchanges are *posted* (split-phase): the
+backend tags the local compute that can proceed while one is in flight
+(interior rows, the next colour's interior update, ...) and the BSP
+model hides wire time behind it, up to the machine's
+``overlap_efficiency``.  The mode changes **pricing only**: sends,
+supersteps and numerics are identical.  Full (eager-equivalent) and
+exposed wire time are accumulated per timer key (``comm/full/...``,
+``comm/exposed/...``) and in total, to report how much is hidden.
 
 ``agglomerate_below=n`` gathers every MG level with at most ``n`` rows
 onto node 0 (never the finest level): its smoother and residual mxv
 become single-node local work — no supersteps, no latency — at the cost
 of one gather superstep entering the level, one scatter leaving it, and
-the loss of ``p``-way parallelism on the agglomerated work.  The
-tradeoff is priced through the same engine, so ``bsp_time`` shows
-whether dodging the tiny-superstep latencies pays.
+the loss of ``p``-way parallelism on it, all priced by the same engine.
 """
 
 from __future__ import annotations
@@ -92,6 +75,8 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import functools
+import operator
 import weakref
 from types import SimpleNamespace
 from typing import List, Optional
@@ -183,6 +168,60 @@ class _Numerics(list):
 _SHARED = weakref.WeakValueDictionary()
 
 
+class _Tape:
+    """One CG iteration's accounting as the stepwise walk booked it —
+    each sum's and timer's addends in order, the supersteps, the growth
+    of the label counts — for :meth:`fold` to book again."""
+
+    #: the run-state sum and the timer each value of a tick goes to
+    _TARGETS = (("seconds", "timers", "{}"),
+                ("comm_seconds", "comm_timers", "full/{}"),
+                ("exposed_comm_seconds", "comm_timers", "exposed/{}"))
+
+    def __init__(self, tracker: CommTracker):
+        self.ticks: list = []           # (key, *values), in booking order
+        self._mark = (len(tracker.supersteps), dict(tracker.label_bytes),
+                      dict(tracker.label_syncs))
+
+    def close(self, tracker: CommTracker) -> None:
+        """End the recording: group each sum's and timer's addends."""
+        first, *before = self._mark
+        self.steps = [(s.plan, s.label, s.overlapped_work, s.posted)
+                      for s in tracker.supersteps[first:]]
+        self.grown = [{label: n - then.get(label, 0) for label, n in now.items()}
+                      for now, then in zip((tracker.label_bytes,
+                                            tracker.label_syncs), before)]
+        self.sums = {name: [] for name, _, _ in self._TARGETS}
+        self.timers = {"timers": {}, "comm_timers": {}}
+        for key, *values in self.ticks:
+            for (name, registry, timer), value in zip(self._TARGETS, values):
+                self.sums[name].append(value)
+                self.timers[registry].setdefault(timer.format(key),
+                                                 []).append(value)
+
+    def fold(self, state: "_RunState") -> None:
+        """Book the recorded iteration once more.  Every sum adds its
+        addends left to right, as the walk's ``+=`` did — ``np.sum`` would
+        pair them up, ``sum`` compensate — so totals stay bit-identical."""
+        add = functools.partial(functools.reduce, operator.add)
+        for name, addends in self.sums.items():
+            setattr(state, name, add(addends, getattr(state, name)))
+        for registry, timers in self.timers.items():
+            for key, addends in timers.items():
+                timer = getattr(state, registry).get(key)
+                timer.total = add(addends, timer.total)
+                timer.count += len(addends)
+        tracker, first = state.tracker, len(state.tracker.supersteps)
+        tracker.supersteps += [SuperstepStats(first + i, *step)
+                               for i, step in enumerate(self.steps)]
+        for counts, grown in zip((tracker.label_bytes, tracker.label_syncs),
+                                 self.grown):
+            for label, n in grown.items():
+                counts[label] += n
+        if state.injector is not None:
+            state.injector.superstep += len(self.steps)
+
+
 @dataclasses.dataclass
 class CGState:
     """The CG loop's variables after iteration ``k``.  A ``copy()`` is a
@@ -228,6 +267,10 @@ class _RunState:
         self.reexecuted = 0
         self.lost_supersteps = 0
         self.lost_bytes = 0
+        # the tape, recorded or recording, and a replay (see _iteration)
+        self.tape: Optional[_Tape] = None
+        self.taping: Optional[_Tape] = None
+        self.replaying = False
         # the obs context, read once (no environment lookup per
         # superstep); the fault metrics are declared only on faulted runs
         self.ctx = obs.current()
@@ -415,6 +458,8 @@ class SimulatedDistRun:
         time behind ``overlap_bytes`` of tagged local compute.  Under a
         lossy plan the exchange may be re-driven.
         """
+        if self._state.replaying:
+            return
         self.tracker.replay(plan, label=sync_label)
         if self.overlap:
             handle = self.tracker.post(label=sync_label)
@@ -433,6 +478,8 @@ class SimulatedDistRun:
         """Replay ``plan`` as one *collective* superstep (dot allreduce,
         checkpoint, restore): synchronous in either mode, and reliable
         — never re-driven."""
+        if self._state.replaying:
+            return
         self.tracker.replay(plan, label=sync_label)
         stats = self.tracker.sync(label=sync_label)
         self._tick_superstep(timer_key, work_bytes, stats.h)
@@ -468,16 +515,19 @@ class SimulatedDistRun:
             if sp is not None:
                 sp.tick(self._state.seconds - before)
 
-    def _tick(self, key: str, seconds: float) -> None:
-        self._state.timers.tick(key, seconds)
-        self._state.seconds += seconds
+    def _tick(self, key: str, seconds: float, *wire: float) -> None:
+        state = self._state
+        state.timers.tick(key, seconds)
+        state.seconds += seconds
+        if state.taping is not None:
+            state.taping.ticks.append((key, seconds, *wire))
 
     def _account_superstep(self, key: str, h: int, total: float,
                            comm_full: float, comm_exposed: float,
                            comm_hidden: float) -> None:
         """Book one priced superstep (a first delivery or a retry)."""
         state = self._state
-        self._tick(key, total)
+        self._tick(key, total, comm_full, comm_exposed)
         state.comm_seconds += comm_full
         state.exposed_comm_seconds += comm_exposed
         state.comm_timers.tick(f"full/{key}", comm_full)
@@ -521,6 +571,8 @@ class SimulatedDistRun:
             inj.check_crash(step)
 
     def _tick_local(self, key: str, work_bytes: float) -> None:
+        if self._state.replaying:
+            return
         inj = self._state.injector
         if inj is not None:
             work_bytes *= inj.work_factor(inj.superstep)
@@ -574,10 +626,15 @@ class SimulatedDistRun:
         return compute_spmv(np.empty(self.n), self.levels[0].A, x)
 
     def _smooth(self, level: SimLevel) -> None:
-        """One symmetric sweep: colours ascending, then descending."""
+        """One symmetric sweep: colours ascending, then descending — one
+        kernel call per direction while an iteration is replayed, else
+        one per colour, each followed by its price."""
         relax, sweep = self._kernel.relax, level.smoother
         forward = list(range(level.ncolors))
         for order in (forward, forward[::-1]):
+            if self._state.replaying:
+                relax(level.index, order)
+                continue
             for c, nxt in zip(order, [*order[1:], None]):
                 relax(level.index, (c,))
                 if level.agglomerated:
@@ -710,6 +767,7 @@ class SimulatedDistRun:
         }):
             survivor = self._respawn(survivors)
         state.tracker = CommTracker(survivor.nprocs)
+        state.tape = state.taping = None      # the survivors' plans differ
         inj.recoveries += 1
         inj.record(
             "recovery", inj.superstep, node=crash.node,
@@ -721,6 +779,31 @@ class SimulatedDistRun:
         return survivor
 
     # --- the one CG loop -----------------------------------------------------
+    @contextlib.contextmanager
+    def _iteration(self, k: int):
+        """Iteration ``k``'s span.  Untraced and from ``k = 2`` on (the
+        first puts ``p <- z`` before the dot), it replays the kept tape if
+        the injector finds its window quiet — the walk runs numerics only,
+        pricing off — else it is walked, and recorded if no tape is kept."""
+        state, inj = self._state, self._state.injector
+        start = inj.superstep if inj is not None else 0
+        if k >= 2 and state.ctx is None:
+            if state.tape is None:
+                state.taping = _Tape(state.tracker)
+            elif inj is None or inj.quiet(start,
+                                          start + len(state.tape.steps)):
+                state.replaying = True
+        with self._span("cg/iteration", "cg", {"k": k}) as sp:
+            yield sp
+        if state.replaying:
+            state.replaying = False
+            state.tape.fold(state)
+        elif state.taping is not None:      # kept if no event could land
+            tape, state.taping = state.taping, None
+            if inj is None or inj.quiet(start, inj.superstep):
+                tape.close(state.tracker)
+                state.tape = tape
+
     def _cg_attempt(self, max_iters: int, use_mg: bool,
                     tolerance: float) -> CGState:
         """One (re)execution attempt of the CG loop — the only one:
@@ -761,7 +844,7 @@ class SimulatedDistRun:
             if tolerance > 0 and cg.residuals[-1] / normr0 <= tolerance:
                 break
             state.iteration = k
-            with self._span("cg/iteration", "cg", {"k": k}) as sp:
+            with self._iteration(k) as sp:
                 if use_mg:
                     z = np.empty(n)                        # z <- M r
                     self._kernel.load(r)

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import graphblas as grb
 from repro import obs
@@ -14,11 +15,13 @@ from repro.dist import (
     Checkpoint,
     CommTracker,
     Crash,
+    ExchangePlan,
     FaultPlan,
     Hybrid2DRun,
     HybridALPRun,
     MessageLoss,
     RefDistRun,
+    Straggler,
     factor3,
     simulate,
 )
@@ -362,6 +365,136 @@ class TestHostCostPerSuperstep:
                      comm_mode="overlap").run_cg(max_iters=2)
         assert len(at_superstep) == result.syncs > 50
         assert reads and at_superstep[0] == at_superstep[-1]
+
+
+# ---------------------------------------------------------------------------
+# an iteration priced from the tape == the same iteration walked stepwise
+# ---------------------------------------------------------------------------
+
+BACKENDS = {"ref-3d": RefDistRun, "alp-1d": HybridALPRun, "alp-2d": Hybrid2DRun}
+
+
+def accounting(result):
+    """Everything a run prices and counts, floats to the bit; a plan by
+    its bytes (a survivor run's plans are rebuilt per solve)."""
+    def field(value):
+        if isinstance(value, ExchangePlan):
+            return value.sent.tobytes(), value.received.tobytes(), \
+                value.messages
+        return value
+
+    tracker = result.tracker
+    return dict(
+        residuals=result.residuals,
+        seconds=[value.hex() for value in (
+            result.modelled_seconds, result.comm_seconds,
+            result.exposed_comm_seconds)],
+        timers=result.timers.as_dict(counts=True),
+        comm_timers=result.comm_timers.as_dict(counts=True),
+        supersteps=[[field(getattr(step, f.name))
+                     for f in dataclasses.fields(step)]
+                    for step in tracker.supersteps],
+        label_bytes=tracker.label_bytes, label_syncs=tracker.label_syncs,
+        resilience=result.resilience,
+    )
+
+
+def iteration_windows(run, solve):
+    """``(first, last)`` superstep of each CG iteration of ``run``, which
+    must lose no message and crash nowhere: an iteration ends on its
+    third dot, and a checkpoint may follow it."""
+    with obs.disabled():
+        steps = run.run_cg(**solve).tracker.supersteps
+    dots = [step.index for step in steps if step.label == "dot"]
+    return [(end + 1 + (steps[end + 1].label == "checkpoint"), last)
+            for end, last in zip(dots[:-1:3], dots[3::3])]
+
+
+class TestTapeEqualsStepwise:
+    """An untraced run books every iteration after the recorded one from
+    the tape, unless the injector finds its window eventful; a traced
+    run walks every iteration.  Both must price and count the same, to
+    the bit, whatever the backend, mode, agglomeration, preconditioner,
+    stopping rule and fault plan."""
+
+    problem = generate_problem(8, 16, 16)
+
+    def draw_plan(self, data, kind, run, solve):
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        if kind == "none":
+            return None
+        if kind == "checkpoint":
+            return FaultPlan(seed=seed, checkpoint=Checkpoint(
+                data.draw(st.integers(1, 3), label="interval")))
+        if kind == "loss":
+            return FaultPlan(seed=seed, message_loss=MessageLoss(0.2))
+        if kind == "crash":
+            ckpt = Checkpoint(2)
+            run.faults = FaultPlan(checkpoint=ckpt)
+            first, last = data.draw(st.sampled_from(
+                iteration_windows(run, solve)), label="window")
+            step = data.draw(st.sampled_from([first, last])
+                             | st.integers(first, last), label="superstep")
+            return FaultPlan(seed=seed, checkpoint=ckpt, crashes=(
+                Crash(data.draw(st.integers(1, 3), label="node"), step),))
+        run.faults = None           # a straggler from iteration a to b
+        windows = iteration_windows(run, solve)
+        a = data.draw(st.integers(0, len(windows) - 1), label="a")
+        b = data.draw(st.integers(a, len(windows) - 1), label="b")
+        start = data.draw(st.sampled_from(windows[a]), label="start")
+        end = data.draw(st.sampled_from([None, windows[b][1] + 1] + [
+            bound for bound in windows[b] if bound > start]), label="end")
+        return FaultPlan(seed=seed, stragglers=(Straggler(
+            data.draw(st.integers(0, 3), label="node"), 2.5, start, end),))
+
+    @pytest.mark.parametrize("kind", ["none", "checkpoint", "crash",
+                                      "straggler", "loss"])
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def test_a_taped_run_equals_its_stepwise_walk(self, kind, data):
+        cls = BACKENDS[data.draw(st.sampled_from(sorted(BACKENDS)))]
+        run = cls(self.problem, 4, mg_levels=3,
+                  comm_mode=data.draw(st.sampled_from(["eager", "overlap"])),
+                  agglomerate_below=data.draw(st.sampled_from([0, 64])))
+        solve = dict(use_mg=data.draw(st.booleans(), label="use_mg"),
+                     **data.draw(st.sampled_from([
+                         {"max_iters": 10},
+                         {"max_iters": 40, "tolerance": 1e-4}])))
+        run.faults = self.draw_plan(data, kind, run, solve)
+        with obs.disabled():
+            taped = run.run_cg(**solve)
+        with obs.run():
+            walked = run.run_cg(**solve)
+        assert accounting(taped) == accounting(walked)
+
+    def test_an_eventful_iteration_is_not_recorded(self):
+        """A straggler over iteration 2 alone: the tape is recorded from
+        iteration 3, not from the slowed walk."""
+        run = RefDistRun(self.problem, 4, mg_levels=3)
+        _, (first, last), *_ = iteration_windows(run, {"max_iters": 10})
+        run.faults = FaultPlan(stragglers=(Straggler(1, 2.5, first,
+                                                     last + 1),))
+        with obs.disabled():
+            taped = run.run_cg(max_iters=10)
+        with obs.run():
+            walked = run.run_cg(max_iters=10)
+        assert accounting(taped) == accounting(walked)
+
+    def test_an_untraced_clean_run_walks_two_iterations(self, problem8,
+                                                        monkeypatch):
+        """Only iteration 1 and the recorded iteration 2 close supersteps
+        (after the initial product and dot): a silent fall-back to
+        walking every iteration fails here."""
+        run = RefDistRun(problem8, 4, mg_levels=3)
+        closes = []
+        close = CommTracker._close
+        with obs.disabled():
+            walked = run.run_cg(max_iters=2).syncs
+            monkeypatch.setattr(CommTracker, "_close", lambda *a, **k:
+                                closes.append(1) or close(*a, **k))
+            result = run.run_cg(max_iters=10)
+        assert len(closes) == walked < result.syncs / 4
 
 
 # ---------------------------------------------------------------------------

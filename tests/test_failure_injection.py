@@ -288,6 +288,32 @@ class TestFaultPlanSchema:
             FaultPlan(crashes=tuple(
                 Crash(i, 10) for i in range(4))).validate_for(4)
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"stragglers": [{"node": 0, "factor": NaN}]}', "factor"),
+        ('{"stragglers": [{"node": 0, "factor": Infinity}]}', "factor"),
+        ('{"message_loss": {"rate": 0.1, "backoff": NaN}}', "backoff"),
+        ('{"message_loss": {"rate": 0.1, "backoff": Infinity}}', "backoff"),
+        ('{"node_speeds": {"1": Infinity}}', r"node_speeds\[1\]"),
+        ('{"seed": -1}', "seed"),
+        ('{"stragglers": null}', "stragglers"),
+        ('{"crashes": null}', "crashes"),
+        ('{"node_speeds": null}', "node_speeds"),
+        ('{"node_speeds": {"0": 0.5, "00": 0.25}}', "node_speeds"),
+    ], ids=["nan-factor", "inf-factor", "nan-backoff", "inf-backoff",
+            "inf-speed", "negative-seed", "null-stragglers", "null-crashes",
+            "null-node-speeds", "node-named-twice"])
+    def test_what_json_reads_but_nothing_can_price_is_one_line_invalid_value(
+            self, tmp_path, text, field):
+        """``json`` reads ``NaN`` and ``Infinity``, ``null`` sections and
+        repeated node ids; each is refused on load, naming the field,
+        instead of pricing NaN or inf, failing later, or keeping one of
+        two speeds."""
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        with pytest.raises(InvalidValue, match=field) as exc:
+            FaultPlan.from_json(str(path))
+        assert "\n" not in str(exc.value)
+
     def test_empty_plan_is_inactive(self):
         assert not FaultPlan().active()
         assert FaultPlan(checkpoint=Checkpoint(1)).active()
