@@ -69,6 +69,9 @@ class HybridALPRun(SimulatedDistRun):
         self._block = block
         super().__init__(problem, nprocs, mg_levels, machine, **engine)
 
+    def _layout(self):
+        return self._block
+
     def _init_level_comm(self, level: SimLevel) -> None:
         p = self.nprocs
         part = BlockCyclic1D(level.n, p, block=self._block)

@@ -64,6 +64,9 @@ class Hybrid2DRun(SimulatedDistRun):
         square = largest_square(nprocs)
         return super()._respawn(square, q=math.isqrt(square))
 
+    def _layout(self):
+        return self.q
+
     def _rank(self, i: int, j: int) -> int:
         return i * self.q + j
 

@@ -96,6 +96,9 @@ class RefDistRun(SimulatedDistRun):
         return super()._respawn(nprocs, _partition_kind=kind,
                                 _process_grid=shape)
 
+    def _layout(self):
+        return self._partition_kind, tuple(self._process_grid)
+
     def _init_level_comm(self, level: SimLevel) -> None:
         p = self.nprocs
         if self._partition_kind == "grid3d":

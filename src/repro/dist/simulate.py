@@ -37,10 +37,13 @@ The level numerics — each level's operator (``problem.A``'s own CSR on
 the fine grid), colouring, injection and colour-major sweep arrays —
 depend on the problem and the depth alone: built once per problem (and
 operator ``version``), they are shared read only by every run on it.
+So are communication records (partitions, halos, work shares, exchange
+plans), which depend on nothing else but the backend class, the node
+count, ``agglomerate_below`` and the backend's ``_layout()``: the
+numerics keep one per such key, built by the first run to need it.
 What a walk writes stays per run: each run's kernel relaxes twins of
-the shared sweeps holding their own ``z``, ``r`` and scratch, and each
-run keeps its own communication record.  Survivors of a crash share
-their parent's kernel: a recovery costs one repartition.
+the shared sweeps holding their own ``z``, ``r`` and scratch.  Crash
+survivors look their record up like any run: one repartition a problem.
 
 This separation is the point of the simulation: convergence is provably
 unchanged by the distribution (the paper's Section V precondition), so
@@ -115,8 +118,8 @@ from repro.util.timer import TimerRegistry
 class SimLevel:
     """One multigrid level: the operator, its colouring and the
     colour-major sweep that relaxes it.  None of it depends on the node
-    count, the backend or the pricing, so every run on a problem works
-    on shallow copies sharing these numerics; what ``_init_level_comm``
+    count, the backend or the pricing, so communication records hold
+    shallow copies sharing these numerics; what ``_init_level_comm``
     attaches (partition, work shares, exchange plans) belongs to the
     copy."""
 
@@ -148,11 +151,14 @@ class _Numerics(list):
     """The :class:`SimLevel` s of one problem to one depth, finest first:
     the fine level on ``problem.A``'s own CSR, coarser ones on
     ``build_csr``.  Read only, so one value serves every run on the
-    problem; it pins ``problem.A``, whose id keys it in :data:`_SHARED`."""
+    problem; it pins ``problem.A``, whose id keys it in :data:`_SHARED`,
+    and keeps the communication records built on it."""
 
     def __init__(self, problem: Problem, mg_levels: int, stencil: str):
         super().__init__()
         self.matrix = problem.A
+        #: (backend class, nodes, agglomerate_below, layout) -> record
+        self.records = {}
         grid, A = problem.grid, problem.A.to_scipy(copy=False)
         for index in range(mg_levels):
             level = SimLevel(index, grid, A, stencil)
@@ -383,11 +389,16 @@ class SimulatedDistRun:
         self._state: Optional[_RunState] = None
 
     def _distribute(self, nprocs: int) -> None:
-        """Build this run's communication record for ``nprocs`` nodes:
-        the backend's partition, work shares and exchange plans per
-        level, the engine's dot allreduce and root exchanges — every
-        pattern the run will ever close, recorded here once."""
+        """Take the communication record for ``nprocs`` nodes — the
+        backend's partition, work shares and exchange plans per level,
+        the engine's dot allreduce and root exchanges: every pattern the
+        run will ever close — building it if no run has."""
         self.nprocs = nprocs
+        records = self._numerics.records
+        key = (type(self), nprocs, self.agglomerate_below, self._layout())
+        if key in records:
+            self.levels, self._root_plans, self._dot_plan = records[key]
+            return
         self.levels = [copy.copy(level) for level in self._numerics]
         self._root_plans = {}
         for level in self.levels:
@@ -415,6 +426,7 @@ class SimulatedDistRun:
         scratch.allreduce_scalar()
         self._dot_plan = scratch.freeze()
         self._record_root_exchanges(self.n, self._CKPT_VECTORS)
+        records[key] = self.levels, self._root_plans, self._dot_plan
 
     @property
     def tracker(self) -> CommTracker:
@@ -422,6 +434,10 @@ class SimulatedDistRun:
         return self._state.tracker
 
     # --- backend hooks -------------------------------------------------------
+    def _layout(self) -> object:
+        """What shapes the partition besides the node count (hashable)."""
+        raise NotImplementedError
+
     def _init_level_comm(self, level: SimLevel) -> None:
         """Attach partition, work shares and every exchange plan."""
         raise NotImplementedError
@@ -739,10 +755,9 @@ class SimulatedDistRun:
     # --- crash recovery ------------------------------------------------------
     def _respawn(self, nprocs: int, **changed) -> "SimulatedDistRun":
         """This run on ``nprocs`` surviving nodes: a shallow copy that
-        shares the level numerics and the run state, and rebuilds only
-        the communication record with the backend's own partitioner
-        (subclasses pass the fields the node count ``changed``).  One
-        repartition is all a recovery costs on the host."""
+        shares the level numerics and the run state, and takes the
+        communication record of its layout (subclasses pass the fields
+        the node count ``changed``): at most one repartition a problem."""
         survivor = copy.copy(self)
         vars(survivor).update(changed)
         survivor._distribute(nprocs)

@@ -11,6 +11,7 @@ then ``y``, then ``z`` — ``i = iz*ny*nx + iy*nx + ix``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -28,7 +29,12 @@ class Grid3D:
     nz: int
 
     def __post_init__(self):
-        if min(self.nx, self.ny, self.nz) < 1:
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral)
+               for d in self.dims):
+            raise InvalidValue(f"grid dimensions must be ints: {self.dims!r}")
+        for name in ("nx", "ny", "nz"):                 # numpy ints -> int
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if min(self.dims) < 1:
             raise InvalidValue(f"grid dimensions must be >= 1, got {self.dims}")
 
     # --- basic properties ---------------------------------------------------

@@ -23,9 +23,11 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro import graphblas as grb
-from repro.grid import Grid3D, stencil_coo
+from repro.grid import Grid3D
+from repro.grid.stencil import stencil_csr, stencil_spec
 from repro.util.errors import InvalidValue
 
 BStyle = Literal["reference", "ones"]
@@ -67,9 +69,10 @@ def build_operator(grid: Grid3D, stencil: Stencil = "27pt",
     ``substrate`` pins the storage format/kernel provider; the default
     leaves the matrix unpinned (``REPRO_SUBSTRATE`` force, else CSR).
     """
-    rows, cols, vals = stencil_coo(grid, stencil)
-    return grb.Matrix.from_coo(rows, cols, vals, grid.npoints, grid.npoints,
-                               substrate=substrate)
+    indptr, indices, data = stencil_csr(grid, stencil)
+    return grb.Matrix(sp.csr_matrix((data, indices, indptr),
+                                    shape=(grid.npoints,) * 2),
+                      substrate=substrate)
 
 
 def generate_problem(
@@ -87,11 +90,14 @@ def generate_problem(
     Laplacian — not HPCG, but useful for studies (its dependency graph
     is 2-colourable, the original red-black setting).  ``substrate``
     pins every operator (fine and, via :func:`build_hierarchy`, coarse)
-    to one storage format; ``None`` leaves them unpinned.
+    to one storage format; ``None`` leaves them unpinned.  Every
+    argument is checked before anything is assembled.
     """
-    ny = ny or nx
-    nz = nz or nx
-    grid = Grid3D(nx, ny, nz)
+    grid = Grid3D(nx, ny or nx, nz or nx)
+    stencil_spec(stencil)
+    if b_style not in ("reference", "ones"):
+        raise InvalidValue(f"unknown b_style {b_style!r}; "
+                           f"expected 'reference' or 'ones'")
     A = build_operator(grid, stencil, substrate)
     n = grid.npoints
 
@@ -103,10 +109,8 @@ def generate_problem(
     if b_style == "reference":
         b = grb.Vector.dense(n)
         grb.mxv(b, None, A, exact)
-    elif b_style == "ones":
-        b = grb.Vector.dense(n, 1.0)
     else:
-        raise InvalidValue(f"unknown b_style {b_style!r}")
+        b = grb.Vector.dense(n, 1.0)
     x0 = grb.Vector.dense(n, 0.0)
     return Problem(grid=grid, A=A, A_diag=A_diag, b=b, x0=x0, exact=exact,
                    b_style=b_style, stencil=stencil, substrate=substrate)

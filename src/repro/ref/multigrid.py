@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from repro.grid import Grid3D
 from repro.hpcg.coloring import lattice_coloring
 from repro.hpcg.problem import Problem
-from repro.grid.stencil import stencil_coo
+from repro.grid.stencil import stencil_csr
 from repro.ref.sgs import RefRBGS, RefSymGS
 from repro.util.errors import InvalidValue, OutputAliasing
 from repro.util.timer import null_timer
@@ -54,11 +54,10 @@ class RefMGLevel:
 
 
 def build_csr(grid: Grid3D, stencil: str = "27pt") -> sp.csr_matrix:
-    """The stencil operator on ``grid`` as sorted CSR (coarse levels)."""
-    rows, cols, vals = stencil_coo(grid, stencil)
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(grid.npoints, grid.npoints))
-    A.sort_indices()
-    return A
+    """The stencil operator on ``grid`` as canonical CSR (coarse levels),
+    on the assembled arrays themselves."""
+    indptr, indices, data = stencil_csr(grid, stencil)
+    return sp.csr_matrix((data, indices, indptr), shape=(grid.npoints,) * 2)
 
 
 def build_ref_hierarchy(

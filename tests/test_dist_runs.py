@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import graphblas as grb
@@ -674,3 +675,103 @@ def test_narrow_owner_expansion_equals_int64(dist_problem, p, dtype):
             np.testing.assert_array_equal(got[pair], cols)
         np.testing.assert_array_equal(interior_row_mask(A, owners),
                                       ~rows_touching_remote(A, wide_remote))
+
+
+# ---------------------------------------------------------------------------
+# one problem and layout, one communication record
+# ---------------------------------------------------------------------------
+
+def record(run):
+    return run.levels, run._root_plans, run._dot_plan
+
+
+def frozen(value):
+    """A deep, comparable image of a record: arrays by dtype, shape and
+    bytes, plans by their fields (not their cached totals), objects by
+    their attributes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, ExchangePlan):
+        return frozen((value.sent, value.received, value.messages))
+    if sp.issparse(value):
+        return frozen((value.indptr, value.indices, value.data))
+    if isinstance(value, dict):
+        return tuple((frozen(k), frozen(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(frozen(item) for item in value)
+    if hasattr(value, "__dict__"):
+        return type(value).__name__, frozen(vars(value))
+    return value
+
+
+class TestSharedRecord:
+    """Runs that agree on backend, node count, agglomeration and layout
+    share one communication record, built once and never written."""
+
+    def test_the_four_ledger_ref_runs_hold_one_record(self):
+        makers = ledger_style(generate_problem(8, 16, 16), 3)
+        first, *others = [makers[i]() for i in (0, 1, 4, 5)]
+        for run in others:
+            for mine, theirs in zip(record(first), record(run)):
+                assert theirs is mine
+
+    def test_a_different_backend_or_layout_shares_nothing(self):
+        problem = generate_problem(8, 16, 16)
+        runs = [
+            RefDistRun(problem, 4, mg_levels=3),
+            HybridALPRun(problem, 4, mg_levels=3),
+            Hybrid2DRun(problem, 4, mg_levels=3),
+            RefDistRun(problem, 2, mg_levels=3),
+            RefDistRun(problem, 4, mg_levels=3, partition="bfs"),
+            RefDistRun(problem, 4, mg_levels=3, process_grid=(1, 1, 4)),
+            RefDistRun(problem, 4, mg_levels=3, agglomerate_below=64),
+            HybridALPRun(problem, 4, mg_levels=3, block=2),
+        ]
+        assert len({id(run._numerics) for run in runs}) == 1
+        for i, run in enumerate(runs):
+            for other in runs[i + 1:]:
+                for mine, theirs in zip(record(run), record(other)):
+                    assert theirs is not mine
+                for mine, theirs in zip(run.levels, other.levels):
+                    assert theirs is not mine
+
+    def test_a_recovery_run_twice_builds_the_survivors_record_once(
+            self, monkeypatch):
+        built = []
+        init = RefDistRun._init_level_comm
+        monkeypatch.setattr(
+            RefDistRun, "_init_level_comm",
+            lambda self, level: built.append(self.nprocs) or init(self, level))
+        run = ledger_style(generate_problem(8, 16, 16), 3)[4]()
+        first, second = run.run_cg(10), run.run_cg(10)
+        assert first.resilience["recoveries"] == 1
+        assert built == [4] * 3 + [first.nprocs] * 3
+        assert accounting(second) == accounting(first)
+
+    def test_solving_writes_nothing_to_the_record(self):
+        problem = generate_problem(8, 16, 16)
+        makers = ledger_style(problem, 3)
+        clean, overlap, crash = (makers[i]() for i in (0, 1, 4))
+        before = frozen(record(clean))
+        for run in (clean, overlap, crash):
+            run.run_cg(10)
+            assert frozen(record(run)) == before
+
+    def test_the_records_die_with_the_last_run(self):
+        runs = [make() for make in ledger_style(generate_problem(8, 16, 16),
+                                                3)]
+        runs[4].run_cg(5)
+        alive = [weakref.ref(level) for run in runs for level in run.levels]
+        alive.append(weakref.ref(runs[0]._dot_plan))
+        del runs
+        gc.collect()
+        assert all(ref() is None for ref in alive)
+
+    def test_sharing_changes_no_result(self):
+        """Each of the six runs, on the shared records, prices and counts
+        exactly what it does alone on a fresh problem."""
+        shared = [make() for make in ledger_style(generate_problem(8, 16, 16),
+                                                  3)]
+        for i, run in enumerate(shared):
+            alone = ledger_style(generate_problem(8, 16, 16), 3)[i]()
+            assert accounting(run.run_cg(10)) == accounting(alone.run_cg(10))

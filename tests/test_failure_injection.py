@@ -56,14 +56,16 @@ class TestBrokenOperators:
         """If stencil assembly lost the diagonal, generation must fail."""
         import repro.hpcg.problem as problem_mod
 
-        real = problem_mod.stencil_coo
+        real = problem_mod.stencil_csr
 
         def broken(grid, stencil="27pt"):
-            rows, cols, vals = real(grid, stencil)
-            off = rows != cols
-            return rows[off], cols[off], vals[off]
+            indptr, indices, data = real(grid, stencil)
+            rows = np.repeat(np.arange(grid.npoints), np.diff(indptr))
+            off = indices != rows
+            kept = np.r_[0, np.cumsum(off)][indptr].astype(indptr.dtype)
+            return kept, indices[off], data[off]
 
-        monkeypatch.setattr(problem_mod, "stencil_coo", broken)
+        monkeypatch.setattr(problem_mod, "stencil_csr", broken)
         with pytest.raises(InvalidValue):
             problem_mod.generate_problem(4)
 
@@ -481,14 +483,16 @@ class TestCrashRecovery:
             np.testing.assert_array_equal(level.A.data, data)
 
     def test_indivisible_survivor_count_falls_back_without_building(
-            self, dist_problem, monkeypatch):
+            self, monkeypatch):
         """3 survivors do not factor into the grid: the geometric attempt
         must be turned down by the divisibility check alone — no level is
-        constructed, no halo derived for it — before BFS partitions."""
+        constructed, no halo derived for it — before BFS partitions, once
+        per problem: a second recovery takes the survivors' record."""
         import repro.dist.refdist as refdist
         import repro.dist.simulate as simulate
 
-        run = RefDistRun(dist_problem, 4, mg_levels=3)
+        # a fresh problem: no earlier run has built a survivors' record
+        run = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3)
         built = []
         monkeypatch.setattr(
             simulate.SimLevel, "__init__",
@@ -501,6 +505,8 @@ class TestCrashRecovery:
         assert survivor._partition_kind == "bfs"
         assert built == ["halo"] * 3          # one per level, all for BFS
         assert all(level.partition is None for level in survivor.levels)
+        assert run._respawn(3).levels is survivor.levels
+        assert built == ["halo"] * 3
         # ... while a count that still factors keeps the boxes
         assert run._respawn(2)._partition_kind == "grid3d"
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.grid import (
     Grid3D,
@@ -10,6 +11,7 @@ from repro.grid import (
     stencil_offsets,
     stencil_offsets_7pt,
 )
+from repro.grid.stencil import stencil_csr
 from repro.util.errors import InvalidValue
 
 
@@ -152,31 +154,48 @@ class TestStencil:
 
 
 def _oracle_coo(grid, offsets, diag_value):
-    """Point-by-point transcription of the assembly: offset-major, rows
-    ascending within an offset, bounds decided by ``Grid3D.in_bounds``."""
+    """Point-by-point transcription of the assembly, row-major: each row's
+    in-bounds neighbours by ascending column, bounds decided by
+    ``Grid3D.in_bounds``."""
     rows, cols, vals = [], [], []
-    for dx, dy, dz in offsets:
-        for i in range(grid.npoints):
+    for i in range(grid.npoints):
+        row = []
+        for dx, dy, dz in offsets:
             jx, jy, jz = (int(c) + d for c, d in zip(grid.coords(i), (dx, dy, dz)))
             if grid.in_bounds(jx, jy, jz):
-                rows.append(i)
-                cols.append(int(grid.index(jx, jy, jz)))
-                vals.append(diag_value if dx == dy == dz == 0 else -1.0)
+                row.append((int(grid.index(jx, jy, jz)),
+                            diag_value if dx == dy == dz == 0 else -1.0))
+        for j, value in sorted(row):
+            rows.append(i)
+            cols.append(j)
+            vals.append(value)
     return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
             np.array(vals, dtype=np.float64))
 
 
+def _oracle_csr(grid, offsets, diag_value):
+    """The oracle's triplets through scipy's COO->CSR conversion: the
+    canonical arrays, index dtype by scipy's own rule."""
+    rows, cols, vals = _oracle_coo(grid, offsets, diag_value)
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(grid.npoints,) * 2)
+    A.sort_indices()
+    return A.indptr, A.indices, A.data
+
+
+STENCILS = pytest.mark.parametrize("stencil, offsets, diag_value", [
+    ("27pt", stencil_offsets(), 26.0),
+    ("7pt", stencil_offsets_7pt(), 6.0),
+])
+
+
 class TestStencilAgainstOracle:
     """The vectorised assembly returns exactly the slow transcription's
-    triplets — same order, same dtypes — on non-cubic and degenerate grids."""
+    arrays — same order, same dtypes — on non-cubic and degenerate grids."""
 
     DIMS = [(5, 3, 2), (4, 1, 1), (1, 1, 1), (2, 2, 2), (1, 4, 3), (3, 2, 1)]
 
     @pytest.mark.parametrize("dims", DIMS)
-    @pytest.mark.parametrize("stencil, offsets, diag_value", [
-        ("27pt", stencil_offsets(), 26.0),
-        ("7pt", stencil_offsets_7pt(), 6.0),
-    ])
+    @STENCILS
     def test_triplets_equal_oracle(self, dims, stencil, offsets, diag_value):
         g = Grid3D(*dims)
         got = stencil_coo(g, stencil)
@@ -184,6 +203,44 @@ class TestStencilAgainstOracle:
         for name, a, b in zip(("rows", "cols", "vals"), got, want):
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("dims", DIMS + [(16, 16, 16)])
+    @STENCILS
+    def test_csr_equals_oracle(self, dims, stencil, offsets, diag_value):
+        g = Grid3D(*dims)
+        got = stencil_csr(g, stencil)
+        want = _oracle_csr(g, offsets, diag_value)
+        for name, a, b in zip(("indptr", "indices", "data"), got, want):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("stencil", ["27pt", "7pt"])
+    def test_operators_hold_the_assembled_arrays(self, monkeypatch, stencil):
+        """``build_operator`` and ``build_csr`` wrap what the assembler
+        returned: no re-sort, no copy."""
+        import repro.hpcg.problem as problem_mod
+        import repro.ref.multigrid as ref_mg
+        from repro.hpcg.problem import build_operator
+        from repro.ref.multigrid import build_csr
+
+        assembled = []
+
+        def recorded(*args, **kwargs):
+            assembled.append(stencil_csr(*args, **kwargs))
+            return assembled[-1]
+
+        monkeypatch.setattr(problem_mod, "stencil_csr", recorded)
+        monkeypatch.setattr(ref_mg, "stencil_csr", recorded)
+        g = Grid3D(6, 4, 2)
+        built = [build_operator(g, stencil).to_scipy(copy=False),
+                 build_csr(g, stencil)]
+        assert len(assembled) == 2
+        for A, arrays in zip(built, assembled):
+            assert A.has_canonical_format
+            # scipy keeps a full-length view (``prune``), never a copy
+            for mine, theirs in zip((A.indptr, A.indices, A.data), arrays):
+                assert mine.size == theirs.size
+                assert np.shares_memory(mine, theirs)
 
     @pytest.mark.parametrize("dims", DIMS)
     def test_27pt_pattern_is_neighbours_plus_self(self, dims):

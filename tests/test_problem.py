@@ -79,6 +79,31 @@ class TestRightHandSide:
         )
 
 
+@pytest.mark.parametrize("make, named", [
+    (lambda: Grid3D(2.5, 2, 2), "2.5"),
+    (lambda: Grid3D(True, 2, 2), "True"),
+    (lambda: Grid3D("4", 4, 4), "'4'"),
+    (lambda: generate_problem(2.5), "2.5"),
+    (lambda: generate_problem(4, stencil="5pt"), "'5pt'"),
+    (lambda: generate_problem(4, b_style="zeros"), "'zeros'"),
+], ids=["float-dim", "bool-dim", "str-dim", "float-nx", "stencil", "b_style"])
+def test_a_bad_size_or_name_is_one_line_before_assembly(monkeypatch, make,
+                                                        named):
+    import repro.hpcg.problem as problem_mod
+
+    monkeypatch.setattr(problem_mod, "build_operator",
+                        lambda *a, **k: pytest.fail("operator assembled"))
+    with pytest.raises(InvalidValue) as exc:
+        make()
+    message = str(exc.value)
+    assert named in message and "\n" not in message
+
+
+def test_numpy_integer_dimensions_are_ints():
+    g = Grid3D(np.int64(4), np.int32(2), 3)
+    assert g == Grid3D(4, 2, 3) and all(type(d) is int for d in g.dims)
+
+
 class TestSetupIsVectorised:
     """Set-up issues a fixed number of array operations whatever the grid
     size: per-row or per-entry Python anywhere in assembly, conversion,
