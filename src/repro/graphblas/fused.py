@@ -24,9 +24,7 @@ then runs the reference transcription (``fused=False``, the oracle):
   update (a full product, no mask).
 * :func:`fused_spmv_waxpby` — CG's hot pair ``w = alpha*x + beta*(A z)``
   (the residual updates in ``pcg`` init and the V-cycle) in one pass,
-  eliding the intermediate product vector's 16-byte-per-row round trip;
-  through the jit lane it is a single compiled kernel, serial or
-  ``prange``-parallel per the ``REPRO_THREADS`` policy.
+  eliding the intermediate product vector's 16-byte-per-row round trip.
 * :class:`VCyclePlan` — the whole preconditioner application on the
   levels' colour-major sweeps: the binding to containers, revalidation
   and declines of :class:`~repro.graphblas.substrate.csr.ColorMajorVCycle`,
@@ -52,14 +50,17 @@ from repro.util.errors import InvalidValue
 ENV_FUSED = "REPRO_FUSED"
 
 
-def fused_enabled(default: bool = True) -> bool:
-    """The ``REPRO_FUSED`` switch (on unless explicitly disabled)."""
+def fused_enabled() -> bool:
+    """The ``REPRO_FUSED`` switch (on unless explicitly disabled); an
+    unrecognised spelling is an :class:`InvalidValue`."""
     raw = os.environ.get(ENV_FUSED, "").strip().lower()
     if raw in ("0", "off", "no", "false"):
         return False
-    if raw in ("1", "on", "yes", "true"):
+    if raw in ("", "1", "on", "yes", "true"):
         return True
-    return default
+    raise InvalidValue(
+        f"unrecognised {ENV_FUSED}={raw!r}: use 1/0, on/off, yes/no, "
+        f"true/false")
 
 
 def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
@@ -77,9 +78,9 @@ def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
     contract, so one CSR-order kernel serves all substrates — and
     ``fl(a)+fl(b)`` is commutative in IEEE-754 (signed zeros included),
     so ``alpha*x[i] + beta*acc`` matches both of ``waxpby``'s dense
-    site orders.  The jit kernel writes one output element per row
-    (``prange``-safe); the numpy fallback still elides the intermediate
-    container, keeping the arithmetic of the unfused pair.
+    site orders.  The product is the provider's ``mxv``; what is elided
+    is the intermediate container, keeping the arithmetic of the
+    unfused pair.
     """
     if not fused_enabled():      # the kill switch works per call
         return False
@@ -95,22 +96,16 @@ def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
     prov = A.provider()
     if not prov.rows_all_present:
         return False
-    from repro.graphblas.substrate import jit, threads
-
-    wv, xv, zv = w._values, x._values, z._values
+    wv, xv = w._values, x._values
     flops, mxv_bytes = prov.mxv_traffic()
-    if jit.available():
-        jit.csr_mxv_waxpby(A._csr, zv, alpha, xv, beta, wv,
-                           nthreads=threads.resolve())
+    s = prov.mxv(z._values)
+    if alpha == 1.0 and beta == -1.0:
+        # the residual, the only pair the solver passes: 1*x = x,
+        # (-1)*s = -s and x + (-s) == x - s bit for bit in IEEE-754
+        np.subtract(xv, s, out=wv)
     else:
-        s = prov.mxv(zv)
-        if alpha == 1.0 and beta == -1.0:
-            # the residual, the only pair the solver passes: 1*x = x,
-            # (-1)*s = -s and x + (-s) == x - s bit for bit in IEEE-754
-            np.subtract(xv, s, out=wv)
-        else:
-            np.multiply(xv, alpha, out=wv)
-            wv += beta * s
+        np.multiply(xv, alpha, out=wv)
+        wv += beta * s
     w._present.fill(True)
     w._bump()
     if backend.active():

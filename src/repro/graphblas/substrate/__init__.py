@@ -15,14 +15,9 @@ Public surface:
 * :func:`resolve` / :func:`make` / :func:`forced` — the selection rule:
   an explicit pin, else the ``REPRO_SUBSTRATE`` force, else CSR;
 * :class:`ColorSweep` — the fused multi-colour Gauss-Seidel sweep
-  capability every provider serves (the smoother fast path);
-* :mod:`~repro.graphblas.substrate.jit` — the optional numba-compiled
-  kernel lane that transparently accelerates the providers
-  (``REPRO_JIT=0`` disables; numba absent means pure numpy, bit for
-  bit).
+  capability every provider serves (the smoother fast path).
 """
 
-from repro.graphblas.substrate import jit
 from repro.graphblas.substrate.base import ColorSweep, KernelProvider
 from repro.graphblas.substrate.blocked import BlockedDenseProvider
 from repro.graphblas.substrate.csr import CsrProvider
@@ -40,7 +35,6 @@ from repro.graphblas.substrate.sellcs import SellCSigmaProvider
 __all__ = [
     "KernelProvider",
     "ColorSweep",
-    "jit",
     "CsrProvider",
     "SellCSigmaProvider",
     "BlockedDenseProvider",

@@ -194,7 +194,7 @@ class ColorSweep:
     :meth:`step` is then a direct gather/scatter:
 
     1. ``s = (A z)[rows_k]`` — the colour block's product, through the
-       provider's kernel (compiled when the jit lane is available);
+       provider's kernel;
     2. ``z[rows_k] = (r[rows_k] - s + z[rows_k] * d) / d`` — the
        Listing-3 pointwise update, vectorised over the colour.
 

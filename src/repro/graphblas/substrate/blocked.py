@@ -32,7 +32,6 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graphblas.substrate import jit, threads
 from repro.graphblas.substrate.base import KernelProvider
 
 
@@ -83,13 +82,6 @@ class BlockedDenseProvider(KernelProvider):
         out_dtype = np.result_type(csr.dtype, x.dtype)
         if self._nblocks == 0:
             return np.zeros(self.nrows, dtype=out_dtype)
-        if (jit.available() and csr.dtype == np.float64
-                and x.dtype == np.float64):
-            # the compiled mini-GEMV lane: same ascending column lanes
-            # with the presence mask, minus the per-lane numpy dispatch
-            return jit.blocked_mxv(
-                self._colmap, self._data, self._present, self._widths,
-                x, self.nrows, nthreads=threads.resolve())
         xs = x[self._colmap]                      # (nblocks, W): one gather
         acc = np.zeros((self._nblocks, self.block_rows), dtype=out_dtype)
         for lane in range(self._colmap.shape[1]):

@@ -1,4 +1,4 @@
-"""The CSR reference provider — the seed implementation, plus fast lanes.
+"""The CSR reference provider — the seed implementation, plus a fused sweep.
 
 Compressed Sparse Row via scipy is the format the paper names for
 reference HPCG (Section III-B) and the bit-exactness yardstick every
@@ -6,17 +6,13 @@ other provider is measured against: ``csr_matvec`` accumulates each
 row's partial products left-to-right in ascending column order from
 ``+0.0``.
 
-Two accelerations ride on top without changing a single bit of output:
-
-* with numba importable, ``mxv`` runs the compiled lane's CSR kernel
-  (:mod:`repro.graphblas.substrate.jit`) — the identical sequential
-  accumulation loop, minus scipy's per-call dispatch;
-* :meth:`gs_color_sweep` returns :class:`CsrColorSweep`: the operator
-  held once with its rows grouped by colour, so a whole symmetric
-  smooth gathers iterate and right-hand side once, relaxes every
-  colour on contiguous slices and scatters once.  Inputs a colour-major
-  layout cannot express — a row in two classes, a non-square operator
-  — get the generic natural-order :class:`ColorSweep`.
+:meth:`CsrProvider.gs_color_sweep` returns :class:`CsrColorSweep`: the
+operator held once with its rows grouped by colour, so a whole
+symmetric smooth gathers iterate and right-hand side once, relaxes
+every colour on contiguous slices and scatters once, without changing
+a bit of output.  Inputs a colour-major layout cannot express — a row
+in two classes, a non-square operator — get the generic natural-order
+:class:`ColorSweep`.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.graphblas.substrate import jit, threads
 from repro.graphblas.substrate.base import (
     ColorSweep, KernelProvider, fused_traffic,
 )
@@ -50,11 +45,7 @@ class CsrProvider(KernelProvider):
         pass
 
     def mxv(self, x: np.ndarray) -> np.ndarray:
-        csr = self._csr
-        if (jit.available() and csr.dtype == np.float64
-                and x.dtype == np.float64):
-            return jit.csr_mxv(csr, x, nthreads=threads.resolve())
-        return csr @ x
+        return self._csr @ x
 
     def gs_color_sweep(self, color_rows: Sequence[np.ndarray],
                        diag: np.ndarray) -> Optional[ColorSweep]:
@@ -92,9 +83,8 @@ class CsrColorSweep(ColorSweep):
     stored order — ascending *natural* column, never re-sorted, which
     is why nothing that canonicalises may wrap the arrays — so it
     accumulates exactly as the reference ``csr_matvec`` does and
-    iterates are bit-identical to the natural-order sweep.  The numpy
-    lane (``csr_matvec`` + four ``out=`` ufuncs per colour) and the jit
-    lane's fused colour step read the same arrays; a
+    iterates are bit-identical to the natural-order sweep.  A colour
+    step is one ``csr_matvec`` and four ``out=`` ufuncs; a
     :class:`ColorMajorVCycle` keeps ``z`` and ``r`` loaded across
     smooths and calls :meth:`relax` and :meth:`block` directly.
     """
@@ -172,18 +162,9 @@ class CsrColorSweep(ColorSweep):
         :class:`ColorMajorVCycle` passes it): the whole iterate is
         ``+0.0``, so the first listed colour's product is ``+0.0`` and
         ``r_k - (+0.0)`` is ``r_k`` bit for bit — it is not formed, unless
-        a stored value is not finite (``0 * Inf`` is NaN) or jit runs."""
+        a stored value is not finite (``0 * Inf`` is NaN)."""
         n, zp = self.perm.size, self.z
         indices, data = self._indices, self._data
-        if jit.available():
-            off, indptr, dp, rp = self._off, self._indptr, self._diag, self.r
-            nthreads = threads.resolve()
-            for k in order:
-                lo, hi = off[k], off[k + 1]
-                jit.csr_gs_step(indptr[lo:hi + 1], indices, data,
-                                np.arange(lo, hi), dp[lo:hi], zp, rp,
-                                self._s[:hi - lo], nthreads=nthreads)
-            return
         zero = zero and self._finite
         for k in order:
             rows, indptr, zk, rk, dk, s = self._blocks[k]

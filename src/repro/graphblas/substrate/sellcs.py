@@ -28,7 +28,6 @@ from typing import List, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graphblas.substrate import jit, threads
 from repro.graphblas.substrate.base import KernelProvider
 
 
@@ -71,10 +70,6 @@ class SellCSigmaProvider(KernelProvider):
         maxw = int(row_nnz.max()) if n else 0
         self._lane_rows: List[np.ndarray] = []
         self._lane_entries: List[np.ndarray] = []
-        # packed lane-major copies of the same lists: what the jit
-        # lane's single compiled pass walks
-        self._lane_rows_flat = np.empty(0, dtype=np.int64)
-        self._lane_entries_flat = np.empty(0, dtype=np.int64)
         if maxw:
             indptr = self._csr.indptr.astype(np.int64)
             starts = indptr[perm]
@@ -86,12 +81,11 @@ class SellCSigmaProvider(KernelProvider):
             entry = np.repeat(starts, permuted_nnz) + lane
             order = np.argsort(lane, kind="stable")
             bounds = np.searchsorted(lane[order], np.arange(maxw + 1))
-            self._lane_rows_flat = np.ascontiguousarray(rows_rep[order])
-            self._lane_entries_flat = np.ascontiguousarray(entry[order])
+            rows_flat, entries_flat = rows_rep[order], entry[order]
             for l in range(maxw):
                 lo, hi = bounds[l], bounds[l + 1]
-                self._lane_rows.append(self._lane_rows_flat[lo:hi])
-                self._lane_entries.append(self._lane_entries_flat[lo:hi])
+                self._lane_rows.append(rows_flat[lo:hi])
+                self._lane_entries.append(entries_flat[lo:hi])
 
     def mxv(self, x: np.ndarray) -> np.ndarray:
         csr = self._csr
@@ -99,21 +93,6 @@ class SellCSigmaProvider(KernelProvider):
             # scipy's boolean upcast rules are the reference; lane
             # accumulation over np.bool_ would OR instead
             return csr @ x
-        if (jit.available() and csr.dtype == np.float64
-                and x.dtype == np.float64):
-            nthreads = threads.resolve()
-            if nthreads > 1 and jit.parallel_available():
-                # parallel over permuted rows, each accumulating its
-                # CSR entries ascending — per-row arithmetic identical
-                # to the lane-major pass, so bits match at any count
-                return jit.sell_mxv_par(csr, self._perm, x, nthreads)
-            # the compiled lane: one pass over the packed lane-major
-            # lists — the identical accumulation order, no per-lane
-            # numpy dispatch
-            return jit.sell_mxv(self._lane_rows_flat,
-                                self._lane_entries_flat,
-                                csr.data, csr.indices, x,
-                                self._perm, self.nrows)
         out_dtype = np.result_type(csr.dtype, x.dtype)
         acc = np.zeros(self.nrows, dtype=out_dtype)
         data, indices = csr.data, csr.indices
@@ -131,8 +110,7 @@ class SellCSigmaProvider(KernelProvider):
 
     # gs_color_sweep: the inherited ColorSweep already serves this
     # format — each colour's substructure keeps the parent's (C, σ)
-    # via extract_rows, and its products run the lane kernel above
-    # (jit-compiled when the numba lane is available).
+    # via extract_rows, and its products run the lane kernel above.
 
     def stored_entries(self) -> int:
         return self._padded_entries

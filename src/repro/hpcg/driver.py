@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import substrate as substrate_mod
-from repro.graphblas.substrate import threads as threads_mod
+from repro.graphblas.fused import fused_enabled
 from repro.hpcg import flops as flops_mod
 from repro.hpcg.cg import CGResult, CGWorkspace, pcg
 from repro.hpcg.multigrid import MGLevel, MGPreconditioner, build_hierarchy
@@ -404,10 +404,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write the sampling profiler's folded "
                              "stacks to PATH (for obs flame/top or "
                              "flamegraph.pl; needs --sample-profile)")
-    parser.add_argument("--threads", metavar="N|0", default=None,
-                        help="thread count for the parallel kernel lane "
-                             "(sets REPRO_THREADS for this run: a count, "
-                             "or '0' to kill the lane)")
     parser.add_argument("--dist", choices=DIST_BACKENDS, default=None,
                         help="run the simulated distributed solver with "
                              "this backend instead of the serial benchmark")
@@ -419,30 +415,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "checkpoint cadence (see repro.dist.faults); "
                              "adds a Resilience report section")
     args = parser.parse_args(argv)
-    if args.threads is None:
-        return _run_cli(args)
-    # --threads is REPRO_THREADS for this run only: an in-process
-    # caller gets its environment back
-    previous = os.environ.get(threads_mod.ENV_VAR)
-    os.environ[threads_mod.ENV_VAR] = args.threads
+    # CLI robustness: every artifact/plan/environment problem is a
+    # one-line error and exit code 2 — discovered before any solve work
     try:
-        return _run_cli(args)
-    finally:
-        if previous is None:
-            os.environ.pop(threads_mod.ENV_VAR, None)
-        else:
-            os.environ[threads_mod.ENV_VAR] = previous
-
-
-def _run_cli(args: argparse.Namespace) -> int:
-    """Everything :func:`main` does once the arguments are parsed."""
-    try:
-        threads_mod.requested()   # fail fast on an unparsable value
+        fused_enabled()
     except InvalidValue as exc:
-        return _fail(f"--threads: {exc}" if args.threads is not None
-                     else str(exc))
-    # CLI robustness: every artifact/plan problem is a one-line error
-    # and exit code 2 — discovered before any solve work starts
+        return _fail(str(exc))
     for flag, path in (("--trace-json", args.trace_json),
                        ("--metrics-json", args.metrics_json),
                        ("--manifest-json", args.manifest_json),

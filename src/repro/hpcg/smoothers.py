@@ -49,7 +49,6 @@ import numpy as np
 from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import fused as fused_mod
-from repro.graphblas.substrate import threads as threads_mod
 from repro.util.errors import DimensionMismatch, InvalidValue
 
 
@@ -127,7 +126,7 @@ class RBGSSmoother:
     def sweep_attrs(self, fused: bool) -> dict:
         """The attributes a pass's :data:`SWEEP_SPAN` span carries."""
         return dict(fused=fused, colors=len(self.colors), level=self.level,
-                    n=self.n, lane=threads_mod.lane_name())
+                    n=self.n)
 
     def set_level(self, index: Optional[int]) -> "RBGSSmoother":
         """Record the owning MG level (propagated into the fused plan)."""
@@ -233,8 +232,7 @@ class JacobiSmoother:
         with obs.span("smoother/jacobi_sweep", "smoother") as sp:
             if sp is not None:
                 sp.set(sweeps=sweeps, level=self.level, n=self.n,
-                       fused=self._plan is not None,
-                       lane=threads_mod.lane_name())
+                       fused=self._plan is not None)
             if self._plan is not None and self._plan.run(z, r, sweeps):
                 return z
             if sp is not None:

@@ -1,8 +1,8 @@
 """Run provenance: the manifest that makes a run reproducible.
 
 One solver run's configuration is scattered across environment toggles
-(``REPRO_SUBSTRATE``, ``REPRO_FUSED``, ``REPRO_JIT``, ``REPRO_THREADS``,
-``REPRO_OVERLAP``, ``REPRO_TRACE``), per-matrix substrate-selection
+(``REPRO_SUBSTRATE``, ``REPRO_FUSED``, ``REPRO_OVERLAP``,
+``REPRO_TRACE``), per-matrix substrate-selection
 decisions, and driver arguments.  The
 manifest captures all of it in one JSON document — the *why* next to
 the *what* — so any result file can answer "how was this run
@@ -104,38 +104,24 @@ def capture_toggles() -> Dict[str, Any]:
     resolved to at capture time.
     """
     from repro.dist.comm import resolve_comm_mode
-    from repro.graphblas import fused as fused_mod
-    from repro.graphblas.substrate import jit as jit_mod
+    from repro.graphblas.fused import fused_enabled
     from repro.graphblas.substrate import registry as registry_mod
-    from repro.graphblas.substrate import threads as threads_mod
     from repro.obs.context import trace_env_enabled
 
-    try:
-        comm_mode = resolve_comm_mode()
-    except InvalidValue:
-        comm_mode = "invalid"
-    try:
-        substrate_force = registry_mod.forced()
-    except InvalidValue:
-        substrate_force = "invalid"
-    try:
-        threads_requested: Any = threads_mod.requested()
-        threads_effective: Any = threads_mod.resolve()
-    except InvalidValue:
-        threads_requested = threads_effective = "invalid"
     return {
-        "fused": fused_mod.fused_enabled(),
-        "jit_enabled": jit_mod.enabled(),
-        "jit_available": jit_mod.available(),
-        "jit_parallel_available": jit_mod.parallel_available(),
-        "comm_mode": comm_mode,
-        "substrate_force": substrate_force,
+        "fused": _resolved(fused_enabled),
+        "comm_mode": _resolved(resolve_comm_mode),
+        "substrate_force": _resolved(registry_mod.forced),
         "trace": trace_env_enabled(),
-        # the REPRO_THREADS resolution pair: what was asked (None =
-        # unset) and what the parallel lane resolved it to
-        "threads_requested": threads_requested,
-        "threads_effective": threads_effective,
     }
+
+
+def _resolved(resolve) -> Any:
+    """What ``resolve()`` gives, or ``"invalid"`` when it refuses."""
+    try:
+        return resolve()
+    except InvalidValue:
+        return "invalid"
 
 
 def build_manifest(

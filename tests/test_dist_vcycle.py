@@ -36,7 +36,6 @@ from repro.dist import (Checkpoint, Crash, FaultPlan, Hybrid2DRun,
                         HybridALPRun, RefDistRun, simulate)
 from repro.dist.simulate import _RunState
 from repro.graphblas import substrate
-from repro.graphblas.substrate import jit
 from repro.graphblas.substrate.csr import ColorMajorVCycle
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
 from repro.hpcg.problem import generate_problem
@@ -115,8 +114,6 @@ class TestApplicationEqualsReference:
         for r, z in pairs:
             assert_bit_identical(z, ref_apply(stencil_problem, 3, r))
 
-    @pytest.mark.skipif(jit.available(),
-                        reason="the jit lane fuses the product into its step")
     def test_one_colour_per_call_skips_what_the_serial_walk_skips(
             self, stencil_problem, entries_read):
         """The first colour step after ``load`` / ``restrict`` reads no
@@ -304,8 +301,6 @@ def test_runs_on_one_problem_solved_from_several_threads():
 # (iii) guards
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(jit.available(),
-                    reason="guards the numpy lane's out= kernels")
 class TestGuards:
     @staticmethod
     def warm_iteration_peak(run, iters=3):

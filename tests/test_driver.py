@@ -170,16 +170,18 @@ class TestCliRobustness:
          "not divisible by process grid (1, 1, 7)"),
         (["--nx", "16", "--dist", "alp-2d", "--nprocs", "6"],
          "needs a square process count"),
-        (["--nx", "8", "--threads", "bogus"],
-         "--threads: REPRO_THREADS must be"),
+        (["REPRO_FUSED=bogus", "--nx", "8"],
+         "unrecognised REPRO_FUSED='bogus': use 1/0"),
     ])
     def test_unrunnable_configuration(self, capsys, monkeypatch, argv,
                                       fragment):
         """Errors raised while *constructing* the run (a node count the
-        backend cannot distribute the grid over, an unparsable thread
-        count) used to escape as tracebacks."""
-        # --threads writes REPRO_THREADS; let monkeypatch restore it
-        monkeypatch.setenv("REPRO_THREADS", "1")
+        backend cannot distribute the grid over, an unrecognised
+        ``REPRO_FUSED``) used to escape as tracebacks.  Leading
+        ``VAR=VALUE`` words set the environment, as on a shell line."""
+        while "=" in argv[0]:
+            monkeypatch.setenv(*argv[0].split("=", 1))
+            argv = argv[1:]
         self._expect_error(capsys, argv + ["--iters", "1"], fragment)
 
     @pytest.mark.parametrize("value", ["bogus", "model"])

@@ -1,14 +1,13 @@
-"""The fused smoother fast path: bit-exactness, fallback, and the lane.
+"""The fused fast paths: bit-exactness and fallback.
 
 The fused-sweep contract, enforced per provider × colouring × sweep
 order: :class:`RBGSSmoother`'s fast path (the provider's prebuilt
 :class:`~repro.graphblas.substrate.base.ColorSweep`) must produce
 iterates bit-identical — values *and* signed zeros — to the reference
 Listing 2/3 transcription, whole CG residual histories included; the
-``REPRO_FUSED=0`` kill switch must restore the reference path; and the
-optional numba jit lane must be invisible whichever way it is switched
-(tests for the compiled side skip when numba is absent — the CI
-``fused`` leg installs it).
+``REPRO_FUSED=0`` kill switch must restore the reference path; and
+``fused_spmv_waxpby`` must match the unfused pair bit for bit and
+decline (return False) on every configuration it cannot serve.
 """
 
 import tracemalloc
@@ -21,7 +20,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import graphblas as grb
 from repro.graphblas import fused as fused_mod
 from repro.graphblas import substrate
-from repro.graphblas.substrate import jit
 from repro.hpcg.cg import CGWorkspace, pcg
 from repro.hpcg.coloring import (
     color_masks, greedy_coloring, jones_plassmann_coloring, lattice_coloring,
@@ -578,7 +576,7 @@ def _held_bytes(obj, seen):
 
 
 @pytest.mark.skipif(
-    substrate.registry.forced() is not None or jit.available(),
+    substrate.registry.forced() is not None,
     reason="guards the default CSR lane on the numpy kernels")
 @pytest.mark.usefixtures("armed")
 class TestCsrLaneGuards:
@@ -620,59 +618,110 @@ class TestCsrLaneGuards:
 
 
 # ---------------------------------------------------------------------------
-# the jit lane: gated, optional, bit-invisible
+# the SpMV->waxpby fusion
 # ---------------------------------------------------------------------------
 
-HAVE_NUMBA = jit._numba is not None
+@pytest.mark.usefixtures("armed")
+class TestFusedSpmvWaxpby:
+    def _unfused(self, alpha, x, beta, A, z):
+        w = grb.Vector.dense(A.nrows)
+        grb.mxv(w, None, A, z)
+        grb.waxpby(w, alpha, x, beta, w)
+        return w.to_dense()
 
+    def test_bit_identical_to_unfused_pair(self, problem8):
+        rng = np.random.default_rng(21)
+        x = grb.Vector.from_dense(rng.standard_normal(problem8.n))
+        z = grb.Vector.from_dense(rng.standard_normal(problem8.n))
+        w = grb.Vector.dense(problem8.n)
+        assert fused_mod.fused_spmv_waxpby(w, 1.0, x, -1.0, problem8.A, z)
+        expect = self._unfused(1.0, x, -1.0, problem8.A, z)
+        assert w.to_dense().tobytes() == expect.tobytes()
 
-class TestJitLane:
-    def test_available_reflects_numba_and_env(self, monkeypatch):
-        assert jit.available() == HAVE_NUMBA
-        monkeypatch.setenv(jit.ENV_VAR, "0")
-        assert not jit.available()
-        monkeypatch.delenv(jit.ENV_VAR)
-        assert jit.available() == HAVE_NUMBA
+    @pytest.mark.parametrize("kind", ["random", "signed-zeros", "huge"])
+    def test_residual_coefficients_match(self, kind):
+        """``(alpha, beta) = (1.0, -1.0)`` runs as one subtract; the
+        general multiply-then-add expression must give the same bits,
+        zero signs included, wherever no NaN is involved."""
+        rng = np.random.default_rng(23)
+        n = 257
+        if kind == "random":
+            xv, zv = rng.standard_normal(n), rng.standard_normal(n)
+        elif kind == "signed-zeros":
+            # every pairing of +-0.0 and a nonzero, cancellations included
+            xv = rng.choice([0.0, -0.0, 1.5, -1.5], n)
+            zv = rng.choice([0.0, -0.0, 1.5, -1.5], n)
+        else:
+            # huge but finite: differences that overflow to +-inf, and
+            # exact cancellations at the top of the range
+            big = np.finfo(np.float64).max
+            xv = rng.choice([big, -big, big / 2, 1e-300, -0.0], n)
+            zv = rng.choice([big, -big, big / 2, -1e-300, 0.0], n)
+        # A = I, entries 1.0: the product is s = +0.0 + 1.0 * z
+        A = grb.Matrix.from_scipy(sp.identity(n, format="csr"))
+        w = grb.Vector.dense(n)
+        s = 0.0 + 1.0 * zv
+        with np.errstate(over="ignore"):
+            assert fused_mod.fused_spmv_waxpby(
+                w, 1.0, grb.Vector.from_dense(xv), -1.0, A,
+                grb.Vector.from_dense(zv))
+            want = np.multiply(xv, 1.0)
+            want += -1.0 * s
+        got = w.to_dense()
+        assert not np.isnan(want).any()
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # and a negative-zero product, which no accumulation from +0.0
+        # yields: the identity the shortcut rests on, at the ufunc level
+        s = np.where(rng.random(n) < 0.5, -0.0, s)
+        with np.errstate(over="ignore"):
+            general = np.multiply(xv, 1.0) + -1.0 * s
+            special = np.subtract(xv, s)
+        assert np.array_equal(special, general)
+        assert np.array_equal(np.signbit(special), np.signbit(general))
 
-    def test_pure_numpy_without_numba(self, problem8, rng):
-        """The supported-everywhere configuration: no numba, same bits
-        (trivially the numpy path; this is the fallback regression)."""
-        x = rng.standard_normal(problem8.n)
-        csr = problem8.A.to_scipy()
-        for name in PROVIDERS:
-            prov = substrate.get(name)(csr)
-            assert np.array_equal(prov.mxv(x),
-                                  substrate.get("csr")(csr).mxv(x))
+    def test_declines_on_kill_switch(self, problem8, monkeypatch):
+        monkeypatch.setenv(fused_mod.ENV_FUSED, "0")
+        w = grb.Vector.dense(problem8.n)
+        z = grb.Vector.dense(problem8.n, 1.0)
+        assert not fused_mod.fused_spmv_waxpby(
+            w, 1.0, w, -1.0, problem8.A, z)
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_jit_mxv_bit_identical(self, problem8, rng, monkeypatch):
-        x = rng.standard_normal(problem8.n)
-        csr = problem8.A.to_scipy()
-        for name in PROVIDERS:
-            jitted = substrate.get(name)(csr).mxv(x)
-            monkeypatch.setenv(jit.ENV_VAR, "0")
-            plain = substrate.get(name)(csr).mxv(x)
-            monkeypatch.delenv(jit.ENV_VAR)
-            assert np.array_equal(jitted, plain), name
-            assert np.array_equal(np.signbit(jitted), np.signbit(plain))
+    def test_declines_on_aliased_product_input(self, problem8):
+        w = grb.Vector.dense(problem8.n, 1.0)
+        assert not fused_mod.fused_spmv_waxpby(
+            w, 1.0, w, -1.0, problem8.A, w)   # w is z
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_jit_fused_sweep_bit_identical(self, problem8, rng, monkeypatch):
-        masks = color_masks(lattice_coloring(problem8.grid))
-        r = grb.Vector.from_dense(rng.standard_normal(problem8.n))
-        outs = []
-        for env in ("1", "0"):
-            monkeypatch.setenv(jit.ENV_VAR, env)
-            for name in PROVIDERS:
-                A = grb.Matrix.from_scipy(problem8.A.to_scipy(),
-                                          substrate=name)
-                s = RBGSSmoother(A, problem8.A_diag, masks, fused=True)
-                z = grb.Vector.dense(problem8.n, 0.0)
-                s.smooth(z, r, sweeps=2)
-                outs.append(z.to_dense())
-        half = len(outs) // 2
-        for a, b in zip(outs[:half], outs[half:]):
-            assert_bit_identical(a, b)
+    def test_declines_on_sparse_vector(self, problem8):
+        w = grb.Vector.dense(problem8.n)
+        z = grb.Vector.sparse(problem8.n)
+        assert not fused_mod.fused_spmv_waxpby(
+            w, 1.0, problem8.b, -1.0, problem8.A, z)
+
+    def test_declines_on_size_mismatch(self, problem8):
+        w = grb.Vector.dense(problem8.n + 1)
+        z = grb.Vector.dense(problem8.n, 1.0)
+        assert not fused_mod.fused_spmv_waxpby(
+            w, 1.0, w, -1.0, problem8.A, z)
+
+    def test_declines_on_empty_rows(self):
+        # an empty operator row would change output presence semantics
+        A = grb.Matrix.from_coo(np.array([0]), np.array([0]),
+                                np.array([2.0]), 3, 3)
+        w = grb.Vector.dense(3)
+        x = grb.Vector.dense(3, 1.0)
+        z = grb.Vector.dense(3, 1.0)
+        assert not fused_mod.fused_spmv_waxpby(w, 1.0, x, -1.0, A, z)
+
+    def test_cg_history_invariant_under_fusion_switch(self, monkeypatch):
+        from repro.hpcg.driver import run_hpcg
+
+        histories = {}
+        for tag, value in (("fused", "1"), ("unfused", "0")):
+            monkeypatch.setenv(fused_mod.ENV_FUSED, value)
+            histories[tag] = run_hpcg(8, max_iters=6,
+                                      mg_levels=2).cg.residuals
+        assert histories["fused"] == histories["unfused"]
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,13 @@ class TestManifest:
         assert manifest["toggles"]["substrate_force"] == "sellcs"
         assert manifest["toggles"]["fused"] is False
 
+    def test_unrecognised_toggles_record_invalid(self, monkeypatch):
+        for name in ("REPRO_FUSED", "REPRO_OVERLAP", "REPRO_SUBSTRATE"):
+            monkeypatch.setenv(name, "bogus")
+        toggles = obs.manifest.capture_toggles()
+        assert [toggles[k] for k in ("fused", "comm_mode",
+                                     "substrate_force")] == ["invalid"] * 3
+
     def test_selection_decisions_carry_reasons(self, monkeypatch, problem4):
         monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
         csr = problem4.A.to_scipy().tocsr()

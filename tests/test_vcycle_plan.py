@@ -29,7 +29,6 @@ from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import fused as fused_mod
 from repro.graphblas import substrate
-from repro.graphblas.substrate import jit
 from repro.hpcg.cg import pcg
 from repro.hpcg.coloring import color_masks, jones_plassmann_coloring
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy, mg_vcycle
@@ -476,8 +475,6 @@ class TestTracedApplication:
 # (v) deterministic cost guards
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(jit.available(),
-                    reason="guards the default lane on the numpy kernels")
 @pytest.mark.usefixtures("armed")
 class TestCostGuards:
     @staticmethod
@@ -565,8 +562,6 @@ def sweep_nnz(level):
     return [nnzs[k] for k in level.smoother.symmetric_order]
 
 
-@pytest.mark.skipif(jit.available(),
-                    reason="the jit lane fuses the product into its step")
 @pytest.mark.usefixtures("armed")
 class TestNoUnreadPass:
     @pytest.mark.parametrize("stencil", ["27pt", "7pt"])
