@@ -98,15 +98,16 @@ def fused_spmv_waxpby(w: Vector, alpha: float, x: Vector, beta: float,
         return False
     wv, xv = w._values, x._values
     flops, mxv_bytes = prov.mxv_traffic()
-    s = prov.mxv(z._values)
+    # the product lands in w unless w is x, which is read after it
+    s = prov.mxv(z._values) if w is x else prov.mxv_into(z._values, wv)
     if alpha == 1.0 and beta == -1.0:
         # the residual, the only pair the solver passes: 1*x = x,
         # (-1)*s = -s and x + (-s) == x - s bit for bit in IEEE-754
         np.subtract(xv, s, out=wv)
     else:
+        s = beta * s
         np.multiply(xv, alpha, out=wv)
-        wv += beta * s
-    w._present.fill(True)
+        wv += s
     w._bump()
     if backend.active():
         n = w.size
@@ -263,14 +264,20 @@ class VCyclePlan:
     vectors — and any call under a ``backend`` collector: the perf
     model prices Listing 1's primitives, so there the primitives run.
     The kernel is built at the first :meth:`load` and revalidated per
-    application against each level's current sweep and ``R.version``.
+    application against one stamp: the version of every bound operator,
+    diagonal, colour mask and ``R``, and each operator's substrate; only
+    when it moves are the levels' sweeps looked up and the kernel rebuilt.
     """
 
     def __init__(self, levels: Sequence[Tuple[Optional[ColorSweepPlan],
                                               Optional[Matrix]]]):
         self._bound = [(p if isinstance(p, ColorSweepPlan) else None, R)
                        for p, R in levels]
-        self._state = None      # (sweep, R.version) per level, as built for
+        plans = [p for p, _ in self._bound if p is not None]
+        self._watched = [*(x for p in plans for x in (p.A, p.diag, *p.colors)),
+                         *(R for _, R in self._bound if R is not None)]
+        self._operators = [p.A for p in plans]
+        self._stamp = None
         #: the array kernel of the hierarchy as last validated, or None
         self.kernel: Optional[ColorMajorVCycle] = None
 
@@ -298,11 +305,12 @@ class VCyclePlan:
         """Start an application of ``z = M r``; False means "fall back"."""
         if not fused_enabled() or backend.active():
             return False
-        state = [(None if p is None else p._current_sweep(),
-                  None if R is None else R.version) for p, R in self._bound]
-        if state != self._state:
-            self._state = state
-            self.kernel = self._build([sweep for sweep, _ in state])
+        stamp = ([x._version for x in self._watched],
+                 [A.substrate for A in self._operators])
+        if stamp != self._stamp:
+            self._stamp = stamp
+            self.kernel = self._build([None if p is None else p._current_sweep()
+                                       for p, _ in self._bound])
         if self.kernel is None:
             return False
         n = self._bound[0][0].A.nrows       # colour-major: square

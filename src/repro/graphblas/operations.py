@@ -187,6 +187,9 @@ def mxv(
         (u.size, csr_shape[1], "mxv input"),
     )
     sel = _mask_bool(mask, csr_shape[0], desc)
+    if sel is None and accum is None and _mxv_in_place(w, A, u, semiring,
+                                                      desc):
+        return w
     # unmasked: every row, so no index array is built (rows=None)
     rows = None if sel is None else np.flatnonzero(sel)
     nrows = csr_shape[0] if rows is None else rows.size
@@ -206,6 +209,27 @@ def mxv(
     values = values.astype(w.dtype, copy=False)
     _writeback(w, rows, values, present, accum, desc)
     return w
+
+
+def _mxv_in_place(w: Vector, A: Matrix, u: Vector, semiring: Semiring,
+                  desc: Descriptor) -> bool:
+    """An unmasked, unaccumulated plus-times product straight into
+    ``w``'s storage; False (the merge serves it) for anything else."""
+    if (desc.replace or desc.transpose_matrix or not semiring.is_plus_times
+            or not A.dtype == w.dtype == u.dtype == np.float64
+            or not u.is_dense()):
+        return False
+    prov = A.provider()
+    if not prov.rows_all_present:
+        return False
+    prov.mxv_into(u._values, w._values)
+    if not w.is_dense():
+        w._present.fill(True)
+    if backend.active():
+        flops, nbytes = prov.mxv_traffic()
+        backend.record("mxv", w.size, prov.nnz, flops, nbytes, fmt=prov.name)
+    w._bump()
+    return True
 
 
 def _mxv_fast(
@@ -593,12 +617,15 @@ def waxpby(
         # an exact 1.0 factor (every CG update's) is skipped: x * 1.0 is x
         if w is y and w is not x:   # w = beta*w + alpha*x: the same update
             alpha, x, beta, y = beta, y, alpha, x
+        # formed before w is scaled: w may be x and y at once
+        by = beta * y._values if beta != 1.0 or x is y else y._values
         if w is not x:
             np.multiply(x._values, alpha, out=w._values, casting="unsafe")
         elif alpha != 1.0:
             w._values *= alpha
-        w._values += y._values if beta == 1.0 else beta * y._values
-        w._present.fill(True)
+        w._values += by
+        if not w.is_dense():
+            w._present.fill(True)
     else:
         both = x._present & y._present
         vals = np.zeros(w.size, dtype=np.result_type(x.dtype, y.dtype))

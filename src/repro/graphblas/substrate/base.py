@@ -115,6 +115,11 @@ class KernelProvider(abc.ABC):
     def mxv(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` for dense ``x``, bit-identical to the CSR reference."""
 
+    def mxv_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`mxv` landing in ``out`` (which must not alias ``x``)."""
+        out[:] = self.mxv(x)
+        return out
+
     def extract_rows(self, rows: np.ndarray) -> "KernelProvider":
         """A same-format provider over ``A[rows, :]`` (masked-mxv path)."""
         return type(self)(self._csr[rows, :])

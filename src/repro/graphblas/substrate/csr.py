@@ -47,6 +47,16 @@ class CsrProvider(KernelProvider):
     def mxv(self, x: np.ndarray) -> np.ndarray:
         return self._csr @ x
 
+    def mxv_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # scipy's ``@`` into float64 ``out``; _csr_matvec is the kernels' own
+        if _csr_matvec is None:     # pragma: no cover - old scipy
+            return super().mxv_into(x, out)
+        csr = self._csr
+        out.fill(0.0)
+        _sp_tools.csr_matvec(*csr.shape, csr.indptr, csr.indices, csr.data,
+                             x, out)
+        return out
+
     def gs_color_sweep(self, color_rows: Sequence[np.ndarray],
                        diag: np.ndarray) -> Optional[ColorSweep]:
         hits = np.bincount(np.concatenate(color_rows), minlength=self.nrows)
@@ -149,8 +159,8 @@ class CsrColorSweep(ColorSweep):
     def load(self, z: np.ndarray, r: np.ndarray) -> None:
         """Gather natural-order ``z`` and ``r`` into the sweep's buffers."""
         # mode="clip": the default "raise" buffers a full copy of out
-        np.take(z, self.perm, out=self.z, mode="clip")
-        np.take(r, self.perm, out=self.r, mode="clip")
+        z.take(self.perm, out=self.z, mode="clip")
+        r.take(self.perm, out=self.r, mode="clip")
 
     def store(self, z: np.ndarray) -> None:
         """Scatter the colour-major iterate into natural-order ``z``."""
@@ -238,7 +248,7 @@ class ColorMajorVCycle:
     def load(self, r: np.ndarray) -> None:
         """Start an application of ``z = M r`` on natural-order ``r``."""
         fine = self._levels[0][0]
-        np.take(r, fine.perm, out=fine.r, mode="clip")
+        r.take(fine.perm, out=fine.r, mode="clip")
         fine.z.fill(0.0)
         self._zero[0] = True
 
@@ -261,9 +271,9 @@ class ColorMajorVCycle:
         """``r_{i+1} = R (r_i - A_i z_i)`` and ``z_{i+1} = 0``."""
         sweep, _, pick, f, injection = self._levels[i]
         coarse = self._levels[i + 1][0]
-        np.take(sweep.r, injection, out=coarse.r, mode="clip")
+        sweep.r.take(injection, out=coarse.r, mode="clip")
         if pick is not None:
-            f = np.take(f, pick, out=coarse.z, mode="clip")
+            f = f.take(pick, out=coarse.z, mode="clip")
         np.subtract(coarse.r, f, out=coarse.r)
         np.add(coarse.r, 0.0, out=coarse.r)
         coarse.z.fill(0.0)
@@ -275,7 +285,7 @@ class ColorMajorVCycle:
         sweep, _, _, f, injection = self._levels[i]
         coarse = self._levels[i + 1][0]
         np.add(coarse.z, 0.0, out=coarse.r)
-        np.take(sweep.z, injection, out=f, mode="clip")
+        sweep.z.take(injection, out=f, mode="clip")
         np.add(f, coarse.r, out=f)
         sweep.z[injection] = f
         self._zero[i] = False

@@ -20,7 +20,7 @@ from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import fused as fused_ext
 from repro.ref.cg import require_definite, require_finite_residual
-from repro.util.errors import DimensionMismatch
+from repro.util.errors import DimensionMismatch, OutputAliasing
 from repro.util.timer import null_timer
 
 Preconditioner = Callable[[grb.Vector, grb.Vector], grb.Vector]
@@ -77,8 +77,8 @@ def pcg(
     With ``tolerance=0`` runs exactly ``max_iters`` iterations — HPCG's
     timed mode, where the iteration count is fixed so execution times
     are directly comparable (paper Section V).  Pass a
-    :class:`CGWorkspace` to reuse the solver vectors across repeated
-    calls instead of reallocating them per solve.
+    :class:`CGWorkspace` (never as ``x`` or ``b``) to reuse the solver
+    vectors across repeated calls instead of reallocating them per solve.
     """
     n = A.nrows
     if b.size != n or x.size != n:
@@ -92,89 +92,96 @@ def pcg(
             f"workspace size {workspace.n} != operator size {n}"
         )
     r, z, p, Ap = workspace.r, workspace.z, workspace.p, workspace.Ap
+    for role, v in (("x", x), ("b", b)):
+        for name in ("r", "z", "p", "Ap"):
+            if getattr(workspace, name) is v:
+                raise OutputAliasing(f"pcg {role} is workspace.{name}")
 
-    # observability taps (None when tracing is off): a residual series
-    # and a gauge, resolved once so the loop pays a single lookup
-    registry = obs.metrics_registry()
-    res_series = (registry.series(
-        "cg_residual", "CG residual 2-norm per iteration (index 0 = initial)"
-    ) if registry is not None else None)
-    res_gauge = (registry.gauge(
-        "cg_residual_last", "most recent CG residual 2-norm"
-    ) if registry is not None else None)
-    iter_gauge = (registry.gauge(
-        "cg_iteration", "current CG iteration (live progress)"
-    ) if registry is not None else None)
+    ctx = obs.activate(obs.current())   # held: REPRO_TRACE is read once
+    try:
+        measure = timers.measure
+        label = (grb.backend.labelled if grb.backend.active()
+                 else obs.null_scope)
+        span = obs.null_scope if ctx is None else ctx.tracer.span
+        # observability taps (None when tracing is off)
+        res_series = res_gauge = iter_gauge = None
+        if ctx is not None:
+            res_series = ctx.metrics.series(
+                "cg_residual",
+                "CG residual 2-norm per iteration (index 0 = initial)")
+            res_gauge = ctx.metrics.gauge(
+                "cg_residual_last", "most recent CG residual 2-norm")
+            iter_gauge = ctx.metrics.gauge(
+                "cg_iteration", "current CG iteration (live progress)")
 
-    with timers.measure("cg/spmv"), grb.backend.labelled("spmv"):
-        # the fused extension computes r <- b - A x in one pass (Ap is
-        # recomputed from p before its first read, so eliding it here
-        # is state-free); declining falls back to the reference pair
-        fused_init = fused_ext.fused_spmv_waxpby(r, 1.0, b, -1.0, A, x)
+        with measure("cg/spmv"), label("spmv"):
+            # the fused extension computes r <- b - A x in one pass (Ap
+            # is recomputed from p before its first read, so eliding it
+            # here is state-free); declining falls back to the pair
+            fused_init = fused_ext.fused_spmv_waxpby(r, 1.0, b, -1.0, A, x)
+            if not fused_init:
+                grb.mxv(Ap, None, A, x)
         if not fused_init:
-            grb.mxv(Ap, None, A, x)
-    if not fused_init:
-        with timers.measure("cg/waxpby"), grb.backend.labelled("waxpby"):
-            grb.waxpby(r, 1.0, b, -1.0, Ap)         # r <- b - A x
-    with timers.measure("cg/dot"), grb.backend.labelled("dot"):
-        normr0 = normr = grb.norm2(r)
-    if not math.isfinite(normr0):       # r is copied out on this path only
-        require_finite_residual(normr0, r.to_dense())
-    residuals = [normr]
-    if res_series is not None:
-        res_series.observe(normr)
-    rtz = 0.0
-
-    if normr0 == 0.0:
-        # the initial guess already solves the system exactly
-        return CGResult(x=x, iterations=0, converged=True, normr0=0.0,
-                        normr=0.0, residuals=residuals)
-
-    iterations = 0
-    for k in range(1, max_iters + 1):
-        if tolerance > 0 and normr / normr0 <= tolerance:
-            break
-        with obs.span("cg/iteration", "cg", {"k": k}) as sp:
-            if preconditioner is not None:
-                with timers.measure("cg/mg"):
-                    preconditioner(z, r)                 # z <- M r
-            else:
-                with timers.measure("cg/waxpby"), \
-                        grb.backend.labelled("waxpby"):
-                    grb.waxpby(z, 1.0, r, 0.0, r)        # z <- r
-            if k == 1:
-                with timers.measure("cg/waxpby"), \
-                        grb.backend.labelled("waxpby"):
-                    grb.waxpby(p, 1.0, z, 0.0, z)        # p <- z
-                with timers.measure("cg/dot"), grb.backend.labelled("dot"):
-                    rtz = grb.dot(r, z)
-            else:
-                rtz_old = rtz
-                with timers.measure("cg/dot"), grb.backend.labelled("dot"):
-                    rtz = grb.dot(r, z)
-                beta = rtz / rtz_old
-                with timers.measure("cg/waxpby"), \
-                        grb.backend.labelled("waxpby"):
-                    grb.waxpby(p, 1.0, z, beta, p)       # p <- z + beta p
-            with timers.measure("cg/spmv"), grb.backend.labelled("spmv"):
-                grb.mxv(Ap, None, A, p)                  # Ap <- A p
-            with timers.measure("cg/dot"), grb.backend.labelled("dot"):
-                pAp = grb.dot(p, Ap)
-            require_definite(k, rtz, pAp, normr)
-            alpha = rtz / pAp
-            with timers.measure("cg/waxpby"), grb.backend.labelled("waxpby"):
-                grb.waxpby(x, 1.0, x, alpha, p)          # x <- x + alpha p
-                grb.waxpby(r, 1.0, r, -alpha, Ap)        # r <- r - alpha Ap
-            with timers.measure("cg/dot"), grb.backend.labelled("dot"):
-                normr = grb.norm2(r)
-            if sp is not None:
-                sp.set(normr=normr)
-        residuals.append(normr)
+            with measure("cg/waxpby"), label("waxpby"):
+                grb.waxpby(r, 1.0, b, -1.0, Ap)         # r <- b - A x
+        with measure("cg/dot"), label("dot"):
+            normr0 = normr = grb.norm2(r)
+        if not math.isfinite(normr0):   # r is copied out on this path only
+            require_finite_residual(normr0, r.to_dense())
+        residuals = [normr]
         if res_series is not None:
             res_series.observe(normr)
-            res_gauge.set(normr)
-            iter_gauge.set(k)
-        iterations = k
+        rtz = 0.0
+
+        if normr0 == 0.0:
+            # the initial guess already solves the system exactly
+            return CGResult(x=x, iterations=0, converged=True, normr0=0.0,
+                            normr=0.0, residuals=residuals)
+
+        iterations = 0
+        for k in range(1, max_iters + 1):
+            if tolerance > 0 and normr / normr0 <= tolerance:
+                break
+            with span("cg/iteration", "cg", {"k": k}) as sp:
+                if preconditioner is not None:
+                    with measure("cg/mg"):
+                        preconditioner(z, r)                 # z <- M r
+                else:
+                    with measure("cg/waxpby"), label("waxpby"):
+                        grb.waxpby(z, 1.0, r, 0.0, r)        # z <- r
+                if k == 1:
+                    with measure("cg/waxpby"), label("waxpby"):
+                        grb.waxpby(p, 1.0, z, 0.0, z)        # p <- z
+                    with measure("cg/dot"), label("dot"):
+                        rtz = grb.dot(r, z)
+                else:
+                    rtz_old = rtz
+                    with measure("cg/dot"), label("dot"):
+                        rtz = grb.dot(r, z)
+                    beta = rtz / rtz_old
+                    with measure("cg/waxpby"), label("waxpby"):
+                        grb.waxpby(p, 1.0, z, beta, p)       # p <- z + beta p
+                with measure("cg/spmv"), label("spmv"):
+                    grb.mxv(Ap, None, A, p)                  # Ap <- A p
+                with measure("cg/dot"), label("dot"):
+                    pAp = grb.dot(p, Ap)
+                require_definite(k, rtz, pAp, normr)
+                alpha = rtz / pAp
+                with measure("cg/waxpby"), label("waxpby"):
+                    grb.waxpby(x, 1.0, x, alpha, p)      # x <- x + alpha p
+                    grb.waxpby(r, 1.0, r, -alpha, Ap)    # r <- r - alpha Ap
+                with measure("cg/dot"), label("dot"):
+                    normr = grb.norm2(r)
+                if sp is not None:
+                    sp.set(normr=normr)
+            residuals.append(normr)
+            if res_series is not None:
+                res_series.observe(normr)
+                res_gauge.set(normr)
+                iter_gauge.set(k)
+            iterations = k
+    finally:
+        obs.deactivate(ctx)
 
     converged = tolerance > 0 and normr / normr0 <= tolerance
     return CGResult(

@@ -72,18 +72,6 @@ class HPCGResult:
         reps = self.repetition_seconds or [self.run_seconds]
         return sum(reps) or 1.0
 
-    def kernel_breakdown(self) -> Dict[str, float]:
-        """Fraction of run time per top-level kernel family."""
-        total = self._timed_total
-        mg = self.timers.total("mg/")
-        out = {
-            "mg": mg / total,
-            "cg/spmv": self.timers.total("cg/spmv") / total,
-            "cg/dot": self.timers.total("cg/dot") / total,
-            "cg/waxpby": self.timers.total("cg/waxpby") / total,
-        }
-        return out
-
     def mg_level_breakdown(self) -> List[Dict[str, float]]:
         """Per-level shares of *total* time: RBGS vs restrict+refine.
 

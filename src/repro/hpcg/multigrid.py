@@ -137,53 +137,60 @@ def build_hierarchy(
     return top
 
 
-def _null_scope(*args):
-    return obs.NULL_SPAN
+def _level_names(level: MGLevel) -> tuple:
+    """Span name and arguments, then per step (timer key, label)."""
+    i, tag = level.index, f"mg/L{level.index}"
+    return (tag, {"level": i, "n": level.n},
+            *((f"{tag}/{step}", f"{label}@L{i}") for step, label in (
+                ("rbgs", "rbgs"), ("spmv", "mg_spmv"),
+                ("restrict", "restrict"), ("prolong", "refine"))))
 
 
 class _VCycle:
-    """One instrumented application of Listing 1.
+    """The instrumented walk of Listing 1 over one hierarchy.
 
     :meth:`walk` is the only copy of the instrumented recursion; the
     four per-level steps below are the transcription — GraphBLAS
     primitives on the level's containers, the oracle — and
-    :class:`_PlannedVCycle` overrides them.  Timers, obs spans and
-    backend labels are resolved once per application, so no level
-    reads the environment.
+    :class:`_PlannedVCycle` overrides them.  Names resolve once per
+    walker, the obs context and backend labels once per application
+    (:meth:`arm`), so no level reads the environment.
     """
 
-    def __init__(self, timers, pre_sweeps: int, post_sweeps: int):
-        ctx = obs.current()
+    def __init__(self, top: MGLevel, timers, pre_sweeps: int,
+                 post_sweeps: int):
         self.measure = timers.measure
-        self.span = _null_scope if ctx is None else ctx.tracer.span
+        self.names = {lvl.index: _level_names(lvl) for lvl in top.levels()}
+        self.pre_sweeps, self.post_sweeps = pre_sweeps, post_sweeps
+
+    def arm(self) -> "_VCycle":
+        ctx = obs.current()
+        self.span = obs.null_scope if ctx is None else ctx.tracer.span
         self.label = (grb.backend.labelled if grb.backend.active()
-                      else _null_scope)
+                      else obs.null_scope)
         self.visits = None if ctx is None else ctx.metrics.counter(
             "mg_level_visits_total", "V-cycle visits per MG level")
-        self.pre_sweeps, self.post_sweeps = pre_sweeps, post_sweeps
+        return self
 
     def walk(self, level: MGLevel, z, r) -> None:
         measure, label, span = self.measure, self.label, self.span
-        i = level.index
-        tag = f"mg/L{i}"
-        with span(tag, "mg", {"level": i, "n": level.n}):
+        tag, args, (rbgs, rbgs_at), (spmv, spmv_at), (down, down_at), \
+            (up, up_at) = self.names[level.index]
+        with span(tag, "mg", args):
             if self.visits is not None:
-                self.visits.inc(level=i)
-            with measure(f"{tag}/rbgs"), label(f"rbgs@L{i}"):
+                self.visits.inc(level=level.index)
+            with measure(rbgs), label(rbgs_at):
                 self.smooth(level, z, r, self.pre_sweeps)
             if level.coarser is None:
                 return
-            with measure(f"{tag}/spmv"), label(f"mg_spmv@L{i}"), \
-                    span(f"{tag}/spmv", "mg"):
+            with measure(spmv), label(spmv_at), span(spmv, "mg"):
                 self.residual(level, z, r)
-            with measure(f"{tag}/restrict"), label(f"restrict@L{i}"), \
-                    span(f"{tag}/restrict", "mg"):
+            with measure(down), label(down_at), span(down, "mg"):
                 self.restrict(level)
             self.walk(level.coarser, level.zc, level.rc)
-            with measure(f"{tag}/prolong"), label(f"refine@L{i}"), \
-                    span(f"{tag}/prolong", "mg"):
+            with measure(up), label(up_at), span(up, "mg"):
                 self.prolong(level, z)
-            with measure(f"{tag}/rbgs"), label(f"rbgs@L{i}"):
+            with measure(rbgs), label(rbgs_at):
                 self.smooth(level, z, r, self.post_sweeps)
 
     def smooth(self, level: MGLevel, z, r, sweeps: int) -> None:
@@ -207,30 +214,32 @@ class _VCycle:
 class _PlannedVCycle(_VCycle):
     """The same walk over a loaded :class:`fused.VCyclePlan`: every
     level's vectors live colour-major inside the plan's array kernel,
-    which knows a level by its depth below the top.  A smoother pass
-    records the span the smoother itself would."""
+    which knows a level by its depth below the top.  A traced smoother
+    pass records the span the smoother itself would."""
 
     def __init__(self, plan: fused_ext.VCyclePlan, top: MGLevel, *args):
-        super().__init__(*args)
-        self.kernel, self.top = plan.kernel, top.index
+        super().__init__(top, *args)
+        self.plan, self.top = plan, top.index
 
     def smooth(self, level: MGLevel, z, r, sweeps: int) -> None:
-        smoother = level.smoother
+        smoother, relax = level.smoother, self.plan.kernel.relax
+        depth, order = level.index - self.top, smoother.symmetric_order
         for _ in range(sweeps):
+            if self.span is obs.null_scope:
+                relax(depth, order)
+                continue
             with self.span(*SWEEP_SPAN) as sp:
-                self.kernel.relax(level.index - self.top,
-                                  smoother.symmetric_order)
-                if sp is not None:
-                    sp.set(**smoother.sweep_attrs(True))
+                relax(depth, order)
+                sp.set(**smoother.sweep_attrs(True))
 
     def residual(self, level: MGLevel, z, r) -> None:
-        self.kernel.residual(level.index - self.top)
+        self.plan.kernel.residual(level.index - self.top)
 
     def restrict(self, level: MGLevel) -> None:
-        self.kernel.restrict(level.index - self.top)
+        self.plan.kernel.restrict(level.index - self.top)
 
     def prolong(self, level: MGLevel, z) -> None:
-        self.kernel.prolong(level.index - self.top)
+        self.plan.kernel.prolong(level.index - self.top)
 
 
 def mg_vcycle(
@@ -246,7 +255,7 @@ def mg_vcycle(
     Transcription of Listing 1; ``timers`` receives per-level entries
     under ``mg/L{i}/...`` which the breakdown figures consume.
     """
-    _VCycle(timers, pre_sweeps, post_sweeps).walk(level, z, r)
+    _VCycle(level, timers, pre_sweeps, post_sweeps).arm().walk(level, z, r)
     return z
 
 
@@ -266,22 +275,21 @@ class MGPreconditioner:
                 f"sweep counts must be non-negative, got pre_sweeps="
                 f"{pre_sweeps}, post_sweeps={post_sweeps}")
         self.hierarchy = hierarchy
-        self.timers = timers
-        self.pre_sweeps = pre_sweeps
-        self.post_sweeps = post_sweeps
         self._plan = fused_ext.VCyclePlan(
             [(getattr(lvl.smoother, "plan", None), lvl.R)
              for lvl in hierarchy.levels()])
+        args = hierarchy, timers, pre_sweeps, post_sweeps
+        self._walk = _VCycle(*args)
+        self._planned_walk = _PlannedVCycle(self._plan, *args)
 
     def __call__(self, z: grb.Vector, r: grb.Vector) -> grb.Vector:
         if z is r:      # z is zero-filled before r is read
             raise OutputAliasing(
                 "MG preconditioner output must not alias the residual")
-        args = self.timers, self.pre_sweeps, self.post_sweeps
         if not self._plan.load(z, r):
             z.fill(0.0)
-            return mg_vcycle(self.hierarchy, z, r, *args)
-        _PlannedVCycle(self._plan, self.hierarchy, *args).walk(
-            self.hierarchy, z, r)
+            self._walk.arm().walk(self.hierarchy, z, r)
+            return z
+        self._planned_walk.arm().walk(self.hierarchy, z, r)
         self._plan.store(z)
         return z

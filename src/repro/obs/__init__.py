@@ -101,7 +101,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Series,
 )
-from repro.obs.trace import NULL_SPAN, SpanHandle, SpanRecord, Tracer
+from repro.obs.trace import (NULL_SPAN, SpanHandle, SpanRecord, Tracer,
+                             null_scope)
 
 __all__ = [
     "ENV_TRACE",
@@ -143,6 +144,7 @@ __all__ = [
     "manifest_recorder",
     "metrics",
     "metrics_registry",
+    "null_scope",
     "parse_folded",
     "profiler",
     "progress_snapshot",

@@ -147,6 +147,11 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+def null_scope(*args: Any) -> _NullSpan:
+    """The span factory a hot path binds when tracing is off."""
+    return NULL_SPAN
+
+
 class Tracer:
     """Thread-safe span recorder with per-thread nesting."""
 

@@ -33,8 +33,9 @@ def compute_waxpby(
             f"waxpby sizes: w {w.shape}, x {x.shape}, y {y.shape}"
         )
     if w is x:
+        by = beta * y       # before w is scaled: y may be w as well
         w *= alpha
-        w += beta * y
+        w += by
     elif w is y:
         w *= beta
         w += alpha * x

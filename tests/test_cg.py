@@ -1,12 +1,18 @@
 """The CG solver: convergence, fixed-iteration mode, preconditioning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import graphblas as grb
-from repro.hpcg.cg import pcg
+from repro import obs
+from repro.graphblas import fused as fused_mod
+from repro.graphblas import substrate
+from repro.hpcg.cg import CGWorkspace, pcg
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
-from repro.util.errors import DimensionMismatch
+from repro.hpcg.problem import generate_problem
+from repro.util.errors import DimensionMismatch, OutputAliasing
 from repro.util.timer import TimerRegistry
 
 
@@ -101,3 +107,83 @@ class TestCGResult:
         x = problem8.x0.dup()
         res = pcg(problem8.A, problem8.b, x, max_iters=5)
         assert res.x is x
+
+
+class TestWorkspaceAliasing:
+    @pytest.mark.parametrize("role", ["x", "b"])
+    @pytest.mark.parametrize("name", ["r", "z", "p", "Ap"])
+    def test_workspace_vector_refused_before_any_work(self, problem8, role,
+                                                      name):
+        """A work vector overwritten under the solver's feet used to
+        return a wrong history without an error."""
+        ws = CGWorkspace(problem8.n)
+        vec = getattr(ws, name)
+        vec.fill(0.0)
+        args = {"b": problem8.b.dup(), "x": problem8.x0.dup(), role: vec}
+        before = vec.to_dense()
+        with pytest.raises(OutputAliasing,
+                           match=f"pcg {role} is workspace.{name}$"):
+            pcg(problem8.A, args["b"], args["x"], max_iters=5, workspace=ws)
+        assert np.array_equal(vec.to_dense(), before)
+
+
+@pytest.mark.skipif(substrate.registry.forced() is not None,
+                    reason="the V-cycle plan binds to CSR colour-major sweeps")
+class TestCostGuards:
+    """A warm preconditioned solve pays for its arithmetic: labels,
+    spans and plan checks are resolved once per solve, and every product
+    lands in a vector the solve already holds."""
+
+    @pytest.fixture(autouse=True)
+    def armed(self, monkeypatch):
+        monkeypatch.delenv(fused_mod.ENV_FUSED, raising=False)
+
+    @staticmethod
+    def warm(nx, iters=3):
+        problem = generate_problem(nx)
+        timers = TimerRegistry()
+        M = MGPreconditioner(build_hierarchy(problem, levels=3),
+                             timers=timers)
+        ws, x = CGWorkspace(problem.n), problem.x0.dup()
+
+        def solve():
+            x.fill(0.0)
+            return pcg(problem.A, problem.b, x, preconditioner=M,
+                       max_iters=iters, timers=timers, workspace=ws)
+        solve()
+        solve()
+        return problem, solve
+
+    def test_python_calls_do_not_grow_with_the_grid(self, python_calls):
+        """Three warm iterations are 1663 calls at either size (2265
+        while every backend label, span and V-cycle name was resolved
+        per use and the product went through a fresh vector)."""
+        counts = {}
+        for nx in (8, 16):
+            _, solve = self.warm(nx)
+            with obs.disabled():
+                counts[nx] = python_calls(solve)
+        assert counts[16] <= counts[8] <= 1746
+
+    @pytest.mark.parametrize("nx", [16, 24])
+    def test_warm_solve_holds_at_most_one_vector(self, nx):
+        """``x + alpha p`` forms one ``n``-vector temporary; the product
+        used to hold two (scipy's result and the merge's copy)."""
+        problem, solve = self.warm(nx)
+        with obs.disabled():
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                solve()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= problem.n * 8 + 16 * 1024
+
+    def test_trace_switch_is_read_once_per_solve(self, python_calls):
+        """One read per iteration span and per preconditioner
+        application before."""
+        _, solve = self.warm(8)
+        assert python_calls(solve,
+                            obs.context.trace_env_enabled.__code__) <= 1

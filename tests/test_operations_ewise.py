@@ -6,6 +6,7 @@ import pytest
 from repro import graphblas as grb
 from repro.graphblas import descriptor as d
 from repro.graphblas.vector import Vector
+from repro.ref.kernels import compute_waxpby
 from repro.util.errors import DimensionMismatch, InvalidValue
 
 
@@ -217,6 +218,44 @@ class TestWaxpby:
             expect = alpha * xv + beta * yv
             grb.waxpby(w, alpha, x, beta, y)
         assert w.to_dense().tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "ref"])
+    @pytest.mark.parametrize("alias", ["fresh", "fresh, x is y", "w is x",
+                                       "w is y", "w is x is y"])
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 3.0), (1.0, 1.0)])
+    def test_every_aliasing_pattern(self, rng, kind, alias, alpha, beta):
+        """Out-of-place ``alpha*x + beta*y`` whichever operands are one
+        vector; ``w is x is y`` used to scale ``y`` with ``w`` (``8 v``
+        for ``5 v``) on the dense path and in ``repro.ref``."""
+        n = 12
+        xv = rng.standard_normal(n)
+        yv = xv if "x is y" in alias else rng.standard_normal(n)
+        # sparse: x lacks entry 2, y (unless it is x) entries 0 and 1
+        x_has = np.ones(n, dtype=bool)
+        y_has = x_has.copy()
+        if kind == "sparse":
+            x_has[2] = False
+            y_has = x_has if yv is xv else np.arange(n) > 1
+        present = x_has | y_has
+        want = (np.where(x_has, alpha * xv, 0.0)
+                + np.where(y_has, beta * yv, 0.0))
+
+        def vec(values, has):
+            if kind == "ref":
+                return values.copy()
+            return Vector.from_coo(np.flatnonzero(has), values[has], n)
+        x = vec(xv, x_has)
+        y = x if yv is xv else vec(yv, y_has)
+        w = {"w is x": x, "w is y": y, "w is x is y": x}.get(
+            alias, vec(np.zeros(n), np.zeros(n, dtype=bool)))
+        if kind == "ref":
+            compute_waxpby(w, alpha, x, beta, y)
+            got, got_present = w, present
+        else:
+            grb.waxpby(w, alpha, x, beta, y)
+            got, got_present = w._values, w._present
+        np.testing.assert_array_equal(got_present, present)
+        assert got[present].tobytes() == want[present].tobytes()
 
 
 class TestEwiseLambda:

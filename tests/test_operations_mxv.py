@@ -1,10 +1,13 @@
 """mxv / vxm / mxm: semirings, masks, descriptors, accumulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import graphblas as grb
 from repro.graphblas import descriptor as d
+from repro.graphblas import operations as ops
 from repro.graphblas.matrix import Matrix
 from repro.graphblas.vector import Vector
 from repro.util.errors import DimensionMismatch, InvalidValue, OutputAliasing
@@ -304,3 +307,80 @@ class TestEvents:
         with grb.backend.collect(log), grb.backend.labelled("spmv"):
             grb.mxv(Vector.dense(3), None, A, x)
         assert log.events[0].label == "spmv"
+
+
+class TestInPlaceProduct:
+    """An unmasked plus-times product over dense float64 operands lands
+    in the output's storage; everything it cannot serve goes through the
+    ``_writeback`` merge, and both routes leave the same output."""
+
+    @staticmethod
+    def routes(monkeypatch, w, mask, A, u, **kwargs):
+        """``grb.mxv`` as it runs, then with the in-place route declined:
+        per route the output's value bits, presence, version bumps and
+        events; and what the in-place route answered each time."""
+        served, in_place = [], ops._mxv_in_place
+
+        def spy(*args):
+            served.append(in_place(*args))
+            return served[-1]
+        outs = []
+        for route in (spy, lambda *args: False):
+            monkeypatch.setattr(ops, "_mxv_in_place", route)
+            got, log = w.dup(), grb.backend.EventLog()
+            with grb.backend.collect(log):
+                grb.mxv(got, mask, A, u, **kwargs)
+            outs.append((got._values.tobytes(), got._present.tolist(),
+                         got.version, log.events))
+        return outs, served
+
+    CASES = {
+        "dense": ({}, [True]),
+        "sparse": ({"w": "sparse"}, [True]),
+        "empty-row": ({"A": "empty-row"}, [False]),
+        "mask": ({"mask": True}, []),
+        "accum": ({"accum": grb.ops.plus}, []),
+        "replace": ({"desc": d.replace}, [False]),
+        "transpose": ({"desc": d.transpose_matrix}, [False]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_output_as_the_writeback_route(self, monkeypatch, A, case):
+        opts, verdicts = self.CASES[case]
+        if opts.get("A") == "empty-row":
+            A = Matrix.from_coo([0, 0, 2], [0, 2, 1], [2.0, -0.0, 4.0], 3, 3)
+        w = (Vector.from_coo([1], [9.0], 3) if opts.get("w") == "sparse"
+             else Vector.dense(3, 9.0))
+        mask = (Vector.from_coo([0, 2], [True, True], 3, dtype=bool)
+                if opts.get("mask") else None)
+        u = Vector.from_dense([1.5, -0.0, 3.0])
+        (fast, merged), served = self.routes(
+            monkeypatch, w, mask, A, u, desc=opts.get("desc", d.default),
+            accum=opts.get("accum"))
+        assert served == verdicts
+        assert fast == merged
+        if case == "sparse":
+            assert fast[1] == [True] * 3      # the output gets filled
+        if case == "empty-row":
+            assert fast[1] == [True, False, True]
+        assert fast[2] == 1 and len(fast[3]) == 1
+
+    def test_warm_product_lands_in_the_output(self, problem16):
+        """No vector beyond the output: scipy's ``@`` result and the
+        merge's copy are both gone (a padded provider's product still
+        allocates: the CSR pin)."""
+        A, n = Matrix(problem16.A.to_scipy(), substrate="csr"), problem16.n
+        u = Vector.from_dense(np.random.default_rng(3).standard_normal(n))
+        w = Vector.dense(n)
+        grb.mxv(w, None, A, u)          # builds the provider
+        buffer = w._values
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            grb.mxv(w, None, A, u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert w._values is buffer and peak < n * 8
+        assert w._values.tobytes() == (A.to_scipy() @ u.to_dense()).tobytes()

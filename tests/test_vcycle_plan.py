@@ -489,8 +489,9 @@ class TestCostGuards:
     def test_python_calls_do_not_grow_with_the_grid(self, loads,
                                                     python_calls):
         """One warm application is a fixed number of calls per level
-        (439 here; the per-primitive walk with its context managers,
-        f-strings and container round trips took 1229)."""
+        (329 here; 439 while every application formatted its names and
+        rebuilt each level's sweep key, and the per-primitive walk with its context managers, f-strings and
+        container round trips took 1229)."""
         counts = {}
         for nx in (8, 16):
             M, z, r = self.warm(nx)
@@ -498,7 +499,7 @@ class TestCostGuards:
                 counts[nx] = python_calls(lambda: M(z, r))
             assert loads(M) == [True] * 3
         assert counts[16] <= 1.05 * counts[8]
-        assert counts[16] <= 500
+        assert counts[16] <= 345
 
     @pytest.mark.parametrize("nx", [16, 24])
     def test_warm_application_allocates_a_constant(self, loads, nx):
