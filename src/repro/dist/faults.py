@@ -441,11 +441,17 @@ class FaultInjector:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
 
-    def quiet(self, start: int, stop: int) -> bool:
-        """Can no event land in supersteps ``[start, stop)`` — no loss
-        draw, no slowdown, no crash — so they price as in a clean run?"""
+    def quiet(self, start: int, stop: int, exchanges: int = 0) -> bool:
+        """Do supersteps ``[start, stop)``, of which ``exchanges`` are
+        exchanges, price as in a clean run but for their retries — no
+        slowdown, no crash?  Message loss alone is quiet: the window
+        widens by the most retries its exchanges can draw, ``max_retries``
+        each, and the caller draws them in walk order.  Heterogeneous
+        speeds never are: a clean run's prices carry no work factor."""
         plan, crashes = self.plan, self._pending_crashes
-        return not (plan.message_loss or plan.node_speeds
+        if plan.message_loss is not None:
+            stop += plan.message_loss.max_retries * exchanges
+        return not (plan.node_speeds
                     or (crashes and crashes[0].superstep < stop)
                     or any(st.start_superstep < stop
                            and start < (st.end_superstep or math.inf)

@@ -23,15 +23,19 @@ the same wrapper with no injector and a single attempt.
 What repeats is recorded once.  Construction records every exchange
 pattern (per level, hook and colour; the dot allreduce; the root
 exchanges) as an :class:`~repro.dist.comm.ExchangePlan` that a hook
-replays.  Every CG iteration after the first closes the same supersteps
-at the same prices unless a fault event lands in it, so an untraced run
-walks one such iteration stepwise — one colour per kernel call, each
-superstep closed and priced on its own — and records what it booked as
-a tape.  A later iteration whose window the injector finds quiet (no
-message loss, slowdown or crash) runs its numerics only, one kernel
-call per smoother direction, and folds the tape in, adding left to
-right as the walk does, so every total is bit-identical.  Traced runs
-walk every iteration: their per-superstep spans are the product.
+replays.  A CG iteration closes the same supersteps at the same prices
+as every other of its kind (the first puts ``p <- z`` before the dot)
+in every run on the same record, mode, machine and preconditioner,
+unless a fault event lands in it.  So an untraced run walks an
+iteration stepwise — one colour per kernel call, each superstep closed
+and priced on its own — only while the numerics keep no tape of it, and
+records what it booked as one.  An iteration whose window the injector
+finds quiet (no slowdown, no crash; message loss alone is quiet) runs
+its numerics only, one kernel call per smoother direction, and folds
+the tape in tick by tick, adding left to right as the walk does, so
+every total is bit-identical; each exchange draws its seeded retries as
+it is folded.  Traced runs walk every iteration: their per-superstep
+spans are the product.
 
 The level numerics — each level's operator (``problem.A``'s own CSR on
 the fine grid), colouring, injection and colour-major sweep arrays —
@@ -40,7 +44,8 @@ operator ``version``), they are shared read only by every run on it.
 So are communication records (partitions, halos, work shares, exchange
 plans), which depend on nothing else but the backend class, the node
 count, ``agglomerate_below`` and the backend's ``_layout()``: the
-numerics keep one per such key, built by the first run to need it.
+numerics keep one per such key, built by the first run to need it, and
+the tapes priced on it.
 What a walk writes stays per run: each run's kernel relaxes twins of
 the shared sweeps holding their own ``z``, ``r`` and scratch.  Crash
 survivors look their record up like any run: one repartition a problem.
@@ -78,9 +83,8 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
-import functools
-import operator
 import weakref
+from collections import Counter
 from types import SimpleNamespace
 from typing import List, Optional
 
@@ -159,6 +163,8 @@ class _Numerics(list):
         self.matrix = problem.A
         #: (backend class, nodes, agglomerate_below, layout) -> record
         self.records = {}
+        #: (record key, comm_mode, machine, use_mg, k == 1) -> _Tape
+        self.tapes = {}
         grid, A = problem.grid, problem.A.to_scipy(copy=False)
         for index in range(mg_levels):
             level = SimLevel(index, grid, A, stencil)
@@ -176,56 +182,75 @@ _SHARED = weakref.WeakValueDictionary()
 
 class _Tape:
     """One CG iteration's accounting as the stepwise walk booked it —
-    each sum's and timer's addends in order, the supersteps, the growth
-    of the label counts — for :meth:`fold` to book again."""
-
-    #: the run-state sum and the timer each value of a tick goes to
-    _TARGETS = (("seconds", "timers", "{}"),
-                ("comm_seconds", "comm_timers", "full/{}"),
-                ("exposed_comm_seconds", "comm_timers", "exposed/{}"))
+    every tick in booking order, a superstep's with its step and whether
+    it was an exchange, and the growth of the label counts — for
+    :meth:`fold` to book again.  Read only once closed: the numerics keep
+    it for every run that prices the iteration alike."""
 
     def __init__(self, tracker: CommTracker):
-        self.ticks: list = []           # (key, *values), in booking order
+        self.ticks: list = []           # (key, seconds, *wire), in order
+        self.marked = set()             # tracker indices of the exchanges
         self._mark = (len(tracker.supersteps), dict(tracker.label_bytes),
                       dict(tracker.label_syncs))
 
-    def close(self, tracker: CommTracker) -> None:
-        """End the recording: group each sum's and timer's addends."""
+    def close(self, tracker: CommTracker) -> "_Tape":
+        """End the recording: pair each superstep's tick with its step."""
         first, *before = self._mark
-        self.steps = [(s.plan, s.label, s.overlapped_work, s.posted)
-                      for s in tracker.supersteps[first:]]
-        self.grown = [{label: n - then.get(label, 0) for label, n in now.items()}
+        steps = iter(tracker.supersteps[first:])
+        for i, (key, seconds, *wire) in enumerate(self.ticks):
+            if wire:                    # (full, exposed): a superstep's
+                s = next(steps)
+                wire = (*wire, f"full/{key}", f"exposed/{key}",
+                        (s.plan, s.label, s.overlapped_work, s.posted),
+                        s.index in self.marked)
+            self.ticks[i] = key, seconds, wire or None
+        # each registry's ticks per timer, keyed in the walk's order: a
+        # registry's sums over its timers add in creation order
+        self.counts = (Counter(key for key, _, _ in self.ticks),
+                       Counter(name for _, _, wire in self.ticks if wire
+                               for name in wire[2:4]))
+        self.steps = len(tracker.supersteps) - first
+        self.exchanges = len(self.marked)
+        # a label that did not grow must not enter another run's counts
+        self.grown = [{label: n - then.get(label, 0) for label, n in
+                       now.items() if n != then.get(label, 0)}
                       for now, then in zip((tracker.label_bytes,
                                             tracker.label_syncs), before)]
-        self.sums = {name: [] for name, _, _ in self._TARGETS}
-        self.timers = {"timers": {}, "comm_timers": {}}
-        for key, *values in self.ticks:
-            for (name, registry, timer), value in zip(self._TARGETS, values):
-                self.sums[name].append(value)
-                self.timers[registry].setdefault(timer.format(key),
-                                                 []).append(value)
+        return self
 
-    def fold(self, state: "_RunState") -> None:
-        """Book the recorded iteration once more.  Every sum adds its
-        addends left to right, as the walk's ``+=`` did — ``np.sum`` would
-        pair them up, ``sum`` compensate — so totals stay bit-identical."""
-        add = functools.partial(functools.reduce, operator.add)
-        for name, addends in self.sums.items():
-            setattr(state, name, add(addends, getattr(state, name)))
-        for registry, timers in self.timers.items():
-            for key, addends in timers.items():
-                timer = getattr(state, registry).get(key)
-                timer.total = add(addends, timer.total)
-                timer.count += len(addends)
-        tracker, first = state.tracker, len(state.tracker.supersteps)
-        tracker.supersteps += [SuperstepStats(first + i, *step)
-                               for i, step in enumerate(self.steps)]
+    def fold(self, run: "SimulatedDistRun") -> None:
+        """Book the recorded iteration once more, tick by tick in the
+        walk's order: every sum adds left to right, as its ``+=`` did, so
+        totals stay bit-identical.  Under message loss each exchange
+        draws its seeded retries and books them right after it."""
+        state = run._state
+        tracker, inj = state.tracker, state.injector
+        timers = [{key: registry.get(key) for key in counts} for registry,
+                  counts in zip((state.timers, state.comm_timers), self.counts)]
+        timer, wire_timer = timers
+        for key, seconds, wire in self.ticks:
+            timer[key].total += seconds
+            state.seconds += seconds
+            if wire is None:
+                continue
+            full, exposed, full_key, exposed_key, step, exchange = wire
+            state.comm_seconds += full
+            state.exposed_comm_seconds += exposed
+            wire_timer[full_key].total += full
+            wire_timer[exposed_key].total += exposed
+            stats = SuperstepStats(len(tracker.supersteps), *step)
+            tracker.supersteps.append(stats)
+            if inj is not None:
+                inj.superstep += 1
+                if exchange:
+                    run._retry_exchange(stats, stats.label, key)
+        for resolved, counts in zip(timers, self.counts):
+            for key, n in counts.items():
+                resolved[key].count += n
         for counts, grown in zip((tracker.label_bytes, tracker.label_syncs),
                                  self.grown):
             for label, n in grown.items():
-                counts[label] += n
-        if state.injector is not None:
-            state.injector.superstep += len(self.steps)
+                counts[label] = counts.get(label, 0) + n
 
 
 @dataclasses.dataclass
@@ -273,8 +298,7 @@ class _RunState:
         self.reexecuted = 0
         self.lost_supersteps = 0
         self.lost_bytes = 0
-        # the tape, recorded or recording, and a replay (see _iteration)
-        self.tape: Optional[_Tape] = None
+        # the tape being recorded, and a replay (see _iteration)
         self.taping: Optional[_Tape] = None
         self.replaying = False
         # the obs context, read once (no environment lookup per
@@ -395,7 +419,8 @@ class SimulatedDistRun:
         run will ever close — building it if no run has."""
         self.nprocs = nprocs
         records = self._numerics.records
-        key = (type(self), nprocs, self.agglomerate_below, self._layout())
+        self._record_key = key = (type(self), nprocs,
+                                  self.agglomerate_below, self._layout())
         if key in records:
             self.levels, self._root_plans, self._dot_plan = records[key]
             return
@@ -486,7 +511,10 @@ class SimulatedDistRun:
             stats = self.tracker.sync(label=sync_label)
             overlap_bytes = 0.0
         self._tick_superstep(timer_key, work_bytes, stats.h, overlap_bytes)
-        if self._state.injector is not None:
+        state = self._state
+        if state.taping is not None:
+            state.taping.marked.add(stats.index)
+        if state.injector is not None:
             self._retry_exchange(stats, sync_label, timer_key)
 
     def _barrier(self, plan: ExchangePlan, sync_label: str, timer_key: str,
@@ -782,7 +810,7 @@ class SimulatedDistRun:
         }):
             survivor = self._respawn(survivors)
         state.tracker = CommTracker(survivor.nprocs)
-        state.tape = state.taping = None      # the survivors' plans differ
+        state.taping = None                   # the crash cut it short
         inj.recoveries += 1
         inj.record(
             "recovery", inj.superstep, node=crash.node,
@@ -795,29 +823,35 @@ class SimulatedDistRun:
 
     # --- the one CG loop -----------------------------------------------------
     @contextlib.contextmanager
-    def _iteration(self, k: int):
-        """Iteration ``k``'s span.  Untraced and from ``k = 2`` on (the
-        first puts ``p <- z`` before the dot), it replays the kept tape if
-        the injector finds its window quiet — the walk runs numerics only,
-        pricing off — else it is walked, and recorded if no tape is kept."""
+    def _iteration(self, k: int, use_mg: bool):
+        """Iteration ``k``'s span.  Untraced, it replays the tape the
+        numerics keep for its record, mode, machine, preconditioner and
+        kind (the first iteration puts ``p <- z`` before the dot) if the
+        injector finds its window quiet — the walk runs numerics only,
+        pricing off — else it is walked, and recorded if no tape is kept:
+        kept only if no fault event landed or could have."""
         state, inj = self._state, self._state.injector
-        start = inj.superstep if inj is not None else 0
-        if k >= 2 and state.ctx is None:
-            if state.tape is None:
+        start, events = (inj.superstep, len(inj.events)) if inj else (0, 0)
+        tapes = self._numerics.tapes
+        key = (self._record_key, self.comm_mode, self.machine, use_mg,
+               k == 1)
+        tape = tapes.get(key)
+        if state.ctx is None:
+            if tape is None:
                 state.taping = _Tape(state.tracker)
-            elif inj is None or inj.quiet(start,
-                                          start + len(state.tape.steps)):
+            elif inj is None or inj.quiet(start, start + tape.steps,
+                                          tape.exchanges):
                 state.replaying = True
         with self._span("cg/iteration", "cg", {"k": k}) as sp:
             yield sp
         if state.replaying:
             state.replaying = False
-            state.tape.fold(state)
-        elif state.taping is not None:      # kept if no event could land
-            tape, state.taping = state.taping, None
-            if inj is None or inj.quiet(start, inj.superstep):
-                tape.close(state.tracker)
-                state.tape = tape
+            tape.fold(self)
+        elif state.taping is not None:
+            taping, state.taping = state.taping, None
+            if inj is None or (len(inj.events) == events
+                               and inj.quiet(start, inj.superstep)):
+                tapes.setdefault(key, taping.close(state.tracker))
 
     def _cg_attempt(self, max_iters: int, use_mg: bool,
                     tolerance: float) -> CGState:
@@ -859,7 +893,7 @@ class SimulatedDistRun:
             if tolerance > 0 and cg.residuals[-1] / normr0 <= tolerance:
                 break
             state.iteration = k
-            with self._iteration(k) as sp:
+            with self._iteration(k, use_mg) as sp:
                 if use_mg:
                     z = np.empty(n)                        # z <- M r
                     self._kernel.load(r)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import os
 import sys
 
-import numpy as np
+# One BLAS thread before numpy loads: a threaded OpenBLAS level-1 call
+# can stall for milliseconds on a small shared host (README, "Pin the
+# BLAS threads").  An exported value wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from repro.hpcg.problem import generate_problem
@@ -51,12 +59,18 @@ def python_calls():
             elif event == "c_call" and code is None:
                 count += 1
 
-        previous = sys.getprofile()
+        # no collection runs a finaliser or weakref callback of older
+        # garbage inside the count
+        previous, collecting = sys.getprofile(), gc.isenabled()
+        gc.collect()
+        gc.disable()
         sys.setprofile(tick)
         try:
             fn()
         finally:
             sys.setprofile(previous)
+            if collecting:
+                gc.enable()
         return count
 
     return count_calls

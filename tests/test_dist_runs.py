@@ -344,11 +344,12 @@ class TestHostCostPerSuperstep:
         assert many <= 1.05 * few, (few, many)
 
     @pytest.mark.parametrize("cls", [RefDistRun, HybridALPRun, Hybrid2DRun])
-    def test_untraced_supersteps_read_no_environment(self, problem8,
-                                                     monkeypatch, cls):
+    def test_untraced_supersteps_read_no_environment(self, monkeypatch,
+                                                     cls):
         """Whether a context is active is decided once per run: between
         the first and the last superstep ``REPRO_TRACE`` is not looked
-        up again."""
+        up again.  On a fresh problem, so that no tape another test's
+        run kept lets a superstep be folded instead of closed."""
         monkeypatch.delenv(obs.ENV_TRACE, raising=False)
         reads = []
         monkeypatch.setattr(obs.context, "trace_env_enabled",
@@ -362,7 +363,7 @@ class TestHostCostPerSuperstep:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(CommTracker, close, counted)
-        result = cls(problem8, 4, mg_levels=3,
+        result = cls(generate_problem(8), 4, mg_levels=3,
                      comm_mode="overlap").run_cg(max_iters=2)
         assert len(at_superstep) == result.syncs > 50
         assert reads and at_superstep[0] == at_superstep[-1]
@@ -482,20 +483,106 @@ class TestTapeEqualsStepwise:
             walked = run.run_cg(max_iters=10)
         assert accounting(taped) == accounting(walked)
 
-    def test_an_untraced_clean_run_walks_two_iterations(self, problem8,
-                                                        monkeypatch):
-        """Only iteration 1 and the recorded iteration 2 close supersteps
-        (after the initial product and dot): a silent fall-back to
-        walking every iteration fails here."""
+    @pytest.fixture
+    def closes(self, monkeypatch):
+        """One entry per superstep the tracker closes stepwise."""
+        closed, close = [], CommTracker._close
+        monkeypatch.setattr(CommTracker, "_close", lambda *a, **k:
+                            closed.append(1) or close(*a, **k))
+        return closed
+
+    def test_a_second_untraced_clean_run_walks_no_iteration(self, problem8,
+                                                             closes):
+        """Once one run has kept both tapes, another closes stepwise only
+        the supersteps before the loop — as many as a solve of no
+        iterations: a silent fall-back to walking fails here."""
         run = RefDistRun(problem8, 4, mg_levels=3)
-        closes = []
-        close = CommTracker._close
         with obs.disabled():
-            walked = run.run_cg(max_iters=2).syncs
-            monkeypatch.setattr(CommTracker, "_close", lambda *a, **k:
-                                closes.append(1) or close(*a, **k))
+            walked = run.run_cg(max_iters=0).syncs
+            run.run_cg(max_iters=10)
+            before = len(closes)
             result = run.run_cg(max_iters=10)
-        assert len(closes) == walked < result.syncs / 4
+        assert len(closes) - before == walked < result.syncs / 10
+
+    def test_a_run_books_the_tapes_a_sibling_kept(self):
+        """A checkpointed sibling solving fewer iterations keeps both
+        tapes on a fresh problem; a run with no plan books them, and no
+        label only the sibling's counts hold enters its own."""
+        problem = generate_problem(8, 16, 16)
+        sibling = RefDistRun(problem, 4, mg_levels=3,
+                             faults=FaultPlan(checkpoint=Checkpoint(1)))
+        run = RefDistRun(problem, 4, mg_levels=3)
+        with obs.disabled():
+            sibling.run_cg(max_iters=3)
+            kept = dict(run._numerics.tapes)
+            taped = run.run_cg(max_iters=10)
+        assert run._numerics.tapes == kept and len(kept) == 2
+        with obs.run():
+            walked = run.run_cg(max_iters=10)
+        assert accounting(taped) == accounting(walked)
+
+    @pytest.mark.parametrize("use_mg, rate", [(False, 0.2), (True, 0.01)])
+    def test_a_lossy_run_alone_replays_with_its_retry_draws(self, closes,
+                                                            use_mg, rate):
+        """On a fresh problem a lossy run keeps the first iteration that
+        lost nothing as its tape, then books it with the seeded retry
+        draws of every later exchange."""
+        run = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3,
+                         faults=FaultPlan(seed=3,
+                                          message_loss=MessageLoss(rate)))
+        with obs.disabled():
+            taped = run.run_cg(max_iters=10, use_mg=use_mg)
+        assert len(closes) < taped.syncs
+        assert taped.resilience["exchange_retries"] > 0
+        with obs.run():
+            walked = run.run_cg(max_iters=10, use_mg=use_mg)
+        assert accounting(taped) == accounting(walked)
+
+    def test_a_crash_among_retries_fires_where_the_walk_fires_it(self):
+        """Under loss an iteration's window widens by the retries its
+        exchanges may draw, so a crash the retries push into it is never
+        replayed past, wherever it lands."""
+        problem = generate_problem(8, 16, 16)
+        for step in range(8, 40):
+            run = RefDistRun(problem, 4, mg_levels=3, faults=FaultPlan(
+                seed=1, message_loss=MessageLoss(0.5),
+                crashes=(Crash(1, step),)))
+            with obs.disabled():
+                taped = run.run_cg(max_iters=10, use_mg=False)
+            with obs.run():
+                walked = run.run_cg(max_iters=10, use_mg=False)
+            assert accounting(taped) == accounting(walked), step
+
+    def test_a_survivor_books_a_kept_tape_on_its_fresh_tracker(self):
+        """With no checkpoint the survivors restart from iteration 1 on a
+        fresh tracker: a second solve books the 3-node tapes the first
+        kept, labels that tracker has not seen yet included."""
+        run = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3)
+        (first, _), *_ = iteration_windows(run, {"max_iters": 10})
+        run.faults = FaultPlan(crashes=(Crash(1, first),))
+        with obs.disabled():
+            run.run_cg(max_iters=10)
+            kept = dict(run._numerics.tapes)
+            taped = run.run_cg(max_iters=10)
+        assert run._numerics.tapes == kept
+        assert sum(record[1] == 3 for record, *_ in kept) == 2
+        with obs.run():
+            walked = run.run_cg(max_iters=10)
+        assert accounting(taped) == accounting(walked)
+
+    def test_a_node_speeds_plan_is_walked(self, closes):
+        """Heterogeneous speeds scale every superstep's work term, which
+        no kept tape carries: every iteration is walked."""
+        run = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3)
+        with obs.disabled():
+            run.run_cg(max_iters=5)
+            run.faults = FaultPlan(node_speeds={2: 0.5})
+            before = len(closes)
+            taped = run.run_cg(max_iters=5)
+        assert len(closes) - before == taped.syncs
+        with obs.run():
+            walked = run.run_cg(max_iters=5)
+        assert accounting(taped) == accounting(walked)
 
 
 # ---------------------------------------------------------------------------

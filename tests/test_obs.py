@@ -307,29 +307,30 @@ class TestSolverIntegration:
         assert traced.cg.residuals == untraced.cg.residuals
         assert traced.cg.normr == untraced.cg.normr
 
-    def test_overhead_smoke(self):
-        """A traced solve stays within 5% (+ small absolute slack) of an
-        untraced one — the near-zero-cost claim, on the tier-1 size."""
-        def solve_seconds(traced: bool) -> float:
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                if traced:
-                    with obs.run():
-                        run_hpcg(16, max_iters=10, validate_symmetry=False)
-                else:
-                    with obs.disabled():
-                        run_hpcg(16, max_iters=10, validate_symmetry=False)
-                best = min(best, time.perf_counter() - t0)
-            return best
+    def test_overhead_smoke(self, python_calls):
+        """The near-zero-cost claim as counts, not wall-clock: an untraced
+        solve enters no tracer code, and tracing adds a fixed number of
+        Python calls per span, the same at 16^3 as at 8^3 — so against
+        the arithmetic it shrinks as the grid grows.  Timing it is the
+        ledger's ``obs.on_vs_off.*``."""
+        def added_calls(nx):
+            def solve():
+                run_hpcg(nx, max_iters=5, mg_levels=2,
+                         validate_symmetry=False)
 
-        solve_seconds(False)                     # warm every cache once
-        untraced = solve_seconds(False)
-        traced = solve_seconds(True)
-        assert traced <= untraced * 1.05 + 0.05, (
-            f"tracing overhead too high: {traced:.4f}s traced vs "
-            f"{untraced:.4f}s untraced"
-        )
+            with obs.disabled():
+                solve()                          # warm every cache once
+                untraced = python_calls(solve)
+                assert python_calls(solve, code=Tracer.span.__code__) == 0
+            with obs.run():
+                solve()                          # and the traced path
+            with obs.run() as ctx:
+                traced = python_calls(solve)
+            return traced - untraced, len(ctx.tracer.spans)
+
+        calls, spans = added_calls(8)
+        assert added_calls(16) == (calls, spans)
+        assert 0 < calls <= 150 * spans
 
 
 class TestFusedLevelTag:

@@ -519,37 +519,28 @@ class TestLiveGuarantees:
         assert observed.cg.normr == plain.cg.normr
 
     def test_overhead_smoke_streaming_and_profiling(self, tmp_path):
-        """Satellite: the <5% overhead envelope holds with the streaming
-        sink writing JSONL and the profiler sampling at 100 Hz."""
-        def solve_seconds(live_stack: bool) -> float:
-            best = float("inf")
-            for i in range(3):
-                t0 = time.perf_counter()
-                if live_stack:
-                    with obs.run() as ctx:
-                        sink = StreamingSink(
-                            str(tmp_path / f"ov{i}.jsonl"),
-                            tracer=ctx.tracer)
-                        try:
-                            with SamplingProfiler(hz=100,
-                                                  tracer=ctx.tracer):
-                                run_hpcg(16, max_iters=10,
-                                         validate_symmetry=False)
-                        finally:
-                            sink.close()
-                else:
-                    with obs.disabled():
-                        run_hpcg(16, max_iters=10, validate_symmetry=False)
-                best = min(best, time.perf_counter() - t0)
-            return best
+        """The streaming sink and the 100 Hz profiler add nothing to what
+        a traced solve records: the same spans, one JSONL line per span
+        (plus header and footer), and samples taken only inside the
+        solver's open spans.  Timing it is the ledger's
+        ``obs.on_vs_off.*``."""
+        def span_names(ctx):
+            return sorted(span.name for span in ctx.tracer.spans)
 
-        solve_seconds(False)                     # warm every cache once
-        untraced = solve_seconds(False)
-        observed = solve_seconds(True)
-        assert observed <= untraced * 1.05 + 0.1, (
-            f"live-telemetry overhead too high: {observed:.4f}s observed "
-            f"vs {untraced:.4f}s untraced"
-        )
+        with obs.run() as plain:
+            run_hpcg(16, max_iters=10, validate_symmetry=False)
+        path = tmp_path / "ov.jsonl"
+        with obs.run() as ctx:
+            sink = StreamingSink(str(path), tracer=ctx.tracer)
+            try:
+                with SamplingProfiler(hz=100, tracer=ctx.tracer) as prof:
+                    run_hpcg(16, max_iters=10, validate_symmetry=False)
+            finally:
+                sink.close()
+        assert span_names(ctx) == span_names(plain)
+        assert sink.spans_written == len(ctx.tracer.spans) + ctx.tracer.dropped
+        assert len(path.read_text().splitlines()) == sink.spans_written + 2
+        assert all(stack.startswith("hpcg/") for stack in prof.raw_samples())
 
 
 # ---------------------------------------------------------------------------
