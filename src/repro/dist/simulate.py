@@ -31,7 +31,8 @@ iteration stepwise — one colour per kernel call, each superstep closed
 and priced on its own — only while the numerics keep no tape of it, and
 records what it booked as one.  An iteration whose window the injector
 finds quiet (no slowdown, no crash; message loss alone is quiet) runs
-its numerics only, one kernel call per smoother direction, and folds
+its numerics only — the preconditioner as the kernel's compiled
+schedule, one flat loop over prebuilt calls — and folds
 the tape in tick by tick, adding left to right as the walk does, so
 every total is bit-identical; each exchange draws its seeded retries as
 it is folded.  Traced runs walk every iteration: their per-superstep
@@ -108,7 +109,9 @@ from repro.dist.cost import (
 from repro.dist.faults import FaultInjector, FaultPlan, NodeCrash
 from repro.dist.partition import Block1D
 from repro.dist.result import DistRunResult
-from repro.graphblas.substrate.csr import ColorMajorVCycle, CsrColorSweep
+from repro.graphblas.substrate.csr import (
+    ColorMajorVCycle, CsrColorSweep, execute,
+)
 from repro.grid import Grid3D
 from repro.hpcg.coloring import lattice_coloring, num_colors
 from repro.hpcg.problem import Problem
@@ -173,6 +176,9 @@ class _Numerics(list):
                 level.injection = grid.injection_indices()
                 grid = grid.coarsen()
                 A = build_csr(grid, stencil)
+        #: per level, the colour steps of one symmetric sweep
+        self.orders = [(*range(level.ncolors), *range(level.ncolors)[::-1])
+                       for level in self]
 
 
 #: every problem's numerics while some run uses them: a mutated operator
@@ -671,14 +677,10 @@ class SimulatedDistRun:
 
     def _smooth(self, level: SimLevel) -> None:
         """One symmetric sweep: colours ascending, then descending — one
-        kernel call per direction while an iteration is replayed, else
-        one per colour, each followed by its price."""
+        kernel call per colour, each followed by its price."""
         relax, sweep = self._kernel.relax, level.smoother
         forward = list(range(level.ncolors))
         for order in (forward, forward[::-1]):
-            if self._state.replaying:
-                relax(level.index, order)
-                continue
             for c, nxt in zip(order, [*order[1:], None]):
                 relax(level.index, (c,))
                 if level.agglomerated:
@@ -827,9 +829,10 @@ class SimulatedDistRun:
         """Iteration ``k``'s span.  Untraced, it replays the tape the
         numerics keep for its record, mode, machine, preconditioner and
         kind (the first iteration puts ``p <- z`` before the dot) if the
-        injector finds its window quiet — the walk runs numerics only,
-        pricing off — else it is walked, and recorded if no tape is kept:
-        kept only if no fault event landed or could have."""
+        injector finds its window quiet — numerics only, pricing off, the
+        preconditioner the kernel's compiled schedule — else it is
+        walked, and recorded if no tape is kept: kept only if no fault
+        event landed or could have."""
         state, inj = self._state, self._state.injector
         start, events = (inj.superstep, len(inj.events)) if inj else (0, 0)
         tapes = self._numerics.tapes
@@ -897,7 +900,12 @@ class SimulatedDistRun:
                 if use_mg:
                     z = np.empty(n)                        # z <- M r
                     self._kernel.load(r)
-                    self._vcycle(0)
+                    if state.replaying:     # pricing off: numerics only
+                        for _, _, calls in self._kernel.schedule(
+                                self._numerics.orders, 1, 1):
+                            execute(calls)
+                    else:
+                        self._vcycle(0)
                     self._kernel.store(z)
                 else:
                     z = self._waxpby(np.empty(n), 1.0, r, 0.0, r)  # z <- r

@@ -81,6 +81,12 @@ def _mxv_traffic(nnz: int, rows: int) -> Tuple[int, int]:
     return 2 * nnz, nnz * 16 + rows * 16
 
 
+def execute(calls) -> None:
+    """Run a compiled program: each ``(callable, args)`` in order."""
+    for f, args in calls:
+        f(*args)
+
+
 class CsrColorSweep(ColorSweep):
     """The CSR fused sweep: one colour-major copy of the operator.
 
@@ -94,9 +100,11 @@ class CsrColorSweep(ColorSweep):
     is why nothing that canonicalises may wrap the arrays — so it
     accumulates exactly as the reference ``csr_matvec`` does and
     iterates are bit-identical to the natural-order sweep.  A colour
-    step is one ``csr_matvec`` and four ``out=`` ufuncs; a
+    step is one ``csr_matvec`` and four ``out=`` ufuncs on views cut
+    once; :meth:`program` compiles a pass into those calls with their
+    operands bound, and :meth:`relax` runs it.  A
     :class:`ColorMajorVCycle` keeps ``z`` and ``r`` loaded across
-    smooths and calls :meth:`relax` and :meth:`block` directly.
+    smooths and takes :meth:`program` and :meth:`block` directly.
     """
 
     def __init__(self, csr, color_rows: Sequence[np.ndarray],
@@ -131,7 +139,8 @@ class CsrColorSweep(ColorSweep):
     def _buffers(self) -> None:
         """Allocate what a walk writes — ``z``, ``r``, the product scratch
         — and cut each colour's slices of them and of the operator once:
-        views, so a relaxation indexes nothing and allocates nothing."""
+        views, so a relaxation indexes nothing and allocates nothing.
+        Programs bind these views: new buffers start an empty cache."""
         off = self._off
         self.z, self.r = np.empty(self.perm.size), np.empty(self.perm.size)
         self._s = np.empty(max(self.sizes))
@@ -140,10 +149,13 @@ class CsrColorSweep(ColorSweep):
              self._diag[lo:hi], self._s[:hi - lo])
             for lo, hi in zip(off, off[1:])
         ]
+        # (order, zero) -> program, and (colour, zero) -> its step
+        self._programs = {}
 
     def twin(self) -> "CsrColorSweep":
-        """This sweep over the same operator arrays, with buffers of its
-        own: two walks that may interleave must each hold one."""
+        """This sweep over the same operator arrays, with buffers (and
+        programs) of its own: two walks that may interleave must each
+        hold one."""
         twin = copy.copy(self)
         twin._buffers()
         return twin
@@ -168,27 +180,43 @@ class CsrColorSweep(ColorSweep):
 
     def relax(self, order, zero: bool = False) -> None:
         """Relax the colours ``order`` lists, in place on the loaded
-        iterate ``self.z`` against ``self.r``.  ``zero`` (only a
+        iterate ``self.z`` against ``self.r``: run :meth:`program`."""
+        execute(self.program(order, zero))
+
+    def program(self, order, zero: bool = False) -> tuple:
+        """The ``(callable, args)`` calls that relax the colours ``order``
+        lists, compiled once per ``(order, zero)``.  ``zero`` (only a
         :class:`ColorMajorVCycle` passes it): the whole iterate is
         ``+0.0``, so the first listed colour's product is ``+0.0`` and
         ``r_k - (+0.0)`` is ``r_k`` bit for bit — it is not formed, unless
         a stored value is not finite (``0 * Inf`` is NaN)."""
-        n, zp = self.perm.size, self.z
-        indices, data = self._indices, self._data
-        zero = zero and self._finite
-        for k in order:
+        key = (tuple(order), zero)
+        calls = self._programs.get(key)
+        if calls is None:
+            zero = zero and self._finite
+            calls = self._programs[key] = sum(
+                (self._step(k, zero and i == 0)
+                 for i, k in enumerate(key[0])), ())
+        return calls
+
+    def _step(self, k: int, zero: bool) -> tuple:
+        """Colour ``k``'s calls, compiled once: programs share them."""
+        calls = self._programs.get((k, zero))
+        if calls is None:
             rows, indptr, zk, rk, dk, s = self._blocks[k]
             if zero:
-                zero, s = False, rk
-            else:
-                s.fill(0.0)  # csr_matvec accumulates onto its output
-                _csr_matvec(rows, n, indptr, indices, data, zp, s)
-                np.subtract(rk, s, out=s)
+                calls, s = (), rk
+            else:   # csr_matvec accumulates onto its output
+                calls = ((s.fill, (0.0,)),
+                         (_csr_matvec, (rows, self.perm.size, indptr,
+                                        self._indices, self._data, self.z, s)),
+                         (np.subtract, (rk, s, s)))
             # z_k = (r_k - s + z_k * d_k) / d_k, operation for operation;
             # the product above read the pre-update z_k throughout
-            np.multiply(zk, dk, out=zk)
-            np.add(s, zk, out=zk)
-            np.divide(zk, dk, out=zk)
+            calls = self._programs[k, zero] = calls + (
+                (np.multiply, (zk, dk, zk)), (np.add, (s, zk, zk)),
+                (np.divide, (zk, dk, zk)))
+        return calls
 
     def block(self, rows: np.ndarray):
         """``(head, pick)`` for a product over the colour-major rows
@@ -233,6 +261,13 @@ class ColorMajorVCycle:
     the algorithm's: a caller pricing Listing 1 (the dist engine) prices
     every step as before.  :meth:`load` and :meth:`restrict` overwrite
     every vector and flag a level reads: an abandoned walk leaves nothing.
+
+    Every step is a compiled program (:func:`execute`): the grid
+    transfers are built with the kernel, the colour passes by the sweeps.
+    :meth:`schedule` lays a whole application out as one sequence of
+    them, the zero flags resolved from the walk's order, for a caller
+    with nothing to do between the steps; it neither reads nor writes
+    the flags, so stepwise and scheduled applications mix freely.
     """
 
     def __init__(self, sweeps: Sequence[CsrColorSweep],
@@ -244,6 +279,29 @@ class ColorMajorVCycle:
                                  np.empty(injection.size), injection))
         self._levels.append((sweeps[-1], None, None, None, None))
         self._zero = [False] * len(sweeps)      # level iterate is all +0.0
+        # (residual, restrict, prolong) programs per non-coarsest level
+        self._transfers = [self._compile(i) for i in range(len(sweeps) - 1)]
+        self._schedules = {}
+
+    def _compile(self, i: int) -> tuple:
+        sweep, block, pick, f, injection = self._levels[i]
+        coarse = self._levels[i + 1][0]
+        residual = ((f.fill, (0.0,)), (_csr_matvec, (*block, sweep.z, f)))
+        restrict, product = [(sweep.r.take,
+                              (injection, None, coarse.r, "clip"))], f
+        if pick is not None:    # the product's rows in injection order
+            restrict.append((f.take, (pick, None, coarse.z, "clip")))
+            product = coarse.z
+        restrict += ((np.subtract, (coarse.r, product, coarse.r)),
+                     (np.add, (coarse.r, 0.0, coarse.r)),
+                     (coarse.z.fill, (0.0,)))
+        # through the two vectors restriction left free: the coarse
+        # right-hand side and f_i
+        prolong = ((np.add, (coarse.z, 0.0, coarse.r)),
+                   (sweep.z.take, (injection, None, f, "clip")),
+                   (np.add, (f, coarse.r, f)),
+                   (sweep.z.__setitem__, (injection, f)))
+        return residual, tuple(restrict), prolong
 
     def load(self, r: np.ndarray) -> None:
         """Start an application of ``z = M r`` on natural-order ``r``."""
@@ -263,29 +321,41 @@ class ColorMajorVCycle:
 
     def residual(self, i: int) -> None:
         """``f_i = A_i z_i`` on the rows level ``i + 1`` injects from."""
-        sweep, block, _, f, _ = self._levels[i]
-        f.fill(0.0)
-        _csr_matvec(*block, sweep.z, f)
+        execute(self._transfers[i][0])
 
     def restrict(self, i: int) -> None:
         """``r_{i+1} = R (r_i - A_i z_i)`` and ``z_{i+1} = 0``."""
-        sweep, _, pick, f, injection = self._levels[i]
-        coarse = self._levels[i + 1][0]
-        sweep.r.take(injection, out=coarse.r, mode="clip")
-        if pick is not None:
-            f = f.take(pick, out=coarse.z, mode="clip")
-        np.subtract(coarse.r, f, out=coarse.r)
-        np.add(coarse.r, 0.0, out=coarse.r)
-        coarse.z.fill(0.0)
+        execute(self._transfers[i][1])
         self._zero[i + 1] = True
 
     def prolong(self, i: int) -> None:
-        """``z_i += R' z_{i+1}``, through the two vectors restriction
-        left free: the coarse right-hand side and ``f_i``."""
-        sweep, _, _, f, injection = self._levels[i]
-        coarse = self._levels[i + 1][0]
-        np.add(coarse.z, 0.0, out=coarse.r)
-        sweep.z.take(injection, out=f, mode="clip")
-        np.add(f, coarse.r, out=f)
-        sweep.z[injection] = f
+        """``z_i += R' z_{i+1}``."""
+        execute(self._transfers[i][2])
         self._zero[i] = False
+
+    def schedule(self, orders, pre: int, post: int) -> tuple:
+        """One application after :meth:`load` as ``(level, step, calls)``
+        segments in ``ref_mg_vcycle``'s order — ``step`` one of
+        ``rbgs``, ``spmv`` (the residual), ``restrict``, ``prolong`` —
+        with ``pre`` and ``post`` passes of ``orders[i]`` on level ``i``.
+        Compiled once per arguments.  ``load`` and ``restrict`` zero a
+        level's iterate, so its first pass is compiled from zero when it
+        is a pre-smoothing one."""
+        key = (tuple(map(tuple, orders)), pre, post)
+        segments = self._schedules.get(key)
+        if segments is None:
+            segments = self._schedules[key] = tuple(self._segments(0, *key))
+        return segments
+
+    def _segments(self, i: int, orders, pre: int, post: int):
+        sweep, order = self._levels[i][0], orders[i]
+        yield i, "rbgs", sum((sweep.program(order, j == 0)
+                              for j in range(pre)), ())
+        if i + 1 == len(self._levels):
+            return
+        residual, restrict, prolong = self._transfers[i]
+        yield i, "spmv", residual
+        yield i, "restrict", restrict
+        yield from self._segments(i + 1, orders, pre, post)
+        yield i, "prolong", prolong
+        yield i, "rbgs", sweep.program(order) * post

@@ -21,9 +21,11 @@ and refinement as products with the injection matrix ``R``.
 :class:`MGPreconditioner` runs it whenever the fused
 :class:`~repro.graphblas.fused.VCyclePlan` declines an application
 (``REPRO_FUSED=0``, ``fused=False``, a non-RBGS smoother, a non-CSR
-substrate, an installed perf collector, ...) and otherwise walks the
-same instrumented recursion on the plan's colour-major arrays, where
-the two products are index moves; the results are bit-identical.
+substrate, an installed perf collector, ...) and otherwise runs the
+plan's colour-major array kernel, where the two products are index
+moves: traced, through the same instrumented recursion; untraced, as
+the kernel's compiled schedule under the same timers.  The results are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -215,11 +217,31 @@ class _PlannedVCycle(_VCycle):
     """The same walk over a loaded :class:`fused.VCyclePlan`: every
     level's vectors live colour-major inside the plan's array kernel,
     which knows a level by its depth below the top.  A traced smoother
-    pass records the span the smoother itself would."""
+    pass records the span the smoother itself would.
+
+    Untraced, nothing runs between the kernel's steps but the timers:
+    :meth:`run` executes the kernel's compiled schedule flat, each
+    segment inside the timer scope :meth:`walk` gives its step."""
 
     def __init__(self, plan: fused_ext.VCyclePlan, top: MGLevel, *args):
         super().__init__(top, *args)
         self.plan, self.top = plan, top.index
+        self.levels = top.levels()
+        self._kernel = self._flat = None    # the schedule, as last compiled
+
+    def run(self) -> None:
+        kernel = self.plan.kernel
+        if kernel is not self._kernel:
+            segments = kernel.schedule(
+                [lvl.smoother.symmetric_order for lvl in self.levels],
+                self.pre_sweeps, self.post_sweeps)
+            self._kernel, self._flat = kernel, [
+                (self.measure(f"mg/L{self.top + i}/{step}"), calls)
+                for i, step, calls in segments]
+        for timer, calls in self._flat:
+            with timer:
+                for f, args in calls:
+                    f(*args)
 
     def smooth(self, level: MGLevel, z, r, sweeps: int) -> None:
         smoother, relax = level.smoother, self.plan.kernel.relax
@@ -265,7 +287,8 @@ class MGPreconditioner:
     Each application is offered to the hierarchy's fused
     :class:`~repro.graphblas.fused.VCyclePlan` (bound to every level's
     smoother plan and ``R``, revalidated per call) and runs
-    :func:`mg_vcycle` on the containers when the plan declines.
+    :func:`mg_vcycle` on the containers when the plan declines.  With
+    no obs context the plan's kernel runs its compiled schedule.
     """
 
     def __init__(self, hierarchy: MGLevel, timers=null_timer,
@@ -290,6 +313,10 @@ class MGPreconditioner:
             z.fill(0.0)
             self._walk.arm().walk(self.hierarchy, z, r)
             return z
-        self._planned_walk.arm().walk(self.hierarchy, z, r)
+        walk = self._planned_walk.arm()
+        if walk.span is obs.null_scope:
+            walk.run()
+        else:
+            walk.walk(self.hierarchy, z, r)
         self._plan.store(z)
         return z

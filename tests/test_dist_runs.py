@@ -30,10 +30,15 @@ from repro.dist.cost import (interior_row_mask, per_entry_owners,
                              rows_touching_remote)
 from repro.dist.hybrid import _allgather_matrix
 from repro.dist.partition import BlockCyclic1D, bfs_partition, halo_for_owners
+from repro.graphblas.substrate.csr import execute
 from repro.grid import Grid3D
 from repro.hpcg.driver import run_hpcg
 from repro.hpcg.problem import generate_problem
+from repro.ref import build_ref_hierarchy
+from repro.ref.multigrid import ref_mg_vcycle
 from repro.util.errors import InvalidValue
+from test_dist_vcycle import engine_apply     # as a walked iteration makes it
+from test_vcycle_plan import assert_bit_identical   # values and signbits
 
 
 @pytest.fixture(scope="module")
@@ -720,6 +725,79 @@ class TestSharedNumerics:
         gc.collect()
         assert numerics() is None
         assert len(simulate._SHARED) == 0
+
+
+# ---------------------------------------------------------------------------
+# a replayed iteration runs the kernel's compiled schedule
+# ---------------------------------------------------------------------------
+
+def segments(run):
+    return run._kernel.schedule(run._numerics.orders, 1, 1)
+
+
+def flat_apply(run, r):
+    """One application as a replayed iteration makes it."""
+    z = np.full(r.size, 7.0)
+    run._kernel.load(r)
+    for _, _, calls in segments(run):
+        execute(calls)
+    run._kernel.store(z)
+    return z
+
+
+class TestScheduledApplications:
+    """Flat and stepwise applications mix on one kernel, and runs on one
+    problem share sweeps but never a program: programs bind buffers."""
+
+    def test_a_thin_grid_with_empty_colour_classes(self):
+        problem = generate_problem(8, 8, 16)        # the coarsest is 1x1x2
+        run = RefDistRun(problem, 1, mg_levels=4)
+        assert 0 in run._numerics[-1].smoother.sizes
+        r = np.random.default_rng(4).standard_normal(problem.n)
+        z = flat_apply(run, r)
+        assert_bit_identical(
+            z, engine_apply(RefDistRun(problem, 1, mg_levels=4), r))
+        assert np.array_equal(z, ref_mg_vcycle(
+            build_ref_hierarchy(problem, levels=4), np.zeros(problem.n), r))
+
+    def test_flat_then_stepwise_then_flat_on_one_kernel(self, entries_read):
+        """The schedule reads no zero flag a walk left, and a walk none a
+        schedule left: same bits, and the same operator entries read —
+        the first colour after ``load`` / ``restrict`` reads none."""
+        problem = generate_problem(8, 16, 16)
+        run = RefDistRun(problem, 4, mg_levels=3)
+        rng = np.random.default_rng(5)
+        for apply in (flat_apply, engine_apply, flat_apply):
+            r = rng.standard_normal(problem.n)
+            got, reads = apply(run, r), entries_read()
+            assert_bit_identical(
+                got, engine_apply(RefDistRun(problem, 4, mg_levels=3), r))
+            assert entries_read() == reads
+
+    def test_two_runs_interleave_segment_by_segment(self):
+        """The second run twins sweeps that already hold a program: its
+        twins start with none, so the interleaved applications write
+        only their own buffers."""
+        problem = generate_problem(8, 16, 16)
+        first = RefDistRun(problem, 4, mg_levels=3)
+        shared = [level.smoother for level in first._numerics]
+        for sweep, order in zip(shared, first._numerics.orders):
+            sweep.program(order)
+        second = HybridALPRun(problem, 4, mg_levels=3)
+        rng = np.random.default_rng(6)
+        rs = [rng.standard_normal(problem.n) for _ in range(2)]
+        want = [engine_apply(RefDistRun(problem, 4, mg_levels=3), r)
+                for r in rs]
+        zs = [np.full(problem.n, 7.0) for _ in rs]
+        runs = (first, second)
+        for run, r in zip(runs, rs):
+            run._kernel.load(r)
+        for pair in zip(*map(segments, runs)):
+            for _, _, calls in pair:
+                execute(calls)
+        for run, z, w in zip(runs, zs, want):
+            run._kernel.store(z)
+            assert_bit_identical(z, w)
 
 
 @pytest.mark.parametrize("cls", [RefDistRun, HybridALPRun, Hybrid2DRun])

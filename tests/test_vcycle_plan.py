@@ -11,7 +11,9 @@ primitives'; (iii) mutating an operator, diagonal, colour mask or ``R``
 is seen by the next application; (iv) a traced application records the
 transcription's spans; (v) a warm application's Python call count and
 allocations do not grow with the grid; (vi) an application makes no
-pass over an operator whose output nothing reads.
+pass over an operator whose output nothing reads; (vii) the kernel's
+compiled schedule, which an untraced application runs, equals the walk
+of its methods bit for bit and keeps the walk's timer keys and counts.
 
 Tests of the plan itself run armed even in the CI leg that sets
 ``REPRO_FUSED=0`` for the whole file (the ``armed`` fixture), and
@@ -29,6 +31,7 @@ from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import fused as fused_mod
 from repro.graphblas import substrate
+from repro.graphblas.substrate.csr import ColorMajorVCycle, execute
 from repro.hpcg.cg import pcg
 from repro.hpcg.coloring import color_masks, jones_plassmann_coloring
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy, mg_vcycle
@@ -482,15 +485,18 @@ class TestCostGuards:
         problem = generate_problem(nx)
         M = MGPreconditioner(build_hierarchy(problem, levels=levels))
         z, r = grb.Vector.dense(problem.n), random_rhs(problem.n)
-        M(z, r)
-        M(z, r)
+        with obs.disabled():    # what the guards measure: the schedule
+            M(z, r)
+            M(z, r)
         return M, z, r
 
     def test_python_calls_do_not_grow_with_the_grid(self, loads,
                                                     python_calls):
         """One warm application is a fixed number of calls per level
-        (329 here; 439 while every application formatted its names and
-        rebuilt each level's sweep key, and the per-primitive walk with its context managers, f-strings and
+        (229 here since it runs the compiled schedule; 329 while each
+        step was a kernel method, 439 while every application formatted
+        its names and rebuilt each level's sweep key, and the
+        per-primitive walk with its context managers, f-strings and
         container round trips took 1229)."""
         counts = {}
         for nx in (8, 16):
@@ -499,7 +505,7 @@ class TestCostGuards:
                 counts[nx] = python_calls(lambda: M(z, r))
             assert loads(M) == [True] * 3
         assert counts[16] <= 1.05 * counts[8]
-        assert counts[16] <= 345
+        assert counts[16] <= 240
 
     @pytest.mark.parametrize("nx", [16, 24])
     def test_warm_application_allocates_a_constant(self, loads, nx):
@@ -653,3 +659,120 @@ class TestNoUnreadPass:
                                 (indices, sweep._indices),
                                 (data, sweep._data)):
                 assert np.shares_memory(mine, whole) == view
+
+
+# ---------------------------------------------------------------------------
+# (vii) the compiled schedule == the walk of the kernel's methods
+# ---------------------------------------------------------------------------
+
+def twin_kernel(top):
+    """A kernel over twins of ``top``'s sweeps: buffers no other holds."""
+    levels = top.levels()
+    return ColorMajorVCycle(
+        [lvl.smoother.plan._current_sweep().twin() for lvl in levels],
+        [lvl.grid.injection_indices() for lvl in levels[:-1]])
+
+
+def method_walk(kernel, orders, pre, post, i=0, steps=None):
+    """``ref_mg_vcycle``'s order through the stepwise methods; returns
+    the ``(level, step)`` sequence, one ``rbgs`` per smoothing whatever
+    its pass count."""
+    steps = [] if steps is None else steps
+    for _ in range(pre):
+        kernel.relax(i, orders[i])
+    steps.append((i, "rbgs"))
+    if i + 1 < len(orders):
+        kernel.residual(i)
+        kernel.restrict(i)
+        steps += [(i, "spmv"), (i, "restrict")]
+        method_walk(kernel, orders, pre, post, i + 1, steps)
+        kernel.prolong(i)
+        for _ in range(post):
+            kernel.relax(i, orders[i])
+        steps += [(i, "prolong"), (i, "rbgs")]
+    return steps
+
+
+def scheduled(kernel, orders, pre, post, r):
+    """One application through :meth:`ColorMajorVCycle.schedule`."""
+    z = np.full(r.size, 7.0)
+    kernel.load(r)
+    segments = kernel.schedule(orders, pre, post)
+    for _, _, calls in segments:
+        execute(calls)
+    kernel.store(z)
+    return z, [(i, step) for i, step, _ in segments]
+
+
+def walked(kernel, orders, pre, post, r):
+    z = np.full(r.size, 7.0)
+    kernel.load(r)
+    steps = method_walk(kernel, orders, pre, post)
+    kernel.store(z)
+    return z, steps
+
+
+@pytest.mark.usefixtures("armed")
+class TestSchedule:
+    @pytest.mark.parametrize("stencil", ["27pt", "7pt"])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_schedule_equals_the_method_walk(self, stencil, levels):
+        """Every sweep-count pair, zero skips resolved at compile time
+        where the walk reads its flags: same bits, same steps in the same
+        order.  The fine 27-point level restricts through ``pick``, the
+        7-point one through a copied block."""
+        problem = generate_problem(8, stencil=stencil)
+        top = build_hierarchy(problem, levels=levels)
+        orders = [lvl.smoother.symmetric_order for lvl in top.levels()]
+        flat, stepwise = twin_kernel(top), twin_kernel(top)
+        copied = [pick is None for _, _, pick, *_ in flat._levels[:-1]]
+        assert copied[:1] == [stencil == "7pt"][:levels - 1]
+        r = np.random.default_rng(levels).standard_normal(problem.n)
+        r[::7] = -0.0
+        for pre, post in SWEEPS:
+            got, got_steps = scheduled(flat, orders, pre, post, r)
+            want, want_steps = walked(stepwise, orders, pre, post, r)
+            assert_bit_identical(got, want)
+            assert got_steps == want_steps
+        assert flat.schedule(orders, 1, 1) is flat.schedule(
+            [list(order) for order in orders], 1, 1)      # compiled once
+
+    def test_stored_inf_is_compiled_without_the_shortcut(self,
+                                                         entries_read):
+        """The zero skip is compiled as ``zero and finite``: with an Inf
+        stored, the scheduled first colour multiplies like the walk's."""
+        problem = generate_problem(8)       # edited below: not the fixture
+        problem.A.set_element(0, 1, np.inf)
+        top = build_hierarchy(problem, levels=2)
+        orders = [lvl.smoother.symmetric_order for lvl in top.levels()]
+        flat, stepwise = twin_kernel(top), twin_kernel(top)
+        with np.errstate(all="ignore"):
+            got, _ = scheduled(flat, orders, 1, 1, problem.b.to_dense())
+            reads = entries_read()[top.n]
+            want, _ = walked(stepwise, orders, 1, 1, problem.b.to_dense())
+        assert_bit_identical(got, want)
+        assert np.isnan(got[0])
+        sweep = sweep_nnz(top)
+        assert reads == entries_read()[top.n] == (
+            sweep + [injected_nnz(top)] + sweep)
+
+    def test_untraced_and_traced_solves_time_alike(self, loads, problem8):
+        """The untraced solve runs the schedule, the traced one the
+        recursive walk: the same ``mg/`` timer keys and counts."""
+        def solve(timers):
+            M = MGPreconditioner(build_hierarchy(problem8, levels=3),
+                                 timers=timers, pre_sweeps=2, post_sweeps=0)
+            pcg(problem8.A, problem8.b, problem8.x0.dup(), preconditioner=M,
+                max_iters=4)
+            assert loads(M) == [True] * 4
+            return M, {k: c for k, (_, c) in timers.as_dict(counts=True).items()
+                       if k.startswith("mg/")}
+        with obs.disabled():
+            flat, flat_counts = solve(TimerRegistry())
+        with obs.run():
+            walked_m, walk_counts = solve(TimerRegistry())
+        assert flat._planned_walk._flat is not None
+        assert walked_m._planned_walk._flat is None
+        assert flat_counts == walk_counts
+        assert flat_counts["mg/L0/rbgs"] == 8 and flat_counts["mg/L2/rbgs"] == 4
+        assert flat_counts["mg/L1/restrict"] == flat_counts["mg/L1/prolong"] == 4
