@@ -2,23 +2,21 @@
 
 The three backends (:class:`~repro.dist.hybrid.HybridALPRun`,
 :class:`~repro.dist.hybrid2d.Hybrid2DRun`,
-:class:`~repro.dist.refdist.RefDistRun`) run *identical numerics*: CG's
-vector operations are :mod:`repro.ref` kernels (``compute_spmv`` /
-``compute_waxpby`` / ``compute_dot``) and the preconditioner is
+:class:`~repro.dist.refdist.RefDistRun`) run *identical numerics*: CG is
+:func:`repro.ref.cg.cg_iterations`, Ref's own loop, on the
+:mod:`repro.ref` kernels, and the preconditioner is
 :class:`~repro.graphblas.substrate.csr.ColorMajorVCycle`, the array
 kernel under the serial fused V-cycle, over
 ``repro.ref.multigrid.build_csr`` operators.  ``tests/test_dist_vcycle.py``
 holds its output to ``ref_mg_vcycle``'s value for value and to the
-GraphBLAS transcription's bit for bit (an exact zero takes the sign of
-the injection product's ``+0.0 + 1.0*x`` where the reference copies), so
-residual histories are bit-identical to ``run_hpcg``.  The engine adds
-the accounting only: **one** CG loop and one V-cycle walk in which each
-kernel call is followed by the backend's ``*_comm`` hook, which records
-the sends on the :class:`~repro.dist.comm.CommTracker` and prices the
-superstep on the BSP machine.  ``run_cg`` wraps that loop — on a
-:class:`~repro.dist.faults.NodeCrash` it repartitions onto the
-survivors and re-attempts from the last checkpoint; a fault-free run is
-the same wrapper with no injector and a single attempt.
+GraphBLAS transcription's bit for bit, so residual histories are
+bit-identical to ``run_hpcg``.  The engine adds the accounting only:
+each kernel it hands the loop, and each step of its one V-cycle walk,
+is followed by the backend's ``*_comm`` hook, which records the sends
+on the :class:`~repro.dist.comm.CommTracker` and prices the superstep
+on the BSP machine.  On a :class:`~repro.dist.faults.NodeCrash`
+``run_cg`` repartitions onto the survivors and resumes the loop from
+the last checkpoint; a fault-free run is one attempt.
 
 What repeats is recorded once.  Construction records every exchange
 pattern (per level, hook and colour; the dot allreduce; the root
@@ -87,7 +85,7 @@ import dataclasses
 import weakref
 from collections import Counter
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,7 +113,7 @@ from repro.graphblas.substrate.csr import (
 from repro.grid import Grid3D
 from repro.hpcg.coloring import lattice_coloring, num_colors
 from repro.hpcg.problem import Problem
-from repro.ref.cg import require_definite, require_finite_residual
+from repro.ref.cg import CGState, cg_iterations, cg_start, require_cg_limits
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
 from repro.ref.multigrid import build_csr
 from repro.util.errors import InvalidValue
@@ -257,25 +255,6 @@ class _Tape:
                                  self.grown):
             for label, n in grown.items():
                 counts[label] = counts.get(label, 0) + n
-
-
-@dataclasses.dataclass
-class CGState:
-    """The CG loop's variables after iteration ``k``.  A ``copy()`` is a
-    checkpoint: everything a rollback needs to resume iteration
-    ``k + 1`` exactly where the clean run would be."""
-
-    k: int
-    x: np.ndarray
-    r: np.ndarray
-    p: np.ndarray
-    rtz: float
-    residuals: List[float]        # [||r_0||, ..., ||r_k||]
-
-    def copy(self) -> "CGState":
-        return dataclasses.replace(
-            self, x=self.x.copy(), r=self.r.copy(), p=self.p.copy(),
-            residuals=list(self.residuals))
 
 
 class _RunState:
@@ -670,10 +649,23 @@ class SimulatedDistRun:
                          _WAXPBY_BYTES * self._vector_share(w.shape[0]))
         return w
 
-    def _spmv(self, x: np.ndarray) -> np.ndarray:
-        """CG's product, on the finest level (never agglomerated)."""
+    def _spmv(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """CG's ``y <- A x``, on the finest level (never agglomerated)."""
         self._spmv_comm(self.levels[0], "spmv", "cg/spmv")
-        return compute_spmv(np.empty(self.n), self.levels[0].A, x)
+        return compute_spmv(y, self.levels[0].A, x)
+
+    def _precondition(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """``z <- M r``: a replayed iteration (pricing off) runs the
+        kernel's compiled schedule, any other walks :meth:`_vcycle`."""
+        kernel = self._kernel
+        kernel.load(r)
+        if self._state.replaying:
+            for _, _, calls in kernel.schedule(self._numerics.orders, 1, 1):
+                execute(calls)
+        else:
+            self._vcycle(0)
+        kernel.store(z)
+        return z
 
     def _smooth(self, level: SimLevel) -> None:
         """One symmetric sweep: colours ascending, then descending — one
@@ -823,17 +815,18 @@ class SimulatedDistRun:
             state.metrics.recoveries.inc(1)
         return survivor
 
-    # --- the one CG loop -----------------------------------------------------
+    # --- the CG loop (repro.ref.cg's, on the priced kernels) ---------------
     @contextlib.contextmanager
     def _iteration(self, k: int, use_mg: bool):
-        """Iteration ``k``'s span.  Untraced, it replays the tape the
-        numerics keep for its record, mode, machine, preconditioner and
-        kind (the first iteration puts ``p <- z`` before the dot) if the
-        injector finds its window quiet — numerics only, pricing off, the
-        preconditioner the kernel's compiled schedule — else it is
-        walked, and recorded if no tape is kept: kept only if no fault
-        event landed or could have."""
+        """Iteration ``k`` in progress, and its span.  Untraced, it
+        replays the tape the numerics keep for its record, mode, machine,
+        preconditioner and kind (the first iteration puts ``p <- z``
+        before the dot) if the injector finds its window quiet — numerics
+        only, pricing off, the preconditioner the kernel's compiled
+        schedule — else it is walked, and recorded if no tape is kept:
+        kept only if no fault event landed or could have."""
         state, inj = self._state, self._state.injector
+        state.iteration = k
         start, events = (inj.superstep, len(inj.events)) if inj else (0, 0)
         tapes = self._numerics.tapes
         key = (self._record_key, self.comm_mode, self.machine, use_mg,
@@ -858,82 +851,34 @@ class SimulatedDistRun:
 
     def _cg_attempt(self, max_iters: int, use_mg: bool,
                     tolerance: float) -> CGState:
-        """One (re)execution attempt of the CG loop — the only one:
-        :func:`repro.ref.cg.ref_pcg`'s iteration operation for
-        operation, on the reference kernels.
-
-        Without a checkpoint it starts from the problem's initial
-        guess; otherwise CG state is restored from the checkpoint and
-        the loop re-enters at ``k + 1`` — on the ``k > 1`` beta branch,
-        with ``rtz`` restored, so every subsequent residual equals the
-        clean run's.  Raises :class:`~repro.dist.faults.NodeCrash` when
-        the injector detects a planned failure at a barrier.
-        """
+        """One (re)execution attempt: :func:`repro.ref.cg.cg_iterations`
+        on the priced kernels, from the problem's initial guess or, after
+        a crash, from the restored checkpoint (iteration ``k + 1`` on, so
+        every residual equals the clean run's).  Raises
+        :class:`~repro.dist.faults.NodeCrash` when the injector detects a
+        planned failure at a barrier."""
         state = self._state
         m = state.metrics
-        n = self.n
         if state.checkpoint is None:
-            x = self.problem.x0.to_dense()
-            Ap = self._spmv(x)
-            r = self._waxpby(np.empty(n), 1.0, self.problem.b.to_dense(),
-                             -1.0, Ap)                 # r <- b - A x
-            normr = float(np.sqrt(self._dot(r, r)))
-            require_finite_residual(normr, r)
-            cg = CGState(k=0, x=x, r=r, p=np.empty(n), rtz=0.0,
-                         residuals=[normr])
+            cg = cg_start(self._spmv, self._waxpby, self._dot,
+                          self.problem.b.to_dense(),
+                          self.problem.x0.to_dense())
             if m is not None:
-                m.residual.observe(normr, backend=self.backend)
+                m.residual.observe(cg.residuals[0], backend=self.backend)
         else:
             cg = self._restore(state.checkpoint)
-        x, r, p = cg.x, cg.r, cg.p
         ckpt_plan = (state.injector.plan.checkpoint
                      if state.injector is not None else None)
-        normr0 = cg.residuals[0]
-        if normr0 == 0.0:
-            # the initial guess already solves the system exactly
-            return cg
-        for k in range(cg.k + 1, max_iters + 1):
-            if tolerance > 0 and cg.residuals[-1] / normr0 <= tolerance:
-                break
-            state.iteration = k
-            with self._iteration(k, use_mg) as sp:
-                if use_mg:
-                    z = np.empty(n)                        # z <- M r
-                    self._kernel.load(r)
-                    if state.replaying:     # pricing off: numerics only
-                        for _, _, calls in self._kernel.schedule(
-                                self._numerics.orders, 1, 1):
-                            execute(calls)
-                    else:
-                        self._vcycle(0)
-                    self._kernel.store(z)
-                else:
-                    z = self._waxpby(np.empty(n), 1.0, r, 0.0, r)  # z <- r
-                if k == 1:
-                    self._waxpby(p, 1.0, z, 0.0, z)        # p <- z
-                    cg.rtz = self._dot(r, z)
-                else:
-                    rtz_old = cg.rtz
-                    cg.rtz = self._dot(r, z)
-                    beta = cg.rtz / rtz_old
-                    self._waxpby(p, 1.0, z, beta, p)       # p <- z + beta p
-                Ap = self._spmv(p)
-                pAp = self._dot(p, Ap)
-                require_definite(k, cg.rtz, pAp, cg.residuals[-1])
-                alpha = cg.rtz / pAp
-                self._waxpby(x, 1.0, x, alpha, p)          # x <- x + alpha p
-                self._waxpby(r, 1.0, r, -alpha, Ap)        # r <- r - alpha Ap
-                normr = float(np.sqrt(self._dot(r, r)))
-                if sp is not None:
-                    sp.set(normr=normr)
-            cg.residuals.append(normr)
-            cg.k = k
+        for cg in cg_iterations(
+                cg, self._spmv, self._waxpby, self._dot,
+                self._precondition if use_mg else None, max_iters,
+                tolerance, lambda k: self._iteration(k, use_mg)):
             if m is not None:
-                m.residual.observe(normr, backend=self.backend)
-                m.iteration.set(k)
-                m.residual_last.set(normr)
-            if (ckpt_plan is not None and k % ckpt_plan.interval == 0
-                    and k < max_iters):
+                m.residual.observe(cg.residuals[-1], backend=self.backend)
+                m.iteration.set(cg.k)
+                m.residual_last.set(cg.residuals[-1])
+            if (ckpt_plan is not None and cg.k % ckpt_plan.interval == 0
+                    and cg.k < max_iters):
                 self._take_checkpoint(cg)
         return cg
 
@@ -951,6 +896,7 @@ class SimulatedDistRun:
         inactive plan means no injector: one attempt,
         ``resilience=None``.
         """
+        require_cg_limits(max_iters, tolerance)
         injector = None
         if self.faults is not None and self.faults.active():
             injector = FaultInjector(self.faults, self.nprocs)

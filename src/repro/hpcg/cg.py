@@ -19,7 +19,9 @@ from typing import Callable, List, Optional
 from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import fused as fused_ext
-from repro.ref.cg import require_definite, require_finite_residual
+from repro.ref.cg import (
+    require_cg_limits, require_definite, require_finite_residual,
+)
 from repro.util.errors import DimensionMismatch, OutputAliasing
 from repro.util.timer import null_timer
 
@@ -85,6 +87,7 @@ def pcg(
         raise DimensionMismatch(
             f"CG sizes: A {A.shape}, b {b.size}, x {x.size}"
         )
+    require_cg_limits(max_iters, tolerance)
     if workspace is None:
         workspace = CGWorkspace(n)
     elif workspace.n != n:

@@ -32,6 +32,7 @@ from repro.hpcg.cg import CGResult, CGWorkspace, pcg
 from repro.hpcg.multigrid import MGLevel, MGPreconditioner, build_hierarchy
 from repro.hpcg.problem import Problem, generate_problem
 from repro.hpcg.symmetry import SymmetryReport, validate
+from repro.ref.cg import require_cg_limits
 from repro.util.errors import InvalidValue
 from repro.util.timer import TimerRegistry
 
@@ -423,6 +424,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "the simulated distributed solver)")
     if args.nprocs < 1:
         return _fail(f"--nprocs must be >= 1, got {args.nprocs}")
+    try:
+        require_cg_limits(args.iters, args.tolerance)
+    except InvalidValue as exc:
+        return _fail(f"--iters/--tolerance: {exc}")
     try:
         substrate_mod.forced()
     except InvalidValue as exc:

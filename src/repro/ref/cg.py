@@ -1,23 +1,26 @@
-"""Reference CG: the same iteration as :mod:`repro.hpcg.cg` on raw arrays.
+"""Reference CG: the one raw-array CG loop, :func:`cg_iterations`.
 
-Keeping the two solvers line-for-line parallel lets tests assert that
-ALP and Ref produce *numerically comparable results* — the property the
-paper relies on to fix the iteration count and compare times directly
-(Section V).
+:func:`ref_pcg` runs it on :mod:`repro.ref.kernels`, the simulated
+distributed engine on the same kernels each followed by its BSP price,
+so their residual histories agree by construction.  :mod:`repro.hpcg.cg`
+is the same iteration on GraphBLAS containers, kept line-for-line
+parallel so tests can assert that ALP and Ref produce *numerically
+comparable results* — the property the paper relies on to fix the
+iteration count and compare times directly (Section V).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.obs import null_scope
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
 from repro.util.errors import DimensionMismatch, InvalidValue
-from repro.util.timer import null_timer
 
 RefPreconditioner = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -57,77 +60,100 @@ def require_definite(k: int, rtz: float, pAp: float, normr: float) -> None:
             f"the operator/preconditioner is not positive definite")
 
 
-def ref_pcg(
-    A: sp.csr_matrix,
-    b: np.ndarray,
-    x: np.ndarray,
-    preconditioner: Optional[RefPreconditioner] = None,
-    max_iters: int = 50,
-    tolerance: float = 0.0,
-    timers=null_timer,
-) -> RefCGResult:
+def require_cg_limits(max_iters: int, tolerance: float) -> None:
+    """Reject ``max_iters < 0`` or a tolerance outside ``[0, inf)`` (NaN
+    included), which would run no iteration or fixed-iteration mode."""
+    if max_iters < 0 or not 0.0 <= tolerance < math.inf:
+        raise InvalidValue(f"CG: need max_iters >= 0 and 0 <= tolerance < "
+                           f"inf, got {max_iters} and {tolerance!r}")
+
+
+@dataclass
+class CGState:
+    """The CG loop's variables after iteration ``k``.  A ``copy()`` is a
+    checkpoint: everything a rollback needs to resume iteration
+    ``k + 1`` exactly where the clean run would be."""
+
+    k: int
+    x: np.ndarray
+    r: np.ndarray
+    p: np.ndarray
+    rtz: float
+    residuals: List[float]        # [||r_0||, ..., ||r_k||]
+
+    def copy(self) -> "CGState":
+        return replace(
+            self, x=self.x.copy(), r=self.r.copy(), p=self.p.copy(),
+            residuals=list(self.residuals))
+
+
+def cg_start(spmv, waxpby, dot, b: np.ndarray, x: np.ndarray) -> CGState:
+    """Iteration 0 from ``x``, which the iterations update in place."""
+    n = x.shape[0]
+    r = waxpby(np.zeros(n), 1.0, b, -1.0, spmv(np.zeros(n), x))  # b - A x
+    normr = float(np.sqrt(dot(r, r)))
+    require_finite_residual(normr, r)
+    return CGState(k=0, x=x, r=r, p=np.zeros(n), rtz=0.0, residuals=[normr])
+
+
+def cg_iterations(cg: CGState, spmv, waxpby, dot,
+                  preconditioner: Optional[RefPreconditioner],
+                  max_iters: int, tolerance: float,
+                  iteration=null_scope) -> Iterator[CGState]:
+    """Resume ``cg`` at iteration ``cg.k + 1`` and yield it after each
+    iteration.  ``spmv(y, x)`` writes ``A x`` into ``y``; ``iteration(k)``
+    is entered around each body, and the span it yields gets ``normr``."""
+    x, r, p = cg.x, cg.r, cg.p
+    z, Ap = np.zeros(x.shape[0]), np.zeros(x.shape[0])
+    normr0 = cg.residuals[0]
+    if normr0 == 0.0:          # the initial guess solves the system exactly
+        return
+    for k in range(cg.k + 1, max_iters + 1):
+        if tolerance > 0 and cg.residuals[-1] / normr0 <= tolerance:
+            return
+        with iteration(k) as sp:
+            if preconditioner is not None:
+                preconditioner(z, r)                       # z <- M r
+            else:
+                waxpby(z, 1.0, r, 0.0, r)                  # z <- r
+            if k == 1:
+                waxpby(p, 1.0, z, 0.0, z)                  # p <- z
+                cg.rtz = dot(r, z)
+            else:
+                rtz_old = cg.rtz
+                cg.rtz = dot(r, z)
+                waxpby(p, 1.0, z, cg.rtz / rtz_old, p)     # p <- z + beta p
+            spmv(Ap, p)
+            pAp = dot(p, Ap)
+            require_definite(k, cg.rtz, pAp, cg.residuals[-1])
+            alpha = cg.rtz / pAp
+            waxpby(x, 1.0, x, alpha, p)                    # x <- x + alpha p
+            waxpby(r, 1.0, r, -alpha, Ap)                  # r <- r - alpha Ap
+            normr = float(np.sqrt(dot(r, r)))
+            if sp is not None:
+                sp.set(normr=normr)
+        cg.residuals.append(normr)
+        cg.k = k
+        yield cg
+
+
+def ref_pcg(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray,
+            preconditioner: Optional[RefPreconditioner] = None,
+            max_iters: int = 50, tolerance: float = 0.0) -> RefCGResult:
     """Solve ``A x = b`` in place; mirrors :func:`repro.hpcg.cg.pcg`."""
     n = A.shape[0]
     if b.shape[0] != n or x.shape[0] != n:
         raise DimensionMismatch(f"CG sizes: A {A.shape}, b {b.shape[0]}, x {x.shape[0]}")
-    r = np.zeros(n)
-    z = np.zeros(n)
-    p = np.zeros(n)
-    Ap = np.zeros(n)
+    require_cg_limits(max_iters, tolerance)
 
-    with timers.measure("cg/spmv"):
-        compute_spmv(Ap, A, x)
-    with timers.measure("cg/waxpby"):
-        compute_waxpby(r, 1.0, b, -1.0, Ap)
-    with timers.measure("cg/dot"):
-        normr0 = normr = float(np.sqrt(compute_dot(r, r)))
-    require_finite_residual(normr0, r)
-    residuals = [normr]
-    rtz = 0.0
+    def spmv(y, v):
+        return compute_spmv(y, A, v)
 
-    if normr0 == 0.0:
-        # the initial guess already solves the system exactly
-        return RefCGResult(x=x, iterations=0, converged=True, normr0=0.0,
-                           normr=0.0, residuals=residuals)
-
-    iterations = 0
-    for k in range(1, max_iters + 1):
-        if tolerance > 0 and normr / normr0 <= tolerance:
-            break
-        if preconditioner is not None:
-            with timers.measure("cg/mg"):
-                preconditioner(z, r)
-        else:
-            with timers.measure("cg/waxpby"):
-                z[:] = r
-        if k == 1:
-            with timers.measure("cg/waxpby"):
-                p[:] = z
-            with timers.measure("cg/dot"):
-                rtz = compute_dot(r, z)
-        else:
-            rtz_old = rtz
-            with timers.measure("cg/dot"):
-                rtz = compute_dot(r, z)
-            beta = rtz / rtz_old
-            with timers.measure("cg/waxpby"):
-                compute_waxpby(p, 1.0, z, beta, p)
-        with timers.measure("cg/spmv"):
-            compute_spmv(Ap, A, p)
-        with timers.measure("cg/dot"):
-            pAp = compute_dot(p, Ap)
-        require_definite(k, rtz, pAp, normr)
-        alpha = rtz / pAp
-        with timers.measure("cg/waxpby"):
-            compute_waxpby(x, 1.0, x, alpha, p)
-            compute_waxpby(r, 1.0, r, -alpha, Ap)
-        with timers.measure("cg/dot"):
-            normr = float(np.sqrt(compute_dot(r, r)))
-        residuals.append(normr)
-        iterations = k
-
-    converged = tolerance > 0 and normr / normr0 <= tolerance
-    return RefCGResult(
-        x=x, iterations=iterations, converged=converged,
-        normr0=normr0, normr=normr, residuals=residuals,
-    )
+    cg = cg_start(spmv, compute_waxpby, compute_dot, b, x)
+    for cg in cg_iterations(cg, spmv, compute_waxpby, compute_dot,
+                            preconditioner, max_iters, tolerance):
+        pass
+    normr0, normr = cg.residuals[0], cg.residuals[-1]
+    converged = normr0 == 0.0 or 0 < tolerance and normr / normr0 <= tolerance
+    return RefCGResult(x=x, iterations=cg.k, converged=converged,
+                       normr0=normr0, normr=normr, residuals=cg.residuals)

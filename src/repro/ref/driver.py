@@ -72,7 +72,6 @@ def run_ref_hpcg(
         preconditioner=preconditioner,
         max_iters=max_iters,
         tolerance=tolerance,
-        timers=timers,
     )
     run_seconds = time.perf_counter() - t1
     return RefHPCGResult(

@@ -737,12 +737,9 @@ def segments(run):
 
 def flat_apply(run, r):
     """One application as a replayed iteration makes it."""
-    z = np.full(r.size, 7.0)
-    run._kernel.load(r)
-    for _, _, calls in segments(run):
-        execute(calls)
-    run._kernel.store(z)
-    return z
+    run._state = simulate._RunState(run.nprocs, None)
+    run._state.replaying = True
+    return run._precondition(np.full(r.size, 7.0), r)
 
 
 class TestScheduledApplications:

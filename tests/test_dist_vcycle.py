@@ -48,14 +48,11 @@ EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -1.0]
 
 
 def engine_apply(run, r):
-    """One application ``z = M r`` as ``_cg_attempt`` makes it, outside
-    a solve (a fresh run state stands in for ``run_cg``'s)."""
+    """One application ``z = M r`` as a walked iteration makes it,
+    outside a solve (a fresh run state stands in for ``run_cg``'s)."""
     run._state = _RunState(run.nprocs, None)
     z = np.full(r.size, 7.0)            # the application overwrites z
-    run._kernel.load(r)
-    run._vcycle(0)
-    run._kernel.store(z)
-    return z
+    return run._precondition(z, r)
 
 
 def ref_apply(problem, levels, r):
@@ -345,14 +342,15 @@ class TestGuards:
 
 def test_dist_has_no_second_smoother_and_no_switch():
     """No module of ``repro.dist`` imports the reference smoother or the
-    fusion switch, and the engine's source names neither."""
+    fusion switch, and the engine's source names neither, nor keeps a CG
+    loop of its own (it runs ``repro.ref.cg``'s)."""
     banned = {"RefRBGS", "fused_enabled", "ENV_FUSED"}
     for info in pkgutil.iter_modules(repro.dist.__path__):
         module = importlib.import_module(f"repro.dist.{info.name}")
         assert not banned & set(vars(module)), info.name
     source = pathlib.Path(simulate.__file__).read_text()
-    assert not re.search(r"RefRBGS|update_color|REPRO_FUSED|fused_enabled",
-                         source)
+    assert not re.search(r"RefRBGS|update_color|REPRO_FUSED|fused_enabled"
+                         r"|require_definite|rtz_old", source)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,14 @@ class TestCliRobustness:
              "--trace-json", str(tmp_path)],
             "is a directory")
 
+    @pytest.mark.parametrize("dist", [[], ["--dist", "ref-3d"]])
+    @pytest.mark.parametrize("limit", [["--iters", "-3"],
+                                       ["--tolerance", "nan"],
+                                       ["--tolerance", "-1"]])
+    def test_bad_cg_limits(self, capsys, dist, limit):
+        self._expect_error(capsys, ["--nx", "4", *dist, *limit],
+                           "max_iters >= 0 and 0 <= tolerance < inf")
+
     def test_faults_without_dist(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text('{"seed": 1}\n')

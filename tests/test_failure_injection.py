@@ -140,6 +140,29 @@ class TestNumericalEdgeCases:
         assert len(set(messages)) == 1 and "\n" not in messages[0]
         assert f"breakdown at iteration {iteration} " in messages[0]
 
+    @pytest.mark.parametrize("max_iters,tolerance", [
+        (-3, 0.0), (5, float("nan")), (5, -1.0), (5, float("inf"))])
+    def test_bad_cg_limits_are_a_one_line_error(self, max_iters, tolerance):
+        """A negative iteration budget or a tolerance outside ``[0, inf)``
+        stops every CG transcription with the same line before any work,
+        instead of running no iteration or falling back to fixed-iteration
+        mode."""
+        problem = generate_problem(8)
+        messages = []
+        for solve in (
+            lambda: pcg(problem.A, problem.b, problem.x0.dup(),
+                        max_iters=max_iters, tolerance=tolerance),
+            lambda: ref_pcg(problem.A.to_scipy(), problem.b.to_dense(),
+                            problem.x0.to_dense(), max_iters=max_iters,
+                            tolerance=tolerance),
+            lambda: RefDistRun(problem, nprocs=2, mg_levels=2).run_cg(
+                max_iters=max_iters, tolerance=tolerance),
+        ):
+            with pytest.raises(InvalidValue, match="max_iters >= 0") as err:
+                solve()
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1 and "\n" not in messages[0]
+
     def test_indefinite_preconditioner_is_a_one_line_error(self):
         """``r'z < 0``: the preconditioner's fault, same line."""
         problem = generate_problem(4)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.dist import Hybrid2DRun, HybridALPRun, RefDistRun
+from repro.hpcg.cg import pcg
 from repro.hpcg.driver import run_hpcg
 from repro.hpcg.problem import generate_problem
 from repro.ref import (
@@ -17,6 +19,7 @@ from repro.ref import (
     ref_pcg,
     run_ref_hpcg,
 )
+from repro.ref.cg import cg_iterations, cg_start
 from repro.ref.kernels import compute_residual_norm
 from repro.ref.multigrid import RefMGPreconditioner
 from repro.util.errors import DimensionMismatch, InvalidValue
@@ -217,3 +220,55 @@ class TestParityWithALP:
                       max_iters=100, tolerance=1e-9)
         assert res.converged
         np.testing.assert_allclose(x, np.ones(problem8.n), rtol=1e-5)
+
+
+class TestSharedLoop:
+    """``cg_iterations`` is the one raw-array CG loop: a checkpoint
+    resumes it exactly, and every solver that runs it agrees with the
+    GraphBLAS transcription bit for bit."""
+
+    @staticmethod
+    def run(problem, cg, preconditioner, max_iters=8):
+        A = problem.A.to_scipy()
+        spmv = lambda y, v: compute_spmv(y, A, v)  # noqa: E731
+        if cg is None:
+            cg = cg_start(spmv, compute_waxpby, compute_dot,
+                          problem.b.to_dense(), problem.x0.to_dense())
+        return cg_iterations(cg, spmv, compute_waxpby, compute_dot,
+                             preconditioner, max_iters, 0.0)
+
+    @pytest.mark.parametrize("use_mg", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_resuming_a_copy_reproduces_the_history(self, problem8, k,
+                                                    use_mg):
+        M = (RefMGPreconditioner(build_ref_hierarchy(problem8, levels=3))
+             if use_mg else None)
+        snapshot = None
+        for cg in self.run(problem8, None, M):
+            if cg.k == k:
+                snapshot = cg.copy()
+        assert cg.k == 8 and snapshot.k == k
+        for resumed in self.run(problem8, snapshot, M):
+            pass
+        assert resumed is snapshot and resumed.k == 8
+        assert ([r.hex() for r in resumed.residuals]
+                == [r.hex() for r in cg.residuals])
+        for name in ("x", "r", "p"):
+            assert (getattr(resumed, name).tobytes()
+                    == getattr(cg, name).tobytes()), name
+        assert resumed.rtz.hex() == cg.rtz.hex()
+
+    def test_unpreconditioned_histories_are_bit_equal(self):
+        """Ten plain-CG iterations: Ref, the GraphBLAS transcription and
+        the three simulated backends give the same bits."""
+        problem = generate_problem(8, 16, 16)
+        want = [r.hex() for r in ref_pcg(
+            problem.A.to_scipy(), problem.b.to_dense(),
+            problem.x0.to_dense(), max_iters=10).residuals]
+        assert len(want) == 11
+        got = pcg(problem.A, problem.b, problem.x0.dup(), max_iters=10)
+        assert [r.hex() for r in got.residuals] == want
+        for cls in (RefDistRun, HybridALPRun, Hybrid2DRun):
+            run = cls(problem, 4, mg_levels=1)
+            got = run.run_cg(max_iters=10, use_mg=False)
+            assert [r.hex() for r in got.residuals] == want, cls.__name__
