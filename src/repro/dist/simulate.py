@@ -11,12 +11,14 @@ kernel under the serial fused V-cycle, over
 holds its output to ``ref_mg_vcycle``'s value for value and to the
 GraphBLAS transcription's bit for bit, so residual histories are
 bit-identical to ``run_hpcg``.  The engine adds the accounting only:
-each kernel it hands the loop, and each step of its one V-cycle walk,
-is followed by the backend's ``*_comm`` hook, which records the sends
-on the :class:`~repro.dist.comm.CommTracker` and prices the superstep
-on the BSP machine.  On a :class:`~repro.dist.faults.NodeCrash`
-``run_cg`` repartitions onto the survivors and resumes the loop from
-the last checkpoint; a fault-free run is one attempt.
+each kernel it hands the loop is followed by the backend's ``*_comm``
+hook, which records the sends on the
+:class:`~repro.dist.comm.CommTracker` and prices the superstep on the
+BSP machine; each preconditioner application (the kernel's compiled
+schedule, one flat loop over prebuilt calls) by the one V-cycle walk,
+which prices Listing 1's steps in order and runs none.  On a
+:class:`~repro.dist.faults.NodeCrash` ``run_cg`` repartitions onto the
+survivors and resumes the loop from the last checkpoint.
 
 What repeats is recorded once.  Construction records every exchange
 pattern (per level, hook and colour; the dot allreduce; the root
@@ -24,17 +26,15 @@ exchanges) as an :class:`~repro.dist.comm.ExchangePlan` that a hook
 replays.  A CG iteration closes the same supersteps at the same prices
 as every other of its kind (the first puts ``p <- z`` before the dot)
 in every run on the same record, mode, machine and preconditioner,
-unless a fault event lands in it.  So an untraced run walks an
-iteration stepwise — one colour per kernel call, each superstep closed
-and priced on its own — only while the numerics keep no tape of it, and
-records what it booked as one.  An iteration whose window the injector
-finds quiet (no slowdown, no crash; message loss alone is quiet) runs
-its numerics only — the preconditioner as the kernel's compiled
-schedule, one flat loop over prebuilt calls — and folds
-the tape in tick by tick, adding left to right as the walk does, so
-every total is bit-identical; each exchange draws its seeded retries as
-it is folded.  Traced runs walk every iteration: their per-superstep
-spans are the product.
+unless a fault event lands in it.  So an untraced run prices an
+iteration step by step — each superstep closed and priced on its own —
+only while the numerics keep no tape of it, and records what it booked
+as one.  An iteration whose window the injector finds quiet (no
+slowdown, no crash; message loss alone is quiet) runs its numerics only
+and folds the tape in tick by tick, adding left to right as the walk
+does, so every total is bit-identical; each exchange draws its seeded
+retries as it is folded.  Traced runs price every iteration step by
+step: their per-superstep spans are the product.
 
 The level numerics — each level's operator (``problem.A``'s own CSR on
 the fine grid), colouring, injection and colour-major sweep arrays —
@@ -45,9 +45,10 @@ plans), which depend on nothing else but the backend class, the node
 count, ``agglomerate_below`` and the backend's ``_layout()``: the
 numerics keep one per such key, built by the first run to need it, and
 the tapes priced on it.
-What a walk writes stays per run: each run's kernel relaxes twins of
-the shared sweeps holding their own ``z``, ``r`` and scratch.  Crash
-survivors look their record up like any run: one repartition a problem.
+What an application writes stays per run: each run's kernel relaxes
+twins of the shared sweeps holding their own ``z``, ``r`` and scratch.
+Crash survivors look their record up like any run: one repartition a
+problem.
 
 This separation is the point of the simulation: convergence is provably
 unchanged by the distribution (the paper's Section V precondition), so
@@ -185,7 +186,7 @@ _SHARED = weakref.WeakValueDictionary()
 
 
 class _Tape:
-    """One CG iteration's accounting as the stepwise walk booked it —
+    """One CG iteration's accounting as the pricing walk booked it —
     every tick in booking order, a superstep's with its step and whether
     it was an exchange, and the growth of the label counts — for
     :meth:`fold` to book again.  Read only once closed: the numerics keep
@@ -387,8 +388,8 @@ class SimulatedDistRun:
         if self._numerics is None:      # two racing threads: either serves
             self._numerics = _SHARED[key] = _Numerics(problem, mg_levels,
                                                       stencil)
-        # what a walk writes is this run's own (its survivors share it;
-        # every application loads it anew)
+        # what an application writes is this run's own (its survivors
+        # share it; every application loads it anew)
         self._kernel = ColorMajorVCycle(
             [level.smoother.twin() for level in self._numerics],
             [level.injection for level in self._numerics[:-1]])
@@ -655,26 +656,25 @@ class SimulatedDistRun:
         return compute_spmv(y, self.levels[0].A, x)
 
     def _precondition(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """``z <- M r``: a replayed iteration (pricing off) runs the
-        kernel's compiled schedule, any other walks :meth:`_vcycle`."""
+        """``z <- M r``: the kernel's compiled schedule, then, unless the
+        iteration replays a tape (pricing off), :meth:`_vcycle`'s prices."""
         kernel = self._kernel
         kernel.load(r)
-        if self._state.replaying:
-            for _, _, calls in kernel.schedule(self._numerics.orders, 1, 1):
+        for _, _, programs in kernel.schedule(self._numerics.orders, 1, 1):
+            for calls in programs:
                 execute(calls)
-        else:
-            self._vcycle(0)
         kernel.store(z)
+        if not self._state.replaying:
+            self._vcycle(0)
         return z
 
     def _smooth(self, level: SimLevel) -> None:
-        """One symmetric sweep: colours ascending, then descending — one
-        kernel call per colour, each followed by its price."""
-        relax, sweep = self._kernel.relax, level.smoother
+        """Price one symmetric sweep: colours ascending, then descending,
+        each colour step followed by its exchanges or local price."""
+        sweep = level.smoother
         forward = list(range(level.ncolors))
         for order in (forward, forward[::-1]):
             for c, nxt in zip(order, [*order[1:], None]):
-                relax(level.index, (c,))
                 if level.agglomerated:
                     self._tick_local(f"mg/L{level.index}/rbgs",
                                      mxv_bytes(sweep.nnzs[c], sweep.sizes[c]))
@@ -694,10 +694,10 @@ class SimulatedDistRun:
                                 coarse.n, to_root=to_root)
 
     def _vcycle(self, li: int) -> None:
-        """The engine's one V-cycle walk, on the loaded kernel:
-        ``ref_mg_vcycle``'s steps in its order, each followed by its
-        exchanges or, on an agglomerated level, its local price."""
-        level, kernel = self.levels[li], self._kernel
+        """The engine's one V-cycle walk, pricing only: ``ref_mg_vcycle``'s
+        steps in its order, each as its exchanges or, on an agglomerated
+        level, its local price."""
+        level = self.levels[li]
         with self._span(f"mg/L{li}", "mg",
                         {"level": li, "n": level.n,
                          "agglomerated": level.agglomerated}):
@@ -711,12 +711,9 @@ class SimulatedDistRun:
                                  mxv_bytes(level.A.nnz, level.n))
             else:
                 self._spmv_comm(level, "mg_spmv", f"mg/L{li}/spmv")
-            kernel.residual(li)                       # f <- A z, injected rows
-            kernel.restrict(li)                       # rc <- r[injection] - f
             self._transfer(level, coarse, self._restrict_comm,
                            f"mg/L{li}/restrict", "agg_gather", True)
             self._vcycle(li + 1)
-            kernel.prolong(li)                        # refine-and-add
             self._transfer(level, coarse, self._prolong_comm,
                            f"mg/L{li}/prolong", "agg_scatter", False)
             self._smooth(level)                       # post-smoothing
@@ -822,9 +819,9 @@ class SimulatedDistRun:
         replays the tape the numerics keep for its record, mode, machine,
         preconditioner and kind (the first iteration puts ``p <- z``
         before the dot) if the injector finds its window quiet — numerics
-        only, pricing off, the preconditioner the kernel's compiled
-        schedule — else it is walked, and recorded if no tape is kept:
-        kept only if no fault event landed or could have."""
+        only, pricing off — else it is priced step by step, and recorded
+        if no tape is kept: kept only if no fault event landed or could
+        have."""
         state, inj = self._state, self._state.injector
         state.iteration = k
         start, events = (inj.superstep, len(inj.events)) if inj else (0, 0)

@@ -253,7 +253,7 @@ class VCyclePlan:
     Bound to a hierarchy's per-level ``(ColorSweepPlan, R)`` pairs,
     finest first (``R`` restricts a level onto the next; ``None`` on the
     coarsest).  A :meth:`load` that returns True leaves ``r`` gathered
-    in :attr:`kernel`, which the caller walks before :meth:`store`
+    in :attr:`kernel`, whose schedule the caller runs before :meth:`store`
     scatters ``z``; its injections are read off each ``R``'s pattern.
 
     :meth:`load` declines, before touching anything, what the kernel

@@ -102,9 +102,9 @@ class CsrColorSweep(ColorSweep):
     iterates are bit-identical to the natural-order sweep.  A colour
     step is one ``csr_matvec`` and four ``out=`` ufuncs on views cut
     once; :meth:`program` compiles a pass into those calls with their
-    operands bound, and :meth:`relax` runs it.  A
-    :class:`ColorMajorVCycle` keeps ``z`` and ``r`` loaded across
-    smooths and takes :meth:`program` and :meth:`block` directly.
+    operands bound.  A :class:`ColorMajorVCycle` keeps ``z`` and ``r``
+    loaded across smooths and takes :meth:`program` and :meth:`block`
+    directly.
     """
 
     def __init__(self, csr, color_rows: Sequence[np.ndarray],
@@ -165,7 +165,7 @@ class CsrColorSweep(ColorSweep):
 
     def run(self, z: np.ndarray, r: np.ndarray, order) -> None:
         self.load(z, r)
-        self.relax(order)
+        execute(self.program(order))
         self.store(z)
 
     def load(self, z: np.ndarray, r: np.ndarray) -> None:
@@ -178,14 +178,10 @@ class CsrColorSweep(ColorSweep):
         """Scatter the colour-major iterate into natural-order ``z``."""
         z[self.perm] = self.z
 
-    def relax(self, order, zero: bool = False) -> None:
-        """Relax the colours ``order`` lists, in place on the loaded
-        iterate ``self.z`` against ``self.r``: run :meth:`program`."""
-        execute(self.program(order, zero))
-
     def program(self, order, zero: bool = False) -> tuple:
         """The ``(callable, args)`` calls that relax the colours ``order``
-        lists, compiled once per ``(order, zero)``.  ``zero`` (only a
+        lists, in place on the loaded iterate ``self.z`` against
+        ``self.r``, compiled once per ``(order, zero)``.  ``zero`` (only a
         :class:`ColorMajorVCycle` passes it): the whole iterate is
         ``+0.0``, so the first listed colour's product is ``+0.0`` and
         ``r_k - (+0.0)`` is ``r_k`` bit for bit — it is not formed, unless
@@ -242,32 +238,23 @@ class ColorMajorVCycle:
     ``sweeps`` lists the levels' :class:`CsrColorSweep`, finest first;
     ``injections[i]`` names, in natural order, the level-``i`` point each
     level-``i + 1`` point injects from.  :meth:`load` gathers ``r`` and
-    zeroes the fine iterate; the caller walks the levels through
-    :meth:`relax`, :meth:`residual`, :meth:`restrict` and
-    :meth:`prolong`, each on the sweeps' own ``z`` / ``r``, and
-    :meth:`store` scatters ``z`` once.  The grid transfers are index
-    moves through the injection relabelled by both levels'
-    permutations; ``+ 0.0`` on each reproduces the sign of zero of the
-    injection product's ``+0.0 + 1.0*x``.
+    zeroes the fine iterate; the caller executes :meth:`schedule`'s
+    programs, each on the sweeps' own ``z`` / ``r``, and :meth:`store`
+    scatters ``z`` once.  The grid transfers are index moves through the
+    injection relabelled by both levels' permutations; ``+ 0.0`` on each
+    reproduces the sign of zero of the injection product's
+    ``+0.0 + 1.0*x``.
 
     No pass is made whose output nothing reads.  Restriction reads the
-    residual on the injected rows only, so :meth:`residual` multiplies
-    just that :meth:`~CsrColorSweep.block` (views of the fine sweep on
+    residual on the injected rows only, so the residual multiplies just
+    that :meth:`~CsrColorSweep.block` (views of the fine sweep on
     27-point levels, where they are colour 0; one copy on 7-point ones)
-    and :meth:`restrict` subtracts.  A per-level flag — set by
-    :meth:`load` / :meth:`restrict`, cleared by the first :meth:`relax`
-    and by :meth:`prolong` — marks a just-zeroed iterate, whose first
-    colour step skips the product.  That is the kernel's arithmetic, not
-    the algorithm's: a caller pricing Listing 1 (the dist engine) prices
-    every step as before.  :meth:`load` and :meth:`restrict` overwrite
-    every vector and flag a level reads: an abandoned walk leaves nothing.
-
-    Every step is a compiled program (:func:`execute`): the grid
-    transfers are built with the kernel, the colour passes by the sweeps.
-    :meth:`schedule` lays a whole application out as one sequence of
-    them, the zero flags resolved from the walk's order, for a caller
-    with nothing to do between the steps; it neither reads nor writes
-    the flags, so stepwise and scheduled applications mix freely.
+    and restriction subtracts.  ``load`` and restriction zero a level's
+    iterate, so a pre-smoothing's first pass is compiled from zero: its
+    first colour step skips the product.  That is the kernel's
+    arithmetic, not the algorithm's: a caller pricing Listing 1 (the
+    dist engine) prices every step.  ``load`` and restriction overwrite
+    every vector a level reads: an abandoned application leaves nothing.
     """
 
     def __init__(self, sweeps: Sequence[CsrColorSweep],
@@ -278,8 +265,9 @@ class ColorMajorVCycle:
             self._levels.append((sweep, *sweep.block(injection),
                                  np.empty(injection.size), injection))
         self._levels.append((sweeps[-1], None, None, None, None))
-        self._zero = [False] * len(sweeps)      # level iterate is all +0.0
-        # (residual, restrict, prolong) programs per non-coarsest level
+        # per non-coarsest level, the programs of f_i = A_i z_i on the
+        # injected rows, r_{i+1} = R (r_i - f_i) with z_{i+1} = 0, and
+        # z_i += R' z_{i+1}
         self._transfers = [self._compile(i) for i in range(len(sweeps) - 1)]
         self._schedules = {}
 
@@ -308,39 +296,18 @@ class ColorMajorVCycle:
         fine = self._levels[0][0]
         r.take(fine.perm, out=fine.r, mode="clip")
         fine.z.fill(0.0)
-        self._zero[0] = True
 
     def store(self, z: np.ndarray) -> None:
         """Scatter the fine iterate into natural-order ``z``."""
         self._levels[0][0].store(z)
 
-    def relax(self, i: int, order) -> None:
-        """One smoother pass on level ``i``: its colours in ``order``."""
-        zero, self._zero[i] = self._zero[i], False
-        self._levels[i][0].relax(order, zero)
-
-    def residual(self, i: int) -> None:
-        """``f_i = A_i z_i`` on the rows level ``i + 1`` injects from."""
-        execute(self._transfers[i][0])
-
-    def restrict(self, i: int) -> None:
-        """``r_{i+1} = R (r_i - A_i z_i)`` and ``z_{i+1} = 0``."""
-        execute(self._transfers[i][1])
-        self._zero[i + 1] = True
-
-    def prolong(self, i: int) -> None:
-        """``z_i += R' z_{i+1}``."""
-        execute(self._transfers[i][2])
-        self._zero[i] = False
-
     def schedule(self, orders, pre: int, post: int) -> tuple:
-        """One application after :meth:`load` as ``(level, step, calls)``
-        segments in ``ref_mg_vcycle``'s order — ``step`` one of
-        ``rbgs``, ``spmv`` (the residual), ``restrict``, ``prolong`` —
-        with ``pre`` and ``post`` passes of ``orders[i]`` on level ``i``.
-        Compiled once per arguments.  ``load`` and ``restrict`` zero a
-        level's iterate, so its first pass is compiled from zero when it
-        is a pre-smoothing one."""
+        """One application after :meth:`load` as ``(level, step,
+        programs)`` segments in ``ref_mg_vcycle``'s order — ``step`` one
+        of ``rbgs``, ``spmv`` (the residual), ``restrict``, ``prolong`` —
+        with one program (:func:`execute`) per grid transfer and per
+        smoother pass: ``pre`` and ``post`` passes of ``orders[i]`` on
+        level ``i``.  Compiled once per arguments."""
         key = (tuple(map(tuple, orders)), pre, post)
         segments = self._schedules.get(key)
         if segments is None:
@@ -349,13 +316,13 @@ class ColorMajorVCycle:
 
     def _segments(self, i: int, orders, pre: int, post: int):
         sweep, order = self._levels[i][0], orders[i]
-        yield i, "rbgs", sum((sweep.program(order, j == 0)
-                              for j in range(pre)), ())
+        yield i, "rbgs", tuple(sweep.program(order, j == 0)
+                               for j in range(pre))
         if i + 1 == len(self._levels):
             return
         residual, restrict, prolong = self._transfers[i]
-        yield i, "spmv", residual
-        yield i, "restrict", restrict
+        yield i, "spmv", (residual,)
+        yield i, "restrict", (restrict,)
         yield from self._segments(i + 1, orders, pre, post)
-        yield i, "prolong", prolong
-        yield i, "rbgs", sweep.program(order) * post
+        yield i, "prolong", (prolong,)
+        yield i, "rbgs", (sweep.program(order),) * post

@@ -130,8 +130,13 @@ def run_hpcg(
     With ``repetitions > 1`` the timed run repeats (fresh ``x`` each
     time, same fixed iteration count — the paper's protocol) and
     ``run_seconds`` is the average; the timers accumulate all
-    repetitions, so breakdown *shares* are unaffected.
+    repetitions, so breakdown *shares* are unaffected.  Scalar arguments
+    are checked before any work: a bad one raises ``InvalidValue``.
     """
+    if mg_levels < 0 or repetitions < 1:
+        raise InvalidValue(f"need mg_levels >= 0 and repetitions >= 1, "
+                           f"got {mg_levels} and {repetitions}")
+    require_cg_limits(max_iters, tolerance)
     t0 = time.perf_counter()
     with obs.span("hpcg/setup", "hpcg",
                   {"nx": nx, "ny": ny, "nz": nz, "mg_levels": mg_levels}):
@@ -155,8 +160,6 @@ def run_hpcg(
     else:
         sym = SymmetryReport(0.0, 0.0, True, True)
 
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     registry = obs.metrics_registry()
     recorder = obs.manifest_recorder()
     if recorder is not None:
@@ -316,11 +319,12 @@ def _run_dist(args, plan) -> int:
         run = _dist_backend(args.dist, problem, args, faults=plan)
     except InvalidValue as exc:
         return _fail(f"--dist {args.dist} --nprocs {args.nprocs}: {exc}")
-    result = run.run_cg(max_iters=args.iters, tolerance=args.tolerance)
+    limits = dict(max_iters=args.iters, tolerance=args.tolerance,
+                  use_mg=args.mg_levels > 0)
+    result = run.run_cg(**limits)
     print(result.summary())
     if plan is not None and plan.active():
-        clean = _dist_backend(args.dist, problem, args).run_cg(
-            max_iters=args.iters, tolerance=args.tolerance)
+        clean = _dist_backend(args.dist, problem, args).run_cg(**limits)
         r = result.resilience
         degraded = result.modelled_seconds
         base = clean.modelled_seconds
@@ -424,6 +428,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "the simulated distributed solver)")
     if args.nprocs < 1:
         return _fail(f"--nprocs must be >= 1, got {args.nprocs}")
+    if args.mg_levels < 0:
+        return _fail(f"--mg-levels must be >= 0, got {args.mg_levels}")
     try:
         require_cg_limits(args.iters, args.tolerance)
     except InvalidValue as exc:
@@ -484,13 +490,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             if status:
                 return status
         else:
-            result = run_hpcg(
-                args.nx, args.ny, args.nz,
-                max_iters=args.iters,
-                tolerance=args.tolerance,
-                mg_levels=args.mg_levels,
-                b_style=args.b_style,
-            )
+            try:
+                result = run_hpcg(args.nx, args.ny, args.nz,
+                                  max_iters=args.iters,
+                                  tolerance=args.tolerance,
+                                  mg_levels=args.mg_levels,
+                                  b_style=args.b_style)
+            except InvalidValue as exc:
+                return _fail(str(exc))
         obs_ctx = obs.current()   # env-armed context when no flag given
     if result is not None:
         print(result.summary())

@@ -22,9 +22,9 @@ and refinement as products with the injection matrix ``R``.
 :class:`~repro.graphblas.fused.VCyclePlan` declines an application
 (``REPRO_FUSED=0``, ``fused=False``, a non-RBGS smoother, a non-CSR
 substrate, an installed perf collector, ...) and otherwise runs the
-plan's colour-major array kernel, where the two products are index
-moves: traced, through the same instrumented recursion; untraced, as
-the kernel's compiled schedule under the same timers.  The results are
+compiled schedule of the plan's colour-major array kernel, where the two
+products are index moves: traced, stepped through the same instrumented
+recursion; untraced, flat under the same timers.  The results are
 bit-identical.
 """
 
@@ -216,12 +216,11 @@ class _VCycle:
 class _PlannedVCycle(_VCycle):
     """The same walk over a loaded :class:`fused.VCyclePlan`: every
     level's vectors live colour-major inside the plan's array kernel,
-    which knows a level by its depth below the top.  A traced smoother
-    pass records the span the smoother itself would.
-
-    Untraced, nothing runs between the kernel's steps but the timers:
-    :meth:`run` executes the kernel's compiled schedule flat, each
-    segment inside the timer scope :meth:`walk` gives its step."""
+    and each step executes the next segment of the kernel's compiled
+    schedule, a traced smoother pass under the span the smoother itself
+    would record.  Untraced, nothing runs between the segments but the
+    timers: :meth:`run` executes them flat, each inside the timer scope
+    :meth:`walk` gives its step."""
 
     def __init__(self, plan: fused_ext.VCyclePlan, top: MGLevel, *args):
         super().__init__(top, *args)
@@ -229,39 +228,39 @@ class _PlannedVCycle(_VCycle):
         self.levels = top.levels()
         self._kernel = self._flat = None    # the schedule, as last compiled
 
-    def run(self) -> None:
+    def arm(self) -> "_PlannedVCycle":
         kernel = self.plan.kernel
         if kernel is not self._kernel:
-            segments = kernel.schedule(
+            self._kernel, self._flat = kernel, None
+            self._segments = kernel.schedule(
                 [lvl.smoother.symmetric_order for lvl in self.levels],
                 self.pre_sweeps, self.post_sweeps)
-            self._kernel, self._flat = kernel, [
-                (self.measure(f"mg/L{self.top + i}/{step}"), calls)
-                for i, step, calls in segments]
+        self._next = iter(self._segments).__next__
+        return super().arm()
+
+    def run(self) -> None:
+        if self._flat is None:
+            self._flat = [(self.measure(f"mg/L{self.top + i}/{step}"),
+                           sum(programs, ()))
+                          for i, step, programs in self._segments]
         for timer, calls in self._flat:
             with timer:
                 for f, args in calls:
                     f(*args)
 
     def smooth(self, level: MGLevel, z, r, sweeps: int) -> None:
-        smoother, relax = level.smoother, self.plan.kernel.relax
-        depth, order = level.index - self.top, smoother.symmetric_order
-        for _ in range(sweeps):
-            if self.span is obs.null_scope:
-                relax(depth, order)
-                continue
+        attrs = level.smoother.sweep_attrs
+        for calls in self._next()[2]:
             with self.span(*SWEEP_SPAN) as sp:
-                relax(depth, order)
-                sp.set(**smoother.sweep_attrs(True))
+                for f, args in calls:
+                    f(*args)
+                sp.set(**attrs(True))
 
-    def residual(self, level: MGLevel, z, r) -> None:
-        self.plan.kernel.residual(level.index - self.top)
+    def _transfer(self, *_) -> None:
+        for f, args in self._next()[2][0]:
+            f(*args)
 
-    def restrict(self, level: MGLevel) -> None:
-        self.plan.kernel.restrict(level.index - self.top)
-
-    def prolong(self, level: MGLevel, z) -> None:
-        self.plan.kernel.prolong(level.index - self.top)
+    residual = restrict = prolong = _transfer
 
 
 def mg_vcycle(

@@ -37,7 +37,7 @@ from repro.hpcg.problem import generate_problem
 from repro.ref import build_ref_hierarchy
 from repro.ref.multigrid import ref_mg_vcycle
 from repro.util.errors import InvalidValue
-from test_dist_vcycle import engine_apply     # as a walked iteration makes it
+from test_dist_vcycle import engine_apply     # as a priced iteration makes it
 from test_vcycle_plan import assert_bit_identical   # values and signbits
 
 
@@ -728,48 +728,24 @@ class TestSharedNumerics:
 
 
 # ---------------------------------------------------------------------------
-# a replayed iteration runs the kernel's compiled schedule
+# every application runs the kernel's compiled schedule
 # ---------------------------------------------------------------------------
 
 def segments(run):
     return run._kernel.schedule(run._numerics.orders, 1, 1)
 
 
-def flat_apply(run, r):
-    """One application as a replayed iteration makes it."""
-    run._state = simulate._RunState(run.nprocs, None)
-    run._state.replaying = True
-    return run._precondition(np.full(r.size, 7.0), r)
-
-
 class TestScheduledApplications:
-    """Flat and stepwise applications mix on one kernel, and runs on one
-    problem share sweeps but never a program: programs bind buffers."""
+    """Runs on one problem share sweeps but never a program: programs
+    bind buffers."""
 
     def test_a_thin_grid_with_empty_colour_classes(self):
         problem = generate_problem(8, 8, 16)        # the coarsest is 1x1x2
         run = RefDistRun(problem, 1, mg_levels=4)
         assert 0 in run._numerics[-1].smoother.sizes
         r = np.random.default_rng(4).standard_normal(problem.n)
-        z = flat_apply(run, r)
-        assert_bit_identical(
-            z, engine_apply(RefDistRun(problem, 1, mg_levels=4), r))
-        assert np.array_equal(z, ref_mg_vcycle(
+        assert np.array_equal(engine_apply(run, r), ref_mg_vcycle(
             build_ref_hierarchy(problem, levels=4), np.zeros(problem.n), r))
-
-    def test_flat_then_stepwise_then_flat_on_one_kernel(self, entries_read):
-        """The schedule reads no zero flag a walk left, and a walk none a
-        schedule left: same bits, and the same operator entries read —
-        the first colour after ``load`` / ``restrict`` reads none."""
-        problem = generate_problem(8, 16, 16)
-        run = RefDistRun(problem, 4, mg_levels=3)
-        rng = np.random.default_rng(5)
-        for apply in (flat_apply, engine_apply, flat_apply):
-            r = rng.standard_normal(problem.n)
-            got, reads = apply(run, r), entries_read()
-            assert_bit_identical(
-                got, engine_apply(RefDistRun(problem, 4, mg_levels=3), r))
-            assert entries_read() == reads
 
     def test_two_runs_interleave_segment_by_segment(self):
         """The second run twins sweeps that already hold a program: its
@@ -790,8 +766,9 @@ class TestScheduledApplications:
         for run, r in zip(runs, rs):
             run._kernel.load(r)
         for pair in zip(*map(segments, runs)):
-            for _, _, calls in pair:
-                execute(calls)
+            for _, _, programs in pair:
+                for calls in programs:
+                    execute(calls)
         for run, z, w in zip(runs, zs, want):
             run._kernel.store(z)
             assert_bit_identical(z, w)

@@ -1,19 +1,20 @@
 """The simulated distributed engine's V-cycle: colour-major, one kernel.
 
-``repro.dist.simulate`` walks every preconditioner application on
+``repro.dist.simulate`` runs every preconditioner application as the
+compiled schedule of
 :class:`repro.graphblas.substrate.csr.ColorMajorVCycle` — the array
-kernel under the serial ``VCyclePlan`` — one colour per call, with the
-backend's exchange hook after each.  Enforced here: (i) the ``z`` an
-application returns equals ``ref_mg_vcycle``'s value for value and the
-GraphBLAS transcription's bit for bit, whatever the backend,
-agglomeration or communication mode, and its one-colour-per-call walk
-skips the passes the serial walk skips; (ii) a crash that unwinds a
-V-cycle half-walked leaves nothing behind in the shared kernel, and two
-runs on one problem walk buffers of their own;
-(iii) a warm CG iteration allocates its CG vectors and nothing that
-grows with the grid, and ``repro.dist`` has no second smoother and no
-switch; (iv) the kernel driven by hand equals the plan driven through
-``MGPreconditioner``.
+kernel under the serial ``VCyclePlan`` — and then prices it with one
+V-cycle walk, the backend's exchange hook at each step.  Enforced here:
+(i) the ``z`` an application returns equals ``ref_mg_vcycle``'s value
+for value and the GraphBLAS transcription's bit for bit, whatever the
+backend, agglomeration or communication mode, and it skips the passes
+the serial application skips; (ii) a crash that unwinds the pricing walk
+half-way leaves nothing behind in the shared kernel, and two runs on one
+problem write buffers of their own; (iii) a warm CG iteration allocates
+its CG vectors and nothing that grows with the grid, and ``repro.dist``
+has no second smoother and no switch; (iv) the kernel driven by hand
+equals the plan driven through ``MGPreconditioner``; (v) a traced run's
+V-cycle spans nest as the walk does and hold every ``mg/`` tick.
 """
 
 import contextlib
@@ -36,7 +37,7 @@ from repro.dist import (Checkpoint, Crash, FaultPlan, Hybrid2DRun,
                         HybridALPRun, RefDistRun, simulate)
 from repro.dist.simulate import _RunState
 from repro.graphblas import substrate
-from repro.graphblas.substrate.csr import ColorMajorVCycle
+from repro.graphblas.substrate.csr import ColorMajorVCycle, execute
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
 from repro.hpcg.problem import generate_problem
 from repro.ref import build_ref_hierarchy
@@ -48,7 +49,7 @@ EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -1.0]
 
 
 def engine_apply(run, r):
-    """One application ``z = M r`` as a walked iteration makes it,
+    """One application ``z = M r`` as a priced iteration makes it,
     outside a solve (a fresh run state stands in for ``run_cg``'s)."""
     run._state = _RunState(run.nprocs, None)
     z = np.full(r.size, 7.0)            # the application overwrites z
@@ -114,9 +115,9 @@ class TestApplicationEqualsReference:
     def test_one_colour_per_call_skips_what_the_serial_walk_skips(
             self, stencil_problem, entries_read):
         """The first colour step after ``load`` / ``restrict`` reads no
-        operator entry and the residual reads the injected rows only,
-        whichever walk drives the kernel (what the engine *prices* per
-        step is ``tests/data/dist_golden.json``'s, unchanged)."""
+        operator entry and the residual reads the injected rows only
+        (what the engine *prices* per colour step is
+        ``tests/data/dist_golden.json``'s, unchanged)."""
         problem = stencil_problem
         run = RefDistRun(problem, 4, mg_levels=3)
         engine_apply(run, np.random.default_rng(1).standard_normal(problem.n))
@@ -169,25 +170,26 @@ def snapshot(result):
             result.resilience)
 
 
+def crash_plan(cls, problem, ckpt=Checkpoint(interval=2)):
+    """A crash on the level-1 residual's exchange of iteration 3 (the
+    fine level's smoothing priced, the coarse one's not) and its step."""
+    paced = cls(problem, 4, mg_levels=3,
+                faults=FaultPlan(checkpoint=ckpt)).run_cg(max_iters=5)
+    steps = [i for i, s in enumerate(paced.tracker.supersteps)
+             if s.label == "mg_spmv"]
+    per_iteration = len(steps) // 5
+    step = steps[2 * per_iteration + per_iteration // 2]
+    return FaultPlan(seed=7, crashes=(Crash(1, step),),
+                     checkpoint=ckpt), step
+
+
 @pytest.mark.parametrize("cls", BACKENDS.values(), ids=list(BACKENDS))
 class TestCrashMidVCycle:
-    CKPT = Checkpoint(interval=2)
+    plan = staticmethod(crash_plan)
 
     @pytest.fixture(scope="class")
     def problem(self):
         return generate_problem(8, 16, 16)
-
-    def plan(self, cls, problem):
-        """A crash on the level-1 residual's exchange of iteration 3:
-        the fine level is pre-smoothed, the coarse one loaded."""
-        paced = cls(problem, 4, mg_levels=3,
-                    faults=FaultPlan(checkpoint=self.CKPT)).run_cg(max_iters=5)
-        steps = [i for i, s in enumerate(paced.tracker.supersteps)
-                 if s.label == "mg_spmv"]
-        per_iteration = len(steps) // 5
-        step = steps[2 * per_iteration + per_iteration // 2]
-        return FaultPlan(seed=7, crashes=(Crash(1, step),),
-                         checkpoint=self.CKPT), step
 
     def test_the_crash_lands_inside_the_walk(self, cls, problem,
                                              monkeypatch):
@@ -229,10 +231,9 @@ class TestCrashMidVCycle:
 
     def test_abandoned_walk_then_reload_equals_a_fresh_kernel(
             self, cls, problem, monkeypatch):
-        """``load`` and ``restrict`` rewrite the zero-iterate flags like
-        the vectors: the kernel the planned crash left at level 1,
-        pre-smoothed and unrestricted, serves the next application as
-        a new one does."""
+        """``load`` and restriction rewrite every vector a level reads:
+        the kernel of a run the planned crash abandoned serves the next
+        application as a new one does."""
         class Abandoned(Exception):
             pass
 
@@ -379,19 +380,47 @@ def test_kernel_by_hand_equals_the_plan(monkeypatch, stencil, levels):
                   for lvl in top.levels()][:levels - 1]
     kernel = ColorMajorVCycle(sweeps, injections)
 
-    def walk(i):
-        order = [*range(len(sweeps[i].sizes))]
-        kernel.relax(i, order + order[::-1])
-        if i + 1 == levels:
-            return
-        kernel.residual(i)
-        kernel.restrict(i)
-        walk(i + 1)
-        kernel.prolong(i)
-        kernel.relax(i, order + order[::-1])
-
+    orders = [(*range(len(sweep.sizes)), *range(len(sweep.sizes))[::-1])
+              for sweep in sweeps]
     got = np.full(problem.n, 7.0)
     kernel.load(r)
-    walk(0)
+    for _, _, programs in kernel.schedule(orders, 1, 1):
+        for calls in programs:
+            execute(calls)
     kernel.store(got)
     assert_bit_identical(got, z.to_dense())
+
+
+# ---------------------------------------------------------------------------
+# (v) the traced engine's span tree
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls,below,crash", [
+    *((cls, below, False) for cls in BACKENDS.values() for below in (0, 64)),
+    (RefDistRun, 0, True)])
+def test_traced_vcycle_spans_nest_as_the_walk(cls, below, crash):
+    """``mg/L0`` under ``cg/iteration``, ``mg/L{i}`` under ``mg/L{i-1}``
+    and every ``superstep/mg/L{i}/...`` under ``mg/L{i}``, each level
+    span with its arguments; without a crash the ``mg/L0`` spans' ticks
+    add up to every ``mg/`` timer."""
+    problem = generate_problem(8, 16, 16)
+    faults = crash_plan(cls, problem)[0] if crash else None
+    with obs.run() as ctx:
+        result = cls(problem, 4, mg_levels=3, agglomerate_below=below,
+                     faults=faults).run_cg(max_iters=5)
+    assert result.resilience is None or result.resilience["recoveries"] == 1
+    spans = {s.id: s for s in ctx.tracer.spans}
+    levels = [s for s in spans.values() if re.fullmatch(r"mg/L\d", s.name)]
+    assert {s.args["level"] for s in levels} == {0, 1, 2}
+    for s in levels:
+        level, parent = s.args["level"], spans[s.parent_id].name
+        assert s.name == f"mg/L{level}"
+        assert parent == (f"mg/L{level - 1}" if level else "cg/iteration")
+        assert s.args["n"] == problem.n >> 3 * level
+        assert s.args["agglomerated"] == (0 < level and s.args["n"] <= below)
+    priced = [s for s in spans.values() if s.name.startswith("superstep/mg/")]
+    assert priced and all(spans[s.parent_id].name == s.name[10:15]
+                          for s in priced)
+    if not crash:
+        ticked = sum(s.modelled_seconds for s in levels if s.name == "mg/L0")
+        assert ticked == pytest.approx(result.timers.total("mg/"), rel=1e-12)

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.dist import RefDistRun
+from repro.hpcg import driver
 from repro.hpcg.driver import main, run_hpcg
+from repro.util.errors import InvalidValue
 
 
 class TestRunHpcg:
@@ -28,6 +31,18 @@ class TestRunHpcg:
         result = run_hpcg(nx=8, max_iters=10, mg_levels=0,
                           validate_symmetry=False)
         assert result.cg.iterations == 10
+
+    @pytest.mark.parametrize("kwargs, got", [
+        ({"mg_levels": -2}, "got -2 and 1"),
+        ({"repetitions": 0}, "got 4 and 0"),
+        ({"max_iters": -1}, "got -1 and 0.0"),
+        ({"tolerance": -1.0}, "got 50 and -1.0")])
+    def test_scalar_arguments_are_checked_before_any_work(
+            self, monkeypatch, kwargs, got):
+        monkeypatch.setattr(driver, "generate_problem",
+                            lambda *a, **k: pytest.fail("problem generated"))
+        with pytest.raises(InvalidValue, match=got):
+            run_hpcg(nx=8, **kwargs)
 
     def test_flops_accounting(self):
         result = run_hpcg(nx=8, max_iters=10, mg_levels=3,
@@ -184,12 +199,18 @@ class TestCliRobustness:
          "needs a square process count"),
         (["REPRO_FUSED=bogus", "--nx", "8"],
          "unrecognised REPRO_FUSED='bogus': use 1/0"),
+        (["--nx", "12"], "supports at most 3 MG levels, requested 4"),
+        (["--nx", "8", "--mg-levels", "5"], "at most 4 MG levels"),
+        (["--nx", "8", "--mg-levels", "-1"], "--mg-levels must be >= 0"),
+        (["--nx", "8", "--mg-levels", "-1", "--dist", "ref-3d"],
+         "--mg-levels must be >= 0"),
     ])
     def test_unrunnable_configuration(self, capsys, monkeypatch, argv,
                                       fragment):
         """Errors raised while *constructing* the run (a node count the
         backend cannot distribute the grid over, an unrecognised
-        ``REPRO_FUSED``) used to escape as tracebacks.  Leading
+        ``REPRO_FUSED``, more MG levels than the grid has) used to escape
+        as tracebacks, and a negative ``--mg-levels`` ran.  Leading
         ``VAR=VALUE`` words set the environment, as on a shell line."""
         while "=" in argv[0]:
             monkeypatch.setenv(*argv[0].split("=", 1))
@@ -229,6 +250,17 @@ class TestDistCli:
         out = capsys.readouterr().out
         assert "ref-3d: p=4" in out
         assert "Resilience" not in out     # no plan, no section
+
+    def test_dist_mg_levels_zero_runs_plain_cg(self, capsys, monkeypatch):
+        """As on the serial path: the residuals are ``run_hpcg``'s with
+        ``mg_levels=0``, bit for bit."""
+        results, run_cg = [], RefDistRun.run_cg
+        monkeypatch.setattr(RefDistRun, "run_cg", lambda self, **kw: (
+            results.append(run_cg(self, **kw)) or results[-1]))
+        assert main(["--nx", "8", "--iters", "5", "--mg-levels", "0",
+                     "--dist", "ref-3d", "--nprocs", "2"]) == 0
+        want = run_hpcg(nx=8, max_iters=5, mg_levels=0).cg.residuals
+        assert [result.residuals for result in results] == [want]
 
     def test_dist_faulted_run_reports_resilience(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"

@@ -12,8 +12,10 @@ is seen by the next application; (iv) a traced application records the
 transcription's spans; (v) a warm application's Python call count and
 allocations do not grow with the grid; (vi) an application makes no
 pass over an operator whose output nothing reads; (vii) the kernel's
-compiled schedule, which an untraced application runs, equals the walk
-of its methods bit for bit and keeps the walk's timer keys and counts.
+compiled schedule, which every planned application runs, takes
+``ref_mg_vcycle``'s steps in its order and the transcription's bits,
+and an untraced application keeps the traced walk's timer keys and
+counts.
 
 Tests of the plan itself run armed even in the CI leg that sets
 ``REPRO_FUSED=0`` for the whole file (the ``armed`` fixture), and
@@ -22,6 +24,8 @@ assert that the plan *ran*.
 
 import dataclasses
 import tracemalloc
+from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +42,7 @@ from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy, mg_vcycle
 from repro.hpcg.problem import generate_problem
 from repro.hpcg.smoothers import JacobiSmoother, RBGSSmoother
 from repro.ref import build_ref_hierarchy, ref_pcg
-from repro.ref.multigrid import RefMGPreconditioner
+from repro.ref.multigrid import RefMGPreconditioner, ref_mg_vcycle
 from repro.util.errors import DimensionMismatch, InvalidValue, OutputAliasing
 from repro.util.timer import TimerRegistry
 from test_fused_smoother import _held_bytes     # distinct buffers held
@@ -662,99 +666,53 @@ class TestNoUnreadPass:
 
 
 # ---------------------------------------------------------------------------
-# (vii) the compiled schedule == the walk of the kernel's methods
+# (vii) the compiled schedule == Listing 1, step for step
 # ---------------------------------------------------------------------------
-
-def twin_kernel(top):
-    """A kernel over twins of ``top``'s sweeps: buffers no other holds."""
-    levels = top.levels()
-    return ColorMajorVCycle(
-        [lvl.smoother.plan._current_sweep().twin() for lvl in levels],
-        [lvl.grid.injection_indices() for lvl in levels[:-1]])
-
-
-def method_walk(kernel, orders, pre, post, i=0, steps=None):
-    """``ref_mg_vcycle``'s order through the stepwise methods; returns
-    the ``(level, step)`` sequence, one ``rbgs`` per smoothing whatever
-    its pass count."""
-    steps = [] if steps is None else steps
-    for _ in range(pre):
-        kernel.relax(i, orders[i])
-    steps.append((i, "rbgs"))
-    if i + 1 < len(orders):
-        kernel.residual(i)
-        kernel.restrict(i)
-        steps += [(i, "spmv"), (i, "restrict")]
-        method_walk(kernel, orders, pre, post, i + 1, steps)
-        kernel.prolong(i)
-        for _ in range(post):
-            kernel.relax(i, orders[i])
-        steps += [(i, "prolong"), (i, "rbgs")]
-    return steps
-
-
-def scheduled(kernel, orders, pre, post, r):
-    """One application through :meth:`ColorMajorVCycle.schedule`."""
-    z = np.full(r.size, 7.0)
-    kernel.load(r)
-    segments = kernel.schedule(orders, pre, post)
-    for _, _, calls in segments:
-        execute(calls)
-    kernel.store(z)
-    return z, [(i, step) for i, step, _ in segments]
-
-
-def walked(kernel, orders, pre, post, r):
-    z = np.full(r.size, 7.0)
-    kernel.load(r)
-    steps = method_walk(kernel, orders, pre, post)
-    kernel.store(z)
-    return z, steps
-
 
 @pytest.mark.usefixtures("armed")
 class TestSchedule:
     @pytest.mark.parametrize("stencil", ["27pt", "7pt"])
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_schedule_equals_the_method_walk(self, stencil, levels):
-        """Every sweep-count pair, zero skips resolved at compile time
-        where the walk reads its flags: same bits, same steps in the same
-        order.  The fine 27-point level restricts through ``pick``, the
+        """For every sweep-count pair, the schedule driven by hand is
+        Listing 1: the steps ``ref_mg_vcycle`` times in its order, one
+        program per pass and per grid transfer, and the transcription's
+        bits.  The fine 27-point level restricts through ``pick``, the
         7-point one through a copied block."""
         problem = generate_problem(8, stencil=stencil)
-        top = build_hierarchy(problem, levels=levels)
-        orders = [lvl.smoother.symmetric_order for lvl in top.levels()]
-        flat, stepwise = twin_kernel(top), twin_kernel(top)
-        copied = [pick is None for _, _, pick, *_ in flat._levels[:-1]]
+        hier = build_hierarchy(problem, levels=levels).levels()
+        ref = build_ref_hierarchy(problem, levels=levels)
+        orders = [lvl.smoother.symmetric_order for lvl in hier]
+        kernel = ColorMajorVCycle(
+            [lvl.smoother.plan._current_sweep().twin() for lvl in hier],
+            [lvl.grid.injection_indices() for lvl in hier[:-1]])
+        copied = [pick is None for _, _, pick, *_ in kernel._levels[:-1]]
         assert copied[:1] == [stencil == "7pt"][:levels - 1]
         r = np.random.default_rng(levels).standard_normal(problem.n)
         r[::7] = -0.0
+        oracle = hierarchy(problem, levels, fused=False)
         for pre, post in SWEEPS:
-            got, got_steps = scheduled(flat, orders, pre, post, r)
-            want, want_steps = walked(stepwise, orders, pre, post, r)
-            assert_bit_identical(got, want)
-            assert got_steps == want_steps
-        assert flat.schedule(orders, 1, 1) is flat.schedule(
+            z = np.full(problem.n, 7.0)
+            kernel.load(r)
+            segments = kernel.schedule(orders, pre, post)
+            for _, _, programs in segments:
+                for calls in programs:
+                    execute(calls)
+            kernel.store(z)
+            assert_bit_identical(z, apply(MGPreconditioner(
+                oracle, pre_sweeps=pre, post_sweeps=post),
+                grb.Vector.from_dense(r)))
+            keys = []       # what ref_mg_vcycle times, in its order
+            ref_mg_vcycle(ref, np.zeros(problem.n), r, SimpleNamespace(
+                measure=lambda key: keys.append(key) or nullcontext()),
+                pre, post)
+            assert [f"mg/L{i}/{step}" for i, step, _ in segments] == keys
+            passes = [len(p) for _, step, p in segments if step == "rbgs"]
+            assert passes == [pre] * levels + [post] * (levels - 1)
+            assert all(len(p) == 1 for _, step, p in segments
+                       if step != "rbgs")
+        assert kernel.schedule(orders, 1, 1) is kernel.schedule(
             [list(order) for order in orders], 1, 1)      # compiled once
-
-    def test_stored_inf_is_compiled_without_the_shortcut(self,
-                                                         entries_read):
-        """The zero skip is compiled as ``zero and finite``: with an Inf
-        stored, the scheduled first colour multiplies like the walk's."""
-        problem = generate_problem(8)       # edited below: not the fixture
-        problem.A.set_element(0, 1, np.inf)
-        top = build_hierarchy(problem, levels=2)
-        orders = [lvl.smoother.symmetric_order for lvl in top.levels()]
-        flat, stepwise = twin_kernel(top), twin_kernel(top)
-        with np.errstate(all="ignore"):
-            got, _ = scheduled(flat, orders, 1, 1, problem.b.to_dense())
-            reads = entries_read()[top.n]
-            want, _ = walked(stepwise, orders, 1, 1, problem.b.to_dense())
-        assert_bit_identical(got, want)
-        assert np.isnan(got[0])
-        sweep = sweep_nnz(top)
-        assert reads == entries_read()[top.n] == (
-            sweep + [injected_nnz(top)] + sweep)
 
     def test_untraced_and_traced_solves_time_alike(self, loads, problem8):
         """The untraced solve runs the schedule, the traced one the
