@@ -16,7 +16,10 @@ hook, which records the sends on the
 :class:`~repro.dist.comm.CommTracker` and prices the superstep on the
 BSP machine; each preconditioner application (the kernel's compiled
 schedule, one flat loop over prebuilt calls) by the one V-cycle walk,
-which prices Listing 1's steps in order and runs none.  On a
+which prices Listing 1's steps in order and runs none.  An ``r`` the
+kernel declines (one holding ``-0.0``, or any when the compiled product
+contracts) is applied by Listing 1's GraphBLAS transcription instead,
+built once per problem and priced alike.  On a
 :class:`~repro.dist.faults.NodeCrash` ``run_cg`` repartitions onto the
 survivors and resumes the loop from the last checkpoint.
 
@@ -83,6 +86,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import threading
 import weakref
 from collections import Counter
 from types import SimpleNamespace
@@ -111,8 +115,10 @@ from repro.dist.result import DistRunResult
 from repro.graphblas.substrate.csr import (
     ColorMajorVCycle, CsrColorSweep, execute,
 )
+from repro.graphblas.vector import Vector
 from repro.grid import Grid3D
 from repro.hpcg.coloring import lattice_coloring, num_colors
+from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
 from repro.hpcg.problem import Problem
 from repro.ref.cg import CGState, cg_iterations, cg_start, require_cg_limits
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
@@ -163,6 +169,8 @@ class _Numerics(list):
     def __init__(self, problem: Problem, mg_levels: int, stencil: str):
         super().__init__()
         self.matrix = problem.A
+        self._problem, self._transcription = problem, None
+        self._transcribing = threading.Lock()
         #: (backend class, nodes, agglomerate_below, layout) -> record
         self.records = {}
         #: (record key, comm_mode, machine, use_mg, k == 1) -> _Tape
@@ -178,6 +186,20 @@ class _Numerics(list):
         #: per level, the colour steps of one symmetric sweep
         self.orders = [(*range(level.ncolors), *range(level.ncolors)[::-1])
                        for level in self]
+
+    def transcribe(self, z: np.ndarray, r: np.ndarray) -> None:
+        """``z <- M r`` as Listing 1 on GraphBLAS containers, every fast
+        path pinned off: the applications the kernel declines (an ``r``
+        holding ``-0.0``, a contracting product).  Built at the first of
+        them; it writes its hierarchy, so one runs at a time, and out of
+        the trace, which holds the pricing walk's spans."""
+        with self._transcribing, obs.disabled():
+            if self._transcription is None:
+                self._transcription = MGPreconditioner(build_hierarchy(
+                    self._problem, levels=len(self), fused=False))
+            out = Vector.dense(z.size)
+            self._transcription(out, Vector.from_dense(r))
+            z[:] = out.to_dense()
 
 
 #: every problem's numerics while some run uses them: a mutated operator
@@ -656,14 +678,18 @@ class SimulatedDistRun:
         return compute_spmv(y, self.levels[0].A, x)
 
     def _precondition(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """``z <- M r``: the kernel's compiled schedule, then, unless the
+        """``z <- M r``: the kernel's compiled schedule (the numerics'
+        transcription for an ``r`` it declines), then, unless the
         iteration replays a tape (pricing off), :meth:`_vcycle`'s prices."""
         kernel = self._kernel
-        kernel.load(r)
-        for _, _, programs in kernel.schedule(self._numerics.orders, 1, 1):
-            for calls in programs:
-                execute(calls)
-        kernel.store(z)
+        if kernel.load(r):
+            for _, _, programs in kernel.schedule(self._numerics.orders,
+                                                  1, 1):
+                for calls in programs:
+                    execute(calls)
+            kernel.store(z)
+        else:
+            self._numerics.transcribe(z, r)
         if not self._state.replaying:
             self._vcycle(0)
         return z

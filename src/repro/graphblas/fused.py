@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.graphblas import backend
 from repro.graphblas.matrix import Matrix
+from repro.graphblas.substrate import csr as csr_substrate
 from repro.graphblas.substrate.base import ColorSweep
 from repro.graphblas.substrate.csr import ColorMajorVCycle, CsrColorSweep
 from repro.graphblas.vector import Vector
@@ -141,8 +142,9 @@ class ColorSweepPlan:
 
     :meth:`run` returns ``False`` when the fast path cannot serve the
     call bit-identically — non-dense or aliased vectors, a non-float64
-    domain, a provider that opted out of the capability — and the caller is
-    expected to fall back to the reference transcription.
+    domain, a provider that opted out of the capability, a sweep that
+    declines the right-hand side — and the caller is expected to fall
+    back to the reference transcription.
     """
 
     def __init__(self, A: Matrix, colors: Sequence[Vector], diag: Vector,
@@ -188,9 +190,8 @@ class ColorSweepPlan:
         if not _sweepable(z, r, self.A.ncols, self.A.nrows):
             return False
         sweep = self._current_sweep()
-        if sweep is None:
+        if sweep is None or not sweep.run(z._values, r._values, order):
             return False
-        sweep.run(z._values, r._values, order)
         z._bump()
         if backend.active():
             label = self._event_label()
@@ -257,17 +258,24 @@ class VCyclePlan:
     scatters ``z``; its injections are read off each ``R``'s pattern.
 
     :meth:`load` declines, before touching anything, what the kernel
-    cannot reproduce bit for bit: ``REPRO_FUSED=0``, a level whose
-    smoother plan is not armed or whose sweep is not the CSR
-    colour-major one, an ``R`` that is not one stored ``1.0`` per row
-    over distinct columns, sparse, non-float64, aliased or mis-sized
-    vectors — and any call under a ``backend`` collector: the perf
-    model prices Listing 1's primitives, so there the primitives run.
+    cannot reproduce bit for bit, and :attr:`declined` names why — one
+    of :attr:`DECLINES`: ``REPRO_FUSED=0``; any call under a ``backend``
+    collector (the perf model prices Listing 1's primitives, so there the
+    primitives run); a compiled product that contracts its multiply-adds;
+    a level whose smoother plan is not armed or whose sweep is not the
+    CSR colour-major one; an operator with empty rows; an ``R`` that is
+    not one stored ``1.0`` per row over distinct columns; sparse,
+    non-float64, aliased or mis-sized vectors; an ``r`` holding ``-0.0``.
     The kernel is built at the first :meth:`load` and revalidated per
     application against one stamp: the version of every bound operator,
     diagonal, colour mask and ``R``, and each operator's substrate; only
     when it moves are the levels' sweeps looked up and the kernel rebuilt.
     """
+
+    #: what :attr:`declined` may read, in the order :meth:`load` checks
+    DECLINES = ("kill switch", "backend collector", "contracting kernel",
+                "non-CSR sweep", "empty rows", "bad R", "vectors",
+                "-0.0 residual")
 
     def __init__(self, levels: Sequence[Tuple[Optional[ColorSweepPlan],
                                               Optional[Matrix]]]):
@@ -280,15 +288,21 @@ class VCyclePlan:
         self._stamp = None
         #: the array kernel of the hierarchy as last validated, or None
         self.kernel: Optional[ColorMajorVCycle] = None
+        self._unbuilt: Optional[str] = None     # why kernel is None
+        #: why the last :meth:`load` returned False; None when it ran
+        self.declined: Optional[str] = None
 
-    def _build(self, sweeps) -> Optional[ColorMajorVCycle]:
+    def _build(self, sweeps) -> Tuple[Optional[ColorMajorVCycle],
+                                      Optional[str]]:
+        """The kernel over ``sweeps``, or None and the reason."""
         if any(type(sweep) is not CsrColorSweep for sweep in sweeps):
-            return None
+            return None, "non-CSR sweep"
         injections = []
         for (plan, R), sweep, coarse in zip(self._bound, sweeps,
                                             [*sweeps[1:], None]):
             if not plan.A.provider().rows_all_present:
-                return None     # the residual's output would have holes
+                # the residual's output would have holes
+                return None, "empty rows"
             if coarse is None:
                 break
             nc, nf = coarse.perm.size, sweep.perm.size
@@ -297,27 +311,38 @@ class VCyclePlan:
                     or csr.nnz != nc or (np.diff(csr.indptr) != 1).any()
                     or (csr.data != 1.0).any()
                     or np.unique(csr.indices).size != nc):
-                return None
+                return None, "bad R"
             injections.append(csr.indices)
-        return ColorMajorVCycle(sweeps, injections)
+        return ColorMajorVCycle(sweeps, injections), None
 
     def load(self, z: Vector, r: Vector) -> bool:
-        """Start an application of ``z = M r``; False means "fall back"."""
-        if not fused_enabled() or backend.active():
-            return False
+        """Start an application of ``z = M r``; False means "fall back",
+        and :attr:`declined` says why."""
+        self.declined = self._decline(z, r)
+        return self.declined is None
+
+    def _decline(self, z: Vector, r: Vector) -> Optional[str]:
+        if not fused_enabled():
+            return "kill switch"
+        if backend.active():
+            return "backend collector"
+        if csr_substrate.CONTRACTS:
+            return "contracting kernel"
         stamp = ([x._version for x in self._watched],
                  [A.substrate for A in self._operators])
         if stamp != self._stamp:
             self._stamp = stamp
-            self.kernel = self._build([None if p is None else p._current_sweep()
-                                       for p, _ in self._bound])
+            self.kernel, self._unbuilt = self._build(
+                [None if p is None else p._current_sweep()
+                 for p, _ in self._bound])
         if self.kernel is None:
-            return False
+            return self._unbuilt
         n = self._bound[0][0].A.nrows       # colour-major: square
         if not _sweepable(z, r, n, n):
-            return False
-        self.kernel.load(r._values)
-        return True
+            return "vectors"
+        if not self.kernel.load(r._values):
+            return "-0.0 residual"
+        return None
 
     def store(self, z: Vector) -> None:
         """Scatter the fine iterate into ``z`` — the application's end."""

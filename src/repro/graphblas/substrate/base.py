@@ -242,8 +242,11 @@ class ColorSweep:
         s = self.subs[k].mxv(z)
         z[rows] = (r[rows] - s + z[rows] * d) / d
 
-    def run(self, z: np.ndarray, r: np.ndarray, order) -> None:
+    def run(self, z: np.ndarray, r: np.ndarray, order) -> bool:
         """Relax the colours listed in ``order`` (one direction, a
-        symmetric pass, any subset) in sequence, in place on ``z``."""
+        symmetric pass, any subset) in sequence, in place on ``z``;
+        False, touching nothing, declines the call (CSR's colour-major
+        sweep does for an ``r`` holding ``-0.0``)."""
         for k in order:
             self.step(k, z, r)
+        return True

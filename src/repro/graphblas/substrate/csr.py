@@ -12,7 +12,8 @@ symmetric smooth gathers iterate and right-hand side once, relaxes
 every colour on contiguous slices and scatters once, without changing
 a bit of output.  Inputs a colour-major layout cannot express — a row
 in two classes, a non-square operator — get the generic natural-order
-:class:`ColorSweep`.
+:class:`ColorSweep`, and so does everything when the compiled product
+contracts its multiply-adds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import copy
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from repro.graphblas.substrate.base import (
     ColorSweep, KernelProvider, fused_traffic,
@@ -33,6 +33,33 @@ try:  # scipy's compiled SpMV entry point: zero-copy, no wrapper layers.
     _csr_matvec = _sp_tools.csr_matvec
 except (ImportError, AttributeError):  # pragma: no cover - old scipy
     _csr_matvec = None
+
+
+def _contracts() -> bool:
+    """Whether ``csr_matvec`` fuses ``acc + a*x`` into one multiply-add,
+    as GCC and clang do by default on FMA targets (aarch64): then
+    ``(1 + 2**-27) * (1 - 2**-27)`` is not rounded to ``1.0`` before
+    ``-1.0`` is added, and the row sums to ``-2**-54``, not ``0.0``."""
+    y = np.zeros(1)
+    _csr_matvec(1, 2, np.array([0, 2], dtype=np.int32),
+                np.array([0, 1], dtype=np.int32),
+                np.array([1.0, 1.0 + 2.0 ** -27]),
+                np.array([-1.0, 1.0 - 2.0 ** -27]), y)
+    return bool(y[0] != 0.0)
+
+
+#: the compiled product contracts: a colour step's ``d_i z_i`` would not
+#: be rounded before its add, so no colour-major sweep runs
+CONTRACTS = _csr_matvec is not None and _contracts()
+#: ``-0.0``'s bits are the least int64, so no temporary finds one
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+
+
+def declines(r: np.ndarray) -> bool:
+    """Whether a colour-major relaxation against ``r`` would differ from
+    the reference: ``r`` holds a ``-0.0`` (one reduction over its bits),
+    or the product contracts."""
+    return CONTRACTS or r.view(np.int64).min(initial=0) == _NEGATIVE_ZERO
 
 
 class CsrProvider(KernelProvider):
@@ -61,7 +88,7 @@ class CsrProvider(KernelProvider):
                        diag: np.ndarray) -> Optional[ColorSweep]:
         hits = np.bincount(np.concatenate(color_rows), minlength=self.nrows)
         if (self.nrows != self.ncols or hits.max(initial=0) > 1
-                or _csr_matvec is None):
+                or _csr_matvec is None or CONTRACTS):
             # colour-major needs every row in at most one class
             return ColorSweep(self, color_rows, diag)
         return CsrColorSweep(self.csr, color_rows, diag)
@@ -88,23 +115,34 @@ def execute(calls) -> None:
 
 
 class CsrColorSweep(ColorSweep):
-    """The CSR fused sweep: one colour-major copy of the operator.
+    """The CSR fused sweep: one colour-major copy of the operator whose
+    every row carries the tail of its own update.
 
     ``perm`` lists the rows colour by colour (rows in no class last,
-    never relaxed).  The sweep holds ``A[perm, :]``, columns relabelled
-    through ``inverse`` (of ``perm``), as three raw arrays: colour ``k`` is the
-    row range ``off[k]:off[k+1]`` (``indptr`` offsets are absolute, so
-    a slice of it is a valid block) and its product reads the
-    colour-major iterate directly.  Each row keeps its entries in
-    stored order — ascending *natural* column, never re-sorted, which
-    is why nothing that canonicalises may wrap the arrays — so it
-    accumulates exactly as the reference ``csr_matvec`` does and
-    iterates are bit-identical to the natural-order sweep.  A colour
-    step is one ``csr_matvec`` and four ``out=`` ufuncs on views cut
-    once; :meth:`program` compiles a pass into those calls with their
-    operands bound.  A :class:`ColorMajorVCycle` keeps ``z`` and ``r``
-    loaded across smooths and takes :meth:`program` and :meth:`block`
-    directly.
+    never relaxed, and not copied), and colour ``k`` is the row range
+    ``off[k]:off[k+1]``, held as its own ``indptr``/``indices``/``data``
+    triple.  Row ``i`` of the sweep is row ``perm[i]`` of ``-A``, columns
+    relabelled through ``inverse`` (of ``perm``), then ``+1`` at column
+    ``n + i`` and ``+d_i`` at column ``i``; ``z`` and ``r`` are the two
+    halves of one ``2n`` buffer.  Each row keeps its
+    stored entries in stored order — ascending *natural* column, never
+    re-sorted, which is why nothing that canonicalises may wrap the
+    arrays — so ``csr_matvec`` from ``+0.0`` over colour ``k`` yields
+    ``fl(fl(r_i - s_i) + fl(d_i z_i))``, the reference's ``r - s + z*d``
+    operation for operation: negation is exact, and the kernel rounds
+    each product before its add (:data:`CONTRACTS` says when it does
+    not).  One ``divide`` by ``d_k`` finishes the step, so a colour step
+    is ``fill``, ``csr_matvec``, ``divide``; :meth:`program` compiles a
+    pass into those calls with their operands bound.
+
+    ``-s_i + r_i`` is ``r_i - s_i`` bit for bit except for ``s_i = +0.0``
+    and ``r_i = -0.0`` (``+0.0`` against ``-0.0``), so :meth:`load`
+    declines an ``r`` holding a ``-0.0``.  ``nnzs`` and ``traffic`` count
+    the stored entries alone: the tail is the update the price already
+    holds.  The sweep keeps a reference to the operator as given, which
+    :meth:`plain` copies rows of.  A :class:`ColorMajorVCycle` keeps ``z``
+    and ``r`` loaded across smooths and takes :meth:`program` and
+    :meth:`plain` directly.
     """
 
     def __init__(self, csr, color_rows: Sequence[np.ndarray],
@@ -117,37 +155,73 @@ class CsrColorSweep(ColorSweep):
         rest = np.ones(n, dtype=bool)
         rest[colored] = False
         self.perm = perm = np.concatenate((colored, np.flatnonzero(rest)))
-        block = csr[perm, :]                 # one row gather, order kept
-        self._indptr, self._data = block.indptr, block.data
-        self._indices = idx = block.indices
-        self.inverse = inverse = np.empty(n, dtype=idx.dtype)
-        inverse[perm] = np.arange(n, dtype=idx.dtype)
-        # relabel in place, a cache-sized chunk at a time: one fancy
-        # index over all entries would hold two more copies of them
-        for lo in range(0, idx.size, 1 << 16):
-            chunk = idx[lo:lo + (1 << 16)]
-            np.take(inverse, chunk, out=chunk, mode="clip")
-        self._diag = diag[perm]
-        # a finite sum has only finite terms (relax's zero shortcut)
-        self._finite = bool(np.isfinite(self._data.sum()))
+        self._diag = d = diag[perm]
+        # columns run to 2n: csr_matvec takes int32 or int64 indices
+        itype = np.int32 if csr.nnz + 2 * n < 2 ** 31 else np.int64
+        self.inverse = inverse = np.empty(n, dtype=itype)
+        inverse[perm] = np.arange(n, dtype=itype)
+        self._csr = csr     # as stored: what plain() copies rows of
+        ptr, cols = (csr.indptr.astype(itype, copy=False),
+                     csr.indices.astype(itype, copy=False))
+        # Each colour's rows in arrays of their own, gathered straight
+        # into place in order: csr_row_index copies row r as the entries
+        # [ptr[r], ptr[r + 1]), so handed ``pairs`` and row 2j it copies
+        # row j with the next row's first two entries as its tail's
+        # placeholders.  A row with fewer than two entries after it ends
+        # a call of its own, copied exact: no read runs past the arrays.
+        exact = ptr[1:] + 2 > ptr[-1]
+        pairs = np.empty(2 * n, dtype=itype)
+        pairs[0::2], pairs[1::2] = ptr[:-1], ptr[1:] + 2 * ~exact
+        counts = np.diff(ptr)[perm] + 2
+        self._indptr, self._indices, self._data = [], [], []
+        for lo, hi in zip(off, off[1:]):
+            rows = perm[lo:hi]
+            indptr = np.zeros(hi - lo + 1, dtype=itype)
+            np.cumsum(counts[lo:hi], out=indptr[1:])
+            idx = np.empty(indptr[-1], dtype=itype)
+            data = np.empty(indptr[-1])
+            ask = 2 * rows.astype(itype)
+            cuts = [0, *(np.flatnonzero(exact[rows]) + 1).tolist()]
+            for a, b in zip(cuts, [*cuts[1:], hi - lo]):
+                if a < b:
+                    _sp_tools.csr_row_index(b - a, ask[a:b], pairs, cols,
+                                            csr.data, idx[indptr[a]:],
+                                            data[indptr[a]:])
+            np.take(inverse, idx, out=idx, mode="clip")
+            np.negative(data, out=data)
+            tail = indptr[1:] - 2
+            idx[tail] = np.arange(n + lo, n + hi, dtype=itype)
+            data[tail] = 1.0
+            tail += 1
+            idx[tail], data[tail] = np.arange(lo, hi, dtype=itype), d[lo:hi]
+            self._indptr.append(indptr)
+            self._indices.append(idx)
+            self._data.append(data)
+        # a finite sum has only finite terms (the zero-iterate shortcut)
+        self._finite = bool(np.isfinite(csr.data.sum()))
+        #: residual rows (:meth:`plain`), shared by every twin
+        self._plains = {}
         self._buffers()
         self.rows = [perm[lo:hi] for lo, hi in zip(off, off[1:])]
-        self.nnzs = np.diff(self._indptr[off]).tolist()
+        self.nnzs = [int(p[-1]) - 2 * (p.size - 1) for p in self._indptr]
         self.traffic = [fused_traffic(_mxv_traffic(nnz, rows), rows, nnz, 3)
                         for rows, nnz in zip(self.sizes, self.nnzs)]
 
     def _buffers(self) -> None:
-        """Allocate what a walk writes — ``z``, ``r``, the product scratch
-        — and cut each colour's slices of them and of the operator once:
-        views, so a relaxation indexes nothing and allocates nothing.
-        Programs bind these views: new buffers start an empty cache."""
-        off = self._off
-        self.z, self.r = np.empty(self.perm.size), np.empty(self.perm.size)
+        """Allocate what a walk writes — ``z`` and ``r`` (one ``2n``
+        buffer), the product scratch — and cut each colour's slices of
+        them and of the operator once: views, so a relaxation indexes
+        nothing and allocates nothing.  Programs bind these views: new
+        buffers start an empty cache."""
+        n, off = self.perm.size, self._off
+        self._x = np.empty(2 * n)
+        self.z, self.r = self._x[:n], self._x[n:]
         self._s = np.empty(max(self.sizes))
         self._blocks = [
-            (hi - lo, self._indptr[lo:hi + 1], self.z[lo:hi], self.r[lo:hi],
+            (hi - lo, *arrays, self.z[lo:hi], self.r[lo:hi],
              self._diag[lo:hi], self._s[:hi - lo])
-            for lo, hi in zip(off, off[1:])
+            for lo, hi, *arrays in zip(off, off[1:], self._indptr,
+                                       self._indices, self._data)
         ]
         # (order, zero) -> program, and (colour, zero) -> its step
         self._programs = {}
@@ -160,19 +234,25 @@ class CsrColorSweep(ColorSweep):
         twin._buffers()
         return twin
 
-    def step(self, k: int, z: np.ndarray, r: np.ndarray) -> None:
-        self.run(z, r, (k,))
+    def step(self, k: int, z: np.ndarray, r: np.ndarray) -> bool:
+        return self.run(z, r, (k,))
 
-    def run(self, z: np.ndarray, r: np.ndarray, order) -> None:
-        self.load(z, r)
+    def run(self, z: np.ndarray, r: np.ndarray, order) -> bool:
+        if not self.load(z, r):
+            return False
         execute(self.program(order))
         self.store(z)
+        return True
 
-    def load(self, z: np.ndarray, r: np.ndarray) -> None:
-        """Gather natural-order ``z`` and ``r`` into the sweep's buffers."""
+    def load(self, z: np.ndarray, r: np.ndarray) -> bool:
+        """Gather natural-order ``z`` and ``r`` into the sweep's buffers;
+        False, touching nothing, when :func:`declines` ``r``."""
+        if declines(r):
+            return False
         # mode="clip": the default "raise" buffers a full copy of out
         z.take(self.perm, out=self.z, mode="clip")
         r.take(self.perm, out=self.r, mode="clip")
+        return True
 
     def store(self, z: np.ndarray) -> None:
         """Scatter the colour-major iterate into natural-order ``z``."""
@@ -199,34 +279,34 @@ class CsrColorSweep(ColorSweep):
         """Colour ``k``'s calls, compiled once: programs share them."""
         calls = self._programs.get((k, zero))
         if calls is None:
-            rows, indptr, zk, rk, dk, s = self._blocks[k]
-            if zero:
-                calls, s = (), rk
-            else:   # csr_matvec accumulates onto its output
+            rows, indptr, indices, data, zk, rk, dk, s = self._blocks[k]
+            if zero:    # z_k = (r_k + z_k * d_k) / d_k
+                calls = ((np.multiply, (zk, dk, zk)), (np.add, (rk, zk, zk)),
+                         (np.divide, (zk, dk, zk)))
+            else:       # csr_matvec accumulates onto its output
                 calls = ((s.fill, (0.0,)),
-                         (_csr_matvec, (rows, self.perm.size, indptr,
-                                        self._indices, self._data, self.z, s)),
-                         (np.subtract, (rk, s, s)))
-            # z_k = (r_k - s + z_k * d_k) / d_k, operation for operation;
-            # the product above read the pre-update z_k throughout
-            calls = self._programs[k, zero] = calls + (
-                (np.multiply, (zk, dk, zk)), (np.add, (s, zk, zk)),
-                (np.divide, (zk, dk, zk)))
+                         (_csr_matvec, (rows, self._x.size, indptr, indices,
+                                        data, self._x, s)),
+                         (np.divide, (s, dk, zk)))
+            self._programs[k, zero] = calls
         return calls
 
-    def block(self, rows: np.ndarray):
-        """``(head, pick)`` for a product over the colour-major rows
-        ``rows``: ``csr_matvec``'s leading arguments and where in its
-        output each of ``rows`` lands (None: in order).  Views of the
-        sweep's arrays when the rows fill one range, else one copy."""
-        n, lo, hi = self.perm.size, int(rows.min()), int(rows.max()) + 1
-        if hi - lo == rows.size:
-            return (rows.size, n, self._indptr[lo:hi + 1], self._indices,
-                    self._data), rows - lo
-        # wrapped as they are; each row's entries copied in stored order
-        cut = csr_matrix((self._data, self._indices, self._indptr),
-                         shape=(n, n))[rows, :]
-        return (rows.size, n, cut.indptr, cut.indices, cut.data), None
+    def plain(self, rows: np.ndarray) -> tuple:
+        """``csr_matvec``'s leading arguments for ``A z`` over the
+        colour-major rows ``rows``, in their order: the operator's rows
+        as stored, columns relabelled — no negation, no tail.  Copied
+        once per ``rows`` and shared by every twin."""
+        key = rows.tobytes()
+        head = self._plains.get(key)
+        if head is None:
+            block = self._csr[self.perm[rows], :]   # row gather, order kept
+            itype = self.inverse.dtype
+            indices = block.indices.astype(itype, copy=False)
+            np.take(self.inverse, indices, out=indices, mode="clip")
+            head = self._plains[key] = (
+                rows.size, self.perm.size,
+                block.indptr.astype(itype, copy=False), indices, block.data)
+        return head
 
 
 class ColorMajorVCycle:
@@ -243,28 +323,29 @@ class ColorMajorVCycle:
     scatters ``z`` once.  The grid transfers are index moves through the
     injection relabelled by both levels' permutations; ``+ 0.0`` on each
     reproduces the sign of zero of the injection product's
-    ``+0.0 + 1.0*x``.
+    ``+0.0 + 1.0*x`` — so a coarse ``r`` never holds the ``-0.0`` a
+    colour step cannot take, and only :meth:`load` checks for one.
 
     No pass is made whose output nothing reads.  Restriction reads the
     residual on the injected rows only, so the residual multiplies just
-    that :meth:`~CsrColorSweep.block` (views of the fine sweep on
-    27-point levels, where they are colour 0; one copy on 7-point ones)
-    and restriction subtracts.  ``load`` and restriction zero a level's
-    iterate, so a pre-smoothing's first pass is compiled from zero: its
-    first colour step skips the product.  That is the kernel's
-    arithmetic, not the algorithm's: a caller pricing Listing 1 (the
-    dist engine) prices every step.  ``load`` and restriction overwrite
-    every vector a level reads: an abandoned application leaves nothing.
+    those rows — one plain copy of them, in injection order
+    (:meth:`~CsrColorSweep.plain`) — and restriction subtracts.  ``load``
+    and restriction zero a level's iterate, so a pre-smoothing's first
+    pass is compiled from zero: its first colour step skips the product.
+    That is the kernel's arithmetic, not the algorithm's: a caller
+    pricing Listing 1 (the dist engine) prices every step.  ``load`` and
+    restriction overwrite every vector a level reads: an abandoned
+    application leaves nothing.
     """
 
     def __init__(self, sweeps: Sequence[CsrColorSweep],
                  injections: Sequence[np.ndarray]):
-        self._levels = []   # (sweep, block, pick, f, injection) per level
+        self._levels = []   # (sweep, residual rows, f, injection) per level
         for sweep, coarse, source in zip(sweeps, sweeps[1:], injections):
             injection = sweep.inverse[source[coarse.perm]].astype(np.intp)
-            self._levels.append((sweep, *sweep.block(injection),
+            self._levels.append((sweep, sweep.plain(injection),
                                  np.empty(injection.size), injection))
-        self._levels.append((sweeps[-1], None, None, None, None))
+        self._levels.append((sweeps[-1], None, None, None))
         # per non-coarsest level, the programs of f_i = A_i z_i on the
         # injected rows, r_{i+1} = R (r_i - f_i) with z_{i+1} = 0, and
         # z_i += R' z_{i+1}
@@ -272,30 +353,30 @@ class ColorMajorVCycle:
         self._schedules = {}
 
     def _compile(self, i: int) -> tuple:
-        sweep, block, pick, f, injection = self._levels[i]
+        sweep, head, f, injection = self._levels[i]
         coarse = self._levels[i + 1][0]
-        residual = ((f.fill, (0.0,)), (_csr_matvec, (*block, sweep.z, f)))
-        restrict, product = [(sweep.r.take,
-                              (injection, None, coarse.r, "clip"))], f
-        if pick is not None:    # the product's rows in injection order
-            restrict.append((f.take, (pick, None, coarse.z, "clip")))
-            product = coarse.z
-        restrict += ((np.subtract, (coarse.r, product, coarse.r)),
-                     (np.add, (coarse.r, 0.0, coarse.r)),
-                     (coarse.z.fill, (0.0,)))
+        residual = ((f.fill, (0.0,)), (_csr_matvec, (*head, sweep.z, f)))
+        restrict = ((sweep.r.take, (injection, None, coarse.r, "clip")),
+                    (np.subtract, (coarse.r, f, coarse.r)),
+                    (np.add, (coarse.r, 0.0, coarse.r)),
+                    (coarse.z.fill, (0.0,)))
         # through the two vectors restriction left free: the coarse
         # right-hand side and f_i
         prolong = ((np.add, (coarse.z, 0.0, coarse.r)),
                    (sweep.z.take, (injection, None, f, "clip")),
                    (np.add, (f, coarse.r, f)),
                    (sweep.z.__setitem__, (injection, f)))
-        return residual, tuple(restrict), prolong
+        return residual, restrict, prolong
 
-    def load(self, r: np.ndarray) -> None:
-        """Start an application of ``z = M r`` on natural-order ``r``."""
+    def load(self, r: np.ndarray) -> bool:
+        """Start an application of ``z = M r`` on natural-order ``r``;
+        False, touching nothing, when a colour step :func:`declines` it."""
+        if declines(r):
+            return False
         fine = self._levels[0][0]
         r.take(fine.perm, out=fine.r, mode="clip")
         fine.z.fill(0.0)
+        return True
 
     def store(self, z: np.ndarray) -> None:
         """Scatter the fine iterate into natural-order ``z``."""

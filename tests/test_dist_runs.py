@@ -647,6 +647,10 @@ class TestSharedNumerics:
                     assert getattr(theirs, name) is getattr(mine, name), name
                 for name in WALK_BUFFERS:
                     assert getattr(theirs, name) is not getattr(mine, name)
+            # the residual's plain rows: one copy, whichever twin asked
+            for mine, theirs in zip(first._kernel._levels[:-1],
+                                    run._kernel._levels[:-1]):
+                assert theirs[1] is mine[1]
 
     def test_the_six_ledger_runs_hold_one_copy(self, built):
         runs = [make() for make in ledger_style(generate_problem(16), 4)]

@@ -37,6 +37,7 @@ from repro.dist import (Checkpoint, Crash, FaultPlan, Hybrid2DRun,
                         HybridALPRun, RefDistRun, simulate)
 from repro.dist.simulate import _RunState
 from repro.graphblas import substrate
+from repro.graphblas.substrate import csr as csr_mod
 from repro.graphblas.substrate.csr import ColorMajorVCycle, execute
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
 from repro.hpcg.problem import generate_problem
@@ -115,21 +116,26 @@ class TestApplicationEqualsReference:
     def test_one_colour_per_call_skips_what_the_serial_walk_skips(
             self, stencil_problem, entries_read):
         """The first colour step after ``load`` / ``restrict`` reads no
-        operator entry and the residual reads the injected rows only
-        (what the engine *prices* per colour step is
+        operator entry, every other one its stored entries and two more a
+        row (``2n`` columns: ``z`` and ``r``), and the residual the
+        injected rows only (what the engine *prices* per colour step is
         ``tests/data/dist_golden.json``'s, unchanged)."""
         problem = stencil_problem
         run = RefDistRun(problem, 4, mg_levels=3)
         engine_apply(run, np.random.default_rng(1).standard_normal(problem.n))
         got = entries_read()
         for level in run.levels:
-            nnzs = level.smoother.nnzs
-            sweep = nnzs + nnzs[::-1]
+            smoother = level.smoother
+            read = [nnz + 2 * rows
+                    for nnz, rows in zip(smoother.nnzs, smoother.sizes)]
+            sweep = read + read[::-1]
             if level is run.levels[-1]:
-                assert got[level.n] == sweep[1:]
+                assert got[2 * level.n] == sweep[1:]
+                assert level.n not in got
                 continue
             injected = level.A[level.grid.injection_indices()].nnz
-            assert got[level.n] == sweep[1:] + [injected] + sweep
+            assert got[2 * level.n] == sweep[1:] + sweep
+            assert got[level.n] == [injected]
 
     problem = generate_problem(4, 8, 8)     # n = 256; level 1 has 32 rows
 
@@ -158,6 +164,49 @@ class TestApplicationEqualsReference:
             assert np.array_equal(z, ref_apply(problem, levels, r),
                                   equal_nan=True)
 
+
+def priced(run):
+    """What one application booked: modelled seconds, timers, steps."""
+    state = run._state
+    return (state.seconds.hex(), state.timers.as_dict(counts=True),
+            state.comm_timers.as_dict(counts=True),
+            len(state.tracker.supersteps))
+
+
+class TestDeclinedApplications:
+    """An ``r`` the kernel declines — one holding ``-0.0``, or any when
+    the compiled product contracts — is applied by the numerics' Listing 1
+    transcription, built once for every run on the problem, and priced as
+    every other application."""
+
+    @pytest.mark.parametrize("cls", BACKENDS.values(), ids=list(BACKENDS))
+    def test_negative_zero_residual(self, stencil_problem, cls):
+        problem = stencil_problem
+        r = np.random.default_rng(8).standard_normal(problem.n)
+        clean = cls(problem, 4, mg_levels=3)
+        engine_apply(clean, r)
+        r[::5] = -0.0
+        run = cls(problem, 4, mg_levels=3)
+        assert not run._kernel.load(r)
+        assert_bit_identical(engine_apply(run, r),
+                             transcription_apply(problem, 3, r))
+        assert priced(run) == priced(clean)
+        transcription = run._numerics._transcription
+        assert transcription is not None
+        engine_apply(RefDistRun(problem, 2, mg_levels=3), r)
+        assert run._numerics._transcription is transcription
+
+    def test_contracting_kernel(self, monkeypatch):
+        problem = generate_problem(8, 16, 16)
+        want = RefDistRun(problem, 4, mg_levels=3).run_cg(max_iters=4)
+        monkeypatch.setattr(csr_mod, "CONTRACTS", True)
+        run = RefDistRun(problem, 4, mg_levels=3)
+        r = np.random.default_rng(2).standard_normal(problem.n)
+        assert not run._kernel.load(r)
+        assert_bit_identical(engine_apply(run, r),
+                             transcription_apply(problem, 3, r))
+        got = RefDistRun(problem, 4, mg_levels=3).run_cg(max_iters=4)
+        assert snapshot(got) == snapshot(want)
 
 # ---------------------------------------------------------------------------
 # (ii) a V-cycle abandoned half-walked leaves nothing stale

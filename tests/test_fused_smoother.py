@@ -11,6 +11,7 @@ decline (return False) on every configuration it cannot serve.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import graphblas as grb
 from repro.graphblas import fused as fused_mod
 from repro.graphblas import substrate
+from repro.graphblas.substrate import csr as csr_mod
+from repro.graphblas.substrate.csr import CsrColorSweep, execute
 from repro.hpcg.cg import CGWorkspace, pcg
 from repro.hpcg.coloring import (
     color_masks, greedy_coloring, jones_plassmann_coloring, lattice_coloring,
@@ -559,6 +562,112 @@ class TestFusedPricing:
 
 
 # ---------------------------------------------------------------------------
+# the colour-major step: one product over rows that carry their update
+# ---------------------------------------------------------------------------
+
+STEP_EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -1.5]
+moderate = st.floats(min_value=-1e100, max_value=1e100)
+
+
+class TestColourMajorStep:
+    @common
+    @given(data=st.data())
+    def test_step_is_the_four_op_formula(self, data):
+        """``fill``, ``csr_matvec`` over rows of ``-A`` with ``+1`` at
+        ``r_i`` and ``+d_i`` at ``z_i``, ``divide``: each colour step is
+        ``((r - s) + z*d) / d`` bit for bit, signs of zero included, for
+        signed zeros and subnormals in ``z`` and the operator, negative
+        diagonals, and any ``r`` free of ``-0.0``; a zero iterate's first
+        step (no product) too."""
+        n = data.draw(st.integers(1, 16), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        csr = sp.random(n, n, density=0.4, random_state=rng, format="csr")
+        csr.data = rng.choice([*STEP_EDGE, *rng.standard_normal(8)],
+                              csr.nnz)
+        d = np.array(data.draw(st.lists(
+            st.floats(0.25, 4.0) | st.floats(-4.0, -0.25),
+            min_size=n, max_size=n), label="d"))
+        ncolors = data.draw(st.integers(1, min(3, n)), label="ncolors")
+        colors = rng.integers(0, ncolors, n)
+        colors[:ncolors] = np.arange(ncolors)
+        rows = [np.flatnonzero(colors == c) for c in range(ncolors)]
+        order = data.draw(st.lists(st.integers(0, ncolors - 1), max_size=6),
+                          label="order")
+        zero = data.draw(st.booleans(), label="zero")
+        edge = st.sampled_from(STEP_EDGE) | moderate
+        z = (np.zeros(n) if zero else np.array(data.draw(
+            st.lists(edge, min_size=n, max_size=n), label="z")))
+        r = np.array(data.draw(st.lists(edge, min_size=n, max_size=n),
+                               label="r"))
+        r[r == 0.0] = 0.0                   # +0.0 only: -0.0 is declined
+
+        want = z.copy()
+        with np.errstate(all="ignore"):
+            for k in order:
+                rk, dk = rows[k], d[rows[k]]
+                s = csr[rk, :] @ want       # csr_matvec from +0.0
+                want[rk] = (r[rk] - s + want[rk] * dk) / dk
+            sweep = CsrColorSweep(csr, rows, d)
+            got = np.full(n, 7.0)
+            assert sweep.load(z, r)
+            execute(sweep.program(order, zero))
+            sweep.store(got)
+        assert_bit_identical(got, want)
+
+    def test_a_negative_zero_residual_is_declined(self, problem4, rng):
+        """``+0.0 + (-0.0)`` is ``+0.0`` where ``-0.0 - (+0.0)`` is
+        ``-0.0``: the sweep refuses such an ``r`` before touching
+        anything, and the smoother's transcription serves it."""
+        A = grb.Matrix.from_scipy(problem4.A.to_scipy(), substrate="csr")
+        masks = color_masks(lattice_coloring(problem4.grid))
+        fused, ref = smoother_pair(A, problem4.A_diag, masks)
+        rv = rng.standard_normal(problem4.n)
+        rv[::3] = -0.0
+        sweep = fused.plan._current_sweep()
+        before = sweep._x.tobytes()
+        assert not sweep.run(np.zeros(problem4.n), rv, [0, 1])
+        assert sweep._x.tobytes() == before
+        assert not fused.plan.run(grb.Vector.dense(problem4.n),
+                                  grb.Vector.from_dense(rv), [0])
+        r = grb.Vector.from_dense(rv)
+        assert_bit_identical(*run_both(fused, ref, problem4.n, r, "smooth"))
+
+
+def rounding_kernel(contracts):
+    """A ``csr_matvec`` stand-in that rounds ``a*x`` before its add, or
+    (``contracts``) rounds ``acc + a*x`` once, as a fused multiply-add."""
+    def matvec(rows, ncols, indptr, indices, data, x, y):
+        for i in range(rows):
+            acc = y[i]
+            for j in range(indptr[i], indptr[i + 1]):
+                a, v = data[j], x[indices[j]]
+                acc = (float(Fraction(acc) + Fraction(a) * Fraction(v))
+                       if contracts else acc + a * v)
+            y[i] = acc
+    return matvec
+
+
+class TestRoundingProbe:
+    @pytest.mark.parametrize("contracts", [False, True])
+    def test_the_probe_tells_the_kernels_apart(self, monkeypatch,
+                                               contracts):
+        monkeypatch.setattr(csr_mod, "_csr_matvec",
+                            rounding_kernel(contracts))
+        assert csr_mod._contracts() is contracts
+
+    def test_a_contracting_kernel_gets_no_colour_major_sweep(
+            self, monkeypatch, problem8, rng):
+        monkeypatch.setattr(csr_mod, "CONTRACTS", True)
+        A = grb.Matrix.from_scipy(problem8.A.to_scipy(), substrate="csr")
+        masks = color_masks(lattice_coloring(problem8.grid))
+        fused, ref = smoother_pair(A, problem8.A_diag, masks)
+        assert type(fused.plan._current_sweep()) is substrate.ColorSweep
+        r = grb.Vector.from_dense(rng.standard_normal(problem8.n))
+        assert_bit_identical(*run_both(fused, ref, problem8.n, r, "smooth"))
+
+
+# ---------------------------------------------------------------------------
 # guards that keep the CSR lane fast: no per-colour gather, temporary or copy
 # ---------------------------------------------------------------------------
 
@@ -611,9 +720,11 @@ class TestCsrLaneGuards:
     def test_sweep_holds_the_operator_once(self):
         """One reordered CSR (12 bytes an entry) plus a handful of
         n-vectors; per-colour copies kept beside it would double the
-        first term (and cost 4.7 % of peak RSS at 32^3)."""
+        first term (and cost 4.7 % of peak RSS at 32^3).  The operator it
+        was built from is referenced, not copied: not counted."""
         problem, s, _, _ = self.warm_smoother(16)
-        held = _held_bytes(s._plan._sweep, set())
+        sweep = s._plan._sweep
+        held = _held_bytes(sweep, {id(sweep._csr)})
         assert 0 < held <= 1.1 * (problem.A.nvals * 12 + 6 * problem.n * 8)
 
 

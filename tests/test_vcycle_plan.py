@@ -35,6 +35,7 @@ from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import fused as fused_mod
 from repro.graphblas import substrate
+from repro.graphblas.substrate import csr as csr_mod
 from repro.graphblas.substrate.csr import ColorMajorVCycle, execute
 from repro.hpcg.cg import pcg
 from repro.hpcg.coloring import color_masks, jones_plassmann_coloring
@@ -169,21 +170,25 @@ class TestPlanEqualsTranscription:
     def test_signed_zeros_subnormals_and_huge_values(self, loads, problem4,
                                                      data):
         """``+0.0 + 1.0*x`` flips ``-0.0``; subnormals, and overflow to
-        inf/nan, must come out of both paths alike."""
-        values = data.draw(st.lists(
+        inf/nan, must come out of both paths alike.  An ``r`` holding
+        ``-0.0`` is declined to the transcription; the same values with
+        ``+0.0`` in its place run the plan."""
+        values = np.array(data.draw(st.lists(
             st.sampled_from(self.EDGE)
             | st.floats(allow_nan=False, allow_infinity=False),
-            min_size=problem4.n, max_size=problem4.n))
+            min_size=problem4.n, max_size=problem4.n)))
         pre, post = data.draw(st.sampled_from(SWEEPS))
         scheme = data.draw(st.sampled_from(["auto", "jp"]))
-        r = grb.Vector.from_dense(np.array(values))
         M = MGPreconditioner(hierarchy(problem4, 3, scheme),
                              pre_sweeps=pre, post_sweeps=post)
         oracle = MGPreconditioner(hierarchy(problem4, 3, scheme, fused=False),
                                   pre_sweeps=pre, post_sweeps=post)
+        unsigned = np.where(values == 0.0, 0.0, values)
         with np.errstate(all="ignore"):
-            assert_bit_identical(apply(M, r), apply(oracle, r))
-        assert loads(M) == [True]
+            for v in (values, unsigned):
+                r = grb.Vector.from_dense(v)
+                assert_bit_identical(apply(M, r), apply(oracle, r))
+        assert loads(M) == [not np.signbit(values[values == 0.0]).any(), True]
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +336,61 @@ class TestDeclines:
         assert {e.label for e in log.events if e.op == "mxv"} == {
             "restrict@L0", "restrict@L1", "refine@L0", "refine@L1"}
         self.check_usable(loads, M, problem8)
+
+    def test_negative_zero_residual(self, loads, problem8):
+        """The one decline a value makes: ``-0.0`` in ``r``.  Only the
+        fine ``r`` is checked — restriction adds ``+0.0``."""
+        M = MGPreconditioner(build_hierarchy(problem8, levels=3))
+        rv = problem8.b.to_dense()
+        rv[::5] = -0.0
+        r = grb.Vector.from_dense(rv)
+        assert_bit_identical(apply(M, r), apply(MGPreconditioner(
+            build_hierarchy(problem8, levels=3, fused=False)), r))
+        assert loads(M) == [False]
+        assert M._plan.declined == "-0.0 residual"
+        self.check_usable(loads, M, problem8)
+
+    def test_every_decline_names_its_reason(self, problem8, monkeypatch):
+        """``declined`` keeps why the last ``load`` returned False, None
+        once one runs: each reason, in the order ``load`` checks them."""
+        def reason(M, z=None, r=problem8.b):
+            z = grb.Vector.dense(problem8.n) if z is None else z
+            with np.errstate(all="ignore"):
+                M(z, r)
+            return M._plan.declined
+
+        def armed(problem=problem8, edit=None):
+            h = build_hierarchy(problem, levels=3)
+            if edit:
+                edit(h)
+            return MGPreconditioner(h)
+
+        M = armed()
+        assert reason(M) is None
+        got = []
+        with monkeypatch.context() as m:
+            m.setenv(fused_mod.ENV_FUSED, "0")
+            got.append(reason(M))
+        with grb.backend.collect(lambda event: None):
+            got.append(reason(M))
+        with monkeypatch.context() as m:     # a fixed fact of a build
+            m.setattr(csr_mod, "CONTRACTS", True)
+            got.append(reason(armed()))
+        got.append(reason(MGPreconditioner(
+            build_hierarchy(problem8, levels=3, fused=False))))
+        holed = problem8.A.to_scipy()           # row 0 stores nothing
+        holed.data[holed.indptr[0]:holed.indptr[1]] = 0.0
+        holed.eliminate_zeros()
+        got.append(reason(armed(dataclasses.replace(
+            problem8, A=grb.Matrix.from_scipy(holed)))))
+        got.append(reason(armed(edit=lambda h: h.R.set_element(
+            3, int(h.R.to_coo()[1][3]), 2.0))))
+        got.append(reason(M, z=grb.Vector.sparse(problem8.n)))
+        rv = problem8.b.to_dense()
+        rv[7] = -0.0
+        got.append(reason(M, r=grb.Vector.from_dense(rv)))
+        assert got == list(fused_mod.VCyclePlan.DECLINES)
+        assert reason(M) is None
 
 
 def test_ambient_kill_switch(loads, problem16):
@@ -541,15 +601,22 @@ class TestCostGuards:
         assert reads <= 1
 
     def test_plan_holds_one_vector_and_one_index_array_per_level(self):
-        """Per transfer: an ``n_c`` scratch vector, the injection and the
-        same injection relative to its range — and not one operator
-        entry, the residual's block being views of the fine sweep."""
+        """Per transfer: an ``n_c`` scratch vector and the injection — and
+        not one operator entry: the residual's rows are the one plain copy
+        the fine sweep keeps for every twin, 12 bytes an entry and an
+        ``indptr``."""
         M, _, _ = self.warm(16, levels=4)
         seen = set()
         levels = M.hierarchy.levels()
         assert all(_held_bytes(lvl.smoother.plan, seen) for lvl in levels)
+        plains = [lvl.smoother.plan._current_sweep()._plains
+                  for lvl in levels]
+        assert [len(p) for p in plains] == [1, 1, 1, 0]
+        rows = _held_bytes([list(p.values()) for p in plains], seen)
+        assert rows == sum(12 * injected_nnz(lvl) + 4 * (lvl.coarser.n + 1)
+                           for lvl in levels[:-1])
         extra = _held_bytes(M._plan, seen)
-        assert 0 < extra <= sum(3 * 8 * coarse.n for coarse in levels[1:])
+        assert 0 < extra <= sum(2 * 8 * coarse.n for coarse in levels[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +635,11 @@ def injected_nnz(level):
 
 
 def sweep_nnz(level):
-    """Entries each colour step of one symmetric sweep reads, in order."""
-    nnzs = level.smoother.plan._current_sweep().nnzs
-    return [nnzs[k] for k in level.smoother.symmetric_order]
+    """Entries each colour step of one symmetric sweep reads, in order:
+    the stored ones and every row's two-entry tail."""
+    sweep = level.smoother.plan._current_sweep()
+    return [sweep.nnzs[k] + 2 * sweep.sizes[k]
+            for k in level.smoother.symmetric_order]
 
 
 @pytest.mark.usefixtures("armed")
@@ -580,11 +649,12 @@ class TestNoUnreadPass:
     def test_entries_one_application_reads(self, loads, entries_read,
                                            stencil, pre):
         """Per non-coarsest level the residual reads ``nnz(A[injection])``
-        and the first colour relaxed from a zero iterate reads nothing
-        (before: ``5 nnz`` a level — two sweeps and a full residual).
-        Without a pre-smooth ``prolong`` ends the zero iterate, so the
-        post-smooth reads everything; with two, only the first does
-        not."""
+        (its ``n`` columns), a colour step its stored entries and two
+        more a row (``2n`` columns: ``z`` and ``r``), and the first colour
+        relaxed from a zero iterate reads nothing (before: ``5 nnz`` a
+        level — two sweeps and a full residual).  Without a pre-smooth
+        ``prolong`` ends the zero iterate, so the post-smooth reads
+        everything; with two, only the first does not."""
         problem = generate_problem(8, stencil=stencil)
         top = hierarchy(problem, 3)
         M = MGPreconditioner(top, pre_sweeps=pre, post_sweeps=1)
@@ -596,10 +666,11 @@ class TestNoUnreadPass:
         for level in top.levels():
             sweep = sweep_nnz(level)
             if level.coarser is None:       # pre-smoothed only
-                assert got.get(level.n, []) == (pre * sweep)[1:]
+                assert got.get(2 * level.n, []) == (pre * sweep)[1:]
+                assert level.n not in got
                 continue
-            assert got[level.n] == (
-                (pre * sweep)[1:] + [injected_nnz(level)] + sweep)
+            assert got[2 * level.n] == (pre * sweep)[1:] + sweep
+            assert got[level.n] == [injected_nnz(level)]
             assert injected_nnz(level) < level.A.nvals / 4
 
     EDGE_R = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.5])
@@ -609,18 +680,20 @@ class TestNoUnreadPass:
     def test_zero_start_is_bit_identical(self, loads, operator, pre, post):
         """``r_k - (+0.0)`` is ``r_k``: signed zeros, subnormals and
         values that overflow come out as the product would make them,
-        under a negative diagonal too."""
+        under a negative diagonal too.  With ``-0.0`` in ``r`` the plan
+        declines; without it, it runs."""
         problem = generate_problem(8)
         if operator == "-A":
             problem = negated(problem)
-        r = grb.Vector.from_dense(np.resize(self.EDGE_R, problem.n))
         M = MGPreconditioner(hierarchy(problem, 3),
                              pre_sweeps=pre, post_sweeps=post)
         oracle = MGPreconditioner(hierarchy(problem, 3, fused=False),
                                   pre_sweeps=pre, post_sweeps=post)
         with np.errstate(all="ignore"):
-            assert_bit_identical(apply(M, r), apply(oracle, r))
-        assert loads(M) == [True]
+            for edge in (self.EDGE_R, self.EDGE_R[1:]):
+                r = grb.Vector.from_dense(np.resize(edge, problem.n))
+                assert_bit_identical(apply(M, r), apply(oracle, r))
+        assert loads(M) == [False, True]
 
     def test_stored_inf_takes_no_shortcut(self, loads, entries_read):
         """``0 * Inf`` is a NaN only the product makes: a sweep holding
@@ -634,16 +707,19 @@ class TestNoUnreadPass:
             z = apply(M, problem.b)
             assert_bit_identical(z, apply(oracle, problem.b))
         assert loads(M) == [True] and np.isnan(z[0])
-        sweep = sweep_nnz(top)
-        assert entries_read()[top.n] == sweep + [injected_nnz(top)] + sweep
+        sweep, got = sweep_nnz(top), entries_read()
+        assert got[2 * top.n] == sweep + sweep
+        assert got[top.n] == [injected_nnz(top)]
 
-    @pytest.mark.parametrize("stencil,scheme,view", [
-        ("27pt", "auto", True),     # the injected rows are colour 0
-        ("7pt", "auto", False),     # a scattered quarter of colour 0
-        ("27pt", "jp", False),      # greedy colours: they straddle classes
+    @pytest.mark.parametrize("stencil,scheme", [
+        ("27pt", "auto"),   # the injected rows are colour 0
+        ("7pt", "auto"),    # a scattered quarter of colour 0
+        ("27pt", "jp"),     # greedy colours: they straddle classes
     ])
-    def test_residual_block_is_a_view_or_one_copy(self, loads, stencil,
-                                                  scheme, view):
+    def test_residual_rows_are_one_plain_copy(self, loads, stencil, scheme):
+        """The residual multiplies ``A``'s injected rows as stored — not
+        negated, no tail, in injection order — copied out of the sweep
+        once and shared by every kernel over its twins."""
         problem = generate_problem(8, stencil=stencil)
         top = hierarchy(problem, 3, scheme)
         M = MGPreconditioner(top)
@@ -653,16 +729,23 @@ class TestNoUnreadPass:
             apply(MGPreconditioner(hierarchy(problem, 3, scheme,
                                              fused=False)), r))
         assert loads(M) == [True]
-        for level, (sweep, block, *_) in zip(top.levels()[:-1],
-                                             M._plan.kernel._levels):
-            rows, ncols, indptr, indices, data = block
+        kernel = M._plan.kernel
+        twins = ColorMajorVCycle(
+            [sweep.twin() for sweep, *_ in kernel._levels],
+            [lvl.grid.injection_indices() for lvl in top.levels()[:-1]])
+        for level, (sweep, head, _, injection), twin in zip(
+                top.levels()[:-1], kernel._levels, twins._levels):
+            rows, ncols, indptr, indices, data = head
             assert (rows, ncols) == (level.coarser.n, level.n)
-            assert data.size == (level.A.nvals if view
-                                 else injected_nnz(level))
-            for mine, whole in ((indptr, sweep._indptr),
-                                (indices, sweep._indices),
-                                (data, sweep._data)):
-                assert np.shares_memory(mine, whole) == view
+            want = level.A.to_scipy()[sweep.perm[injection], :]
+            assert np.array_equal(indptr, want.indptr)
+            assert np.array_equal(indices, sweep.inverse[want.indices])
+            assert_bit_identical(data, want.data)
+            for mine, held in ((indices, sweep._indices),
+                               (data, sweep._data)):
+                assert not any(np.shares_memory(mine, colour)
+                               for colour in held)
+            assert twin[1] is head
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +760,8 @@ class TestSchedule:
         """For every sweep-count pair, the schedule driven by hand is
         Listing 1: the steps ``ref_mg_vcycle`` times in its order, one
         program per pass and per grid transfer, and the transcription's
-        bits.  The fine 27-point level restricts through ``pick``, the
-        7-point one through a copied block."""
+        bits.  Each residual multiplies its sweep's plain copy of the
+        injected rows; ``load`` refuses an ``r`` holding ``-0.0``."""
         problem = generate_problem(8, stencil=stencil)
         hier = build_hierarchy(problem, levels=levels).levels()
         ref = build_ref_hierarchy(problem, levels=levels)
@@ -686,14 +769,19 @@ class TestSchedule:
         kernel = ColorMajorVCycle(
             [lvl.smoother.plan._current_sweep().twin() for lvl in hier],
             [lvl.grid.injection_indices() for lvl in hier[:-1]])
-        copied = [pick is None for _, _, pick, *_ in kernel._levels[:-1]]
-        assert copied[:1] == [stencil == "7pt"][:levels - 1]
+        assert all(head is sweep.plain(injection)
+                   for sweep, head, _, injection in kernel._levels[:-1])
         r = np.random.default_rng(levels).standard_normal(problem.n)
         r[::7] = -0.0
+        fine = kernel._levels[0][0]
+        before = fine._x.tobytes()
+        assert not kernel.load(r)
+        assert fine._x.tobytes() == before
+        r[::7] = 0.0
         oracle = hierarchy(problem, levels, fused=False)
         for pre, post in SWEEPS:
             z = np.full(problem.n, 7.0)
-            kernel.load(r)
+            assert kernel.load(r)
             segments = kernel.schedule(orders, pre, post)
             for _, _, programs in segments:
                 for calls in programs:
@@ -713,6 +801,22 @@ class TestSchedule:
                        if step != "rbgs")
         assert kernel.schedule(orders, 1, 1) is kernel.schedule(
             [list(order) for order in orders], 1, 1)      # compiled once
+
+    def test_a_16_cubed_application_is_366_calls(self, loads):
+        """Four levels at 16^3, eight colours each: three calls a colour
+        step (``fill``, ``csr_matvec``, ``divide``; a zero iterate's first
+        is ``multiply``, ``add``, ``divide``), two a residual, four a
+        restriction and four a prolongation — 693 while a step was six
+        calls and restriction gathered the product through ``pick``."""
+        problem = generate_problem(16)
+        M = MGPreconditioner(build_hierarchy(problem, levels=4))
+        apply(M, random_rhs(problem.n))
+        assert loads(M) == [True]
+        orders = [lvl.smoother.symmetric_order
+                  for lvl in M.hierarchy.levels()]
+        segments = M._plan.kernel.schedule(orders, 1, 1)
+        assert sum(len(calls) for _, _, programs in segments
+                   for calls in programs) == 366
 
     def test_untraced_and_traced_solves_time_alike(self, loads, problem8):
         """The untraced solve runs the schedule, the traced one the
