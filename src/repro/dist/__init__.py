@@ -10,9 +10,10 @@ The paper's distributed experiments compare two designs:
 
 This package simulates both (plus the paper's §VII-B "solution ii" 2D
 block distribution) on one machine: the numerics are executed exactly —
-residual histories are bit-identical to the serial driver — while every
-message is recorded by a :class:`~repro.dist.comm.CommTracker` and
-priced by the BSP cost model in :mod:`repro.dist.bsp`.
+residual histories are bit-identical to the serial driver, and computed
+once per problem (:mod:`repro.dist.numerics`) — while every message is
+recorded by a :class:`~repro.dist.comm.CommTracker` and priced by the
+BSP cost model in :mod:`repro.dist.bsp`.
 
 Communication runs through a **split-phase engine**: exchanges are
 either eager supersteps (``compute + comm`` summed) or posted/waited

@@ -179,6 +179,8 @@ class CommTracker:
         """Forget everything: supersteps, labels, pending sends and
         in-flight exchanges — the tracker is as freshly constructed."""
         self.supersteps: List[SuperstepStats] = []
+        #: bytes over every closed superstep, kept as each is appended
+        self.total_bytes = 0
         self.label_bytes: Dict[str, int] = {}
         self.label_syncs: Dict[str, int] = {}
         self._in_flight: List[InFlightExchange] = []
@@ -287,6 +289,7 @@ class CommTracker:
         """Append ``plan`` as the next closed superstep."""
         stats = SuperstepStats(len(self.supersteps), plan, label, **extra)
         self.supersteps.append(stats)
+        self.total_bytes += plan.total_bytes
         if label is not None:
             self.label_syncs[label] = self.label_syncs.get(label, 0) + 1
         if self._obs is not None:
@@ -360,10 +363,6 @@ class CommTracker:
         return self._close("retry", stats.plan, label, retry_of=stats.index)
 
     # --- aggregates ---------------------------------------------------------
-    @property
-    def total_bytes(self) -> int:
-        return sum(s.total_bytes for s in self.supersteps)
-
     @property
     def num_syncs(self) -> int:
         return len(self.supersteps)

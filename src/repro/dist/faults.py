@@ -451,11 +451,30 @@ class FaultInjector:
         plan, crashes = self.plan, self._pending_crashes
         if plan.message_loss is not None:
             stop += plan.message_loss.max_retries * exchanges
-        return not (plan.node_speeds
-                    or (crashes and crashes[0].superstep < stop)
-                    or any(st.start_superstep < stop
-                           and start < (st.end_superstep or math.inf)
-                           for st in plan.stragglers))
+        return not ((crashes and crashes[0].superstep < stop)
+                    or self._slowed(start, stop))
+
+    def crash_in(self, start: int, stop: int) -> Optional[int]:
+        """The superstep in ``[start, stop)`` the next planned crash fires
+        at, if every superstep up to it prices as in a clean run and no
+        message can be lost (so the caller may book them from a tape and
+        fire the crash where a walk fires it); else None."""
+        crashes = self._pending_crashes
+        if self.plan.message_loss is not None or not crashes:
+            return None
+        crash = crashes[0]
+        if (crash.node in self.alive and start <= crash.superstep < stop
+                and not self._slowed(start, crash.superstep + 1)):
+            return crash.superstep
+        return None
+
+    def _slowed(self, start: int, stop: int) -> bool:
+        """Does a work factor touch supersteps ``[start, stop)``?"""
+        plan = self.plan
+        return bool(plan.node_speeds) or any(
+            st.start_superstep < stop
+            and start < (st.end_superstep or math.inf)
+            for st in plan.stragglers)
 
     # --- per-superstep hooks (called by the pricing engine) ------------------
     def begin_superstep(self) -> int:

@@ -33,8 +33,9 @@ from repro.dist.cost import (
     per_node_interior_work,
     per_node_rows_and_nnz,
 )
+from repro.dist.numerics import SimLevel
 from repro.dist.partition import BlockCyclic1D
-from repro.dist.simulate import SimLevel, SimulatedDistRun
+from repro.dist.simulate import SimulatedDistRun
 from repro.hpcg.problem import Problem
 
 

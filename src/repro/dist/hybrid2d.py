@@ -31,8 +31,9 @@ import numpy as np
 from repro.dist.bsp import BSPMachine
 from repro.dist.comm import CommTracker, ExchangePlan
 from repro.dist.cost import _RESTRICT_MXV_BYTES, mxv_bytes
+from repro.dist.numerics import SimLevel
 from repro.dist.partition import Block1D, largest_square
-from repro.dist.simulate import SimLevel, SimulatedDistRun
+from repro.dist.simulate import SimulatedDistRun
 from repro.hpcg.problem import Problem
 from repro.util.errors import InvalidValue
 

@@ -42,13 +42,14 @@ from repro.dist.cost import (
     per_node_rows_and_nnz,
     rows_touching_remote,
 )
+from repro.dist.numerics import SimLevel
 from repro.dist.partition import (
     Grid3DPartition,
     bfs_partition,
     factor3,
     halo_for_owners,
 )
-from repro.dist.simulate import SimLevel, SimulatedDistRun
+from repro.dist.simulate import SimulatedDistRun
 from repro.hpcg.problem import Problem
 from repro.util.errors import InvalidValue
 

@@ -1,11 +1,16 @@
-"""The result record shared by all simulated distributed runs."""
+"""The result record shared by all simulated distributed runs, and the
+run state a solve accumulates and closes into it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
+from repro import obs
 from repro.dist.comm import CommTracker
+from repro.dist.faults import FaultInjector
+from repro.ref.cg import CGState
 from repro.util.timer import TimerRegistry
 
 
@@ -55,6 +60,13 @@ class DistRunResult:
     #: injected event, recovery/checkpoint/retry counts and the
     #: checkpoint overhead in modelled seconds; None for clean runs
     resilience: Optional[Dict] = None
+    #: True when the run priced only, its dots returning the trajectory
+    #: an earlier computed run on the problem recorded
+    #: (:mod:`repro.dist.numerics`); False when it computed
+    replayed: bool = False
+    #: preconditioner applications the V-cycle kernel declined, applied
+    #: by Listing 1's GraphBLAS transcription instead (0 when replayed)
+    transcribed: int = 0
 
     @property
     def final_residual(self) -> float:
@@ -127,4 +139,180 @@ class DistRunResult:
             f"supersteps [{self.comm_mode}: "
             f"{self.exposed_comm_seconds:.6f}s exposed of "
             f"{self.comm_seconds:.6f}s wire time]{priced}{faulted}"
+        )
+
+
+class _RunState:
+    """Everything one :meth:`~repro.dist.simulate.SimulatedDistRun.run_cg`
+    accumulates, and the :meth:`result` it closes into.
+
+    Recovery hands this object to the survivor run by reference, so the
+    final totals honestly include every failed attempt.  Only the
+    tracker restarts (its per-node arrays are sized to the node count);
+    what the discarded ones counted is kept in ``lost_*``.
+    """
+
+    def __init__(self, nprocs: int, injector: Optional[FaultInjector]):
+        self.tracker = CommTracker(nprocs)
+        self.timers = TimerRegistry()
+        # wire-time accounting lives in its own registry so the main
+        # timers' report() shares still sum to modelled_seconds
+        self.comm_timers = TimerRegistry()
+        self.seconds = 0.0
+        self.comm_seconds = 0.0
+        self.exposed_comm_seconds = 0.0
+        self.injector = injector
+        if injector is not None:
+            injector.on_event = self.on_fault_event
+        # only a lossy plan draws retries (any other draws none)
+        self.lossy = (injector is not None
+                      and injector.plan.message_loss is not None)
+        # the dots being recorded, or the trajectory a priced run
+        # returns (see run_cg), and the next dot's index in it
+        self.dots: Optional[list] = None
+        self.priced = False
+        self.cursor = 0
+        self.transcribed = 0          # applications the kernel declined
+        self.checkpoint: Optional[CGState] = None
+        self.checkpoint_seconds = 0.0
+        self.checkpoints = 0
+        self.iteration = 0            # the iteration in progress
+        self.reexecuted = 0
+        self.lost_supersteps = 0
+        self.lost_bytes = 0
+        # the tape being recorded, and a replay (see _iteration)
+        self.taping = None            # a simulate._Tape
+        self.replaying = False
+        # the obs context, read once (no environment lookup per
+        # superstep); the fault metrics are declared only on faulted runs
+        self.ctx = obs.current()
+        self.span = (self.ctx.tracer.span if self.ctx is not None
+                     else lambda *args: obs.NULL_SPAN)
+        self.metrics: Optional[SimpleNamespace] = None
+        if self.ctx is None:
+            return
+        registry = self.ctx.metrics
+        self.metrics = m = SimpleNamespace(
+            supersteps=registry.counter(
+                "dist_supersteps_total", "BSP supersteps closed"),
+            h=registry.series(
+                "dist_h_relation", "h-relation bytes per superstep"),
+            comm=registry.counter(
+                "dist_comm_seconds",
+                "modelled wire seconds by exposure (full/exposed/hidden)"),
+            residual=registry.series(
+                "dist_cg_residual",
+                "simulated CG residual 2-norm per iteration"),
+            iteration=registry.gauge(
+                "dist_cg_iteration",
+                "current simulated-CG iteration (live progress)"),
+            residual_last=registry.gauge(
+                "dist_cg_residual_last",
+                "most recent simulated-CG residual 2-norm"),
+        )
+        if injector is not None:
+            m.faults = registry.counter(
+                "faults_injected_total", "injected fault events by kind")
+            m.retries = registry.counter(
+                "exchange_retries_total",
+                "lost-exchange re-deliveries priced as extra supersteps")
+            m.checkpoint = registry.counter(
+                "checkpoint_seconds",
+                "modelled seconds spent taking CG-state checkpoints")
+            m.recoveries = registry.counter(
+                "dist_recoveries_total",
+                "crash recoveries (rollback + repartition onto survivors)")
+
+    def snapshot(self, cg: CGState) -> CGState:
+        """``cg.copy()``, a checkpoint; a priced run's vectors hold nothing
+        to keep, so only ``k``, ``rtz`` and the residuals travel."""
+        if self.priced:
+            return replace(cg, residuals=list(cg.residuals))
+        return cg.copy()
+
+    def on_fault_event(self, event) -> None:
+        """Mirror every injector event into the trace and metrics."""
+        if self.ctx is not None:
+            self.ctx.tracer.event(f"fault/{event.kind}", "fault",
+                                  event.as_dict())
+        m = self.metrics
+        if m is not None and event.kind in ("straggler", "node_speeds",
+                                            "message_loss", "crash"):
+            m.faults.inc(1, kind=event.kind)
+
+    def result(self, run, cg: CGState) -> DistRunResult:
+        """The result record of the solve ``run`` (the final run: the
+        survivors after a crash) finished, with manifest + compact
+        metrics attached when obs is on."""
+        inj = self.injector
+        resilience = None
+        if inj is not None:
+            resilience = {
+                "plan": inj.plan.to_dict(),
+                "seed": inj.plan.seed,
+                "events": [e.as_dict() for e in inj.events],
+                "injected": inj.injected_counts(),
+                "recoveries": inj.recoveries,
+                "checkpoints": self.checkpoints,
+                "checkpoint_seconds": self.checkpoint_seconds,
+                "exchange_retries": inj.exchange_retries,
+                "initial_nprocs": inj.nprocs,
+                "final_nprocs": run.nprocs,
+                "reexecuted_iterations": self.reexecuted,
+                "supersteps_total": (self.lost_supersteps
+                                     + self.tracker.num_syncs),
+                "comm_bytes_total": (self.lost_bytes
+                                     + self.tracker.total_bytes),
+            }
+        manifest = run_metrics = None
+        if self.ctx is not None:
+            recorder = self.ctx.manifest
+            recorder.record_config(dist={
+                "backend": run.backend,
+                "nprocs": run.nprocs,
+                "mg_levels": run.mg_levels,
+                "machine": run.machine.name,
+                "comm_mode": run.comm_mode,
+                "overlap_efficiency": run.overlap_efficiency,
+                "agglomerate_below": run.agglomerate_below,
+            })
+            if inj is not None:
+                recorder.record_config(faults=inj.plan.to_dict())
+                recorder.record_seed("fault_plan", inj.plan.seed)
+            manifest = self.ctx.build_manifest()
+            run_metrics = {
+                "supersteps": self.tracker.num_syncs,
+                "comm_bytes": self.tracker.total_bytes,
+                "total_h": self.tracker.total_h,
+                "modelled_seconds": self.seconds,
+                "comm_seconds": self.comm_seconds,
+                "exposed_comm_seconds": self.exposed_comm_seconds,
+                "hidden_comm_seconds": (
+                    self.comm_seconds - self.exposed_comm_seconds),
+                "iterations": cg.k,
+            }
+            if inj is not None:
+                run_metrics["recoveries"] = inj.recoveries
+                run_metrics["checkpoint_seconds"] = self.checkpoint_seconds
+                run_metrics["exchange_retries"] = inj.exchange_retries
+        return DistRunResult(
+            backend=run.backend,
+            nprocs=run.nprocs,
+            n=run.n,
+            iterations=cg.k,
+            residuals=cg.residuals,
+            modelled_seconds=self.seconds,
+            timers=self.timers,
+            tracker=self.tracker,
+            mg_levels=run.mg_levels,
+            comm_mode=run.comm_mode,
+            comm_seconds=self.comm_seconds,
+            exposed_comm_seconds=self.exposed_comm_seconds,
+            comm_timers=self.comm_timers,
+            machine=run.machine.name,
+            manifest=manifest,
+            metrics=run_metrics,
+            resilience=resilience,
+            replayed=self.priced,
+            transcribed=self.transcribed,
         )

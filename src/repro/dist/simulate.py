@@ -1,64 +1,46 @@
-"""Shared engine of the simulated distributed runs.
+"""Shared engine of the simulated distributed runs: pricing, tapes,
+faults and recovery.
 
 The three backends (:class:`~repro.dist.hybrid.HybridALPRun`,
 :class:`~repro.dist.hybrid2d.Hybrid2DRun`,
-:class:`~repro.dist.refdist.RefDistRun`) run *identical numerics*: CG is
-:func:`repro.ref.cg.cg_iterations`, Ref's own loop, on the
-:mod:`repro.ref` kernels, and the preconditioner is
-:class:`~repro.graphblas.substrate.csr.ColorMajorVCycle`, the array
-kernel under the serial fused V-cycle, over
-``repro.ref.multigrid.build_csr`` operators.  ``tests/test_dist_vcycle.py``
-holds its output to ``ref_mg_vcycle``'s value for value and to the
-GraphBLAS transcription's bit for bit, so residual histories are
-bit-identical to ``run_hpcg``.  The engine adds the accounting only:
-each kernel it hands the loop is followed by the backend's ``*_comm``
-hook, which records the sends on the
-:class:`~repro.dist.comm.CommTracker` and prices the superstep on the
-BSP machine; each preconditioner application (the kernel's compiled
-schedule, one flat loop over prebuilt calls) by the one V-cycle walk,
-which prices Listing 1's steps in order and runs none.  An ``r`` the
-kernel declines (one holding ``-0.0``, or any when the compiled product
-contracts) is applied by Listing 1's GraphBLAS transcription instead,
-built once per problem and priced alike.  On a
-:class:`~repro.dist.faults.NodeCrash` ``run_cg`` repartitions onto the
-survivors and resumes the loop from the last checkpoint.
+:class:`~repro.dist.refdist.RefDistRun`) run *identical numerics*
+(:mod:`repro.dist.numerics`): CG is :func:`repro.ref.cg.cg_iterations`
+on the :mod:`repro.ref` kernels, preconditioned by the compiled V-cycle
+kernel of the serial fused path, so residual histories are bit-identical
+to ``run_hpcg``.  The engine adds the accounting only: each kernel it
+hands the loop is followed by the backend's ``*_comm`` hook, which
+replays its sends on the :class:`~repro.dist.comm.CommTracker` and
+prices the superstep on the BSP machine; each preconditioner application
+by the one V-cycle walk, which prices Listing 1's steps in order and
+runs none.  On a :class:`~repro.dist.faults.NodeCrash` ``run_cg``
+repartitions onto the survivors and resumes from the last checkpoint.
+Convergence is unchanged by the distribution (the paper's Section V
+precondition), so backends compete purely on the communication they
+induce, priced on the ``machine=`` a run is given, else on the Table-II
+``ARM_CLUSTER_NODE`` preset: nothing measured on the host enters it.
 
 What repeats is recorded once.  Construction records every exchange
-pattern (per level, hook and colour; the dot allreduce; the root
-exchanges) as an :class:`~repro.dist.comm.ExchangePlan` that a hook
+pattern as an :class:`~repro.dist.comm.ExchangePlan` that a hook
 replays.  A CG iteration closes the same supersteps at the same prices
 as every other of its kind (the first puts ``p <- z`` before the dot)
 in every run on the same record, mode, machine and preconditioner,
-unless a fault event lands in it.  So an untraced run prices an
-iteration step by step — each superstep closed and priced on its own —
-only while the numerics keep no tape of it, and records what it booked
-as one.  An iteration whose window the injector finds quiet (no
-slowdown, no crash; message loss alone is quiet) runs its numerics only
-and folds the tape in tick by tick, adding left to right as the walk
-does, so every total is bit-identical; each exchange draws its seeded
-retries as it is folded.  Traced runs price every iteration step by
-step: their per-superstep spans are the product.
+unless a fault event lands in it.  So an untraced run walks an
+iteration superstep by superstep only while the numerics keep no tape
+of it, and records what it booked as one.  An iteration whose window
+the injector finds quiet (message loss alone is quiet) books the tape
+tick by tick, adding left to right as the walk does, so every total is
+bit-identical (each lossy exchange draws its seeded retries as it is
+folded); one quiet up to a planned crash books it that far, and the
+crash fires there.  Traced runs walk every iteration: their spans are
+the product.
 
-The level numerics — each level's operator (``problem.A``'s own CSR on
-the fine grid), colouring, injection and colour-major sweep arrays —
-depend on the problem and the depth alone: built once per problem (and
-operator ``version``), they are shared read only by every run on it.
-So are communication records (partitions, halos, work shares, exchange
-plans), which depend on nothing else but the backend class, the node
-count, ``agglomerate_below`` and the backend's ``_layout()``: the
-numerics keep one per such key, built by the first run to need it, and
-the tapes priced on it.
-What an application writes stays per run: each run's kernel relaxes
-twins of the shared sweeps holding their own ``z``, ``r`` and scratch.
-Crash survivors look their record up like any run: one repartition a
-problem.
-
-This separation is the point of the simulation: convergence is provably
-unchanged by the distribution (the paper's Section V precondition), so
-backends compete purely on the communication they induce.  A run is
-priced on the ``machine=`` it is given, else on the Table-II
-``ARM_CLUSTER_NODE`` preset (``overlap_efficiency=`` overrides that one
-field); nothing measured on the host or cached on disk enters it.
+And the numerics run once per problem: a later untraced run whose stop
+point the first computing run's recorded dots reach *prices only*.
+``_spmv``, ``_waxpby`` and the checkpoints book their prices and
+compute or copy nothing, ``_precondition`` runs the pricing walk alone,
+and ``_dot`` returns the recorded value, so the loop takes every branch
+the computed run took (a crash resumes from the record at the
+checkpoint's ``k + 1``).  ``DistRunResult.replayed`` says which ran.
 
 Pricing options
 ---------------
@@ -69,10 +51,11 @@ comm``.  Under ``"overlap"`` exchanges are *posted* (split-phase): the
 backend tags the local compute that can proceed while one is in flight
 (interior rows, the next colour's interior update, ...) and the BSP
 model hides wire time behind it, up to the machine's
-``overlap_efficiency``.  The mode changes **pricing only**: sends,
-supersteps and numerics are identical.  Full (eager-equivalent) and
-exposed wire time are accumulated per timer key (``comm/full/...``,
-``comm/exposed/...``) and in total, to report how much is hidden.
+``overlap_efficiency`` (``overlap_efficiency=`` overrides that one
+field).  The mode changes **pricing only**: sends, supersteps and
+numerics are identical.  Full (eager-equivalent) and exposed wire time
+are accumulated per timer key (``comm/full/...``, ``comm/exposed/...``)
+and in total, to report how much is hidden.
 
 ``agglomerate_below=n`` gathers every MG level with at most ``n`` rows
 onto node 0 (never the finest level): its smoother and residual mxv
@@ -86,16 +69,11 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
-import threading
-import weakref
 from collections import Counter
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro import obs
 from repro.dist.bsp import ARM_CLUSTER_NODE, BSPMachine
 from repro.dist.comm import (
     CommTracker,
@@ -110,120 +88,31 @@ from repro.dist.cost import (
     mxv_bytes,
 )
 from repro.dist.faults import FaultInjector, FaultPlan, NodeCrash
+from repro.dist.numerics import _SHARED, SimLevel, _Numerics, require_fits
 from repro.dist.partition import Block1D
-from repro.dist.result import DistRunResult
-from repro.graphblas.substrate.csr import (
-    ColorMajorVCycle, CsrColorSweep, execute,
-)
-from repro.graphblas.vector import Vector
-from repro.grid import Grid3D
-from repro.hpcg.coloring import lattice_coloring, num_colors
-from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
+from repro.dist.result import DistRunResult, _RunState
+from repro.graphblas.substrate.csr import ColorMajorVCycle
 from repro.hpcg.problem import Problem
 from repro.ref.cg import CGState, cg_iterations, cg_start, require_cg_limits
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
-from repro.ref.multigrid import build_csr
 from repro.util.errors import InvalidValue
-from repro.util.timer import TimerRegistry
-
-
-class SimLevel:
-    """One multigrid level: the operator, its colouring and the
-    colour-major sweep that relaxes it.  None of it depends on the node
-    count, the backend or the pricing, so communication records hold
-    shallow copies sharing these numerics; what ``_init_level_comm``
-    attaches (partition, work shares, exchange plans) belongs to the
-    copy."""
-
-    def __init__(self, index: int, grid: Grid3D, A: sp.csr_matrix,
-                 stencil: str):
-        diag = A.diagonal()
-        if A.shape[0] != A.shape[1]:
-            raise InvalidValue("RBGS requires a square operator")
-        if (diag == 0).any():
-            raise InvalidValue("RBGS requires a nonzero diagonal")
-        self.index = index
-        self.grid = grid
-        self.A = A
-        self.n = A.shape[0]
-        self.colors = lattice_coloring(grid, stencil)
-        # a thin coarse grid (1x1x2) leaves classes empty: no-op steps
-        self.ncolors = num_colors(self.colors)
-        self.smoother = CsrColorSweep(A, [
-            np.flatnonzero(self.colors == c) for c in range(self.ncolors)
-        ], diag)
-        self.color_rows = self.smoother.rows
-        # set by the hierarchy builder when a coarser level exists
-        self.injection: Optional[np.ndarray] = None
-        # set when the level is gathered onto one node (agglomeration)
-        self.agglomerated = False
-
-
-class _Numerics(list):
-    """The :class:`SimLevel` s of one problem to one depth, finest first:
-    the fine level on ``problem.A``'s own CSR, coarser ones on
-    ``build_csr``.  Read only, so one value serves every run on the
-    problem; it pins ``problem.A``, whose id keys it in :data:`_SHARED`,
-    and keeps the communication records built on it."""
-
-    def __init__(self, problem: Problem, mg_levels: int, stencil: str):
-        super().__init__()
-        self.matrix = problem.A
-        self._problem, self._transcription = problem, None
-        self._transcribing = threading.Lock()
-        #: (backend class, nodes, agglomerate_below, layout) -> record
-        self.records = {}
-        #: (record key, comm_mode, machine, use_mg, k == 1) -> _Tape
-        self.tapes = {}
-        grid, A = problem.grid, problem.A.to_scipy(copy=False)
-        for index in range(mg_levels):
-            level = SimLevel(index, grid, A, stencil)
-            self.append(level)
-            if index + 1 < mg_levels:
-                level.injection = grid.injection_indices()
-                grid = grid.coarsen()
-                A = build_csr(grid, stencil)
-        #: per level, the colour steps of one symmetric sweep
-        self.orders = [(*range(level.ncolors), *range(level.ncolors)[::-1])
-                       for level in self]
-
-    def transcribe(self, z: np.ndarray, r: np.ndarray) -> None:
-        """``z <- M r`` as Listing 1 on GraphBLAS containers, every fast
-        path pinned off: the applications the kernel declines (an ``r``
-        holding ``-0.0``, a contracting product).  Built at the first of
-        them; it writes its hierarchy, so one runs at a time, and out of
-        the trace, which holds the pricing walk's spans."""
-        with self._transcribing, obs.disabled():
-            if self._transcription is None:
-                self._transcription = MGPreconditioner(build_hierarchy(
-                    self._problem, levels=len(self), fused=False))
-            out = Vector.dense(z.size)
-            self._transcription(out, Vector.from_dense(r))
-            z[:] = out.to_dense()
-
-
-#: every problem's numerics while some run uses them: a mutated operator
-#: (a new ``version``) keys fresh ones, the last run's death drops them
-_SHARED = weakref.WeakValueDictionary()
 
 
 class _Tape:
     """One CG iteration's accounting as the pricing walk booked it —
     every tick in booking order, a superstep's with its step and whether
-    it was an exchange, and the growth of the label counts — for
-    :meth:`fold` to book again.  Read only once closed: the numerics keep
-    it for every run that prices the iteration alike."""
+    it was an exchange — for :meth:`fold` to book again.  Read only once
+    closed: the numerics keep it for every run that prices the iteration
+    alike."""
 
     def __init__(self, tracker: CommTracker):
         self.ticks: list = []           # (key, seconds, *wire), in order
         self.marked = set()             # tracker indices of the exchanges
-        self._mark = (len(tracker.supersteps), dict(tracker.label_bytes),
-                      dict(tracker.label_syncs))
+        self._first = len(tracker.supersteps)
 
     def close(self, tracker: CommTracker) -> "_Tape":
         """End the recording: pair each superstep's tick with its step."""
-        first, *before = self._mark
-        steps = iter(tracker.supersteps[first:])
+        steps = iter(tracker.supersteps[self._first:])
         for i, (key, seconds, *wire) in enumerate(self.ticks):
             if wire:                    # (full, exposed): a superstep's
                 s = next(steps)
@@ -231,18 +120,32 @@ class _Tape:
                         (s.plan, s.label, s.overlapped_work, s.posted),
                         s.index in self.marked)
             self.ticks[i] = key, seconds, wire or None
+        return self._summarise()
+
+    def upto(self, steps: int) -> "_Tape":
+        """The recording cut after its ``steps``-th superstep: what the
+        walk books before a crash at that superstep fires."""
+        cut = copy.copy(self)
+        ends = [i for i, (_, _, wire) in enumerate(self.ticks) if wire]
+        cut.ticks = self.ticks[:ends[steps - 1] + 1]
+        return cut._summarise()
+
+    def _summarise(self) -> "_Tape":
+        wires = [wire for _, _, wire in self.ticks if wire]
         # each registry's ticks per timer, keyed in the walk's order: a
         # registry's sums over its timers add in creation order
         self.counts = (Counter(key for key, _, _ in self.ticks),
-                       Counter(name for _, _, wire in self.ticks if wire
-                               for name in wire[2:4]))
-        self.steps = len(tracker.supersteps) - first
-        self.exchanges = len(self.marked)
-        # a label that did not grow must not enter another run's counts
-        self.grown = [{label: n - then.get(label, 0) for label, n in
-                       now.items() if n != then.get(label, 0)}
-                      for now, then in zip((tracker.label_bytes,
-                                            tracker.label_syncs), before)]
+                       Counter(name for wire in wires for name in wire[2:4]))
+        self.steps, self.exchanges = len(wires), sum(w[5] for w in wires)
+        self.bytes = sum(wire[4][0].total_bytes for wire in wires)
+        # what each replay and close adds to the label counts; a label
+        # that did not grow must not enter another run's counts
+        self.grown = Counter(), Counter()
+        for plan, label, *_ in (wire[4] for wire in wires):
+            if label is not None:
+                if plan.messages:
+                    self.grown[0][label] += plan.total_bytes
+                self.grown[1][label] += 1
         return self
 
     def fold(self, run: "SimulatedDistRun") -> None:
@@ -251,7 +154,8 @@ class _Tape:
         totals stay bit-identical.  Under message loss each exchange
         draws its seeded retries and books them right after it."""
         state = run._state
-        tracker, inj = state.tracker, state.injector
+        tracker, inj, lossy = state.tracker, state.injector, state.lossy
+        tracker.total_bytes += self.bytes
         timers = [{key: registry.get(key) for key in counts} for registry,
                   counts in zip((state.timers, state.comm_timers), self.counts)]
         timer, wire_timer = timers
@@ -269,7 +173,7 @@ class _Tape:
             tracker.supersteps.append(stats)
             if inj is not None:
                 inj.superstep += 1
-                if exchange:
+                if exchange and lossy:
                     run._retry_exchange(stats, stats.label, key)
         for resolved, counts in zip(timers, self.counts):
             for key, n in counts.items():
@@ -278,76 +182,6 @@ class _Tape:
                                  self.grown):
             for label, n in grown.items():
                 counts[label] = counts.get(label, 0) + n
-
-
-class _RunState:
-    """Everything one :meth:`SimulatedDistRun.run_cg` accumulates.
-
-    Recovery hands this object to the survivor run by reference, so the
-    final totals honestly include every failed attempt.  Only the
-    tracker restarts (its per-node arrays are sized to the node count);
-    what the discarded ones counted is kept in ``lost_*``.
-    """
-
-    def __init__(self, nprocs: int, injector: Optional[FaultInjector]):
-        self.tracker = CommTracker(nprocs)
-        self.timers = TimerRegistry()
-        # wire-time accounting lives in its own registry so the main
-        # timers' report() shares still sum to modelled_seconds
-        self.comm_timers = TimerRegistry()
-        self.seconds = 0.0
-        self.comm_seconds = 0.0
-        self.exposed_comm_seconds = 0.0
-        self.injector = injector
-        self.checkpoint: Optional[CGState] = None
-        self.checkpoint_seconds = 0.0
-        self.checkpoints = 0
-        self.iteration = 0            # the iteration in progress
-        self.reexecuted = 0
-        self.lost_supersteps = 0
-        self.lost_bytes = 0
-        # the tape being recorded, and a replay (see _iteration)
-        self.taping: Optional[_Tape] = None
-        self.replaying = False
-        # the obs context, read once (no environment lookup per
-        # superstep); the fault metrics are declared only on faulted runs
-        self.ctx = obs.current()
-        self.span = (self.ctx.tracer.span if self.ctx is not None
-                     else lambda *args: obs.NULL_SPAN)
-        self.metrics: Optional[SimpleNamespace] = None
-        if self.ctx is None:
-            return
-        registry = self.ctx.metrics
-        self.metrics = m = SimpleNamespace(
-            supersteps=registry.counter(
-                "dist_supersteps_total", "BSP supersteps closed"),
-            h=registry.series(
-                "dist_h_relation", "h-relation bytes per superstep"),
-            comm=registry.counter(
-                "dist_comm_seconds",
-                "modelled wire seconds by exposure (full/exposed/hidden)"),
-            residual=registry.series(
-                "dist_cg_residual",
-                "simulated CG residual 2-norm per iteration"),
-            iteration=registry.gauge(
-                "dist_cg_iteration",
-                "current simulated-CG iteration (live progress)"),
-            residual_last=registry.gauge(
-                "dist_cg_residual_last",
-                "most recent simulated-CG residual 2-norm"),
-        )
-        if injector is not None:
-            m.faults = registry.counter(
-                "faults_injected_total", "injected fault events by kind")
-            m.retries = registry.counter(
-                "exchange_retries_total",
-                "lost-exchange re-deliveries priced as extra supersteps")
-            m.checkpoint = registry.counter(
-                "checkpoint_seconds",
-                "modelled seconds spent taking CG-state checkpoints")
-            m.recoveries = registry.counter(
-                "dist_recoveries_total",
-                "crash recoveries (rollback + repartition onto survivors)")
 
 
 class SimulatedDistRun:
@@ -365,25 +199,12 @@ class SimulatedDistRun:
             machine = ARM_CLUSTER_NODE
         if nprocs < 1:
             raise InvalidValue(f"need at least one process, got {nprocs}")
-        if mg_levels < 1:
-            raise InvalidValue(f"need at least one MG level, got {mg_levels}")
-        if problem.grid.max_mg_levels() < mg_levels:
-            raise InvalidValue(
-                f"grid {problem.grid.dims} supports at most "
-                f"{problem.grid.max_mg_levels()} MG levels, "
-                f"requested {mg_levels}"
-            )
+        require_fits(problem, mg_levels)
         if agglomerate_below < 0:
             raise InvalidValue(
                 f"agglomeration threshold must be >= 0, "
                 f"got {agglomerate_below}"
             )
-        n = problem.grid.npoints
-        shapes = (problem.A.shape, (problem.b.size,), (problem.x0.size,))
-        want = ((n, n), (n,), (n,))
-        if shapes != want:
-            raise InvalidValue(f"problem shapes (A, b, x0) {shapes} do not "
-                               f"fit grid {problem.grid.dims}: expected {want}")
         if faults is not None:
             faults.validate_for(nprocs)
         self.problem = problem
@@ -522,7 +343,7 @@ class SimulatedDistRun:
         state = self._state
         if state.taping is not None:
             state.taping.marked.add(stats.index)
-        if state.injector is not None:
+        if state.lossy:
             self._retry_exchange(stats, sync_label, timer_key)
 
     def _barrier(self, plan: ExchangePlan, sync_label: str, timer_key: str,
@@ -659,15 +480,27 @@ class SimulatedDistRun:
         return float(-(-n // self.nprocs))
 
     # --- the kernels, each followed by its accounting ------------------------
+    # (a priced run computes none of them: see run_cg)
     def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
-        value = compute_dot(u, v)
+        """``u'v``, recorded at the cursor if a record is being made; a
+        priced run returns the recorded one."""
+        state = self._state
+        dots, at = state.dots, state.cursor
+        state.cursor += 1
+        if state.priced:
+            value = dots[at]
+        else:
+            value = compute_dot(u, v)
+            if dots is not None and at == len(dots):  # not re-executed
+                dots.append(value)
         self._barrier(self._dot_plan, "dot", "cg/dot",
                       _DOT_BYTES * self._vector_share(u.shape[0]))
         return value
 
     def _waxpby(self, w: np.ndarray, alpha: float, x: np.ndarray,
                 beta: float, y: np.ndarray) -> np.ndarray:
-        compute_waxpby(w, alpha, x, beta, y)
+        if not self._state.priced:
+            compute_waxpby(w, alpha, x, beta, y)
         self._tick_local("cg/waxpby",
                          _WAXPBY_BYTES * self._vector_share(w.shape[0]))
         return w
@@ -675,22 +508,18 @@ class SimulatedDistRun:
     def _spmv(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         """CG's ``y <- A x``, on the finest level (never agglomerated)."""
         self._spmv_comm(self.levels[0], "spmv", "cg/spmv")
+        if self._state.priced:
+            return y
         return compute_spmv(y, self.levels[0].A, x)
 
     def _precondition(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """``z <- M r``: the kernel's compiled schedule (the numerics'
-        transcription for an ``r`` it declines), then, unless the
-        iteration replays a tape (pricing off), :meth:`_vcycle`'s prices."""
-        kernel = self._kernel
-        if kernel.load(r):
-            for _, _, programs in kernel.schedule(self._numerics.orders,
-                                                  1, 1):
-                for calls in programs:
-                    execute(calls)
-            kernel.store(z)
-        else:
-            self._numerics.transcribe(z, r)
-        if not self._state.replaying:
+        """``z <- M r`` (the numerics' :meth:`~repro.dist.numerics.
+        _Numerics.apply`), then, unless the iteration replays a tape
+        (pricing off), :meth:`_vcycle`'s prices."""
+        state = self._state
+        if not state.priced and not self._numerics.apply(self._kernel, z, r):
+            state.transcribed += 1
+        if not state.replaying:
             self._vcycle(0)
         return z
 
@@ -748,16 +577,6 @@ class SimulatedDistRun:
     #: vectors a CG checkpoint persists (x, r, p)
     _CKPT_VECTORS = 3
 
-    def _on_fault_event(self, event) -> None:
-        """Mirror every injector event into the trace and metrics."""
-        if self._state.ctx is not None:
-            self._state.ctx.tracer.event(f"fault/{event.kind}", "fault",
-                                         event.as_dict())
-        m = self._state.metrics
-        if m is not None and event.kind in ("straggler", "node_speeds",
-                                            "message_loss", "crash"):
-            m.faults.inc(1, kind=event.kind)
-
     def _take_checkpoint(self, cg: CGState) -> None:
         """Snapshot CG state after iteration ``cg.k``, priced as a gather.
 
@@ -766,7 +585,7 @@ class SimulatedDistRun:
         in-memory snapshot is taken *after* the superstep is priced, so
         a crash landing on the checkpoint barrier leaves the previous
         snapshot as the rollback target, exactly like a torn write to
-        stable storage would.
+        stable storage would.  A run that prices only copies no vector.
         """
         state = self._state
         with self._span("fault/checkpoint", "fault",
@@ -778,7 +597,7 @@ class SimulatedDistRun:
             delta = state.seconds - before
             state.checkpoint_seconds += delta
             state.checkpoints += 1
-            state.checkpoint = cg.copy()
+            state.checkpoint = state.snapshot(cg)
             if state.metrics is not None:
                 state.metrics.checkpoint.inc(delta)
             state.injector.record("checkpoint",
@@ -795,7 +614,7 @@ class SimulatedDistRun:
                         {"iteration": checkpoint.k, "nprocs": self.nprocs}):
             self._root_exchange(self._barrier, "restore", "fault/restore",
                                 self.n, self._CKPT_VECTORS, to_root=False)
-        return checkpoint.copy()
+        return self._state.snapshot(checkpoint)
 
     # --- crash recovery ------------------------------------------------------
     def _respawn(self, nprocs: int, **changed) -> "SimulatedDistRun":
@@ -845,27 +664,34 @@ class SimulatedDistRun:
         replays the tape the numerics keep for its record, mode, machine,
         preconditioner and kind (the first iteration puts ``p <- z``
         before the dot) if the injector finds its window quiet — numerics
-        only, pricing off — else it is priced step by step, and recorded
-        if no tape is kept: kept only if no fault event landed or could
-        have."""
+        only, pricing off — or quiet up to a planned crash, booking the
+        tape that far before the crash fires; else it is priced step by
+        step, and recorded if no tape is kept: kept only if no fault
+        event landed or could have."""
         state, inj = self._state, self._state.injector
-        state.iteration = k
+        state.iteration, state.cursor = k, 3 * k - 2
         start, events = (inj.superstep, len(inj.events)) if inj else (0, 0)
         tapes = self._numerics.tapes
         key = (self._record_key, self.comm_mode, self.machine, use_mg,
                k == 1)
-        tape = tapes.get(key)
+        tape, crash = tapes.get(key), None
         if state.ctx is None:
             if tape is None:
                 state.taping = _Tape(state.tracker)
             elif inj is None or inj.quiet(start, start + tape.steps,
                                           tape.exchanges):
                 state.replaying = True
+            else:           # quiet but for a crash: book up to it
+                crash = inj.crash_in(start, start + tape.steps)
+                if crash is not None:
+                    state.replaying, tape = True, tape.upto(crash - start + 1)
         with self._span("cg/iteration", "cg", {"k": k}) as sp:
             yield sp
         if state.replaying:
             state.replaying = False
             tape.fold(self)
+            if crash is not None:
+                inj.check_crash(crash)      # fires where the walk fires it
         elif state.taping is not None:
             taping, state.taping = state.taping, None
             if inj is None or (len(inj.events) == events
@@ -883,6 +709,7 @@ class SimulatedDistRun:
         state = self._state
         m = state.metrics
         if state.checkpoint is None:
+            state.cursor = 0
             cg = cg_start(self._spmv, self._waxpby, self._dot,
                           self.problem.b.to_dense(),
                           self.problem.x0.to_dense())
@@ -917,16 +744,24 @@ class SimulatedDistRun:
         only); ``modelled_seconds`` honestly includes checkpoint
         overhead, rollback and re-execution.  ``faults=None`` or an
         inactive plan means no injector: one attempt,
-        ``resilience=None``.
+        ``resilience=None``.  Untraced, the solve prices only if the numerics keep a
+        trajectory of ``(use_mg, b, x0)`` that reaches its stop point;
+        else it computes and, finishing, publishes what it recorded.
         """
         require_cg_limits(max_iters, tolerance)
         injector = None
         if self.faults is not None and self.faults.active():
             injector = FaultInjector(self.faults, self.nprocs)
-            injector.on_event = self._on_fault_event
-        self._state = _RunState(self.nprocs, injector)
+        self._state = state = _RunState(self.nprocs, injector)
         if injector is not None:
             injector.announce_speeds()
+        b, x0 = self.problem.b, self.problem.x0
+        key = _Numerics.trajectory_key(use_mg, b, x0)
+        if state.ctx is None:
+            kept = self._numerics.trajectories.get(key)
+            state.priced = kept is not None and kept.covers(max_iters,
+                                                            tolerance)
+            state.dots = kept.dots if state.priced else []
 
         attrs = {
             "backend": self.backend, "nprocs": self.nprocs, "n": self.n,
@@ -948,79 +783,6 @@ class SimulatedDistRun:
                 if injector is not None:
                     rsp.set(recoveries=injector.recoveries,
                             final_nprocs=run.nprocs)
-        return run._result(cg)
-
-    def _result(self, cg: CGState) -> DistRunResult:
-        """The result record of the solve this (final) run finished,
-        with manifest + compact metrics attached when obs is on."""
-        state = self._state
-        inj = state.injector
-        resilience = None
-        if inj is not None:
-            resilience = {
-                "plan": inj.plan.to_dict(),
-                "seed": inj.plan.seed,
-                "events": [e.as_dict() for e in inj.events],
-                "injected": inj.injected_counts(),
-                "recoveries": inj.recoveries,
-                "checkpoints": state.checkpoints,
-                "checkpoint_seconds": state.checkpoint_seconds,
-                "exchange_retries": inj.exchange_retries,
-                "initial_nprocs": inj.nprocs,
-                "final_nprocs": self.nprocs,
-                "reexecuted_iterations": state.reexecuted,
-                "supersteps_total": (state.lost_supersteps
-                                     + state.tracker.num_syncs),
-                "comm_bytes_total": (state.lost_bytes
-                                     + state.tracker.total_bytes),
-            }
-        manifest = run_metrics = None
-        if state.ctx is not None:
-            recorder = state.ctx.manifest
-            recorder.record_config(dist={
-                "backend": self.backend,
-                "nprocs": self.nprocs,
-                "mg_levels": self.mg_levels,
-                "machine": self.machine.name,
-                "comm_mode": self.comm_mode,
-                "overlap_efficiency": self.overlap_efficiency,
-                "agglomerate_below": self.agglomerate_below,
-            })
-            if inj is not None:
-                recorder.record_config(faults=inj.plan.to_dict())
-                recorder.record_seed("fault_plan", inj.plan.seed)
-            manifest = state.ctx.build_manifest()
-            run_metrics = {
-                "supersteps": state.tracker.num_syncs,
-                "comm_bytes": state.tracker.total_bytes,
-                "total_h": state.tracker.total_h,
-                "modelled_seconds": state.seconds,
-                "comm_seconds": state.comm_seconds,
-                "exposed_comm_seconds": state.exposed_comm_seconds,
-                "hidden_comm_seconds": (
-                    state.comm_seconds - state.exposed_comm_seconds),
-                "iterations": cg.k,
-            }
-            if inj is not None:
-                run_metrics["recoveries"] = inj.recoveries
-                run_metrics["checkpoint_seconds"] = state.checkpoint_seconds
-                run_metrics["exchange_retries"] = inj.exchange_retries
-        return DistRunResult(
-            backend=self.backend,
-            nprocs=self.nprocs,
-            n=self.n,
-            iterations=cg.k,
-            residuals=cg.residuals,
-            modelled_seconds=state.seconds,
-            timers=state.timers,
-            tracker=state.tracker,
-            mg_levels=self.mg_levels,
-            comm_mode=self.comm_mode,
-            comm_seconds=state.comm_seconds,
-            exposed_comm_seconds=state.exposed_comm_seconds,
-            comm_timers=state.comm_timers,
-            machine=self.machine.name,
-            manifest=manifest,
-            metrics=run_metrics,
-            resilience=resilience,
-        )
+        if state.dots is not None and not state.priced:
+            self._numerics.publish(key, b, x0, state.dots)
+        return state.result(run, cg)

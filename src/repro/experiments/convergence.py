@@ -3,8 +3,9 @@
 "All experiments achieve numerically comparable results, which allows
 fixing the number of iterations across all of them, thus making
 execution times directly comparable."  This regenerator produces the
-residual histories of every implementation variant on one problem and
-quantifies their agreement:
+residual histories of every implementation variant on one problem (each
+simulated backend on a freshly generated copy, so it computes its own)
+and quantifies their agreement:
 
 * ALP (GraphBLAS) vs Ref (raw CSR): identical to machine precision;
 * serial vs both simulated distributed backends (1D hybrid, geometric
@@ -63,7 +64,14 @@ def run(nx: int = 8, iterations: int = 10, mg_levels: int = 3,
         nprocs: int = 4) -> ConvergenceResult:
     from repro.dist.partition import factor3
     px, py, pz = factor3(nprocs)
-    problem = generate_problem(nx * px, nx * py, nx * pz)
+
+    def generate():
+        return generate_problem(nx * px, nx * py, nx * pz)
+
+    # each simulated backend solves a problem of its own: on a shared
+    # one a later run would price the first one's recorded dots instead
+    # of computing its history (see repro.dist.numerics)
+    problem = generate()
     histories: Dict[str, List[float]] = {}
     histories["alp"] = run_hpcg(
         nx=0, problem=problem, max_iters=iterations, mg_levels=mg_levels,
@@ -77,15 +85,15 @@ def run(nx: int = 8, iterations: int = 10, mg_levels: int = 3,
         smoother="symgs",
     ).cg.residuals
     histories["dist-1d"] = HybridALPRun(
-        problem, nprocs=nprocs, mg_levels=mg_levels
+        generate(), nprocs=nprocs, mg_levels=mg_levels
     ).run_cg(max_iters=iterations).residuals
     histories["dist-ref"] = RefDistRun(
-        problem, nprocs=nprocs, mg_levels=mg_levels
+        generate(), nprocs=nprocs, mg_levels=mg_levels
     ).run_cg(max_iters=iterations).residuals
     q = int(round(nprocs ** 0.5))
     if q * q == nprocs:
         histories["dist-2d"] = Hybrid2DRun(
-            problem, nprocs=nprocs, mg_levels=mg_levels
+            generate(), nprocs=nprocs, mg_levels=mg_levels
         ).run_cg(max_iters=iterations).residuals
     else:
         histories["dist-2d"] = histories["dist-1d"]

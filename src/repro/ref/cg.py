@@ -68,6 +68,13 @@ def require_cg_limits(max_iters: int, tolerance: float) -> None:
                            f"inf, got {max_iters} and {tolerance!r}")
 
 
+def converged(normr0: float, normr: float, tolerance: float) -> bool:
+    """Has the solve stopped: the initial guess solves the system, or
+    ``normr`` meets a positive ``tolerance`` relative to ``normr0``?  CG
+    tests it before every iteration."""
+    return normr0 == 0.0 or 0 < tolerance and normr / normr0 <= tolerance
+
+
 @dataclass
 class CGState:
     """The CG loop's variables after iteration ``k``.  A ``copy()`` is a
@@ -106,10 +113,8 @@ def cg_iterations(cg: CGState, spmv, waxpby, dot,
     x, r, p = cg.x, cg.r, cg.p
     z, Ap = np.zeros(x.shape[0]), np.zeros(x.shape[0])
     normr0 = cg.residuals[0]
-    if normr0 == 0.0:          # the initial guess solves the system exactly
-        return
     for k in range(cg.k + 1, max_iters + 1):
-        if tolerance > 0 and cg.residuals[-1] / normr0 <= tolerance:
+        if converged(normr0, cg.residuals[-1], tolerance):
             return
         with iteration(k) as sp:
             if preconditioner is not None:
@@ -154,6 +159,6 @@ def ref_pcg(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray,
                             preconditioner, max_iters, tolerance):
         pass
     normr0, normr = cg.residuals[0], cg.residuals[-1]
-    converged = normr0 == 0.0 or 0 < tolerance and normr / normr0 <= tolerance
-    return RefCGResult(x=x, iterations=cg.k, converged=converged,
+    return RefCGResult(x=x, iterations=cg.k,
+                       converged=converged(normr0, normr, tolerance),
                        normr0=normr0, normr=normr, residuals=cg.residuals)

@@ -15,6 +15,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
+from repro.dist.numerics import _SHARED
 from repro.hpcg.problem import generate_problem
 
 
@@ -34,6 +35,16 @@ def problem4():
 def problem16():
     """A 16x16x16 HPCG problem (n=4096) for integration tests."""
     return generate_problem(16)
+
+
+@pytest.fixture(autouse=True)
+def _unrecorded_numerics():
+    """Each test's first simulated run on a problem computes: a later
+    untraced run prices only when an earlier one on the problem recorded
+    its dots, and a problem shared across tests must not carry another
+    test's record into a history a test compares."""
+    for kept in list(_SHARED.values()):
+        kept.trajectories.clear()
 
 
 @pytest.fixture()

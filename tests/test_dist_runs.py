@@ -2,8 +2,10 @@
 
 import dataclasses
 import gc
+import sys
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.dist import (
     RefDistRun,
     Straggler,
     factor3,
+    numerics,
     simulate,
 )
 from repro.dist.cost import (interior_row_mask, per_entry_owners,
@@ -35,8 +38,10 @@ from repro.grid import Grid3D
 from repro.hpcg.driver import run_hpcg
 from repro.hpcg.problem import generate_problem
 from repro.ref import build_ref_hierarchy
+from repro.ref.cg import CGState
 from repro.ref.multigrid import ref_mg_vcycle
 from repro.util.errors import InvalidValue
+from test_dist_vcycle import computed         # a solve that is not a replay
 from test_dist_vcycle import engine_apply     # as a priced iteration makes it
 from test_vcycle_plan import assert_bit_identical   # values and signbits
 
@@ -50,7 +55,7 @@ def dist_problem():
 class TestHybridALP:
     def test_residuals_match_serial(self, dist_problem):
         run = HybridALPRun(dist_problem, nprocs=4, mg_levels=3)
-        res = run.run_cg(max_iters=5)
+        res = computed(run, max_iters=5)
         serial = run_hpcg(nx=0, problem=dist_problem, max_iters=5,
                           mg_levels=3, validate_symmetry=False)
         np.testing.assert_allclose(res.residuals, serial.cg.residuals,
@@ -128,7 +133,7 @@ def test_a_bad_fault_plan_fails_before_anything_is_built(dist_problem, cls,
 class TestRefDist:
     def test_residuals_match_serial(self, dist_problem):
         run = RefDistRun(dist_problem, nprocs=4, mg_levels=3)
-        res = run.run_cg(max_iters=5)
+        res = computed(run, max_iters=5)
         serial = run_hpcg(nx=0, problem=dist_problem, max_iters=5,
                           mg_levels=3, validate_symmetry=False)
         np.testing.assert_allclose(res.residuals, serial.cg.residuals,
@@ -187,7 +192,7 @@ class TestBfsPartitionBackend:
     def test_residuals_match_serial(self, dist_problem):
         run = RefDistRun(dist_problem, nprocs=4, mg_levels=3,
                          partition="bfs")
-        res = run.run_cg(max_iters=5)
+        res = computed(run, max_iters=5)
         serial = run_hpcg(nx=0, problem=dist_problem, max_iters=5,
                           mg_levels=3, validate_symmetry=False)
         np.testing.assert_allclose(res.residuals, serial.cg.residuals,
@@ -236,8 +241,8 @@ class TestAgglomeration:
         base = RefDistRun(dist_problem, nprocs=4, mg_levels=3)
         agg = RefDistRun(dist_problem, nprocs=4, mg_levels=3,
                          agglomerate_below=200)
-        res_b = base.run_cg(max_iters=4)
-        res_a = agg.run_cg(max_iters=4)
+        res_b = computed(base, max_iters=4)
+        res_a = computed(agg, max_iters=4)
         np.testing.assert_array_equal(res_b.residuals, res_a.residuals)
 
     def test_fewer_supersteps(self, dist_problem):
@@ -280,8 +285,8 @@ class TestAgglomeration:
         base = HybridALPRun(dist_problem, nprocs=4, mg_levels=3)
         agg = HybridALPRun(dist_problem, nprocs=4, mg_levels=3,
                            agglomerate_below=200)
-        res_b = base.run_cg(max_iters=2)
-        res_a = agg.run_cg(max_iters=2)
+        res_b = computed(base, max_iters=2)
+        res_a = computed(agg, max_iters=2)
         np.testing.assert_array_equal(res_b.residuals, res_a.residuals)
         assert res_a.comm_bytes < res_b.comm_bytes
 
@@ -591,6 +596,176 @@ class TestTapeEqualsStepwise:
 
 
 # ---------------------------------------------------------------------------
+# a run the problem's recorded trajectory covers prices only
+# ---------------------------------------------------------------------------
+
+KERNELS = ("compute_spmv", "compute_waxpby", "compute_dot")
+
+
+def numeric_calls(fn):
+    """Calls of the CG kernels, of scipy's ``csr_matvec`` (CG's product
+    and every colour step) and of ``CGState.copy`` while ``fn()`` runs."""
+    calls = Counter()
+
+    def tick(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in KERNELS:
+            calls[frame.f_code.co_name] += 1
+        elif event == "call" and frame.f_code is CGState.copy.__code__:
+            calls["checkpoint copy"] += 1
+        elif event == "c_call" and getattr(arg, "__name__", "") \
+                == "csr_matvec":
+            calls["csr_matvec"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(tick)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestPricedEqualsComputed:
+    """The first untraced run on a problem computes and records every
+    dot; a later one whose stop point the record reaches prices only, and
+    must price and count what the computing run did, to the bit,
+    whatever the backend, mode, agglomeration, preconditioner, stopping
+    rule and fault plan."""
+
+    @pytest.mark.parametrize("kind", ["none", "checkpoint", "crash",
+                                      "straggler", "loss"])
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def test_a_priced_run_equals_the_computed_one(self, kind, data):
+        cls = BACKENDS[data.draw(st.sampled_from(sorted(BACKENDS)))]
+        config = dict(
+            mg_levels=3,
+            comm_mode=data.draw(st.sampled_from(["eager", "overlap"])),
+            agglomerate_below=data.draw(st.sampled_from([0, 64])))
+        solve = dict(use_mg=data.draw(st.booleans(), label="use_mg"),
+                     **data.draw(st.sampled_from([
+                         {"max_iters": 10},
+                         {"max_iters": 40, "tolerance": 1e-4}])))
+        # the plan's windows are drawn on another problem, of one shape
+        plan = TestTapeEqualsStepwise().draw_plan(
+            data, kind, cls(TestTapeEqualsStepwise.problem, 4, **config),
+            solve)
+        run = cls(generate_problem(8, 16, 16), 4, faults=plan, **config)
+        with obs.disabled():
+            computed = run.run_cg(**solve)
+            priced = run.run_cg(**solve)
+        assert (computed.replayed, priced.replayed) == (False, True)
+        assert accounting(priced) == accounting(computed)
+
+    @pytest.mark.parametrize("use_mg", [True, False])
+    def test_a_second_untraced_run_computes_nothing(self, use_mg):
+        """No product, vector update or dot, no colour step and no
+        checkpoint copy: a silent fall-back to computing fails here."""
+        run = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3,
+                         faults=FaultPlan(checkpoint=Checkpoint(2)))
+        with obs.disabled():
+            first = numeric_calls(lambda: run.run_cg(6, use_mg=use_mg))
+            second = numeric_calls(lambda: run.run_cg(6, use_mg=use_mg))
+        assert all(first[name] > 0 for name in KERNELS + (
+            "csr_matvec", "checkpoint copy")), first
+        assert sum(second.values()) == 0, second
+
+    def test_a_crash_resumes_from_the_record(self):
+        """The survivors restore ``k``, ``rtz`` and the residuals and
+        price on from the record at ``k + 1``."""
+        problem = generate_problem(8, 16, 16)
+        run = RefDistRun(problem, 4, mg_levels=3)
+        first, last = iteration_windows(run, {"max_iters": 8})[4]
+        run.faults = FaultPlan(checkpoint=Checkpoint(2),
+                               crashes=(Crash(2, (first + last) // 2),))
+        with obs.disabled():
+            priced = run.run_cg(8)
+        fresh = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3,
+                           faults=run.faults)
+        with obs.disabled():
+            computed = fresh.run_cg(8)
+        assert priced.replayed and not computed.replayed
+        assert priced.resilience["recoveries"] == 1
+        assert priced.resilience["reexecuted_iterations"] > 0
+        assert accounting(priced) == accounting(computed)
+
+    @pytest.fixture
+    def recorded(self):
+        """A fresh problem, one run on it and the history it computed."""
+        problem = generate_problem(8, 16, 16)
+        run = RefDistRun(problem, 4, mg_levels=3)
+        with obs.disabled():
+            result = run.run_cg(5)
+        assert not result.replayed
+        return problem, run, result.residuals
+
+    def solve(self, problem, **kwargs):
+        with obs.disabled():
+            return HybridALPRun(problem, 4, mg_levels=3).run_cg(**kwargs)
+
+    @pytest.mark.parametrize("name", ["b", "x0"])
+    def test_a_new_or_mutated_vector_recomputes(self, recorded, name):
+        problem, _, residuals = recorded
+        other = dataclasses.replace(
+            problem, **{name: getattr(problem, name).dup()})
+        assert not self.solve(other, max_iters=5).replayed
+        assert self.solve(other, max_iters=5).replayed
+        getattr(problem, name).set_element(3, 0.5)    # a new version
+        mutated = self.solve(problem, max_iters=5)
+        assert not mutated.replayed and mutated.residuals != residuals
+        assert self.solve(problem, max_iters=5).replayed
+
+    def test_the_other_preconditioner_recomputes(self, recorded):
+        problem, _, _ = recorded
+        assert not self.solve(problem, max_iters=5, use_mg=False).replayed
+        assert self.solve(problem, max_iters=5, use_mg=False).replayed
+        assert self.solve(problem, max_iters=5).replayed
+
+    def test_a_run_the_record_does_not_reach_recomputes(self, recorded):
+        problem, _, residuals = recorded
+        shorter = self.solve(problem, max_iters=3)
+        assert shorter.replayed and shorter.residuals == residuals[:4]
+        longer = self.solve(problem, max_iters=6)
+        assert not longer.replayed and longer.residuals[:6] == residuals
+        assert self.solve(problem, max_iters=6).replayed
+        # a stop within the record prices, one beyond it computes
+        reached = residuals[5] / residuals[0] * 1.01
+        within = self.solve(problem, max_iters=40, tolerance=reached)
+        assert within.replayed and within.iterations == 5
+        beyond = self.solve(problem, max_iters=40, tolerance=reached / 100)
+        assert not beyond.replayed and beyond.iterations > 6
+        assert self.solve(problem, max_iters=40,
+                          tolerance=reached / 100).replayed
+
+    def test_a_traced_run_recomputes(self, recorded):
+        problem, run, _ = recorded
+        with obs.run():
+            traced = run.run_cg(5)
+        assert not traced.replayed
+
+    def test_a_declined_application_is_counted(self, monkeypatch):
+        """A ``b`` holding ``-0.0`` makes the first ``r`` one the kernel
+        declines: the computing run reports every application it
+        transcribed, the priced one none, and both book alike."""
+        problem = generate_problem(8, 16, 16)
+        b = problem.b.to_dense()
+        b[::7] = -0.0
+        problem = dataclasses.replace(problem, b=grb.Vector.from_dense(b))
+        run = RefDistRun(problem, 4, mg_levels=3)
+        calls, transcribe = [], numerics._Numerics.transcribe
+        monkeypatch.setattr(numerics._Numerics, "transcribe", lambda *a:
+                            calls.append(1) or transcribe(*a))
+        with obs.disabled():
+            computed = run.run_cg(4)
+            priced = run.run_cg(4)
+        assert (computed.replayed, computed.transcribed) == (False, len(calls))
+        assert len(calls) > 0
+        assert (priced.replayed, priced.transcribed) == (True, 0)
+        assert accounting(priced) == accounting(computed)
+
+
+# ---------------------------------------------------------------------------
 # one problem, one copy of its level numerics
 # ---------------------------------------------------------------------------
 
@@ -628,9 +803,9 @@ class TestSharedNumerics:
         """Names of the level constructors called, one entry per call."""
         calls = []
         for name in ("CsrColorSweep", "build_csr"):
-            real = getattr(simulate, name)
+            real = getattr(numerics, name)
             monkeypatch.setattr(
-                simulate, name, lambda *a, _real=real, _name=name, **k:
+                numerics, name, lambda *a, _real=real, _name=name, **k:
                 calls.append(_name) or _real(*a, **k))
         return calls
 

@@ -57,6 +57,16 @@ def engine_apply(run, r):
     return run._precondition(z, r)
 
 
+def computed(run, **kwargs):
+    """``run.run_cg(**kwargs)`` computing its numerics: the dots an
+    earlier run on the problem recorded are forgotten first, so the
+    residuals are the run's own products, not a replay of that record."""
+    run._numerics.trajectories.clear()
+    result = run.run_cg(**kwargs)
+    assert not result.replayed
+    return result
+
+
 def ref_apply(problem, levels, r):
     return ref_mg_vcycle(build_ref_hierarchy(problem, levels=levels),
                          np.zeros(r.size), r)
@@ -205,7 +215,11 @@ class TestDeclinedApplications:
         assert not run._kernel.load(r)
         assert_bit_identical(engine_apply(run, r),
                              transcription_apply(problem, 3, r))
-        got = RefDistRun(problem, 4, mg_levels=3).run_cg(max_iters=4)
+        # on a problem of its own, so the solve computes (on ``problem``
+        # it would price the dots ``want`` recorded)
+        got = RefDistRun(generate_problem(8, 16, 16), 4,
+                         mg_levels=3).run_cg(max_iters=4)
+        assert (got.replayed, got.transcribed) == (False, 4)
         assert snapshot(got) == snapshot(want)
 
 # ---------------------------------------------------------------------------
@@ -217,6 +231,18 @@ def snapshot(result):
             result.modelled_seconds, result.comm_seconds,
             result.exposed_comm_seconds, result.timers.as_dict(counts=True),
             result.resilience)
+
+
+def walked(run, max_iters):
+    """``run.run_cg(max_iters)`` traced: it computes its numerics and
+    walks every iteration, so a planned crash abandons the V-cycle walk
+    where it lands.  (Untraced, a solve whose dots a run on the problem
+    recorded applies no V-cycle, and an iteration with a kept tape is
+    booked up to the crash instead of walked.)"""
+    with obs.run():
+        result = run.run_cg(max_iters)
+    assert not result.replayed
+    return result
 
 
 def crash_plan(cls, problem, ckpt=Checkpoint(interval=2)):
@@ -257,7 +283,7 @@ class TestCrashMidVCycle:
                 depth.pop()
 
         monkeypatch.setattr(cls, "_vcycle", spy)
-        result = cls(problem, 4, mg_levels=3, faults=faults).run_cg(5)
+        result = walked(cls(problem, 4, mg_levels=3, faults=faults), 5)
         crash, = [e for e in result.resilience["events"]
                   if e["kind"] == "crash"]
         assert crash["superstep"] == step
@@ -265,18 +291,18 @@ class TestCrashMidVCycle:
 
     def test_same_object_equals_fresh_objects(self, cls, problem):
         faults, _ = self.plan(cls, problem)
-        want_clean = snapshot(cls(problem, 4, mg_levels=3).run_cg(5))
+        want_clean = snapshot(walked(cls(problem, 4, mg_levels=3), 5))
         want_faulted = snapshot(
-            cls(problem, 4, mg_levels=3, faults=faults).run_cg(5))
+            walked(cls(problem, 4, mg_levels=3, faults=faults), 5))
         assert want_faulted[0] == want_clean[0]
         assert want_faulted[-1]["recoveries"] == 1
         run = cls(problem, 4, mg_levels=3, faults=faults)
-        assert snapshot(run.run_cg(5)) == want_faulted
-        assert snapshot(run.run_cg(5)) == want_faulted
+        assert snapshot(walked(run, 5)) == want_faulted
+        assert snapshot(walked(run, 5)) == want_faulted
         run.faults = None
-        assert snapshot(run.run_cg(5)) == want_clean
+        assert snapshot(walked(run, 5)) == want_clean
         run.faults = faults
-        assert snapshot(run.run_cg(5)) == want_faulted
+        assert snapshot(walked(run, 5)) == want_faulted
 
     def test_abandoned_walk_then_reload_equals_a_fresh_kernel(
             self, cls, problem, monkeypatch):
@@ -293,7 +319,7 @@ class TestCrashMidVCycle:
         run = cls(problem, 4, mg_levels=3, faults=faults)
         monkeypatch.setattr(cls, "_recover", no_recovery)
         with pytest.raises(Abandoned):
-            run.run_cg(5)
+            walked(run, 5)
         r = np.random.default_rng(9).standard_normal(problem.n)
         assert_bit_identical(engine_apply(run, r),
                              engine_apply(cls(problem, 4, mg_levels=3), r))
@@ -302,17 +328,17 @@ class TestCrashMidVCycle:
         """They share one kernel; neither may see the other's vectors."""
         faults, _ = self.plan(cls, problem)
         fresh = cls(problem, 4, mg_levels=3, faults=faults)
-        want_parent = snapshot(fresh.run_cg(5))
+        want_parent = snapshot(walked(fresh, 5))
         lone = fresh._respawn(3)
         lone.faults = None
-        want_survivor = snapshot(lone.run_cg(5))
+        want_survivor = snapshot(walked(lone, 5))
         run = cls(problem, 4, mg_levels=3, faults=faults)
         survivor = run._respawn(3)
         survivor.faults = None
         assert survivor._kernel is run._kernel
         for _ in range(2):
-            assert snapshot(run.run_cg(5)) == want_parent
-            assert snapshot(survivor.run_cg(5)) == want_survivor
+            assert snapshot(walked(run, 5)) == want_parent
+            assert snapshot(walked(survivor, 5)) == want_survivor
 
 
 def test_runs_on_one_problem_solved_from_several_threads():
@@ -329,7 +355,9 @@ def test_runs_on_one_problem_solved_from_several_threads():
 
     interval = sys.getswitchinterval()
     with obs.disabled():            # the trace stack is one per process
-        want = [snapshot(run.run_cg(8)) for run in runs]
+        want = [snapshot(computed(run, max_iters=8)) for run in runs]
+        # the threads compute (but one starting after another published)
+        runs[0]._numerics.trajectories.clear()
         threads = [threading.Thread(target=solve, args=(i,))
                    for i in range(len(runs))]
         sys.setswitchinterval(1e-6)

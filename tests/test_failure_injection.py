@@ -29,6 +29,7 @@ from repro.hpcg.symmetry import validate
 from repro.ref.cg import ref_pcg
 from repro.ref.sgs import RefRBGS, RefSymGS
 from repro.util.errors import InvalidValue
+from test_dist_vcycle import computed   # a solve that is not a replay
 
 ALL_BACKENDS = (RefDistRun, HybridALPRun, Hybrid2DRun)
 
@@ -39,8 +40,10 @@ def dist_problem():
 
 
 def _run(cls, problem, faults=None, max_iters=5, **kw):
-    return cls(problem, 4, mg_levels=3, faults=faults,
-               **kw).run_cg(max_iters=max_iters)
+    """One solve computing its numerics, so two histories compared are
+    each the output of its own products."""
+    return computed(cls(problem, 4, mg_levels=3, faults=faults, **kw),
+                    max_iters=max_iters)
 
 
 class TestBrokenOperators:
@@ -472,8 +475,8 @@ class TestCrashRecovery:
         constructed, so the same object runs again — faulted or clean —
         exactly like a fresh one."""
         run = cls(dist_problem, 4, mg_levels=3, faults=self.PLAN)
-        first = run.run_cg(max_iters=5)
-        again = run.run_cg(max_iters=5)
+        first = computed(run, max_iters=5)
+        again = computed(run, max_iters=5)
         assert first.resilience["recoveries"] == 1
         assert again.residuals == first.residuals
         assert self._snapshot(again) == self._snapshot(first)
@@ -481,7 +484,7 @@ class TestCrashRecovery:
         # ... and, with the plan taken off, like a fresh clean object
         run.faults = None
         clean = _run(cls, dist_problem)
-        after = run.run_cg(max_iters=5)
+        after = computed(run, max_iters=5)
         assert after.residuals == clean.residuals
         assert self._snapshot(after) == self._snapshot(clean)
 

@@ -26,6 +26,7 @@ from repro.dist.halo import LocalRBGSExecutor, LocalSpmvExecutor
 from repro.hpcg.coloring import lattice_coloring
 from repro.hpcg.problem import generate_problem
 from repro.ref.sgs import RefRBGS
+from test_dist_vcycle import computed   # a solve that is not a replay
 
 common = settings(max_examples=20,
                   suppress_health_check=[HealthCheck.too_slow],
@@ -192,10 +193,10 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("cls,kwargs", BACKENDS)
     def test_residuals_bit_identical(self, dist_problem, cls, kwargs):
-        eager = cls(dist_problem, nprocs=4, mg_levels=3,
-                    comm_mode="eager", **kwargs).run_cg(max_iters=4)
-        over = cls(dist_problem, nprocs=4, mg_levels=3,
-                   comm_mode="overlap", **kwargs).run_cg(max_iters=4)
+        eager = computed(cls(dist_problem, nprocs=4, mg_levels=3,
+                             comm_mode="eager", **kwargs), max_iters=4)
+        over = computed(cls(dist_problem, nprocs=4, mg_levels=3,
+                            comm_mode="overlap", **kwargs), max_iters=4)
         np.testing.assert_array_equal(eager.residuals, over.residuals)
 
     @pytest.mark.parametrize("cls,kwargs", BACKENDS)
