@@ -1,26 +1,27 @@
 """The preconditioned Conjugate Gradient solver (paper Section II-C).
 
-Iteration structure matches the reference HPCG ``CG.cpp`` so iteration
-counts are comparable: one preconditioner application, two dots plus a
-norm, one spmv and three waxpby per iteration.
-
-The solver is generic over the preconditioner: pass
+:func:`pcg` runs :func:`repro.ref.cg.cg_iterations`, the one CG loop,
+which :func:`~repro.ref.cg.ref_pcg` and the simulated distributed
+engine run too, on GraphBLAS kernels: one preconditioner application,
+two dots plus a norm, one spmv and three waxpby per iteration, as in the
+reference HPCG ``CG.cpp``.  Pass
 :class:`~repro.hpcg.multigrid.MGPreconditioner` for full HPCG, or
-``None`` for plain CG (used by the convergence validation, which checks
-that preconditioning reduces iterations).
+``None`` for plain CG.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import fused as fused_ext
 from repro.ref.cg import (
-    require_cg_limits, require_definite, require_finite_residual,
+    CGResult, CGState, cg_iterations, cg_result, require_cg_limits,
+    require_finite_residual,
 )
 from repro.util.errors import DimensionMismatch, OutputAliasing
 from repro.util.timer import null_timer
@@ -29,14 +30,10 @@ Preconditioner = Callable[[grb.Vector, grb.Vector], grb.Vector]
 
 
 class CGWorkspace:
-    """The solver's four work vectors (``r``, ``z``, ``p``, ``Ap``).
-
-    Allocated once and passed to repeated :func:`pcg` calls (the
-    driver's repetition protocol, parameter sweeps, benchmarks) so the
-    per-solve cost is the mathematics, not four fresh allocations —
-    every vector is fully overwritten before it is read, so reuse is
-    state-free.
-    """
+    """The solver's four work vectors (``r``, ``z``, ``p``, ``Ap``),
+    allocated once for repeated :func:`pcg` calls (the driver's
+    repetitions, sweeps, benchmarks): every vector is overwritten before
+    it is read, so reuse is state-free."""
 
     __slots__ = ("n", "r", "z", "p", "Ap")
 
@@ -48,52 +45,27 @@ class CGWorkspace:
         self.Ap = grb.Vector.dense(n)
 
 
-@dataclass
-class CGResult:
-    """Outcome of a CG solve."""
-
-    x: grb.Vector
-    iterations: int
-    converged: bool
-    normr0: float
-    normr: float
-    residuals: List[float] = field(default_factory=list)
-
-    @property
-    def relative_residual(self) -> float:
-        return self.normr / self.normr0 if self.normr0 else 0.0
-
-
-def pcg(
-    A: grb.Matrix,
-    b: grb.Vector,
-    x: grb.Vector,
-    preconditioner: Optional[Preconditioner] = None,
-    max_iters: int = 50,
-    tolerance: float = 0.0,
-    timers=null_timer,
-    workspace: Optional[CGWorkspace] = None,
-) -> CGResult:
+def pcg(A: grb.Matrix, b: grb.Vector, x: grb.Vector,
+        preconditioner: Optional[Preconditioner] = None,
+        max_iters: int = 50, tolerance: float = 0.0, timers=null_timer,
+        workspace: Optional[CGWorkspace] = None) -> CGResult:
     """Solve ``A x = b`` from initial guess ``x`` (updated in place).
 
     With ``tolerance=0`` runs exactly ``max_iters`` iterations — HPCG's
     timed mode, where the iteration count is fixed so execution times
-    are directly comparable (paper Section V).  Pass a
-    :class:`CGWorkspace` (never as ``x`` or ``b``) to reuse the solver
-    vectors across repeated calls instead of reallocating them per solve.
+    are directly comparable (paper Section V).  A :class:`CGWorkspace`
+    (never ``x`` or ``b``) is reused instead of allocating one per solve.
     """
     n = A.nrows
     if b.size != n or x.size != n:
         raise DimensionMismatch(
-            f"CG sizes: A {A.shape}, b {b.size}, x {x.size}"
-        )
+            f"CG sizes: A {A.shape}, b {b.size}, x {x.size}")
     require_cg_limits(max_iters, tolerance)
     if workspace is None:
         workspace = CGWorkspace(n)
     elif workspace.n != n:
         raise DimensionMismatch(
-            f"workspace size {workspace.n} != operator size {n}"
-        )
+            f"workspace size {workspace.n} != operator size {n}")
     r, z, p, Ap = workspace.r, workspace.z, workspace.p, workspace.Ap
     for role, v in (("x", x), ("b", b)):
         for name in ("r", "z", "p", "Ap"):
@@ -105,9 +77,27 @@ def pcg(
         measure = timers.measure
         label = (grb.backend.labelled if grb.backend.active()
                  else obs.null_scope)
-        span = obs.null_scope if ctx is None else ctx.tracer.span
+
+        # the kernels the shared loop runs, each in its timer and label
+        def spmv(y, v):
+            with measure("cg/spmv"), label("spmv"):
+                return grb.mxv(y, None, A, v)
+
+        def waxpby(w, alpha, u, beta, v):
+            with measure("cg/waxpby"), label("waxpby"):
+                return grb.waxpby(w, alpha, u, beta, v)
+
+        def dot(u, v):
+            with measure("cg/dot"), label("dot"):
+                return grb.dot(u, v)
+
+        def precondition(z, r):
+            with measure("cg/mg"):
+                return preconditioner(z, r)
+
         # observability taps (None when tracing is off)
-        res_series = res_gauge = iter_gauge = None
+        res_series = None
+        iteration = obs.null_scope
         if ctx is not None:
             res_series = ctx.metrics.series(
                 "cg_residual",
@@ -116,82 +106,32 @@ def pcg(
                 "cg_residual_last", "most recent CG residual 2-norm")
             iter_gauge = ctx.metrics.gauge(
                 "cg_iteration", "current CG iteration (live progress)")
+            iteration = lambda k: ctx.tracer.span(  # noqa: E731
+                "cg/iteration", "cg", {"k": k})
 
         with measure("cg/spmv"), label("spmv"):
-            # the fused extension computes r <- b - A x in one pass (Ap
-            # is recomputed from p before its first read, so eliding it
-            # here is state-free); declining falls back to the pair
+            # r <- b - A x in one fused pass (Ap is overwritten before
+            # it is read); declining falls back to the pair
             fused_init = fused_ext.fused_spmv_waxpby(r, 1.0, b, -1.0, A, x)
             if not fused_init:
                 grb.mxv(Ap, None, A, x)
         if not fused_init:
-            with measure("cg/waxpby"), label("waxpby"):
-                grb.waxpby(r, 1.0, b, -1.0, Ap)         # r <- b - A x
-        with measure("cg/dot"), label("dot"):
-            normr0 = normr = grb.norm2(r)
+            waxpby(r, 1.0, b, -1.0, Ap)                 # r <- b - A x
+        normr0 = float(np.sqrt(dot(r, r)))
         if not math.isfinite(normr0):   # r is copied out on this path only
             require_finite_residual(normr0, r.to_dense())
-        residuals = [normr]
         if res_series is not None:
-            res_series.observe(normr)
-        rtz = 0.0
-
-        if normr0 == 0.0:
-            # the initial guess already solves the system exactly
-            return CGResult(x=x, iterations=0, converged=True, normr0=0.0,
-                            normr=0.0, residuals=residuals)
-
-        iterations = 0
-        for k in range(1, max_iters + 1):
-            if tolerance > 0 and normr / normr0 <= tolerance:
-                break
-            with span("cg/iteration", "cg", {"k": k}) as sp:
-                if preconditioner is not None:
-                    with measure("cg/mg"):
-                        preconditioner(z, r)                 # z <- M r
-                else:
-                    with measure("cg/waxpby"), label("waxpby"):
-                        grb.waxpby(z, 1.0, r, 0.0, r)        # z <- r
-                if k == 1:
-                    with measure("cg/waxpby"), label("waxpby"):
-                        grb.waxpby(p, 1.0, z, 0.0, z)        # p <- z
-                    with measure("cg/dot"), label("dot"):
-                        rtz = grb.dot(r, z)
-                else:
-                    rtz_old = rtz
-                    with measure("cg/dot"), label("dot"):
-                        rtz = grb.dot(r, z)
-                    beta = rtz / rtz_old
-                    with measure("cg/waxpby"), label("waxpby"):
-                        grb.waxpby(p, 1.0, z, beta, p)       # p <- z + beta p
-                with measure("cg/spmv"), label("spmv"):
-                    grb.mxv(Ap, None, A, p)                  # Ap <- A p
-                with measure("cg/dot"), label("dot"):
-                    pAp = grb.dot(p, Ap)
-                require_definite(k, rtz, pAp, normr)
-                alpha = rtz / pAp
-                with measure("cg/waxpby"), label("waxpby"):
-                    grb.waxpby(x, 1.0, x, alpha, p)      # x <- x + alpha p
-                    grb.waxpby(r, 1.0, r, -alpha, Ap)    # r <- r - alpha Ap
-                with measure("cg/dot"), label("dot"):
-                    normr = grb.norm2(r)
-                if sp is not None:
-                    sp.set(normr=normr)
-            residuals.append(normr)
+            res_series.observe(normr0)
+        cg = CGState(k=0, x=x, r=r, p=p, z=z, Ap=Ap, rtz=0.0,
+                     residuals=[normr0])
+        for cg in cg_iterations(
+                cg, spmv, waxpby, dot,
+                None if preconditioner is None else precondition,
+                max_iters, tolerance, iteration):
             if res_series is not None:
-                res_series.observe(normr)
-                res_gauge.set(normr)
-                iter_gauge.set(k)
-            iterations = k
+                res_series.observe(cg.residuals[-1])
+                res_gauge.set(cg.residuals[-1])
+                iter_gauge.set(cg.k)
     finally:
         obs.deactivate(ctx)
-
-    converged = tolerance > 0 and normr / normr0 <= tolerance
-    return CGResult(
-        x=x,
-        iterations=iterations,
-        converged=converged,
-        normr0=normr0,
-        normr=normr,
-        residuals=residuals,
-    )
+    return cg_result(cg, tolerance)

@@ -14,7 +14,7 @@ Naming follows the official HPCG sources: ``compute_spmv``,
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
 from repro.ref.sgs import RefRBGS, RefSymGS
 from repro.ref.multigrid import RefMGLevel, build_ref_hierarchy, ref_mg_vcycle
-from repro.ref.cg import RefCGResult, ref_pcg
+from repro.ref.cg import CGResult as RefCGResult, ref_pcg
 from repro.ref.driver import RefHPCGResult, run_ref_hpcg
 
 __all__ = [

@@ -1,19 +1,17 @@
-"""Reference CG: the one raw-array CG loop, :func:`cg_iterations`.
+"""Reference CG and the one CG loop, :func:`cg_iterations`.
 
-:func:`ref_pcg` runs it on :mod:`repro.ref.kernels`, the simulated
-distributed engine on the same kernels each followed by its BSP price,
-so their residual histories agree by construction.  :mod:`repro.hpcg.cg`
-is the same iteration on GraphBLAS containers, kept line-for-line
-parallel so tests can assert that ALP and Ref produce *numerically
-comparable results* — the property the paper relies on to fix the
-iteration count and compare times directly (Section V).
+Three callers run it on their own kernels: :func:`ref_pcg` on
+:mod:`repro.ref.kernels`, :func:`repro.hpcg.cg.pcg` on GraphBLAS
+containers, and the simulated distributed engine on the reference
+kernels each followed by its BSP price.  So ALP and Ref produce
+*numerically comparable results* (Section V) by construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,8 +24,11 @@ RefPreconditioner = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
-class RefCGResult:
-    x: np.ndarray
+class CGResult:
+    """Outcome of a CG solve; ``x`` is the caller's vector (an array or
+    a GraphBLAS vector), solved in place."""
+
+    x: Any
     iterations: int
     converged: bool
     normr0: float
@@ -78,13 +79,16 @@ def converged(normr0: float, normr: float, tolerance: float) -> bool:
 @dataclass
 class CGState:
     """The CG loop's variables after iteration ``k``.  A ``copy()`` is a
-    checkpoint: everything a rollback needs to resume iteration
-    ``k + 1`` exactly where the clean run would be."""
+    checkpoint: ``x``, ``r`` and ``p`` are all a rollback needs to resume
+    iteration ``k + 1`` exactly where the clean run would be; it shares
+    the work vectors ``z`` and ``Ap``, overwritten before they are read."""
 
     k: int
-    x: np.ndarray
-    r: np.ndarray
-    p: np.ndarray
+    x: Any
+    r: Any
+    p: Any
+    z: Any
+    Ap: Any
     rtz: float
     residuals: List[float]        # [||r_0||, ..., ||r_k||]
 
@@ -97,10 +101,19 @@ class CGState:
 def cg_start(spmv, waxpby, dot, b: np.ndarray, x: np.ndarray) -> CGState:
     """Iteration 0 from ``x``, which the iterations update in place."""
     n = x.shape[0]
-    r = waxpby(np.zeros(n), 1.0, b, -1.0, spmv(np.zeros(n), x))  # b - A x
+    Ap = spmv(np.zeros(n), x)
+    r = waxpby(np.zeros(n), 1.0, b, -1.0, Ap)                    # b - A x
     normr = float(np.sqrt(dot(r, r)))
     require_finite_residual(normr, r)
-    return CGState(k=0, x=x, r=r, p=np.zeros(n), rtz=0.0, residuals=[normr])
+    return CGState(k=0, x=x, r=r, p=np.zeros(n), z=np.zeros(n), Ap=Ap,
+                   rtz=0.0, residuals=[normr])
+
+
+def cg_result(cg: CGState, tolerance: float) -> CGResult:
+    """The record of a solve that stopped at ``cg``."""
+    normr0, normr = cg.residuals[0], cg.residuals[-1]
+    return CGResult(cg.x, cg.k, converged(normr0, normr, tolerance),
+                    normr0, normr, cg.residuals)
 
 
 def cg_iterations(cg: CGState, spmv, waxpby, dot,
@@ -110,8 +123,7 @@ def cg_iterations(cg: CGState, spmv, waxpby, dot,
     """Resume ``cg`` at iteration ``cg.k + 1`` and yield it after each
     iteration.  ``spmv(y, x)`` writes ``A x`` into ``y``; ``iteration(k)``
     is entered around each body, and the span it yields gets ``normr``."""
-    x, r, p = cg.x, cg.r, cg.p
-    z, Ap = np.zeros(x.shape[0]), np.zeros(x.shape[0])
+    x, r, p, z, Ap = cg.x, cg.r, cg.p, cg.z, cg.Ap
     normr0 = cg.residuals[0]
     for k in range(cg.k + 1, max_iters + 1):
         if converged(normr0, cg.residuals[-1], tolerance):
@@ -144,8 +156,8 @@ def cg_iterations(cg: CGState, spmv, waxpby, dot,
 
 def ref_pcg(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray,
             preconditioner: Optional[RefPreconditioner] = None,
-            max_iters: int = 50, tolerance: float = 0.0) -> RefCGResult:
-    """Solve ``A x = b`` in place; mirrors :func:`repro.hpcg.cg.pcg`."""
+            max_iters: int = 50, tolerance: float = 0.0) -> CGResult:
+    """Solve ``A x = b`` in place: :func:`cg_iterations` on Ref's kernels."""
     n = A.shape[0]
     if b.shape[0] != n or x.shape[0] != n:
         raise DimensionMismatch(f"CG sizes: A {A.shape}, b {b.shape[0]}, x {x.shape[0]}")
@@ -158,7 +170,4 @@ def ref_pcg(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray,
     for cg in cg_iterations(cg, spmv, compute_waxpby, compute_dot,
                             preconditioner, max_iters, tolerance):
         pass
-    normr0, normr = cg.residuals[0], cg.residuals[-1]
-    return RefCGResult(x=x, iterations=cg.k,
-                       converged=converged(normr0, normr, tolerance),
-                       normr0=normr0, normr=normr, residuals=cg.residuals)
+    return cg_result(cg, tolerance)

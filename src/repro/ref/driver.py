@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.hpcg.problem import Problem, generate_problem
-from repro.ref.cg import RefCGResult, ref_pcg
+from repro.ref.cg import CGResult, ref_pcg
 from repro.ref.multigrid import RefMGPreconditioner, build_ref_hierarchy
 from repro.util.timer import TimerRegistry
 
@@ -15,7 +15,7 @@ from repro.util.timer import TimerRegistry
 @dataclass
 class RefHPCGResult:
     problem: Problem
-    cg: RefCGResult
+    cg: CGResult
     timers: TimerRegistry
     setup_seconds: float
     run_seconds: float

@@ -109,6 +109,26 @@ class TestCGResult:
         assert res.x is x
 
 
+class TestTimerCounts:
+    @pytest.mark.parametrize("fused", ["1", "0"])
+    def test_one_scope_per_kernel_call(self, problem8, monkeypatch, fused):
+        """``k`` preconditioned iterations enter ``cg/mg`` k times,
+        ``cg/spmv`` k + 1, ``cg/dot`` 3k + 1 and ``cg/waxpby`` 3k, plus
+        one for the initial residual when the fused pass is off: one
+        scope per kernel call, as the simulated engine books them."""
+        monkeypatch.setenv(fused_mod.ENV_FUSED, fused)
+        timers = TimerRegistry()
+        M = MGPreconditioner(build_hierarchy(problem8, levels=2))
+        k = 4
+        res = pcg(problem8.A, problem8.b, problem8.x0.dup(),
+                  preconditioner=M, max_iters=k, timers=timers)
+        assert res.iterations == k
+        counts = {name: calls for name, (_, calls)
+                  in timers.as_dict(counts=True).items()}
+        assert counts == {"cg/mg": k, "cg/spmv": k + 1, "cg/dot": 3 * k + 1,
+                          "cg/waxpby": 3 * k + (fused == "0")}
+
+
 class TestWorkspaceAliasing:
     @pytest.mark.parametrize("role", ["x", "b"])
     @pytest.mark.parametrize("name", ["r", "z", "p", "Ap"])
@@ -155,7 +175,8 @@ class TestCostGuards:
         return problem, solve
 
     def test_python_calls_do_not_grow_with_the_grid(self, python_calls):
-        """Three warm iterations are 1663 calls at either size (2265
+        """Three warm iterations are 1407 calls at either size (1349
+        before CG ran the shared loop over per-kernel wrappers; 2265
         while every backend label, span and V-cycle name was resolved
         per use and the product went through a fresh vector)."""
         counts = {}
@@ -163,7 +184,7 @@ class TestCostGuards:
             _, solve = self.warm(nx)
             with obs.disabled():
                 counts[nx] = python_calls(solve)
-        assert counts[16] <= counts[8] <= 1746
+        assert counts[16] <= counts[8] <= 1477
 
     @pytest.mark.parametrize("nx", [16, 24])
     def test_warm_solve_holds_at_most_one_vector(self, nx):

@@ -180,14 +180,21 @@ class TestRefMG:
 
 
 class TestParityWithALP:
+    @staticmethod
+    def assert_bit_equal(alp, ref):
+        """Residual histories and solutions agree bit for bit: both
+        solvers run the one CG loop, on their own kernels."""
+        assert ([r.hex() for r in alp.cg.residuals]
+                == [r.hex() for r in ref.cg.residuals])
+        assert alp.cg.x.to_dense().tobytes() == ref.cg.x.tobytes()
+
     def test_identical_residual_histories(self, problem8):
         """The paper's precondition for comparing times: both
         implementations produce numerically comparable results."""
         alp = run_hpcg(nx=0, problem=problem8, max_iters=15, mg_levels=3,
                        validate_symmetry=False)
         ref = run_ref_hpcg(nx=0, problem=problem8, max_iters=15, mg_levels=3)
-        np.testing.assert_allclose(alp.cg.residuals, ref.cg.residuals,
-                                   rtol=1e-12)
+        self.assert_bit_equal(alp, ref)
 
     def test_thin_coarse_grid_matches_alp(self):
         """8x8x16 at four levels coarsens to 1x1x2, where six of the
@@ -196,15 +203,13 @@ class TestParityWithALP:
         alp = run_hpcg(nx=0, problem=problem, max_iters=4, mg_levels=4,
                        validate_symmetry=False)
         ref = run_ref_hpcg(nx=0, problem=problem, max_iters=4, mg_levels=4)
-        np.testing.assert_allclose(alp.cg.residuals, ref.cg.residuals,
-                                   rtol=1e-12)
+        self.assert_bit_equal(alp, ref)
 
     def test_ref_cg_plain_matches_alp(self, problem8):
         alp = run_hpcg(nx=0, problem=problem8, max_iters=10, mg_levels=0,
                        validate_symmetry=False)
         ref = run_ref_hpcg(nx=0, problem=problem8, max_iters=10, mg_levels=0)
-        np.testing.assert_allclose(alp.cg.residuals, ref.cg.residuals,
-                                   rtol=1e-12)
+        self.assert_bit_equal(alp, ref)
 
     def test_ref_driver_breakdown(self, problem8):
         ref = run_ref_hpcg(nx=0, problem=problem8, max_iters=10, mg_levels=3)
