@@ -39,14 +39,25 @@ API, so elision and rank checks have one definition — into a read-only
 :class:`ExchangePlan`; :meth:`replay` makes it the pending superstep in
 O(1): no per-message call, no allocation, ``h`` computed once.  A plan
 is valid for the node count it was recorded on and nothing else.
+
+Booked blocks
+-------------
+
+A run that books a recorded stretch again closes the same supersteps
+in the same order.  :meth:`CommTracker.book` takes them as one
+:class:`StepBlock` — frozen rows whose byte and label counts are
+computed once — plus the re-drives of its lossy rows: the counts move
+at once, and the rows become :class:`SuperstepStats` only when
+:attr:`CommTracker.supersteps` is read.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,6 +147,34 @@ class SuperstepStats:
     h = property(lambda self: self.plan.h)
 
 
+class StepBlock:
+    """Closed supersteps to book again as one: their ``(plan, label,
+    overlapped_work, posted)`` rows, and what they add to a tracker's
+    bytes and label counts, computed once however often it is booked."""
+
+    def __init__(self, rows: Sequence[tuple]):
+        self.rows = tuple(rows)
+        self.total_bytes = sum(plan.total_bytes for plan, *_ in self.rows)
+        # a label that moved nothing gains no bytes entry, as in replay
+        self.label_bytes, self.label_syncs = Counter(), Counter()
+        for plan, label, *_ in self.rows:
+            if label is not None:
+                if plan.messages:
+                    self.label_bytes[label] += plan.total_bytes
+                self.label_syncs[label] += 1
+
+    def expand(self, first: int,
+               retried: Sequence[Tuple[int, int]]) -> Iterator[SuperstepStats]:
+        """The rows as supersteps from index ``first``, row ``at`` of each
+        ``(at, n)`` in ``retried`` followed by its ``n`` re-drives."""
+        again, index = dict(retried), first
+        for at, row in enumerate(self.rows):
+            yield SuperstepStats(index, *row)
+            for k in range(1, again.get(at, 0) + 1):
+                yield SuperstepStats(index + k, *row[:2], retry_of=index)
+            index += 1 + again.get(at, 0)
+
+
 @dataclass(eq=False)
 class InFlightExchange:
     """A posted, not-yet-waited exchange (the ``MPI_Request`` analogue)."""
@@ -165,6 +204,11 @@ class CommTracker:
 
     Trace events go to the :mod:`repro.obs` context active at
     construction (or :meth:`reset`): no superstep reads the environment.
+    A booked :class:`StepBlock` emits none (untraced runs book them).
+
+    ``num_syncs``, ``total_bytes`` and the label counts are running
+    counts; :attr:`supersteps` expands what :meth:`book` took only when
+    it is read.
     """
 
     def __init__(self, nprocs: int):
@@ -178,8 +222,12 @@ class CommTracker:
     def reset(self) -> None:
         """Forget everything: supersteps, labels, pending sends and
         in-flight exchanges — the tracker is as freshly constructed."""
-        self.supersteps: List[SuperstepStats] = []
-        #: bytes over every closed superstep, kept as each is appended
+        self._steps: List[SuperstepStats] = []
+        # closed since a block was booked, not yet expanded: supersteps
+        # and (first index, block, retried) entries, in order
+        self._booked: list = []
+        #: closed supersteps and the bytes they moved, kept as each closes
+        self.num_syncs = 0
         self.total_bytes = 0
         self.label_bytes: Dict[str, int] = {}
         self.label_syncs: Dict[str, int] = {}
@@ -287,8 +335,10 @@ class CommTracker:
     def _close(self, event: str, plan: ExchangePlan, label: Optional[str],
                **extra) -> SuperstepStats:
         """Append ``plan`` as the next closed superstep."""
-        stats = SuperstepStats(len(self.supersteps), plan, label, **extra)
-        self.supersteps.append(stats)
+        stats = SuperstepStats(self.num_syncs, plan, label, **extra)
+        # behind any block not yet expanded, so the order holds
+        (self._booked or self._steps).append(stats)
+        self.num_syncs += 1
         self.total_bytes += plan.total_bytes
         if label is not None:
             self.label_syncs[label] = self.label_syncs.get(label, 0) + 1
@@ -362,11 +412,42 @@ class CommTracker:
                                        + stats.total_bytes)
         return self._close("retry", stats.plan, label, retry_of=stats.index)
 
-    # --- aggregates ---------------------------------------------------------
-    @property
-    def num_syncs(self) -> int:
-        return len(self.supersteps)
+    # --- booked blocks -------------------------------------------------------
+    def book(self, block: StepBlock,
+             retried: Sequence[Tuple[int, int]] = ()) -> None:
+        """Close ``block``'s supersteps in turn, each row ``at`` of an
+        ``(at, n)`` in ``retried`` re-driven ``n`` times right after it
+        as :meth:`retry` re-drives it.  The counts move now; the rows
+        expand into :attr:`supersteps` when that is read."""
+        self._booked.append((self.num_syncs, block, retried))
+        self.num_syncs += len(block.rows)
+        self.total_bytes += block.total_bytes
+        for counts, grown in ((self.label_bytes, block.label_bytes),
+                              (self.label_syncs, block.label_syncs)):
+            for label, n in grown.items():
+                counts[label] = counts.get(label, 0) + n
+        for at, n in retried:
+            plan, label = block.rows[at][:2]
+            self.num_syncs += n
+            self.total_bytes += n * plan.total_bytes
+            if label is not None:
+                self.label_bytes[label] = (self.label_bytes.get(label, 0)
+                                           + n * plan.total_bytes)
+                self.label_syncs[label] = self.label_syncs.get(label, 0) + n
 
+    @property
+    def supersteps(self) -> List[SuperstepStats]:
+        """Every closed superstep, in order (booked blocks expanded)."""
+        if self._booked:
+            booked, self._booked = self._booked, []
+            for entry in booked:
+                if isinstance(entry, SuperstepStats):
+                    self._steps.append(entry)
+                else:
+                    self._steps.extend(entry[1].expand(entry[0], entry[2]))
+        return self._steps
+
+    # --- aggregates ---------------------------------------------------------
     @property
     def total_h(self) -> int:
         return sum(s.h for s in self.supersteps)

@@ -511,26 +511,42 @@ class FaultInjector:
             candidates.append(f)
         return max(candidates) if candidates else 1.0
 
-    def exchange_retries_for(self, h: int, label: Optional[str],
-                             superstep: int) -> int:
-        """Seeded retry count for one closed exchange superstep.
+    def draw_retries(self, supersteps: np.ndarray,
+                     labels: Sequence[Optional[str]]) -> Tuple[np.ndarray,
+                                                                np.ndarray]:
+        """Seeded retries of lossy exchanges closed in turn: the indices
+        of those that lost something, and how often each is re-driven.
 
-        Draws one uniform per (re)delivery attempt: the exchange is
+        Each exchange draws one uniform per (re)delivery attempt: it is
         lost while the draw lands under ``rate``, up to ``max_retries``
-        resends (the transport then falls back to its slow reliable
-        path — delivery is never abandoned, only priced).
+        resends (the transport then falls back to its slow reliable path
+        — delivery is never abandoned, only priced).  All of them draw
+        from one block of the most they can take, which holds the values
+        drawing one at a time would, and the generator is wound back to
+        where those draws leave it.  Exchange ``i`` closes at superstep
+        ``supersteps[i]`` plus the retries before it; one that lost
+        something records its event there.
         """
         loss = self.plan.message_loss
-        if loss is None or h <= 0:
-            return 0
-        retries = 0
-        while retries < loss.max_retries and self.rng.random() < loss.rate:
-            retries += 1
-        if retries:
-            self.exchange_retries += retries
-            self.record("message_loss", superstep, label=label,
-                        retries=retries)
-        return retries
+        cap, drawn = loss.max_retries, loss.max_retries * len(supersteps)
+        lost_draws = (self.rng.random(drawn) < loss.rate).tolist()
+        draw = behind = 0                 # draws used, retries so far
+        lost, counts = [], []
+        for i, step in enumerate(supersteps.tolist()):
+            n = 0
+            while n < cap and lost_draws[draw]:
+                n += 1
+                draw += 1
+            draw += n < cap               # the delivering draw, if any
+            if n:
+                lost.append(i)
+                counts.append(n)
+                self.exchange_retries += n
+                self.record("message_loss", step + behind, label=labels[i],
+                            retries=n)
+                behind += n
+        self.rng.bit_generator.advance(draw - drawn)
+        return np.array(lost, dtype=np.intp), np.array(counts, dtype=np.intp)
 
     def check_crash(self, superstep: int) -> None:
         """Raise :class:`NodeCrash` when a planned failure is due.

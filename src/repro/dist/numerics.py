@@ -132,7 +132,7 @@ class _Numerics(list):
         self._transcribing = threading.Lock()
         #: (backend class, nodes, agglomerate_below, layout) -> record
         self.records = {}
-        #: (record key, comm_mode, machine, use_mg, k == 1) -> _Tape
+        #: (record key, comm_mode, machine, use_mg, k == 1) -> tape.Tape
         self.tapes = {}
         #: (use_mg, id(b), b.version, id(x0), x0.version) -> Trajectory
         self.trajectories = {}

@@ -181,8 +181,9 @@ class _RunState:
         self.lost_supersteps = 0
         self.lost_bytes = 0
         # the tape being recorded, and a replay (see _iteration)
-        self.taping = None            # a simulate._Tape
+        self.taping = None            # a tape.Tape
         self.replaying = False
+        self.folded: dict = {}        # tape.Tape -> its Timer objects
         # the obs context, read once (no environment lookup per
         # superstep); the fault metrics are declared only on faulted runs
         self.ctx = obs.current()

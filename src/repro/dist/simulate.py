@@ -26,13 +26,15 @@ as every other of its kind (the first puts ``p <- z`` before the dot)
 in every run on the same record, mode, machine and preconditioner,
 unless a fault event lands in it.  So an untraced run walks an
 iteration superstep by superstep only while the numerics keep no tape
-of it, and records what it booked as one.  An iteration whose window
-the injector finds quiet (message loss alone is quiet) books the tape
-tick by tick, adding left to right as the walk does, so every total is
-bit-identical (each lossy exchange draws its seeded retries as it is
-folded); one quiet up to a planned crash books it that far, and the
-crash fires there.  Traced runs walk every iteration: their spans are
-the product.
+of it, and records what it booked as a :class:`~repro.dist.tape.Tape`.
+An iteration whose window the injector finds quiet (message loss alone
+is quiet) folds the tape: array operations book it, one left-to-right
+accumulate per set of running sums, so every total is bit-identical,
+and its supersteps go to the tracker as one block that expands only
+when read (under loss its exchanges draw their seeded retries as one
+block, each booked right after its exchange); one quiet up to a planned
+crash books it that far, and the crash fires there.  Traced runs walk every iteration:
+their spans are the product.
 
 And the numerics run once per problem: a later untraced run whose stop
 point the first computing run's recorded dots reach *prices only*.
@@ -69,7 +71,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
-from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -91,97 +92,12 @@ from repro.dist.faults import FaultInjector, FaultPlan, NodeCrash
 from repro.dist.numerics import _SHARED, SimLevel, _Numerics, require_fits
 from repro.dist.partition import Block1D
 from repro.dist.result import DistRunResult, _RunState
+from repro.dist.tape import Tape
 from repro.graphblas.substrate.csr import ColorMajorVCycle
 from repro.hpcg.problem import Problem
 from repro.ref.cg import CGState, cg_iterations, cg_start, require_cg_limits
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
 from repro.util.errors import InvalidValue
-
-
-class _Tape:
-    """One CG iteration's accounting as the pricing walk booked it —
-    every tick in booking order, a superstep's with its step and whether
-    it was an exchange — for :meth:`fold` to book again.  Read only once
-    closed: the numerics keep it for every run that prices the iteration
-    alike."""
-
-    def __init__(self, tracker: CommTracker):
-        self.ticks: list = []           # (key, seconds, *wire), in order
-        self.marked = set()             # tracker indices of the exchanges
-        self._first = len(tracker.supersteps)
-
-    def close(self, tracker: CommTracker) -> "_Tape":
-        """End the recording: pair each superstep's tick with its step."""
-        steps = iter(tracker.supersteps[self._first:])
-        for i, (key, seconds, *wire) in enumerate(self.ticks):
-            if wire:                    # (full, exposed): a superstep's
-                s = next(steps)
-                wire = (*wire, f"full/{key}", f"exposed/{key}",
-                        (s.plan, s.label, s.overlapped_work, s.posted),
-                        s.index in self.marked)
-            self.ticks[i] = key, seconds, wire or None
-        return self._summarise()
-
-    def upto(self, steps: int) -> "_Tape":
-        """The recording cut after its ``steps``-th superstep: what the
-        walk books before a crash at that superstep fires."""
-        cut = copy.copy(self)
-        ends = [i for i, (_, _, wire) in enumerate(self.ticks) if wire]
-        cut.ticks = self.ticks[:ends[steps - 1] + 1]
-        return cut._summarise()
-
-    def _summarise(self) -> "_Tape":
-        wires = [wire for _, _, wire in self.ticks if wire]
-        # each registry's ticks per timer, keyed in the walk's order: a
-        # registry's sums over its timers add in creation order
-        self.counts = (Counter(key for key, _, _ in self.ticks),
-                       Counter(name for wire in wires for name in wire[2:4]))
-        self.steps, self.exchanges = len(wires), sum(w[5] for w in wires)
-        self.bytes = sum(wire[4][0].total_bytes for wire in wires)
-        # what each replay and close adds to the label counts; a label
-        # that did not grow must not enter another run's counts
-        self.grown = Counter(), Counter()
-        for plan, label, *_ in (wire[4] for wire in wires):
-            if label is not None:
-                if plan.messages:
-                    self.grown[0][label] += plan.total_bytes
-                self.grown[1][label] += 1
-        return self
-
-    def fold(self, run: "SimulatedDistRun") -> None:
-        """Book the recorded iteration once more, tick by tick in the
-        walk's order: every sum adds left to right, as its ``+=`` did, so
-        totals stay bit-identical.  Under message loss each exchange
-        draws its seeded retries and books them right after it."""
-        state = run._state
-        tracker, inj, lossy = state.tracker, state.injector, state.lossy
-        tracker.total_bytes += self.bytes
-        timers = [{key: registry.get(key) for key in counts} for registry,
-                  counts in zip((state.timers, state.comm_timers), self.counts)]
-        timer, wire_timer = timers
-        for key, seconds, wire in self.ticks:
-            timer[key].total += seconds
-            state.seconds += seconds
-            if wire is None:
-                continue
-            full, exposed, full_key, exposed_key, step, exchange = wire
-            state.comm_seconds += full
-            state.exposed_comm_seconds += exposed
-            wire_timer[full_key].total += full
-            wire_timer[exposed_key].total += exposed
-            stats = SuperstepStats(len(tracker.supersteps), *step)
-            tracker.supersteps.append(stats)
-            if inj is not None:
-                inj.superstep += 1
-                if exchange and lossy:
-                    run._retry_exchange(stats, stats.label, key)
-        for resolved, counts in zip(timers, self.counts):
-            for key, n in counts.items():
-                resolved[key].count += n
-        for counts, grown in zip((tracker.label_bytes, tracker.label_syncs),
-                                 self.grown):
-            for label, n in grown.items():
-                counts[label] = counts.get(label, 0) + n
 
 
 class SimulatedDistRun:
@@ -459,12 +375,15 @@ class SimulatedDistRun:
         same messages (``retry_of`` links it to the original), and the
         machine charges the full wire time again plus the exponential
         sender backoff — nothing hidden, a retry has no compute to
-        overlap.
+        overlap.  The count is drawn as a fold draws a tape's: a block of
+        one exchange.
         """
         inj = self._state.injector
+        if stats.h <= 0:                    # nothing on the wire to lose
+            return
         origin = inj.superstep - 1          # the just-priced superstep
-        retries = inj.exchange_retries_for(stats.h, sync_label, origin)
-        for attempt in range(retries):
+        _, retries = inj.draw_retries(np.array([origin]), (sync_label,))
+        for attempt in range(retries.sum()):
             retry_stats = self.tracker.retry(stats, label=sync_label)
             step = inj.begin_superstep()
             cost = self.machine.retry_comm_time(
@@ -677,7 +596,7 @@ class SimulatedDistRun:
         tape, crash = tapes.get(key), None
         if state.ctx is None:
             if tape is None:
-                state.taping = _Tape(state.tracker)
+                state.taping = Tape(state.tracker)
             elif inj is None or inj.quiet(start, start + tape.steps,
                                           tape.exchanges):
                 state.replaying = True

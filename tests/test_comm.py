@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dist.comm import CommTracker
+from repro.dist.comm import CommTracker, StepBlock
 from repro.util.errors import InvalidValue
 
 
@@ -308,6 +308,86 @@ class TestExchangePlans:
         plan = CommTracker(4).freeze()
         with pytest.raises(InvalidValue, match="4 nodes replayed on 3"):
             CommTracker(3).replay(plan)
+
+
+@st.composite
+def step_rows(draw):
+    """``(plans, rows, retried)``: a block's ``(plan, label,
+    overlapped_work, posted)`` rows over three plans (one moving nothing),
+    and ``(at, n)`` re-drives of some rows, as a lossy fold books them."""
+    scratch = CommTracker(3)
+    plans = []
+    for src, nbytes in ((0, 8), (1, 0), (2, 24)):
+        scratch.send(src, (src + 1) % 3, nbytes)
+        plans.append(scratch.freeze())
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(plans), st.sampled_from([None, "halo", "dot"]),
+        st.sampled_from([0.0, 16.0]), st.booleans()), min_size=1,
+        max_size=12))
+    rows = [(plan, label, work if posted else 0.0, posted)
+            for plan, label, work, posted in rows]
+    again = draw(st.dictionaries(st.integers(0, len(rows) - 1),
+                                 st.integers(1, 3)))
+    return plans, rows, sorted(again.items())
+
+
+class TestBookedBlocks:
+    """A booked block reads as its supersteps closed one by one, whatever
+    closes before and after it."""
+
+    @staticmethod
+    def _walk(t, rows, retried):
+        """Close ``rows`` in turn on ``t``, re-driving them as ``retried``
+        says."""
+        again = dict(retried)
+        for at, (plan, label, work, posted) in enumerate(rows):
+            t.replay(plan, label=label)
+            if posted:
+                stats = t.wait(t.post(label=label).overlap(work))
+            else:
+                stats = t.sync(label=label)
+            for _ in range(again.get(at, 0)):
+                t.retry(stats, label=label)
+
+    @staticmethod
+    def _read(t):
+        return ([(s.index, *_stats_fields(s)) for s in t.supersteps],
+                _aggregates(t))
+
+    @given(step_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_a_block_among_syncs_and_retries_reads_as_closed_in_turn(
+            self, case):
+        plans, rows, retried = case
+        walked, booked = CommTracker(3), CommTracker(3)
+        for t in (walked, booked):
+            t.replay(plans[2], label="dot")
+            t.retry(t.sync(label="dot"))
+        self._walk(walked, rows, retried)
+        booked.book(StepBlock(rows), retried)
+        for t in (walked, booked):
+            t.replay(plans[0], label="halo")
+            t.retry(t.sync(label="halo"))
+        # the running counts move before anything expands
+        assert (booked.num_syncs, booked.total_bytes) == (
+            walked.num_syncs, walked.total_bytes)
+        assert self._read(booked) == self._read(walked)
+
+    def test_blocks_booked_back_to_back_and_read_between(self):
+        scratch = CommTracker(3)
+        scratch.send(0, 2, 40)
+        plan = scratch.freeze()
+        rows = [(plan, "spmv", 0.0, False), (plan, None, 8.0, True),
+                (plan, "halo", 0.0, True)]
+        block = StepBlock(rows)
+        walked, booked = CommTracker(3), CommTracker(3)
+        for retried in ([(0, 2)], [], [(1, 1), (2, 3)]):
+            self._walk(walked, rows, retried)
+            booked.book(block, retried)
+            if not retried:         # a read expands what was booked so far
+                assert self._read(booked) == self._read(walked)
+        assert self._read(booked) == self._read(walked)
+        assert booked.num_syncs == 3 * len(rows) + 6
 
 
 class TestResetAndContext:

@@ -531,19 +531,24 @@ class TestTapeEqualsStepwise:
             walked = run.run_cg(max_iters=10)
         assert accounting(taped) == accounting(walked)
 
-    @pytest.mark.parametrize("use_mg, rate", [(False, 0.2), (True, 0.01)])
-    def test_a_lossy_run_alone_replays_with_its_retry_draws(self, closes,
-                                                            use_mg, rate):
+    @pytest.mark.parametrize("use_mg, rate, cap, seed", [
+        (False, 0.2, 3, 3), (True, 0.01, 3, 3), (False, 0.9, 2, 6)])
+    def test_a_lossy_run_alone_replays_with_its_retry_draws(
+            self, closes, use_mg, rate, cap, seed):
         """On a fresh problem a lossy run keeps the first iteration that
         lost nothing as its tape, then books it with the seeded retry
-        draws of every later exchange."""
+        draws of every later exchange.  At a rate of 0.9 (seed 6 loses
+        nothing in iteration 2, which the later ones fold) most reach the
+        cap, where an exchange's draws end with no delivering draw."""
         run = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3,
-                         faults=FaultPlan(seed=3,
-                                          message_loss=MessageLoss(rate)))
+                         faults=FaultPlan(seed=seed, message_loss=MessageLoss(
+                             rate, max_retries=cap)))
         with obs.disabled():
             taped = run.run_cg(max_iters=10, use_mg=use_mg)
         assert len(closes) < taped.syncs
-        assert taped.resilience["exchange_retries"] > 0
+        retries = [e["detail"]["retries"]
+                   for e in taped.resilience["events"]]
+        assert retries and (rate < 0.9 or retries.count(cap) > 5)
         with obs.run():
             walked = run.run_cg(max_iters=10, use_mg=use_mg)
         assert accounting(taped) == accounting(walked)

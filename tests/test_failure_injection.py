@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import graphblas as grb
 from repro.dist import (
@@ -392,6 +393,40 @@ class TestSeededDeterminism:
                         faults=plan).resilience["exchange_retries"]
 
         assert retries(1) != retries(2)
+
+    @given(rate=st.sampled_from([0.0, 0.2, 0.5, 0.9, 0.99]),
+           cap=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+           blocks=st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_a_block_of_retry_draws_is_its_exchanges_drawn_in_turn(
+            self, rate, cap, seed, blocks):
+        """Each exchange draws until one draw delivers or it has drawn
+        ``max_retries`` lost ones: the block routine returns those counts,
+        records an event at each lossy exchange's superstep, and leaves
+        the generator where one draw at a time leaves it."""
+        inj = FaultInjector(FaultPlan(seed=seed, message_loss=MessageLoss(
+            rate, max_retries=cap)), 4)
+        rng, step, events = np.random.default_rng(seed), 0, []
+        for n in blocks:
+            lost, counts = inj.draw_retries(np.arange(step, step + n),
+                                            ["x"] * n)
+            got = np.zeros(n, dtype=int)
+            got[lost] = counts
+            assert counts.all()
+            for retries in got.tolist():
+                expected = 0
+                while expected < cap and rng.random() < rate:
+                    expected += 1
+                assert retries == expected
+                if retries:
+                    events.append({"kind": "message_loss", "superstep": step,
+                                   "detail": {"label": "x",
+                                              "retries": retries}})
+                step += 1 + retries
+        assert inj.rng.random() == rng.random()
+        assert [e.as_dict() for e in inj.events] == events
+        assert inj.exchange_retries == sum(e["detail"]["retries"]
+                                           for e in events)
 
 
 class TestDegradedButCorrect:
