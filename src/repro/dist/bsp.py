@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from repro.dist.comm import CommTracker, SuperstepStats
 from repro.util.errors import InvalidValue
 
@@ -127,6 +129,13 @@ class BSPMachine:
         if backoff < 0:
             raise InvalidValue(f"retry backoff must be >= 0, got {backoff}")
         return self.comm_time(h_bytes) + backoff * (2.0 ** attempt)
+
+    def retry_comm_times(self, h_bytes: np.ndarray, attempts: np.ndarray,
+                         backoff: float = 0.0) -> np.ndarray:
+        """:meth:`retry_comm_time` of each ``(h_bytes[i], attempts[i])``
+        pair, as one array expression in its order of operations: every
+        price is bit-identical to the scalar one's."""
+        return self.comm_time(h_bytes) + backoff * (2.0 ** attempts)
 
     def superstep_costs(self, work_bytes: float, h_bytes: float,
                         overlap_bytes: float = 0.0,

@@ -46,8 +46,10 @@ Booked blocks
 A run that books a recorded stretch again closes the same supersteps
 in the same order.  :meth:`CommTracker.book` takes them as one
 :class:`StepBlock` — frozen rows whose byte and label counts are
-computed once — plus the re-drives of its lossy rows: the counts move
-at once, and the rows become :class:`SuperstepStats` only when
+computed once — booked once or ``times`` over in a row, plus the
+re-drives of its lossy rows as ``(row, retries)`` pairs: the counts
+move at once (a block's times its copies, the re-drives' in arrays),
+and the rows become :class:`SuperstepStats` only when
 :attr:`CommTracker.supersteps` is read.
 """
 
@@ -162,17 +164,33 @@ class StepBlock:
                 if plan.messages:
                     self.label_bytes[label] += plan.total_bytes
                 self.label_syncs[label] += 1
+        # what a re-drive of each row adds, for booking retries in arrays:
+        # its bytes, and its label's index in ``labels`` (None: the last)
+        self.labels = list(self.label_syncs)
+        index = {label: i for i, label in enumerate(self.labels)}
+        self.row_bytes = np.array([plan.total_bytes for plan, *_ in self.rows],
+                                  dtype=np.int64)
+        self.row_labels = np.array(
+            [index.get(label, len(self.labels)) for _, label, *_ in self.rows],
+            dtype=np.intp)
 
-    def expand(self, first: int,
+    def expand(self, first: int, times: int,
                retried: Sequence[Tuple[int, int]]) -> Iterator[SuperstepStats]:
-        """The rows as supersteps from index ``first``, row ``at`` of each
-        ``(at, n)`` in ``retried`` followed by its ``n`` re-drives."""
-        again, index = dict(retried), first
-        for at, row in enumerate(self.rows):
+        """The rows ``times`` over as supersteps from index ``first``, row
+        ``at`` of each ``(at, n)`` in ``retried`` (counted over the
+        copies) followed by its ``n`` re-drives."""
+        again, index = dict(_pairs(retried).tolist()), first
+        for at in range(times * len(self.rows)):
+            row = self.rows[at % len(self.rows)]
             yield SuperstepStats(index, *row)
             for k in range(1, again.get(at, 0) + 1):
                 yield SuperstepStats(index + k, *row[:2], retry_of=index)
             index += 1 + again.get(at, 0)
+
+
+def _pairs(retried) -> np.ndarray:
+    """``(at, n)`` pairs, a sequence or an array, as an ``(m, 2)`` array."""
+    return np.asarray(retried, dtype=np.intp).reshape(-1, 2)
 
 
 @dataclass(eq=False)
@@ -414,26 +432,37 @@ class CommTracker:
 
     # --- booked blocks -------------------------------------------------------
     def book(self, block: StepBlock,
-             retried: Sequence[Tuple[int, int]] = ()) -> None:
-        """Close ``block``'s supersteps in turn, each row ``at`` of an
-        ``(at, n)`` in ``retried`` re-driven ``n`` times right after it
-        as :meth:`retry` re-drives it.  The counts move now; the rows
-        expand into :attr:`supersteps` when that is read."""
-        self._booked.append((self.num_syncs, block, retried))
-        self.num_syncs += len(block.rows)
-        self.total_bytes += block.total_bytes
+             retried: Sequence[Tuple[int, int]] = (), times: int = 1) -> None:
+        """Close ``block``'s supersteps ``times`` over in turn, each row
+        ``at`` (counted over the copies) of an ``(at, n)`` in ``retried``
+        re-driven ``n`` times right after it as :meth:`retry` re-drives
+        it.  The counts move now; the rows expand into
+        :attr:`supersteps` when that is read."""
+        self._booked.append((self.num_syncs, block, times, retried))
+        self.num_syncs += times * len(block.rows)
+        self.total_bytes += times * block.total_bytes
         for counts, grown in ((self.label_bytes, block.label_bytes),
                               (self.label_syncs, block.label_syncs)):
             for label, n in grown.items():
-                counts[label] = counts.get(label, 0) + n
-        for at, n in retried:
-            plan, label = block.rows[at][:2]
-            self.num_syncs += n
-            self.total_bytes += n * plan.total_bytes
-            if label is not None:
+                counts[label] = counts.get(label, 0) + times * n
+        if not len(retried):
+            return
+        at, n = _pairs(retried).T
+        # re-drives per row, then per label: bytes and syncs
+        per_row = np.bincount(at % len(block.rows), weights=n,
+                              minlength=len(block.rows)).astype(np.int64)
+        moved = per_row * block.row_bytes
+        self.num_syncs += int(per_row.sum())
+        self.total_bytes += int(moved.sum())
+        grown = zip(block.labels, np.bincount(
+            block.row_labels, weights=per_row).tolist(), np.bincount(
+            block.row_labels, weights=moved).tolist())
+        for label, syncs, moved in grown:
+            if syncs:
                 self.label_bytes[label] = (self.label_bytes.get(label, 0)
-                                           + n * plan.total_bytes)
-                self.label_syncs[label] = self.label_syncs.get(label, 0) + n
+                                           + int(moved))
+                self.label_syncs[label] = (self.label_syncs.get(label, 0)
+                                           + int(syncs))
 
     @property
     def supersteps(self) -> List[SuperstepStats]:
@@ -444,7 +473,8 @@ class CommTracker:
                 if isinstance(entry, SuperstepStats):
                     self._steps.append(entry)
                 else:
-                    self._steps.extend(entry[1].expand(entry[0], entry[2]))
+                    first, block, times, retried = entry
+                    self._steps.extend(block.expand(first, times, retried))
         return self._steps
 
     # --- aggregates ---------------------------------------------------------

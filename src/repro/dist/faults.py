@@ -11,9 +11,9 @@ declarative, *deterministic* input to the simulated runs:
   (priced as bounded retry/backoff supersteps) and **node crashes** at
   a given superstep, plus the checkpoint cadence recovery relies on;
 
-* a :class:`FaultInjector` executes the plan against one run: it owns
-  a seeded generator (same seed → identical injected events, bit for
-  bit), tracks which nodes are alive, scales the BSP work term so the
+* a :class:`FaultInjector` executes the plan against one run: it reads
+  a seeded sequence of uniforms (same seed → identical injected events,
+  bit for bit), tracks which nodes are alive, scales the BSP work term so the
   max-over-nodes superstep price reflects the laggard, draws retry
   counts for lossy exchanges, and raises :class:`NodeCrash` when a
   planned failure reaches its superstep.
@@ -34,14 +34,87 @@ who communicates what).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from repro.util.errors import InvalidValue
+
+
+class _Uniforms:
+    """The uniforms one seed's generator yields, in order: drawn once,
+    and grown as draws reach further, for every injector under a plan of
+    that seed to read from where its own draws stand; and the retries a
+    block of exchanges draws from them, worked out once per block."""
+
+    KEPT = 256                          # blocks' retries kept
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self._values = np.empty(0)
+        self._retries: dict = {}
+        self._growing = threading.Lock()
+
+    def take(self, start: int, n: int) -> np.ndarray:
+        """Uniforms ``start`` to ``start + n`` of the seed's sequence."""
+        values = self._values
+        if start + n > len(values):
+            with self._growing:
+                values = self._values
+                if start + n > len(values):
+                    more = max(start + n - len(values), len(values), 1024)
+                    values = self._values = np.concatenate(
+                        (values, self._rng.random(more)))
+        return values[start:start + n]
+
+    def retries(self, start: int, m: int, rate: float, cap: int) -> tuple:
+        """``m`` exchanges drawing in turn from uniform ``start`` on, each
+        lost while its draw lands under ``rate``, at most ``cap`` times:
+        the indices of those that lost something, how often each is
+        re-driven (both read only), and the uniforms they use."""
+        key = start, m, rate, cap
+        drawn = self._retries.get(key)
+        if drawn is None:
+            counts, used = _runs(self.take(start, cap * m) >= rate, m, cap)
+            lost = np.flatnonzero(counts)
+            drawn = lost, counts[lost], int(used)
+            for array in drawn[:2]:
+                array.flags.writeable = False
+            if len(self._retries) == self.KEPT:
+                self._retries.pop(next(iter(self._retries)))
+            self._retries[key] = drawn
+        return drawn
+
+
+def _runs(delivering: np.ndarray, m: int, cap: int) -> tuple:
+    """The retries of ``m`` exchanges drawing in turn from the
+    ``delivering`` flags of their draws, and the draws they use.  An
+    exchange ends on a delivering draw or on its cap-th lost one in a
+    row, so the first m delivering draws end m exchanges at least."""
+    delivered = np.flatnonzero(delivering)[:m]
+    counts = delivered - np.arange(len(delivered))  # lost draws before
+    counts[1:] -= counts[:-1].copy()                # ... since the last
+    if len(counts) == m and counts.max(initial=0) < cap:
+        return counts, delivered[-1] + 1 if m else 0   # none was capped
+    # a run of lost draws before a delivering one is run // cap capped
+    # exchanges, then one that lost run % cap
+    tail = len(delivering) - 1 - (delivered[-1] if len(counts) else -1)
+    per = np.append(counts // cap + 1, tail // cap)
+    runs, counts = counts, np.full(per.sum(), cap, dtype=np.intp)
+    counts[per[:-1].cumsum() - 1] = runs % cap
+    counts = counts[:m]
+    return counts, counts.sum() + (counts < cap).sum()
+
+
+@functools.lru_cache(maxsize=8)
+def _uniforms(seed: int) -> _Uniforms:
+    return _Uniforms(seed)
 
 
 class NodeCrash(Exception):
@@ -381,13 +454,33 @@ class FaultEvent:
         return doc
 
 
+class LossBlock:
+    """Message-loss events booked as one: exchange ``lost[i]`` of a drawn
+    block lost something at superstep ``supersteps[i]`` and was re-driven
+    ``retries[i]`` times; they become :class:`FaultEvent` records only
+    when :attr:`FaultInjector.events` is read."""
+
+    def __init__(self, supersteps: np.ndarray, labels: Sequence[Optional[str]],
+                 lost: np.ndarray, retries: np.ndarray):
+        self.supersteps, self.labels = supersteps, labels
+        self.lost, self.retries = lost, retries
+
+    def events(self) -> Iterator[FaultEvent]:
+        for step, i, n in zip(self.supersteps.tolist(), self.lost.tolist(),
+                              self.retries.tolist()):
+            yield FaultEvent("message_loss", step,
+                             detail={"label": self.labels[i], "retries": n})
+
+
 class FaultInjector:
     """Executes one :class:`FaultPlan` against one resilient run.
 
-    All randomness flows through one ``numpy`` generator seeded with
-    ``plan.seed``, and draws happen at deterministic points (one
-    bounded sequence per closed exchange superstep), so the same plan
-    against the same run yields byte-identical events and pricing.
+    All randomness is the sequence of uniforms a ``numpy`` generator
+    seeded with ``plan.seed`` yields, read in order from where the
+    injector's draws stand, and draws happen at deterministic points
+    (one bounded sequence per closed exchange superstep), so the same
+    plan against the same run yields byte-identical events and pricing.
+    The sequence is drawn once per seed and shared (:func:`_uniforms`).
 
     The injector survives recovery: the respawned survivor run keeps
     using the same instance, so superstep numbering, the alive set and
@@ -398,10 +491,16 @@ class FaultInjector:
         plan.validate_for(nprocs)
         self.plan = plan
         self.nprocs = nprocs
-        self.rng = np.random.default_rng(plan.seed)
+        self._drawn = 0               # uniforms the draws have used
         self.alive = set(range(nprocs))
         self.superstep = 0            # next superstep index to be priced
-        self.events: List[FaultEvent] = []
+        self._events: List[FaultEvent] = []
+        # recorded since a block was booked, not yet expanded: events and
+        # LossBlocks, in order
+        self._booked: list = []
+        self._counts: Dict[str, int] = {}   # events recorded, per kind
+        #: events recorded so far (blocks included), a running count
+        self.recorded = 0
         self.recoveries = 0
         self.exchange_retries = 0
         self._pending_crashes = sorted(plan.crashes,
@@ -416,6 +515,14 @@ class FaultInjector:
 
     # --- bookkeeping ---------------------------------------------------------
     @property
+    def rng(self) -> np.random.Generator:
+        """A generator seeded with the plan's seed, where the draws so far
+        leave it (the draws read the seed's :func:`_uniforms`)."""
+        rng = np.random.default_rng(self.plan.seed)
+        rng.bit_generator.advance(self._drawn)
+        return rng
+
+    @property
     def alive_count(self) -> int:
         return len(self.alive)
 
@@ -423,10 +530,28 @@ class FaultInjector:
                node: Optional[int] = None, **detail: Any) -> FaultEvent:
         event = FaultEvent(kind=kind, superstep=superstep, node=node,
                            detail=detail)
-        self.events.append(event)
+        # behind any block not yet expanded, so the order holds
+        (self._booked or self._events).append(event)
+        self._counted(kind, 1)
         if self.on_event is not None:
             self.on_event(event)
         return event
+
+    def _counted(self, kind: str, n: int) -> None:
+        self._counts[kind] = self._counts.get(kind, 0) + n
+        self.recorded += n
+
+    @property
+    def events(self) -> List[FaultEvent]:
+        """Every recorded event, in order (booked blocks expanded)."""
+        if self._booked:
+            booked, self._booked = self._booked, []
+            for entry in booked:
+                if isinstance(entry, FaultEvent):
+                    self._events.append(entry)
+                else:
+                    self._events.extend(entry.events())
+        return self._events
 
     def announce_speeds(self) -> None:
         """Record the heterogeneous-speed assignment once per run."""
@@ -436,10 +561,8 @@ class FaultInjector:
                 str(k): v for k, v in sorted(self.plan.node_speeds.items())})
 
     def injected_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
+        """Recorded events per kind, in the order each kind first landed."""
+        return dict(self._counts)
 
     def quiet(self, start: int, stop: int, exchanges: int = 0) -> bool:
         """Do supersteps ``[start, stop)``, of which ``exchanges`` are
@@ -453,6 +576,15 @@ class FaultInjector:
             stop += plan.message_loss.max_retries * exchanges
         return not ((crashes and crashes[0].superstep < stop)
                     or self._slowed(start, stop))
+
+    def steady(self) -> bool:
+        """Is every window quiet wherever the clock stands — no crash
+        pending, no work factor?  Then whether an iteration may be booked
+        from its tape does not depend on the clock, and the caller may
+        book a stretch of them before it moves the clock."""
+        plan = self.plan
+        return not (self._pending_crashes or plan.stragglers
+                    or plan.node_speeds)
 
     def crash_in(self, start: int, stop: int) -> Optional[int]:
         """The superstep in ``[start, stop)`` the next planned crash fires
@@ -520,33 +652,32 @@ class FaultInjector:
         Each exchange draws one uniform per (re)delivery attempt: it is
         lost while the draw lands under ``rate``, up to ``max_retries``
         resends (the transport then falls back to its slow reliable path
-        — delivery is never abandoned, only priced).  All of them draw
-        from one block of the most they can take, which holds the values
-        drawing one at a time would, and the generator is wound back to
-        where those draws leave it.  Exchange ``i`` closes at superstep
-        ``supersteps[i]`` plus the retries before it; one that lost
-        something records its event there.
+        — delivery is never abandoned, only priced).  All of them read
+        one block of the most they can take from the seed's uniforms,
+        which holds the values drawing one at a time would, and the
+        injector moves on by the draws they use (the retries of a block
+        are worked out once per seed, start and size).  Exchange ``i``
+        closes at superstep ``supersteps[i]`` plus the retries before it;
+        the ones that lost something book their events there as one
+        :class:`LossBlock` (one by one, each handed to :attr:`on_event`,
+        when that is set).
         """
         loss = self.plan.message_loss
-        cap, drawn = loss.max_retries, loss.max_retries * len(supersteps)
-        lost_draws = (self.rng.random(drawn) < loss.rate).tolist()
-        draw = behind = 0                 # draws used, retries so far
-        lost, counts = [], []
-        for i, step in enumerate(supersteps.tolist()):
-            n = 0
-            while n < cap and lost_draws[draw]:
-                n += 1
-                draw += 1
-            draw += n < cap               # the delivering draw, if any
-            if n:
-                lost.append(i)
-                counts.append(n)
-                self.exchange_retries += n
-                self.record("message_loss", step + behind, label=labels[i],
-                            retries=n)
-                behind += n
-        self.rng.bit_generator.advance(draw - drawn)
-        return np.array(lost, dtype=np.intp), np.array(counts, dtype=np.intp)
+        lost, retries, used = _uniforms(self.plan.seed).retries(
+            self._drawn, len(supersteps), loss.rate, loss.max_retries)
+        self._drawn += used
+        if not lost.size:
+            return lost, retries
+        steps = supersteps[lost] + (retries.cumsum() - retries)
+        self.exchange_retries += int(retries.sum())
+        block = LossBlock(steps, labels, lost, retries)
+        if self.on_event is None:
+            self._booked.append(block)
+            self._counted("message_loss", len(lost))
+        else:
+            for event in block.events():
+                self.record(event.kind, event.superstep, **event.detail)
+        return lost, retries
 
     def check_crash(self, superstep: int) -> None:
         """Raise :class:`NodeCrash` when a planned failure is due.

@@ -3,13 +3,15 @@ run state a solve accumulates and closes into it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.dist.comm import CommTracker
 from repro.dist.faults import FaultInjector
+from repro.dist.tape import fold
 from repro.ref.cg import CGState
 from repro.util.timer import TimerRegistry
 
@@ -55,11 +57,6 @@ class DistRunResult:
     #: compact per-run metrics dict (supersteps, comm bytes/seconds by
     #: exposure) attached under the same condition
     metrics: Optional[Dict] = None
-    #: fault-injection summary (:mod:`repro.dist.faults`) when the run
-    #: executed under an active FaultPlan: the plan + seed, every
-    #: injected event, recovery/checkpoint/retry counts and the
-    #: checkpoint overhead in modelled seconds; None for clean runs
-    resilience: Optional[Dict] = None
     #: True when the run priced only, its dots returning the trajectory
     #: an earlier computed run on the problem recorded
     #: (:mod:`repro.dist.numerics`); False when it computed
@@ -67,6 +64,19 @@ class DistRunResult:
     #: preconditioner applications the V-cycle kernel declined, applied
     #: by Listing 1's GraphBLAS transcription instead (0 when replayed)
     transcribed: int = 0
+    #: builds :attr:`resilience` when it is first read; None for clean runs
+    _resilience: Optional[Callable[[], Dict]] = field(
+        default=None, repr=False, compare=False)
+
+    @cached_property
+    def resilience(self) -> Optional[Dict]:
+        """Fault-injection summary (:mod:`repro.dist.faults`) when the run
+        executed under an active FaultPlan: the plan + seed, every
+        injected event, recovery/checkpoint/retry counts and the
+        checkpoint overhead in modelled seconds; None for clean runs.
+        Built when first read: a run books its loss events as blocks,
+        and nothing it times reads them."""
+        return None if self._resilience is None else self._resilience()
 
     @property
     def final_residual(self) -> float:
@@ -162,8 +172,6 @@ class _RunState:
         self.comm_seconds = 0.0
         self.exposed_comm_seconds = 0.0
         self.injector = injector
-        if injector is not None:
-            injector.on_event = self.on_fault_event
         # only a lossy plan draws retries (any other draws none)
         self.lossy = (injector is not None
                       and injector.plan.message_loss is not None)
@@ -180,10 +188,14 @@ class _RunState:
         self.reexecuted = 0
         self.lost_supersteps = 0
         self.lost_bytes = 0
-        # the tape being recorded, and a replay (see _iteration)
+        # the tape being recorded, a replay, and the stretch of replays
+        # not yet booked: [tape, times] pairs, and the run that replayed
+        # them (see _iteration and tape.fold)
         self.taping = None            # a tape.Tape
         self.replaying = False
-        self.folded: dict = {}        # tape.Tape -> its Timer objects
+        self.stretch: Optional[list] = None
+        self.stretch_run = None
+        self.folded: dict = {}        # a stretch's shape -> its Timer objects
         # the obs context, read once (no environment lookup per
         # superstep); the fault metrics are declared only on faulted runs
         self.ctx = obs.current()
@@ -192,6 +204,8 @@ class _RunState:
         self.metrics: Optional[SimpleNamespace] = None
         if self.ctx is None:
             return
+        if injector is not None:    # untraced, loss events stay in blocks
+            injector.on_event = self.on_fault_event
         registry = self.ctx.metrics
         self.metrics = m = SimpleNamespace(
             supersteps=registry.counter(
@@ -224,6 +238,29 @@ class _RunState:
                 "dist_recoveries_total",
                 "crash recoveries (rollback + repartition onto survivors)")
 
+    def replayed(self, tape, run) -> None:
+        """One more replay of ``tape`` on ``run``: it joins the stretch of
+        replays not yet booked."""
+        stretch = self.stretch
+        if stretch is None:
+            self.stretch, self.stretch_run = [[tape, 1]], run
+        elif stretch[-1][0] is tape:
+            stretch[-1][1] += 1
+        else:
+            stretch.append([tape, 1])
+
+    def pending(self) -> int:
+        """The supersteps the replays not yet booked close, retries aside."""
+        return sum(times * tape.steps for tape, times in self.stretch or ())
+
+    def flush(self) -> None:
+        """Book the stretch of replays not yet booked, as one fold: before
+        anything reads the totals, the tracker or the injector's clock."""
+        if self.stretch is not None:
+            stretch, run = self.stretch, self.stretch_run
+            self.stretch = self.stretch_run = None     # no cycle via run
+            fold(run, stretch)
+
     def snapshot(self, cg: CGState) -> CGState:
         """``cg.copy()``, a checkpoint; a priced run's vectors hold nothing
         to keep, so only ``k``, ``rtz`` and the residuals travel."""
@@ -245,26 +282,8 @@ class _RunState:
         """The result record of the solve ``run`` (the final run: the
         survivors after a crash) finished, with manifest + compact
         metrics attached when obs is on."""
+        self.flush()
         inj = self.injector
-        resilience = None
-        if inj is not None:
-            resilience = {
-                "plan": inj.plan.to_dict(),
-                "seed": inj.plan.seed,
-                "events": [e.as_dict() for e in inj.events],
-                "injected": inj.injected_counts(),
-                "recoveries": inj.recoveries,
-                "checkpoints": self.checkpoints,
-                "checkpoint_seconds": self.checkpoint_seconds,
-                "exchange_retries": inj.exchange_retries,
-                "initial_nprocs": inj.nprocs,
-                "final_nprocs": run.nprocs,
-                "reexecuted_iterations": self.reexecuted,
-                "supersteps_total": (self.lost_supersteps
-                                     + self.tracker.num_syncs),
-                "comm_bytes_total": (self.lost_bytes
-                                     + self.tracker.total_bytes),
-            }
         manifest = run_metrics = None
         if self.ctx is not None:
             recorder = self.ctx.manifest
@@ -313,7 +332,29 @@ class _RunState:
             machine=run.machine.name,
             manifest=manifest,
             metrics=run_metrics,
-            resilience=resilience,
             replayed=self.priced,
             transcribed=self.transcribed,
+            _resilience=None if inj is None else self._resilience(run),
         )
+
+    def _resilience(self, run) -> Callable[[], Dict]:
+        """What builds the fault-injection summary of the solve ``run``
+        finished (see :attr:`DistRunResult.resilience`): its counts are
+        taken now, its events (booked as blocks) listed when it runs."""
+        inj = self.injector
+        plan = inj.plan.to_dict()
+        counts = {
+            "injected": inj.injected_counts(),
+            "recoveries": inj.recoveries,
+            "checkpoints": self.checkpoints,
+            "checkpoint_seconds": self.checkpoint_seconds,
+            "exchange_retries": inj.exchange_retries,
+            "initial_nprocs": inj.nprocs,
+            "final_nprocs": run.nprocs,
+            "reexecuted_iterations": self.reexecuted,
+            "supersteps_total": self.lost_supersteps + self.tracker.num_syncs,
+            "comm_bytes_total": self.lost_bytes + self.tracker.total_bytes,
+        }
+        return lambda: {"plan": plan, "seed": inj.plan.seed,
+                        "events": [e.as_dict() for e in inj.events],
+                        **counts}

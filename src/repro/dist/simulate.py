@@ -28,13 +28,16 @@ unless a fault event lands in it.  So an untraced run walks an
 iteration superstep by superstep only while the numerics keep no tape
 of it, and records what it booked as a :class:`~repro.dist.tape.Tape`.
 An iteration whose window the injector finds quiet (message loss alone
-is quiet) folds the tape: array operations book it, one left-to-right
-accumulate per set of running sums, so every total is bit-identical,
-and its supersteps go to the tracker as one block that expands only
-when read (under loss its exchanges draw their seeded retries as one
-block, each booked right after its exchange); one quiet up to a planned
-crash books it that far, and the crash fires there.  Traced runs walk every iteration:
-their spans are the product.
+is quiet) replays the tape: its kernels run their numerics and price
+nothing, and the tape joins the run's **stretch** of replays since the
+last walked superstep, as does a quiet checkpoint under a lossless plan
+(from a tape priced once on a scratch state) and, cut at the crash, an
+iteration quiet up to a planned crash, which then fires there.  One
+fold books the stretch in arrays (:func:`~repro.dist.tape.fold`: every
+total bit-identical, supersteps, retries and loss events as blocks
+expanded only when read) before anything reads the totals, the tracker
+or the injector's clock.  Traced runs walk every iteration: their spans
+are the product.
 
 And the numerics run once per problem: a later untraced run whose stop
 point the first computing run's recorded dots reach *prices only*.
@@ -42,7 +45,9 @@ point the first computing run's recorded dots reach *prices only*.
 compute or copy nothing, ``_precondition`` runs the pricing walk alone,
 and ``_dot`` returns the recorded value, so the loop takes every branch
 the computed run took (a crash resumes from the record at the
-checkpoint's ``k + 1``).  ``DistRunResult.replayed`` says which ran.
+checkpoint's ``k + 1``); ``b`` and ``x0`` enter as read-only stand-ins
+of their length, copied from nothing.  ``DistRunResult.replayed`` says
+which ran.
 
 Pricing options
 ---------------
@@ -75,6 +80,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro import obs
 from repro.dist.bsp import ARM_CLUSTER_NODE, BSPMachine
 from repro.dist.comm import (
     CommTracker,
@@ -244,8 +250,6 @@ class SimulatedDistRun:
         time behind ``overlap_bytes`` of tagged local compute.  Under a
         lossy plan the exchange may be re-driven.
         """
-        if self._state.replaying:
-            return
         self.tracker.replay(plan, label=sync_label)
         if self.overlap:
             handle = self.tracker.post(label=sync_label)
@@ -267,8 +271,6 @@ class SimulatedDistRun:
         """Replay ``plan`` as one *collective* superstep (dot allreduce,
         checkpoint, restore): synchronous in either mode, and reliable
         — never re-driven."""
-        if self._state.replaying:
-            return
         self.tracker.replay(plan, label=sync_label)
         stats = self.tracker.sync(label=sync_label)
         self._tick_superstep(timer_key, work_bytes, stats.h)
@@ -293,11 +295,17 @@ class SimulatedDistRun:
               _RESTRICT_COPY_BYTES * vectors * self._vector_share(n))
 
     # --- pricing helpers -----------------------------------------------------
-    @contextlib.contextmanager
     def _span(self, name: str, category: str, args: Optional[dict] = None):
         """An obs span that, unless a crash unwinds it, is ticked with
         the modelled seconds priced inside its extent (nested spans —
-        coarser MG levels — included, just like the span nesting)."""
+        coarser MG levels — included, just like the span nesting); the
+        null span when the run is untraced."""
+        if self._state.ctx is None:
+            return obs.NULL_SPAN
+        return self._ticked_span(name, category, args)
+
+    @contextlib.contextmanager
+    def _ticked_span(self, name: str, category: str, args: Optional[dict]):
         with self._state.span(name, category, args) as sp:
             before = self._state.seconds
             yield sp
@@ -360,8 +368,6 @@ class SimulatedDistRun:
             inj.check_crash(step)
 
     def _tick_local(self, key: str, work_bytes: float) -> None:
-        if self._state.replaying:
-            return
         inj = self._state.injector
         if inj is not None:
             work_bytes *= inj.work_factor(inj.superstep)
@@ -399,7 +405,8 @@ class SimulatedDistRun:
         return float(-(-n // self.nprocs))
 
     # --- the kernels, each followed by its accounting ------------------------
-    # (a priced run computes none of them: see run_cg)
+    # (a priced run computes none of them: see run_cg; an iteration that
+    # replays a tape prices none of them: see _iteration)
     def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
         """``u'v``, recorded at the cursor if a record is being made; a
         priced run returns the recorded one."""
@@ -412,22 +419,27 @@ class SimulatedDistRun:
             value = compute_dot(u, v)
             if dots is not None and at == len(dots):  # not re-executed
                 dots.append(value)
-        self._barrier(self._dot_plan, "dot", "cg/dot",
-                      _DOT_BYTES * self._vector_share(u.shape[0]))
+        if not state.replaying:
+            self._barrier(self._dot_plan, "dot", "cg/dot",
+                          _DOT_BYTES * self._vector_share(u.shape[0]))
         return value
 
     def _waxpby(self, w: np.ndarray, alpha: float, x: np.ndarray,
                 beta: float, y: np.ndarray) -> np.ndarray:
-        if not self._state.priced:
+        state = self._state
+        if not state.priced:
             compute_waxpby(w, alpha, x, beta, y)
-        self._tick_local("cg/waxpby",
-                         _WAXPBY_BYTES * self._vector_share(w.shape[0]))
+        if not state.replaying:
+            self._tick_local("cg/waxpby",
+                             _WAXPBY_BYTES * self._vector_share(w.shape[0]))
         return w
 
     def _spmv(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         """CG's ``y <- A x``, on the finest level (never agglomerated)."""
-        self._spmv_comm(self.levels[0], "spmv", "cg/spmv")
-        if self._state.priced:
+        state = self._state
+        if not state.replaying:
+            self._spmv_comm(self.levels[0], "spmv", "cg/spmv")
+        if state.priced:
             return y
         return compute_spmv(y, self.levels[0].A, x)
 
@@ -505,25 +517,56 @@ class SimulatedDistRun:
         a crash landing on the checkpoint barrier leaves the previous
         snapshot as the rollback target, exactly like a torn write to
         stable storage would.  A run that prices only copies no vector.
-        """
-        state = self._state
+        Untraced and under a lossless plan, a checkpoint whose barrier
+        the injector finds quiet joins the stretch of replays not yet
+        booked, as a copy of :meth:`_checkpoint_tape`, and the fold books
+        its seconds; else it is walked."""
+        state, inj = self._state, self._state.injector
+        if state.ctx is None and not state.lossy:
+            at = inj.superstep + state.pending()
+            if inj.quiet(at, at + 1):
+                state.replayed(self._checkpoint_tape(), self)
+                state.checkpoints += 1
+                state.checkpoint = state.snapshot(cg)
+                inj.record("checkpoint", at, iteration=cg.k)
+                return
+        state.flush()
         with self._span("fault/checkpoint", "fault",
                         {"iteration": cg.k}) as sp:
             before = state.seconds
-            self._root_exchange(self._barrier, "checkpoint",
-                                "fault/checkpoint", self.n,
-                                self._CKPT_VECTORS)
+            self._checkpoint_superstep()
             delta = state.seconds - before
             state.checkpoint_seconds += delta
             state.checkpoints += 1
             state.checkpoint = state.snapshot(cg)
             if state.metrics is not None:
                 state.metrics.checkpoint.inc(delta)
-            state.injector.record("checkpoint",
-                                  state.injector.superstep - 1,
-                                  iteration=cg.k)
+            inj.record("checkpoint", inj.superstep - 1, iteration=cg.k)
             if sp is not None:
                 sp.set(seconds=delta)
+
+    def _checkpoint_superstep(self) -> None:
+        self._root_exchange(self._barrier, "checkpoint", "fault/checkpoint",
+                            self.n, self._CKPT_VECTORS)
+
+    def _checkpoint_tape(self) -> Tape:
+        """The tape of one checkpoint's superstep on this run's record and
+        machine, as a quiet window prices it: recorded once per problem,
+        by pricing one on a scratch run state."""
+        key = self._record_key, self.machine
+        tape = self._numerics.checkpoint_tapes.get(key)
+        if tape is None:
+            state = self._state
+            with obs.disabled():
+                self._state = scratch = _RunState(self.nprocs, None)
+            try:
+                scratch.taping = Tape(scratch.tracker, checkpoint=True)
+                self._checkpoint_superstep()
+                tape = self._numerics.checkpoint_tapes.setdefault(
+                    key, scratch.taping.close(scratch.tracker))
+            finally:
+                self._state = state
+        return tape
 
     def _restore(self, checkpoint: CGState) -> CGState:
         """Resume from ``checkpoint`` after a repartition: node 0
@@ -578,44 +621,58 @@ class SimulatedDistRun:
 
     # --- the CG loop (repro.ref.cg's, on the priced kernels) ---------------
     @contextlib.contextmanager
-    def _iteration(self, k: int, use_mg: bool):
+    def _iteration(self, k: int, slots: list):
         """Iteration ``k`` in progress, and its span.  Untraced, it
         replays the tape the numerics keep for its record, mode, machine,
-        preconditioner and kind (the first iteration puts ``p <- z``
-        before the dot) if the injector finds its window quiet — numerics
-        only, pricing off — or quiet up to a planned crash, booking the
-        tape that far before the crash fires; else it is priced step by
-        step, and recorded if no tape is kept: kept only if no fault
-        event landed or could have."""
+        preconditioner and kind (``slots[k == 1]``, ``[key, tape]``: the
+        first iteration puts ``p <- z`` before the dot) if the injector
+        finds its window quiet — numerics only, pricing off, and the tape
+        joins the stretch of replays the next flush books — or quiet up
+        to a planned crash, booking the tape that far before the crash
+        fires; else it is priced step by step, and recorded if no tape
+        is kept: kept only if no fault event landed or could have.  A
+        window's verdict reads the clock where the stretch leaves it,
+        which a lossless stretch knows before it is booked."""
         state, inj = self._state, self._state.injector
         state.iteration, state.cursor = k, 3 * k - 2
-        start, events = (inj.superstep, len(inj.events)) if inj else (0, 0)
-        tapes = self._numerics.tapes
-        key = (self._record_key, self.comm_mode, self.machine, use_mg,
-               k == 1)
-        tape, crash = tapes.get(key), None
-        if state.ctx is None:
-            if tape is None:
+        slot = slots[k == 1]
+        key, tape = slot
+        if tape is None:                # until some run records it
+            tape = slot[1] = self._numerics.tapes.get(key)
+        replay = crash = None
+        if state.ctx is None and tape is not None:
+            if inj is None or inj.steady():
+                replay = tape
+            else:
+                if state.lossy:         # its retries set the clock
+                    state.flush()
+                start = inj.superstep + state.pending()
+                if inj.quiet(start, start + tape.steps, tape.exchanges):
+                    replay = tape
+                else:                   # quiet but for a crash: book up to it
+                    crash = inj.crash_in(start, start + tape.steps)
+                    if crash is not None:
+                        replay = tape.upto(crash - start + 1)
+        if replay is None:              # walked, after what came before
+            state.flush()
+            start, events = (inj.superstep, inj.recorded) if inj else (0, 0)
+            if state.ctx is None and tape is None:
                 state.taping = Tape(state.tracker)
-            elif inj is None or inj.quiet(start, start + tape.steps,
-                                          tape.exchanges):
-                state.replaying = True
-            else:           # quiet but for a crash: book up to it
-                crash = inj.crash_in(start, start + tape.steps)
-                if crash is not None:
-                    state.replaying, tape = True, tape.upto(crash - start + 1)
+        state.replaying = replay is not None
         with self._span("cg/iteration", "cg", {"k": k}) as sp:
             yield sp
         if state.replaying:
             state.replaying = False
-            tape.fold(self)
+            state.replayed(replay, self)
             if crash is not None:
+                state.flush()
                 inj.check_crash(crash)      # fires where the walk fires it
         elif state.taping is not None:
             taping, state.taping = state.taping, None
-            if inj is None or (len(inj.events) == events
+            if inj is None or (inj.recorded == events
                                and inj.quiet(start, inj.superstep)):
-                tapes.setdefault(key, taping.close(state.tracker))
+                slot[1] = self._numerics.tapes.setdefault(
+                    key, taping.close(state.tracker))
 
     def _cg_attempt(self, max_iters: int, use_mg: bool,
                     tolerance: float) -> CGState:
@@ -629,19 +686,26 @@ class SimulatedDistRun:
         m = state.metrics
         if state.checkpoint is None:
             state.cursor = 0
-            cg = cg_start(self._spmv, self._waxpby, self._dot,
-                          self.problem.b.to_dense(),
-                          self.problem.x0.to_dense())
+            b, x0 = self.problem.b, self.problem.x0
+            # a priced run reads no vector: read-only stand-ins of the
+            # right length price the kernels and copy nothing
+            b, x0 = ((np.broadcast_to(0.0, (self.n,)),) * 2 if state.priced
+                     else (b.to_dense(), x0.to_dense()))
+            cg = cg_start(self._spmv, self._waxpby, self._dot, b, x0)
             if m is not None:
                 m.residual.observe(cg.residuals[0], backend=self.backend)
         else:
             cg = self._restore(state.checkpoint)
         ckpt_plan = (state.injector.plan.checkpoint
                      if state.injector is not None else None)
+        # the two tape keys of this attempt's record: [key, tape] for
+        # iterations after the first, and for the first
+        kind = (self._record_key, self.comm_mode, self.machine, use_mg)
+        slots = [[(*kind, first), None] for first in (False, True)]
         for cg in cg_iterations(
                 cg, self._spmv, self._waxpby, self._dot,
                 self._precondition if use_mg else None, max_iters,
-                tolerance, lambda k: self._iteration(k, use_mg)):
+                tolerance, lambda k: self._iteration(k, slots)):
             if m is not None:
                 m.residual.observe(cg.residuals[-1], backend=self.backend)
                 m.iteration.set(cg.k)

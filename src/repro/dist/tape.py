@@ -1,10 +1,10 @@
-"""Superstep tapes: one CG iteration's accounting as the pricing walk of
-:mod:`repro.dist.simulate` booked it, compiled to be booked again in
-arrays.
+"""Superstep tapes: one CG iteration's (or one checkpoint's) accounting
+as the pricing walk of :mod:`repro.dist.simulate` booked it, compiled to
+be booked again in arrays.
 
 An iteration closes the same supersteps at the same prices in every run
 on the same communication record, mode, machine and preconditioner, so
-the engine records the first one it walks as a :class:`Tape` and folds
+the engine records the first one it walks as a :class:`Tape` and books
 the tape for every later one.  Closing compiles the recording:
 
 * its supersteps become one :class:`~repro.dist.comm.StepBlock`, which
@@ -15,26 +15,39 @@ the tape for every later one.  Closing compiles the recording:
   in another (their rows are far shorter, and an accumulate costs what
   its matrix holds).
 
-:meth:`Tape.fold` writes the run's totals into column 0 and runs one
+A run books what it replays — iterations, the cut of one up to a
+crash, checkpoints — in **stretches**: every replay since the last
+walked superstep, one copy of a tape each.  :func:`fold` books a
+stretch at once, before anything reads the totals, the tracker or the
+injector's clock.  It lays every copy's matrices side by side (the
+timers' rows the union of the tapes', in the walk's order of first
+ticks), writes the run's totals into column 0 and runs one
 ``np.add.accumulate`` per matrix.  Accumulate adds strictly left to
 right, as the walk's ``+=`` did, and a padding zero changes no total
 (``x + 0.0`` is ``x``), so every total is bit-identical; ``sum`` and
 ``np.sum`` add pairwise and ``math.fsum`` rounds once, so all three
-would not be.
+would not be.  The running sums also give each checkpoint's seconds as
+the walk took them.  The tracker takes each tape's copies as one block
+booked that many times.  What a stretch of one shape needs besides the
+run's totals is built once per shape (:class:`_Shape`).
 
-Under message loss a fold first draws every exchange's seeded retries
-as one block (:meth:`~repro.dist.faults.FaultInjector.draw_retries`).
-A retry adds its price right after its exchange's term in each of the
-exchange's six sums, so a lossy fold books from matrices that leave
-``max_retries`` zero columns after every exchange's terms (built once
-per tape and cap) and writes each retry into its exchange's gap.  A
-clean fold keeps the gapless matrices: gaps lengthen every accumulate.
+Under message loss the stretch first draws the seeded retries of every
+exchange of every copy as one block
+(:meth:`~repro.dist.faults.FaultInjector.draw_retries`).  A retry adds
+its price right after its exchange's term in each of the exchange's six
+sums, so each retry drawn inserts its terms there, moving the rest of
+each row right: a row grows by the retries that landed in it, and the
+matrices by the most any of their rows took.  The seeded draws repeat
+from run to run, and the matrices they give are built once per shape
+and draw.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
@@ -44,14 +57,17 @@ from repro.dist.comm import CommTracker, StepBlock
 class Tape:
     """One CG iteration's accounting as the pricing walk booked it —
     every tick in booking order, a superstep's with its step and whether
-    it was an exchange — for :meth:`fold` to book again.  Read only once
+    it was an exchange — for :func:`fold` to book again.  Read only once
     closed: the numerics keep it for every run that prices the iteration
     alike."""
 
-    def __init__(self, tracker: CommTracker):
+    def __init__(self, tracker: CommTracker, checkpoint: bool = False):
         self.ticks: list = []           # (key, seconds, *wire), in order
         self.marked = set()             # tracker indices of the exchanges
         self._first = tracker.num_syncs
+        #: a CG checkpoint's, whose price a fold adds to the run's
+        #: checkpoint seconds as well
+        self.checkpoint = checkpoint
 
     def close(self, tracker: CommTracker) -> "Tape":
         """End the recording: pair each superstep's tick with its step."""
@@ -77,7 +93,7 @@ class Tape:
         return cut
 
     def _compile(self, ticks: list) -> "Tape":
-        self.ticks, self._cuts, self._gapped = ticks, {}, {}
+        self.ticks, self._cuts, self._shapes = ticks, {}, {}
         # each registry's timers in the walk's order of first ticks: a
         # registry's sums over its timers add in creation order
         self.keys = (list(dict.fromkeys(key for key, _, _ in ticks)),
@@ -106,10 +122,12 @@ class Tape:
                 lossy.append((len(steps), step[1], step[0].h,
                               [r for _, r, _ in sums], at))
             steps.append(step)
-        self.parts = [(tuple(map(np.array, zip(*part))), (len(n), max(n) + 1))
-                      for part, n in zip(terms, ranks)]
-        self.sums = self._matrices(self.parts)
-        self.counts = ranks[1]              # each timer's ticks
+        self.sums = []                      # zero-padded, a term at (row, rank)
+        for part, n in zip(terms, ranks):
+            rows, at, values = map(np.array, zip(*part))
+            self.sums.append(np.zeros((len(n), max(n) + 1)))
+            self.sums[-1][rows, at] = values
+        self.counts = np.array(ranks[1])    # each timer's ticks
         self.steps, self.block = len(steps), StepBlock(steps)
         self.exchanges = sum(wire[5] for _, _, wire in ticks if wire)
         self.lossy = None
@@ -120,90 +138,207 @@ class Tape:
                 rows=np.array(rows), at=np.array(at))
         return self
 
-    def fold(self, run) -> None:
-        """Book the recorded iteration once more on ``run``'s state: one
-        left-to-right accumulate per matrix from the run's totals adds
-        every term in the walk's order, so totals stay bit-identical; the
-        supersteps go to the tracker as one block.  Under message loss
-        the exchanges draw their seeded retries as one block first, and
-        each retry's terms land right after its exchange's."""
-        state = run._state
-        inj, timers = state.injector, state.folded.get(self)
-        if timers is None:              # resolved once per run and tape
-            timers = state.folded[self] = [
-                registry.get(key) for registry, keys in zip(
-                    (state.timers, state.comm_timers), self.keys)
-                for key in keys]
-        sums, counts, retried = None, self.counts, []
-        if state.lossy and self.lossy is not None:
-            sums, counts, retried = self._retried(run)
-        if sums is None:
-            sums = [terms.copy() for terms in self.sums]
-        sums[0][:, 0] = (state.seconds, state.comm_seconds,
-                         state.exposed_comm_seconds)
-        sums[1][:, 0] = [timer.total for timer in timers]
-        (state.seconds, state.comm_seconds, state.exposed_comm_seconds), \
-            totals = (np.add.accumulate(terms, axis=1)[:, -1].tolist()
-                      for terms in sums)
-        for timer, total, n in zip(timers, totals, counts):
-            timer.total, timer.count = total, timer.count + n
-        state.tracker.book(self.block, retried)
-        if inj is not None:
-            inj.superstep += self.steps + sum(n for _, n in retried)
 
-    def _retried(self, run) -> tuple:
-        """Draw the retries of the tape's exchanges on ``run``'s injector:
-        the sums' matrices with each retry's terms in its exchange's gap
-        (None if nothing was lost), the timers' tick counts, and the
-        ``(row, retries)`` the tracker books."""
-        inj, lossy = run._state.injector, self.lossy
-        lost, n = inj.draw_retries(inj.superstep + lossy.offsets,
-                                   lossy.labels)
-        if not lost.size:
-            return None, self.counts, []
-        loss = inj.plan.message_loss
-        attempt = np.arange(n.sum()) - np.repeat(n.cumsum() - n, n)
-        costs = np.array([[run.machine.retry_comm_time(h, j, loss.backoff)]
-                          for h, j in zip(np.repeat(lossy.h[lost], n).tolist(),
-                                          attempt.tolist())])
-        sums, slots = self._gaps(loss.max_retries)
-        sums = [terms.copy() for terms in sums]
-        rows = np.repeat(lossy.rows[lost], n, axis=0)
-        cols = np.repeat(slots[lost], n, axis=0) + attempt[:, None]
-        for p, terms in enumerate(sums):    # a retry's three sums per part
-            terms[rows[:, 3 * p:3 * p + 3], cols[:, 3 * p:3 * p + 3]] = costs
-        counts = np.bincount(rows[:, 3:].ravel(), minlength=len(self.counts))
-        return (sums, (counts + self.counts).tolist(),
-                list(zip(lossy.offsets[lost].tolist(), n.tolist())))
+def fold(run, stretch: list) -> None:
+    """Book ``stretch`` — ``[tape, times]`` pairs, each tape replayed
+    ``times`` times in turn — on ``run``'s state as one: one left-to-right
+    accumulate per matrix, from the run's totals over every copy's terms
+    side by side, adds every term in the walk's order, so totals stay
+    bit-identical; each tape's supersteps go to the tracker as its copies
+    of one block.  Under message loss the exchanges of all the copies
+    draw their seeded retries as one block first, and each retry's terms
+    land right after its exchange's."""
+    state, shape = run._state, _Shape.of(stretch)
+    inj, timers = state.injector, state.folded.get(shape)
+    if timers is None:                  # resolved once per run and shape
+        timers = state.folded[shape] = [
+            registry.get(key) for registry, keys in zip(
+                (state.timers, state.comm_timers), shape.keys)
+            for key in keys]
+    if state.lossy and shape.lossy is not None:
+        sums, counts, retried = _retried(run, shape)
+    else:
+        sums, counts, retried = shape.sums, shape.counts, [()] * len(stretch)
+    sums = [terms.copy() for terms in sums]
+    sums[0][:, 0] = (state.seconds, state.comm_seconds,
+                     state.exposed_comm_seconds)
+    sums[1][:, 0] = [timer.total for timer in timers]
+    running, timed = (np.add.accumulate(terms, axis=1) for terms in sums)
+    state.seconds, state.comm_seconds, state.exposed_comm_seconds = \
+        running[:, -1].tolist()
+    for timer, total, n in zip(timers, timed[:, -1].tolist(),
+                               counts.tolist()):
+        timer.total, timer.count = total, timer.count + n
+    if shape.checkpoints:               # what each one added, as walked
+        seconds = running[0].tolist()
+        for start, end in shape.checkpoints:
+            state.checkpoint_seconds += seconds[end] - seconds[start]
+    for (tape, times), again in zip(stretch, retried):
+        state.tracker.book(tape.block, again, times)
+    if inj is not None:
+        inj.superstep += shape.steps + sum(int(again[:, 1].sum())
+                                           for again in retried if len(again))
 
-    def _gaps(self, cap: int) -> tuple:
-        """The sums' matrices with ``cap`` zero columns after each lossy
-        exchange's terms, and per exchange and sum the first of them:
-        where a lossy fold writes its retries (built once per cap)."""
-        gaps = self._gapped.get(cap)
-        if gaps is None:
-            parts, slots = [], []
-            for p, ((rows, ranks, values), (height, width)) in enumerate(
-                    self.parts):
-                mine = slice(3 * p, 3 * p + 3)
-                at_rows, at = self.lossy.rows[:, mine], self.lossy.at[:, mine]
-                # a term moves right by the gaps before it in its row
-                shift = np.zeros((height, width + 1), dtype=np.intp)
-                shift[at_rows, at + 1] = cap
-                shift = shift.cumsum(axis=1)
-                parts.append(((rows, ranks + shift[rows, ranks], values),
-                              (height, width + shift[:, -1].max())))
-                slots.append(at + shift[at_rows, at] + 1)
-            gaps = self._gapped[cap] = (self._matrices(parts),
-                                        np.hstack(slots))
-        return gaps
 
-    @staticmethod
-    def _matrices(parts) -> list:
-        """Each part's terms as a zero-padded matrix, a term at ``(row,
-        rank)``."""
-        sums = []
-        for (rows, ranks, values), shape in parts:
-            sums.append(np.zeros(shape))
-            sums[-1][rows, ranks] = values
-        return sums
+class _Shape:
+    """What booking a stretch of one shape — its ``(tape, times)`` pairs —
+    takes besides the draws, built once per shape and kept on its first
+    tape: the timers its tapes tick, in the walk's order of first ticks,
+    one row of the timers' matrix each; every copy's matrices side by
+    side, each with its own (zero) column 0; the timers' tick counts and
+    the supersteps closed; under message loss each lossy exchange of
+    every copy, in turn: its superstep offset from the stretch's first,
+    label and h, and its six terms' rows and next columns, and the
+    superstep each tape's copies start at; and, per draw, what
+    :func:`_retried` gives for it."""
+
+    KEPT = 4                # shapes kept per first tape, draws per shape
+
+    @classmethod
+    def of(cls, stretch: list) -> "_Shape":
+        kept, key = stretch[0][0]._shapes, tuple(map(tuple, stretch))
+        shape = kept.get(key)
+        if shape is None:
+            if len(kept) == cls.KEPT:
+                kept.pop(next(iter(kept)))
+            shape = kept[key] = cls(stretch)
+        return shape
+
+    def __init__(self, stretch: list):
+        tapes = dict.fromkeys(tape for tape, _ in stretch)
+        self.keys = tuple(list(dict.fromkeys(
+            key for tape in tapes for key in tape.keys[part]))
+            for part in (0, 1))
+        row = {key: i for i, key in enumerate(self.keys[0] + self.keys[1])}
+        widths = [[times * terms.shape[1] for terms in tape.sums]
+                  for tape, times in stretch]
+        self.sums = [np.empty((3, sum(w for w, _ in widths))),
+                     np.zeros((len(row), sum(w for _, w in widths)))]
+        self.counts = np.zeros(len(row), dtype=np.intp)
+        self.checkpoints = []           # each checkpoint copy's columns
+        self.starts, self._segments, at, self.steps = [], [], [0, 0], 0
+        self.retried: dict = {}         # a draw -> what _retried returns
+        rows_of, tiled = {}, {}         # per tape, and per (tape, times)
+        for (tape, times), width in zip(stretch, widths):
+            rows = rows_of.get(tape)    # its timers' rows among the stretch's
+            if rows is None:
+                rows = rows_of[tape] = np.array(
+                    [row[key] for key in tape.keys[0] + tape.keys[1]])
+            copies = tiled.get((tape, times))
+            if copies is None:
+                copies = tiled[tape, times] = [
+                    np.concatenate([terms] * times, axis=1)
+                    for terms in tape.sums]
+            self.sums[0][:, at[0]:at[0] + width[0]] = copies[0]
+            self.sums[1][rows, at[1]:at[1] + width[1]] = copies[1]
+            self.counts[rows] += tape.counts * times
+            if tape.checkpoint:
+                one = tape.sums[0].shape[1]
+                self.checkpoints += [(at[0] + k * one, at[0] + (k + 1) * one
+                                      - 1) for k in range(times)]
+            self.starts.append(self.steps)
+            self._segments.append((tape, times, rows, self.steps, list(at)))
+            self.steps += times * tape.steps
+            at = [a + w for a, w in zip(at, width)]
+
+    @functools.cached_property
+    def lossy(self) -> Optional[SimpleNamespace]:
+        """The lossy exchanges of every copy (built at the first lossy
+        fold: a clean run's stretches need none)."""
+        lossy = []
+        for tape, times, rows, step, at in self._segments:
+            one = tape.lossy
+            if one is None:
+                continue
+            mapped = np.hstack((one.rows[:, :3], rows[one.rows[:, 3:]]))
+            widths = np.repeat([terms.shape[1] for terms in tape.sums], 3)
+            for k in range(times):
+                lossy.append((one, mapped, step + k * tape.steps,
+                              np.repeat(at, 3) + k * widths))
+        if not lossy:
+            return None
+        return SimpleNamespace(
+            offsets=np.concatenate([one.offsets + step
+                                    for one, _, step, _ in lossy]),
+            labels=sum((one.labels for one, _, _, _ in lossy), ()),
+            h=np.concatenate([one.h for one, _, _, _ in lossy]),
+            rows=np.concatenate([rows for _, rows, _, _ in lossy]),
+            after=np.concatenate([one.at + 1 + col
+                                  for one, _, _, col in lossy]))
+
+
+def _retried(run, shape: _Shape) -> tuple:
+    """Draw the retries of the exchanges of every copy in a stretch of
+    ``shape`` on ``run``'s injector, as one block: the copies' matrices
+    with each retry's terms right after its exchange's, the timers' tick
+    counts, and per tape the ``(row, retries)`` pairs the tracker books
+    (worked out once per shape and draw)."""
+    inj, lossy = run._state.injector, shape.lossy
+    lost, n = inj.draw_retries(inj.superstep + lossy.offsets, lossy.labels)
+    if not lost.size:
+        return shape.sums, shape.counts, [()] * len(shape.starts)
+    key = lost.tobytes(), n.tobytes(), inj.plan.message_loss.backoff
+    retried = shape.retried.get(key)
+    if retried is None:
+        if len(shape.retried) == shape.KEPT:
+            shape.retried.pop(next(iter(shape.retried)))
+        retried = shape.retried[key] = _insert_retries(
+            shape, lost, n, run.machine.retry_comm_times(
+                lossy.h[np.repeat(lost, n)],
+                np.arange(n.sum()) - np.repeat(n.cumsum() - n, n),
+                inj.plan.message_loss.backoff))
+    return retried
+
+
+def _insert_retries(shape: _Shape, lost: np.ndarray, n: np.ndarray,
+                    costs: np.ndarray) -> tuple:
+    """``shape``'s matrices with the retries ``n`` of its lossy exchanges
+    ``lost``, priced ``costs`` in turn, inserted; the counts; the pairs."""
+    lossy = shape.lossy
+    which = np.repeat(lost, n)          # each retry's exchange
+    rows, after = lossy.rows[which], lossy.after[which]
+    # a retry's terms go after its exchange's and the retries before it
+    # in their rows: all of them in the run's totals, those of its
+    # exchange's timer key in the timers'
+    sums = []
+    for p, ahead in enumerate((np.arange(len(which)), _ranks(rows[:, 3]))):
+        mine = slice(3 * p, 3 * p + 3)
+        sums.append(_inserted(shape.sums[p], rows[:, mine],
+                              after[:, mine] + ahead[:, None],
+                              costs[:, None]))
+    counts = shape.counts + np.bincount(rows[:, 3:].ravel(),
+                                        minlength=len(shape.counts))
+    at = lossy.offsets[lost]            # each tape's rows from its first
+    cuts = np.searchsorted(at, shape.starts)
+    return sums, counts, [np.column_stack((at[a:b] - start, n[a:b]))
+                          for start, a, b in zip(shape.starts, cuts,
+                                                 [*cuts[1:], None])]
+
+
+def _ranks(groups: np.ndarray) -> np.ndarray:
+    """Each entry's count of the entries before it in its group."""
+    order = np.argsort(groups, kind="stable")
+    grouped = groups[order]
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(groups)) - np.searchsorted(grouped, grouped)
+    return ranks
+
+
+def _inserted(terms: np.ndarray, rows: np.ndarray, slots: np.ndarray,
+              values: np.ndarray) -> np.ndarray:
+    """``terms`` with ``values`` at columns ``slots`` of rows ``rows`` (the
+    three broadcast together) and the terms after each moved right, the
+    rows zero-padded to the longest: only the drawn retries lengthen an
+    accumulate."""
+    height, width = terms.shape
+    extra = np.bincount(rows.ravel(), minlength=height)
+    pad = extra.max()
+    kept = np.empty((height, width + pad), dtype=bool)
+    kept[:, :width] = True
+    kept[:, width:] = np.arange(pad) < extra[:, None]
+    at = rows * (width + pad) + slots
+    kept.ravel()[at] = False
+    out = np.zeros(kept.shape)
+    out[kept] = terms.ravel()
+    out.ravel()[at] = values
+    return out

@@ -373,6 +373,28 @@ class TestBookedBlocks:
             walked.num_syncs, walked.total_bytes)
         assert self._read(booked) == self._read(walked)
 
+    @given(step_rows(), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_block_booked_k_times_reads_as_k_blocks_closed_in_turn(
+            self, case, k, data):
+        """``times=k`` with the re-drives as one array, a row counted
+        over the k copies, as a stretch of k replays books them."""
+        plans, rows, _ = case
+        again = sorted(data.draw(st.dictionaries(
+            st.integers(0, k * len(rows) - 1), st.integers(1, 3))).items())
+        walked, booked = CommTracker(3), CommTracker(3)
+        for copy in range(k):
+            first = copy * len(rows)
+            self._walk(walked, rows, [(at - first, n) for at, n in again
+                                      if first <= at < first + len(rows)])
+        booked.book(StepBlock(rows),
+                    np.array(again, dtype=np.intp).reshape(-1, 2), times=k)
+        # the running counts move before anything expands
+        assert (booked.num_syncs, booked.total_bytes, booked.label_bytes,
+                booked.label_syncs) == (walked.num_syncs, walked.total_bytes,
+                                        walked.label_bytes, walked.label_syncs)
+        assert self._read(booked) == self._read(walked)
+
     def test_blocks_booked_back_to_back_and_read_between(self):
         scratch = CommTracker(3)
         scratch.send(0, 2, 40)

@@ -600,6 +600,62 @@ class TestTapeEqualsStepwise:
         assert accounting(taped) == accounting(walked)
 
 
+class TestStretchFlushPoints:
+    """An untraced run books its replays — iterations, crash cuts and
+    checkpoints — in stretches, and books a stretch before anything
+    reads the totals, the tracker or the injector's clock: a walked
+    superstep, a crash, a window's verdict that reads the clock, the
+    result.  Wherever a checkpoint, a crash, a straggler window or the
+    retries of a lossy plan fall among its replays, the run — computing,
+    then pricing — must price and count what the same run traced does,
+    to the bit."""
+
+    problem = generate_problem(8, 16, 16)
+
+    def draw_plan(self, data, run, solve):
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        interval = data.draw(st.none() | st.integers(1, 3), label="interval")
+        ckpt = interval and Checkpoint(interval)
+        kind = data.draw(st.sampled_from(["crash", "straggler", "loss"]))
+        if kind == "loss":
+            return FaultPlan(seed=seed, checkpoint=ckpt, message_loss=(
+                MessageLoss(data.draw(st.floats(0.0, 0.9), label="rate"),
+                            data.draw(st.integers(1, 4), label="cap"))))
+        run.faults = FaultPlan(checkpoint=ckpt)
+        windows = iteration_windows(run, solve)
+        first, last = data.draw(st.sampled_from(windows), label="window")
+        step = data.draw(st.integers(first, last), label="superstep")
+        if kind == "crash":             # lossless: booked up to the crash
+            return FaultPlan(seed=seed, checkpoint=ckpt, crashes=(
+                Crash(data.draw(st.integers(1, 3), label="node"), step),))
+        end = data.draw(st.none() | st.integers(step + 1, windows[-1][1] + 1),
+                        label="end")    # opens mid-stretch
+        return FaultPlan(seed=seed, checkpoint=ckpt, stragglers=(Straggler(
+            data.draw(st.integers(0, 3), label="node"), 2.5, step, end),))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def test_a_stretched_run_equals_its_stepwise_walk(self, data):
+        cls = BACKENDS[data.draw(st.sampled_from(sorted(BACKENDS)))]
+        run = cls(self.problem, 4, mg_levels=3,
+                  comm_mode=data.draw(st.sampled_from(["eager", "overlap"])))
+        solve = dict(use_mg=data.draw(st.booleans(), label="use_mg"),
+                     **data.draw(st.sampled_from([
+                         {"max_iters": 10},
+                         {"max_iters": 40, "tolerance": 1e-4}])))
+        run.faults = self.draw_plan(data, run, solve)
+        run._numerics.trajectories.clear()
+        with obs.disabled():
+            taped = run.run_cg(**solve)
+            priced = run.run_cg(**solve)
+        with obs.run():
+            walked = run.run_cg(**solve)
+        assert taped.replayed == walked.replayed and priced.replayed
+        assert accounting(taped) == accounting(walked)
+        assert accounting(priced) == accounting(walked)
+
+
 # ---------------------------------------------------------------------------
 # a run the problem's recorded trajectory covers prices only
 # ---------------------------------------------------------------------------

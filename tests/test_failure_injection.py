@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import graphblas as grb
+from repro import obs
 from repro.dist import (
     Checkpoint,
     Crash,
@@ -427,6 +428,68 @@ class TestSeededDeterminism:
         assert [e.as_dict() for e in inj.events] == events
         assert inj.exchange_retries == sum(e["detail"]["retries"]
                                            for e in events)
+
+
+class TestLossBlocks:
+    """A draw books its loss events as one block, listed only when
+    ``events`` is read: it reads back exactly as the events recorded one
+    at a time, among the other records in their order, and with an
+    ``on_event`` callback (the engine's, when obs is on) every event is
+    recorded and handed over as it lands."""
+
+    @given(rate=st.sampled_from([0.2, 0.5, 0.9]), cap=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 16),
+           blocks=st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_a_block_reads_as_its_events_recorded_in_turn(
+            self, rate, cap, seed, blocks):
+        plan = FaultPlan(seed=seed, message_loss=MessageLoss(
+            rate, max_retries=cap))
+        booked, handed, recorded = FaultInjector(plan, 4), [], \
+            FaultInjector(plan, 4)
+        called = FaultInjector(plan, 4)
+        called.on_event = handed.append
+        step = 0
+        for i, n in enumerate(blocks):
+            labels = [f"x{i}"] * n
+            lost, counts = booked.draw_retries(np.arange(step, step + n),
+                                               labels)
+            assert np.array_equal(called.draw_retries(
+                np.arange(step, step + n), labels)[1], counts)
+            behind = counts.cumsum() - counts
+            for at, retries, before in zip(lost.tolist(), counts.tolist(),
+                                           behind.tolist()):
+                recorded.record("message_loss", step + at + before,
+                                label=labels[at], retries=retries)
+            recorded.exchange_retries += int(counts.sum())
+            step += n + int(counts.sum())
+            for inj in (booked, called, recorded):
+                inj.record("checkpoint", step, iteration=i)
+            step += 1
+        want = [e.as_dict() for e in recorded.events]
+        for inj in (booked, called):
+            assert [e.as_dict() for e in inj.events] == want
+            assert inj.injected_counts() == recorded.injected_counts()
+            assert inj.exchange_retries == recorded.exchange_retries
+        assert handed == called.events
+
+    def test_a_lossy_run_hands_every_event_to_the_trace(self, dist_problem):
+        """Untraced, a run books its loss events in blocks; traced, every
+        event reaches the trace; both summaries read the same."""
+        plan = FaultPlan(seed=5, message_loss=MessageLoss(0.3))
+        run = RefDistRun(dist_problem, 4, mg_levels=3, faults=plan)
+        with obs.disabled():
+            run.run_cg(max_iters=1)                 # keeps the tapes
+            booked = run.run_cg(max_iters=10)
+        with obs.run() as ctx:
+            traced = run.run_cg(max_iters=10)
+        events = booked.resilience["events"]
+        assert [e["kind"] for e in events].count("message_loss") > 10
+        for key in ("events", "injected", "exchange_retries"):
+            assert booked.resilience[key] == traced.resilience[key], key
+        assert [{k: v for k, v in span.args.items() if k != "instant"}
+                for span in ctx.tracer.spans
+                if span.name.startswith("fault/")] == events
 
 
 class TestDegradedButCorrect:
