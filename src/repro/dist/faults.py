@@ -11,9 +11,9 @@ declarative, *deterministic* input to the simulated runs:
   (priced as bounded retry/backoff supersteps) and **node crashes** at
   a given superstep, plus the checkpoint cadence recovery relies on;
 
-* a :class:`FaultInjector` executes the plan against one run: it reads
-  a seeded sequence of uniforms (same seed → identical injected events,
-  bit for bit), tracks which nodes are alive, scales the BSP work term so the
+* a :class:`FaultInjector` executes the plan against one run: it owns
+  a seeded generator (same seed → identical injected events, bit for
+  bit), tracks which nodes are alive, scales the BSP work term so the
   max-over-nodes superstep price reflects the laggard, draws retry
   counts for lossy exchanges, and raises :class:`NodeCrash` when a
   planned failure reaches its superstep.
@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -45,51 +44,6 @@ from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from repro.util.errors import InvalidValue
-
-
-class _Uniforms:
-    """The uniforms one seed's generator yields, in order: drawn once,
-    and grown as draws reach further, for every injector under a plan of
-    that seed to read from where its own draws stand; and the retries a
-    block of exchanges draws from them, worked out once per block."""
-
-    KEPT = 256                          # blocks' retries kept
-
-    def __init__(self, seed: int):
-        self._rng = np.random.default_rng(seed)
-        self._values = np.empty(0)
-        self._retries: dict = {}
-        self._growing = threading.Lock()
-
-    def take(self, start: int, n: int) -> np.ndarray:
-        """Uniforms ``start`` to ``start + n`` of the seed's sequence."""
-        values = self._values
-        if start + n > len(values):
-            with self._growing:
-                values = self._values
-                if start + n > len(values):
-                    more = max(start + n - len(values), len(values), 1024)
-                    values = self._values = np.concatenate(
-                        (values, self._rng.random(more)))
-        return values[start:start + n]
-
-    def retries(self, start: int, m: int, rate: float, cap: int) -> tuple:
-        """``m`` exchanges drawing in turn from uniform ``start`` on, each
-        lost while its draw lands under ``rate``, at most ``cap`` times:
-        the indices of those that lost something, how often each is
-        re-driven (both read only), and the uniforms they use."""
-        key = start, m, rate, cap
-        drawn = self._retries.get(key)
-        if drawn is None:
-            counts, used = _runs(self.take(start, cap * m) >= rate, m, cap)
-            lost = np.flatnonzero(counts)
-            drawn = lost, counts[lost], int(used)
-            for array in drawn[:2]:
-                array.flags.writeable = False
-            if len(self._retries) == self.KEPT:
-                self._retries.pop(next(iter(self._retries)))
-            self._retries[key] = drawn
-        return drawn
 
 
 def _runs(delivering: np.ndarray, m: int, cap: int) -> tuple:
@@ -100,21 +54,21 @@ def _runs(delivering: np.ndarray, m: int, cap: int) -> tuple:
     delivered = np.flatnonzero(delivering)[:m]
     counts = delivered - np.arange(len(delivered))  # lost draws before
     counts[1:] -= counts[:-1].copy()                # ... since the last
-    if len(counts) == m and counts.max(initial=0) < cap:
-        return counts, delivered[-1] + 1 if m else 0   # none was capped
+    capped = np.flatnonzero(counts >= cap).tolist()
+    if len(counts) == m and not capped:
+        return counts, delivered[-1] + 1 if m else 0
     # a run of lost draws before a delivering one is run // cap capped
-    # exchanges, then one that lost run % cap
+    # exchanges, then one that lost run % cap; the draws after the last
+    # delivering one end capped exchanges only
     tail = len(delivering) - 1 - (delivered[-1] if len(counts) else -1)
-    per = np.append(counts // cap + 1, tail // cap)
-    runs, counts = counts, np.full(per.sum(), cap, dtype=np.intp)
-    counts[per[:-1].cumsum() - 1] = runs % cap
-    counts = counts[:m]
-    return counts, counts.sum() + (counts < cap).sum()
-
-
-@functools.lru_cache(maxsize=8)
-def _uniforms(seed: int) -> _Uniforms:
-    return _Uniforms(seed)
+    pieces, start = [], 0
+    for i in capped:
+        run = int(counts[i])
+        pieces += [counts[start:i], [cap] * (run // cap), [run % cap]]
+        start = i + 1
+    pieces += [counts[start:], [cap] * (tail // cap)]
+    counts = np.concatenate(pieces).astype(np.intp)[:m]
+    return counts, int(counts.sum() + (counts < cap).sum())
 
 
 class NodeCrash(Exception):
@@ -456,9 +410,10 @@ class FaultEvent:
 
 class LossBlock:
     """Message-loss events booked as one: exchange ``lost[i]`` of a drawn
-    block lost something at superstep ``supersteps[i]`` and was re-driven
-    ``retries[i]`` times; they become :class:`FaultEvent` records only
-    when :attr:`FaultInjector.events` is read."""
+    block, closing at superstep ``supersteps[lost[i]]`` plus the retries
+    before it, lost something and was re-driven ``retries[i]`` times;
+    they become :class:`FaultEvent` records only when
+    :attr:`FaultInjector.events` is read."""
 
     def __init__(self, supersteps: np.ndarray, labels: Sequence[Optional[str]],
                  lost: np.ndarray, retries: np.ndarray):
@@ -466,8 +421,10 @@ class LossBlock:
         self.lost, self.retries = lost, retries
 
     def events(self) -> Iterator[FaultEvent]:
-        for step, i, n in zip(self.supersteps.tolist(), self.lost.tolist(),
-                              self.retries.tolist()):
+        lost, retries = self.lost, self.retries
+        steps = self.supersteps[lost] + (retries.cumsum() - retries)
+        for step, i, n in zip(steps.tolist(), lost.tolist(),
+                              retries.tolist()):
             yield FaultEvent("message_loss", step,
                              detail={"label": self.labels[i], "retries": n})
 
@@ -475,12 +432,10 @@ class LossBlock:
 class FaultInjector:
     """Executes one :class:`FaultPlan` against one resilient run.
 
-    All randomness is the sequence of uniforms a ``numpy`` generator
-    seeded with ``plan.seed`` yields, read in order from where the
-    injector's draws stand, and draws happen at deterministic points
-    (one bounded sequence per closed exchange superstep), so the same
-    plan against the same run yields byte-identical events and pricing.
-    The sequence is drawn once per seed and shared (:func:`_uniforms`).
+    All randomness flows through one ``numpy`` generator seeded with
+    ``plan.seed``, and draws happen at deterministic points (one
+    bounded sequence per closed exchange superstep), so the same plan
+    against the same run yields byte-identical events and pricing.
 
     The injector survives recovery: the respawned survivor run keeps
     using the same instance, so superstep numbering, the alive set and
@@ -491,7 +446,6 @@ class FaultInjector:
         plan.validate_for(nprocs)
         self.plan = plan
         self.nprocs = nprocs
-        self._drawn = 0               # uniforms the draws have used
         self.alive = set(range(nprocs))
         self.superstep = 0            # next superstep index to be priced
         self._events: List[FaultEvent] = []
@@ -514,13 +468,12 @@ class FaultInjector:
         self.on_event = None
 
     # --- bookkeeping ---------------------------------------------------------
-    @property
+    @functools.cached_property
     def rng(self) -> np.random.Generator:
-        """A generator seeded with the plan's seed, where the draws so far
-        leave it (the draws read the seed's :func:`_uniforms`)."""
-        rng = np.random.default_rng(self.plan.seed)
-        rng.bit_generator.advance(self._drawn)
-        return rng
+        """The generator every draw reads, seeded with the plan's seed
+        (made at the first draw: a plan without message loss draws
+        nothing)."""
+        return np.random.default_rng(self.plan.seed)
 
     @property
     def alive_count(self) -> int:
@@ -652,25 +605,24 @@ class FaultInjector:
         Each exchange draws one uniform per (re)delivery attempt: it is
         lost while the draw lands under ``rate``, up to ``max_retries``
         resends (the transport then falls back to its slow reliable path
-        — delivery is never abandoned, only priced).  All of them read
-        one block of the most they can take from the seed's uniforms,
-        which holds the values drawing one at a time would, and the
-        injector moves on by the draws they use (the retries of a block
-        are worked out once per seed, start and size).  Exchange ``i``
-        closes at superstep ``supersteps[i]`` plus the retries before it;
-        the ones that lost something book their events there as one
-        :class:`LossBlock` (one by one, each handed to :attr:`on_event`,
-        when that is set).
+        — delivery is never abandoned, only priced).  All of them draw
+        from one block of the most they can take, which holds the values
+        drawing one at a time would, and the generator is wound back to
+        where those draws leave it.  Exchange ``i`` closes at superstep
+        ``supersteps[i]`` plus the retries before it; the ones that lost
+        something book their events there as one :class:`LossBlock` (one
+        by one, each handed to :attr:`on_event`, when that is set).
         """
         loss = self.plan.message_loss
-        lost, retries, used = _uniforms(self.plan.seed).retries(
-            self._drawn, len(supersteps), loss.rate, loss.max_retries)
-        self._drawn += used
+        m, cap = len(supersteps), loss.max_retries
+        counts, used = _runs(self.rng.random(cap * m) >= loss.rate, m, cap)
+        self.rng.bit_generator.advance(int(used) - cap * m)
+        lost = np.flatnonzero(counts)
+        retries = counts[lost]
         if not lost.size:
             return lost, retries
-        steps = supersteps[lost] + (retries.cumsum() - retries)
         self.exchange_retries += int(retries.sum())
-        block = LossBlock(steps, labels, lost, retries)
+        block = LossBlock(supersteps, labels, lost, retries)
         if self.on_event is None:
             self._booked.append(block)
             self._counted("message_loss", len(lost))

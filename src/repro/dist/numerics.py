@@ -134,8 +134,6 @@ class _Numerics(list):
         self.records = {}
         #: (record key, comm_mode, machine, use_mg, k == 1) -> tape.Tape
         self.tapes = {}
-        #: (record key, machine) -> the tape of one CG checkpoint
-        self.checkpoint_tapes = {}
         #: (use_mg, id(b), b.version, id(x0), x0.version) -> Trajectory
         self.trajectories = {}
         grid, A = problem.grid, problem.A.to_scipy(copy=False)

@@ -195,7 +195,7 @@ class _RunState:
         self.replaying = False
         self.stretch: Optional[list] = None
         self.stretch_run = None
-        self.folded: dict = {}        # a stretch's shape -> its Timer objects
+        self.folded: dict = {}        # a tape's timer names -> their Timers
         # the obs context, read once (no environment lookup per
         # superstep); the fault metrics are declared only on faulted runs
         self.ctx = obs.current()
@@ -342,7 +342,6 @@ class _RunState:
         finished (see :attr:`DistRunResult.resilience`): its counts are
         taken now, its events (booked as blocks) listed when it runs."""
         inj = self.injector
-        plan = inj.plan.to_dict()
         counts = {
             "injected": inj.injected_counts(),
             "recoveries": inj.recoveries,
@@ -355,6 +354,6 @@ class _RunState:
             "supersteps_total": self.lost_supersteps + self.tracker.num_syncs,
             "comm_bytes_total": self.lost_bytes + self.tracker.total_bytes,
         }
-        return lambda: {"plan": plan, "seed": inj.plan.seed,
+        return lambda: {"plan": inj.plan.to_dict(), "seed": inj.plan.seed,
                         "events": [e.as_dict() for e in inj.events],
                         **counts}

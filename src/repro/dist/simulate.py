@@ -30,14 +30,14 @@ of it, and records what it booked as a :class:`~repro.dist.tape.Tape`.
 An iteration whose window the injector finds quiet (message loss alone
 is quiet) replays the tape: its kernels run their numerics and price
 nothing, and the tape joins the run's **stretch** of replays since the
-last walked superstep, as does a quiet checkpoint under a lossless plan
-(from a tape priced once on a scratch state) and, cut at the crash, an
-iteration quiet up to a planned crash, which then fires there.  One
-fold books the stretch in arrays (:func:`~repro.dist.tape.fold`: every
-total bit-identical, supersteps, retries and loss events as blocks
-expanded only when read) before anything reads the totals, the tracker
-or the injector's clock.  Traced runs walk every iteration: their spans
-are the product.
+last walked superstep, as does, cut at the crash, an iteration quiet up
+to a planned crash, which then fires there.  One fold books the stretch
+in arrays (:func:`~repro.dist.tape.fold`: every total bit-identical,
+supersteps, retries and loss events as blocks expanded only when read)
+before anything reads the totals, the tracker or the injector's clock:
+a walked superstep (a checkpoint is always walked), a crash, a window
+verdict under message loss, the result.  Traced runs walk every
+iteration: their spans are the product.
 
 And the numerics run once per problem: a later untraced run whose stop
 point the first computing run's recorded dots reach *prices only*.
@@ -516,25 +516,16 @@ class SimulatedDistRun:
         in-memory snapshot is taken *after* the superstep is priced, so
         a crash landing on the checkpoint barrier leaves the previous
         snapshot as the rollback target, exactly like a torn write to
-        stable storage would.  A run that prices only copies no vector.
-        Untraced and under a lossless plan, a checkpoint whose barrier
-        the injector finds quiet joins the stretch of replays not yet
-        booked, as a copy of :meth:`_checkpoint_tape`, and the fold books
-        its seconds; else it is walked."""
+        stable storage would.  A run that prices only copies no vector;
+        the replays before it are booked first."""
         state, inj = self._state, self._state.injector
-        if state.ctx is None and not state.lossy:
-            at = inj.superstep + state.pending()
-            if inj.quiet(at, at + 1):
-                state.replayed(self._checkpoint_tape(), self)
-                state.checkpoints += 1
-                state.checkpoint = state.snapshot(cg)
-                inj.record("checkpoint", at, iteration=cg.k)
-                return
         state.flush()
         with self._span("fault/checkpoint", "fault",
                         {"iteration": cg.k}) as sp:
             before = state.seconds
-            self._checkpoint_superstep()
+            self._root_exchange(self._barrier, "checkpoint",
+                                "fault/checkpoint", self.n,
+                                self._CKPT_VECTORS)
             delta = state.seconds - before
             state.checkpoint_seconds += delta
             state.checkpoints += 1
@@ -544,29 +535,6 @@ class SimulatedDistRun:
             inj.record("checkpoint", inj.superstep - 1, iteration=cg.k)
             if sp is not None:
                 sp.set(seconds=delta)
-
-    def _checkpoint_superstep(self) -> None:
-        self._root_exchange(self._barrier, "checkpoint", "fault/checkpoint",
-                            self.n, self._CKPT_VECTORS)
-
-    def _checkpoint_tape(self) -> Tape:
-        """The tape of one checkpoint's superstep on this run's record and
-        machine, as a quiet window prices it: recorded once per problem,
-        by pricing one on a scratch run state."""
-        key = self._record_key, self.machine
-        tape = self._numerics.checkpoint_tapes.get(key)
-        if tape is None:
-            state = self._state
-            with obs.disabled():
-                self._state = scratch = _RunState(self.nprocs, None)
-            try:
-                scratch.taping = Tape(scratch.tracker, checkpoint=True)
-                self._checkpoint_superstep()
-                tape = self._numerics.checkpoint_tapes.setdefault(
-                    key, scratch.taping.close(scratch.tracker))
-            finally:
-                self._state = state
-        return tape
 
     def _restore(self, checkpoint: CGState) -> CGState:
         """Resume from ``checkpoint`` after a repartition: node 0

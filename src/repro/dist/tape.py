@@ -1,6 +1,6 @@
-"""Superstep tapes: one CG iteration's (or one checkpoint's) accounting
-as the pricing walk of :mod:`repro.dist.simulate` booked it, compiled to
-be booked again in arrays.
+"""Superstep tapes: one CG iteration's accounting as the pricing walk of
+:mod:`repro.dist.simulate` booked it, compiled to be booked again in
+arrays.
 
 An iteration closes the same supersteps at the same prices in every run
 on the same communication record, mode, machine and preconditioner, so
@@ -10,44 +10,44 @@ the tape for every later one.  Closing compiles the recording:
 * its supersteps become one :class:`~repro.dist.comm.StepBlock`, which
   the tracker takes as one entry and expands only when read;
 * each running sum the walk adds to becomes one row of its terms in
-  booking order, a term's column its rank in the row: the run's
-  modelled, full and exposed seconds in one matrix, every timer's total
-  in another (their rows are far shorter, and an accumulate costs what
-  its matrix holds).
+  booking order, zero-padded: the run's modelled, full and exposed
+  seconds in one matrix, a tick's terms in the tick's column; every
+  timer's total in another, a term's column its rank in the row (the
+  rows are far shorter, and an accumulate costs what its matrix holds),
+  the rows in the order of the timers' names, so that tapes ticking the
+  same timers lay their sums out alike.
 
-A run books what it replays — iterations, the cut of one up to a
-crash, checkpoints — in **stretches**: every replay since the last
-walked superstep, one copy of a tape each.  :func:`fold` books a
-stretch at once, before anything reads the totals, the tracker or the
-injector's clock.  It lays every copy's matrices side by side (the
-timers' rows the union of the tapes', in the walk's order of first
-ticks), writes the run's totals into column 0 and runs one
-``np.add.accumulate`` per matrix.  Accumulate adds strictly left to
-right, as the walk's ``+=`` did, and a padding zero changes no total
+A run books what it replays — iterations, and the cut of one up to a
+crash — in **stretches**: every replay since the last walked
+superstep, one copy of a tape each, consecutive copies of one tape as
+that tape replayed ``times`` times.  :func:`fold` books a stretch at
+once, before anything reads the totals, the tracker or the injector's
+clock.  For each run of tapes laid out alike (the first iteration's and
+the later ones' are) it lays every copy's matrices side by side, writes
+the run's totals into column 0 and runs one ``np.add.accumulate`` per
+matrix.  Accumulate adds strictly left to right, as the walk's ``+=``
+did, and a padding zero changes no total
 (``x + 0.0`` is ``x``), so every total is bit-identical; ``sum`` and
 ``np.sum`` add pairwise and ``math.fsum`` rounds once, so all three
-would not be.  The running sums also give each checkpoint's seconds as
-the walk took them.  The tracker takes each tape's copies as one block
-booked that many times.  What a stretch of one shape needs besides the
-run's totals is built once per shape (:class:`_Shape`).
+would not be.  The tracker takes a tape's copies as one block booked
+that many times.
 
-Under message loss the stretch first draws the seeded retries of every
-exchange of every copy as one block
+Under message loss the copies first draw the seeded retries of every
+exchange as one block
 (:meth:`~repro.dist.faults.FaultInjector.draw_retries`).  A retry adds
 its price right after its exchange's term in each of the exchange's six
 sums, so each retry drawn inserts its terms there, moving the rest of
-each row right: a row grows by the retries that landed in it, and the
-matrices by the most any of their rows took.  The seeded draws repeat
-from run to run, and the matrices they give are built once per shape
-and draw.
+each row right: a column of its own in the run's totals, and in the
+timers' a term in each of its exchange's rows, a row growing by the
+retries that landed in it and the matrix by the most any row took.
+Nothing a fold lays out or draws is kept past it.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
+import itertools
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 
@@ -61,13 +61,10 @@ class Tape:
     closed: the numerics keep it for every run that prices the iteration
     alike."""
 
-    def __init__(self, tracker: CommTracker, checkpoint: bool = False):
+    def __init__(self, tracker: CommTracker):
         self.ticks: list = []           # (key, seconds, *wire), in order
         self.marked = set()             # tracker indices of the exchanges
         self._first = tracker.num_syncs
-        #: a CG checkpoint's, whose price a fold adds to the run's
-        #: checkpoint seconds as well
-        self.checkpoint = checkpoint
 
     def close(self, tracker: CommTracker) -> "Tape":
         """End the recording: pair each superstep's tick with its step."""
@@ -93,241 +90,189 @@ class Tape:
         return cut
 
     def _compile(self, ticks: list) -> "Tape":
-        self.ticks, self._cuts, self._shapes = ticks, {}, {}
+        self.ticks, self._cuts = ticks, {}
         # each registry's timers in the walk's order of first ticks: a
         # registry's sums over its timers add in creation order
         self.keys = (list(dict.fromkeys(key for key, _, _ in ticks)),
                      list(dict.fromkeys(name for _, _, wire in ticks
                                         if wire for name in wire[2:4])))
-        row = {key: i for i, key in enumerate(self.keys[0] + self.keys[1])}
-        ranks = [0] * 3, [0] * len(row)   # terms so far, per part and row
-        terms = [], []                    # (row, rank, value) per part
+        #: the timers, one row each, in the order of their names
+        self.names = tuple(sorted([(0, key) for key in self.keys[0]]
+                                  + [(1, key) for key in self.keys[1]]))
+        row = {key: i for i, (_, key) in enumerate(self.names)}
+        ranks = [0] * len(row)            # each timer's terms so far
+        terms = [], []                    # (row, column, value) per part
         steps, lossy = [], []
-        for key, seconds, wire in ticks:
-            # (part, row, value): the run's totals, then the timers
-            sums = [(0, 0, seconds), (1, row[key], seconds)]
+        for tick, (key, seconds, wire) in enumerate(ticks, 1):
+            # the run's totals: every tick's terms in its own column
+            terms[0].append((0, tick, seconds))
+            timed = [(row[key], seconds)]
             if wire is not None:
                 full, exposed, full_key, exposed_key, step, exchange = wire
-                sums = [sums[0], (0, 1, full), (0, 2, exposed), sums[1],
-                        (1, row[full_key], full),
-                        (1, row[exposed_key], exposed)]
-            at = []
-            for part, r, value in sums:
-                ranks[part][r] += 1
-                at.append(ranks[part][r])
-                terms[part].append((r, at[-1], value))
+                terms[0].extend([(1, tick, full), (2, tick, exposed)])
+                timed += [(row[full_key], full), (row[exposed_key], exposed)]
+            # the timers: a term's column its rank in its row
+            for r, value in timed:
+                ranks[r] += 1
+                terms[1].append((r, ranks[r], value))
             if wire is None:
                 continue
             if exchange and step[0].h > 0:      # may be lost and re-driven
                 lossy.append((len(steps), step[1], step[0].h,
-                              [r for _, r, _ in sums], at))
+                              [r for r, _ in timed],
+                              [tick] + [ranks[r] for r, _ in timed]))
             steps.append(step)
-        self.sums = []                      # zero-padded, a term at (row, rank)
-        for part, n in zip(terms, ranks):
+        self.sums = []                      # column 0 left for the totals
+        for part, height, width in zip(terms, (3, len(ranks)),
+                                       (len(ticks), max(ranks))):
             rows, at, values = map(np.array, zip(*part))
-            self.sums.append(np.zeros((len(n), max(n) + 1)))
+            self.sums.append(np.zeros((height, width + 1)))
             self.sums[-1][rows, at] = values
-        self.counts = np.array(ranks[1])    # each timer's ticks
+        self.counts = np.array(ranks)       # each timer's ticks
         self.steps, self.block = len(steps), StepBlock(steps)
         self.exchanges = sum(wire[5] for _, _, wire in ticks if wire)
         self.lossy = None
-        if lossy:
+        if lossy:   # per exchange: its timers' rows, its terms' next columns
             offsets, labels, hs, rows, at = zip(*lossy)
             self.lossy = SimpleNamespace(
                 offsets=np.array(offsets), labels=labels, h=np.array(hs),
-                rows=np.array(rows), at=np.array(at))
+                rows=np.array(rows), after=np.array(at) + 1)
+        #: the width of the matrix each column of ``lossy.after`` indexes
+        self.widths = np.repeat([sums.shape[1] for sums in self.sums],
+                                (1, 3))
         return self
 
 
 def fold(run, stretch: list) -> None:
     """Book ``stretch`` — ``[tape, times]`` pairs, each tape replayed
-    ``times`` times in turn — on ``run``'s state as one: one left-to-right
-    accumulate per matrix, from the run's totals over every copy's terms
-    side by side, adds every term in the walk's order, so totals stay
-    bit-identical; each tape's supersteps go to the tracker as its copies
-    of one block.  Under message loss the exchanges of all the copies
-    draw their seeded retries as one block first, and each retry's terms
-    land right after its exchange's."""
-    state, shape = run._state, _Shape.of(stretch)
-    inj, timers = state.injector, state.folded.get(shape)
-    if timers is None:                  # resolved once per run and shape
-        timers = state.folded[shape] = [
-            registry.get(key) for registry, keys in zip(
-                (state.timers, state.comm_timers), shape.keys)
-            for key in keys]
-    if state.lossy and shape.lossy is not None:
-        sums, counts, retried = _retried(run, shape)
-    else:
-        sums, counts, retried = shape.sums, shape.counts, [()] * len(stretch)
-    sums = [terms.copy() for terms in sums]
+    ``times`` times in turn — on ``run``'s state: for each run of tapes
+    laid out alike, one left-to-right accumulate per matrix, from the
+    run's totals over every copy's terms side by side, adds every term in
+    the walk's order, so totals stay bit-identical; each tape's
+    supersteps go to the tracker as its copies of one block.  Under
+    message loss the exchanges of all the copies draw their seeded
+    retries as one block first, and each retry's terms land right after
+    its exchange's."""
+    for _, part in itertools.groupby(stretch, lambda pair: pair[0].names):
+        _fold(run, list(part))
+
+
+def _fold(run, part: list) -> None:
+    """Book ``part``, ``[tape, times]`` pairs of tapes laid out alike."""
+    state, first = run._state, part[0][0]
+    timers = state.folded.get(first.names)
+    if timers is None:                  # resolved once per run and layout
+        made = {(p, key): registry.get(key) for p, (registry, keys) in
+                enumerate(zip((state.timers, state.comm_timers),
+                              first.keys)) for key in keys}
+        timers = state.folded[first.names] = [made[name]
+                                              for name in first.names]
+    # every copy's matrices side by side, each with its own (zero) column 0
+    sums = [np.concatenate([tape.sums[p] for tape, times in part
+                            for _ in range(times)], axis=1) for p in (0, 1)]
+    counts = sum(tape.counts * times for tape, times in part)
+    steps = sum(tape.steps * times for tape, times in part)
+    retried = [()] * len(part)
+    if state.lossy:
+        counts, retried, again = _retried(run, part, sums, counts)
+        steps += again
     sums[0][:, 0] = (state.seconds, state.comm_seconds,
                      state.exposed_comm_seconds)
     sums[1][:, 0] = [timer.total for timer in timers]
-    running, timed = (np.add.accumulate(terms, axis=1) for terms in sums)
-    state.seconds, state.comm_seconds, state.exposed_comm_seconds = \
-        running[:, -1].tolist()
-    for timer, total, n in zip(timers, timed[:, -1].tolist(),
-                               counts.tolist()):
+    running, timed = (np.add.accumulate(terms, axis=1)[:, -1].tolist()
+                      for terms in sums)
+    state.seconds, state.comm_seconds, state.exposed_comm_seconds = running
+    for timer, total, n in zip(timers, timed, counts.tolist()):
         timer.total, timer.count = total, timer.count + n
-    if shape.checkpoints:               # what each one added, as walked
-        seconds = running[0].tolist()
-        for start, end in shape.checkpoints:
-            state.checkpoint_seconds += seconds[end] - seconds[start]
-    for (tape, times), again in zip(stretch, retried):
+    for (tape, times), again in zip(part, retried):
         state.tracker.book(tape.block, again, times)
-    if inj is not None:
-        inj.superstep += shape.steps + sum(int(again[:, 1].sum())
-                                           for again in retried if len(again))
+    if state.injector is not None:
+        state.injector.superstep += steps
 
 
-class _Shape:
-    """What booking a stretch of one shape — its ``(tape, times)`` pairs —
-    takes besides the draws, built once per shape and kept on its first
-    tape: the timers its tapes tick, in the walk's order of first ticks,
-    one row of the timers' matrix each; every copy's matrices side by
-    side, each with its own (zero) column 0; the timers' tick counts and
-    the supersteps closed; under message loss each lossy exchange of
-    every copy, in turn: its superstep offset from the stretch's first,
-    label and h, and its six terms' rows and next columns, and the
-    superstep each tape's copies start at; and, per draw, what
-    :func:`_retried` gives for it."""
-
-    KEPT = 4                # shapes kept per first tape, draws per shape
-
-    @classmethod
-    def of(cls, stretch: list) -> "_Shape":
-        kept, key = stretch[0][0]._shapes, tuple(map(tuple, stretch))
-        shape = kept.get(key)
-        if shape is None:
-            if len(kept) == cls.KEPT:
-                kept.pop(next(iter(kept)))
-            shape = kept[key] = cls(stretch)
-        return shape
-
-    def __init__(self, stretch: list):
-        tapes = dict.fromkeys(tape for tape, _ in stretch)
-        self.keys = tuple(list(dict.fromkeys(
-            key for tape in tapes for key in tape.keys[part]))
-            for part in (0, 1))
-        row = {key: i for i, key in enumerate(self.keys[0] + self.keys[1])}
-        widths = [[times * terms.shape[1] for terms in tape.sums]
-                  for tape, times in stretch]
-        self.sums = [np.empty((3, sum(w for w, _ in widths))),
-                     np.zeros((len(row), sum(w for _, w in widths)))]
-        self.counts = np.zeros(len(row), dtype=np.intp)
-        self.checkpoints = []           # each checkpoint copy's columns
-        self.starts, self._segments, at, self.steps = [], [], [0, 0], 0
-        self.retried: dict = {}         # a draw -> what _retried returns
-        rows_of, tiled = {}, {}         # per tape, and per (tape, times)
-        for (tape, times), width in zip(stretch, widths):
-            rows = rows_of.get(tape)    # its timers' rows among the stretch's
-            if rows is None:
-                rows = rows_of[tape] = np.array(
-                    [row[key] for key in tape.keys[0] + tape.keys[1]])
-            copies = tiled.get((tape, times))
-            if copies is None:
-                copies = tiled[tape, times] = [
-                    np.concatenate([terms] * times, axis=1)
-                    for terms in tape.sums]
-            self.sums[0][:, at[0]:at[0] + width[0]] = copies[0]
-            self.sums[1][rows, at[1]:at[1] + width[1]] = copies[1]
-            self.counts[rows] += tape.counts * times
-            if tape.checkpoint:
-                one = tape.sums[0].shape[1]
-                self.checkpoints += [(at[0] + k * one, at[0] + (k + 1) * one
-                                      - 1) for k in range(times)]
-            self.starts.append(self.steps)
-            self._segments.append((tape, times, rows, self.steps, list(at)))
-            self.steps += times * tape.steps
-            at = [a + w for a, w in zip(at, width)]
-
-    @functools.cached_property
-    def lossy(self) -> Optional[SimpleNamespace]:
-        """The lossy exchanges of every copy (built at the first lossy
-        fold: a clean run's stretches need none)."""
-        lossy = []
-        for tape, times, rows, step, at in self._segments:
-            one = tape.lossy
-            if one is None:
-                continue
-            mapped = np.hstack((one.rows[:, :3], rows[one.rows[:, 3:]]))
-            widths = np.repeat([terms.shape[1] for terms in tape.sums], 3)
-            for k in range(times):
-                lossy.append((one, mapped, step + k * tape.steps,
-                              np.repeat(at, 3) + k * widths))
-        if not lossy:
-            return None
-        return SimpleNamespace(
-            offsets=np.concatenate([one.offsets + step
-                                    for one, _, step, _ in lossy]),
-            labels=sum((one.labels for one, _, _, _ in lossy), ()),
-            h=np.concatenate([one.h for one, _, _, _ in lossy]),
-            rows=np.concatenate([rows for _, rows, _, _ in lossy]),
-            after=np.concatenate([one.at + 1 + col
-                                  for one, _, _, col in lossy]))
-
-
-def _retried(run, shape: _Shape) -> tuple:
-    """Draw the retries of the exchanges of every copy in a stretch of
-    ``shape`` on ``run``'s injector, as one block: the copies' matrices
-    with each retry's terms right after its exchange's, the timers' tick
-    counts, and per tape the ``(row, retries)`` pairs the tracker books
-    (worked out once per shape and draw)."""
-    inj, lossy = run._state.injector, shape.lossy
-    lost, n = inj.draw_retries(inj.superstep + lossy.offsets, lossy.labels)
+def _retried(run, part: list, sums: list, counts: np.ndarray) -> tuple:
+    """Draw the retries of every lossy exchange of every copy in ``part``
+    as one block and insert each retry's terms into ``sums``, the copies'
+    matrices, right after its exchange's; return the timers' tick
+    counts, per tape the ``(row, retries)`` pairs the tracker books, and
+    the retries drawn."""
+    inj = run._state.injector
+    # every lossy exchange of every copy, in turn: its superstep from the
+    # first, label and h, its timers' rows, and the next columns of its
+    # terms (the totals' one, then its timers')
+    offsets, labels, hs, rows, after, starts = [], [], [], [], [], []
+    step, base = 0, np.zeros(4, dtype=np.intp)
+    for tape, times in part:
+        one, widths = tape.lossy, tape.widths
+        starts.append(step)
+        if one is not None:
+            copies = np.arange(times)[:, None]
+            offsets.append((one.offsets + (step + tape.steps * copies))
+                           .ravel())
+            labels += one.labels * times
+            hs += [one.h] * times
+            rows += [one.rows] * times
+            after.append((one.after + base + widths * copies[:, :, None])
+                         .reshape(-1, 4))
+        step, base = step + times * tape.steps, base + times * widths
+    if not offsets:
+        return counts, [()] * len(part), 0
+    offsets, hs, rows, after = map(np.concatenate,
+                                   (offsets, hs, rows, after))
+    lost, n = inj.draw_retries(inj.superstep + offsets, labels)
     if not lost.size:
-        return shape.sums, shape.counts, [()] * len(shape.starts)
-    key = lost.tobytes(), n.tobytes(), inj.plan.message_loss.backoff
-    retried = shape.retried.get(key)
-    if retried is None:
-        if len(shape.retried) == shape.KEPT:
-            shape.retried.pop(next(iter(shape.retried)))
-        retried = shape.retried[key] = _insert_retries(
-            shape, lost, n, run.machine.retry_comm_times(
-                lossy.h[np.repeat(lost, n)],
-                np.arange(n.sum()) - np.repeat(n.cumsum() - n, n),
-                inj.plan.message_loss.backoff))
-    return retried
-
-
-def _insert_retries(shape: _Shape, lost: np.ndarray, n: np.ndarray,
-                    costs: np.ndarray) -> tuple:
-    """``shape``'s matrices with the retries ``n`` of its lossy exchanges
-    ``lost``, priced ``costs`` in turn, inserted; the counts; the pairs."""
-    lossy = shape.lossy
+        return counts, [()] * len(part), 0
     which = np.repeat(lost, n)          # each retry's exchange
-    rows, after = lossy.rows[which], lossy.after[which]
-    # a retry's terms go after its exchange's and the retries before it
-    # in their rows: all of them in the run's totals, those of its
-    # exchange's timer key in the timers'
-    sums = []
-    for p, ahead in enumerate((np.arange(len(which)), _ranks(rows[:, 3]))):
-        mine = slice(3 * p, 3 * p + 3)
-        sums.append(_inserted(shape.sums[p], rows[:, mine],
-                              after[:, mine] + ahead[:, None],
-                              costs[:, None]))
-    counts = shape.counts + np.bincount(rows[:, 3:].ravel(),
-                                        minlength=len(shape.counts))
-    at = lossy.offsets[lost]            # each tape's rows from its first
-    cuts = np.searchsorted(at, shape.starts)
-    return sums, counts, [np.column_stack((at[a:b] - start, n[a:b]))
-                          for start, a, b in zip(shape.starts, cuts,
-                                                 [*cuts[1:], None])]
+    drawn = len(which)
+    costs = run.machine.retry_comm_times(
+        hs[which], np.arange(drawn) - np.repeat(n.cumsum() - n, n),
+        inj.plan.message_loss.backoff)
+    rows, after = rows[which], after[which]
+    # a retry's terms go after its exchange's and the retries before it:
+    # a column of its own in the run's totals, and in its exchange's
+    # timers' rows after the retries of that timer key before it
+    sums[0] = _columns_inserted(sums[0], after[:, 0] + np.arange(drawn),
+                                costs)
+    sums[1] = _inserted(sums[1], rows, after[:, 1:] + _ranks(
+        rows[:, 0])[:, None], costs[:, None])
+    counts = counts + np.bincount(rows.ravel(), minlength=len(counts))
+    # per tape, its lossy rows counted from its first superstep
+    pairs = np.empty((len(lost), 2), dtype=np.intp)
+    pairs[:, 0], pairs[:, 1] = offsets[lost], n
+    cuts = np.searchsorted(pairs[:, 0], starts).tolist() + [len(lost)]
+    retried = []
+    for start, a, b in zip(starts, cuts, cuts[1:]):
+        pairs[a:b, 0] -= start
+        retried.append(pairs[a:b])
+    return counts, retried, drawn
 
 
-def _ranks(groups: np.ndarray) -> np.ndarray:
-    """Each entry's count of the entries before it in its group."""
-    order = np.argsort(groups, kind="stable")
-    grouped = groups[order]
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each entry's count of the entries before it with its key."""
+    order = np.argsort(keys, kind="stable")
+    grouped = keys[order]
     ranks = np.empty_like(order)
-    ranks[order] = np.arange(len(groups)) - np.searchsorted(grouped, grouped)
+    ranks[order] = np.arange(len(keys)) - np.searchsorted(grouped, grouped)
     return ranks
+
+
+def _columns_inserted(terms: np.ndarray, slots: np.ndarray,
+                      values: np.ndarray) -> np.ndarray:
+    """``terms`` with a column of ``values[i]`` at column ``slots[i]``
+    (in the result), the columns after each moved right."""
+    height, width = terms.shape
+    kept = np.ones(width + len(slots), dtype=bool)
+    kept[slots] = False
+    out = np.empty((height, len(kept)))
+    out[:, kept] = terms
+    out[:, slots] = values
+    return out
 
 
 def _inserted(terms: np.ndarray, rows: np.ndarray, slots: np.ndarray,
               values: np.ndarray) -> np.ndarray:
     """``terms`` with ``values`` at columns ``slots`` of rows ``rows`` (the
-    three broadcast together) and the terms after each moved right, the
+    values broadcast to them) and the terms after each moved right, the
     rows zero-padded to the longest: only the drawn retries lengthen an
     accumulate."""
     height, width = terms.shape

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import sys
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -601,11 +602,11 @@ class TestTapeEqualsStepwise:
 
 
 class TestStretchFlushPoints:
-    """An untraced run books its replays — iterations, crash cuts and
-    checkpoints — in stretches, and books a stretch before anything
-    reads the totals, the tracker or the injector's clock: a walked
-    superstep, a crash, a window's verdict that reads the clock, the
-    result.  Wherever a checkpoint, a crash, a straggler window or the
+    """An untraced run books its replays — iterations and crash cuts —
+    in stretches, and books a stretch before anything reads the totals,
+    the tracker or the injector's clock: a walked superstep (a
+    checkpoint's included), a crash, a window's verdict that reads the
+    clock, the result.  Wherever a checkpoint, a crash, a straggler window or the
     retries of a lossy plan fall among its replays, the run — computing,
     then pricing — must price and count what the same run traced does,
     to the bit."""
@@ -654,6 +655,42 @@ class TestStretchFlushPoints:
         assert taped.replayed == walked.replayed and priced.replayed
         assert accounting(taped) == accounting(walked)
         assert accounting(priced) == accounting(walked)
+
+
+def test_replays_from_several_threads_equal_their_sequential_replays():
+    """Runs on one problem share its tapes, not what a fold lays out or
+    draws: replayed at once from several threads, stretches of many
+    lengths, clean and lossy, each price what the same replay does
+    alone."""
+    problem = generate_problem(8, 16, 16)
+    plans = [None, FaultPlan(seed=7, message_loss=MessageLoss(0.5, 3)),
+             FaultPlan(seed=8, message_loss=MessageLoss(0.9, 2))]
+    cases = [(plan, iters) for plan in plans for iters in range(2, 10)]
+    runs = [RefDistRun(problem, 4, mg_levels=3, faults=plan)
+            for plan, _ in cases]
+    got = [None] * len(runs)
+
+    def solve(i):
+        got[i] = runs[i].run_cg(max_iters=cases[i][1])
+
+    interval = sys.getswitchinterval()
+    with obs.disabled():            # the trace stack is one per process
+        runs[0].run_cg(max_iters=9)                 # records, keeps tapes
+        want = [accounting(run.run_cg(max_iters=iters))
+                for run, (_, iters) in zip(runs, cases)]
+        threads = [threading.Thread(target=solve, args=(i,))
+                   for i in range(len(runs))]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result.replayed for result in got)
+    assert [accounting(result) for result in got] == want
 
 
 # ---------------------------------------------------------------------------
