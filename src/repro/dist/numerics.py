@@ -144,6 +144,12 @@ class _Numerics(list):
                 level.injection = grid.injection_indices()
                 grid = grid.coarsen()
                 A = build_csr(grid, stencil)
+        # the residual rows every run's kernel multiplies, copied now:
+        # a kernel built at a run's first computed application reads
+        # them and writes nothing to what runs share
+        ColorMajorVCycle.residual_rows(
+            [level.smoother for level in self],
+            [level.injection for level in self[:-1]])
         #: per level, the colour steps of one symmetric sweep
         self.orders = [(*range(level.ncolors), *range(level.ncolors)[::-1])
                        for level in self]

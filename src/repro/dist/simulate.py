@@ -153,11 +153,9 @@ class SimulatedDistRun:
         if self._numerics is None:      # two racing threads: either serves
             self._numerics = _SHARED[key] = _Numerics(problem, mg_levels,
                                                       stencil)
-        # what an application writes is this run's own (its survivors
-        # share it; every application loads it anew)
-        self._kernel = ColorMajorVCycle(
-            [level.smoother.twin() for level in self._numerics],
-            [level.injection for level in self._numerics[:-1]])
+        # the kernel, built at the first computed application: a run
+        # that only prices never holds one (see _kernel)
+        self._kernel_cell = []
         self._distribute(nprocs)
         self.faults = faults
         # one object per run_cg; shared with the survivor run on recovery
@@ -203,6 +201,20 @@ class SimulatedDistRun:
         self._dot_plan = scratch.freeze()
         self._record_root_exchanges(self.n, self._CKPT_VECTORS)
         records[key] = self.levels, self._root_plans, self._dot_plan
+
+    @property
+    def _kernel(self) -> ColorMajorVCycle:
+        """What an application writes: this run's own, over twins of the
+        shared sweeps, built at first use in a cell its survivors share
+        (every application loads it anew).  The residual rows it
+        multiplies are the numerics', so building it writes nothing
+        runs share."""
+        cell = self._kernel_cell
+        if not cell:
+            cell.append(ColorMajorVCycle(
+                [level.smoother.twin() for level in self._numerics],
+                [level.injection for level in self._numerics[:-1]]))
+        return cell[0]
 
     @property
     def tracker(self) -> CommTracker:
@@ -549,9 +561,10 @@ class SimulatedDistRun:
     # --- crash recovery ------------------------------------------------------
     def _respawn(self, nprocs: int, **changed) -> "SimulatedDistRun":
         """This run on ``nprocs`` surviving nodes: a shallow copy that
-        shares the level numerics and the run state, and takes the
-        communication record of its layout (subclasses pass the fields
-        the node count ``changed``): at most one repartition a problem."""
+        shares the level numerics, the kernel's cell and the run state,
+        and takes the communication record of its layout (subclasses
+        pass the fields the node count ``changed``): at most one
+        repartition a problem."""
         survivor = copy.copy(self)
         vars(survivor).update(changed)
         survivor._distribute(nprocs)

@@ -340,17 +340,29 @@ class ColorMajorVCycle:
 
     def __init__(self, sweeps: Sequence[CsrColorSweep],
                  injections: Sequence[np.ndarray]):
-        self._levels = []   # (sweep, residual rows, f, injection) per level
-        for sweep, coarse, source in zip(sweeps, sweeps[1:], injections):
-            injection = sweep.inverse[source[coarse.perm]].astype(np.intp)
-            self._levels.append((sweep, sweep.plain(injection),
-                                 np.empty(injection.size), injection))
+        self._levels = [   # (sweep, residual rows, f, injection) per level
+            (sweep, head, np.empty(injection.size), injection)
+            for sweep, (head, injection)
+            in zip(sweeps, self.residual_rows(sweeps, injections))]
         self._levels.append((sweeps[-1], None, None, None))
         # per non-coarsest level, the programs of f_i = A_i z_i on the
         # injected rows, r_{i+1} = R (r_i - f_i) with z_{i+1} = 0, and
         # z_i += R' z_{i+1}
         self._transfers = [self._compile(i) for i in range(len(sweeps) - 1)]
         self._schedules = {}
+
+    @staticmethod
+    def residual_rows(sweeps: Sequence[CsrColorSweep],
+                      injections: Sequence[np.ndarray]) -> list:
+        """Per level but the coarsest, its residual rows
+        (:meth:`~CsrColorSweep.plain`, copied at the first call and
+        shared by every twin of the sweep) and the injection, relabelled
+        colour-major on both levels."""
+        rows = []
+        for sweep, coarse, source in zip(sweeps, sweeps[1:], injections):
+            injection = sweep.inverse[source[coarse.perm]].astype(np.intp)
+            rows.append((sweep.plain(injection), injection))
+        return rows
 
     def _compile(self, i: int) -> tuple:
         sweep, head, f, injection = self._levels[i]

@@ -53,11 +53,12 @@ format (either clock), and :mod:`repro.obs.manifest_diff` explains
 "why is this run different" from two manifests.
 """
 
+import importlib
+
 from repro.obs import (
     analyze,
     export,
     flame,
-    live,
     manifest,
     manifest_diff,
     metrics,
@@ -67,12 +68,6 @@ from repro.obs import (
 )
 from repro.obs.analyze import SpanStats, TraceDiff, diff_traces
 from repro.obs.flame import folded_stacks, parse_folded
-from repro.obs.live import (
-    LiveServer,
-    context_source,
-    file_source,
-    progress_snapshot,
-)
 from repro.obs.manifest_diff import diff_manifests
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.stream import StreamingSink, load_stream_spans, read_stream
@@ -103,6 +98,20 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (NULL_SPAN, SpanHandle, SpanRecord, Tracer,
                              null_scope)
+
+#: served by :func:`__getattr__`: :mod:`repro.obs.live` loads
+#: ``http.server`` (with ``http.client`` and ``ssl``, ~2 MB RSS),
+#: which a process that never serves telemetry need not map
+_LIVE = ("LiveServer", "context_source", "file_source", "progress_snapshot")
+
+
+def __getattr__(name: str):
+    """PEP 562: import :mod:`repro.obs.live` at its first use."""
+    if name == "live" or name in _LIVE:
+        live = importlib.import_module("repro.obs.live")
+        return live if name == "live" else getattr(live, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ENV_TRACE",

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
 
 from repro.util.errors import DimensionMismatch, InvalidValue
 
@@ -31,6 +30,10 @@ class RefSymGS:
     """Exact sequential symmetric Gauss-Seidel via triangular solves."""
 
     def __init__(self, A: sp.csr_matrix):
+        # scipy.sparse.linalg brings scipy.linalg and LAPACK (~10 MB
+        # RSS): loaded by the first SYMGS, not by every ``repro.ref`` user
+        from scipy.sparse.linalg import spsolve_triangular
+        self._solve = spsolve_triangular
         if A.shape[0] != A.shape[1]:
             raise InvalidValue("SYMGS requires a square operator")
         A = A.tocsr()
@@ -49,14 +52,14 @@ class RefSymGS:
         """One forward sweep: ``z <- (D+L)^-1 (r - U z)``."""
         self._check(z, r)
         rhs = r - self._strict_upper.dot(z)
-        z[:] = spsolve_triangular(self._lower, rhs, lower=True)
+        z[:] = self._solve(self._lower, rhs, lower=True)
         return z
 
     def backward(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
         """One backward sweep: ``z <- (D+U)^-1 (r - L z)``."""
         self._check(z, r)
         rhs = r - self._strict_lower.dot(z)
-        z[:] = spsolve_triangular(self._upper, rhs, lower=False)
+        z[:] = self._solve(self._upper, rhs, lower=False)
         return z
 
     def smooth(self, z: np.ndarray, r: np.ndarray, sweeps: int = 1) -> np.ndarray:

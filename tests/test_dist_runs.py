@@ -993,6 +993,40 @@ class TestSharedNumerics:
                 for name in OPERATOR_ARRAYS:
                     assert getattr(theirs, name) is not getattr(mine, name)
 
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        """The V-cycle kernels the engine builds, one entry per build."""
+        built = []
+        real = simulate.ColorMajorVCycle
+        monkeypatch.setattr(simulate, "ColorMajorVCycle",
+                            lambda *a: built.append(real(*a)) or built[-1])
+        return built
+
+    def test_only_the_computing_run_builds_a_kernel(self, kernels):
+        runs = [make() for make in ledger_style(generate_problem(8, 16, 16),
+                                                3)]
+        assert kernels == []
+        results = [run.run_cg(10) for run in runs]
+        assert [result.replayed for result in results] == [False] + [True] * 5
+        assert len(kernels) == 1
+        assert runs[0]._kernel_cell == kernels
+        assert all(run._kernel_cell == [] for run in runs[1:])
+
+    def test_a_crash_survivor_uses_its_parents_kernel(self, kernels,
+                                                      monkeypatch):
+        survivors = []
+        respawn = RefDistRun._respawn
+        monkeypatch.setattr(RefDistRun, "_respawn", lambda self, *a, **k:
+                            survivors.append(respawn(self, *a, **k))
+                            or survivors[-1])
+        crash = ledger_style(generate_problem(8, 16, 16), 3)[4]()
+        result = crash.run_cg(10)
+        assert not result.replayed and result.resilience["recoveries"] == 1
+        [survivor] = survivors
+        assert len(kernels) == 1
+        assert survivor._kernel_cell is crash._kernel_cell
+        assert survivor._kernel is crash._kernel is kernels[0]
+
     def test_the_numerics_die_with_the_last_run(self):
         problem = generate_problem(8, 16, 16)
         runs = [make() for make in ledger_style(problem, 3)]
