@@ -7,7 +7,9 @@ the engine priced at the commit that generated it — modelled / wire /
 exposed seconds, per-key timer totals, superstep and byte counts and the
 whole ``resilience`` summary — for 3 backends x eager/overlap x
 {clean, straggler, message_loss, crash_recover} x ``agglomerate_below``
-0/64 at 16^3 on 4 nodes.  Counts compare exactly, seconds to 1e-12.
+0/64 at 16^3 on 4 nodes.  Everything compares exactly, seconds to the
+bit: the engine adds every total left to right, so a change that moves
+one rounding moves the file.
 
 Residuals depend on the BLAS build, so none are stored: each run's
 history must ``==`` an in-process ``run_hpcg`` one instead.
@@ -74,10 +76,8 @@ def snapshot(result) -> dict:
 
 
 def assert_same(got, want, where: str) -> None:
-    """Structural equality; floats to rel 1e-12, everything else exact."""
-    if isinstance(want, float):
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
-    elif isinstance(want, dict):
+    """Structural equality, floats to the bit."""
+    if isinstance(want, dict):
         assert sorted(got) == sorted(want), where
         for key in want:
             assert_same(got[key], want[key], f"{where}.{key}")
