@@ -137,6 +137,21 @@ class BSPMachine:
         price is bit-identical to the scalar one's."""
         return self.comm_time(h_bytes) + backoff * (2.0 ** attempts)
 
+    def row_costs(self, work_bytes: np.ndarray, h_bytes: np.ndarray,
+                  overlap_bytes: np.ndarray, superstep: np.ndarray) -> tuple:
+        """``(total, comm_full, comm_exposed, comm_hidden)`` of each row:
+        :meth:`superstep_costs` where ``superstep`` holds, else
+        :meth:`work_time` with no wire terms — each one array expression
+        in the scalar order of operations, so every price is
+        bit-identical to the scalar one's."""
+        full = np.where(superstep,
+                        h_bytes / self.net_bandwidth + self.latency, 0.0)
+        hidden = np.where(overlap_bytes > 0.0, self.overlap_efficiency
+                          * np.minimum(overlap_bytes / self.mem_bandwidth,
+                                       full), 0.0)
+        exposed = full - hidden
+        return work_bytes / self.mem_bandwidth + exposed, full, exposed, hidden
+
     def superstep_costs(self, work_bytes: float, h_bytes: float,
                         overlap_bytes: float = 0.0,
                         overlap_efficiency: Optional[float] = None

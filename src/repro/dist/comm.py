@@ -55,6 +55,7 @@ and the rows become :class:`SuperstepStats` only when
 
 from __future__ import annotations
 
+import copy
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -156,23 +157,40 @@ class StepBlock:
 
     def __init__(self, rows: Sequence[tuple]):
         self.rows = tuple(rows)
-        self.total_bytes = sum(plan.total_bytes for plan, *_ in self.rows)
+        plans, labels = [row[0] for row in self.rows], [row[1]
+                                                        for row in self.rows]
+        self.row_bytes = np.array([plan.total_bytes for plan in plans],
+                                  dtype=np.int64)
+        self.total_bytes = int(self.row_bytes.sum())
+        self.label_syncs = Counter(label for label in labels
+                                   if label is not None)
         # a label that moved nothing gains no bytes entry, as in replay
-        self.label_bytes, self.label_syncs = Counter(), Counter()
-        for plan, label, *_ in self.rows:
-            if label is not None:
-                if plan.messages:
-                    self.label_bytes[label] += plan.total_bytes
-                self.label_syncs[label] += 1
+        self.label_bytes = Counter()
+        for plan, label, moved in zip(plans, labels, self.row_bytes.tolist()):
+            if label is not None and plan.messages:
+                self.label_bytes[label] += moved
         # what a re-drive of each row adds, for booking retries in arrays:
         # its bytes, and its label's index in ``labels`` (None: the last)
         self.labels = list(self.label_syncs)
         index = {label: i for i, label in enumerate(self.labels)}
-        self.row_bytes = np.array([plan.total_bytes for plan, *_ in self.rows],
-                                  dtype=np.int64)
-        self.row_labels = np.array(
-            [index.get(label, len(self.labels)) for _, label, *_ in self.rows],
-            dtype=np.intp)
+        self.row_labels = np.array([index.get(label, len(self.labels))
+                                    for label in labels], dtype=np.intp)
+
+    def head(self, k: int) -> "StepBlock":
+        """The block of the first ``k`` rows (a crash cuts a copy)."""
+        head = copy.copy(self)
+        head.rows = self.rows[:k]
+        head.row_bytes, head.row_labels = self.row_bytes[:k], \
+            self.row_labels[:k]
+        head.total_bytes = int(head.row_bytes.sum())
+        syncs = np.bincount(head.row_labels, minlength=len(self.labels) + 1)
+        moved = np.bincount(head.row_labels, weights=head.row_bytes,
+                            minlength=len(self.labels) + 1)
+        head.label_syncs = Counter({label: n for label, n in zip(
+            self.labels, syncs.tolist()) if n})
+        head.label_bytes = Counter({label: int(b) for label, b in zip(
+            self.labels, moved.tolist()) if b})
+        return head
 
     def expand(self, first: int, times: int,
                retried: Sequence[Tuple[int, int]]) -> Iterator[SuperstepStats]:

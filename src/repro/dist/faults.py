@@ -409,24 +409,20 @@ class FaultEvent:
 
 
 class LossBlock:
-    """Message-loss events booked as one: exchange ``lost[i]`` of a drawn
-    block, closing at superstep ``supersteps[lost[i]]`` plus the retries
-    before it, lost something and was re-driven ``retries[i]`` times;
-    they become :class:`FaultEvent` records only when
-    :attr:`FaultInjector.events` is read."""
+    """Message-loss events booked as one: the exchange closing at
+    superstep ``supersteps[i]`` lost something and was re-driven
+    ``retries[i]`` times; they become :class:`FaultEvent` records only
+    when :attr:`FaultInjector.events` is read."""
 
     def __init__(self, supersteps: np.ndarray, labels: Sequence[Optional[str]],
-                 lost: np.ndarray, retries: np.ndarray):
-        self.supersteps, self.labels = supersteps, labels
-        self.lost, self.retries = lost, retries
+                 retries: np.ndarray):
+        self.supersteps, self.labels, self.retries = supersteps, labels, retries
 
     def events(self) -> Iterator[FaultEvent]:
-        lost, retries = self.lost, self.retries
-        steps = self.supersteps[lost] + (retries.cumsum() - retries)
-        for step, i, n in zip(steps.tolist(), lost.tolist(),
-                              retries.tolist()):
+        for step, label, n in zip(self.supersteps.tolist(), self.labels,
+                                  self.retries.tolist()):
             yield FaultEvent("message_loss", step,
-                             detail={"label": self.labels[i], "retries": n})
+                             detail={"label": label, "retries": n})
 
 
 class FaultInjector:
@@ -517,51 +513,13 @@ class FaultInjector:
         """Recorded events per kind, in the order each kind first landed."""
         return dict(self._counts)
 
-    def quiet(self, start: int, stop: int, exchanges: int = 0) -> bool:
-        """Do supersteps ``[start, stop)``, of which ``exchanges`` are
-        exchanges, price as in a clean run but for their retries — no
-        slowdown, no crash?  Message loss alone is quiet: the window
-        widens by the most retries its exchanges can draw, ``max_retries``
-        each, and the caller draws them in walk order.  Heterogeneous
-        speeds never are: a clean run's prices carry no work factor."""
-        plan, crashes = self.plan, self._pending_crashes
-        if plan.message_loss is not None:
-            stop += plan.message_loss.max_retries * exchanges
-        return not ((crashes and crashes[0].superstep < stop)
-                    or self._slowed(start, stop))
+    @property
+    def next_crash(self) -> Optional[Crash]:
+        """The planned crash that fires next: the first pending one whose
+        node is alive (it fires at the first superstep from its own)."""
+        return next((crash for crash in self._pending_crashes
+                     if crash.node in self.alive), None)
 
-    def steady(self) -> bool:
-        """Is every window quiet wherever the clock stands — no crash
-        pending, no work factor?  Then whether an iteration may be booked
-        from its tape does not depend on the clock, and the caller may
-        book a stretch of them before it moves the clock."""
-        plan = self.plan
-        return not (self._pending_crashes or plan.stragglers
-                    or plan.node_speeds)
-
-    def crash_in(self, start: int, stop: int) -> Optional[int]:
-        """The superstep in ``[start, stop)`` the next planned crash fires
-        at, if every superstep up to it prices as in a clean run and no
-        message can be lost (so the caller may book them from a tape and
-        fire the crash where a walk fires it); else None."""
-        crashes = self._pending_crashes
-        if self.plan.message_loss is not None or not crashes:
-            return None
-        crash = crashes[0]
-        if (crash.node in self.alive and start <= crash.superstep < stop
-                and not self._slowed(start, crash.superstep + 1)):
-            return crash.superstep
-        return None
-
-    def _slowed(self, start: int, stop: int) -> bool:
-        """Does a work factor touch supersteps ``[start, stop)``?"""
-        plan = self.plan
-        return bool(plan.node_speeds) or any(
-            st.start_superstep < stop
-            and start < (st.end_superstep or math.inf)
-            for st in plan.stragglers)
-
-    # --- per-superstep hooks (called by the pricing engine) ------------------
     def begin_superstep(self) -> int:
         """Claim the next superstep index (every priced barrier —
         exchanges, dots, retries, checkpoints — advances the clock)."""
@@ -569,66 +527,88 @@ class FaultInjector:
         self.superstep += 1
         return s
 
-    def work_factor(self, superstep: Optional[int] = None) -> float:
-        """The multiplier on this superstep's BSP work term.
+    def work_factors(self, supersteps: np.ndarray) -> Tuple[np.ndarray, list]:
+        """The multiplier on the BSP work term at each of ``supersteps``,
+        and the stragglers it slows for the first time.
 
         The work term is already the max-over-nodes byte count, so the
         honest degraded price is the *slowest* surviving node's factor:
         ``max over alive n of (straggler factors of n at s) / speed(n)``
-        (1.0 for every node the plan does not mention).
+        (1.0 for every node the plan does not mention), one array
+        expression per node in that order of operations.  A straggler
+        first active at ``supersteps[i]`` is announced as ``(i, event
+        keywords)``, once per run.
         """
-        if superstep is None:
-            superstep = max(self.superstep - 1, 0)
-        candidates = []
-        if self.alive - self._mentioned:
-            candidates.append(1.0)
+        ones = np.ones(len(supersteps))
+        candidates = [ones] if self.alive - self._mentioned else []
+        announced = []
         for node in self._mentioned & self.alive:
-            f = 1.0
+            f = ones
             for idx, st in enumerate(self.plan.stragglers):
-                if st.node == node and st.active_at(superstep):
-                    f *= st.factor
-                    if idx not in self._announced:
-                        self._announced.add(idx)
-                        self.record("straggler", superstep, node=node,
-                                    factor=st.factor,
-                                    end_superstep=st.end_superstep)
-            f /= self.plan.node_speeds.get(node, 1.0)
-            candidates.append(f)
-        return max(candidates) if candidates else 1.0
+                if st.node != node:
+                    continue
+                active = supersteps >= st.start_superstep
+                if st.end_superstep is not None:
+                    active &= supersteps < st.end_superstep
+                f = np.where(active, f * st.factor, f)
+                if idx not in self._announced and active.any():
+                    self._announced.add(idx)
+                    at = int(active.argmax())
+                    announced.append((at, dict(
+                        superstep=int(supersteps[at]), node=node,
+                        factor=st.factor, end_superstep=st.end_superstep)))
+            candidates.append(f / self.plan.node_speeds.get(node, 1.0))
+        return np.maximum.reduce(candidates), announced
 
-    def draw_retries(self, supersteps: np.ndarray,
-                     labels: Sequence[Optional[str]]) -> Tuple[np.ndarray,
-                                                                np.ndarray]:
-        """Seeded retries of lossy exchanges closed in turn: the indices
-        of those that lost something, and how often each is re-driven.
+    def retry_counts(self, m: int, peek: bool = False) -> np.ndarray:
+        """How often each of ``m`` lossy exchanges closed in turn is
+        re-driven.
 
         Each exchange draws one uniform per (re)delivery attempt: it is
         lost while the draw lands under ``rate``, up to ``max_retries``
         resends (the transport then falls back to its slow reliable path
         — delivery is never abandoned, only priced).  All of them draw
         from one block of the most they can take, which holds the values
-        drawing one at a time would, and the generator is wound back to
-        where those draws leave it.  Exchange ``i`` closes at superstep
-        ``supersteps[i]`` plus the retries before it; the ones that lost
-        something book their events there as one :class:`LossBlock` (one
-        by one, each handed to :attr:`on_event`, when that is set).
+        drawing one at a time would, and the generator is wound to where
+        those draws leave it — or, with ``peek``, left where it was.
         """
-        loss = self.plan.message_loss
-        m, cap = len(supersteps), loss.max_retries
-        counts, used = _runs(self.rng.random(cap * m) >= loss.rate, m, cap)
-        self.rng.bit_generator.advance(int(used) - cap * m)
-        lost = np.flatnonzero(counts)
-        retries = counts[lost]
-        if not lost.size:
-            return lost, retries
+        loss, rng = self.plan.message_loss, self.rng
+        cap, state = loss.max_retries, rng.bit_generator.state
+        counts, used = _runs(rng.random(cap * m) >= loss.rate, m, cap)
+        if peek:
+            rng.bit_generator.state = state
+        else:
+            rng.bit_generator.advance(int(used) - cap * m)
+        return counts
+
+    def book_losses(self, supersteps: np.ndarray,
+                    labels: Sequence[Optional[str]],
+                    retries: np.ndarray) -> None:
+        """Record the loss of each exchange closing at ``supersteps[i]``,
+        re-driven ``retries[i]`` times, as one :class:`LossBlock` (one by
+        one, each handed to :attr:`on_event`, when that is set)."""
         self.exchange_retries += int(retries.sum())
-        block = LossBlock(supersteps, labels, lost, retries)
+        block = LossBlock(supersteps, labels, retries)
         if self.on_event is None:
             self._booked.append(block)
-            self._counted("message_loss", len(lost))
+            self._counted("message_loss", len(retries))
         else:
             for event in block.events():
                 self.record(event.kind, event.superstep, **event.detail)
+
+    def draw_retries(self, supersteps: np.ndarray,
+                     labels: Sequence[Optional[str]]) -> Tuple[np.ndarray,
+                                                                np.ndarray]:
+        """:meth:`retry_counts` of the exchanges closing at
+        ``supersteps`` (each plus the retries before it), their losses
+        booked: the indices of those that lost something, and how often
+        each is re-driven."""
+        counts = self.retry_counts(len(supersteps))
+        lost = np.flatnonzero(counts)
+        retries = counts[lost]
+        if lost.size:
+            self.book_losses(supersteps[lost] + (retries.cumsum() - retries),
+                             [labels[i] for i in lost.tolist()], retries)
         return lost, retries
 
     def check_crash(self, superstep: int) -> None:

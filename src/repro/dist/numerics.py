@@ -4,8 +4,8 @@ The level numerics — each level's operator (``problem.A``'s own CSR on
 the fine grid), colouring, injection and colour-major sweep arrays —
 depend on the problem and the depth alone: built once per problem (and
 operator ``version``), they are shared read only by every run on it.
-So are the communication records and the superstep tapes the engine in
-:mod:`repro.dist.simulate` keeps on them.  What an application writes
+So are the communication records and the priced programs the engine
+in :mod:`repro.dist.simulate` keeps on them.  What an application writes
 stays per run: each run's kernel relaxes twins of the shared sweeps
 holding their own ``z``, ``r`` and scratch.
 
@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
+from repro.dist.tape import timer_layout
 from repro.graphblas.substrate.csr import (
     ColorMajorVCycle, CsrColorSweep, execute,
 )
@@ -122,8 +123,8 @@ class _Numerics(list):
     the fine level on ``problem.A``'s own CSR, coarser ones on
     ``build_csr``.  Read only, so one value serves every run on the
     problem; it pins ``problem.A``, whose id keys it in :data:`_SHARED`,
-    and keeps the communication records, tapes and trajectories built on
-    it."""
+    and keeps the communication records, programs and trajectories
+    built on it."""
 
     def __init__(self, problem: Problem, mg_levels: int, stencil: str):
         super().__init__()
@@ -132,8 +133,10 @@ class _Numerics(list):
         self._transcribing = threading.Lock()
         #: (backend class, nodes, agglomerate_below, layout) -> record
         self.records = {}
-        #: (record key, comm_mode, machine, use_mg, k == 1) -> tape.Tape
-        self.tapes = {}
+        #: (record key, comm_mode, machine, use_mg) -> kind -> tape.Program
+        self.programs = {}
+        #: the rows every program's timer terms are laid out in
+        self.layout = timer_layout(mg_levels)
         #: (use_mg, id(b), b.version, id(x0), x0.version) -> Trajectory
         self.trajectories = {}
         grid, A = problem.grid, problem.A.to_scipy(copy=False)

@@ -162,8 +162,10 @@ class _RunState:
     what the discarded ones counted is kept in ``lost_*``.
     """
 
-    def __init__(self, nprocs: int, injector: Optional[FaultInjector]):
+    def __init__(self, nprocs: int, injector: Optional[FaultInjector],
+                 machine, mode: str):
         self.tracker = CommTracker(nprocs)
+        self.machine, self.mode = machine, mode
         self.timers = TimerRegistry()
         # wire-time accounting lives in its own registry so the main
         # timers' report() shares still sum to modelled_seconds
@@ -188,14 +190,18 @@ class _RunState:
         self.reexecuted = 0
         self.lost_supersteps = 0
         self.lost_bytes = 0
-        # the tape being recorded, a replay, and the stretch of replays
-        # not yet booked: [tape, times] pairs, and the run that replayed
-        # them (see _iteration and tape.fold)
-        self.taping = None            # a tape.Tape
-        self.replaying = False
-        self.stretch: Optional[list] = None
-        self.stretch_run = None
-        self.folded: dict = {}        # a tape's timer names -> their Timers
+        # the program being recorded (rows and span marks), the kept
+        # programs of the attempt's record by kind, and the stretch of
+        # programs not yet booked: [program, times, note] entries (see
+        # _program and tape.fold)
+        self.recording: Optional[list] = None
+        self.marks: list = []
+        self.programs: dict = {}
+        self.stretch: list = []
+        # the most supersteps the stretch may close, retries included
+        self.reach = 0
+        self.cap = injector.plan.message_loss.max_retries if self.lossy \
+            else 0
         # the obs context, read once (no environment lookup per
         # superstep); the fault metrics are declared only on faulted runs
         self.ctx = obs.current()
@@ -238,28 +244,24 @@ class _RunState:
                 "dist_recoveries_total",
                 "crash recoveries (rollback + repartition onto survivors)")
 
-    def replayed(self, tape, run) -> None:
-        """One more replay of ``tape`` on ``run``: it joins the stretch of
-        replays not yet booked."""
+    def append(self, program, note=None) -> None:
+        """One more booking of ``program`` (``note``: a checkpoint's
+        iteration): it joins the stretch not yet booked."""
         stretch = self.stretch
-        if stretch is None:
-            self.stretch, self.stretch_run = [[tape, 1]], run
-        elif stretch[-1][0] is tape:
+        if (stretch and stretch[-1][0] is program and note is None
+                and stretch[-1][2] is None):
             stretch[-1][1] += 1
         else:
-            stretch.append([tape, 1])
-
-    def pending(self) -> int:
-        """The supersteps the replays not yet booked close, retries aside."""
-        return sum(times * tape.steps for tape, times in self.stretch or ())
+            stretch.append([program, 1, note])
+        steps, lossy = program.reach
+        self.reach += steps + self.cap * lossy
 
     def flush(self) -> None:
-        """Book the stretch of replays not yet booked, as one fold: before
-        anything reads the totals, the tracker or the injector's clock."""
-        if self.stretch is not None:
-            stretch, run = self.stretch, self.stretch_run
-            self.stretch = self.stretch_run = None     # no cycle via run
-            fold(run, stretch)
+        """Book the stretch not yet booked, as one fold (which raises a
+        crash it cuts the stretch at)."""
+        if self.stretch:
+            stretch, self.stretch, self.reach = self.stretch, [], 0
+            fold(self, stretch)
 
     def snapshot(self, cg: CGState) -> CGState:
         """``cg.copy()``, a checkpoint; a priced run's vectors hold nothing

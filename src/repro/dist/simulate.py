@@ -1,4 +1,4 @@
-"""Shared engine of the simulated distributed runs: pricing, tapes,
+"""Shared engine of the simulated distributed runs: priced programs,
 faults and recovery.
 
 The three backends (:class:`~repro.dist.hybrid.HybridALPRun`,
@@ -9,10 +9,9 @@ on the :mod:`repro.ref` kernels, preconditioned by the compiled V-cycle
 kernel of the serial fused path, so residual histories are bit-identical
 to ``run_hpcg``.  The engine adds the accounting only: each kernel it
 hands the loop is followed by the backend's ``*_comm`` hook, which
-replays its sends on the :class:`~repro.dist.comm.CommTracker` and
-prices the superstep on the BSP machine; each preconditioner application
-by the one V-cycle walk, which prices Listing 1's steps in order and
-runs none.  On a :class:`~repro.dist.faults.NodeCrash` ``run_cg``
+books the superstep's exchange plan; each preconditioner application by
+the one V-cycle walk, which books Listing 1's steps in order and runs
+none.  On a :class:`~repro.dist.faults.NodeCrash` ``run_cg``
 repartitions onto the survivors and resumes from the last checkpoint.
 Convergence is unchanged by the distribution (the paper's Section V
 precondition), so backends compete purely on the communication they
@@ -21,33 +20,31 @@ induce, priced on the ``machine=`` a run is given, else on the Table-II
 
 What repeats is recorded once.  Construction records every exchange
 pattern as an :class:`~repro.dist.comm.ExchangePlan` that a hook
-replays.  A CG iteration closes the same supersteps at the same prices
-as every other of its kind (the first puts ``p <- z`` before the dot)
-in every run on the same record, mode, machine and preconditioner,
-unless a fault event lands in it.  So an untraced run walks an
-iteration superstep by superstep only while the numerics keep no tape
-of it, and records what it booked as a :class:`~repro.dist.tape.Tape`.
-An iteration whose window the injector finds quiet (message loss alone
-is quiet) replays the tape: its kernels run their numerics and price
-nothing, and the tape joins the run's **stretch** of replays since the
-last walked superstep, as does, cut at the crash, an iteration quiet up
-to a planned crash, which then fires there.  One fold books the stretch
-in arrays (:func:`~repro.dist.tape.fold`: every total bit-identical,
-supersteps, retries and loss events as blocks expanded only when read)
-before anything reads the totals, the tracker or the injector's clock:
-a walked superstep (a checkpoint is always walked), a crash, a window
-verdict under message loss, the result.  Traced runs walk every
-iteration: their spans are the product.
+replays.  A hook prices nothing: each booking primitive
+(:meth:`~SimulatedDistRun._close_superstep`, ``_barrier``,
+``_tick_local``) appends one row — key, plan, label, work and overlap
+bytes, kind — to the program being recorded, and the numerics keep one
+:class:`~repro.dist.tape.Program` per record, mode, machine,
+preconditioner and kind (``cg_start``, the first iteration, a later
+one, a checkpoint, a restore), priced once in arrays.  A kernel whose
+program is kept runs its numerics alone.  Every program booked joins the
+run's **stretch**; one fold (:func:`~repro.dist.tape.fold`) books it in
+arrays before anything reads the totals — every total bit-identical,
+supersteps and loss events as blocks expanded only when read — and
+applies the faults there: retries inserted, straggler windows re-priced,
+a crash cut and raised.  So nothing walks: an untraced run folds its
+stretch when it ends, or after each program while a planned crash is
+pending (its numerics stop at the iteration the crash lands in); a
+traced run folds after each program and emits its spans from the rows.
 
 And the numerics run once per problem: a later untraced run whose stop
 point the first computing run's recorded dots reach *prices only*.
-``_spmv``, ``_waxpby`` and the checkpoints book their prices and
-compute or copy nothing, ``_precondition`` runs the pricing walk alone,
-and ``_dot`` returns the recorded value, so the loop takes every branch
-the computed run took (a crash resumes from the record at the
-checkpoint's ``k + 1``); ``b`` and ``x0`` enter as read-only stand-ins
-of their length, copied from nothing.  ``DistRunResult.replayed`` says
-which ran.
+``_spmv``, ``_waxpby`` and the checkpoints compute or copy nothing,
+``_precondition`` applies no V-cycle, and ``_dot`` returns the recorded
+value, so the loop takes every branch the computed run took (a crash
+resumes from the record at the checkpoint's ``k + 1``); ``b`` and ``x0``
+enter as empty stand-ins, so the loop's vectors take no memory.
+``DistRunResult.replayed`` says which ran.
 
 Pricing options
 ---------------
@@ -82,12 +79,7 @@ import numpy as np
 
 from repro import obs
 from repro.dist.bsp import ARM_CLUSTER_NODE, BSPMachine
-from repro.dist.comm import (
-    CommTracker,
-    ExchangePlan,
-    SuperstepStats,
-    resolve_comm_mode,
-)
+from repro.dist.comm import CommTracker, ExchangePlan, resolve_comm_mode
 from repro.dist.cost import (
     _DOT_BYTES,
     _RESTRICT_COPY_BYTES,
@@ -98,10 +90,11 @@ from repro.dist.faults import FaultInjector, FaultPlan, NodeCrash
 from repro.dist.numerics import _SHARED, SimLevel, _Numerics, require_fits
 from repro.dist.partition import Block1D
 from repro.dist.result import DistRunResult, _RunState
-from repro.dist.tape import Tape
+from repro.dist.tape import COLLECTIVE, LOCAL, POSTED, SYNC, Program
 from repro.graphblas.substrate.csr import ColorMajorVCycle
 from repro.hpcg.problem import Problem
-from repro.ref.cg import CGState, cg_iterations, cg_start, require_cg_limits
+from repro.ref.cg import (CGState, cg_iterations, cg_start, converged,
+                          require_cg_limits)
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
 from repro.util.errors import InvalidValue
 
@@ -251,44 +244,37 @@ class SimulatedDistRun:
     def _prolong_comm(self, fine: SimLevel, coarse: SimLevel) -> None:
         raise NotImplementedError
 
-    # --- the split-phase superstep engine ------------------------------------
+    # --- the booking primitives: each appends one row ---------------------
     def _close_superstep(self, plan: ExchangePlan, sync_label: str,
                          timer_key: str, work_bytes: float,
                          overlap_bytes: float = 0.0) -> None:
-        """Replay ``plan`` as one *exchange* superstep and price it.
+        """Book ``plan`` as one *exchange* superstep.
 
         Eager mode synchronises (``work + comm``); overlap mode posts
         and waits the same sends as a split-phase exchange, hiding wire
         time behind ``overlap_bytes`` of tagged local compute.  Under a
         lossy plan the exchange may be re-driven.
         """
-        self.tracker.replay(plan, label=sync_label)
-        if self.overlap:
-            handle = self.tracker.post(label=sync_label)
-            if overlap_bytes:
-                handle.overlap(overlap_bytes)
-            stats = self.tracker.wait(handle)
-        else:
-            stats = self.tracker.sync(label=sync_label)
-            overlap_bytes = 0.0
-        self._tick_superstep(timer_key, work_bytes, stats.h, overlap_bytes)
-        state = self._state
-        if state.taping is not None:
-            state.taping.marked.add(stats.index)
-        if state.lossy:
-            self._retry_exchange(stats, sync_label, timer_key)
+        self._state.recording.append(
+            (POSTED, timer_key, plan, sync_label, work_bytes,
+             float(overlap_bytes)) if self.overlap else
+            (SYNC, timer_key, plan, sync_label, work_bytes, 0.0))
 
     def _barrier(self, plan: ExchangePlan, sync_label: str, timer_key: str,
                  work_bytes: float) -> None:
-        """Replay ``plan`` as one *collective* superstep (dot allreduce,
+        """Book ``plan`` as one *collective* superstep (dot allreduce,
         checkpoint, restore): synchronous in either mode, and reliable
         — never re-driven."""
-        self.tracker.replay(plan, label=sync_label)
-        stats = self.tracker.sync(label=sync_label)
-        self._tick_superstep(timer_key, work_bytes, stats.h)
+        self._state.recording.append(
+            (COLLECTIVE, timer_key, plan, sync_label, work_bytes, 0.0))
+
+    def _tick_local(self, key: str, work_bytes: float) -> None:
+        """Book node-local work: no barrier, no network."""
+        self._state.recording.append((LOCAL, key, None, None, work_bytes,
+                                      0.0))
 
     def _record_root_exchanges(self, n: int, vectors: int = 1) -> None:
-        """Plan the gather and the scatter :meth:`_root_exchange` replays."""
+        """Plan the gather and the scatter :meth:`_root_exchange` books."""
         shares = Block1D(n, self.nprocs)
         scratch = CommTracker(self.nprocs)
         for to_root in (True, False):
@@ -306,12 +292,45 @@ class SimulatedDistRun:
         close(self._root_plans[n, vectors, to_root], sync_label, timer_key,
               _RESTRICT_COPY_BYTES * vectors * self._vector_share(n))
 
-    # --- pricing helpers -----------------------------------------------------
+    # --- programs and spans --------------------------------------------------
+    def _opened(self, kind: str):
+        """The program ``kind`` of the attempt's record if the numerics
+        keep it — the kernels then run their numerics alone — else None,
+        and the hooks record it."""
+        state = self._state
+        program = state.programs.get(kind)
+        if program is None:
+            state.recording, state.marks = [], []
+        return program
+
+    def _closed(self, kind: str, program, note: Optional[int] = None):
+        """Book ``program`` (recorded now if None) into the stretch;
+        ``note`` is a checkpoint's iteration.  Traced, or when a planned
+        crash may land in the stretch, the stretch is booked now (and a
+        crash it lands in raises here)."""
+        state = self._state
+        if program is None:
+            program = state.programs.setdefault(kind, Program(
+                state.recording, state.marks, self.machine,
+                self._numerics.layout))
+            state.recording = None
+        state.append(program, note)
+        crash = state.injector and state.injector.next_crash
+        if state.ctx is not None or (crash is not None and (
+                state.injector.superstep + state.reach > crash.superstep)):
+            state.flush()
+
+    @contextlib.contextmanager
+    def _program(self, kind: str, note: Optional[int] = None):
+        """Book what the body books as the program ``kind``."""
+        program = self._opened(kind)
+        yield
+        self._closed(kind, program, note)
+
     def _span(self, name: str, category: str, args: Optional[dict] = None):
         """An obs span that, unless a crash unwinds it, is ticked with
-        the modelled seconds priced inside its extent (nested spans —
-        coarser MG levels — included, just like the span nesting); the
-        null span when the run is untraced."""
+        the modelled seconds booked inside its extent; the null span
+        when the run is untraced."""
         if self._state.ctx is None:
             return obs.NULL_SPAN
         return self._ticked_span(name, category, args)
@@ -321,104 +340,15 @@ class SimulatedDistRun:
         with self._state.span(name, category, args) as sp:
             before = self._state.seconds
             yield sp
-            if sp is not None:
-                sp.tick(self._state.seconds - before)
-
-    def _tick(self, key: str, seconds: float, *wire: float) -> None:
-        state = self._state
-        state.timers.tick(key, seconds)
-        state.seconds += seconds
-        if state.taping is not None:
-            state.taping.ticks.append((key, seconds, *wire))
-
-    def _account_superstep(self, key: str, h: int, total: float,
-                           comm_full: float, comm_exposed: float,
-                           comm_hidden: float) -> None:
-        """Book one priced superstep (a first delivery or a retry)."""
-        state = self._state
-        self._tick(key, total, comm_full, comm_exposed)
-        state.comm_seconds += comm_full
-        state.exposed_comm_seconds += comm_exposed
-        state.comm_timers.tick(f"full/{key}", comm_full)
-        state.comm_timers.tick(f"exposed/{key}", comm_exposed)
-        m = state.metrics
-        if m is not None:
-            m.supersteps.inc(1, mode=self.comm_mode)
-            m.h.observe(h)
-            m.comm.inc(comm_full, kind="full")
-            m.comm.inc(comm_exposed, kind="exposed")
-            m.comm.inc(comm_hidden, kind="hidden")
-
-    def _tick_superstep(self, key: str, work_bytes: float, h: int,
-                        overlap_bytes: float = 0.0) -> None:
-        inj = self._state.injector
-        if inj is not None:
-            # every barrier advances the fault clock; the slowest
-            # surviving node's straggler/speed factor inflates the
-            # max-over-nodes work term (and what it could overlap)
-            step = inj.begin_superstep()
-            factor = inj.work_factor(step)
-            if factor != 1.0:
-                work_bytes *= factor
-                overlap_bytes *= factor
-        costs = self.machine.superstep_costs(work_bytes, h, overlap_bytes)
-        self._account_superstep(key, h, costs["total"], costs["comm_full"],
-                                costs["comm_exposed"], costs["comm_hidden"])
-        if self._state.ctx is not None:
-            with self._state.span(f"superstep/{key}", "dist") as sp:
-                sp.tick(costs["total"])
-                sp.set(
-                    h=h, work_bytes=work_bytes, mode=self.comm_mode,
-                    overlapped=overlap_bytes > 0,
-                    comm_full=costs["comm_full"],
-                    comm_exposed=costs["comm_exposed"],
-                    comm_hidden=costs["comm_hidden"],
-                )
-        if inj is not None:
-            # crashes surface at the barrier: the superstep is priced,
-            # then the failure is detected
-            inj.check_crash(step)
-
-    def _tick_local(self, key: str, work_bytes: float) -> None:
-        inj = self._state.injector
-        if inj is not None:
-            work_bytes *= inj.work_factor(inj.superstep)
-        self._tick(key, self.machine.work_time(work_bytes))
-
-    def _retry_exchange(self, stats: SuperstepStats, sync_label: str,
-                        timer_key: str) -> None:
-        """Price the seeded re-deliveries of one lossy exchange.
-
-        Each retry is a real extra superstep: the tracker re-drives the
-        same messages (``retry_of`` links it to the original), and the
-        machine charges the full wire time again plus the exponential
-        sender backoff — nothing hidden, a retry has no compute to
-        overlap.  The count is drawn as a fold draws a tape's: a block of
-        one exchange.
-        """
-        inj = self._state.injector
-        if stats.h <= 0:                    # nothing on the wire to lose
-            return
-        origin = inj.superstep - 1          # the just-priced superstep
-        _, retries = inj.draw_retries(np.array([origin]), (sync_label,))
-        for attempt in range(retries.sum()):
-            retry_stats = self.tracker.retry(stats, label=sync_label)
-            step = inj.begin_superstep()
-            cost = self.machine.retry_comm_time(
-                stats.h, attempt, inj.plan.message_loss.backoff)
-            if self._state.metrics is not None:
-                self._state.metrics.retries.inc(1, label=sync_label)
-            self._account_superstep(timer_key, retry_stats.h, cost,
-                                    cost, cost, 0.0)
-            inj.check_crash(step)
+            sp.tick(self._state.seconds - before)
 
     def _vector_share(self, n: int) -> float:
         """Largest per-node share of an ``n``-vector (for local-op work)."""
         return float(-(-n // self.nprocs))
 
     # --- the kernels, each followed by its accounting ------------------------
-    # (a priced run computes none of them: see run_cg; an iteration that
-    # replays a tape prices none of them: see _iteration)
+    # (a priced run computes none of them: see run_cg; one whose program
+    # is kept books none of them: see _program)
     def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
         """``u'v``, recorded at the cursor if a record is being made; a
         priced run returns the recorded one."""
@@ -431,9 +361,9 @@ class SimulatedDistRun:
             value = compute_dot(u, v)
             if dots is not None and at == len(dots):  # not re-executed
                 dots.append(value)
-        if not state.replaying:
+        if state.recording is not None:
             self._barrier(self._dot_plan, "dot", "cg/dot",
-                          _DOT_BYTES * self._vector_share(u.shape[0]))
+                          _DOT_BYTES * self._vector_share(self.n))
         return value
 
     def _waxpby(self, w: np.ndarray, alpha: float, x: np.ndarray,
@@ -441,15 +371,15 @@ class SimulatedDistRun:
         state = self._state
         if not state.priced:
             compute_waxpby(w, alpha, x, beta, y)
-        if not state.replaying:
+        if state.recording is not None:
             self._tick_local("cg/waxpby",
-                             _WAXPBY_BYTES * self._vector_share(w.shape[0]))
+                             _WAXPBY_BYTES * self._vector_share(self.n))
         return w
 
     def _spmv(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         """CG's ``y <- A x``, on the finest level (never agglomerated)."""
         state = self._state
-        if not state.replaying:
+        if state.recording is not None:
             self._spmv_comm(self.levels[0], "spmv", "cg/spmv")
         if state.priced:
             return y
@@ -457,18 +387,18 @@ class SimulatedDistRun:
 
     def _precondition(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
         """``z <- M r`` (the numerics' :meth:`~repro.dist.numerics.
-        _Numerics.apply`), then, unless the iteration replays a tape
-        (pricing off), :meth:`_vcycle`'s prices."""
+        _Numerics.apply`), then, while the iteration's program is being
+        recorded, :meth:`_vcycle`'s rows."""
         state = self._state
         if not state.priced and not self._numerics.apply(self._kernel, z, r):
             state.transcribed += 1
-        if not state.replaying:
+        if state.recording is not None:
             self._vcycle(0)
         return z
 
     def _smooth(self, level: SimLevel) -> None:
-        """Price one symmetric sweep: colours ascending, then descending,
-        each colour step followed by its exchanges or local price."""
+        """Book one symmetric sweep: colours ascending, then descending,
+        each colour step as its exchanges or local work."""
         sweep = level.smoother
         forward = list(range(level.ncolors))
         for order in (forward, forward[::-1]):
@@ -481,7 +411,7 @@ class SimulatedDistRun:
 
     def _transfer(self, fine: SimLevel, coarse: SimLevel, comm, key: str,
                   sync_label: str, to_root: bool) -> None:
-        """Price one grid transfer between ``fine`` and ``coarse``."""
+        """Book one grid transfer between ``fine`` and ``coarse``."""
         if not coarse.agglomerated:
             comm(fine, coarse)
         elif fine.agglomerated:
@@ -492,16 +422,14 @@ class SimulatedDistRun:
                                 coarse.n, to_root=to_root)
 
     def _vcycle(self, li: int) -> None:
-        """The engine's one V-cycle walk, pricing only: ``ref_mg_vcycle``'s
+        """The engine's one V-cycle walk, booking only: ``ref_mg_vcycle``'s
         steps in its order, each as its exchanges or, on an agglomerated
-        level, its local price."""
-        level = self.levels[li]
-        with self._span(f"mg/L{li}", "mg",
-                        {"level": li, "n": level.n,
-                         "agglomerated": level.agglomerated}):
-            self._smooth(level)                       # pre-smoothing
-            if li + 1 == len(self.levels):
-                return
+        level, its local work, inside the marks of an ``mg/L{li}`` span."""
+        level, marks = self.levels[li], self._state.marks
+        marks.append((len(self._state.recording), f"mg/L{li}", {
+            "level": li, "n": level.n, "agglomerated": level.agglomerated}))
+        self._smooth(level)                           # pre-smoothing
+        if li + 1 < len(self.levels):
             coarse = self.levels[li + 1]
             if level.agglomerated:
                 # the whole level lives on node 0: full work, no messages
@@ -515,6 +443,7 @@ class SimulatedDistRun:
             self._transfer(level, coarse, self._prolong_comm,
                            f"mg/L{li}/prolong", "agg_scatter", False)
             self._smooth(level)                       # post-smoothing
+        marks.append((len(self._state.recording), None, None))
 
     # --- checkpoint / restart ------------------------------------------------
     #: vectors a CG checkpoint persists (x, r, p)
@@ -525,28 +454,23 @@ class SimulatedDistRun:
 
         Every node ships its share of the three CG vectors to node 0
         (which persists them to stable storage) — one superstep.  The
-        in-memory snapshot is taken *after* the superstep is priced, so
+        in-memory snapshot is taken *after* the superstep is booked, so
         a crash landing on the checkpoint barrier leaves the previous
         snapshot as the rollback target, exactly like a torn write to
         stable storage would.  A run that prices only copies no vector;
-        the replays before it are booked first."""
-        state, inj = self._state, self._state.injector
-        state.flush()
+        the fold accounts the checkpoint's seconds and event."""
+        state = self._state
         with self._span("fault/checkpoint", "fault",
                         {"iteration": cg.k}) as sp:
             before = state.seconds
-            self._root_exchange(self._barrier, "checkpoint",
-                                "fault/checkpoint", self.n,
-                                self._CKPT_VECTORS)
-            delta = state.seconds - before
-            state.checkpoint_seconds += delta
-            state.checkpoints += 1
+            with self._program("checkpoint", cg.k):
+                if state.recording is not None:
+                    self._root_exchange(self._barrier, "checkpoint",
+                                        "fault/checkpoint", self.n,
+                                        self._CKPT_VECTORS)
             state.checkpoint = state.snapshot(cg)
-            if state.metrics is not None:
-                state.metrics.checkpoint.inc(delta)
-            inj.record("checkpoint", inj.superstep - 1, iteration=cg.k)
             if sp is not None:
-                sp.set(seconds=delta)
+                sp.set(seconds=state.seconds - before)
 
     def _restore(self, checkpoint: CGState) -> CGState:
         """Resume from ``checkpoint`` after a repartition: node 0
@@ -554,8 +478,11 @@ class SimulatedDistRun:
         (one superstep on the *new* node count)."""
         with self._span("fault/restore", "fault",
                         {"iteration": checkpoint.k, "nprocs": self.nprocs}):
-            self._root_exchange(self._barrier, "restore", "fault/restore",
-                                self.n, self._CKPT_VECTORS, to_root=False)
+            with self._program("restore"):
+                if self._state.recording is not None:
+                    self._root_exchange(self._barrier, "restore",
+                                        "fault/restore", self.n,
+                                        self._CKPT_VECTORS, to_root=False)
         return self._state.snapshot(checkpoint)
 
     # --- crash recovery ------------------------------------------------------
@@ -589,7 +516,6 @@ class SimulatedDistRun:
         }):
             survivor = self._respawn(survivors)
         state.tracker = CommTracker(survivor.nprocs)
-        state.taping = None                   # the crash cut it short
         inj.recoveries += 1
         inj.record(
             "recovery", inj.superstep, node=crash.node,
@@ -602,58 +528,16 @@ class SimulatedDistRun:
 
     # --- the CG loop (repro.ref.cg's, on the priced kernels) ---------------
     @contextlib.contextmanager
-    def _iteration(self, k: int, slots: list):
-        """Iteration ``k`` in progress, and its span.  Untraced, it
-        replays the tape the numerics keep for its record, mode, machine,
-        preconditioner and kind (``slots[k == 1]``, ``[key, tape]``: the
-        first iteration puts ``p <- z`` before the dot) if the injector
-        finds its window quiet — numerics only, pricing off, and the tape
-        joins the stretch of replays the next flush books — or quiet up
-        to a planned crash, booking the tape that far before the crash
-        fires; else it is priced step by step, and recorded if no tape
-        is kept: kept only if no fault event landed or could have.  A
-        window's verdict reads the clock where the stretch leaves it,
-        which a lossless stretch knows before it is booked."""
-        state, inj = self._state, self._state.injector
+    def _iteration(self, k: int):
+        """Iteration ``k`` in progress: its span, and its program (the
+        first iteration puts ``p <- z`` before the dot)."""
+        state = self._state
         state.iteration, state.cursor = k, 3 * k - 2
-        slot = slots[k == 1]
-        key, tape = slot
-        if tape is None:                # until some run records it
-            tape = slot[1] = self._numerics.tapes.get(key)
-        replay = crash = None
-        if state.ctx is None and tape is not None:
-            if inj is None or inj.steady():
-                replay = tape
-            else:
-                if state.lossy:         # its retries set the clock
-                    state.flush()
-                start = inj.superstep + state.pending()
-                if inj.quiet(start, start + tape.steps, tape.exchanges):
-                    replay = tape
-                else:                   # quiet but for a crash: book up to it
-                    crash = inj.crash_in(start, start + tape.steps)
-                    if crash is not None:
-                        replay = tape.upto(crash - start + 1)
-        if replay is None:              # walked, after what came before
-            state.flush()
-            start, events = (inj.superstep, inj.recorded) if inj else (0, 0)
-            if state.ctx is None and tape is None:
-                state.taping = Tape(state.tracker)
-        state.replaying = replay is not None
+        kind = "later" if k > 1 else "first"
         with self._span("cg/iteration", "cg", {"k": k}) as sp:
+            program = self._opened(kind)
             yield sp
-        if state.replaying:
-            state.replaying = False
-            state.replayed(replay, self)
-            if crash is not None:
-                state.flush()
-                inj.check_crash(crash)      # fires where the walk fires it
-        elif state.taping is not None:
-            taping, state.taping = state.taping, None
-            if inj is None or (inj.recorded == events
-                               and inj.quiet(start, inj.superstep)):
-                slot[1] = self._numerics.tapes.setdefault(
-                    key, taping.close(state.tracker))
+            self._closed(kind, program)
 
     def _cg_attempt(self, max_iters: int, use_mg: bool,
                     tolerance: float) -> CGState:
@@ -661,38 +545,68 @@ class SimulatedDistRun:
         on the priced kernels, from the problem's initial guess or, after
         a crash, from the restored checkpoint (iteration ``k + 1`` on, so
         every residual equals the clean run's).  Raises
-        :class:`~repro.dist.faults.NodeCrash` when the injector detects a
-        planned failure at a barrier."""
+        :class:`~repro.dist.faults.NodeCrash` when a fold books a
+        planned failure."""
         state = self._state
         m = state.metrics
+        state.programs = kept = self._numerics.programs.setdefault(
+            (self._record_key, self.comm_mode, self.machine, use_mg), {})
+        ckpt_plan = (state.injector.plan.checkpoint
+                     if state.injector is not None else None)
+        needs = {"later", "checkpoint" if ckpt_plan else "later"}.union(
+            ("start", "first") if state.checkpoint is None else ("restore",))
+        if state.priced and needs <= kept.keys():
+            return self._replayed(max_iters, tolerance, ckpt_plan)
         if state.checkpoint is None:
             state.cursor = 0
             b, x0 = self.problem.b, self.problem.x0
-            # a priced run reads no vector: read-only stand-ins of the
-            # right length price the kernels and copy nothing
-            b, x0 = ((np.broadcast_to(0.0, (self.n,)),) * 2 if state.priced
+            # a priced run reads no vector: empty stand-ins, so that the
+            # loop's vectors take no memory (the kernels book self.n's)
+            b, x0 = ((np.empty(0),) * 2 if state.priced
                      else (b.to_dense(), x0.to_dense()))
-            cg = cg_start(self._spmv, self._waxpby, self._dot, b, x0)
+            with self._program("start"):
+                cg = cg_start(self._spmv, self._waxpby, self._dot, b, x0)
             if m is not None:
                 m.residual.observe(cg.residuals[0], backend=self.backend)
         else:
             cg = self._restore(state.checkpoint)
-        ckpt_plan = (state.injector.plan.checkpoint
-                     if state.injector is not None else None)
-        # the two tape keys of this attempt's record: [key, tape] for
-        # iterations after the first, and for the first
-        kind = (self._record_key, self.comm_mode, self.machine, use_mg)
-        slots = [[(*kind, first), None] for first in (False, True)]
         for cg in cg_iterations(
                 cg, self._spmv, self._waxpby, self._dot,
                 self._precondition if use_mg else None, max_iters,
-                tolerance, lambda k: self._iteration(k, slots)):
+                tolerance, self._iteration):
             if m is not None:
                 m.residual.observe(cg.residuals[-1], backend=self.backend)
                 m.iteration.set(cg.k)
                 m.residual_last.set(cg.residuals[-1])
             if (ckpt_plan is not None and cg.k % ckpt_plan.interval == 0
                     and cg.k < max_iters):
+                self._take_checkpoint(cg)
+        return cg
+
+    def _replayed(self, max_iters: int, tolerance: float,
+                  ckpt_plan) -> CGState:
+        """The attempt of a priced run whose programs the numerics all
+        keep: the loop's own steps on the record alone — each iteration's
+        program booked, its residual read off the recorded dots, the
+        checkpoints taken — and no kernel called."""
+        state, dots = self._state, self._state.dots
+        if state.checkpoint is None:
+            self._closed("start", state.programs["start"])
+            empty = np.empty(0)
+            cg = CGState(0, empty, empty, empty, empty, empty, 0.0,
+                         [float(np.sqrt(dots[0]))])
+        else:
+            cg = self._restore(state.checkpoint)
+        for k in range(cg.k + 1, max_iters + 1):
+            if converged(cg.residuals[0], cg.residuals[-1], tolerance):
+                break
+            state.iteration = k
+            kind = "later" if k > 1 else "first"
+            self._closed(kind, state.programs[kind])
+            cg.k, cg.rtz = k, dots[3 * k - 2]
+            cg.residuals.append(float(np.sqrt(dots[3 * k])))
+            if (ckpt_plan is not None and k % ckpt_plan.interval == 0
+                    and k < max_iters):
                 self._take_checkpoint(cg)
         return cg
 
@@ -716,7 +630,8 @@ class SimulatedDistRun:
         injector = None
         if self.faults is not None and self.faults.active():
             injector = FaultInjector(self.faults, self.nprocs)
-        self._state = state = _RunState(self.nprocs, injector)
+        self._state = state = _RunState(self.nprocs, injector, self.machine,
+                                        self.comm_mode)
         if injector is not None:
             injector.announce_speeds()
         b, x0 = self.problem.b, self.problem.x0

@@ -1,289 +1,438 @@
-"""Superstep tapes: one CG iteration's accounting as the pricing walk of
-:mod:`repro.dist.simulate` booked it, compiled to be booked again in
+"""Priced programs: the simulated engine's accounting as rows, booked in
 arrays.
 
-An iteration closes the same supersteps at the same prices in every run
-on the same communication record, mode, machine and preconditioner, so
-the engine records the first one it walks as a :class:`Tape` and books
-the tape for every later one.  Closing compiles the recording:
+Each booking primitive of :mod:`repro.dist.simulate` — an exchange, a
+collective, a local work term — appends one row to the program being
+recorded: its kind, timer key, plan, label, work bytes and overlap
+bytes.  A solve books five kinds of program: ``cg_start``, the first CG
+iteration (it puts ``p <- z`` before the dot), a later one, a checkpoint
+and a restore.  Each closes the same rows in every run on the same
+communication record, mode, machine and preconditioner, so the numerics
+keep one :class:`Program` per ``(record, comm_mode, machine, use_mg,
+kind)``, priced once by :meth:`~repro.dist.bsp.BSPMachine.row_costs`:
+array expressions in ``superstep_costs``' order of operations, so every
+price is bit-identical to the scalar one.
 
-* its supersteps become one :class:`~repro.dist.comm.StepBlock`, which
-  the tracker takes as one entry and expands only when read;
-* each running sum the walk adds to becomes one row of its terms in
-  booking order, zero-padded: the run's modelled, full and exposed
-  seconds in one matrix, a tick's terms in the tick's column; every
-  timer's total in another, a term's column its rank in the row (the
-  rows are far shorter, and an accumulate costs what its matrix holds),
-  the rows in the order of the timers' names, so that tapes ticking the
-  same timers lay their sums out alike.
+A run books its programs in **stretches** — every program since the
+last booking, consecutive copies of one as that program ``times`` over —
+and :func:`fold` books a stretch at once.  Faults are transforms of the
+stretch, applied before it is booked:
 
-A run books what it replays — iterations, and the cut of one up to a
-crash — in **stretches**: every replay since the last walked
-superstep, one copy of a tape each, consecutive copies of one tape as
-that tape replayed ``times`` times.  :func:`fold` books a stretch at
-once, before anything reads the totals, the tracker or the injector's
-clock.  For each run of tapes laid out alike (the first iteration's and
-the later ones' are) it lays every copy's matrices side by side, writes
-the run's totals into column 0 and runs one ``np.add.accumulate`` per
-matrix.  Accumulate adds strictly left to right, as the walk's ``+=``
-did, and a padding zero changes no total
-(``x + 0.0`` is ``x``), so every total is bit-identical; ``sum`` and
-``np.sum`` add pairwise and ``math.fsum`` rounds once, so all three
-would not be.  The tracker takes a tape's copies as one block booked
-that many times.
+* message loss inserts each lossy exchange's seeded retries right after
+  it, drawn from the injector's sequential generator in exchange order
+  (:meth:`~repro.dist.faults.FaultInjector.retry_counts`);
+* a straggler or node-speed window multiplies the work (and overlap) of
+  the rows it covers, which are re-priced;
+* a crash cuts the stretch after its superstep, retries included, and
+  raises once the cut is booked: the superstep is priced, then the
+  failure detected.
 
-Under message loss the copies first draw the seeded retries of every
-exchange as one block
-(:meth:`~repro.dist.faults.FaultInjector.draw_retries`).  A retry adds
-its price right after its exchange's term in each of the exchange's six
-sums, so each retry drawn inserts its terms there, moving the rest of
-each row right: a column of its own in the run's totals, and in the
-timers' a term in each of its exchange's rows, a row growing by the
-retries that landed in it and the matrix by the most any row took.
-Nothing a fold lays out or draws is kept past it.
+Then every running sum — the run's modelled, wire and exposed seconds,
+and every timer's total — is one ``np.add.accumulate`` over its terms
+in booking order, from the sum's value so far.  Accumulate adds strictly
+left to right, as a scalar ``+=`` would, and a padding zero changes no
+total (``x + 0.0`` is ``x``), so every total is bit-identical; ``sum``
+and ``np.sum`` add pairwise and ``math.fsum`` rounds once, so all three
+would not be.  The tracker takes each program's supersteps as one
+:class:`~repro.dist.comm.StepBlock` booked ``times`` over.  A traced run
+books the same rows, then emits their ``superstep/*`` and ``mg/L*``
+spans, opened and closed at the program's marks.  Nothing a fold lays
+out or draws is kept past it.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 
-from repro.dist.comm import CommTracker, StepBlock
+from repro.dist.comm import StepBlock
+
+#: row kinds: local work, an eager or a posted exchange, a collective
+LOCAL, SYNC, POSTED, COLLECTIVE = range(4)
 
 
-class Tape:
-    """One CG iteration's accounting as the pricing walk booked it —
-    every tick in booking order, a superstep's with its step and whether
-    it was an exchange — for :func:`fold` to book again.  Read only once
-    closed: the numerics keep it for every run that prices the iteration
-    alike."""
+def timer_layout(depth: int) -> tuple:
+    """Every timer a solve to ``depth`` MG levels can tick, as
+    ``(registry, name)`` pairs in the order of their names: registry 0
+    holds the run's timers, 1 its wire seconds under ``full/<key>`` and
+    ``exposed/<key>``.  Every program of the depth lays its terms out
+    in these rows, so any stretch's programs lay them out alike."""
+    keys = ["cg/dot", "cg/spmv", "cg/waxpby", "fault/checkpoint",
+            "fault/restore"] + [f"mg/L{i}/{step}" for i in range(depth)
+                                for step in ("prolong", "rbgs", "restrict",
+                                             "spmv")]
+    # the smoothers' first: a symmetric sweep ticks them a term a colour
+    # step, the rest a few terms an iteration (see _parts)
+    return tuple(sorted([(0, key) for key in keys]
+                        + [(1, f"{part}/{key}") for key in keys
+                           for part in ("full", "exposed")],
+                        key=lambda name: (not _busy(name), name)))
 
-    def __init__(self, tracker: CommTracker):
-        self.ticks: list = []           # (key, seconds, *wire), in order
-        self.marked = set()             # tracker indices of the exchanges
-        self._first = tracker.num_syncs
 
-    def close(self, tracker: CommTracker) -> "Tape":
-        """End the recording: pair each superstep's tick with its step."""
-        steps = iter(tracker.supersteps[self._first:])
-        for i, (key, seconds, *wire) in enumerate(self.ticks):
-            if wire:                    # (full, exposed): a superstep's
-                s = next(steps)
-                wire = (*wire, f"full/{key}", f"exposed/{key}",
-                        (s.plan, s.label, s.overlapped_work, s.posted),
-                        s.index in self.marked)
-            self.ticks[i] = key, seconds, wire or None
-        return self._compile(self.ticks)
+def _busy(name: tuple) -> bool:
+    return name[1].endswith("/rbgs")
 
-    def upto(self, steps: int) -> "Tape":
-        """The recording cut after its ``steps``-th superstep: what the
-        walk books before a crash at that superstep fires (compiled once
-        per cut)."""
-        cut = self._cuts.get(steps)
-        if cut is None:
-            ends = [i for i, (_, _, wire) in enumerate(self.ticks) if wire]
-            cut = self._cuts[steps] = copy.copy(self)._compile(
-                self.ticks[:ends[steps - 1] + 1])
-        return cut
 
-    def _compile(self, ticks: list) -> "Tape":
-        self.ticks, self._cuts = ticks, {}
-        # each registry's timers in the walk's order of first ticks: a
-        # registry's sums over its timers add in creation order
-        self.keys = (list(dict.fromkeys(key for key, _, _ in ticks)),
-                     list(dict.fromkeys(name for _, _, wire in ticks
-                                        if wire for name in wire[2:4])))
-        #: the timers, one row each, in the order of their names
-        self.names = tuple(sorted([(0, key) for key in self.keys[0]]
-                                  + [(1, key) for key in self.keys[1]]))
-        row = {key: i for i, (_, key) in enumerate(self.names)}
-        ranks = [0] * len(row)            # each timer's terms so far
-        terms = [], []                    # (row, column, value) per part
-        steps, lossy = [], []
-        for tick, (key, seconds, wire) in enumerate(ticks, 1):
-            # the run's totals: every tick's terms in its own column
-            terms[0].append((0, tick, seconds))
-            timed = [(row[key], seconds)]
-            if wire is not None:
-                full, exposed, full_key, exposed_key, step, exchange = wire
-                terms[0].extend([(1, tick, full), (2, tick, exposed)])
-                timed += [(row[full_key], full), (row[exposed_key], exposed)]
-            # the timers: a term's column its rank in its row
-            for r, value in timed:
-                ranks[r] += 1
-                terms[1].append((r, ranks[r], value))
-            if wire is None:
+def _parts(sums: np.ndarray, counts: np.ndarray, busy: int) -> tuple:
+    """``sums`` — rows of terms from column 1, zero-padded — as its busy
+    rows and the rest, each as wide as its own longest row: an
+    accumulate costs what its matrix holds."""
+    return tuple(sums[rows, :counts[rows].max(initial=0) + 1]
+                 for rows in (slice(0, busy), slice(busy, None)))
+
+
+class Program:
+    """One program's rows, priced once: ``rows`` are ``(kind, key, plan,
+    label, work_bytes, overlap_bytes)``; ``marks`` are ``(row, name,
+    args)`` span openings (``name`` None: a closing) before row ``row``;
+    ``layout`` is the depth's :func:`timer_layout`."""
+
+    def __init__(self, rows: list, marks: list, machine, layout: tuple):
+        self.marks, self.n, self.layout = marks, len(rows), layout
+        kinds, self.keys, self.plans, labels, work, overlap = (
+            list(column) for column in zip(*rows))
+        self.labels = np.array(labels, dtype=object)
+        kind = np.array(kinds, dtype=np.int8)
+        self.step, self.posted = kind != LOCAL, kind == POSTED
+        h = np.array([0 if plan is None else plan.h for plan in self.plans],
+                     dtype=float)
+        self.lossy = ((kind == SYNC) | self.posted) & (h > 0)
+        #: what may close, and be re-driven: the stretch's horizon
+        self.reach = int(self.step.sum()), int(self.lossy.sum())
+        work, overlap = (np.array(column, dtype=float)
+                         for column in (work, overlap))
+        #: per row: total, full, exposed and hidden seconds, then the
+        #: work, overlap and h bytes they price
+        self.table = np.array([*machine.row_costs(work, h, overlap,
+                                                  self.step),
+                               work, overlap, h])
+        self.values = self.table[:3].copy()
+        # each row's timer terms: its key's, and a superstep's wire
+        # seconds under full/<key> and exposed/<key>, in ``ticks`` order
+        # of first ticks; each timer is a row of ``sums`` (column 0 left
+        # for its total so far), a term's column its rank among its
+        # timer's plus one
+        terms = [[(0, key)] + ([(1, f"full/{key}"), (1, f"exposed/{key}")]
+                               if step else [])
+                 for step, key in zip(kinds, self.keys)]
+        self.ticks = list(dict.fromkeys(name for row in terms
+                                        for name in row))
+        row_of = {name: i for i, name in enumerate(layout)}
+        self.tick_rows = [row_of[name] for name in self.ticks]
+        ids, cols = [[-1] * self.n for _ in range(3)], [[0] * self.n
+                                                         for _ in range(3)]
+        counts = [0] * len(layout)
+        for r, row in enumerate(terms):
+            for i, name in enumerate(row):
+                timer = ids[i][r] = row_of[name]
+                counts[timer] += 1
+                cols[i][r] = counts[timer]
+        self.ids, self.cols = np.array(ids), np.array(cols)
+        self.counts = np.array(counts)
+        self.busy = sum(map(_busy, layout))
+        timed = self.ids >= 0
+        sums = np.zeros((len(layout), self.counts.max() + 1))
+        sums[self.ids[timed], self.cols[timed]] = self.values[timed]
+        self.sums = _parts(sums, self.counts, self.busy)
+        self.step_at = np.cumsum(self.step) - 1   # each row's superstep
+        self.block = StepBlock([
+            (plan, label, o, k == POSTED) for k, plan, label, o
+            in zip(kinds, self.plans, labels, overlap) if k != LOCAL])
+
+
+def _cat(stretch, get, axis: int = 0) -> np.ndarray:
+    """``get(program)`` of every entry of ``stretch``, copy after copy,
+    along the rows' ``axis``."""
+    return np.concatenate([part for p, times, _ in stretch
+                           for part in [get(p)] * times], axis=axis)
+
+
+def _cut(stretch: list, n: int) -> tuple:
+    """``stretch`` up to the copy holding its row ``n - 1`` — a checkpoint
+    the crash lands on is not taken — and how many rows of that copy
+    are kept."""
+    out, at = [], 0
+    for p, times, note in stretch:
+        if at + p.n * times >= n:
+            copies, kept = divmod(n - at - 1, p.n)
+            out.append([p, copies + 1, None])
+            return out, kept + 1
+        out.append([p, times, note])
+        at += p.n * times
+
+
+def fold(state, stretch: list) -> None:
+    """Book ``stretch`` — ``[program, times, note]`` entries, each program
+    booked ``times`` over in turn (``note``: a checkpoint's iteration) —
+    on the run state ``state``; see the module docstring."""
+    inj, machine = state.injector, state.machine
+    registries = state.timers, state.comm_timers
+    retried = cut = clock = None
+    lossy = drawn = np.empty(0, dtype=np.intp)
+    if inj is not None:
+        # each lossy exchange's retries, and the crash that cuts the
+        # stretch: under loss its superstep depends on the draws, so all
+        # are drawn, and only those of the exchanges before it kept
+        start, step = inj.superstep, _cat(stretch, lambda p: p.step)
+        if state.lossy:
+            lossy = np.flatnonzero(_cat(stretch, lambda p: p.lossy))
+        crash = inj.next_crash
+        fires = None if crash is None else max(crash.superstep, start)
+        peek = bool(fires is not None and lossy.size) and fires < (
+            start + step.sum() + state.cap * lossy.size)
+        drawn = inj.retry_counts(lossy.size, peek) if lossy.size else lossy
+        retried = np.zeros(len(step), dtype=np.intp)
+        retried[lossy] = drawn
+        clock = start + (step.cumsum() - step) + (retried.cumsum() - retried)
+        if fires is not None and fires < clock[-1] + step[-1] + retried[-1]:
+            at = int(np.flatnonzero(step & (clock <= fires))[-1])
+            drawn = drawn[:np.searchsorted(lossy, at)
+                          + int(fires > clock[at])]
+            retried[at] = fires - clock[at]
+            (stretch, kept), cut = _cut(stretch, at + 1), fires
+            retried, clock, step = (retried[:at + 1], clock[:at + 1],
+                                    step[:at + 1])
+        if peek:
+            inj.retry_counts(len(drawn), False)
+        lossy = lossy[:len(drawn)]
+    # the rows' prices, then (to re-price or emit them) what they price;
+    # the timers' terms, every copy's matrix side by side
+    table = _cat(stretch, (lambda p: p.table) if inj or state.ctx
+                 else (lambda p: p.values), axis=1)
+    layout, busy = stretch[0][0].layout, stretch[0][0].busy
+    slowed = inj is not None and bool(inj.plan.stragglers
+                                      or inj.plan.node_speeds)
+    if retried is not None and (slowed or retried.any()):
+        # the faults reach into the terms: each row's, straggler windows
+        # re-priced, then each retry's right after its exchange's
+        table, announced = table[:, :len(step)], []
+        n = table.shape[1]
+        if slowed:
+            factors, announced = inj.work_factors(clock)
+            table[4:6] *= factors
+            table[:4] = machine.row_costs(table[4], table[6], table[5], step)
+        first = np.concatenate([[0], (1 + retried).cumsum()])
+        rows = np.repeat(np.arange(n), 1 + retried)
+        again = np.ones(len(rows), dtype=bool)
+        again[first[:-1]] = False
+        terms = table[:3, rows]
+        if state.lossy:
+            terms[:, again] = machine.retry_comm_times(
+                table[6, rows[again]],
+                np.flatnonzero(again) - first[rows[again]] - 1,
+                inj.plan.message_loss.backoff)
+        ids = _cat(stretch, lambda p: p.ids, axis=1)[:, rows]
+        sums, counts = _by_timer(ids, terms, len(layout))
+        sums = _parts(sums, counts, busy)
+    else:
+        announced, first, terms = [], None, table[:3]
+        sums = [_cat(stretch, lambda p: p.sums[i], axis=1) for i in (0, 1)]
+        counts = sum(times * p.counts for p, times, _ in stretch)
+        if cut is not None:     # the terms of the rows after the crash go
+            p = stretch[-1][0]
+            ids, cols = p.ids[:, kept:], p.cols[:, kept:]
+            ids, cols = ids[ids >= 0], cols[ids >= 0]
+            for i, mine in enumerate((ids < busy, ids >= busy)):
+                sums[i][ids[mine] - i * busy, sums[i].shape[1]
+                        - p.sums[i].shape[1] + cols[mine]] = 0.0
+            counts = counts - np.bincount(ids, minlength=len(layout))
+            table = terms = table[:, :len(step)]
+        n = table.shape[1]
+        first = np.arange(n + 1)
+    # the run's totals: every term in its own column, after the totals
+    values = np.concatenate([[[state.seconds], [state.comm_seconds],
+                              [state.exposed_comm_seconds]], terms[:3]],
+                            axis=1)
+    timers = [registries[r].timers.get(key) for r, key in layout]
+    totals = [0.0 if t is None else t.total for t in timers]
+    sums[0][:, 0], sums[1][:, 0] = totals[:busy], totals[busy:]
+    running = np.add.accumulate(values, axis=1)
+    state.seconds, state.comm_seconds, state.exposed_comm_seconds = \
+        running[:, -1].tolist()
+    totals = [total for part in sums for total in
+              np.add.accumulate(part, axis=1)[:, -1].tolist()]
+    counts = counts.tolist()
+    if any(count and t is None for t, count in zip(timers, counts)):
+        # the new ones, in the order of first ticks
+        for p in {id(p): p for p, _, _ in stretch}.values():
+            for (r, key), i in zip(p.ticks, p.tick_rows):
+                if counts[i] and timers[i] is None:
+                    timers[i] = registries[r].get(key)
+    for timer, total, count in zip(timers, totals, counts):
+        if count:
+            timer.total, timer.count = total, timer.count + count
+    synced = state.tracker.num_syncs
+    _book_steps(state.tracker, stretch, retried,
+                kept if cut is not None else None)
+    taken = _checkpoints(state, stretch, first, running[0])
+    if inj is not None:
+        inj.superstep = start + int(step.sum() + retried.sum())
+        _book_events(inj, stretch, clock, lossy, drawn, announced,
+                     [(at, int(clock[at]), k) for at, k in taken])
+    if state.ctx is not None:
+        _emit(state, stretch, table, first, running[0], retried, synced,
+              cut)
+    elif cut is not None:
+        inj.check_crash(cut)
+
+
+def _by_timer(ids: np.ndarray, terms: np.ndarray, height: int) -> tuple:
+    """The terms laid out by timer: row ``ids[i, j]`` of the result holds
+    ``terms[i, j]`` (where the id is not -1) in the order of ``j``, from
+    column 1, zero-padded; and each timer's count of terms."""
+    tid, value = ids.T.ravel(), terms.T.ravel()
+    tid, value = tid[tid >= 0], value[tid >= 0]
+    order = np.argsort(tid.astype(np.int16), kind="stable")
+    counts = np.bincount(tid, minlength=height)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(tid)) - (counts.cumsum() - counts)[tid[order]]
+    sums = np.zeros((height, counts.max() + 1))
+    sums[tid, rank + 1] = value
+    return sums, counts
+
+
+def _book_steps(tracker, stretch, retried, kept=None) -> None:
+    """Each entry's supersteps to the tracker, each lossy row followed by
+    the retries it booked (counted over the entry's copies); with
+    ``kept``, only that many rows of the last copy."""
+    pairs = [np.empty((0, 2), dtype=np.intp)] * len(stretch)
+    if retried is not None and retried.any():
+        step_at = np.concatenate([p.step_at + copy * len(p.block.rows)
+                                  for p, times, _ in stretch
+                                  for copy in range(times)])
+        rows = np.flatnonzero(retried)
+        cuts = np.searchsorted(rows, list(itertools.accumulate(
+            [p.n * times for p, times, _ in stretch], initial=0))).tolist()
+        pairs = [np.stack([step_at[rows[a:b]], retried[rows[a:b]]], 1)
+                 for a, b in zip(cuts, cuts[1:])]
+    for e, ((p, times, _), again) in enumerate(zip(stretch, pairs)):
+        if kept is None or e + 1 < len(stretch):
+            tracker.book(p.block, again, times)
+            continue
+        # the copy the crash cuts: its supersteps up to the crash
+        end = (times - 1) * len(p.block.rows)
+        if times > 1:
+            tracker.book(p.block, again[again[:, 0] < end], times - 1)
+        tracker.book(p.block.head(int(p.step[:kept].sum())),
+                     again[again[:, 0] >= end] - [end, 0])
+
+
+def _checkpoints(state, stretch, first: np.ndarray,
+                 seconds: np.ndarray) -> list:
+    """Account each checkpoint the stretch took — its seconds are the
+    running total's step across its superstep — and return ``(row,
+    iteration)`` of each."""
+    taken, at = [], 0
+    for p, times, note in stretch:
+        if note is not None:
+            delta = float(seconds[first[at] + 1] - seconds[first[at]])
+            state.checkpoints += 1
+            state.checkpoint_seconds += delta
+            if state.metrics is not None:
+                state.metrics.checkpoint.inc(delta)
+            taken.append((at, note))
+        at += p.n * times
+    return taken
+
+
+def _book_events(inj, stretch, clock, lossy, drawn, announced,
+                 checkpoints) -> None:
+    """Record the stretch's fault events in booking order: a straggler as
+    the first row it slows prices, a loss after its exchange, a
+    checkpoint after its superstep.  Losses in a row stay one block."""
+    lost = np.flatnonzero(drawn)
+    rows = lossy[lost]
+    labels = _cat(stretch, lambda p: p.labels)[rows] if rows.size else rows
+    others = sorted([(at, 0, i, "straggler", kw)
+                     for i, (at, kw) in enumerate(announced)]
+                    + [(at, 1, 0, "checkpoint",
+                        {"superstep": step, "iteration": k})
+                       for at, step, k in checkpoints])
+    done = 0
+    for at, _, _, kind, kw in others + [(len(clock), 0, 0, None, None)]:
+        upto = int(np.searchsorted(rows, at))
+        if upto > done:
+            inj.book_losses(clock[rows[done:upto]], labels[done:upto],
+                            drawn[lost[done:upto]])
+        done = upto
+        if kind is not None:
+            kw = dict(kw)
+            inj.record(kind, kw.pop("superstep"), **kw)
+
+
+def _emit(state, stretch, table, first, seconds, retried, synced,
+          cut) -> None:
+    """A traced fold's spans, comm events and metrics, from its booked
+    rows; a crash raises inside the spans it cuts short."""
+    tracer, m, mode = state.ctx.tracer, state.metrics, state.mode
+    total, full, exposed, hidden, work, overlap, _ = table.tolist()
+    seconds, first = seconds.tolist(), first.tolist()
+    rows, marks = [], []
+    for p, times, _ in stretch:
+        for _ in range(times):
+            marks += [(len(rows) + row, name, args)
+                      for row, name, args in p.marks]
+            rows += [(p, r) for r in range(p.n)]
+    # a crash unwinds the spans open at it: what comes after never runs
+    rows = rows[:len(total)]
+    marks = [mark for mark in marks if mark[0] < len(rows) or cut is None]
+    retried = [0] * len(rows) if retried is None else retried.tolist()
+    opened, done, index = [], 0, synced
+    try:
+        for i in range(len(rows) + 1):
+            while done < len(marks) and marks[done][0] == i:
+                _, name, args = marks[done]
+                if name is None:
+                    span, before = opened.pop()
+                    span.tick(seconds[first[i]] - before)
+                    span.__exit__(None, None, None)
+                else:
+                    opened.append((tracer.span(name, "mg", args).__enter__(),
+                                   seconds[first[i]]))
+                done += 1
+            if i == len(rows):
+                break
+            p, r = rows[i]
+            if not p.step[r]:
                 continue
-            if exchange and step[0].h > 0:      # may be lost and re-driven
-                lossy.append((len(steps), step[1], step[0].h,
-                              [r for r, _ in timed],
-                              [tick] + [ranks[r] for r, _ in timed]))
-            steps.append(step)
-        self.sums = []                      # column 0 left for the totals
-        for part, height, width in zip(terms, (3, len(ranks)),
-                                       (len(ticks), max(ranks))):
-            rows, at, values = map(np.array, zip(*part))
-            self.sums.append(np.zeros((height, width + 1)))
-            self.sums[-1][rows, at] = values
-        self.counts = np.array(ranks)       # each timer's ticks
-        self.steps, self.block = len(steps), StepBlock(steps)
-        self.exchanges = sum(wire[5] for _, _, wire in ticks if wire)
-        self.lossy = None
-        if lossy:   # per exchange: its timers' rows, its terms' next columns
-            offsets, labels, hs, rows, at = zip(*lossy)
-            self.lossy = SimpleNamespace(
-                offsets=np.array(offsets), labels=labels, h=np.array(hs),
-                rows=np.array(rows), after=np.array(at) + 1)
-        #: the width of the matrix each column of ``lossy.after`` indexes
-        self.widths = np.repeat([sums.shape[1] for sums in self.sums],
-                                (1, 3))
-        return self
+            plan, label = p.plans[r], p.labels[r]
+            extra = {"posted": bool(p.posted[r])}
+            if extra["posted"]:
+                extra["overlapped_work"] = float(p.table[5, r])
+            _comm_event(tracer, "wait" if extra["posted"] else "sync", index,
+                        plan, label, extra)
+            with tracer.span(f"superstep/{p.keys[r]}", "dist") as sp:
+                sp.tick(total[i])
+                sp.set(h=plan.h, work_bytes=work[i], mode=mode,
+                       overlapped=overlap[i] > 0, comm_full=full[i],
+                       comm_exposed=exposed[i], comm_hidden=hidden[i])
+            _metered(m, mode, plan.h, full[i], exposed[i], hidden[i])
+            for k in range(1, retried[i] + 1):
+                cost = seconds[first[i] + k + 1] - seconds[first[i] + k]
+                _comm_event(tracer, "retry", index + k, plan, label,
+                            {"retry_of": index})
+                m.retries.inc(1, label=label)
+                _metered(m, mode, plan.h, cost, cost, 0.0)
+            index += 1 + retried[i]
+        if cut is not None:
+            state.injector.check_crash(cut)
+    except BaseException as exc:
+        for span, _ in reversed(opened):
+            span.__exit__(type(exc), exc, exc.__traceback__)
+        raise
 
 
-def fold(run, stretch: list) -> None:
-    """Book ``stretch`` — ``[tape, times]`` pairs, each tape replayed
-    ``times`` times in turn — on ``run``'s state: for each run of tapes
-    laid out alike, one left-to-right accumulate per matrix, from the
-    run's totals over every copy's terms side by side, adds every term in
-    the walk's order, so totals stay bit-identical; each tape's
-    supersteps go to the tracker as its copies of one block.  Under
-    message loss the exchanges of all the copies draw their seeded
-    retries as one block first, and each retry's terms land right after
-    its exchange's."""
-    for _, part in itertools.groupby(stretch, lambda pair: pair[0].names):
-        _fold(run, list(part))
+def _comm_event(tracer, event: str, index: int, plan, label, extra) -> None:
+    tracer.event(f"comm/{event}", "comm", {
+        "index": index, "label": label, "h": plan.h,
+        "bytes": plan.total_bytes, "messages": plan.messages, **extra})
 
 
-def _fold(run, part: list) -> None:
-    """Book ``part``, ``[tape, times]`` pairs of tapes laid out alike."""
-    state, first = run._state, part[0][0]
-    timers = state.folded.get(first.names)
-    if timers is None:                  # resolved once per run and layout
-        made = {(p, key): registry.get(key) for p, (registry, keys) in
-                enumerate(zip((state.timers, state.comm_timers),
-                              first.keys)) for key in keys}
-        timers = state.folded[first.names] = [made[name]
-                                              for name in first.names]
-    # every copy's matrices side by side, each with its own (zero) column 0
-    sums = [np.concatenate([tape.sums[p] for tape, times in part
-                            for _ in range(times)], axis=1) for p in (0, 1)]
-    counts = sum(tape.counts * times for tape, times in part)
-    steps = sum(tape.steps * times for tape, times in part)
-    retried = [()] * len(part)
-    if state.lossy:
-        counts, retried, again = _retried(run, part, sums, counts)
-        steps += again
-    sums[0][:, 0] = (state.seconds, state.comm_seconds,
-                     state.exposed_comm_seconds)
-    sums[1][:, 0] = [timer.total for timer in timers]
-    running, timed = (np.add.accumulate(terms, axis=1)[:, -1].tolist()
-                      for terms in sums)
-    state.seconds, state.comm_seconds, state.exposed_comm_seconds = running
-    for timer, total, n in zip(timers, timed, counts.tolist()):
-        timer.total, timer.count = total, timer.count + n
-    for (tape, times), again in zip(part, retried):
-        state.tracker.book(tape.block, again, times)
-    if state.injector is not None:
-        state.injector.superstep += steps
-
-
-def _retried(run, part: list, sums: list, counts: np.ndarray) -> tuple:
-    """Draw the retries of every lossy exchange of every copy in ``part``
-    as one block and insert each retry's terms into ``sums``, the copies'
-    matrices, right after its exchange's; return the timers' tick
-    counts, per tape the ``(row, retries)`` pairs the tracker books, and
-    the retries drawn."""
-    inj = run._state.injector
-    # every lossy exchange of every copy, in turn: its superstep from the
-    # first, label and h, its timers' rows, and the next columns of its
-    # terms (the totals' one, then its timers')
-    offsets, labels, hs, rows, after, starts = [], [], [], [], [], []
-    step, base = 0, np.zeros(4, dtype=np.intp)
-    for tape, times in part:
-        one, widths = tape.lossy, tape.widths
-        starts.append(step)
-        if one is not None:
-            copies = np.arange(times)[:, None]
-            offsets.append((one.offsets + (step + tape.steps * copies))
-                           .ravel())
-            labels += one.labels * times
-            hs += [one.h] * times
-            rows += [one.rows] * times
-            after.append((one.after + base + widths * copies[:, :, None])
-                         .reshape(-1, 4))
-        step, base = step + times * tape.steps, base + times * widths
-    if not offsets:
-        return counts, [()] * len(part), 0
-    offsets, hs, rows, after = map(np.concatenate,
-                                   (offsets, hs, rows, after))
-    lost, n = inj.draw_retries(inj.superstep + offsets, labels)
-    if not lost.size:
-        return counts, [()] * len(part), 0
-    which = np.repeat(lost, n)          # each retry's exchange
-    drawn = len(which)
-    costs = run.machine.retry_comm_times(
-        hs[which], np.arange(drawn) - np.repeat(n.cumsum() - n, n),
-        inj.plan.message_loss.backoff)
-    rows, after = rows[which], after[which]
-    # a retry's terms go after its exchange's and the retries before it:
-    # a column of its own in the run's totals, and in its exchange's
-    # timers' rows after the retries of that timer key before it
-    sums[0] = _columns_inserted(sums[0], after[:, 0] + np.arange(drawn),
-                                costs)
-    sums[1] = _inserted(sums[1], rows, after[:, 1:] + _ranks(
-        rows[:, 0])[:, None], costs[:, None])
-    counts = counts + np.bincount(rows.ravel(), minlength=len(counts))
-    # per tape, its lossy rows counted from its first superstep
-    pairs = np.empty((len(lost), 2), dtype=np.intp)
-    pairs[:, 0], pairs[:, 1] = offsets[lost], n
-    cuts = np.searchsorted(pairs[:, 0], starts).tolist() + [len(lost)]
-    retried = []
-    for start, a, b in zip(starts, cuts, cuts[1:]):
-        pairs[a:b, 0] -= start
-        retried.append(pairs[a:b])
-    return counts, retried, drawn
-
-
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """Each entry's count of the entries before it with its key."""
-    order = np.argsort(keys, kind="stable")
-    grouped = keys[order]
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(len(keys)) - np.searchsorted(grouped, grouped)
-    return ranks
-
-
-def _columns_inserted(terms: np.ndarray, slots: np.ndarray,
-                      values: np.ndarray) -> np.ndarray:
-    """``terms`` with a column of ``values[i]`` at column ``slots[i]``
-    (in the result), the columns after each moved right."""
-    height, width = terms.shape
-    kept = np.ones(width + len(slots), dtype=bool)
-    kept[slots] = False
-    out = np.empty((height, len(kept)))
-    out[:, kept] = terms
-    out[:, slots] = values
-    return out
-
-
-def _inserted(terms: np.ndarray, rows: np.ndarray, slots: np.ndarray,
-              values: np.ndarray) -> np.ndarray:
-    """``terms`` with ``values`` at columns ``slots`` of rows ``rows`` (the
-    values broadcast to them) and the terms after each moved right, the
-    rows zero-padded to the longest: only the drawn retries lengthen an
-    accumulate."""
-    height, width = terms.shape
-    extra = np.bincount(rows.ravel(), minlength=height)
-    pad = extra.max()
-    kept = np.empty((height, width + pad), dtype=bool)
-    kept[:, :width] = True
-    kept[:, width:] = np.arange(pad) < extra[:, None]
-    at = rows * (width + pad) + slots
-    kept.ravel()[at] = False
-    out = np.zeros(kept.shape)
-    out[kept] = terms.ravel()
-    out.ravel()[at] = values
-    return out
+def _metered(m, mode: str, h: int, full: float, exposed: float,
+             hidden: float) -> None:
+    m.supersteps.inc(1, mode=mode)
+    m.h.observe(h)
+    m.comm.inc(full, kind="full")
+    m.comm.inc(exposed, kind="exposed")
+    m.comm.inc(hidden, kind="hidden")

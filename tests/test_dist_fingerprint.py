@@ -29,7 +29,8 @@ import pytest
 from repro import obs
 from repro.dist import (Checkpoint, Crash, FaultPlan, Hybrid2DRun,
                         HybridALPRun, MessageLoss, RefDistRun, Straggler)
-from repro.dist.bsp import ARM_CLUSTER_NODE
+from repro.dist.bsp import ARM_CLUSTER_NODE, BSPMachine
+from repro.dist.comm import CommTracker
 from repro.hpcg.problem import generate_problem
 from test_dist_runs import accounting
 
@@ -150,6 +151,29 @@ def test_every_way_of_running_a_case_matches_its_fingerprint(case, problem,
     for way, result in zip(("fresh", "computed", "priced", "traced"),
                            results):
         assert fingerprint(result) == stored[case], (case, way)
+
+
+@pytest.mark.parametrize("plan", PLANS)
+def test_nothing_walks(plan, problem, python_calls, monkeypatch):
+    """No run — fresh, computed, priced or traced, on any backend, in
+    either mode — prices a superstep through the scalar
+    ``superstep_costs``, and no untraced one closes a superstep through
+    ``CommTracker.sync`` or ``wait``: every price comes from a program's
+    arrays."""
+    untraced = []
+    for close in ("sync", "wait"):
+        original = getattr(CommTracker, close)
+
+        def counted(self, *args, _original=original, **kwargs):
+            untraced.append(obs.current() is None)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CommTracker, close, counted)
+    cases = [f"{backend}/{mode}/{plan}/agg64/mg/fixed"
+             for backend in BACKENDS for mode in ("eager", "overlap")]
+    assert python_calls(lambda: [four_ways(case, problem) for case in cases],
+                        code=BSPMachine.superstep_costs.__code__) == 0
+    assert not any(untraced)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ from repro.dist import (
     factor3,
     numerics,
     simulate,
+    tape,
 )
+from repro.dist import result as result_module
 from repro.dist.cost import (interior_row_mask, per_entry_owners,
                              rows_touching_remote)
 from repro.dist.hybrid import _allgather_matrix
@@ -357,31 +359,29 @@ class TestHostCostPerSuperstep:
     @pytest.mark.parametrize("cls", [RefDistRun, HybridALPRun, Hybrid2DRun])
     def test_untraced_supersteps_read_no_environment(self, monkeypatch,
                                                      cls):
-        """Whether a context is active is decided once per run: between
-        the first and the last superstep ``REPRO_TRACE`` is not looked
-        up again.  On a fresh problem, so that no tape another test's
-        run kept lets a superstep be folded instead of closed."""
+        """Whether a context is active is decided once per run: booking
+        the supersteps — one fold, as the run ends — looks
+        ``REPRO_TRACE`` up no more, and closes none through
+        ``CommTracker.sync`` or ``wait``.  On a fresh problem, so that
+        the run records its programs."""
         monkeypatch.delenv(obs.ENV_TRACE, raising=False)
-        reads = []
+        reads, closes, at_fold = [], [], []
         monkeypatch.setattr(obs.context, "trace_env_enabled",
                             lambda: reads.append(1) or False)
-        at_superstep = []
         for close in ("sync", "wait"):
-            original = getattr(CommTracker, close)
-
-            def counted(self, *args, _original=original, **kwargs):
-                at_superstep.append(len(reads))
-                return _original(self, *args, **kwargs)
-
-            monkeypatch.setattr(CommTracker, close, counted)
+            monkeypatch.setattr(CommTracker, close,
+                                lambda *a, **k: closes.append(1))
+        fold = result_module.fold
+        monkeypatch.setattr(result_module, "fold", lambda *a: (
+            at_fold.append(len(reads)), fold(*a)))
         result = cls(generate_problem(8), 4, mg_levels=3,
                      comm_mode="overlap").run_cg(max_iters=2)
-        assert len(at_superstep) == result.syncs > 50
-        assert reads and at_superstep[0] == at_superstep[-1]
+        assert result.syncs > 50 and not closes
+        assert reads and at_fold == [len(reads)]
 
 
 # ---------------------------------------------------------------------------
-# an iteration priced from the tape == the same iteration walked stepwise
+# an untraced run books what a traced one books
 # ---------------------------------------------------------------------------
 
 BACKENDS = {"ref-3d": RefDistRun, "alp-1d": HybridALPRun, "alp-2d": Hybrid2DRun}
@@ -412,6 +412,12 @@ def accounting(result):
     )
 
 
+def kept_programs(run) -> dict:
+    """The programs the numerics keep for ``run``'s problem, by key."""
+    return {key: dict(kinds)
+            for key, kinds in run._numerics.programs.items()}
+
+
 def iteration_windows(run, solve):
     """``(first, last)`` superstep of each CG iteration of ``run``, which
     must lose no message and crash nowhere: an iteration ends on its
@@ -424,11 +430,12 @@ def iteration_windows(run, solve):
 
 
 class TestTapeEqualsStepwise:
-    """An untraced run books every iteration after the recorded one from
-    the tape, unless the injector finds its window eventful; a traced
-    run walks every iteration.  Both must price and count the same, to
+    """An untraced run books its stretch of programs when it ends (after
+    each program while a crash is pending), a traced one after each
+    program, emitting its spans.  Both must price and count the same, to
     the bit, whatever the backend, mode, agglomeration, preconditioner,
-    stopping rule and fault plan."""
+    stopping rule and fault plan (``tests/data/dist_fingerprint.json``
+    pins the lattice; these draw plans off it)."""
 
     problem = generate_problem(8, 16, 16)
 
@@ -481,19 +488,6 @@ class TestTapeEqualsStepwise:
             walked = run.run_cg(**solve)
         assert accounting(taped) == accounting(walked)
 
-    def test_an_eventful_iteration_is_not_recorded(self):
-        """A straggler over iteration 2 alone: the tape is recorded from
-        iteration 3, not from the slowed walk."""
-        run = RefDistRun(self.problem, 4, mg_levels=3)
-        _, (first, last), *_ = iteration_windows(run, {"max_iters": 10})
-        run.faults = FaultPlan(stragglers=(Straggler(1, 2.5, first,
-                                                     last + 1),))
-        with obs.disabled():
-            taped = run.run_cg(max_iters=10)
-        with obs.run():
-            walked = run.run_cg(max_iters=10)
-        assert accounting(taped) == accounting(walked)
-
     @pytest.fixture
     def closes(self, monkeypatch):
         """One entry per superstep the tracker closes stepwise."""
@@ -502,32 +496,36 @@ class TestTapeEqualsStepwise:
                             closed.append(1) or close(*a, **k))
         return closed
 
-    def test_a_second_untraced_clean_run_walks_no_iteration(self, problem8,
-                                                             closes):
-        """Once one run has kept both tapes, another closes stepwise only
-        the supersteps before the loop — as many as a solve of no
-        iterations: a silent fall-back to walking fails here."""
-        run = RefDistRun(problem8, 4, mg_levels=3)
+    def test_a_second_untraced_clean_run_walks_no_iteration(
+            self, closes, monkeypatch):
+        """Once one run has kept its programs, another records none (its
+        hooks book nothing) and, like every run, closes no superstep
+        stepwise: a silent fall-back to recording fails here."""
+        built = []
+        monkeypatch.setattr(simulate, "Program", lambda *a: (
+            built.append(1), tape.Program(*a))[1])
+        run = RefDistRun(generate_problem(8), 4, mg_levels=3)
         with obs.disabled():
-            walked = run.run_cg(max_iters=0).syncs
             run.run_cg(max_iters=10)
-            before = len(closes)
+            assert len(built) == 3              # cg_start, first, later
             result = run.run_cg(max_iters=10)
-        assert len(closes) - before == walked < result.syncs / 10
+        assert len(built) == 3 and not closes and result.syncs > 800
 
     def test_a_run_books_the_tapes_a_sibling_kept(self):
-        """A checkpointed sibling solving fewer iterations keeps both
-        tapes on a fresh problem; a run with no plan books them, and no
-        label only the sibling's counts hold enters its own."""
+        """A checkpointed sibling solving fewer iterations keeps the
+        programs on a fresh problem; a run with no plan books them and
+        keeps nothing new."""
         problem = generate_problem(8, 16, 16)
         sibling = RefDistRun(problem, 4, mg_levels=3,
                              faults=FaultPlan(checkpoint=Checkpoint(1)))
         run = RefDistRun(problem, 4, mg_levels=3)
         with obs.disabled():
             sibling.run_cg(max_iters=3)
-            kept = dict(run._numerics.tapes)
+            kept = kept_programs(run)
             taped = run.run_cg(max_iters=10)
-        assert run._numerics.tapes == kept and len(kept) == 2
+        assert kept_programs(run) == kept
+        assert [sorted(kinds) for kinds in kept.values()] == [
+            ["checkpoint", "first", "later", "start"]]
         with obs.run():
             walked = run.run_cg(max_iters=10)
         assert accounting(taped) == accounting(walked)
@@ -571,90 +569,37 @@ class TestTapeEqualsStepwise:
 
     def test_a_survivor_books_a_kept_tape_on_its_fresh_tracker(self):
         """With no checkpoint the survivors restart from iteration 1 on a
-        fresh tracker: a second solve books the 3-node tapes the first
+        fresh tracker: a second solve books the 3-node programs the first
         kept, labels that tracker has not seen yet included."""
         run = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3)
         (first, _), *_ = iteration_windows(run, {"max_iters": 10})
         run.faults = FaultPlan(crashes=(Crash(1, first),))
         with obs.disabled():
             run.run_cg(max_iters=10)
-            kept = dict(run._numerics.tapes)
+            kept = kept_programs(run)
             taped = run.run_cg(max_iters=10)
-        assert run._numerics.tapes == kept
-        assert sum(record[1] == 3 for record, *_ in kept) == 2
+        assert kept_programs(run) == kept
+        assert [sorted(kinds) for (record, *_), kinds in kept.items()
+                if record[1] == 3] == [["first", "later", "start"]]
         with obs.run():
             walked = run.run_cg(max_iters=10)
         assert accounting(taped) == accounting(walked)
 
-    def test_a_node_speeds_plan_is_walked(self, closes):
-        """Heterogeneous speeds scale every superstep's work term, which
-        no kept tape carries: every iteration is walked."""
+    def test_a_node_speeds_plan_reprices_the_kept_programs(self, closes):
+        """Heterogeneous speeds scale every superstep's work term: the
+        fold re-prices the kept programs' rows, and nothing is recorded
+        anew or closed stepwise."""
         run = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3)
         with obs.disabled():
-            run.run_cg(max_iters=5)
+            clean = run.run_cg(max_iters=5)
+            kept = kept_programs(run)
             run.faults = FaultPlan(node_speeds={2: 0.5})
-            before = len(closes)
             taped = run.run_cg(max_iters=5)
-        assert len(closes) - before == taped.syncs
+        assert kept_programs(run) == kept and not closes
+        assert taped.modelled_seconds > clean.modelled_seconds
         with obs.run():
             walked = run.run_cg(max_iters=5)
         assert accounting(taped) == accounting(walked)
-
-
-class TestStretchFlushPoints:
-    """An untraced run books its replays — iterations and crash cuts —
-    in stretches, and books a stretch before anything reads the totals,
-    the tracker or the injector's clock: a walked superstep (a
-    checkpoint's included), a crash, a window's verdict that reads the
-    clock, the result.  Wherever a checkpoint, a crash, a straggler window or the
-    retries of a lossy plan fall among its replays, the run — computing,
-    then pricing — must price and count what the same run traced does,
-    to the bit."""
-
-    problem = generate_problem(8, 16, 16)
-
-    def draw_plan(self, data, run, solve):
-        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
-        interval = data.draw(st.none() | st.integers(1, 3), label="interval")
-        ckpt = interval and Checkpoint(interval)
-        kind = data.draw(st.sampled_from(["crash", "straggler", "loss"]))
-        if kind == "loss":
-            return FaultPlan(seed=seed, checkpoint=ckpt, message_loss=(
-                MessageLoss(data.draw(st.floats(0.0, 0.9), label="rate"),
-                            data.draw(st.integers(1, 4), label="cap"))))
-        run.faults = FaultPlan(checkpoint=ckpt)
-        windows = iteration_windows(run, solve)
-        first, last = data.draw(st.sampled_from(windows), label="window")
-        step = data.draw(st.integers(first, last), label="superstep")
-        if kind == "crash":             # lossless: booked up to the crash
-            return FaultPlan(seed=seed, checkpoint=ckpt, crashes=(
-                Crash(data.draw(st.integers(1, 3), label="node"), step),))
-        end = data.draw(st.none() | st.integers(step + 1, windows[-1][1] + 1),
-                        label="end")    # opens mid-stretch
-        return FaultPlan(seed=seed, checkpoint=ckpt, stragglers=(Straggler(
-            data.draw(st.integers(0, 3), label="node"), 2.5, step, end),))
-
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=list(HealthCheck))
-    @given(data=st.data())
-    def test_a_stretched_run_equals_its_stepwise_walk(self, data):
-        cls = BACKENDS[data.draw(st.sampled_from(sorted(BACKENDS)))]
-        run = cls(self.problem, 4, mg_levels=3,
-                  comm_mode=data.draw(st.sampled_from(["eager", "overlap"])))
-        solve = dict(use_mg=data.draw(st.booleans(), label="use_mg"),
-                     **data.draw(st.sampled_from([
-                         {"max_iters": 10},
-                         {"max_iters": 40, "tolerance": 1e-4}])))
-        run.faults = self.draw_plan(data, run, solve)
-        run._numerics.trajectories.clear()
-        with obs.disabled():
-            taped = run.run_cg(**solve)
-            priced = run.run_cg(**solve)
-        with obs.run():
-            walked = run.run_cg(**solve)
-        assert taped.replayed == walked.replayed and priced.replayed
-        assert accounting(taped) == accounting(walked)
-        assert accounting(priced) == accounting(walked)
 
 
 def test_replays_from_several_threads_equal_their_sequential_replays():

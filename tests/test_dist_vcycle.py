@@ -51,10 +51,15 @@ EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -1.0]
 
 def engine_apply(run, r):
     """One application ``z = M r`` as a priced iteration makes it,
-    outside a solve (a fresh run state stands in for ``run_cg``'s)."""
-    run._state = _RunState(run.nprocs, None)
+    outside a solve (a fresh run state stands in for ``run_cg``'s), its
+    rows recorded as a program of their own and booked."""
+    run._state = state = _RunState(run.nprocs, None, run.machine,
+                                   run.comm_mode)
     z = np.full(r.size, 7.0)            # the application overwrites z
-    return run._precondition(z, r)
+    with run._program("application"):
+        run._precondition(z, r)
+    state.flush()
+    return z
 
 
 def computed(run, **kwargs):
@@ -235,10 +240,9 @@ def snapshot(result):
 
 def walked(run, max_iters):
     """``run.run_cg(max_iters)`` traced: it computes its numerics and
-    walks every iteration, so a planned crash abandons the V-cycle walk
-    where it lands.  (Untraced, a solve whose dots a run on the problem
-    recorded applies no V-cycle, and an iteration with a kept tape is
-    booked up to the crash instead of walked.)"""
+    books every iteration as it ends, so a planned crash abandons the
+    solve in the iteration where it lands.  (Untraced, a solve whose dots
+    a run on the problem recorded applies no V-cycle.)"""
     with obs.run():
         result = run.run_cg(max_iters)
     assert not result.replayed
@@ -266,28 +270,19 @@ class TestCrashMidVCycle:
     def problem(self):
         return generate_problem(8, 16, 16)
 
-    def test_the_crash_lands_inside_the_walk(self, cls, problem,
-                                             monkeypatch):
+    def test_the_crash_lands_inside_the_walk(self, cls, problem):
+        """Traced, the crash unwinds the V-cycle's spans where it lands:
+        at level 1, through level 0, neither ticked."""
         faults, step = self.plan(cls, problem)
-        depth, unwound = [], []
-        vcycle = cls._vcycle
-
-        def spy(run, li):
-            depth.append(li)
-            try:
-                vcycle(run, li)
-            except repro.dist.NodeCrash:
-                unwound.append(list(depth))
-                raise
-            finally:
-                depth.pop()
-
-        monkeypatch.setattr(cls, "_vcycle", spy)
-        result = walked(cls(problem, 4, mg_levels=3, faults=faults), 5)
+        with obs.run() as ctx:
+            result = cls(problem, 4, mg_levels=3, faults=faults).run_cg(5)
         crash, = [e for e in result.resilience["events"]
                   if e["kind"] == "crash"]
         assert crash["superstep"] == step
-        assert unwound == [[0, 1], [0]]         # raised at L1, through L0
+        unwound = [s for s in ctx.tracer.spans if s.name.startswith("mg/L")
+                   and s.modelled_seconds == 0.0]
+        assert [s.name for s in unwound] == ["mg/L1", "mg/L0"]
+        assert unwound[0].parent_id == unwound[1].id
 
     def test_same_object_equals_fresh_objects(self, cls, problem):
         faults, _ = self.plan(cls, problem)
