@@ -449,8 +449,6 @@ class FaultInjector:
         # LossBlocks, in order
         self._booked: list = []
         self._counts: Dict[str, int] = {}   # events recorded, per kind
-        #: events recorded so far (blocks included), a running count
-        self.recorded = 0
         self.recoveries = 0
         self.exchange_retries = 0
         self._pending_crashes = sorted(plan.crashes,
@@ -458,7 +456,6 @@ class FaultInjector:
         self._mentioned = ({st.node for st in plan.stragglers}
                            | set(plan.node_speeds))
         self._announced: set = set()
-        self._speeds_announced = False
         #: optional callback fired on every recorded event — the engine
         #: hangs trace events and metric increments off it
         self.on_event = None
@@ -488,7 +485,6 @@ class FaultInjector:
 
     def _counted(self, kind: str, n: int) -> None:
         self._counts[kind] = self._counts.get(kind, 0) + n
-        self.recorded += n
 
     @property
     def events(self) -> List[FaultEvent]:
@@ -503,9 +499,8 @@ class FaultInjector:
         return self._events
 
     def announce_speeds(self) -> None:
-        """Record the heterogeneous-speed assignment once per run."""
-        if self.plan.node_speeds and not self._speeds_announced:
-            self._speeds_announced = True
+        """Record the heterogeneous-speed assignment (once per run)."""
+        if self.plan.node_speeds:
             self.record("node_speeds", 0, speeds={
                 str(k): v for k, v in sorted(self.plan.node_speeds.items())})
 
@@ -519,13 +514,6 @@ class FaultInjector:
         node is alive (it fires at the first superstep from its own)."""
         return next((crash for crash in self._pending_crashes
                      if crash.node in self.alive), None)
-
-    def begin_superstep(self) -> int:
-        """Claim the next superstep index (every priced barrier —
-        exchanges, dots, retries, checkpoints — advances the clock)."""
-        s = self.superstep
-        self.superstep += 1
-        return s
 
     def work_factors(self, supersteps: np.ndarray) -> Tuple[np.ndarray, list]:
         """The multiplier on the BSP work term at each of ``supersteps``,
@@ -587,6 +575,8 @@ class FaultInjector:
         """Record the loss of each exchange closing at ``supersteps[i]``,
         re-driven ``retries[i]`` times, as one :class:`LossBlock` (one by
         one, each handed to :attr:`on_event`, when that is set)."""
+        if not len(retries):
+            return
         self.exchange_retries += int(retries.sum())
         block = LossBlock(supersteps, labels, retries)
         if self.on_event is None:
@@ -595,21 +585,6 @@ class FaultInjector:
         else:
             for event in block.events():
                 self.record(event.kind, event.superstep, **event.detail)
-
-    def draw_retries(self, supersteps: np.ndarray,
-                     labels: Sequence[Optional[str]]) -> Tuple[np.ndarray,
-                                                                np.ndarray]:
-        """:meth:`retry_counts` of the exchanges closing at
-        ``supersteps`` (each plus the retries before it), their losses
-        booked: the indices of those that lost something, and how often
-        each is re-driven."""
-        counts = self.retry_counts(len(supersteps))
-        lost = np.flatnonzero(counts)
-        retries = counts[lost]
-        if lost.size:
-            self.book_losses(supersteps[lost] + (retries.cumsum() - retries),
-                             [labels[i] for i in lost.tolist()], retries)
-        return lost, retries
 
     def check_crash(self, superstep: int) -> None:
         """Raise :class:`NodeCrash` when a planned failure is due.

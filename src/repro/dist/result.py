@@ -3,6 +3,7 @@ run state a solve accumulates and closes into it."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -262,6 +263,21 @@ class _RunState:
         if self.stretch:
             stretch, self.stretch, self.reach = self.stretch, [], 0
             fold(self, stretch)
+
+    def ticked(self, name: str, category: str, args: Optional[dict] = None):
+        """An obs span that, unless a crash unwinds it, is ticked with
+        the modelled seconds booked inside its extent; the null span
+        when the run is untraced."""
+        if self.ctx is None:
+            return obs.NULL_SPAN
+        return self._ticked(name, category, args)
+
+    @contextlib.contextmanager
+    def _ticked(self, name: str, category: str, args: Optional[dict]):
+        with self.span(name, category, args) as sp:
+            before = self.seconds
+            yield sp
+            sp.tick(self.seconds - before)
 
     def snapshot(self, cg: CGState) -> CGState:
         """``cg.copy()``, a checkpoint; a priced run's vectors hold nothing

@@ -19,53 +19,35 @@ induce, priced on the ``machine=`` a run is given, else on the Table-II
 ``ARM_CLUSTER_NODE`` preset: nothing measured on the host enters it.
 
 What repeats is recorded once.  Construction records every exchange
-pattern as an :class:`~repro.dist.comm.ExchangePlan` that a hook
-replays.  A hook prices nothing: each booking primitive
-(:meth:`~SimulatedDistRun._close_superstep`, ``_barrier``,
-``_tick_local``) appends one row — key, plan, label, work and overlap
-bytes, kind — to the program being recorded, and the numerics keep one
-:class:`~repro.dist.tape.Program` per record, mode, machine,
-preconditioner and kind (``cg_start``, the first iteration, a later
-one, a checkpoint, a restore), priced once in arrays.  A kernel whose
-program is kept runs its numerics alone.  Every program booked joins the
-run's **stretch**; one fold (:func:`~repro.dist.tape.fold`) books it in
-arrays before anything reads the totals — every total bit-identical,
-supersteps and loss events as blocks expanded only when read — and
-applies the faults there: retries inserted, straggler windows re-priced,
-a crash cut and raised.  So nothing walks: an untraced run folds its
-stretch when it ends, or after each program while a planned crash is
-pending (its numerics stop at the iteration the crash lands in); a
-traced run folds after each program and emits its spans from the rows.
+pattern as an :class:`~repro.dist.comm.ExchangePlan`.  A hook prices
+nothing: each booking primitive (``_close_superstep``, ``_barrier``,
+``_tick_local``) appends one row to the program being recorded, and the
+numerics keep one :class:`~repro.dist.tape.Program` per record, mode,
+machine, preconditioner and kind (``cg_start``, the first iteration, a
+later one, a checkpoint, a restore), priced once in arrays; a kernel
+whose program is kept runs its numerics alone.  Every program booked
+joins the run's stretch, which one fold (:func:`~repro.dist.tape.fold`)
+books when the run ends, faults applied as transforms of it — or after
+each program while a planned crash may land in it (the numerics stop at
+that iteration) or when the run is traced (its spans are emitted from
+the rows).  Nothing walks.
 
 And the numerics run once per problem: a later untraced run whose stop
-point the first computing run's recorded dots reach *prices only*.
-``_spmv``, ``_waxpby`` and the checkpoints compute or copy nothing,
-``_precondition`` applies no V-cycle, and ``_dot`` returns the recorded
-value, so the loop takes every branch the computed run took (a crash
-resumes from the record at the checkpoint's ``k + 1``); ``b`` and ``x0``
-enter as empty stand-ins, so the loop's vectors take no memory.
+point the first computing run's recorded dots reach *prices only* —
+its kernels compute nothing and ``_dot`` returns the recorded value, so
+the loop takes every branch the computed run took; once every program
+it books is kept it skips the kernels too (``_replayed``).
 ``DistRunResult.replayed`` says which ran.
 
-Pricing options
----------------
-
-An explicit ``comm_mode=``, else the ``REPRO_OVERLAP`` force, else
-``"eager"``: each exchange is a synchronous superstep priced ``work +
-comm``.  Under ``"overlap"`` exchanges are *posted* (split-phase): the
-backend tags the local compute that can proceed while one is in flight
-(interior rows, the next colour's interior update, ...) and the BSP
-model hides wire time behind it, up to the machine's
-``overlap_efficiency`` (``overlap_efficiency=`` overrides that one
-field).  The mode changes **pricing only**: sends, supersteps and
-numerics are identical.  Full (eager-equivalent) and exposed wire time
-are accumulated per timer key (``comm/full/...``, ``comm/exposed/...``)
-and in total, to report how much is hidden.
-
-``agglomerate_below=n`` gathers every MG level with at most ``n`` rows
-onto node 0 (never the finest level): its smoother and residual mxv
-become single-node local work — no supersteps, no latency — at the cost
-of one gather superstep entering the level, one scatter leaving it, and
-the loss of ``p``-way parallelism on it, all priced by the same engine.
+Pricing options: an explicit ``comm_mode=``, else the ``REPRO_OVERLAP``
+force, else ``"eager"`` (each exchange a synchronous ``work + comm``);
+under ``"overlap"`` exchanges are posted and wire time hides behind the
+local compute the backend tags, up to the machine's
+``overlap_efficiency`` (``overlap_efficiency=`` overrides that field) —
+pricing only, as full and exposed wire time per timer key shows.
+``agglomerate_below=n`` gathers every coarse MG level of at most ``n``
+rows onto node 0: single-node local work, for one gather entering the
+level and one scatter leaving it.
 """
 
 from __future__ import annotations
@@ -77,7 +59,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro import obs
 from repro.dist.bsp import ARM_CLUSTER_NODE, BSPMachine
 from repro.dist.comm import CommTracker, ExchangePlan, resolve_comm_mode
 from repro.dist.cost import (
@@ -116,19 +97,14 @@ class SimulatedDistRun:
             raise InvalidValue(f"need at least one process, got {nprocs}")
         require_fits(problem, mg_levels)
         if agglomerate_below < 0:
-            raise InvalidValue(
-                f"agglomeration threshold must be >= 0, "
-                f"got {agglomerate_below}"
-            )
+            raise InvalidValue(f"agglomeration threshold must be >= 0, "
+                               f"got {agglomerate_below}")
         if faults is not None:
             faults.validate_for(nprocs)
         self.problem = problem
         self.mg_levels = mg_levels
-        # an overlap_efficiency override is folded into the machine
-        # itself (dataclass validation included), so every pricing
-        # helper that takes ``run.machine`` — bsp_time,
-        # tracker_exposed_comm_time, perf.model.overlap_savings —
-        # agrees with the run's own numbers
+        # an overlap_efficiency override is folded into the machine, so
+        # every pricing helper that takes ``run.machine`` agrees
         if overlap_efficiency is not None:
             machine = dataclasses.replace(
                 machine, overlap_efficiency=overlap_efficiency)
@@ -155,10 +131,9 @@ class SimulatedDistRun:
         self._state: Optional[_RunState] = None
 
     def _distribute(self, nprocs: int) -> None:
-        """Take the communication record for ``nprocs`` nodes — the
-        backend's partition, work shares and exchange plans per level,
-        the engine's dot allreduce and root exchanges: every pattern the
-        run will ever close — building it if no run has."""
+        """Take the communication record for ``nprocs`` nodes — every
+        exchange plan the run will ever book — building it if no run
+        has."""
         self.nprocs = nprocs
         records = self._numerics.records
         self._record_key = key = (type(self), nprocs,
@@ -198,21 +173,14 @@ class SimulatedDistRun:
     @property
     def _kernel(self) -> ColorMajorVCycle:
         """What an application writes: this run's own, over twins of the
-        shared sweeps, built at first use in a cell its survivors share
-        (every application loads it anew).  The residual rows it
-        multiplies are the numerics', so building it writes nothing
-        runs share."""
+        shared sweeps, built at first use in a cell its survivors share;
+        building it writes nothing runs share."""
         cell = self._kernel_cell
         if not cell:
             cell.append(ColorMajorVCycle(
                 [level.smoother.twin() for level in self._numerics],
                 [level.injection for level in self._numerics[:-1]]))
         return cell[0]
-
-    @property
-    def tracker(self) -> CommTracker:
-        """The current solve's tracker (hooks replay their plans on it)."""
-        return self._state.tracker
 
     # --- backend hooks -------------------------------------------------------
     def _layout(self) -> object:
@@ -230,12 +198,9 @@ class SimulatedDistRun:
 
     def _rbgs_comm(self, level: SimLevel, color: int,
                    next_color: Optional[int] = None) -> None:
-        """Close the supersteps of one colour's masked mxv.
-
-        ``next_color`` is the colour the sweep updates next (``None``
-        at the end of a half-sweep): in overlap mode its interior work
-        is what a split-phase backend hides the exchange behind.
-        """
+        """Close the supersteps of one colour's masked mxv; in overlap
+        mode ``next_color``'s interior work (the next colour the sweep
+        updates, None at a half-sweep's end) may hide the exchange."""
         raise NotImplementedError
 
     def _restrict_comm(self, fine: SimLevel, coarse: SimLevel) -> None:
@@ -248,13 +213,10 @@ class SimulatedDistRun:
     def _close_superstep(self, plan: ExchangePlan, sync_label: str,
                          timer_key: str, work_bytes: float,
                          overlap_bytes: float = 0.0) -> None:
-        """Book ``plan`` as one *exchange* superstep.
-
-        Eager mode synchronises (``work + comm``); overlap mode posts
-        and waits the same sends as a split-phase exchange, hiding wire
+        """Book ``plan`` as one *exchange* superstep: eager, synchronous
+        (``work + comm``); under overlap, posted and waited, hiding wire
         time behind ``overlap_bytes`` of tagged local compute.  Under a
-        lossy plan the exchange may be re-driven.
-        """
+        lossy plan it may be re-driven."""
         self._state.recording.append(
             (POSTED, timer_key, plan, sync_label, work_bytes,
              float(overlap_bytes)) if self.overlap else
@@ -263,8 +225,7 @@ class SimulatedDistRun:
     def _barrier(self, plan: ExchangePlan, sync_label: str, timer_key: str,
                  work_bytes: float) -> None:
         """Book ``plan`` as one *collective* superstep (dot allreduce,
-        checkpoint, restore): synchronous in either mode, and reliable
-        — never re-driven."""
+        checkpoint, restore): synchronous in either mode, never lost."""
         self._state.recording.append(
             (COLLECTIVE, timer_key, plan, sync_label, work_bytes, 0.0))
 
@@ -320,27 +281,8 @@ class SimulatedDistRun:
                 state.injector.superstep + state.reach > crash.superstep)):
             state.flush()
 
-    @contextlib.contextmanager
-    def _program(self, kind: str, note: Optional[int] = None):
-        """Book what the body books as the program ``kind``."""
-        program = self._opened(kind)
-        yield
-        self._closed(kind, program, note)
-
     def _span(self, name: str, category: str, args: Optional[dict] = None):
-        """An obs span that, unless a crash unwinds it, is ticked with
-        the modelled seconds booked inside its extent; the null span
-        when the run is untraced."""
-        if self._state.ctx is None:
-            return obs.NULL_SPAN
-        return self._ticked_span(name, category, args)
-
-    @contextlib.contextmanager
-    def _ticked_span(self, name: str, category: str, args: Optional[dict]):
-        with self._state.span(name, category, args) as sp:
-            before = self._state.seconds
-            yield sp
-            sp.tick(self._state.seconds - before)
+        return self._state.ticked(name, category, args)
 
     def _vector_share(self, n: int) -> float:
         """Largest per-node share of an ``n``-vector (for local-op work)."""
@@ -348,10 +290,10 @@ class SimulatedDistRun:
 
     # --- the kernels, each followed by its accounting ------------------------
     # (a priced run computes none of them: see run_cg; one whose program
-    # is kept books none of them: see _program)
+    # is kept books none of them: see _opened)
     def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
-        """``u'v``, recorded at the cursor if a record is being made; a
-        priced run returns the recorded one."""
+        """``u'v``, recorded at the cursor; a priced run returns the
+        recorded one."""
         state = self._state
         dots, at = state.dots, state.cursor
         state.cursor += 1
@@ -377,7 +319,7 @@ class SimulatedDistRun:
         return w
 
     def _spmv(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """CG's ``y <- A x``, on the finest level (never agglomerated)."""
+        """CG's ``y <- A x``, on the finest level."""
         state = self._state
         if state.recording is not None:
             self._spmv_comm(self.levels[0], "spmv", "cg/spmv")
@@ -422,9 +364,8 @@ class SimulatedDistRun:
                                 coarse.n, to_root=to_root)
 
     def _vcycle(self, li: int) -> None:
-        """The engine's one V-cycle walk, booking only: ``ref_mg_vcycle``'s
-        steps in its order, each as its exchanges or, on an agglomerated
-        level, its local work, inside the marks of an ``mg/L{li}`` span."""
+        """Book one V-cycle: ``ref_mg_vcycle``'s steps in its order, inside
+        the marks of an ``mg/L{li}`` span."""
         level, marks = self.levels[li], self._state.marks
         marks.append((len(self._state.recording), f"mg/L{li}", {
             "level": li, "n": level.n, "agglomerated": level.agglomerated}))
@@ -450,24 +391,16 @@ class SimulatedDistRun:
     _CKPT_VECTORS = 3
 
     def _take_checkpoint(self, cg: CGState) -> None:
-        """Snapshot CG state after iteration ``cg.k``, priced as a gather.
-
-        Every node ships its share of the three CG vectors to node 0
-        (which persists them to stable storage) — one superstep.  The
-        in-memory snapshot is taken *after* the superstep is booked, so
-        a crash landing on the checkpoint barrier leaves the previous
-        snapshot as the rollback target, exactly like a torn write to
-        stable storage would.  A run that prices only copies no vector;
-        the fold accounts the checkpoint's seconds and event."""
+        """Snapshot CG state after iteration ``cg.k``, booked as a gather
+        of the three CG vectors to node 0 (which persists them).  The
+        snapshot is taken *after* the superstep is booked, so a crash on
+        the checkpoint barrier leaves the previous one as the rollback
+        target, as a torn write would; a priced run copies no vector."""
         state = self._state
         with self._span("fault/checkpoint", "fault",
                         {"iteration": cg.k}) as sp:
             before = state.seconds
-            with self._program("checkpoint", cg.k):
-                if state.recording is not None:
-                    self._root_exchange(self._barrier, "checkpoint",
-                                        "fault/checkpoint", self.n,
-                                        self._CKPT_VECTORS)
+            self._book_vectors("checkpoint", True, cg.k)
             state.checkpoint = state.snapshot(cg)
             if sp is not None:
                 sp.set(seconds=state.seconds - before)
@@ -478,20 +411,24 @@ class SimulatedDistRun:
         (one superstep on the *new* node count)."""
         with self._span("fault/restore", "fault",
                         {"iteration": checkpoint.k, "nprocs": self.nprocs}):
-            with self._program("restore"):
-                if self._state.recording is not None:
-                    self._root_exchange(self._barrier, "restore",
-                                        "fault/restore", self.n,
-                                        self._CKPT_VECTORS, to_root=False)
+            self._book_vectors("restore", False)
         return self._state.snapshot(checkpoint)
+
+    def _book_vectors(self, kind: str, to_root: bool, note=None) -> None:
+        """Book the program ``kind``: the CG vectors gathered to node 0
+        (``to_root``) or scattered from it, one collective superstep."""
+        program = self._opened(kind)
+        if program is None:
+            self._root_exchange(self._barrier, kind, f"fault/{kind}",
+                                self.n, self._CKPT_VECTORS, to_root)
+        self._closed(kind, program, note)
 
     # --- crash recovery ------------------------------------------------------
     def _respawn(self, nprocs: int, **changed) -> "SimulatedDistRun":
-        """This run on ``nprocs`` surviving nodes: a shallow copy that
-        shares the level numerics, the kernel's cell and the run state,
-        and takes the communication record of its layout (subclasses
-        pass the fields the node count ``changed``): at most one
-        repartition a problem."""
+        """This run on ``nprocs`` surviving nodes: a shallow copy sharing
+        the numerics, the kernel's cell and the run state, on the record
+        of its layout (subclasses pass the fields the node count
+        ``changed``): at most one repartition a problem."""
         survivor = copy.copy(self)
         vars(survivor).update(changed)
         survivor._distribute(nprocs)
@@ -517,11 +454,10 @@ class SimulatedDistRun:
             survivor = self._respawn(survivors)
         state.tracker = CommTracker(survivor.nprocs)
         inj.recoveries += 1
-        inj.record(
-            "recovery", inj.superstep, node=crash.node,
-            survivors=survivors, new_nprocs=survivor.nprocs,
-            resume_iteration=resume_k,
-            from_checkpoint=state.checkpoint is not None)
+        inj.record("recovery", inj.superstep, node=crash.node,
+                   survivors=survivors, new_nprocs=survivor.nprocs,
+                   resume_iteration=resume_k,
+                   from_checkpoint=state.checkpoint is not None)
         if state.metrics is not None:
             state.metrics.recoveries.inc(1)
         return survivor
@@ -542,11 +478,9 @@ class SimulatedDistRun:
     def _cg_attempt(self, max_iters: int, use_mg: bool,
                     tolerance: float) -> CGState:
         """One (re)execution attempt: :func:`repro.ref.cg.cg_iterations`
-        on the priced kernels, from the problem's initial guess or, after
-        a crash, from the restored checkpoint (iteration ``k + 1`` on, so
-        every residual equals the clean run's).  Raises
-        :class:`~repro.dist.faults.NodeCrash` when a fold books a
-        planned failure."""
+        on the priced kernels, from ``x0`` or, after a crash, from the
+        restored checkpoint; a fold booking a planned failure raises
+        :class:`~repro.dist.faults.NodeCrash`."""
         state = self._state
         m = state.metrics
         state.programs = kept = self._numerics.programs.setdefault(
@@ -560,12 +494,12 @@ class SimulatedDistRun:
         if state.checkpoint is None:
             state.cursor = 0
             b, x0 = self.problem.b, self.problem.x0
-            # a priced run reads no vector: empty stand-ins, so that the
-            # loop's vectors take no memory (the kernels book self.n's)
+            # a priced run reads no vector: empty stand-ins
             b, x0 = ((np.empty(0),) * 2 if state.priced
                      else (b.to_dense(), x0.to_dense()))
-            with self._program("start"):
-                cg = cg_start(self._spmv, self._waxpby, self._dot, b, x0)
+            program = self._opened("start")
+            cg = cg_start(self._spmv, self._waxpby, self._dot, b, x0)
+            self._closed("start", program)
             if m is not None:
                 m.residual.observe(cg.residuals[0], backend=self.backend)
         else:
@@ -617,14 +551,12 @@ class SimulatedDistRun:
         Attempts :meth:`_cg_attempt`; on a planned crash rolls back —
         repartition onto the survivors, restore the last snapshot,
         re-attempt from there.  The residual history is bit-identical
-        to the serial driver's in either communication mode and under
-        any fault plan (both change pricing and the execution path
-        only); ``modelled_seconds`` honestly includes checkpoint
-        overhead, rollback and re-execution.  ``faults=None`` or an
-        inactive plan means no injector: one attempt,
-        ``resilience=None``.  Untraced, the solve prices only if the numerics keep a
-        trajectory of ``(use_mg, b, x0)`` that reaches its stop point;
-        else it computes and, finishing, publishes what it recorded.
+        to the serial driver's in either mode and under any fault plan;
+        ``modelled_seconds`` includes checkpoints, rollback and
+        re-execution.  ``faults=None`` or an inactive plan: one attempt,
+        ``resilience=None``.  Untraced, the solve prices only if the
+        numerics keep a trajectory of ``(use_mg, b, x0)`` reaching its
+        stop point; else it computes and publishes what it recorded.
         """
         require_cg_limits(max_iters, tolerance)
         injector = None

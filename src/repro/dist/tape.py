@@ -168,7 +168,7 @@ def fold(state, stretch: list) -> None:
     on the run state ``state``; see the module docstring."""
     inj, machine = state.injector, state.machine
     registries = state.timers, state.comm_timers
-    retried = cut = clock = None
+    retried = cut = clock = step = None
     lossy = drawn = np.empty(0, dtype=np.intp)
     if inj is not None:
         # each lossy exchange's retries, and the crash that cuts the
@@ -263,7 +263,7 @@ def fold(state, stretch: list) -> None:
         if count:
             timer.total, timer.count = total, timer.count + count
     synced = state.tracker.num_syncs
-    _book_steps(state.tracker, stretch, retried,
+    _book_steps(state.tracker, stretch, retried, step,
                 kept if cut is not None else None)
     taken = _checkpoints(state, stretch, first, running[0])
     if inj is not None:
@@ -292,20 +292,20 @@ def _by_timer(ids: np.ndarray, terms: np.ndarray, height: int) -> tuple:
     return sums, counts
 
 
-def _book_steps(tracker, stretch, retried, kept=None) -> None:
+def _book_steps(tracker, stretch, retried, step, kept=None) -> None:
     """Each entry's supersteps to the tracker, each lossy row followed by
-    the retries it booked (counted over the entry's copies); with
-    ``kept``, only that many rows of the last copy."""
+    the retries it booked (its superstep counted over the entry's
+    copies); with ``kept``, only that many rows of the last copy."""
     pairs = [np.empty((0, 2), dtype=np.intp)] * len(stretch)
     if retried is not None and retried.any():
-        step_at = np.concatenate([p.step_at + copy * len(p.block.rows)
-                                  for p, times, _ in stretch
-                                  for copy in range(times)])
         rows = np.flatnonzero(retried)
-        cuts = np.searchsorted(rows, list(itertools.accumulate(
-            [p.n * times for p, times, _ in stretch], initial=0))).tolist()
-        pairs = [np.stack([step_at[rows[a:b]], retried[rows[a:b]]], 1)
-                 for a, b in zip(cuts, cuts[1:])]
+        at = (step.cumsum() - 1)[rows]
+        bounds = list(itertools.accumulate(
+            [(p.n * times, p.reach[0] * times) for p, times, _ in stretch],
+            lambda a, b: (a[0] + b[0], a[1] + b[1]), initial=(0, 0)))
+        cuts = np.searchsorted(rows, [rows_ for rows_, _ in bounds]).tolist()
+        pairs = [np.stack([at[a:b] - steps, retried[rows[a:b]]], 1)
+                 for (_, steps), a, b in zip(bounds, cuts, cuts[1:])]
     for e, ((p, times, _), again) in enumerate(zip(stretch, pairs)):
         if kept is None or e + 1 < len(stretch):
             tracker.book(p.block, again, times)

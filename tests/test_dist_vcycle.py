@@ -56,8 +56,9 @@ def engine_apply(run, r):
     run._state = state = _RunState(run.nprocs, None, run.machine,
                                    run.comm_mode)
     z = np.full(r.size, 7.0)            # the application overwrites z
-    with run._program("application"):
-        run._precondition(z, r)
+    program = run._opened("application")
+    run._precondition(z, r)
+    run._closed("application", program)
     state.flush()
     return z
 

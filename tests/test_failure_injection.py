@@ -402,36 +402,25 @@ class TestSeededDeterminism:
     def test_a_block_of_retry_draws_is_its_exchanges_drawn_in_turn(
             self, rate, cap, seed, blocks):
         """Each exchange draws until one draw delivers or it has drawn
-        ``max_retries`` lost ones: the block routine returns those counts,
-        records an event at each lossy exchange's superstep, and leaves
-        the generator where one draw at a time leaves it."""
+        ``max_retries`` lost ones: the block routine returns those counts
+        (a peek the same, leaving the generator as it was) and leaves the
+        generator where one draw at a time leaves it."""
         inj = FaultInjector(FaultPlan(seed=seed, message_loss=MessageLoss(
             rate, max_retries=cap)), 4)
-        rng, step, events = np.random.default_rng(seed), 0, []
+        rng = np.random.default_rng(seed)
         for n in blocks:
-            lost, counts = inj.draw_retries(np.arange(step, step + n),
-                                            ["x"] * n)
-            got = np.zeros(n, dtype=int)
-            got[lost] = counts
-            assert counts.all()
+            got = inj.retry_counts(n, peek=True)
+            assert np.array_equal(inj.retry_counts(n), got)
             for retries in got.tolist():
                 expected = 0
                 while expected < cap and rng.random() < rate:
                     expected += 1
                 assert retries == expected
-                if retries:
-                    events.append({"kind": "message_loss", "superstep": step,
-                                   "detail": {"label": "x",
-                                              "retries": retries}})
-                step += 1 + retries
         assert inj.rng.random() == rng.random()
-        assert [e.as_dict() for e in inj.events] == events
-        assert inj.exchange_retries == sum(e["detail"]["retries"]
-                                           for e in events)
 
 
 class TestLossBlocks:
-    """A draw books its loss events as one block, listed only when
+    """Booked losses are one block, listed only when
     ``events`` is read: it reads back exactly as the events recorded one
     at a time, among the other records in their order, and with an
     ``on_event`` callback (the engine's, when obs is on) every event is
@@ -451,18 +440,17 @@ class TestLossBlocks:
         called.on_event = handed.append
         step = 0
         for i, n in enumerate(blocks):
-            labels = [f"x{i}"] * n
-            lost, counts = booked.draw_retries(np.arange(step, step + n),
-                                               labels)
-            assert np.array_equal(called.draw_retries(
-                np.arange(step, step + n), labels)[1], counts)
-            behind = counts.cumsum() - counts
-            for at, retries, before in zip(lost.tolist(), counts.tolist(),
-                                           behind.tolist()):
-                recorded.record("message_loss", step + at + before,
-                                label=labels[at], retries=retries)
-            recorded.exchange_retries += int(counts.sum())
-            step += n + int(counts.sum())
+            drawn = booked.retry_counts(n)
+            assert np.array_equal(called.retry_counts(n), drawn)
+            lost = np.flatnonzero(drawn)
+            steps = step + lost + (drawn.cumsum() - drawn)[lost]
+            for inj in (booked, called):
+                inj.book_losses(steps, [f"x{i}"] * len(lost), drawn[lost])
+            for at, retries in zip(steps.tolist(), drawn[lost].tolist()):
+                recorded.record("message_loss", at, label=f"x{i}",
+                                retries=retries)
+            recorded.exchange_retries += int(drawn.sum())
+            step += n + int(drawn.sum())
             for inj in (booked, called, recorded):
                 inj.record("checkpoint", step, iteration=i)
             step += 1
@@ -665,12 +653,10 @@ class TestCrashRecovery:
     def test_injector_crash_bookkeeping(self):
         plan = FaultPlan(crashes=(Crash(2, 5),))
         inj = FaultInjector(plan, 4)
-        for _ in range(5):
-            step = inj.begin_superstep()
+        for step in range(5):
             inj.check_crash(step)
-        step = inj.begin_superstep()
         with pytest.raises(NodeCrash) as exc:
-            inj.check_crash(step)
+            inj.check_crash(5)
         assert exc.value.node == 2
         assert inj.alive_count == 3
         assert 2 not in inj.alive
