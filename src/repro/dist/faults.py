@@ -50,24 +50,17 @@ def _runs(delivering: np.ndarray, m: int, cap: int) -> tuple:
     """The retries of ``m`` exchanges drawing in turn from the
     ``delivering`` flags of their draws, and the draws they use.  An
     exchange ends on a delivering draw or on its cap-th lost one in a
-    row, so the first m delivering draws end m exchanges at least."""
-    delivered = np.flatnonzero(delivering)[:m]
-    counts = delivered - np.arange(len(delivered))  # lost draws before
-    counts[1:] -= counts[:-1].copy()                # ... since the last
-    capped = np.flatnonzero(counts >= cap).tolist()
-    if len(counts) == m and not capped:
-        return counts, delivered[-1] + 1 if m else 0
-    # a run of lost draws before a delivering one is run // cap capped
-    # exchanges, then one that lost run % cap; the draws after the last
-    # delivering one end capped exchanges only
-    tail = len(delivering) - 1 - (delivered[-1] if len(counts) else -1)
-    pieces, start = [], 0
-    for i in capped:
-        run = int(counts[i])
-        pieces += [counts[start:i], [cap] * (run // cap), [run % cap]]
-        start = i + 1
-    pieces += [counts[start:], [cap] * (tail // cap)]
-    counts = np.concatenate(pieces).astype(np.intp)[:m]
+    row, so a run of ``g`` lost draws before a delivering one is
+    ``g // cap`` capped exchanges, then one that lost ``g % cap``; the
+    lost draws after the last delivering one end capped exchanges."""
+    ends = np.flatnonzero(delivering)[:m]       # m runs end m exchanges
+    gaps = np.diff(ends, prepend=-1) - 1
+    capped = gaps // cap
+    tail = len(delivering) - 1 - (ends[-1] if len(ends) else -1)
+    counts = np.full(int(capped.sum()) + len(gaps) + tail // cap, cap,
+                     dtype=np.intp)
+    counts[np.cumsum(capped + 1) - 1] = gaps % cap
+    counts = counts[:m]
     return counts, int(counts.sum() + (counts < cap).sum())
 
 
@@ -556,17 +549,23 @@ class FaultInjector:
         lost while the draw lands under ``rate``, up to ``max_retries``
         resends (the transport then falls back to its slow reliable path
         — delivery is never abandoned, only priced).  All of them draw
-        from one block of the most they can take, which holds the values
-        drawing one at a time would, and the generator is wound to where
-        those draws leave it — or, with ``peek``, left where it was.
+        from one block — two draws an exchange, then the rest of the most
+        they can take if those run out — which holds the values drawing
+        one at a time would, and the generator is wound to where those
+        draws leave it — or, with ``peek``, left where it was.
         """
         loss, rng = self.plan.message_loss, self.rng
-        cap, state = loss.max_retries, rng.bit_generator.state
-        counts, used = _runs(rng.random(cap * m) >= loss.rate, m, cap)
+        cap, state = loss.max_retries, peek and rng.bit_generator.state
+        delivering = rng.random(min(2, cap) * m) >= loss.rate
+        counts, used = _runs(delivering, m, cap)
+        if len(counts) < m:
+            delivering = np.concatenate([delivering, rng.random(
+                (cap - 2) * m) >= loss.rate])
+            counts, used = _runs(delivering, m, cap)
         if peek:
             rng.bit_generator.state = state
         else:
-            rng.bit_generator.advance(int(used) - cap * m)
+            rng.bit_generator.advance(used - len(delivering))
         return counts
 
     def book_losses(self, supersteps: np.ndarray,

@@ -203,46 +203,53 @@ def fold(state, stretch: list) -> None:
     layout, busy = stretch[0][0].layout, stretch[0][0].busy
     slowed = inj is not None and bool(inj.plan.stragglers
                                       or inj.plan.node_speeds)
-    if retried is not None and (slowed or retried.any()):
-        # the faults reach into the terms: each row's, straggler windows
-        # re-priced, then each retry's right after its exchange's
-        table, announced = table[:, :len(step)], []
-        n = table.shape[1]
-        if slowed:
-            factors, announced = inj.work_factors(clock)
-            table[4:6] *= factors
-            table[:4] = machine.row_costs(table[4], table[6], table[5], step)
-        first = np.concatenate([[0], (1 + retried).cumsum()])
-        rows = np.repeat(np.arange(n), 1 + retried)
-        again = np.ones(len(rows), dtype=bool)
-        again[first[:-1]] = False
-        terms = table[:3, rows]
-        if state.lossy:
-            terms[:, again] = machine.retry_comm_times(
-                table[6, rows[again]],
-                np.flatnonzero(again) - first[rows[again]] - 1,
-                inj.plan.message_loss.backoff)
-        ids = _cat(stretch, lambda p: p.ids, axis=1)[:, rows]
-        sums, counts = _by_timer(ids, terms, len(layout))
-        sums = _parts(sums, counts, busy)
-    else:
-        announced, first, terms = [], None, table[:3]
-        sums = [_cat(stretch, lambda p: p.sums[i], axis=1) for i in (0, 1)]
-        counts = sum(times * p.counts for p, times, _ in stretch)
-        if cut is not None:     # the terms of the rows after the crash go
-            p = stretch[-1][0]
-            ids, cols = p.ids[:, kept:], p.cols[:, kept:]
-            ids, cols = ids[ids >= 0], cols[ids >= 0]
-            for i, mine in enumerate((ids < busy, ids >= busy)):
-                sums[i][ids[mine] - i * busy, sums[i].shape[1]
-                        - p.sums[i].shape[1] + cols[mine]] = 0.0
-            counts = counts - np.bincount(ids, minlength=len(layout))
-            table = terms = table[:, :len(step)]
-        n = table.shape[1]
-        first = np.arange(n + 1)
+    sums = [_cat(stretch, lambda p: p.sums[i], axis=1) for i in (0, 1)]
+    times = {}
+    for p, copies, _ in stretch:
+        times[p] = times.get(p, 0) + copies
+    counts = sum(copies * p.counts for p, copies in times.items())
+    if cut is not None:         # the terms of the rows after the crash go
+        p = stretch[-1][0]
+        ids, cols = p.ids[:, kept:], p.cols[:, kept:]
+        ids, cols = ids[ids >= 0], cols[ids >= 0]
+        for i, mine in enumerate((ids < busy, ids >= busy)):
+            sums[i][ids[mine] - i * busy, sums[i].shape[1]
+                    - p.sums[i].shape[1] + cols[mine]] = 0.0
+        counts = counts - np.bincount(ids, minlength=len(layout))
+        table = table[:, :len(step)]
+    n = table.shape[1]
+    announced, first, values = [], np.arange(n + 1), table[:3]
+    if slowed:                  # the rows the windows cover, re-priced
+        factors, announced = inj.work_factors(clock)
+        table[4:6] *= factors
+        table[:4] = machine.row_costs(table[4], table[6], table[5], step)
+        values = table[:3]
+        ids, part, at = _places(stretch, np.arange(n), busy)
+        for i in (0, 1):
+            mine = (ids >= 0) & (part == i)
+            sums[i][ids[mine] - i * busy, at[mine]] = values[mine]
+    if retried is not None and retried.any():
+        # each retry's terms right after its exchange's and the retries
+        # before it: a column of its own in the totals, and in each of
+        # its exchange's timers after the retries of that key before it
+        first[1:] = (1 + retried).cumsum()
+        rows = np.repeat(np.arange(n), retried)
+        drawn_at = np.arange(len(rows))
+        costs = machine.retry_comm_times(
+            table[6, rows],
+            drawn_at - np.repeat(retried.cumsum() - retried, retried),
+            inj.plan.message_loss.backoff)
+        values = _columns_inserted(values, rows + drawn_at + 1, costs)
+        ids, part, at = _places(stretch, rows, busy)
+        at += 1 + _ranks(ids[0])
+        for i in (0, 1):
+            mine = part[0] == i
+            sums[i] = _inserted(sums[i], ids[:, mine].T - i * busy,
+                                at[:, mine].T, costs[mine, None])
+        counts = counts + np.bincount(ids.ravel(), minlength=len(layout))
     # the run's totals: every term in its own column, after the totals
     values = np.concatenate([[[state.seconds], [state.comm_seconds],
-                              [state.exposed_comm_seconds]], terms[:3]],
+                              [state.exposed_comm_seconds]], values],
                             axis=1)
     timers = [registries[r].timers.get(key) for r, key in layout]
     totals = [0.0 if t is None else t.total for t in timers]
@@ -277,19 +284,66 @@ def fold(state, stretch: list) -> None:
         inj.check_crash(cut)
 
 
-def _by_timer(ids: np.ndarray, terms: np.ndarray, height: int) -> tuple:
-    """The terms laid out by timer: row ``ids[i, j]`` of the result holds
-    ``terms[i, j]`` (where the id is not -1) in the order of ``j``, from
-    column 1, zero-padded; and each timer's count of terms."""
-    tid, value = ids.T.ravel(), terms.T.ravel()
-    tid, value = tid[tid >= 0], value[tid >= 0]
-    order = np.argsort(tid.astype(np.int16), kind="stable")
-    counts = np.bincount(tid, minlength=height)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(tid)) - (counts.cumsum() - counts)[tid[order]]
-    sums = np.zeros((height, counts.max() + 1))
-    sums[tid, rank + 1] = value
-    return sums, counts
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each entry's count of the entries before it with its key."""
+    order = np.argsort(keys, kind="stable")
+    grouped = keys[order]
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(keys)) - np.searchsorted(grouped, grouped)
+    return ranks
+
+
+def _columns_inserted(terms: np.ndarray, slots: np.ndarray,
+                      values: np.ndarray) -> np.ndarray:
+    """``terms`` with a column of ``values[i]`` at column ``slots[i]``
+    (in the result), the columns after each moved right."""
+    height, width = terms.shape
+    kept = np.ones(width + len(slots), dtype=bool)
+    kept[slots] = False
+    out = np.empty((height, len(kept)))
+    out[:, kept] = terms
+    out[:, slots] = values
+    return out
+
+
+def _inserted(terms: np.ndarray, rows: np.ndarray, slots: np.ndarray,
+              values: np.ndarray) -> np.ndarray:
+    """``terms`` with ``values`` at columns ``slots`` of rows ``rows`` (the
+    values broadcast to them) and the terms after each moved right, the
+    rows zero-padded to the longest: only the drawn retries lengthen an
+    accumulate."""
+    height, width = terms.shape
+    extra = np.bincount(rows.ravel(), minlength=height)
+    pad = extra.max(initial=0)
+    kept = np.empty((height, width + pad), dtype=bool)
+    kept[:, :width] = True
+    kept[:, width:] = np.arange(pad) < extra[:, None]
+    at = rows * (width + pad) + slots
+    kept.ravel()[at] = False
+    out = np.zeros(kept.shape)
+    out[kept] = terms.ravel()
+    out.ravel()[at] = values
+    return out
+
+
+def _places(stretch, rows: np.ndarray, busy: int) -> tuple:
+    """Where the terms of the stretch's ``rows`` (ascending) sit in its
+    timer matrices: their timer ids (-1: no term), their matrix (1 if
+    not the smoothers') and their columns in it."""
+    ids = np.empty((3, len(rows)), dtype=np.intp)
+    part, at = np.empty_like(ids), np.empty_like(ids)
+    offsets, start = np.zeros(2, dtype=np.intp), 0
+    for p, times, _ in stretch:
+        lo, hi = np.searchsorted(rows, [start, start + p.n * times])
+        copy, row = np.divmod(rows[lo:hi] - start, p.n)
+        widths = np.array([sums.shape[1] for sums in p.sums])
+        ids[:, lo:hi] = p.ids[:, row]
+        part[:, lo:hi] = mine = p.ids[:, row] >= busy
+        at[:, lo:hi] = (offsets[mine.astype(np.intp)] + copy * widths[
+            mine.astype(np.intp)] + p.cols[:, row])
+        start += p.n * times
+        offsets = offsets + times * widths
+    return ids, part, at
 
 
 def _book_steps(tracker, stretch, retried, step, kept=None) -> None:
@@ -343,7 +397,12 @@ def _book_events(inj, stretch, clock, lossy, drawn, announced,
     checkpoint after its superstep.  Losses in a row stay one block."""
     lost = np.flatnonzero(drawn)
     rows = lossy[lost]
-    labels = _cat(stretch, lambda p: p.labels)[rows] if rows.size else rows
+    labels = np.empty(len(rows), dtype=object)
+    start = 0
+    for p, times, _ in stretch if len(rows) else ():
+        lo, hi = np.searchsorted(rows, [start, start + p.n * times])
+        labels[lo:hi] = p.labels[(rows[lo:hi] - start) % p.n]
+        start += p.n * times
     others = sorted([(at, 0, i, "straggler", kw)
                      for i, (at, kw) in enumerate(announced)]
                     + [(at, 1, 0, "checkpoint",
@@ -351,7 +410,7 @@ def _book_events(inj, stretch, clock, lossy, drawn, announced,
                        for at, step, k in checkpoints])
     done = 0
     for at, _, _, kind, kw in others + [(len(clock), 0, 0, None, None)]:
-        upto = int(np.searchsorted(rows, at))
+        upto = int(np.searchsorted(rows, at)) if len(rows) else 0
         if upto > done:
             inj.book_losses(clock[rows[done:upto]], labels[done:upto],
                             drawn[lost[done:upto]])
