@@ -135,7 +135,6 @@ class Program:
         sums = np.zeros((len(layout), self.counts.max() + 1))
         sums[self.ids[timed], self.cols[timed]] = self.values[timed]
         self.sums = _parts(sums, self.counts, self.busy)
-        self.step_at = np.cumsum(self.step) - 1   # each row's superstep
         self.block = StepBlock([
             (plan, label, o, k == POSTED) for k, plan, label, o
             in zip(kinds, self.plans, labels, overlap) if k != LOCAL])
