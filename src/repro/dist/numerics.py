@@ -175,7 +175,7 @@ class _Numerics(list):
         path pinned off: the applications the kernel declines (an ``r``
         holding ``-0.0``, a contracting product).  Built at the first of
         them; it writes its hierarchy, so one runs at a time, and out of
-        the trace, which holds the pricing walk's spans."""
+        the trace, which holds the booked programs' spans."""
         with self._transcribing, obs.disabled():
             if self._transcription is None:
                 self._transcription = MGPreconditioner(build_hierarchy(

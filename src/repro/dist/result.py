@@ -194,7 +194,7 @@ class _RunState:
         # the program being recorded (rows and span marks), the kept
         # programs of the attempt's record by kind, and the stretch of
         # programs not yet booked: [program, times, note] entries (see
-        # _program and tape.fold)
+        # SimulatedDistRun._opened and tape.fold)
         self.recording: Optional[list] = None
         self.marks: list = []
         self.programs: dict = {}

@@ -30,7 +30,7 @@ joins the run's stretch, which one fold (:func:`~repro.dist.tape.fold`)
 books when the run ends, faults applied as transforms of it — or after
 each program while a planned crash may land in it (the numerics stop at
 that iteration) or when the run is traced (its spans are emitted from
-the rows).  Nothing walks.
+the rows).  Nothing is priced superstep by superstep.
 
 And the numerics run once per problem: a later untraced run whose stop
 point the first computing run's recorded dots reach *prices only* —
@@ -282,6 +282,7 @@ class SimulatedDistRun:
             state.flush()
 
     def _span(self, name: str, category: str, args: Optional[dict] = None):
+        """The run state's ticked span (the null span untraced)."""
         return self._state.ticked(name, category, args)
 
     def _vector_share(self, n: int) -> float:

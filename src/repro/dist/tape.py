@@ -135,6 +135,7 @@ class Program:
         sums = np.zeros((len(layout), self.counts.max() + 1))
         sums[self.ids[timed], self.cols[timed]] = self.values[timed]
         self.sums = _parts(sums, self.counts, self.busy)
+        self.widths = np.array([part.shape[1] for part in self.sums])
         self.block = StepBlock([
             (plan, label, o, k == POSTED) for k, plan, label, o
             in zip(kinds, self.plans, labels, overlap) if k != LOCAL])
@@ -197,11 +198,11 @@ def fold(state, stretch: list) -> None:
         lossy = lossy[:len(drawn)]
     # the rows' prices, then (to re-price or emit them) what they price;
     # the timers' terms, every copy's matrix side by side
-    table = _cat(stretch, (lambda p: p.table) if inj or state.ctx
-                 else (lambda p: p.values), axis=1)
-    layout, busy = stretch[0][0].layout, stretch[0][0].busy
     slowed = inj is not None and bool(inj.plan.stragglers
                                       or inj.plan.node_speeds)
+    table = _cat(stretch, (lambda p: p.table) if slowed or state.lossy
+                 or state.ctx else (lambda p: p.values), axis=1)
+    layout, busy = stretch[0][0].layout, stretch[0][0].busy
     sums = [_cat(stretch, lambda p: p.sums[i], axis=1) for i in (0, 1)]
     times = {}
     for p, copies, _ in stretch:
@@ -243,8 +244,9 @@ def fold(state, stretch: list) -> None:
         at += 1 + _ranks(ids[0])
         for i in (0, 1):
             mine = part[0] == i
-            sums[i] = _inserted(sums[i], ids[:, mine].T - i * busy,
-                                at[:, mine].T, costs[mine, None])
+            if mine.any():
+                sums[i] = _inserted(sums[i], ids[:, mine].T - i * busy,
+                                    at[:, mine].T, costs[mine, None])
         counts = counts + np.bincount(ids.ravel(), minlength=len(layout))
     # the run's totals: every term in its own column, after the totals
     values = np.concatenate([[[state.seconds], [state.comm_seconds],
@@ -326,23 +328,19 @@ def _inserted(terms: np.ndarray, rows: np.ndarray, slots: np.ndarray,
 
 
 def _places(stretch, rows: np.ndarray, busy: int) -> tuple:
-    """Where the terms of the stretch's ``rows`` (ascending) sit in its
-    timer matrices: their timer ids (-1: no term), their matrix (1 if
-    not the smoothers') and their columns in it."""
-    ids = np.empty((3, len(rows)), dtype=np.intp)
-    part, at = np.empty_like(ids), np.empty_like(ids)
-    offsets, start = np.zeros(2, dtype=np.intp), 0
+    """Where the terms of the stretch's ``rows`` sit in its timer
+    matrices: their timer ids (-1: no term), their matrix (1 if not the
+    smoothers') and their columns in it."""
+    starts, sizes, at = [], [], np.zeros(2, dtype=np.intp)
     for p, times, _ in stretch:
-        lo, hi = np.searchsorted(rows, [start, start + p.n * times])
-        copy, row = np.divmod(rows[lo:hi] - start, p.n)
-        widths = np.array([sums.shape[1] for sums in p.sums])
-        ids[:, lo:hi] = p.ids[:, row]
-        part[:, lo:hi] = mine = p.ids[:, row] >= busy
-        at[:, lo:hi] = (offsets[mine.astype(np.intp)] + copy * widths[
-            mine.astype(np.intp)] + p.cols[:, row])
-        start += p.n * times
-        offsets = offsets + times * widths
-    return ids, part, at
+        starts.append(at + np.arange(times)[:, None] * p.widths)
+        sizes += [p.n] * times
+        at = at + times * p.widths
+    base = np.repeat(np.concatenate(starts), sizes, axis=0)[rows]
+    ids = _cat(stretch, lambda p: p.ids, axis=1)[:, rows]
+    part = (ids >= busy).astype(np.intp)
+    return ids, part, (base[np.arange(len(rows)), part]
+                       + _cat(stretch, lambda p: p.cols, axis=1)[:, rows])
 
 
 def _book_steps(tracker, stretch, retried, step, kept=None) -> None:
