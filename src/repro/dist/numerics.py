@@ -22,6 +22,7 @@ kernels that price and compute nothing, its dots returning the record
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from typing import List, Optional
@@ -109,11 +110,11 @@ class Trajectory:
         """Does the record reach the iteration a solve of ``max_iters``
         and ``tolerance`` stops at?  The loop's own stopping rule, on the
         recorded residual norms."""
-        norms = np.sqrt(self.dots[::3])
+        norms = [math.sqrt(dot) for dot in self.dots[::3]]
         for k in range(1, max_iters + 1):
             if converged(norms[0], norms[k - 1], tolerance):
                 return True
-            if k == norms.size:     # iteration k is not on record
+            if k == len(norms):     # iteration k is not on record
                 return False
         return True
 

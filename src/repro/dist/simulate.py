@@ -55,6 +55,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
@@ -529,7 +530,7 @@ class SimulatedDistRun:
             self._closed("start", state.programs["start"])
             empty = np.empty(0)
             cg = CGState(0, empty, empty, empty, empty, empty, 0.0,
-                         [float(np.sqrt(dots[0]))])
+                         [math.sqrt(dots[0])])
         else:
             cg = self._restore(state.checkpoint)
         for k in range(cg.k + 1, max_iters + 1):
@@ -539,7 +540,7 @@ class SimulatedDistRun:
             kind = "later" if k > 1 else "first"
             self._closed(kind, state.programs[kind])
             cg.k, cg.rtz = k, dots[3 * k - 2]
-            cg.residuals.append(float(np.sqrt(dots[3 * k])))
+            cg.residuals.append(math.sqrt(dots[3 * k]))
             if (ckpt_plan is not None and k % ckpt_plan.interval == 0
                     and k < max_iters):
                 self._take_checkpoint(cg)
@@ -575,13 +576,11 @@ class SimulatedDistRun:
                                                             tolerance)
             state.dots = kept.dots if state.priced else []
 
-        attrs = {
+        attrs = state.ctx and {
             "backend": self.backend, "nprocs": self.nprocs, "n": self.n,
             "mode": self.comm_mode, "machine": self.machine.name,
-            "mg_levels": self.mg_levels,
-        }
-        if injector is not None:
-            attrs["faulted"] = True
+            "mg_levels": self.mg_levels, **({"faulted": True} if injector
+                                            else {})}
         run = self
         with self._span("dist/run_cg", "dist", attrs) as rsp:
             while True:
