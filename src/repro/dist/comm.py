@@ -55,9 +55,7 @@ and the rows become :class:`SuperstepStats` only when
 
 from __future__ import annotations
 
-import copy
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -157,53 +155,56 @@ class StepBlock:
 
     def __init__(self, rows: Sequence[tuple]):
         self.rows = tuple(rows)
-        plans, labels = [row[0] for row in self.rows], [row[1]
-                                                        for row in self.rows]
-        self.row_bytes = np.array([plan.total_bytes for plan in plans],
+        labels = [row[1] for row in self.rows]
+        self.row_bytes = np.array([row[0].total_bytes for row in self.rows],
                                   dtype=np.int64)
-        self.total_bytes = int(self.row_bytes.sum())
-        self.label_syncs = Counter(label for label in labels
-                                   if label is not None)
-        # a label that moved nothing gains no bytes entry, as in replay
-        self.label_bytes = Counter()
-        for plan, label, moved in zip(plans, labels, self.row_bytes.tolist()):
-            if label is not None and plan.messages:
-                self.label_bytes[label] += moved
-        # what a re-drive of each row adds, for booking retries in arrays:
-        # its bytes, and its label's index in ``labels`` (None: the last)
-        self.labels = list(self.label_syncs)
+        # each row's label as its index in ``labels`` (None: the last)
+        self.labels = list(dict.fromkeys(label for label in labels
+                                         if label is not None))
         index = {label: i for i, label in enumerate(self.labels)}
         self.row_labels = np.array([index.get(label, len(self.labels))
                                     for label in labels], dtype=np.intp)
 
     def head(self, k: int) -> "StepBlock":
         """The block of the first ``k`` rows (a crash cuts a copy)."""
-        head = copy.copy(self)
-        head.rows = self.rows[:k]
-        head.row_bytes, head.row_labels = self.row_bytes[:k], \
-            self.row_labels[:k]
-        head.total_bytes = int(head.row_bytes.sum())
-        syncs = np.bincount(head.row_labels, minlength=len(self.labels) + 1)
-        moved = np.bincount(head.row_labels, weights=head.row_bytes,
-                            minlength=len(self.labels) + 1)
-        head.label_syncs = Counter({label: n for label, n in zip(
-            self.labels, syncs.tolist()) if n})
-        head.label_bytes = Counter({label: int(b) for label, b in zip(
-            self.labels, moved.tolist()) if b})
+        head = StepBlock.__new__(StepBlock)
+        head.rows, head.labels = self.rows[:k], self.labels
+        head.row_bytes, head.row_labels = (self.row_bytes[:k],
+                                           self.row_labels[:k])
         return head
 
-    def expand(self, first: int, times: int,
-               retried: Sequence[Tuple[int, int]]) -> Iterator[SuperstepStats]:
-        """The rows ``times`` over as supersteps from index ``first``, row
-        ``at`` of each ``(at, n)`` in ``retried`` (counted over the
-        copies) followed by its ``n`` re-drives."""
-        again, index = dict(_pairs(retried).tolist()), first
-        for at in range(times * len(self.rows)):
-            row = self.rows[at % len(self.rows)]
+    @cached_property
+    def total_bytes(self) -> int:
+        return int(self.row_bytes.sum())
+
+    @cached_property
+    def label_syncs(self) -> Dict[str, int]:
+        syncs = np.bincount(self.row_labels, minlength=len(self.labels) + 1)
+        return {label: n for label, n in zip(self.labels, syncs.tolist())
+                if n}
+
+    @cached_property
+    def label_bytes(self) -> Dict[str, int]:
+        """Bytes per label; a label that moved nothing gains no entry."""
+        moved = np.bincount(self.row_labels, weights=self.row_bytes,
+                            minlength=len(self.labels) + 1)
+        return {label: int(b) for label, b in zip(self.labels,
+                                                  moved.tolist()) if b}
+
+def _expand(first: int, blocks: list,
+            retried: Sequence[Tuple[int, int]]) -> Iterator[SuperstepStats]:
+    """``blocks``' rows, each ``(block, times)`` ``times`` over in turn, as
+    supersteps from index ``first``, superstep ``at`` (counted over all
+    of them) of each ``(at, n)`` in ``retried`` followed by its ``n``
+    re-drives."""
+    again, index, at = dict(_pairs(retried).tolist()), first, 0
+    for block, times in blocks:
+        for row in block.rows * times:
             yield SuperstepStats(index, *row)
             for k in range(1, again.get(at, 0) + 1):
                 yield SuperstepStats(index + k, *row[:2], retry_of=index)
             index += 1 + again.get(at, 0)
+            at += 1
 
 
 def _pairs(retried) -> np.ndarray:
@@ -243,8 +244,8 @@ class CommTracker:
     A booked :class:`StepBlock` emits none (untraced runs book them).
 
     ``num_syncs``, ``total_bytes`` and the label counts are running
-    counts; :attr:`supersteps` expands what :meth:`book` took only when
-    it is read.
+    counts; what :meth:`book` took adds its bytes and label counts, and
+    expands into :attr:`supersteps`, only when they are read.
     """
 
     def __init__(self, nprocs: int):
@@ -262,11 +263,13 @@ class CommTracker:
         # closed since a block was booked, not yet expanded: supersteps
         # and (first index, block, retried) entries, in order
         self._booked: list = []
-        #: closed supersteps and the bytes they moved, kept as each closes
+        #: closed supersteps, kept as each closes
         self.num_syncs = 0
-        self.total_bytes = 0
-        self.label_bytes: Dict[str, int] = {}
-        self.label_syncs: Dict[str, int] = {}
+        self._total_bytes = 0
+        self._label_bytes: Dict[str, int] = {}
+        self._label_syncs: Dict[str, int] = {}
+        # booked (blocks, retried) whose bytes and labels are not counted
+        self._uncounted: list = []
         self._in_flight: List[InFlightExchange] = []
         # the pending superstep: a frozen plan (nothing yet, or exactly
         # one replay) until a send thaws it into writable accumulators
@@ -308,7 +311,7 @@ class CommTracker:
         self._received[dst] += nbytes
         self._messages += 1
         if label is not None:
-            self.label_bytes[label] = self.label_bytes.get(label, 0) + nbytes
+            self._label_bytes[label] = self._label_bytes.get(label, 0) + nbytes
 
     # --- collectives --------------------------------------------------------
     def broadcast(self, root: int, nbytes: int,
@@ -365,8 +368,8 @@ class CommTracker:
             self._received += plan.received
             self._messages += plan.messages
         if label is not None and plan.messages:
-            self.label_bytes[label] = (self.label_bytes.get(label, 0)
-                                       + plan.total_bytes)
+            self._label_bytes[label] = (self._label_bytes.get(label, 0)
+                                        + plan.total_bytes)
 
     def _close(self, event: str, plan: ExchangePlan, label: Optional[str],
                **extra) -> SuperstepStats:
@@ -375,9 +378,9 @@ class CommTracker:
         # behind any block not yet expanded, so the order holds
         (self._booked or self._steps).append(stats)
         self.num_syncs += 1
-        self.total_bytes += plan.total_bytes
+        self._total_bytes += plan.total_bytes
         if label is not None:
-            self.label_syncs[label] = self.label_syncs.get(label, 0) + 1
+            self._label_syncs[label] = self._label_syncs.get(label, 0) + 1
         if self._obs is not None:
             self._obs.tracer.event(f"comm/{event}", "comm", {
                 "index": stats.index, "label": label, "h": stats.h,
@@ -444,43 +447,76 @@ class CommTracker:
         """
         label = label if label is not None else stats.label
         if label is not None:
-            self.label_bytes[label] = (self.label_bytes.get(label, 0)
-                                       + stats.total_bytes)
+            self._label_bytes[label] = (self._label_bytes.get(label, 0)
+                                        + stats.total_bytes)
         return self._close("retry", stats.plan, label, retry_of=stats.index)
 
     # --- booked blocks -------------------------------------------------------
-    def book(self, block: StepBlock,
-             retried: Sequence[Tuple[int, int]] = (), times: int = 1) -> None:
-        """Close ``block``'s supersteps ``times`` over in turn, each row
-        ``at`` (counted over the copies) of an ``(at, n)`` in ``retried``
-        re-driven ``n`` times right after it as :meth:`retry` re-drives
-        it.  The counts move now; the rows expand into
-        :attr:`supersteps` when that is read."""
-        self._booked.append((self.num_syncs, block, times, retried))
-        self.num_syncs += times * len(block.rows)
-        self.total_bytes += times * block.total_bytes
-        for counts, grown in ((self.label_bytes, block.label_bytes),
-                              (self.label_syncs, block.label_syncs)):
-            for label, n in grown.items():
-                counts[label] = counts.get(label, 0) + times * n
-        if not len(retried):
-            return
-        at, n = _pairs(retried).T
-        # re-drives per row, then per label: bytes and syncs
-        per_row = np.bincount(at % len(block.rows), weights=n,
-                              minlength=len(block.rows)).astype(np.int64)
-        moved = per_row * block.row_bytes
-        self.num_syncs += int(per_row.sum())
-        self.total_bytes += int(moved.sum())
-        grown = zip(block.labels, np.bincount(
-            block.row_labels, weights=per_row).tolist(), np.bincount(
-            block.row_labels, weights=moved).tolist())
-        for label, syncs, moved in grown:
-            if syncs:
-                self.label_bytes[label] = (self.label_bytes.get(label, 0)
-                                           + int(moved))
-                self.label_syncs[label] = (self.label_syncs.get(label, 0)
-                                           + int(syncs))
+    def book(self, blocks: Sequence[Tuple[StepBlock, int]],
+             retried: Sequence[Tuple[int, int]] = ()) -> None:
+        """Close each ``(block, times)`` of ``blocks`` in turn, its rows
+        ``times`` over, superstep ``at`` (counted over all of them) of
+        each ``(at, n)`` in ``retried`` re-driven ``n`` times right after
+        it as :meth:`retry` re-drives it.  The syncs count now; the bytes
+        and labels when read, the rows expand into :attr:`supersteps`
+        when that is."""
+        blocks, retried = list(blocks), _pairs(retried)
+        self._booked.append((self.num_syncs, blocks, retried))
+        self._uncounted.append((blocks, retried))
+        self.num_syncs += sum(times * len(block.rows)
+                              for block, times in blocks)
+        self.num_syncs += int(retried[:, 1].sum())
+
+    def _count(self) -> None:
+        """Add the bytes and label counts of what was booked unread."""
+        uncounted, self._uncounted = self._uncounted, []
+        for blocks, retried in uncounted:
+            for block, times in blocks:
+                self._total_bytes += times * block.total_bytes
+                for counts, grown in ((self._label_bytes, block.label_bytes),
+                                      (self._label_syncs,
+                                       block.label_syncs)):
+                    for label, n in grown.items():
+                        counts[label] = counts.get(label, 0) + times * n
+            if not len(retried):
+                continue
+            at, n = retried.T
+            # each superstep's label, as an index into the blocks' labels
+            # laid end to end (None closing each block's), and its bytes
+            labels, codes, moved = [], [], []
+            for block, times in blocks:
+                codes.append(np.tile(block.row_labels + len(labels), times))
+                moved.append(np.tile(block.row_bytes, times))
+                labels += block.labels + [None]
+            codes = np.concatenate(codes)[at]
+            moved = np.concatenate(moved)[at] * n
+            self._total_bytes += int(moved.sum())
+            grown = zip(labels, np.bincount(codes, weights=n).tolist(),
+                        np.bincount(codes, weights=moved).tolist())
+            for label, syncs, nbytes in grown:
+                if syncs and label is not None:
+                    self._label_bytes[label] = (
+                        self._label_bytes.get(label, 0) + int(nbytes))
+                    self._label_syncs[label] = (
+                        self._label_syncs.get(label, 0) + int(syncs))
+
+    @property
+    def total_bytes(self) -> int:
+        """Bytes every closed superstep moved."""
+        self._count()
+        return self._total_bytes
+
+    @property
+    def label_bytes(self) -> Dict[str, int]:
+        """Bytes moved per label."""
+        self._count()
+        return self._label_bytes
+
+    @property
+    def label_syncs(self) -> Dict[str, int]:
+        """Closed supersteps per label."""
+        self._count()
+        return self._label_syncs
 
     @property
     def supersteps(self) -> List[SuperstepStats]:
@@ -491,8 +527,7 @@ class CommTracker:
                 if isinstance(entry, SuperstepStats):
                     self._steps.append(entry)
                 else:
-                    first, block, times, retried = entry
-                    self._steps.extend(block.expand(first, times, retried))
+                    self._steps.extend(_expand(*entry))
         return self._steps
 
     # --- aggregates ---------------------------------------------------------

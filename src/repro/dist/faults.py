@@ -54,12 +54,12 @@ def _runs(delivering: np.ndarray, m: int, cap: int) -> tuple:
     ``g // cap`` capped exchanges, then one that lost ``g % cap``; the
     lost draws after the last delivering one end capped exchanges."""
     ends = np.flatnonzero(delivering)[:m]       # m runs end m exchanges
-    gaps = np.diff(ends, prepend=-1) - 1
-    capped = gaps // cap
+    capped, lost = np.divmod(ends - np.concatenate(([-1], ends[:-1])) - 1,
+                             cap)
     tail = len(delivering) - 1 - (ends[-1] if len(ends) else -1)
-    counts = np.full(int(capped.sum()) + len(gaps) + tail // cap, cap,
+    counts = np.full(int(capped.sum()) + len(ends) + tail // cap, cap,
                      dtype=np.intp)
-    counts[np.cumsum(capped + 1) - 1] = gaps % cap
+    counts[np.cumsum(capped + 1) - 1] = lost
     counts = counts[:m]
     return counts, int(counts.sum() + (counts < cap).sum())
 
@@ -144,10 +144,11 @@ class Straggler:
                 f"{self.end_superstep}) is empty"
             )
 
-    def active_at(self, superstep: int) -> bool:
-        return (self.start_superstep <= superstep
-                and (self.end_superstep is None
-                     or superstep < self.end_superstep))
+    def active_at(self, superstep):
+        """Is the window open at ``superstep`` (an int, or each of an
+        array's)?"""
+        return (self.start_superstep <= superstep) & (
+            self.end_superstep is None or superstep < self.end_superstep)
 
 
 @dataclass(frozen=True)
@@ -528,9 +529,7 @@ class FaultInjector:
             for idx, st in enumerate(self.plan.stragglers):
                 if st.node != node:
                     continue
-                active = supersteps >= st.start_superstep
-                if st.end_superstep is not None:
-                    active &= supersteps < st.end_superstep
+                active = st.active_at(supersteps)
                 f = np.where(active, f * st.factor, f)
                 if idx not in self._announced and active.any():
                     self._announced.add(idx)
@@ -541,7 +540,7 @@ class FaultInjector:
             candidates.append(f / self.plan.node_speeds.get(node, 1.0))
         return np.maximum.reduce(candidates), announced
 
-    def retry_counts(self, m: int, peek: bool = False) -> np.ndarray:
+    def retry_counts(self, m: int) -> np.ndarray:
         """How often each of ``m`` lossy exchanges closed in turn is
         re-driven.
 
@@ -549,24 +548,23 @@ class FaultInjector:
         lost while the draw lands under ``rate``, up to ``max_retries``
         resends (the transport then falls back to its slow reliable path
         — delivery is never abandoned, only priced).  All of them draw
-        from one block — two draws an exchange, then the rest of the most
-        they can take if those run out — which holds the values drawing
-        one at a time would, and the generator is wound to where those
-        draws leave it — or, with ``peek``, left where it was.
+        from one block of the most they can take, which holds the values
+        drawing one at a time would, and the generator is wound back to
+        where those draws leave it.
         """
-        loss, rng = self.plan.message_loss, self.rng
-        cap, state = loss.max_retries, peek and rng.bit_generator.state
-        delivering = rng.random(min(2, cap) * m) >= loss.rate
-        counts, used = _runs(delivering, m, cap)
-        if len(counts) < m:
-            delivering = np.concatenate([delivering, rng.random(
-                (cap - 2) * m) >= loss.rate])
-            counts, used = _runs(delivering, m, cap)
-        if peek:
-            rng.bit_generator.state = state
-        else:
-            rng.bit_generator.advance(used - len(delivering))
+        loss = self.plan.message_loss
+        cap = loss.max_retries
+        counts, used = _runs(self.rng.random(cap * m) >= loss.rate, m, cap)
+        self.rng.bit_generator.advance(used - cap * m)
         return counts
+
+    def unwind(self, counts: np.ndarray) -> None:
+        """Give back the draws of the last exchanges :meth:`retry_counts`
+        drew, whose ``counts`` were never booked (a crash cut them off):
+        the generator winds back to where it stood before them."""
+        cap = self.plan.message_loss.max_retries
+        self.rng.bit_generator.advance(-int(counts.sum()
+                                            + (counts < cap).sum()))
 
     def book_losses(self, supersteps: np.ndarray,
                     labels: Sequence[Optional[str]],

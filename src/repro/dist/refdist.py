@@ -86,12 +86,14 @@ class RefDistRun(SimulatedDistRun):
         survivor count still factors into the grid, else fall back to
         the black-box BFS partition (which accepts any node count)."""
         kind, shape = self._partition_kind, factor3(nprocs)
-        # the boxes' divisibility, checked before anything is built
-        if kind == "grid3d" and any(
-                dim % parts for level in self.levels
-                if not level.agglomerated
-                for dim, parts in zip(level.grid.dims, shape)):
-            kind = "bfs"
+        if kind == "grid3d":
+            try:
+                # the boxes' own divisibility check, before anything is built
+                for level in self.levels:
+                    if not level.agglomerated:
+                        Grid3DPartition(level.grid, nprocs, shape=shape)
+            except InvalidValue:
+                kind = "bfs"
         return super()._respawn(nprocs, _partition_kind=kind,
                                 _process_grid=shape)
 

@@ -4,7 +4,7 @@ run state a solve accumulates and closes into it."""
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional
@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Optional
 from repro import obs
 from repro.dist.comm import CommTracker
 from repro.dist.faults import FaultInjector
-from repro.dist.tape import fold
+from repro.dist.tape import book_timers, fold
 from repro.ref.cg import CGState
 from repro.util.timer import TimerRegistry
 
@@ -167,10 +167,11 @@ class _RunState:
                  machine, mode: str):
         self.tracker = CommTracker(nprocs)
         self.machine, self.mode = machine, mode
-        self.timers = TimerRegistry()
-        # wire-time accounting lives in its own registry so the main
-        # timers' report() shares still sum to modelled_seconds
-        self.comm_timers = TimerRegistry()
+        # the timers, then the wire seconds: a registry of their own so
+        # the main timers' report() shares still sum to modelled_seconds;
+        # both tick, from the terms the folds booked, when read
+        self.registries = TimerRegistry(), TimerRegistry()
+        self.terms: list = []
         self.seconds = 0.0
         self.comm_seconds = 0.0
         self.exposed_comm_seconds = 0.0
@@ -190,7 +191,7 @@ class _RunState:
         self.iteration = 0            # the iteration in progress
         self.reexecuted = 0
         self.lost_supersteps = 0
-        self.lost_bytes = 0
+        self.lost_trackers: List[CommTracker] = []   # a crash's, discarded
         # the program being recorded (rows and span marks), the kept
         # programs of the attempt's record by kind, and the stretch of
         # programs not yet booked: [program, times, note] entries (see
@@ -257,6 +258,18 @@ class _RunState:
         steps, lossy = program.reach
         self.reach += steps + self.cap * lossy
 
+    @property
+    def timers(self) -> TimerRegistry:
+        if self.terms:
+            book_timers(self)
+        return self.registries[0]
+
+    @property
+    def comm_timers(self) -> TimerRegistry:
+        if self.terms:
+            book_timers(self)
+        return self.registries[1]
+
     def flush(self) -> None:
         """Book the stretch not yet booked, as one fold (which raises a
         crash it cuts the stretch at)."""
@@ -283,7 +296,8 @@ class _RunState:
         """``cg.copy()``, a checkpoint; a priced run's vectors hold nothing
         to keep, so only ``k``, ``rtz`` and the residuals travel."""
         if self.priced:
-            return replace(cg, residuals=list(cg.residuals))
+            return CGState(cg.k, cg.x, cg.r, cg.p, cg.z, cg.Ap, cg.rtz,
+                           list(cg.residuals))
         return cg.copy()
 
     def on_fault_event(self, event) -> None:
@@ -358,7 +372,8 @@ class _RunState:
     def _resilience(self, run) -> Callable[[], Dict]:
         """What builds the fault-injection summary of the solve ``run``
         finished (see :attr:`DistRunResult.resilience`): its counts are
-        taken now, its events (booked as blocks) listed when it runs."""
+        taken now, its events (booked as blocks) listed and its bytes
+        counted when it runs."""
         inj = self.injector
         counts = {
             "injected": inj.injected_counts(),
@@ -370,8 +385,9 @@ class _RunState:
             "final_nprocs": run.nprocs,
             "reexecuted_iterations": self.reexecuted,
             "supersteps_total": self.lost_supersteps + self.tracker.num_syncs,
-            "comm_bytes_total": self.lost_bytes + self.tracker.total_bytes,
         }
+        trackers = [*self.lost_trackers, self.tracker]
         return lambda: {"plan": inj.plan.to_dict(), "seed": inj.plan.seed,
                         "events": [e.as_dict() for e in inj.events],
-                        **counts}
+                        **counts, "comm_bytes_total": sum(
+                            t.total_bytes for t in trackers)}

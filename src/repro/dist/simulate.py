@@ -35,8 +35,7 @@ the rows).  Nothing is priced superstep by superstep.
 And the numerics run once per problem: a later untraced run whose stop
 point the first computing run's recorded dots reach *prices only* —
 its kernels compute nothing and ``_dot`` returns the recorded value, so
-the loop takes every branch the computed run took; once every program
-it books is kept it skips the kernels too (``_replayed``).
+the loop takes every branch the computed run took.
 ``DistRunResult.replayed`` says which ran.
 
 Pricing options: an explicit ``comm_mode=``, else the ``REPRO_OVERLAP``
@@ -55,7 +54,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
-import math
 from typing import Optional
 
 import numpy as np
@@ -75,8 +73,7 @@ from repro.dist.result import DistRunResult, _RunState
 from repro.dist.tape import COLLECTIVE, LOCAL, POSTED, SYNC, Program
 from repro.graphblas.substrate.csr import ColorMajorVCycle
 from repro.hpcg.problem import Problem
-from repro.ref.cg import (CGState, cg_iterations, cg_start, converged,
-                          require_cg_limits)
+from repro.ref.cg import CGState, cg_iterations, cg_start, require_cg_limits
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
 from repro.util.errors import InvalidValue
 
@@ -445,7 +442,7 @@ class SimulatedDistRun:
         resume_k = state.checkpoint.k if state.checkpoint is not None else 0
         state.reexecuted += max(state.iteration - resume_k, 0)
         state.lost_supersteps += state.tracker.num_syncs
-        state.lost_bytes += state.tracker.total_bytes
+        state.lost_trackers.append(state.tracker)
         survivors = inj.alive_count
         with state.span("fault/recovery", "fault", {
             "crashed_node": crash.node,
@@ -485,14 +482,10 @@ class SimulatedDistRun:
         :class:`~repro.dist.faults.NodeCrash`."""
         state = self._state
         m = state.metrics
-        state.programs = kept = self._numerics.programs.setdefault(
+        state.programs = self._numerics.programs.setdefault(
             (self._record_key, self.comm_mode, self.machine, use_mg), {})
         ckpt_plan = (state.injector.plan.checkpoint
                      if state.injector is not None else None)
-        needs = {"later", "checkpoint" if ckpt_plan else "later"}.union(
-            ("start", "first") if state.checkpoint is None else ("restore",))
-        if state.priced and needs <= kept.keys():
-            return self._replayed(max_iters, tolerance, ckpt_plan)
         if state.checkpoint is None:
             state.cursor = 0
             b, x0 = self.problem.b, self.problem.x0
@@ -516,33 +509,6 @@ class SimulatedDistRun:
                 m.residual_last.set(cg.residuals[-1])
             if (ckpt_plan is not None and cg.k % ckpt_plan.interval == 0
                     and cg.k < max_iters):
-                self._take_checkpoint(cg)
-        return cg
-
-    def _replayed(self, max_iters: int, tolerance: float,
-                  ckpt_plan) -> CGState:
-        """The attempt of a priced run whose programs the numerics all
-        keep: the loop's own steps on the record alone — each iteration's
-        program booked, its residual read off the recorded dots, the
-        checkpoints taken — and no kernel called."""
-        state, dots = self._state, self._state.dots
-        if state.checkpoint is None:
-            self._closed("start", state.programs["start"])
-            empty = np.empty(0)
-            cg = CGState(0, empty, empty, empty, empty, empty, 0.0,
-                         [math.sqrt(dots[0])])
-        else:
-            cg = self._restore(state.checkpoint)
-        for k in range(cg.k + 1, max_iters + 1):
-            if converged(cg.residuals[0], cg.residuals[-1], tolerance):
-                break
-            state.iteration = k
-            kind = "later" if k > 1 else "first"
-            self._closed(kind, state.programs[kind])
-            cg.k, cg.rtz = k, dots[3 * k - 2]
-            cg.residuals.append(math.sqrt(dots[3 * k]))
-            if (ckpt_plan is not None and k % ckpt_plan.interval == 0
-                    and k < max_iters):
                 self._take_checkpoint(cg)
         return cg
 

@@ -27,22 +27,24 @@ stretch, applied before it is booked:
   raises once the cut is booked: the superstep is priced, then the
   failure detected.
 
-Then every running sum — the run's modelled, wire and exposed seconds,
-and every timer's total — is one ``np.add.accumulate`` over its terms
-in booking order, from the sum's value so far.  Accumulate adds strictly
-left to right, as a scalar ``+=`` would, and a padding zero changes no
-total (``x + 0.0`` is ``x``), so every total is bit-identical; ``sum``
-and ``np.sum`` add pairwise and ``math.fsum`` rounds once, so all three
-would not be.  The tracker takes each program's supersteps as one
-:class:`~repro.dist.comm.StepBlock` booked ``times`` over.  A traced run
-books the same rows, then emits their ``superstep/*`` and ``mg/L*``
-spans, opened and closed at the program's marks.  Nothing a fold lays
-out or draws is kept past it.
+The run's modelled, wire and exposed seconds are then one
+``np.add.accumulate`` over the stretch's terms in booking order, from
+their values so far.  Each program also keeps its terms laid out for the
+timers (:func:`_matrices`); a stretch no fault transformed lays out its
+programs' copy after copy (a cut copy keeps each timer's first terms),
+any other sorts its own terms, and the run's timers tick from every
+fold's layout when they are read: one accumulate down each matrix.
+Accumulate adds strictly left to right, as a scalar ``+=`` would, and a
+padding zero changes no total (``x + 0.0`` is ``x``), so every total is
+bit-identical; ``sum`` and ``np.sum`` add pairwise and ``math.fsum``
+rounds once, so all three would not be.  The tracker takes the
+stretch's programs' supersteps as :class:`~repro.dist.comm.StepBlock`
+copies.  A traced run books the same rows, then emits their
+``superstep/*`` and ``mg/L*`` spans, opened and closed at the program's
+marks.  Nothing a fold draws is kept past it.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -54,32 +56,19 @@ LOCAL, SYNC, POSTED, COLLECTIVE = range(4)
 
 def timer_layout(depth: int) -> tuple:
     """Every timer a solve to ``depth`` MG levels can tick, as
-    ``(registry, name)`` pairs in the order of their names: registry 0
-    holds the run's timers, 1 its wire seconds under ``full/<key>`` and
-    ``exposed/<key>``.  Every program of the depth lays its terms out
-    in these rows, so any stretch's programs lay them out alike."""
-    keys = ["cg/dot", "cg/spmv", "cg/waxpby", "fault/checkpoint",
-            "fault/restore"] + [f"mg/L{i}/{step}" for i in range(depth)
-                                for step in ("prolong", "rbgs", "restrict",
-                                             "spmv")]
-    # the smoothers' first: a symmetric sweep ticks them a term a colour
-    # step, the rest a few terms an iteration (see _parts)
-    return tuple(sorted([(0, key) for key in keys]
-                        + [(1, f"{part}/{key}") for key in keys
-                           for part in ("full", "exposed")],
-                        key=lambda name: (not _busy(name), name)))
-
-
-def _busy(name: tuple) -> bool:
-    return name[1].endswith("/rbgs")
-
-
-def _parts(sums: np.ndarray, counts: np.ndarray, busy: int) -> tuple:
-    """``sums`` — rows of terms from column 1, zero-padded — as its busy
-    rows and the rest, each as wide as its own longest row: an
-    accumulate costs what its matrix holds."""
-    return tuple(sums[rows, :counts[rows].max(initial=0) + 1]
-                 for rows in (slice(0, busy), slice(busy, None)))
+    ``(registry, name)`` pairs, three a key: the key's own timer
+    (registry 0), then its wire seconds under ``full/<key>`` and
+    ``exposed/<key>`` (registry 1).  Every program of the depth indexes
+    its rows' keys in this order, so any stretch's programs agree.  The
+    ``depth`` smoothers' keys come first: a sweep ticks them a term a
+    colour step, every other key a few terms an iteration (see
+    :func:`_matrices`)."""
+    keys = [f"mg/L{i}/rbgs" for i in range(depth)] + [
+        "cg/dot", "cg/spmv", "cg/waxpby", "fault/checkpoint",
+        "fault/restore"] + [f"mg/L{i}/{step}" for i in range(depth)
+                            for step in ("prolong", "restrict", "spmv")]
+    return tuple(pair for key in keys for pair in (
+        (0, key), (1, f"full/{key}"), (1, f"exposed/{key}")))
 
 
 class Program:
@@ -108,34 +97,22 @@ class Program:
                                                   self.step),
                                work, overlap, h])
         self.values = self.table[:3].copy()
-        # each row's timer terms: its key's, and a superstep's wire
-        # seconds under full/<key> and exposed/<key>, in ``ticks`` order
-        # of first ticks; each timer is a row of ``sums`` (column 0 left
-        # for its total so far), a term's column its rank among its
-        # timer's plus one
-        terms = [[(0, key)] + ([(1, f"full/{key}"), (1, f"exposed/{key}")]
-                               if step else [])
-                 for step, key in zip(kinds, self.keys)]
-        self.ticks = list(dict.fromkeys(name for row in terms
-                                        for name in row))
-        row_of = {name: i for i, name in enumerate(layout)}
-        self.tick_rows = [row_of[name] for name in self.ticks]
-        ids, cols = [[-1] * self.n for _ in range(3)], [[0] * self.n
-                                                         for _ in range(3)]
-        counts = [0] * len(layout)
-        for r, row in enumerate(terms):
-            for i, name in enumerate(row):
-                timer = ids[i][r] = row_of[name]
-                counts[timer] += 1
-                cols[i][r] = counts[timer]
-        self.ids, self.cols = np.array(ids), np.array(cols)
-        self.counts = np.array(counts)
-        self.busy = sum(map(_busy, layout))
-        timed = self.ids >= 0
-        sums = np.zeros((len(layout), self.counts.max() + 1))
-        sums[self.ids[timed], self.cols[timed]] = self.values[timed]
-        self.sums = _parts(sums, self.counts, self.busy)
-        self.widths = np.array([part.shape[1] for part in self.sums])
+        #: each row's timer key, as its index among the layout's keys (a
+        #: small int sorts by radix)
+        index = {name: k for k, (_, name) in enumerate(layout[::3])}
+        self.key = np.array([index[key] for key in self.keys],
+                            dtype=np.int16)
+        #: the smoothers' keys, which lead the layout, then the rest
+        busy = sum(name.endswith("/rbgs") for _, name in layout[::3])
+        self.parts = slice(0, busy), slice(busy, len(layout) // 3)
+        #: its timers' places in the layout, in the order of first ticks
+        self.ticks = list(dict.fromkeys(
+            3 * k + i for k, step in zip(self.key.tolist(),
+                                         self.step.tolist())
+            for i in (range(3) if step else range(1))))
+        #: its rows' terms as every timer takes them (see _matrices)
+        self.tally, self.sums = _matrices(self, self.values, self.key,
+                                          self.step)
         self.block = StepBlock([
             (plan, label, o, k == POSTED) for k, plan, label, o
             in zip(kinds, self.plans, labels, overlap) if k != LOCAL])
@@ -167,115 +144,75 @@ def fold(state, stretch: list) -> None:
     booked ``times`` over in turn (``note``: a checkpoint's iteration) —
     on the run state ``state``; see the module docstring."""
     inj, machine = state.injector, state.machine
-    registries = state.timers, state.comm_timers
-    retried = cut = clock = step = None
+    step = _cat(stretch, lambda p: p.step)
+    retried = cut = clock = tail = None
     lossy = drawn = np.empty(0, dtype=np.intp)
     if inj is not None:
-        # each lossy exchange's retries, and the crash that cuts the
-        # stretch: under loss its superstep depends on the draws, so all
-        # are drawn, and only those of the exchanges before it kept
-        start, step = inj.superstep, _cat(stretch, lambda p: p.step)
+        # each lossy exchange's retries, drawn in exchange order, and the
+        # crash that cuts the stretch: the exchanges after it give their
+        # draws back
+        start, retried = inj.superstep, np.zeros(len(step), dtype=np.intp)
         if state.lossy:
             lossy = np.flatnonzero(_cat(stretch, lambda p: p.lossy))
+            retried[lossy] = drawn = inj.retry_counts(len(lossy))
+        closed = step + retried             # the supersteps each row closes
+        clock = start + closed.cumsum() - closed
         crash = inj.next_crash
         fires = None if crash is None else max(crash.superstep, start)
-        peek = bool(fires is not None and lossy.size) and fires < (
-            start + step.sum() + state.cap * lossy.size)
-        drawn = inj.retry_counts(lossy.size, peek) if lossy.size else lossy
-        retried = np.zeros(len(step), dtype=np.intp)
-        retried[lossy] = drawn
-        clock = start + (step.cumsum() - step) + (retried.cumsum() - retried)
-        if fires is not None and fires < clock[-1] + step[-1] + retried[-1]:
+        if fires is not None and fires < clock[-1] + closed[-1]:
             at = int(np.flatnonzero(step & (clock <= fires))[-1])
-            drawn = drawn[:np.searchsorted(lossy, at)
-                          + int(fires > clock[at])]
+            kept = int(np.searchsorted(lossy, at)) + int(fires > clock[at])
+            if kept < len(drawn):
+                inj.unwind(drawn[kept:])
+            lossy, drawn = lossy[:kept], drawn[:kept]
             retried[at] = fires - clock[at]
-            (stretch, kept), cut = _cut(stretch, at + 1), fires
+            (stretch, tail), cut = _cut(stretch, at + 1), fires
             retried, clock, step = (retried[:at + 1], clock[:at + 1],
                                     step[:at + 1])
-        if peek:
-            inj.retry_counts(len(drawn), False)
-        lossy = lossy[:len(drawn)]
-    # the rows' prices, then (to re-price or emit them) what they price;
-    # the timers' terms, every copy's matrix side by side
+            closed = step + retried
+    # the rows' prices, then (to re-price or emit them) what they price
+    n = len(step)
     slowed = inj is not None and bool(inj.plan.stragglers
                                       or inj.plan.node_speeds)
     table = _cat(stretch, (lambda p: p.table) if slowed or state.lossy
-                 or state.ctx else (lambda p: p.values), axis=1)
-    layout, busy = stretch[0][0].layout, stretch[0][0].busy
-    sums = [_cat(stretch, lambda p: p.sums[i], axis=1) for i in (0, 1)]
-    times = {}
-    for p, copies, _ in stretch:
-        times[p] = times.get(p, 0) + copies
-    counts = sum(copies * p.counts for p, copies in times.items())
-    if cut is not None:         # the terms of the rows after the crash go
-        p = stretch[-1][0]
-        ids, cols = p.ids[:, kept:], p.cols[:, kept:]
-        ids, cols = ids[ids >= 0], cols[ids >= 0]
-        for i, mine in enumerate((ids < busy, ids >= busy)):
-            sums[i][ids[mine] - i * busy, sums[i].shape[1]
-                    - p.sums[i].shape[1] + cols[mine]] = 0.0
-        counts = counts - np.bincount(ids, minlength=len(layout))
-        table = table[:, :len(step)]
-    n = table.shape[1]
-    announced, first, values = [], np.arange(n + 1), table[:3]
+                 or state.ctx else (lambda p: p.values), axis=1)[:, :n]
+    announced = []
     if slowed:                  # the rows the windows cover, re-priced
         factors, announced = inj.work_factors(clock)
         table[4:6] *= factors
         table[:4] = machine.row_costs(table[4], table[6], table[5], step)
-        values = table[:3]
-        ids, part, at = _places(stretch, np.arange(n), busy)
-        for i in (0, 1):
-            mine = (ids >= 0) & (part == i)
-            sums[i][ids[mine] - i * busy, at[mine]] = values[mine]
+    # the stream of terms in booking order: each row's, each retry's
+    # right after its exchange's and the retries before it
+    values, keys = table[:3], _cat(stretch, lambda p: p.key)[:n]
+    first, wired = np.arange(n + 1), step
     if retried is not None and retried.any():
-        # each retry's terms right after its exchange's and the retries
-        # before it: a column of its own in the totals, and in each of
-        # its exchange's timers after the retries of that key before it
-        first[1:] = (1 + retried).cumsum()
-        rows = np.repeat(np.arange(n), retried)
-        drawn_at = np.arange(len(rows))
-        costs = machine.retry_comm_times(
-            table[6, rows],
-            drawn_at - np.repeat(retried.cumsum() - retried, retried),
+        span = retried + 1
+        first[1:] = span.cumsum()
+        rows = np.repeat(np.arange(n), span)
+        again = np.arange(len(rows)) - first[rows]
+        resent = again.nonzero()[0]
+        values = values[:, rows]
+        values[:, resent] = machine.retry_comm_times(
+            table[6, rows[resent]], again[resent] - 1,
             inj.plan.message_loss.backoff)
-        values = _columns_inserted(values, rows + drawn_at + 1, costs)
-        ids, part, at = _places(stretch, rows, busy)
-        at += 1 + _ranks(ids[0])
-        for i in (0, 1):
-            mine = part[0] == i
-            if mine.any():
-                sums[i] = _inserted(sums[i], ids[:, mine].T - i * busy,
-                                    at[:, mine].T, costs[mine, None])
-        counts = counts + np.bincount(ids.ravel(), minlength=len(layout))
-    # the run's totals: every term in its own column, after the totals
-    values = np.concatenate([[[state.seconds], [state.comm_seconds],
-                              [state.exposed_comm_seconds]], values],
-                            axis=1)
-    timers = [registries[r].timers.get(key) for r, key in layout]
-    totals = [0.0 if t is None else t.total for t in timers]
-    sums[0][:, 0], sums[1][:, 0] = totals[:busy], totals[busy:]
-    running = np.add.accumulate(values, axis=1)
+        keys, wired = keys[rows], step[rows]
+    running = np.add.accumulate(np.concatenate(
+        [[[state.seconds], [state.comm_seconds],
+          [state.exposed_comm_seconds]], values], axis=1), axis=1)
     state.seconds, state.comm_seconds, state.exposed_comm_seconds = \
         running[:, -1].tolist()
-    totals = [total for part in sums for total in
-              np.add.accumulate(part, axis=1)[:, -1].tolist()]
-    counts = counts.tolist()
-    if any(count and t is None for t, count in zip(timers, counts)):
-        # the new ones, in the order of first ticks
-        for p in {id(p): p for p, _, _ in stretch}.values():
-            for (r, key), i in zip(p.ticks, p.tick_rows):
-                if counts[i] and timers[i] is None:
-                    timers[i] = registries[r].get(key)
-    for timer, total, count in zip(timers, totals, counts):
-        if count:
-            timer.total, timer.count = total, timer.count + count
+    if slowed or len(keys) > n:     # a fault transformed the terms
+        tally, sums = _matrices(stretch[0][0], values, keys, wired)
+        laid = tally, ([sums[0]], [sums[1]])
+    else:
+        laid = _laid_out(stretch, tail)
+    state.terms.append((list({id(p): p for p, _, _ in stretch}.values()),
+                        *laid))
     synced = state.tracker.num_syncs
-    _book_steps(state.tracker, stretch, retried, step,
-                kept if cut is not None else None)
+    _book_steps(state.tracker, stretch, retried, step, tail)
     taken = _checkpoints(state, stretch, first, running[0])
     if inj is not None:
-        inj.superstep = start + int(step.sum() + retried.sum())
+        inj.superstep = int(clock[-1] + closed[-1])
         _book_events(inj, stretch, clock, lossy, drawn, announced,
                      [(at, int(clock[at]), k) for at, k in taken])
     if state.ctx is not None:
@@ -285,88 +222,110 @@ def fold(state, stretch: list) -> None:
         inj.check_crash(cut)
 
 
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """Each entry's count of the entries before it with its key."""
+def _matrices(p, values: np.ndarray, keys: np.ndarray,
+              wired: np.ndarray) -> tuple:
+    """Terms laid out for the timers of ``p``'s layout: ``values`` (rows:
+    total, full and exposed seconds) of terms on ``keys``, ``wired`` the
+    ones closing a superstep.  A key's own timer takes the totals, its
+    ``full/`` and ``exposed/`` timers the wire seconds, a local term
+    adding 0.0 there, which changes no total.  Returns how many terms
+    each timer takes, and two matrices per plane — the smoothers' timers
+    and the rest, an accumulate costing what its matrix holds — each
+    timer a column of its terms in booking order, zero-padded."""
+    counts = np.bincount(keys, minlength=p.parts[1].stop)
+    steps = np.bincount(keys[wired], minlength=len(counts))
     order = np.argsort(keys, kind="stable")
-    grouped = keys[order]
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(len(keys)) - np.searchsorted(grouped, grouped)
-    return ranks
+    ranked = keys[order]
+    rank = np.arange(len(keys)) - (counts.cumsum() - counts)[ranked]
+    # both matrices in one buffer a plane: each term's cell is its rank
+    # times its matrix's width plus its column, past the first matrix
+    # for the rest's
+    (busy, rest), height = p.parts, counts[p.parts[0]].max(initial=0)
+    split = height * busy.stop
+    width = np.where(ranked < rest.start, busy.stop, rest.stop - rest.start)
+    buf = np.zeros((3, split + counts[rest].max(initial=0)
+                    * (rest.stop - rest.start)))
+    buf[:, rank * width + ranked + (ranked >= rest.start) * (
+        split - rest.start)] = values[:, order]
+    return np.stack([counts, steps, steps], axis=1).ravel(), (
+        buf[:, :split].reshape(3, height, busy.stop),
+        buf[:, split:].reshape(3, -1, rest.stop - rest.start))
 
 
-def _columns_inserted(terms: np.ndarray, slots: np.ndarray,
-                      values: np.ndarray) -> np.ndarray:
-    """``terms`` with a column of ``values[i]`` at column ``slots[i]``
-    (in the result), the columns after each moved right."""
-    height, width = terms.shape
-    kept = np.ones(width + len(slots), dtype=bool)
-    kept[slots] = False
-    out = np.empty((height, len(kept)))
-    out[:, kept] = terms
-    out[:, slots] = values
-    return out
+def _laid_out(stretch: list, tail) -> tuple:
+    """How many terms each timer takes in a stretch no fault transformed,
+    and its two lists of matrices: its programs' :func:`_matrices`, copy
+    after copy (zero padding changes no total); with ``tail``, only that
+    many rows of the last copy."""
+    copies, tally, parts = {}, 0, ([], [])
+    for e, (p, times, _) in enumerate(stretch):
+        cut = tail is not None and e + 1 == len(stretch)
+        copies[p] = copies.get(p, 0) + times - cut
+        for q in (0, 1):
+            parts[q].extend([p.sums[q]] * (times - cut))
+        if cut:     # the copy the crash cuts: each timer's first terms
+            kept = np.bincount(p.key[:tail], minlength=p.parts[1].stop)
+            steps = np.bincount(p.key[:tail][p.step[:tail]],
+                                minlength=len(kept))
+            tally = np.stack([kept, steps, steps], axis=1).ravel()
+            for q, keyed in enumerate(p.parts):
+                sums = p.sums[q]
+                parts[q].append(np.where(np.arange(sums.shape[1])[:, None]
+                                         < kept[keyed], sums, 0.0))
+    for p, n in copies.items():
+        tally = tally + n * p.tally
+    return tally, parts
 
 
-def _inserted(terms: np.ndarray, rows: np.ndarray, slots: np.ndarray,
-              values: np.ndarray) -> np.ndarray:
-    """``terms`` with ``values`` at columns ``slots`` of rows ``rows`` (the
-    values broadcast to them) and the terms after each moved right, the
-    rows zero-padded to the longest: only the drawn retries lengthen an
-    accumulate."""
-    height, width = terms.shape
-    extra = np.bincount(rows.ravel(), minlength=height)
-    pad = extra.max(initial=0)
-    kept = np.empty((height, width + pad), dtype=bool)
-    kept[:, :width] = True
-    kept[:, width:] = np.arange(pad) < extra[:, None]
-    at = rows * (width + pad) + slots
-    kept.ravel()[at] = False
-    out = np.zeros(kept.shape)
-    out[kept] = terms.ravel()
-    out.ravel()[at] = values
-    return out
+def book_timers(state) -> None:
+    """Tick the run's timers with the terms its folds laid out since they
+    were last read (``state.terms``: per fold, its programs, how many
+    terms each timer takes and its matrices, see :func:`_laid_out`): each
+    timer's column of every fold's matrices under its total so far, one
+    accumulate down the rows a matrix.  The timers are made in the order
+    of their first ticks."""
+    terms, state.terms = state.terms, []
+    layout = terms[0][0][0].layout
+    registries = state.registries
+    timers = [registries[r].timers.get(name) for r, name in layout]
+    tally = 0
+    for programs, ticked, _ in terms:
+        tally = tally + ticked
+        fresh = {i for i in np.flatnonzero(ticked).tolist()
+                 if timers[i] is None}
+        for p in programs if fresh else ():
+            for i in p.ticks:       # the new ones, in first-tick order
+                if i in fresh and timers[i] is None:
+                    r, name = layout[i]
+                    timers[i] = registries[r].get(name)
+    init = np.reshape([0.0 if t is None else t.total for t in timers],
+                      (-1, 3)).T[:, None]
+    totals = []
+    for q, keys in enumerate(terms[0][0][0].parts):
+        column = np.concatenate([init[:, :, keys]] + [
+            sums for _, _, parts in terms for sums in parts[q]], axis=1)
+        totals.append(np.add.accumulate(column, axis=1)[:, -1])
+    totals = np.concatenate(totals, axis=1)
+    for timer, total, n in zip(timers, totals.T.ravel().tolist(),
+                               tally.tolist()):
+        if n:
+            timer.total, timer.count = total, timer.count + n
 
 
-def _places(stretch, rows: np.ndarray, busy: int) -> tuple:
-    """Where the terms of the stretch's ``rows`` sit in its timer
-    matrices: their timer ids (-1: no term), their matrix (1 if not the
-    smoothers') and their columns in it."""
-    starts, sizes, at = [], [], np.zeros(2, dtype=np.intp)
-    for p, times, _ in stretch:
-        starts.append(at + np.arange(times)[:, None] * p.widths)
-        sizes += [p.n] * times
-        at = at + times * p.widths
-    base = np.repeat(np.concatenate(starts), sizes, axis=0)[rows]
-    ids = _cat(stretch, lambda p: p.ids, axis=1)[:, rows]
-    part = (ids >= busy).astype(np.intp)
-    return ids, part, (base[np.arange(len(rows)), part]
-                       + _cat(stretch, lambda p: p.cols, axis=1)[:, rows])
-
-
-def _book_steps(tracker, stretch, retried, step, kept=None) -> None:
-    """Each entry's supersteps to the tracker, each lossy row followed by
-    the retries it booked (its superstep counted over the entry's
-    copies); with ``kept``, only that many rows of the last copy."""
-    pairs = [np.empty((0, 2), dtype=np.intp)] * len(stretch)
+def _book_steps(tracker, stretch, retried, step, tail=None) -> None:
+    """The stretch's supersteps to the tracker, each lossy row followed by
+    the retries it booked; with ``tail``, only that many rows of the
+    last copy."""
+    blocks = [(p.block, times) for p, times, _ in stretch]
+    if tail is not None:        # the copy the crash cuts, up to the crash
+        p, times, _ = stretch[-1]
+        blocks[-1:] = [(p.block, times - 1)] * (times > 1) + [
+            (p.block.head(int(p.step[:tail].sum())), 1)]
+    again = ()
     if retried is not None and retried.any():
         rows = np.flatnonzero(retried)
-        at = (step.cumsum() - 1)[rows]
-        bounds = list(itertools.accumulate(
-            [(p.n * times, p.reach[0] * times) for p, times, _ in stretch],
-            lambda a, b: (a[0] + b[0], a[1] + b[1]), initial=(0, 0)))
-        cuts = np.searchsorted(rows, [rows_ for rows_, _ in bounds]).tolist()
-        pairs = [np.stack([at[a:b] - steps, retried[rows[a:b]]], 1)
-                 for (_, steps), a, b in zip(bounds, cuts, cuts[1:])]
-    for e, ((p, times, _), again) in enumerate(zip(stretch, pairs)):
-        if kept is None or e + 1 < len(stretch):
-            tracker.book(p.block, again, times)
-            continue
-        # the copy the crash cuts: its supersteps up to the crash
-        end = (times - 1) * len(p.block.rows)
-        if times > 1:
-            tracker.book(p.block, again[again[:, 0] < end], times - 1)
-        tracker.book(p.block.head(int(p.step[:kept].sum())),
-                     again[again[:, 0] >= end] - [end, 0])
+        again = np.stack([(step.cumsum() - 1)[rows], retried[rows]], 1)
+    tracker.book(blocks, again)
 
 
 def _checkpoints(state, stretch, first: np.ndarray,
@@ -394,12 +353,7 @@ def _book_events(inj, stretch, clock, lossy, drawn, announced,
     checkpoint after its superstep.  Losses in a row stay one block."""
     lost = np.flatnonzero(drawn)
     rows = lossy[lost]
-    labels = np.empty(len(rows), dtype=object)
-    start = 0
-    for p, times, _ in stretch if len(rows) else ():
-        lo, hi = np.searchsorted(rows, [start, start + p.n * times])
-        labels[lo:hi] = p.labels[(rows[lo:hi] - start) % p.n]
-        start += p.n * times
+    labels = _cat(stretch, lambda p: p.labels)[rows] if len(rows) else rows
     others = sorted([(at, 0, i, "straggler", kw)
                      for i, (at, kw) in enumerate(announced)]
                     + [(at, 1, 0, "checkpoint",

@@ -364,7 +364,7 @@ class TestBookedBlocks:
             t.replay(plans[2], label="dot")
             t.retry(t.sync(label="dot"))
         self._walk(walked, rows, retried)
-        booked.book(StepBlock(rows), retried)
+        booked.book([(StepBlock(rows), 1)], retried)
         for t in (walked, booked):
             t.replay(plans[0], label="halo")
             t.retry(t.sync(label="halo"))
@@ -377,18 +377,21 @@ class TestBookedBlocks:
     @settings(max_examples=100, deadline=None)
     def test_a_block_booked_k_times_reads_as_k_blocks_closed_in_turn(
             self, case, k, data):
-        """``times=k`` with the re-drives as one array, a row counted
-        over the k copies, as a stretch of k replays books them."""
+        """``k`` copies of a block, then another block, booked as one:
+        the re-drives one array, a superstep counted over all of them, as
+        a stretch of replays books them."""
         plans, rows, _ = case
+        other = rows[::-1]
+        total = k * len(rows) + len(other)
         again = sorted(data.draw(st.dictionaries(
-            st.integers(0, k * len(rows) - 1), st.integers(1, 3))).items())
+            st.integers(0, total - 1), st.integers(1, 3))).items())
         walked, booked = CommTracker(3), CommTracker(3)
-        for copy in range(k):
-            first = copy * len(rows)
-            self._walk(walked, rows, [(at - first, n) for at, n in again
-                                      if first <= at < first + len(rows)])
-        booked.book(StepBlock(rows),
-                    np.array(again, dtype=np.intp).reshape(-1, 2), times=k)
+        parts = [(copy * len(rows), rows) for copy in range(k)]
+        for first, part in parts + [(k * len(rows), other)]:
+            self._walk(walked, part, [(at - first, n) for at, n in again
+                                      if first <= at < first + len(part)])
+        booked.book([(StepBlock(rows), k), (StepBlock(other), 1)],
+                    np.array(again, dtype=np.intp).reshape(-1, 2))
         # the running counts move before anything expands
         assert (booked.num_syncs, booked.total_bytes, booked.label_bytes,
                 booked.label_syncs) == (walked.num_syncs, walked.total_bytes,
@@ -404,8 +407,8 @@ class TestBookedBlocks:
         k = data.draw(st.integers(1, len(rows)))
         retried = [(at, n) for at, n in retried if at < k]
         head, whole = CommTracker(3), CommTracker(3)
-        head.book(StepBlock(rows).head(k), retried)
-        whole.book(StepBlock(rows[:k]), retried)
+        head.book([(StepBlock(rows).head(k), 1)], retried)
+        whole.book([(StepBlock(rows[:k]), 1)], retried)
         assert (head.num_syncs, head.total_bytes, head.label_bytes,
                 head.label_syncs) == (whole.num_syncs, whole.total_bytes,
                                       whole.label_bytes, whole.label_syncs)
@@ -421,7 +424,7 @@ class TestBookedBlocks:
         walked, booked = CommTracker(3), CommTracker(3)
         for retried in ([(0, 2)], [], [(1, 1), (2, 3)]):
             self._walk(walked, rows, retried)
-            booked.book(block, retried)
+            booked.book([(block, 1)], retried)
             if not retried:         # a read expands what was booked so far
                 assert self._read(booked) == self._read(walked)
         assert self._read(booked) == self._read(walked)

@@ -446,8 +446,21 @@ class TestTapeEqualsStepwise:
         if kind == "checkpoint":
             return FaultPlan(seed=seed, checkpoint=Checkpoint(
                 data.draw(st.integers(1, 3), label="interval")))
-        if kind == "loss":
-            return FaultPlan(seed=seed, message_loss=MessageLoss(0.2))
+        if kind == "loss":      # any rate and cap, alone or with more
+            plan = FaultPlan(seed=seed, message_loss=MessageLoss(
+                data.draw(st.floats(0.0, 0.9), label="rate"),
+                data.draw(st.integers(1, 4), label="cap")))
+            also = data.draw(st.sampled_from(["checkpoint", "crash"])
+                             | st.none(), label="with")
+            if also == "checkpoint":
+                return dataclasses.replace(plan, checkpoint=Checkpoint(
+                    data.draw(st.integers(1, 3), label="interval")))
+            if also == "crash":
+                crashing = self.draw_plan(data, "crash", run, solve)
+                return dataclasses.replace(
+                    plan, checkpoint=crashing.checkpoint,
+                    crashes=crashing.crashes)
+            return plan
         if kind == "crash":
             ckpt = Checkpoint(2)
             run.faults = FaultPlan(checkpoint=ckpt)
@@ -482,11 +495,14 @@ class TestTapeEqualsStepwise:
                          {"max_iters": 10},
                          {"max_iters": 40, "tolerance": 1e-4}])))
         run.faults = self.draw_plan(data, kind, run, solve)
+        run._numerics.trajectories.clear()
         with obs.disabled():
-            taped = run.run_cg(**solve)
+            taped = run.run_cg(**solve)         # computed, then
+            priced = run.run_cg(**solve)        # priced from its record
+        assert not taped.replayed and priced.replayed
         with obs.run():
             walked = run.run_cg(**solve)
-        assert accounting(taped) == accounting(walked)
+        assert accounting(taped) == accounting(walked) == accounting(priced)
 
     @pytest.fixture
     def closes(self, monkeypatch):

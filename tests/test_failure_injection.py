@@ -403,14 +403,16 @@ class TestSeededDeterminism:
             self, rate, cap, seed, blocks):
         """Each exchange draws until one draw delivers or it has drawn
         ``max_retries`` lost ones: the block routine returns those counts
-        (a peek the same, leaving the generator as it was) and leaves the
-        generator where one draw at a time leaves it."""
+        and leaves the generator where one draw at a time leaves it;
+        unwinding the last exchanges' counts gives their draws back."""
         inj = FaultInjector(FaultPlan(seed=seed, message_loss=MessageLoss(
             rate, max_retries=cap)), 4)
         rng = np.random.default_rng(seed)
         for n in blocks:
-            got = inj.retry_counts(n, peek=True)
-            assert np.array_equal(inj.retry_counts(n), got)
+            got = inj.retry_counts(n)
+            inj.unwind(got[n // 2:])
+            assert np.array_equal(inj.retry_counts(n - n // 2),
+                                  got[n // 2:])
             for retries in got.tolist():
                 expected = 0
                 while expected < cap and rng.random() < rate:
