@@ -191,6 +191,7 @@ class StepBlock:
         return {label: int(b) for label, b in zip(self.labels,
                                                   moved.tolist()) if b}
 
+
 def _expand(first: int, blocks: list,
             retried: Sequence[Tuple[int, int]]) -> Iterator[SuperstepStats]:
     """``blocks``' rows, each ``(block, times)`` ``times`` over in turn, as
@@ -261,7 +262,7 @@ class CommTracker:
         in-flight exchanges — the tracker is as freshly constructed."""
         self._steps: List[SuperstepStats] = []
         # closed since a block was booked, not yet expanded: supersteps
-        # and (first index, block, retried) entries, in order
+        # and (first index, blocks, retried) entries, in order
         self._booked: list = []
         #: closed supersteps, kept as each closes
         self.num_syncs = 0
