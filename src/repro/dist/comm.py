@@ -461,12 +461,13 @@ class CommTracker:
         it as :meth:`retry` re-drives it.  The syncs count now; the bytes
         and labels when read, the rows expand into :attr:`supersteps`
         when that is."""
-        blocks, retried = list(blocks), _pairs(retried)
+        blocks, retried = list(blocks), _pairs(retried) if len(retried) else ()
         self._booked.append((self.num_syncs, blocks, retried))
         self._uncounted.append((blocks, retried))
         self.num_syncs += sum(times * len(block.rows)
                               for block, times in blocks)
-        self.num_syncs += int(retried[:, 1].sum())
+        if len(retried):
+            self.num_syncs += int(retried[:, 1].sum())
 
     def _count(self) -> None:
         """Add the bytes and label counts of what was booked unread."""

@@ -11,12 +11,12 @@ declarative, *deterministic* input to the simulated runs:
   (priced as bounded retry/backoff supersteps) and **node crashes** at
   a given superstep, plus the checkpoint cadence recovery relies on;
 
-* a :class:`FaultInjector` executes the plan against one run: it owns
-  a seeded generator (same seed → identical injected events, bit for
-  bit), tracks which nodes are alive, scales the BSP work term so the
-  max-over-nodes superstep price reflects the laggard, draws retry
-  counts for lossy exchanges, and raises :class:`NodeCrash` when a
-  planned failure reaches its superstep.
+* a :class:`FaultInjector` executes the plan against one run: it
+  tracks which nodes are alive, scales the BSP work term so the
+  max-over-nodes superstep price reflects the laggard, keys each lossy
+  exchange's retry count by the seed and the exchange's ordinal (same
+  seed → identical injected events, bit for bit), and raises
+  :class:`NodeCrash` when a planned failure reaches its superstep.
 
 Recovery itself lives in :mod:`repro.dist.simulate`: the engine
 checkpoints CG state every ``checkpoint.interval`` iterations (priced
@@ -38,30 +38,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
 from repro.util.errors import InvalidValue
-
-
-def _runs(delivering: np.ndarray, m: int, cap: int) -> tuple:
-    """The retries of ``m`` exchanges drawing in turn from the
-    ``delivering`` flags of their draws, and the draws they use.  An
-    exchange ends on a delivering draw or on its cap-th lost one in a
-    row, so a run of ``g`` lost draws before a delivering one is
-    ``g // cap`` capped exchanges, then one that lost ``g % cap``; the
-    lost draws after the last delivering one end capped exchanges."""
-    ends = np.flatnonzero(delivering)[:m]       # m runs end m exchanges
-    capped, lost = np.divmod(ends - np.concatenate(([-1], ends[:-1])) - 1,
-                             cap)
-    tail = len(delivering) - 1 - (ends[-1] if len(ends) else -1)
-    counts = np.full(int(capped.sum()) + len(ends) + tail // cap, cap,
-                     dtype=np.intp)
-    counts[np.cumsum(capped + 1) - 1] = lost
-    counts = counts[:m]
-    return counts, int(counts.sum() + (counts < cap).sum())
 
 
 class NodeCrash(Exception):
@@ -402,34 +384,37 @@ class FaultEvent:
         return doc
 
 
-class LossBlock:
-    """Message-loss events booked as one: the exchange closing at
-    superstep ``supersteps[i]`` lost something and was re-driven
-    ``retries[i]`` times; they become :class:`FaultEvent` records only
-    when :attr:`FaultInjector.events` is read."""
+@functools.lru_cache(maxsize=None)
+def _lowest(rate: float, cap: int) -> np.ndarray:
+    """The words under which an exchange is re-driven ``k`` or more times,
+    for ``k`` from ``cap`` down to 1: the lowest ``rate**k`` of the
+    64-bit range (read only: it is shared)."""
+    words = np.array([int(rate ** k * 2.0 ** 64) for k in range(cap, 0, -1)],
+                     dtype=np.uint64)
+    words.flags.writeable = False
+    return words
 
-    def __init__(self, supersteps: np.ndarray, labels: Sequence[Optional[str]],
-                 retries: np.ndarray):
-        self.supersteps, self.labels, self.retries = supersteps, labels, retries
 
-    def events(self) -> Iterator[FaultEvent]:
-        for step, label, n in zip(self.supersteps.tolist(), self.labels,
-                                  self.retries.tolist()):
-            yield FaultEvent("message_loss", step,
-                             detail={"label": label, "retries": n})
+def losses(supersteps, labels: Sequence[Optional[str]],
+           retries: np.ndarray) -> List[FaultEvent]:
+    """The message-loss events of the exchanges closing at superstep
+    ``supersteps[i]``, each re-driven ``retries[i]`` times."""
+    return [FaultEvent("message_loss", step,
+                       detail={"label": label, "retries": n})
+            for step, label, n in zip(np.asarray(supersteps).tolist(),
+                                      labels, retries.tolist())]
 
 
 class FaultInjector:
     """Executes one :class:`FaultPlan` against one resilient run.
 
-    All randomness flows through one ``numpy`` generator seeded with
-    ``plan.seed``, and draws happen at deterministic points (one
-    bounded sequence per closed exchange superstep), so the same plan
-    against the same run yields byte-identical events and pricing.
-
-    The injector survives recovery: the respawned survivor run keeps
-    using the same instance, so superstep numbering, the alive set and
-    the event log are continuous across repartitions.
+    Nothing is drawn in sequence: a lossy exchange's retries are a pure
+    function of ``plan.seed`` and its ordinal among the run's lossy
+    exchanges (:meth:`retry_counts`), so the same plan against the same
+    run yields byte-identical events and pricing however it is booked.
+    The injector survives recovery: the survivor run keeps using it, so
+    superstep numbering, the ordinals, the alive set and the event log
+    are continuous across repartitions.
     """
 
     def __init__(self, plan: FaultPlan, nprocs: int):
@@ -438,9 +423,10 @@ class FaultInjector:
         self.nprocs = nprocs
         self.alive = set(range(nprocs))
         self.superstep = 0            # next superstep index to be priced
+        self.exchanges = 0            # lossy ones booked: the next's ordinal
         self._events: List[FaultEvent] = []
-        # recorded since a block was booked, not yet expanded: events and
-        # LossBlocks, in order
+        # since a block was booked: events and blocks (what lists
+        # theirs), in order
         self._booked: list = []
         self._counts: Dict[str, int] = {}   # events recorded, per kind
         self.recoveries = 0
@@ -455,13 +441,6 @@ class FaultInjector:
         self.on_event = None
 
     # --- bookkeeping ---------------------------------------------------------
-    @functools.cached_property
-    def rng(self) -> np.random.Generator:
-        """The generator every draw reads, seeded with the plan's seed
-        (made at the first draw: a plan without message loss draws
-        nothing)."""
-        return np.random.default_rng(self.plan.seed)
-
     @property
     def alive_count(self) -> int:
         return len(self.alive)
@@ -470,7 +449,7 @@ class FaultInjector:
                node: Optional[int] = None, **detail: Any) -> FaultEvent:
         event = FaultEvent(kind=kind, superstep=superstep, node=node,
                            detail=detail)
-        # behind any block not yet expanded, so the order holds
+        # behind any block not yet listed, so the order holds
         (self._booked or self._events).append(event)
         self._counted(kind, 1)
         if self.on_event is not None:
@@ -482,15 +461,30 @@ class FaultInjector:
 
     @property
     def events(self) -> List[FaultEvent]:
-        """Every recorded event, in order (booked blocks expanded)."""
+        """Every recorded event, in order (booked blocks listed)."""
         if self._booked:
             booked, self._booked = self._booked, []
             for entry in booked:
                 if isinstance(entry, FaultEvent):
                     self._events.append(entry)
                 else:
-                    self._events.extend(entry.events())
+                    self._events.extend(entry())
         return self._events
+
+    def book(self, events: Callable[[], List[FaultEvent]],
+             counts: Mapping[str, int]) -> None:
+        """Record a block of events, listed by ``events()`` when
+        :attr:`events` is read (now, one by one through :meth:`record`,
+        when :attr:`on_event` is set); ``counts``: how many of each kind,
+        in the order the kinds first land."""
+        if self.on_event is not None:
+            for event in events():
+                self.record(event.kind, event.superstep, event.node,
+                            **event.detail)
+            return
+        self._booked.append(events)
+        for kind, n in counts.items():
+            self._counted(kind, n)
 
     def announce_speeds(self) -> None:
         """Record the heterogeneous-speed assignment (once per run)."""
@@ -504,10 +498,10 @@ class FaultInjector:
 
     @property
     def next_crash(self) -> Optional[Crash]:
-        """The planned crash that fires next: the first pending one whose
-        node is alive (it fires at the first superstep from its own)."""
-        return next((crash for crash in self._pending_crashes
-                     if crash.node in self.alive), None)
+        """The planned crash that fires next: the first pending one (a
+        dead node's are dropped as it dies; it fires at the first
+        superstep from its own)."""
+        return self._pending_crashes[0] if self._pending_crashes else None
 
     def work_factors(self, supersteps: np.ndarray) -> Tuple[np.ndarray, list]:
         """The multiplier on the BSP work term at each of ``supersteps``,
@@ -540,62 +534,53 @@ class FaultInjector:
             candidates.append(f / self.plan.node_speeds.get(node, 1.0))
         return np.maximum.reduce(candidates), announced
 
-    def retry_counts(self, m: int) -> np.ndarray:
-        """How often each of ``m`` lossy exchanges closed in turn is
-        re-driven.
+    def retry_counts(self, m: int, first: int = 0) -> np.ndarray:
+        """How often each of the ``m`` lossy exchanges from ordinal
+        ``first`` (among the run's, in booking order) is re-driven.
 
-        Each exchange draws one uniform per (re)delivery attempt: it is
-        lost while the draw lands under ``rate``, up to ``max_retries``
-        resends (the transport then falls back to its slow reliable path
-        — delivery is never abandoned, only priced).  All of them draw
-        from one block of the most they can take, which holds the values
-        drawing one at a time would, and the generator is wound back to
-        where those draws leave it.
-        """
+        Each attempt is lost with probability ``rate``, up to
+        ``max_retries`` resends (delivery is never abandoned, only
+        priced): ``k`` retries with probability ``rate**k * (1 - rate)``
+        below the cap, the cap with ``rate**max_retries``.  Exchange
+        ``e`` reads one uniform 64-bit word, output ``e`` of SplitMix64
+        (Steele et al., OOPSLA'14) seeded with the plan's seed: a
+        counter-based draw (Salmon et al., SC'11), so blocks of exchanges
+        draw in any order and a crash cut gives nothing back."""
         loss = self.plan.message_loss
-        cap = loss.max_retries
-        counts, used = _runs(self.rng.random(cap * m) >= loss.rate, m, cap)
-        self.rng.bit_generator.advance(used - cap * m)
-        return counts
-
-    def unwind(self, counts: np.ndarray) -> None:
-        """Give back the draws of the last exchanges :meth:`retry_counts`
-        drew, whose ``counts`` were never booked (a crash cut them off):
-        the generator winds back to where it stood before them."""
-        cap = self.plan.message_loss.max_retries
-        self.rng.bit_generator.advance(-int(counts.sum()
-                                            + (counts < cap).sum()))
+        words = np.arange(first + 1, first + m + 1, dtype=np.uint64)
+        words *= np.uint64(0x9E3779B97F4A7C15)
+        words += np.uint64(self.plan.seed % 2 ** 64)
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9),
+                              (27, 0x94D049BB133111EB)):
+            words ^= words >> np.uint64(shift)
+            words *= np.uint64(factor)
+        words ^= words >> np.uint64(31)
+        return loss.max_retries - _lowest(loss.rate, loss.max_retries
+                                          ).searchsorted(words, side="right")
 
     def book_losses(self, supersteps: np.ndarray,
                     labels: Sequence[Optional[str]],
                     retries: np.ndarray) -> None:
         """Record the loss of each exchange closing at ``supersteps[i]``,
-        re-driven ``retries[i]`` times, as one :class:`LossBlock` (one by
-        one, each handed to :attr:`on_event`, when that is set)."""
+        re-driven ``retries[i]`` times, as one block (see :meth:`book`)."""
         if not len(retries):
             return
         self.exchange_retries += int(retries.sum())
-        block = LossBlock(supersteps, labels, retries)
-        if self.on_event is None:
-            self._booked.append(block)
-            self._counted("message_loss", len(retries))
-        else:
-            for event in block.events():
-                self.record(event.kind, event.superstep, **event.detail)
+        self.book(lambda: losses(supersteps, labels, retries),
+                  {"message_loss": len(retries)})
 
     def check_crash(self, superstep: int) -> None:
         """Raise :class:`NodeCrash` when a planned failure is due.
 
         Crashes are detected at the superstep barrier — the superstep
         itself is already priced — and each planned crash fires at most
-        once (a node already dead from an earlier crash is skipped).
+        once (a node's later ones are dropped when it dies).
         """
-        while (self._pending_crashes
-               and self._pending_crashes[0].superstep <= superstep):
-            crash = self._pending_crashes.pop(0)
-            if crash.node not in self.alive:
-                continue
+        crash = self.next_crash
+        if crash is not None and crash.superstep <= superstep:
             self.alive.discard(crash.node)
+            self._pending_crashes = [c for c in self._pending_crashes
+                                     if c.node in self.alive]
             self.record("crash", superstep, node=crash.node,
                         planned_superstep=crash.superstep,
                         survivors=len(self.alive))

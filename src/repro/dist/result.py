@@ -212,7 +212,7 @@ class _RunState:
         self.metrics: Optional[SimpleNamespace] = None
         if self.ctx is None:
             return
-        if injector is not None:    # untraced, loss events stay in blocks
+        if injector is not None:    # untraced, fault events stay in blocks
             injector.on_event = self.on_fault_event
         registry = self.ctx.metrics
         self.metrics = m = SimpleNamespace(

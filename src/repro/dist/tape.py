@@ -15,40 +15,41 @@ price is bit-identical to the scalar one.
 
 A run books its programs in **stretches** — every program since the
 last booking, consecutive copies of one as that program ``times`` over —
-and :func:`fold` books a stretch at once.  Faults are transforms of the
-stretch, applied before it is booked:
+and :func:`fold` books a stretch at once, faults transforming it first:
 
-* message loss inserts each lossy exchange's seeded retries right after
-  it, drawn from the injector's sequential generator in exchange order
+* message loss inserts each lossy exchange's retries right after it,
+  counts keyed by the seed and the exchange's ordinal in the run
   (:meth:`~repro.dist.faults.FaultInjector.retry_counts`);
 * a straggler or node-speed window multiplies the work (and overlap) of
   the rows it covers, which are re-priced;
-* a crash cuts the stretch after its superstep, retries included, and
-  raises once the cut is booked: the superstep is priced, then the
-  failure detected.
+* a crash cuts the stretch after its superstep, retries included, books
+  the cut and raises (the superstep is priced, then the failure
+  detected); the exchanges cut off leave their ordinals to the rerun.
 
-The run's modelled, wire and exposed seconds are then one
-``np.add.accumulate`` over the stretch's terms in booking order, from
-their values so far.  Each program also keeps its terms laid out for the
-timers (:func:`_matrices`); a stretch no fault transformed lays out its
-programs' copy after copy (a cut copy keeps each timer's first terms),
-any other sorts its own terms, and the run's timers tick from every
-fold's layout when they are read: one accumulate down each matrix.
-Accumulate adds strictly left to right, as a scalar ``+=`` would, and a
-padding zero changes no total (``x + 0.0`` is ``x``), so every total is
-bit-identical; ``sum`` and ``np.sum`` add pairwise and ``math.fsum``
-rounds once, so all three would not be.  The tracker takes the
-stretch's programs' supersteps as :class:`~repro.dist.comm.StepBlock`
-copies.  A traced run books the same rows, then emits their
-``superstep/*`` and ``mg/L*`` spans, opened and closed at the program's
-marks.  Nothing a fold draws is kept past it.
+The run's modelled, wire and exposed seconds are one ``np.add.accumulate``
+over the stretch's terms in booking order, from their values so far.  The
+timers take each program's terms as it laid them out once
+(:attr:`Program.sums`), copy after copy; a faulted stretch puts each
+row's terms at its place (:attr:`Program.places`) and a lost exchange's
+retries in rows inserted after its own, so nothing is sorted.  They tick
+when read: one accumulate down each matrix.  Accumulate adds strictly
+left to right, as a scalar ``+=`` would, and a padding zero changes no
+total, so every total is bit-identical (``sum``, ``np.sum`` and
+``math.fsum`` would not be).  The tracker and the injector take the
+stretch's supersteps and fault events as blocks.  A traced run books the
+same rows, then emits their spans at the program's marks.  Nothing a
+fold draws or lays out is kept past it.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.dist.comm import StepBlock
+from repro.dist.faults import FaultEvent, losses
+from repro.util.timer import Timer
 
 #: row kinds: local work, an eager or a posted exchange, a collective
 LOCAL, SYNC, POSTED, COLLECTIVE = range(4)
@@ -61,8 +62,7 @@ def timer_layout(depth: int) -> tuple:
     ``exposed/<key>`` (registry 1).  Every program of the depth indexes
     its rows' keys in this order, so any stretch's programs agree.  The
     ``depth`` smoothers' keys come first: a sweep ticks them a term a
-    colour step, every other key a few terms an iteration (see
-    :func:`_matrices`)."""
+    colour step, every other key a few terms an iteration."""
     keys = [f"mg/L{i}/rbgs" for i in range(depth)] + [
         "cg/dot", "cg/spmv", "cg/waxpby", "fault/checkpoint",
         "fault/restore"] + [f"mg/L{i}/{step}" for i in range(depth)
@@ -110,9 +110,32 @@ class Program:
             3 * k + i for k, step in zip(self.key.tolist(),
                                          self.step.tolist())
             for i in (range(3) if step else range(1))))
-        #: its rows' terms as every timer takes them (see _matrices)
-        self.tally, self.sums = _matrices(self, self.values, self.key,
-                                          self.step)
+        # how many terms each timer takes: a key's own timer the totals,
+        # its full/ and exposed/ timers the wire seconds (a local row
+        # adds 0.0 there, which changes no total)
+        counts = np.bincount(self.key, minlength=len(layout) // 3)
+        steps = np.bincount(self.key[self.step], minlength=len(counts))
+        self.tally = np.stack([counts, steps, steps], axis=1).ravel()
+        #: each row's place among its timers' terms: its part (1: the
+        #: smoothers'), its rank among its key's rows, its column in its
+        #: part, its timer key, its index among the supersteps, its h
+        order = np.argsort(self.key, kind="stable")
+        rank = np.empty(self.n, dtype=np.intp)
+        rank[order] = np.arange(self.n) - (counts.cumsum()
+                                           - counts)[self.key[order]]
+        smoother = self.key < busy
+        self.places = np.stack([smoother, rank, self.key - busy * ~smoother,
+                                self.key, self.step.cumsum() - 1,
+                                h.astype(np.intp)])
+        #: its rows' terms as every timer takes them, two matrices per
+        #: plane — the smoothers' timers and the rest, an accumulate
+        #: costing what its matrix holds — each timer a column of its
+        #: terms in booking order, zero-padded
+        self.sums = tuple(np.zeros((3, counts[keyed].max(initial=0),
+                                    keyed.stop - keyed.start))
+                          for keyed in self.parts)
+        for sums, part in zip(self.sums, (smoother, ~smoother)):
+            sums[:, rank[part], self.places[2, part]] = self.values[:, part]
         self.block = StepBlock([
             (plan, label, o, k == POSTED) for k, plan, label, o
             in zip(kinds, self.plans, labels, overlap) if k != LOCAL])
@@ -145,118 +168,132 @@ def fold(state, stretch: list) -> None:
     on the run state ``state``; see the module docstring."""
     inj, machine = state.injector, state.machine
     step = _cat(stretch, lambda p: p.step)
-    retried = cut = clock = tail = None
-    lossy = drawn = np.empty(0, dtype=np.intp)
+    n, cut, tail, clock, slowed = len(step), None, None, None, False
+    lost = again = np.empty(0, dtype=np.intp)
     if inj is not None:
-        # each lossy exchange's retries, drawn in exchange order, and the
-        # crash that cuts the stretch: the exchanges after it give their
-        # draws back
-        start, retried = inj.superstep, np.zeros(len(step), dtype=np.intp)
+        # each lossy exchange's retries, keyed by its ordinal in the run;
+        # the superstep each row closes when a window or a crash asks
+        start = inj.superstep
         if state.lossy:
-            lossy = np.flatnonzero(_cat(stretch, lambda p: p.lossy))
-            retried[lossy] = drawn = inj.retry_counts(len(lossy))
-        closed = step + retried             # the supersteps each row closes
-        clock = start + closed.cumsum() - closed
+            lost = _cat(stretch, lambda p: p.lossy).nonzero()[0]
+            again = inj.retry_counts(len(lost), inj.exchanges)
+        end = start + sum(times * p.reach[0] for p, times, _ in stretch) \
+            + (int(again.sum()) if state.lossy else 0)
         crash = inj.next_crash
         fires = None if crash is None else max(crash.superstep, start)
-        if fires is not None and fires < clock[-1] + closed[-1]:
-            at = int(np.flatnonzero(step & (clock <= fires))[-1])
-            kept = int(np.searchsorted(lossy, at)) + int(fires > clock[at])
-            if kept < len(drawn):
-                inj.unwind(drawn[kept:])
-            lossy, drawn = lossy[:kept], drawn[:kept]
-            retried[at] = fires - clock[at]
+        slowed = bool(inj.plan.stragglers or inj.plan.node_speeds)
+        if slowed or (fires is not None and fires < end):
+            closed = step.astype(np.intp)
+            closed[lost] += again
+            clock = start + closed.cumsum() - closed
+        if fires is not None and fires < end:
+            # the crash cuts the stretch: the exchanges after it are not
+            # booked, and take their ordinals again
+            at = int((step & (clock <= fires)).nonzero()[0][-1])
             (stretch, tail), cut = _cut(stretch, at + 1), fires
-            retried, clock, step = (retried[:at + 1], clock[:at + 1],
-                                    step[:at + 1])
-            closed = step + retried
+            n, step, clock, end = at + 1, step[:at + 1], clock[:at + 1], \
+                fires + 1
+            kept = int(lost.searchsorted(at)) + int(fires > clock[at])
+            lost, again = lost[:kept], again[:kept]
+        inj.exchanges += len(again)
+        inj.superstep = end
+        if state.lossy:
+            lost, again = lost[again > 0], again[again > 0]
     # the rows' prices, then (to re-price or emit them) what they price
-    n = len(step)
-    slowed = inj is not None and bool(inj.plan.stragglers
-                                      or inj.plan.node_speeds)
-    table = _cat(stretch, (lambda p: p.table) if slowed or state.lossy
-                 or state.ctx else (lambda p: p.values), axis=1)[:, :n]
-    announced = []
+    table = _cat(stretch, (lambda p: p.table) if slowed or state.ctx
+                 else (lambda p: p.values), axis=1)[:, :n]
+    announced, changed = [], lost[:0]
     if slowed:                  # the rows the windows cover, re-priced
         factors, announced = inj.work_factors(clock)
         table[4:6] *= factors
         table[:4] = machine.row_costs(table[4], table[6], table[5], step)
-    # the stream of terms in booking order: each row's, each retry's
-    # right after its exchange's and the retries before it
-    values, keys = table[:3], _cat(stretch, lambda p: p.key)[:n]
-    first, wired = np.arange(n + 1), step
-    if retried is not None and retried.any():
-        span = retried + 1
-        first[1:] = span.cumsum()
-        rows = np.repeat(np.arange(n), span)
-        again = np.arange(len(rows)) - first[rows]
-        resent = again.nonzero()[0]
-        values = values[:, rows]
-        values[:, resent] = machine.retry_comm_times(
-            table[6, rows[resent]], again[resent] - 1,
-            inj.plan.message_loss.backoff)
-        keys, wired = keys[rows], step[rows]
-    running = np.add.accumulate(np.concatenate(
-        [[[state.seconds], [state.comm_seconds],
-          [state.exposed_comm_seconds]], values], axis=1), axis=1)
+        changed = (factors != 1.0).nonzero()[0]
+    if len(changed) or len(lost):   # where each row's terms sit
+        place, col, key, index, h, split, height = _placed(stretch, n)
+    # the stream of terms in booking order: each row's, then a lost
+    # exchange's retries (those before a crash landing among them)
+    terms = np.concatenate(([[state.seconds], [state.comm_seconds],
+                             [state.exposed_comm_seconds]], table[:3]),
+                           axis=1)
+    after = booked = attempt = resent = lost    # the row each retry follows
+    if len(lost):
+        booked = again.copy()
+        if cut is not None and lost[-1] == n - 1:
+            booked[-1] = cut - clock[-1]
+        after = lost.repeat(booked)
+        attempt = np.arange(len(after)) - (booked.cumsum() - booked).repeat(
+            booked)
+        resent = machine.retry_comm_times(h.take(after), attempt,
+                                          inj.plan.message_loss.backoff)
+        counts = np.zeros(n + 1, dtype=np.intp)
+        counts[lost + 1] = booked
+        terms = terms.repeat(counts + 1, axis=1)
+        slots = after + np.arange(2, len(after) + 2)
+        for plane in terms:
+            plane[slots] = resent
+    running = np.add.accumulate(terms, axis=1)
     state.seconds, state.comm_seconds, state.exposed_comm_seconds = \
         running[:, -1].tolist()
-    if slowed or len(keys) > n:     # a fault transformed the terms
-        tally, sums = _matrices(stretch[0][0], values, keys, wired)
-        laid = tally, ([sums[0]], [sums[1]])
-    else:
-        laid = _laid_out(stretch, tail)
-    state.terms.append((list({id(p): p for p, _, _ in stretch}.values()),
-                        *laid))
+    programs = list({id(p): p for p, _, _ in stretch}.values())
+    tally, parts = _laid_out(stretch, tail)
+    if len(changed) or len(lost):   # a fault transformed the terms
+        # each row's at its place, each retry in a row inserted after its
+        # exchange's; the parts' rows end to end, padded to one width
+        width = programs[0].parts[1].stop - programs[0].parts[1].start
+        extra = np.zeros(height, dtype=np.intp)
+        np.maximum.at(extra, place[lost], booked)
+        moved = np.arange(height) + extra.cumsum() - extra
+        laid = np.zeros((3, height + int(extra.sum()), width))
+        rows = moved[place] * width + col
+        retries = ((moved[place[lost]] + 1).repeat(booked) + attempt) \
+            * width + col[lost].repeat(booked)
+        for plane, values in zip(laid.reshape(3, -1), table[:3]):
+            plane[rows] = values
+            plane[retries] = resent
+        split += int(extra[:split].sum())
+        parts = [laid[:, :split, :programs[0].parts[0].stop]], [
+            laid[:, split:]]
+        tally = tally + np.bincount(key[lost], booked, len(tally) // 3
+                                    ).astype(np.intp).repeat(3)
+        index = index[lost]
+    state.terms.append((programs, tally, parts))
     synced = state.tracker.num_syncs
-    _book_steps(state.tracker, stretch, retried, step, tail)
-    taken = _checkpoints(state, stretch, first, running[0])
-    if inj is not None:
-        inj.superstep = int(clock[-1] + closed[-1])
-        _book_events(inj, stretch, clock, lossy, drawn, announced,
-                     [(at, int(clock[at]), k) for at, k in taken])
+    _book_steps(state.tracker, stretch, np.array([index, booked]).T
+                if len(lost) else (), tail)
+    taken = _checkpoints(state, stretch, after, running[0])
+    if inj is not None and (len(lost) or taken or announced):
+        _book_events(inj, stretch, start, step, after, lost, again,
+                     announced, taken)
     if state.ctx is not None:
-        _emit(state, stretch, table, first, running[0], retried, synced,
-              cut)
+        _emit(state, stretch, table, after, running[0], synced, cut)
     elif cut is not None:
         inj.check_crash(cut)
 
 
-def _matrices(p, values: np.ndarray, keys: np.ndarray,
-              wired: np.ndarray) -> tuple:
-    """Terms laid out for the timers of ``p``'s layout: ``values`` (rows:
-    total, full and exposed seconds) of terms on ``keys``, ``wired`` the
-    ones closing a superstep.  A key's own timer takes the totals, its
-    ``full/`` and ``exposed/`` timers the wire seconds, a local term
-    adding 0.0 there, which changes no total.  Returns how many terms
-    each timer takes, and two matrices per plane — the smoothers' timers
-    and the rest, an accumulate costing what its matrix holds — each
-    timer a column of its terms in booking order, zero-padded."""
-    counts = np.bincount(keys, minlength=p.parts[1].stop)
-    steps = np.bincount(keys[wired], minlength=len(counts))
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    rank = np.arange(len(keys)) - (counts.cumsum() - counts)[ranked]
-    # both matrices in one buffer a plane: each term's cell is its rank
-    # times its matrix's width plus its column, past the first matrix
-    # for the rest's
-    (busy, rest), height = p.parts, counts[p.parts[0]].max(initial=0)
-    split = height * busy.stop
-    width = np.where(ranked < rest.start, busy.stop, rest.stop - rest.start)
-    buf = np.zeros((3, split + counts[rest].max(initial=0)
-                    * (rest.stop - rest.start)))
-    buf[:, rank * width + ranked + (ranked >= rest.start) * (
-        split - rest.start)] = values[:, order]
-    return np.stack([counts, steps, steps], axis=1).ravel(), (
-        buf[:, :split].reshape(3, height, busy.stop),
-        buf[:, split:].reshape(3, -1, rest.stop - rest.start))
+def _placed(stretch: list, n: int) -> tuple:
+    """:attr:`Program.places` of the stretch's first ``n`` rows, read in
+    the stretch: each one's row in both parts' matrices laid copy after
+    copy, the smoothers' first, its column, its timer key, its index
+    among the supersteps and its h; then the smoothers' rows and all."""
+    copies, sizes, low, high, steps = [], [], 0, 0, 0
+    for p, times, _ in stretch:     # where each copy starts
+        for _ in range(times):
+            copies.append((low, high, steps))
+            sizes.append(p.n)
+            low, high = low + p.sums[0].shape[1], high + p.sums[1].shape[1]
+            steps += p.reach[0]
+    first, after, steps_ = np.array(copies).repeat(sizes, axis=0)[:n].T
+    busy, rank, col, key, index, h = _cat(stretch, lambda p: p.places,
+                                          axis=1)[:, :n]
+    return (rank + np.where(busy, first, low + after), col, key,
+            index + steps_, h, low, low + high)
 
 
 def _laid_out(stretch: list, tail) -> tuple:
-    """How many terms each timer takes in a stretch no fault transformed,
-    and its two lists of matrices: its programs' :func:`_matrices`, copy
-    after copy (zero padding changes no total); with ``tail``, only that
-    many rows of the last copy."""
+    """How many terms each timer takes in ``stretch`` as its programs lay
+    them out, and its two lists of matrices: its programs' sums, copy
+    after copy (zero padding changes no total); with ``tail``, only
+    that many rows of the last copy."""
     copies, tally, parts = {}, 0, ([], [])
     for e, (p, times, _) in enumerate(stretch):
         cut = tail is not None and e + 1 == len(stretch)
@@ -267,14 +304,13 @@ def _laid_out(stretch: list, tail) -> tuple:
             kept = np.bincount(p.key[:tail], minlength=p.parts[1].stop)
             steps = np.bincount(p.key[:tail][p.step[:tail]],
                                 minlength=len(kept))
-            tally = np.stack([kept, steps, steps], axis=1).ravel()
+            tally = np.array([kept, steps, steps]).T.ravel()
             for q, keyed in enumerate(p.parts):
                 sums = p.sums[q]
                 parts[q].append(np.where(np.arange(sums.shape[1])[:, None]
                                          < kept[keyed], sums, 0.0))
-    for p, n in copies.items():
-        tally = tally + n * p.tally
-    return tally, parts
+    return tally + np.dot(list(copies.values()),
+                          [p.tally for p in copies]), parts
 
 
 def book_timers(state) -> None:
@@ -288,96 +324,106 @@ def book_timers(state) -> None:
     layout = terms[0][0][0].layout
     registries = state.registries
     timers = [registries[r].timers.get(name) for r, name in layout]
-    tally = 0
+    kept = [i for i, timer in enumerate(timers) if timer is not None]
+    tally, made = 0, []
     for programs, ticked, _ in terms:
-        tally = tally + ticked
-        fresh = {i for i in np.flatnonzero(ticked).tolist()
-                 if timers[i] is None}
-        for p in programs if fresh else ():
-            for i in p.ticks:       # the new ones, in first-tick order
-                if i in fresh and timers[i] is None:
-                    r, name = layout[i]
-                    timers[i] = registries[r].get(name)
-    init = np.reshape([0.0 if t is None else t.total for t in timers],
-                      (-1, 3)).T[:, None]
+        tally, ticked = tally + ticked, ticked.tolist()
+        made += [i for p in programs for i in p.ticks
+                 if ticked[i] and timers[i] is None]
+    init = np.zeros(len(timers))
+    init[kept] = [timers[i].total for i in kept]
+    init = init.reshape(-1, 3).T[:, None]
     totals = []
     for q, keys in enumerate(terms[0][0][0].parts):
         column = np.concatenate([init[:, :, keys]] + [
             sums for _, _, parts in terms for sums in parts[q]], axis=1)
         totals.append(np.add.accumulate(column, axis=1)[:, -1])
-    totals = np.concatenate(totals, axis=1)
-    for timer, total, n in zip(timers, totals.T.ravel().tolist(),
-                               tally.tolist()):
-        if n:
-            timer.total, timer.count = total, timer.count + n
+    totals = np.concatenate(totals, axis=1).T.ravel().tolist()
+    tally = tally.tolist()
+    for i in kept:
+        if tally[i]:
+            timers[i].total, timers[i].count = totals[i], \
+                timers[i].count + tally[i]
+    for i in dict.fromkeys(made):   # the new ones, in first-tick order
+        r, name = layout[i]
+        registries[r].timers[name] = Timer(name, totals[i], tally[i])
 
 
-def _book_steps(tracker, stretch, retried, step, tail=None) -> None:
-    """The stretch's supersteps to the tracker, each lossy row followed by
-    the retries it booked; with ``tail``, only that many rows of the
-    last copy."""
+def _book_steps(tracker, stretch, retried, tail=None) -> None:
+    """The stretch's supersteps to the tracker, superstep ``at`` of each
+    ``(at, n)`` in ``retried`` re-driven ``n`` times right after it; with
+    ``tail``, only that many rows of the last copy."""
     blocks = [(p.block, times) for p, times, _ in stretch]
     if tail is not None:        # the copy the crash cuts, up to the crash
         p, times, _ = stretch[-1]
         blocks[-1:] = [(p.block, times - 1)] * (times > 1) + [
             (p.block.head(int(p.step[:tail].sum())), 1)]
-    again = ()
-    if retried is not None and retried.any():
-        rows = np.flatnonzero(retried)
-        again = np.stack([(step.cumsum() - 1)[rows], retried[rows]], 1)
-    tracker.book(blocks, again)
+    tracker.book(blocks, retried)
 
 
-def _checkpoints(state, stretch, first: np.ndarray,
+def _checkpoints(state, stretch, after: np.ndarray,
                  seconds: np.ndarray) -> list:
     """Account each checkpoint the stretch took — its seconds are the
-    running total's step across its superstep — and return ``(row,
-    iteration)`` of each."""
-    taken, at = [], 0
-    for p, times, note in stretch:
-        if note is not None:
-            delta = float(seconds[first[at] + 1] - seconds[first[at]])
-            state.checkpoints += 1
-            state.checkpoint_seconds += delta
-            if state.metrics is not None:
-                state.metrics.checkpoint.inc(delta)
-            taken.append((at, note))
-        at += p.n * times
+    running total's step across its superstep (``after``: the row each
+    retry follows), added in turn — and return ``(row, iteration)`` of
+    each."""
+    starts = itertools.accumulate([p.n * times for p, times, _ in stretch],
+                                  initial=0)
+    taken = [(row, note) for row, (_, _, note) in zip(starts, stretch)
+             if note is not None]
+    for row, _ in taken:
+        at = row + int(after.searchsorted(row)) if len(after) else row
+        seconds_ = seconds.item(at + 1) - seconds.item(at)
+        state.checkpoints += 1
+        state.checkpoint_seconds += seconds_
+        if state.metrics is not None:
+            state.metrics.checkpoint.inc(seconds_)
     return taken
 
 
-def _book_events(inj, stretch, clock, lossy, drawn, announced,
-                 checkpoints) -> None:
-    """Record the stretch's fault events in booking order: a straggler as
-    the first row it slows prices, a loss after its exchange, a
-    checkpoint after its superstep.  Losses in a row stay one block."""
-    lost = np.flatnonzero(drawn)
-    rows = lossy[lost]
-    labels = _cat(stretch, lambda p: p.labels)[rows] if len(rows) else rows
-    others = sorted([(at, 0, i, "straggler", kw)
-                     for i, (at, kw) in enumerate(announced)]
-                    + [(at, 1, 0, "checkpoint",
-                        {"superstep": step, "iteration": k})
-                       for at, step, k in checkpoints])
-    done = 0
-    for at, _, _, kind, kw in others + [(len(clock), 0, 0, None, None)]:
-        upto = int(np.searchsorted(rows, at)) if len(rows) else 0
-        if upto > done:
-            inj.book_losses(clock[rows[done:upto]], labels[done:upto],
-                            drawn[lost[done:upto]])
-        done = upto
-        if kind is not None:
-            kw = dict(kw)
-            inj.record(kind, kw.pop("superstep"), **kw)
+def _book_events(inj, stretch, start, step, after, lost, retries,
+                 announced, taken) -> None:
+    """Record the stretch's fault events as one block, listed when read,
+    in booking order: a straggler as the first row it slows prices, a
+    loss (``lost`` rows, re-driven ``retries`` times) after its exchange,
+    a checkpoint (``taken``: row, iteration) after its superstep."""
+    if len(lost):
+        inj.exchange_retries += int(retries.sum())
+
+    def listed() -> list:
+        rows = [at for at, _ in taken] + lost.tolist()
+        closes = (start + step.cumsum().take(rows) - 1
+                  + after.searchsorted(rows)).tolist()
+        labels = _cat(stretch, lambda p: p.labels)[lost]
+        events = [(at, 0, FaultEvent("straggler", kw["superstep"],
+                                     kw["node"], {
+            "factor": kw["factor"], "end_superstep": kw["end_superstep"]}))
+            for at, kw in announced]
+        events += [(at, 1, FaultEvent("checkpoint", step,
+                                      detail={"iteration": k}))
+                   for (at, k), step in zip(taken, closes)]
+        events += [(at, 1, event) for at, event in zip(lost.tolist(), losses(
+            closes[len(taken):], labels, retries))]
+        return [event for *_, event in sorted(events, key=lambda e: e[:2])]
+
+    heads = sorted((at, i, kind, n) for at, i, kind, n in (  # first lands
+        (min([at for at, _ in announced], default=0), 0, "straggler",
+         len(announced)), (lost[0] if len(lost) else 0, 1, "message_loss",
+                           len(lost)),
+        (taken[0][0] if taken else 0, 1, "checkpoint", len(taken))) if n)
+    inj.book(listed, {kind: n for *_, kind, n in heads})
 
 
-def _emit(state, stretch, table, first, seconds, retried, synced,
-          cut) -> None:
+def _emit(state, stretch, table, after, seconds, synced, cut) -> None:
     """A traced fold's spans, comm events and metrics, from its booked
-    rows; a crash raises inside the spans it cuts short."""
+    rows (``after``: the row each retry follows); a crash raises inside
+    the spans it cuts short."""
     tracer, m, mode = state.ctx.tracer, state.metrics, state.mode
     total, full, exposed, hidden, work, overlap, _ = table.tolist()
-    seconds, first = seconds.tolist(), first.tolist()
+    first = np.arange(len(total) + 1)
+    retried = np.bincount(after, minlength=len(total)).tolist()
+    seconds, first = seconds.tolist(), (first + np.searchsorted(
+        after, first)).tolist()
     rows, marks = [], []
     for p, times, _ in stretch:
         for _ in range(times):
@@ -387,7 +433,6 @@ def _emit(state, stretch, table, first, seconds, retried, synced,
     # a crash unwinds the spans open at it: what comes after never runs
     rows = rows[:len(total)]
     marks = [mark for mark in marks if mark[0] < len(rows) or cut is None]
-    retried = [0] * len(rows) if retried is None else retried.tolist()
     opened, done, index = [], 0, synced
     try:
         for i in range(len(rows) + 1):

@@ -395,30 +395,99 @@ class TestSeededDeterminism:
 
         assert retries(1) != retries(2)
 
-    @given(rate=st.sampled_from([0.0, 0.2, 0.5, 0.9, 0.99]),
-           cap=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
-           blocks=st.lists(st.integers(1, 40), min_size=1, max_size=5))
-    @settings(max_examples=200, deadline=None)
-    def test_a_block_of_retry_draws_is_its_exchanges_drawn_in_turn(
-            self, rate, cap, seed, blocks):
-        """Each exchange draws until one draw delivers or it has drawn
-        ``max_retries`` lost ones: the block routine returns those counts
-        and leaves the generator where one draw at a time leaves it;
-        unwinding the last exchanges' counts gives their draws back."""
-        inj = FaultInjector(FaultPlan(seed=seed, message_loss=MessageLoss(
-            rate, max_retries=cap)), 4)
-        rng = np.random.default_rng(seed)
-        for n in blocks:
-            got = inj.retry_counts(n)
-            inj.unwind(got[n // 2:])
-            assert np.array_equal(inj.retry_counts(n - n // 2),
-                                  got[n // 2:])
-            for retries in got.tolist():
-                expected = 0
-                while expected < cap and rng.random() < rate:
-                    expected += 1
-                assert retries == expected
-        assert inj.rng.random() == rng.random()
+
+class TestKeyedRetryDraws:
+    """A lossy exchange's retry count is a pure function of the plan's
+    seed and the exchange's ordinal among the run's lossy exchanges."""
+
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           rate=st.sampled_from([0.0, 0.2, 0.5, 0.9]), cap=st.integers(1, 4),
+           first=st.integers(0, 10 ** 9),
+           sizes=st.lists(st.integers(0, 50), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_a_count_is_a_function_of_the_seed_and_the_ordinal(
+            self, seed, rate, cap, first, sizes):
+        """Any blocks of ordinals, drawn in any order by any injector of
+        the plan, read what one block of them reads, within [0, cap]."""
+        plan = FaultPlan(seed=seed, message_loss=MessageLoss(
+            rate, max_retries=cap))
+        whole = FaultInjector(plan, 4).retry_counts(sum(sizes), first)
+        blocks = list(zip(np.cumsum([first] + sizes[:-1]).tolist(), sizes))
+        inj = FaultInjector(plan, 4)
+        drawn = [inj.retry_counts(size, start)
+                 for start, size in reversed(blocks)]
+        assert np.array_equal(np.concatenate(drawn[::-1]), whole)
+        assert whole.min(initial=0) >= 0 and whole.max(initial=0) <= cap
+        assert rate > 0 or not whole.any()
+
+    @pytest.mark.parametrize("rate, cap", [(0.2, 4), (0.7, 2)])
+    def test_counts_follow_the_capped_geometric_law(self, rate, cap):
+        """Over 10^5 exchanges the mean count and the share that hit the
+        cap lie within 4 sigma of the law's: ``rate**k * (1 - rate)``
+        below the cap, ``rate**cap`` at it."""
+        n = 10 ** 5
+        counts = FaultInjector(FaultPlan(seed=17, message_loss=MessageLoss(
+            rate, max_retries=cap)), 4).retry_counts(n)
+        k = np.arange(cap + 1)
+        law = np.append(rate ** k[:-1] * (1 - rate), rate ** cap)
+        mean = law @ k
+        assert abs(counts.mean() - mean) <= 4 * np.sqrt(
+            (law @ k ** 2 - mean ** 2) / n)
+        capped = rate ** cap
+        assert abs((counts == cap).mean() - capped) <= 4 * np.sqrt(
+            capped * (1 - capped) / n)
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(seed=5, message_loss=MessageLoss(0.3)),
+        FaultPlan(seed=7, checkpoint=Checkpoint(2),
+                  message_loss=MessageLoss(0.3),
+                  crashes=(Crash(2, 20), Crash(3, 300)))],
+        ids=["loss", "crash+loss"])
+    def test_a_run_reads_the_counts_of_its_exchanges_in_booking_order(
+            self, dist_problem, plan):
+        """Booked in one stretch (untraced), a stretch a program (traced)
+        or cut by a crash and re-executed on the survivors, a run's lossy
+        exchanges read ordinals 0, 1, 2, ... in booking order: the losses
+        it lists are the nonzero counts, in turn."""
+        run = RefDistRun(dist_problem, 4, mg_levels=3, faults=plan)
+        with obs.disabled():
+            computed_ = run.run_cg(max_iters=10)
+            priced = run.run_cg(max_iters=10)
+        with obs.run():
+            traced = run.run_cg(max_iters=10)
+        counts = FaultInjector(plan, 4).retry_counts(10 ** 4)
+        lost = counts[counts > 0].tolist()
+        for result in (computed_, priced, traced):
+            retries = [event["detail"]["retries"]
+                       for event in result.resilience["events"]
+                       if event["kind"] == "message_loss"]
+            assert len(retries) > 10
+            assert retries == lost[:len(retries)]
+            assert result.resilience["recoveries"] == len(plan.crashes)
+
+    def test_a_warm_faulted_run_books_its_events_in_blocks(
+            self, dist_problem, python_calls):
+        """An untraced warm lossy run records no event one by one and
+        lays its retries out without sorting its terms; an untraced
+        checkpointed run records none of its checkpoints one by one."""
+        lossy = RefDistRun(dist_problem, 4, mg_levels=3, faults=FaultPlan(
+            seed=5, message_loss=MessageLoss(0.3)))
+        kept = RefDistRun(dist_problem, 4, mg_levels=3,
+                          faults=FaultPlan(checkpoint=Checkpoint(1)))
+        record, argsort = (FaultInjector.record.__code__,
+                           np.argsort.__wrapped__.__code__)
+        with obs.disabled():
+            for run in (lossy, kept):
+                run.run_cg(max_iters=6)         # keeps the programs
+            assert python_calls(lambda: lossy.run_cg(max_iters=6),
+                                code=record) == 0
+            assert python_calls(lambda: lossy.run_cg(max_iters=6),
+                                code=argsort) == 0
+            assert python_calls(lambda: kept.run_cg(max_iters=6),
+                                code=record) == 0
+            assert lossy.run_cg(max_iters=6).resilience[
+                "exchange_retries"] > 0
+            assert kept.run_cg(max_iters=6).resilience["checkpoints"] == 5
 
 
 class TestLossBlocks:
