@@ -32,7 +32,7 @@ while both sit on the same Mellanox 100 Gb/s fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,30 +75,22 @@ class BSPMachine:
         """Wire time of one superstep: ``h*g + L`` (no local work)."""
         return h_bytes / self.net_bandwidth + self.latency
 
-    def hidden_comm_time(self, h_bytes: float, overlap_bytes: float = 0.0,
-                         overlap_efficiency: Optional[float] = None) -> float:
+    def hidden_comm_time(self, h_bytes: float,
+                         overlap_bytes: float = 0.0) -> float:
         """Seconds of wire time hidden behind tagged overlapped compute."""
         if overlap_bytes <= 0.0:
             return 0.0
-        eff = (self.overlap_efficiency if overlap_efficiency is None
-               else overlap_efficiency)
-        if not (0.0 <= eff <= 1.0):
-            raise InvalidValue(
-                f"overlap efficiency must lie in [0, 1], got {eff}"
-            )
-        return eff * min(overlap_bytes / self.mem_bandwidth,
-                         self.comm_time(h_bytes))
+        return self.overlap_efficiency * min(
+            overlap_bytes / self.mem_bandwidth, self.comm_time(h_bytes))
 
-    def exposed_comm_time(self, h_bytes: float, overlap_bytes: float = 0.0,
-                          overlap_efficiency: Optional[float] = None) -> float:
+    def exposed_comm_time(self, h_bytes: float,
+                          overlap_bytes: float = 0.0) -> float:
         """Wire time left on the critical path after overlap."""
         return (self.comm_time(h_bytes)
-                - self.hidden_comm_time(h_bytes, overlap_bytes,
-                                        overlap_efficiency))
+                - self.hidden_comm_time(h_bytes, overlap_bytes))
 
     def superstep_time(self, work_bytes: float, h_bytes: float,
-                       overlap_bytes: float = 0.0,
-                       overlap_efficiency: Optional[float] = None) -> float:
+                       overlap_bytes: float = 0.0) -> float:
         """Seconds for one superstep.
 
         Eager (``overlap_bytes == 0``): the classic ``w + h*g + L``.
@@ -106,11 +98,8 @@ class BSPMachine:
         local compute, leaving only the exposed wire time — at full
         overlap this is ``max(work_time, comm_time)``.
         """
-        return (
-            work_bytes / self.mem_bandwidth
-            + self.exposed_comm_time(h_bytes, overlap_bytes,
-                                     overlap_efficiency)
-        )
+        return (work_bytes / self.mem_bandwidth
+                + self.exposed_comm_time(h_bytes, overlap_bytes))
 
     def work_time(self, work_bytes: float) -> float:
         """Seconds for a purely local operation (no barrier, no network)."""
@@ -153,9 +142,7 @@ class BSPMachine:
         return work_bytes / self.mem_bandwidth + exposed, full, exposed, hidden
 
     def superstep_costs(self, work_bytes: float, h_bytes: float,
-                        overlap_bytes: float = 0.0,
-                        overlap_efficiency: Optional[float] = None
-                        ) -> dict:
+                        overlap_bytes: float = 0.0) -> dict:
         """Every component of one superstep's price, in one pass.
 
         Returns ``{"work", "comm_full", "comm_exposed", "comm_hidden",
@@ -167,8 +154,7 @@ class BSPMachine:
         """
         work = self.work_time(work_bytes)
         comm_full = self.comm_time(h_bytes)
-        hidden = self.hidden_comm_time(h_bytes, overlap_bytes,
-                                       overlap_efficiency)
+        hidden = self.hidden_comm_time(h_bytes, overlap_bytes)
         exposed = comm_full - hidden
         return {
             "work": work,

@@ -537,11 +537,6 @@ class CommTracker:
     def total_h(self) -> int:
         return sum(s.h for s in self.supersteps)
 
-    @property
-    def total_overlapped_work(self) -> float:
-        """Bytes of local compute tagged as overlapping some exchange."""
-        return sum(s.overlapped_work for s in self.supersteps)
-
     def max_send_per_node(self) -> int:
         """The largest per-node send volume of any single superstep."""
         if not self.supersteps:

@@ -558,17 +558,6 @@ class FaultInjector:
         return loss.max_retries - _lowest(loss.rate, loss.max_retries
                                           ).searchsorted(words, side="right")
 
-    def book_losses(self, supersteps: np.ndarray,
-                    labels: Sequence[Optional[str]],
-                    retries: np.ndarray) -> None:
-        """Record the loss of each exchange closing at ``supersteps[i]``,
-        re-driven ``retries[i]`` times, as one block (see :meth:`book`)."""
-        if not len(retries):
-            return
-        self.exchange_retries += int(retries.sum())
-        self.book(lambda: losses(supersteps, labels, retries),
-                  {"message_loss": len(retries)})
-
     def check_crash(self, superstep: int) -> None:
         """Raise :class:`NodeCrash` when a planned failure is due.
 

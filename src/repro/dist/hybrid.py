@@ -58,8 +58,8 @@ class HybridALPRun(SimulatedDistRun):
     """Simulated distributed HPCG over 1D block-cyclic ALP containers.
 
     ``engine`` keywords are :class:`~repro.dist.simulate.SimulatedDistRun`'s,
-    passed through unchanged: ``comm_mode``, ``overlap_efficiency``,
-    ``agglomerate_below``, ``faults``.
+    passed through unchanged: ``comm_mode``, ``agglomerate_below``,
+    ``faults``.
     """
 
     backend = "alp-1d"

@@ -42,8 +42,8 @@ class Hybrid2DRun(SimulatedDistRun):
     """Simulated distributed HPCG over a 2D block matrix distribution.
 
     ``engine`` keywords are :class:`~repro.dist.simulate.SimulatedDistRun`'s,
-    passed through unchanged: ``comm_mode``, ``overlap_efficiency``,
-    ``agglomerate_below``, ``faults``.
+    passed through unchanged: ``comm_mode``, ``agglomerate_below``,
+    ``faults``.
     """
 
     backend = "alp-2d"

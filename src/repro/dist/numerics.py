@@ -154,9 +154,6 @@ class _Numerics(list):
         ColorMajorVCycle.residual_rows(
             [level.smoother for level in self],
             [level.injection for level in self[:-1]])
-        #: per level, the colour steps of one symmetric sweep
-        self.orders = [(*range(level.ncolors), *range(level.ncolors)[::-1])
-                       for level in self]
 
     def apply(self, kernel: ColorMajorVCycle, z: np.ndarray,
               r: np.ndarray) -> bool:
@@ -165,9 +162,8 @@ class _Numerics(list):
         if not kernel.load(r):
             self.transcribe(z, r)
             return False
-        for _, _, programs in kernel.schedule(self.orders, 1, 1):
-            for calls in programs:
-                execute(calls)
+        for _, _, calls in kernel.schedule():
+            execute(calls)
         kernel.store(z)
         return True
 

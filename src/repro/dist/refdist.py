@@ -61,8 +61,8 @@ class RefDistRun(SimulatedDistRun):
     """Simulated distributed HPCG with the reference 3D distribution.
 
     ``engine`` keywords are :class:`~repro.dist.simulate.SimulatedDistRun`'s,
-    passed through unchanged: ``comm_mode``, ``overlap_efficiency``,
-    ``agglomerate_below``, ``faults``.
+    passed through unchanged: ``comm_mode``, ``agglomerate_below``,
+    ``faults``.
     """
 
     backend = "ref-3d"

@@ -325,7 +325,7 @@ class _RunState:
                 "mg_levels": run.mg_levels,
                 "machine": run.machine.name,
                 "comm_mode": run.comm_mode,
-                "overlap_efficiency": run.overlap_efficiency,
+                "overlap_efficiency": run.machine.overlap_efficiency,
                 "agglomerate_below": run.agglomerate_below,
             })
             if inj is not None:

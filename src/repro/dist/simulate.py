@@ -10,9 +10,11 @@ kernel of the serial fused path, so residual histories are bit-identical
 to ``run_hpcg``.  The engine adds the accounting only: each kernel it
 hands the loop is followed by the backend's ``*_comm`` hook, which
 books the superstep's exchange plan; each preconditioner application by
-the one V-cycle walk, which books Listing 1's steps in order and runs
-none.  On a :class:`~repro.dist.faults.NodeCrash` ``run_cg``
-repartitions onto the survivors and resumes from the last checkpoint.
+``_vcycle``, which books Listing 1's steps in the order
+:func:`~repro.graphblas.substrate.csr.vcycle` states (the kernel's
+schedule runs them in it) and runs none.  On a
+:class:`~repro.dist.faults.NodeCrash` ``run_cg`` repartitions onto the
+survivors and resumes from the last checkpoint.
 Convergence is unchanged by the distribution (the paper's Section V
 precondition), so backends compete purely on the communication they
 induce, priced on the ``machine=`` a run is given, else on the Table-II
@@ -42,7 +44,7 @@ Pricing options: an explicit ``comm_mode=``, else the ``REPRO_OVERLAP``
 force, else ``"eager"`` (each exchange a synchronous ``work + comm``);
 under ``"overlap"`` exchanges are posted and wire time hides behind the
 local compute the backend tags, up to the machine's
-``overlap_efficiency`` (``overlap_efficiency=`` overrides that field) —
+``overlap_efficiency`` (a :class:`~repro.dist.bsp.BSPMachine` field) —
 pricing only, as full and exposed wire time per timer key shows.
 ``agglomerate_below=n`` gathers every coarse MG level of at most ``n``
 rows onto node 0: single-node local work, for one gather entering the
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -71,7 +72,7 @@ from repro.dist.numerics import _SHARED, SimLevel, _Numerics, require_fits
 from repro.dist.partition import Block1D
 from repro.dist.result import DistRunResult, _RunState
 from repro.dist.tape import COLLECTIVE, LOCAL, POSTED, SYNC, Program
-from repro.graphblas.substrate.csr import ColorMajorVCycle
+from repro.graphblas.substrate.csr import ColorMajorVCycle, vcycle
 from repro.hpcg.problem import Problem
 from repro.ref.cg import CGState, cg_iterations, cg_start, require_cg_limits
 from repro.ref.kernels import compute_dot, compute_spmv, compute_waxpby
@@ -86,7 +87,6 @@ class SimulatedDistRun:
     def __init__(self, problem: Problem, nprocs: int, mg_levels: int = 4,
                  machine: Optional[BSPMachine] = None,
                  comm_mode: Optional[str] = None,
-                 overlap_efficiency: Optional[float] = None,
                  agglomerate_below: int = 0,
                  faults: Optional[FaultPlan] = None):
         if machine is None:
@@ -101,15 +101,9 @@ class SimulatedDistRun:
             faults.validate_for(nprocs)
         self.problem = problem
         self.mg_levels = mg_levels
-        # an overlap_efficiency override is folded into the machine, so
-        # every pricing helper that takes ``run.machine`` agrees
-        if overlap_efficiency is not None:
-            machine = dataclasses.replace(
-                machine, overlap_efficiency=overlap_efficiency)
         self.machine = machine
         self.comm_mode = resolve_comm_mode(comm_mode)
         self.overlap = self.comm_mode == "overlap"
-        self.overlap_efficiency = machine.overlap_efficiency
         self.agglomerate_below = agglomerate_below
         self.n = problem.n
         # shared with every run on the problem; each gets copies
@@ -334,56 +328,56 @@ class SimulatedDistRun:
         if not state.priced and not self._numerics.apply(self._kernel, z, r):
             state.transcribed += 1
         if state.recording is not None:
-            self._vcycle(0)
+            self._vcycle()
         return z
 
-    def _smooth(self, level: SimLevel) -> None:
-        """Book one symmetric sweep: colours ascending, then descending,
-        each colour step as its exchanges or local work."""
-        sweep = level.smoother
-        forward = list(range(level.ncolors))
-        for order in (forward, forward[::-1]):
-            for c, nxt in zip(order, [*order[1:], None]):
+    def _vcycle(self) -> None:
+        """Book one V-cycle: :func:`~repro.graphblas.substrate.csr.vcycle`'s
+        steps in its order, each level inside the marks of an ``mg/L{i}``
+        span.  A smoothing is one symmetric sweep, colours ascending then
+        descending, each colour step as its exchanges or local work; a
+        level on node 0 does its full work with no messages."""
+        levels, state = self.levels, self._state
+
+        @contextlib.contextmanager
+        def visit(i: int):
+            level = levels[i]
+            state.marks.append((len(state.recording), f"mg/L{i}", {
+                "level": i, "n": level.n, "agglomerated": level.agglomerated}))
+            yield
+            state.marks.append((len(state.recording), None, None))
+
+        def step(i: int, name: str) -> None:
+            level = levels[i]
+            if name in ("pre", "post"):
+                sweep, forward = level.smoother, list(range(level.ncolors))
+                for order in (forward, forward[::-1]):
+                    for c, nxt in zip(order, [*order[1:], None]):
+                        if level.agglomerated:
+                            self._tick_local(f"mg/L{i}/rbgs", mxv_bytes(
+                                sweep.nnzs[c], sweep.sizes[c]))
+                        else:
+                            self._rbgs_comm(level, c, nxt)
+                return
+            key, coarse = f"mg/L{i}/{name}", levels[i + 1]
+            if name == "spmv":
                 if level.agglomerated:
-                    self._tick_local(f"mg/L{level.index}/rbgs",
-                                     mxv_bytes(sweep.nnzs[c], sweep.sizes[c]))
+                    self._tick_local(key, mxv_bytes(level.A.nnz, level.n))
                 else:
-                    self._rbgs_comm(level, c, nxt)
-
-    def _transfer(self, fine: SimLevel, coarse: SimLevel, comm, key: str,
-                  sync_label: str, to_root: bool) -> None:
-        """Book one grid transfer between ``fine`` and ``coarse``."""
-        if not coarse.agglomerated:
-            comm(fine, coarse)
-        elif fine.agglomerated:
-            # both levels already sit on node 0: a local copy
-            self._tick_local(key, _RESTRICT_COPY_BYTES * coarse.n)
-        else:
-            self._root_exchange(self._close_superstep, sync_label, key,
-                                coarse.n, to_root=to_root)
-
-    def _vcycle(self, li: int) -> None:
-        """Book one V-cycle: ``ref_mg_vcycle``'s steps in its order, inside
-        the marks of an ``mg/L{li}`` span."""
-        level, marks = self.levels[li], self._state.marks
-        marks.append((len(self._state.recording), f"mg/L{li}", {
-            "level": li, "n": level.n, "agglomerated": level.agglomerated}))
-        self._smooth(level)                           # pre-smoothing
-        if li + 1 < len(self.levels):
-            coarse = self.levels[li + 1]
-            if level.agglomerated:
-                # the whole level lives on node 0: full work, no messages
-                self._tick_local(f"mg/L{li}/spmv",
-                                 mxv_bytes(level.A.nnz, level.n))
+                    self._spmv_comm(level, "mg_spmv", key)
+            elif not coarse.agglomerated:
+                (self._restrict_comm if name == "restrict"
+                 else self._prolong_comm)(level, coarse)
+            elif level.agglomerated:
+                # both levels already sit on node 0: a local copy
+                self._tick_local(key, _RESTRICT_COPY_BYTES * coarse.n)
             else:
-                self._spmv_comm(level, "mg_spmv", f"mg/L{li}/spmv")
-            self._transfer(level, coarse, self._restrict_comm,
-                           f"mg/L{li}/restrict", "agg_gather", True)
-            self._vcycle(li + 1)
-            self._transfer(level, coarse, self._prolong_comm,
-                           f"mg/L{li}/prolong", "agg_scatter", False)
-            self._smooth(level)                       # post-smoothing
-        marks.append((len(self._state.recording), None, None))
+                to_root = name == "restrict"
+                self._root_exchange(self._close_superstep,
+                                    "agg_gather" if to_root else "agg_scatter",
+                                    key, coarse.n, to_root=to_root)
+
+        vcycle(len(levels), step, visit)
 
     # --- checkpoint / restart ------------------------------------------------
     #: vectors a CG checkpoint persists (x, r, p)

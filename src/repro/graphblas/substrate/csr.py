@@ -19,6 +19,7 @@ contracts its multiply-adds.
 from __future__ import annotations
 
 import copy
+from contextlib import nullcontext
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -309,6 +310,22 @@ class CsrColorSweep(ColorSweep):
         return head
 
 
+def vcycle(depth: int, step, visit, i: int = 0) -> None:
+    """Listing 1's order over ``depth`` levels, stated once for every
+    V-cycle but the ``ref_mg_vcycle`` oracle: inside ``visit(i)``,
+    ``step(i, "pre")``, then above the coarsest level ``"spmv"`` (the
+    residual), ``"restrict"``, level ``i + 1``'s cycle, ``"prolong"`` and
+    ``"post"``.  A smoothing is one symmetric pass, as HPCG fixes."""
+    with visit(i):
+        step(i, "pre")
+        if i + 1 < depth:
+            step(i, "spmv")
+            step(i, "restrict")
+            vcycle(depth, step, visit, i + 1)
+            step(i, "prolong")
+            step(i, "post")
+
+
 class ColorMajorVCycle:
     """One preconditioner application, colour-major from entry to exit,
     on raw arrays: the kernel under the serial
@@ -330,8 +347,8 @@ class ColorMajorVCycle:
     residual on the injected rows only, so the residual multiplies just
     those rows — one plain copy of them, in injection order
     (:meth:`~CsrColorSweep.plain`) — and restriction subtracts.  ``load``
-    and restriction zero a level's iterate, so a pre-smoothing's first
-    pass is compiled from zero: its first colour step skips the product.
+    and restriction zero a level's iterate, so a pre-smoothing is
+    compiled from zero: its first colour step skips the product.
     That is the kernel's arithmetic, not the algorithm's: a caller
     pricing Listing 1 (the dist engine) prices every step.  ``load`` and
     restriction overwrite every vector a level reads: an abandoned
@@ -349,7 +366,11 @@ class ColorMajorVCycle:
         # injected rows, r_{i+1} = R (r_i - f_i) with z_{i+1} = 0, and
         # z_i += R' z_{i+1}
         self._transfers = [self._compile(i) for i in range(len(sweeps) - 1)]
-        self._schedules = {}
+        segments = []
+        vcycle(len(sweeps),
+               lambda *step: segments.append(self._segment(*step)),
+               lambda i: nullcontext())
+        self._schedule = tuple(segments)
 
     @staticmethod
     def residual_rows(sweeps: Sequence[CsrColorSweep],
@@ -364,7 +385,7 @@ class ColorMajorVCycle:
             rows.append((sweep.plain(injection), injection))
         return rows
 
-    def _compile(self, i: int) -> tuple:
+    def _compile(self, i: int) -> dict:
         sweep, head, f, injection = self._levels[i]
         coarse = self._levels[i + 1][0]
         residual = ((f.fill, (0.0,)), (_csr_matvec, (*head, sweep.z, f)))
@@ -378,7 +399,17 @@ class ColorMajorVCycle:
                    (sweep.z.take, (injection, None, f, "clip")),
                    (np.add, (f, coarse.r, f)),
                    (sweep.z.__setitem__, (injection, f)))
-        return residual, restrict, prolong
+        return {"spmv": residual, "restrict": restrict, "prolong": prolong}
+
+    def _segment(self, i: int, name: str) -> tuple:
+        """Step ``name`` on level ``i``: a smoothing is one symmetric pass
+        (colours up, then down), the pre-smoothing's from zero."""
+        if name not in ("pre", "post"):
+            return i, name, self._transfers[i][name]
+        sweep = self._levels[i][0]
+        k = len(sweep.sizes)
+        return i, "rbgs", sweep.program((*range(k), *range(k)[::-1]),
+                                        name == "pre")
 
     def load(self, r: np.ndarray) -> bool:
         """Start an application of ``z = M r`` on natural-order ``r``;
@@ -394,28 +425,9 @@ class ColorMajorVCycle:
         """Scatter the fine iterate into natural-order ``z``."""
         self._levels[0][0].store(z)
 
-    def schedule(self, orders, pre: int, post: int) -> tuple:
-        """One application after :meth:`load` as ``(level, step,
-        programs)`` segments in ``ref_mg_vcycle``'s order — ``step`` one
-        of ``rbgs``, ``spmv`` (the residual), ``restrict``, ``prolong`` —
-        with one program (:func:`execute`) per grid transfer and per
-        smoother pass: ``pre`` and ``post`` passes of ``orders[i]`` on
-        level ``i``.  Compiled once per arguments."""
-        key = (tuple(map(tuple, orders)), pre, post)
-        segments = self._schedules.get(key)
-        if segments is None:
-            segments = self._schedules[key] = tuple(self._segments(0, *key))
-        return segments
-
-    def _segments(self, i: int, orders, pre: int, post: int):
-        sweep, order = self._levels[i][0], orders[i]
-        yield i, "rbgs", tuple(sweep.program(order, j == 0)
-                               for j in range(pre))
-        if i + 1 == len(self._levels):
-            return
-        residual, restrict, prolong = self._transfers[i]
-        yield i, "spmv", (residual,)
-        yield i, "restrict", (restrict,)
-        yield from self._segments(i + 1, orders, pre, post)
-        yield i, "prolong", (prolong,)
-        yield i, "rbgs", (sweep.program(order),) * post
+    def schedule(self) -> tuple:
+        """One application after :meth:`load` as :func:`vcycle`'s ``(level,
+        step, calls)`` segments, compiled with the kernel: ``step`` as
+        timers name it (``rbgs``, ``spmv``, ``restrict``, ``prolong``),
+        ``calls`` one program (:func:`execute`)."""
+        return self._schedule

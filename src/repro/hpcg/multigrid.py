@@ -12,9 +12,10 @@ The cycle at one level:
 3. restrict it to the coarse grid,
 4. recurse from ``z_c = 0``,
 5. refine-and-add the coarse correction,
-6. post-smooth.
+6. post-smooth (one symmetric pass: HPCG fixes one each side).
 
 At the coarsest level only the smoother runs (Listing 1 lines 3-4).
+:func:`~repro.graphblas.substrate.csr.vcycle` states that order once.
 
 :func:`mg_vcycle` is that cycle on GraphBLAS primitives — restriction
 and refinement as products with the injection matrix ``R``.
@@ -23,9 +24,8 @@ and refinement as products with the injection matrix ``R``.
 (``REPRO_FUSED=0``, ``fused=False``, a non-RBGS smoother, a non-CSR
 substrate, an installed perf collector, ...) and otherwise runs the
 compiled schedule of the plan's colour-major array kernel, where the two
-products are index moves: traced, stepped through the same instrumented
-recursion; untraced, flat under the same timers.  The results are
-bit-identical.
+products are index moves: traced, segment by segment in the same walk;
+untraced, flat under the same timers.  The results are bit-identical.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Callable, List, Optional
 from repro import graphblas as grb
 from repro import obs
 from repro.graphblas import fused as fused_ext
+from repro.graphblas.substrate.csr import execute, vcycle
 from repro.grid import Grid3D
 from repro.hpcg.coloring import color_masks, coloring_for_problem, lattice_coloring
 from repro.hpcg.problem import Problem, build_operator
@@ -139,31 +140,34 @@ def build_hierarchy(
     return top
 
 
-def _level_names(level: MGLevel) -> tuple:
-    """Span name and arguments, then per step (timer key, label)."""
-    i, tag = level.index, f"mg/L{level.index}"
-    return (tag, {"level": i, "n": level.n},
-            *((f"{tag}/{step}", f"{label}@L{i}") for step, label in (
-                ("rbgs", "rbgs"), ("spmv", "mg_spmv"),
-                ("restrict", "restrict"), ("prolong", "refine"))))
+#: per :func:`vcycle` step: the timer's step, the backend label, the body
+_STEPS = {"pre": ("rbgs", "rbgs", "smooth"),
+          "post": ("rbgs", "rbgs", "smooth"),
+          "spmv": ("spmv", "mg_spmv", "residual"),
+          "restrict": ("restrict",) * 3,
+          "prolong": ("prolong", "refine", "prolong")}
 
 
 class _VCycle:
     """The instrumented walk of Listing 1 over one hierarchy.
 
-    :meth:`walk` is the only copy of the instrumented recursion; the
-    four per-level steps below are the transcription — GraphBLAS
-    primitives on the level's containers, the oracle — and
-    :class:`_PlannedVCycle` overrides them.  Names resolve once per
-    walker, the obs context and backend labels once per application
-    (:meth:`arm`), so no level reads the environment.
+    :meth:`walk` drives :func:`vcycle`; the per-level step bodies below
+    are the transcription — GraphBLAS primitives on the level's
+    containers, the oracle — and :class:`_PlannedVCycle` overrides them.
+    Names resolve once per walker, under each level's own index (a walk
+    may start below the top), the obs context and backend labels once
+    per application (:meth:`arm`), so no level reads the environment.
     """
 
-    def __init__(self, top: MGLevel, timers, pre_sweeps: int,
-                 post_sweeps: int):
+    def __init__(self, top: MGLevel, timers):
         self.measure = timers.measure
-        self.names = {lvl.index: _level_names(lvl) for lvl in top.levels()}
-        self.pre_sweeps, self.post_sweeps = pre_sweeps, post_sweeps
+        self.levels = top.levels()
+        # per level: its span's name and arguments, then per step its
+        # timer key, label and body
+        self.names = [(f"mg/L{lvl.index}", {"level": lvl.index, "n": lvl.n}, {
+            name: (f"mg/L{lvl.index}/{key}", f"{label}@L{lvl.index}", body)
+            for name, (key, label, body) in _STEPS.items()})
+            for lvl in self.levels]
 
     def arm(self) -> "_VCycle":
         ctx = obs.current()
@@ -174,29 +178,31 @@ class _VCycle:
             "mg_level_visits_total", "V-cycle visits per MG level")
         return self
 
-    def walk(self, level: MGLevel, z, r) -> None:
-        measure, label, span = self.measure, self.label, self.span
-        tag, args, (rbgs, rbgs_at), (spmv, spmv_at), (down, down_at), \
-            (up, up_at) = self.names[level.index]
-        with span(tag, "mg", args):
-            if self.visits is not None:
-                self.visits.inc(level=level.index)
-            with measure(rbgs), label(rbgs_at):
-                self.smooth(level, z, r, self.pre_sweeps)
-            if level.coarser is None:
-                return
-            with measure(spmv), label(spmv_at), span(spmv, "mg"):
-                self.residual(level, z, r)
-            with measure(down), label(down_at), span(down, "mg"):
-                self.restrict(level)
-            self.walk(level.coarser, level.zc, level.rc)
-            with measure(up), label(up_at), span(up, "mg"):
-                self.prolong(level, z)
-            with measure(rbgs), label(rbgs_at):
-                self.smooth(level, z, r, self.post_sweeps)
+    def walk(self, z, r) -> None:
+        """``z <- M r``: a level visited under its span and visit count,
+        a step under its timer and label, a grid transfer its span."""
+        measure, label, span, visits = (self.measure, self.label, self.span,
+                                        self.visits)
+        levels, names = self.levels, self.names
+        vectors = [(z, r), *((lvl.zc, lvl.rc) for lvl in levels[:-1])]
 
-    def smooth(self, level: MGLevel, z, r, sweeps: int) -> None:
-        level.smoother.smooth(z, r, sweeps=sweeps)
+        def visit(i: int):
+            tag, args, _ = names[i]
+            if visits is not None:
+                visits.inc(level=args["level"])
+            return span(tag, "mg", args)
+
+        def step(i: int, name: str) -> None:
+            key, at, body = names[i][2][name]
+            with measure(key), label(at), (
+                    obs.null_scope() if name in ("pre", "post")
+                    else span(key, "mg")):
+                getattr(self, body)(levels[i], *vectors[i])
+
+        vcycle(len(levels), step, visit)
+
+    def smooth(self, level: MGLevel, z, r) -> None:
+        level.smoother.smooth(z, r)
 
     def residual(self, level: MGLevel, z, r) -> None:
         # f <- r - A z, fused when the extension accepts the call
@@ -205,11 +211,11 @@ class _VCycle:
             grb.mxv(level.f, None, level.A, z)          # f <- A z
             grb.waxpby(level.f, 1.0, r, -1.0, level.f)  # f <- r - f
 
-    def restrict(self, level: MGLevel) -> None:
+    def restrict(self, level: MGLevel, z, r) -> None:
         restrict(level.rc, level.R, level.f)        # rc <- R (r - A z)
         level.zc.fill(0.0)                          # zc <- 0
 
-    def prolong(self, level: MGLevel, z) -> None:
+    def prolong(self, level: MGLevel, z, r) -> None:
         prolong_add(z, level.R, level.zc)           # z <- z + R' zc
 
 
@@ -217,66 +223,53 @@ class _PlannedVCycle(_VCycle):
     """The same walk over a loaded :class:`fused.VCyclePlan`: every
     level's vectors live colour-major inside the plan's array kernel,
     and each step executes the next segment of the kernel's compiled
-    schedule, a traced smoother pass under the span the smoother itself
-    would record.  Untraced, nothing runs between the segments but the
-    timers: :meth:`run` executes them flat, each inside the timer scope
-    :meth:`walk` gives its step."""
+    schedule (in :func:`vcycle`'s order too), a smoothing under the span
+    the smoother itself would record.  Untraced, nothing runs between
+    the segments but the timers: :meth:`run` executes them flat, each
+    inside the timer scope :meth:`walk` gives its step."""
 
-    def __init__(self, plan: fused_ext.VCyclePlan, top: MGLevel, *args):
-        super().__init__(top, *args)
-        self.plan, self.top = plan, top.index
-        self.levels = top.levels()
+    def __init__(self, plan: fused_ext.VCyclePlan, top: MGLevel, timers):
+        super().__init__(top, timers)
+        self.plan = plan
         self._kernel = self._flat = None    # the schedule, as last compiled
 
     def arm(self) -> "_PlannedVCycle":
         kernel = self.plan.kernel
         if kernel is not self._kernel:
             self._kernel, self._flat = kernel, None
-            self._segments = kernel.schedule(
-                [lvl.smoother.symmetric_order for lvl in self.levels],
-                self.pre_sweeps, self.post_sweeps)
+            self._segments = kernel.schedule()
         self._next = iter(self._segments).__next__
         return super().arm()
 
     def run(self) -> None:
         if self._flat is None:
-            self._flat = [(self.measure(f"mg/L{self.top + i}/{step}"),
-                           sum(programs, ()))
-                          for i, step, programs in self._segments]
+            self._flat = [
+                (self.measure(f"mg/L{self.levels[i].index}/{step}"), calls)
+                for i, step, calls in self._segments]
         for timer, calls in self._flat:
             with timer:
                 for f, args in calls:
                     f(*args)
 
-    def smooth(self, level: MGLevel, z, r, sweeps: int) -> None:
-        attrs = level.smoother.sweep_attrs
-        for calls in self._next()[2]:
-            with self.span(*SWEEP_SPAN) as sp:
-                for f, args in calls:
-                    f(*args)
-                sp.set(**attrs(True))
+    def smooth(self, level: MGLevel, z, r) -> None:
+        with self.span(*SWEEP_SPAN) as sp:
+            execute(self._next()[2])
+            sp.set(**level.smoother.sweep_attrs(True))
 
     def _transfer(self, *_) -> None:
-        for f, args in self._next()[2][0]:
-            f(*args)
+        execute(self._next()[2])
 
     residual = restrict = prolong = _transfer
 
 
-def mg_vcycle(
-    level: MGLevel,
-    z: grb.Vector,
-    r: grb.Vector,
-    timers=null_timer,
-    pre_sweeps: int = 1,
-    post_sweeps: int = 1,
-) -> grb.Vector:
+def mg_vcycle(level: MGLevel, z: grb.Vector, r: grb.Vector,
+              timers=null_timer) -> grb.Vector:
     """Apply one V-cycle at ``level``, improving ``z`` toward ``A^-1 r``.
 
     Transcription of Listing 1; ``timers`` receives per-level entries
     under ``mg/L{i}/...`` which the breakdown figures consume.
     """
-    _VCycle(level, timers, pre_sweeps, post_sweeps).arm().walk(level, z, r)
+    _VCycle(level, timers).arm().walk(z, r)
     return z
 
 
@@ -287,22 +280,17 @@ class MGPreconditioner:
     :class:`~repro.graphblas.fused.VCyclePlan` (bound to every level's
     smoother plan and ``R``, revalidated per call) and runs
     :func:`mg_vcycle` on the containers when the plan declines.  With
-    no obs context the plan's kernel runs its compiled schedule.
+    no obs context the plan's kernel runs its compiled schedule.  Every
+    level smooths with one symmetric pass before and one after, HPCG's.
     """
 
-    def __init__(self, hierarchy: MGLevel, timers=null_timer,
-                 pre_sweeps: int = 1, post_sweeps: int = 1):
-        if pre_sweeps < 0 or post_sweeps < 0:
-            raise InvalidValue(
-                f"sweep counts must be non-negative, got pre_sweeps="
-                f"{pre_sweeps}, post_sweeps={post_sweeps}")
+    def __init__(self, hierarchy: MGLevel, timers=null_timer):
         self.hierarchy = hierarchy
         self._plan = fused_ext.VCyclePlan(
             [(getattr(lvl.smoother, "plan", None), lvl.R)
              for lvl in hierarchy.levels()])
-        args = hierarchy, timers, pre_sweeps, post_sweeps
-        self._walk = _VCycle(*args)
-        self._planned_walk = _PlannedVCycle(self._plan, *args)
+        self._walk = _VCycle(hierarchy, timers)
+        self._planned_walk = _PlannedVCycle(self._plan, hierarchy, timers)
 
     def __call__(self, z: grb.Vector, r: grb.Vector) -> grb.Vector:
         if z is r:      # z is zero-filled before r is read
@@ -310,12 +298,12 @@ class MGPreconditioner:
                 "MG preconditioner output must not alias the residual")
         if not self._plan.load(z, r):
             z.fill(0.0)
-            self._walk.arm().walk(self.hierarchy, z, r)
+            self._walk.arm().walk(z, r)
             return z
         walk = self._planned_walk.arm()
         if walk.span is obs.null_scope:
             walk.run()
         else:
-            walk.walk(self.hierarchy, z, r)
+            walk.walk(z, r)
         self._plan.store(z)
         return z

@@ -221,40 +221,3 @@ def split_stream(stream: Dict[str, float]) -> Dict[str, Dict[str, float]]:
             out.get(kernel, {}).get(level or "-", 0.0) + nbytes
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# distributed communication: overlapped vs. exposed wire time
-# ---------------------------------------------------------------------------
-
-def comm_overlap_stream(machine, tracker) -> Dict[str, Dict[str, float]]:
-    """Per-label wire-time decomposition of a recorded trace.
-
-    For each superstep label the full ``h*g + L`` wire time, the
-    *exposed* remainder after split-phase supersteps hide what their
-    ``overlapped_work`` tags allow, and the hidden difference:
-    ``{label: {"full": s, "exposed": s, "hidden": s}}``.  ``machine``
-    is a :class:`repro.dist.bsp.BSPMachine`; eager traces report
-    ``hidden == 0`` everywhere.
-    """
-    out: Dict[str, Dict[str, float]] = {}
-    for step in tracker.supersteps:
-        label = step.label or "-"
-        full = machine.comm_time(step.h)
-        exposed = machine.exposed_comm_time(step.h, step.overlapped_work)
-        row = out.setdefault(label,
-                             {"full": 0.0, "exposed": 0.0, "hidden": 0.0})
-        row["full"] += full
-        row["exposed"] += exposed
-        row["hidden"] += full - exposed
-    return out
-
-
-def overlap_savings(machine, tracker) -> float:
-    """Fraction of a trace's wire time hidden by split-phase overlap."""
-    full = sum(machine.comm_time(s.h) for s in tracker.supersteps)
-    if full == 0.0:
-        return 0.0
-    exposed = sum(machine.exposed_comm_time(s.h, s.overlapped_work)
-                  for s in tracker.supersteps)
-    return (full - exposed) / full

@@ -115,13 +115,14 @@ def ref_mg_vcycle(
     z: np.ndarray,
     r: np.ndarray,
     timers=null_timer,
-    pre_sweeps: int = 1,
-    post_sweeps: int = 1,
 ) -> np.ndarray:
-    """One V-cycle with direct-injection grid transfers."""
+    """One V-cycle with direct-injection grid transfers, one symmetric
+    pass before and after.  Its own recursion: the oracle the V-cycles
+    following :func:`repro.graphblas.substrate.csr.vcycle` are checked
+    against, and the Ref yardstick."""
     tag = f"mg/L{level.index}"
     with timers.measure(f"{tag}/rbgs"):
-        level.smoother.smooth(z, r, sweeps=pre_sweeps)
+        level.smoother.smooth(z, r)
     if level.coarser is None:
         return z
 
@@ -130,28 +131,20 @@ def ref_mg_vcycle(
     with timers.measure(f"{tag}/restrict"):
         level.rc[:] = level.f[level.injection]       # straight injection
     level.zc.fill(0.0)
-    ref_mg_vcycle(level.coarser, level.zc, level.rc, timers,
-                  pre_sweeps=pre_sweeps, post_sweeps=post_sweeps)
+    ref_mg_vcycle(level.coarser, level.zc, level.rc, timers)
     with timers.measure(f"{tag}/prolong"):
         z[level.injection] += level.zc               # refine: scatter-add
     with timers.measure(f"{tag}/rbgs"):
-        level.smoother.smooth(z, r, sweeps=post_sweeps)
+        level.smoother.smooth(z, r)
     return z
 
 
 class RefMGPreconditioner:
     """Callable ``M(z, r)`` wrapper over the reference V-cycle."""
 
-    def __init__(self, hierarchy: RefMGLevel, timers=null_timer,
-                 pre_sweeps: int = 1, post_sweeps: int = 1):
-        if pre_sweeps < 0 or post_sweeps < 0:
-            raise InvalidValue(
-                f"sweep counts must be non-negative, got pre_sweeps="
-                f"{pre_sweeps}, post_sweeps={post_sweeps}")
+    def __init__(self, hierarchy: RefMGLevel, timers=null_timer):
         self.hierarchy = hierarchy
         self.timers = timers
-        self.pre_sweeps = pre_sweeps
-        self.post_sweeps = post_sweeps
 
     def __call__(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
         if np.shares_memory(z, r):
@@ -159,7 +152,4 @@ class RefMGPreconditioner:
             raise OutputAliasing(
                 "MG preconditioner output must not alias the residual")
         z.fill(0.0)
-        return ref_mg_vcycle(
-            self.hierarchy, z, r, self.timers,
-            pre_sweeps=self.pre_sweeps, post_sweeps=self.post_sweeps,
-        )
+        return ref_mg_vcycle(self.hierarchy, z, r, self.timers)

@@ -1,5 +1,7 @@
 """BSP cost model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,10 +78,12 @@ class TestOverlapPricing:
         assert self.M.superstep_time(200, 50, 100) == pytest.approx(7.0)
 
     def test_efficiency_scales_the_hiding(self):
-        assert self.M.superstep_time(
-            200, 50, 100, overlap_efficiency=0.5) == pytest.approx(7.5)
-        assert self.M.superstep_time(
-            200, 50, 100, overlap_efficiency=0.0) == pytest.approx(8.0)
+        assert dataclasses.replace(self.M, overlap_efficiency=0.5
+                                   ).superstep_time(200, 50, 100) \
+            == pytest.approx(7.5)
+        assert dataclasses.replace(self.M, overlap_efficiency=0.0
+                                   ).superstep_time(200, 50, 100) \
+            == pytest.approx(8.0)
 
     def test_machine_level_efficiency_default(self):
         half = BSPMachine("half", 100.0, 10.0, 1.0, overlap_efficiency=0.5)
@@ -103,7 +107,7 @@ class TestOverlapPricing:
         with pytest.raises(InvalidValue):
             BSPMachine("bad", 1.0, 1.0, 0.0, overlap_efficiency=1.5)
         with pytest.raises(InvalidValue):
-            self.M.superstep_time(1, 1, 1, overlap_efficiency=-0.1)
+            dataclasses.replace(self.M, overlap_efficiency=-0.1)
 
     def test_presets_default_full_efficiency(self):
         assert X86_NODE.overlap_efficiency == 1.0

@@ -182,13 +182,6 @@ class TestSplitPhase:
             h.overlap(-1.0)
         t.wait(h)
 
-    def test_total_overlapped_work(self):
-        t = CommTracker(2)
-        t.send(0, 1, 10)
-        t.wait(t.post().overlap(64.0))
-        t.sync()
-        assert t.total_overlapped_work == 64.0
-
 
 @st.composite
 def send_lists(draw):

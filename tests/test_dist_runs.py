@@ -1004,7 +1004,7 @@ class TestSharedNumerics:
 # ---------------------------------------------------------------------------
 
 def segments(run):
-    return run._kernel.schedule(run._numerics.orders, 1, 1)
+    return run._kernel.schedule()
 
 
 class TestScheduledApplications:
@@ -1026,8 +1026,9 @@ class TestScheduledApplications:
         problem = generate_problem(8, 16, 16)
         first = RefDistRun(problem, 4, mg_levels=3)
         shared = [level.smoother for level in first._numerics]
-        for sweep, order in zip(shared, first._numerics.orders):
-            sweep.program(order)
+        for sweep in shared:
+            k = len(sweep.sizes)
+            sweep.program((*range(k), *range(k)[::-1]))
         second = HybridALPRun(problem, 4, mg_levels=3)
         rng = np.random.default_rng(6)
         rs = [rng.standard_normal(problem.n) for _ in range(2)]
@@ -1038,9 +1039,8 @@ class TestScheduledApplications:
         for run, r in zip(runs, rs):
             run._kernel.load(r)
         for pair in zip(*map(segments, runs)):
-            for _, _, programs in pair:
-                for calls in programs:
-                    execute(calls)
+            for _, _, calls in pair:
+                execute(calls)
         for run, z, w in zip(runs, zs, want):
             run._kernel.store(z)
             assert_bit_identical(z, w)

@@ -453,13 +453,10 @@ def test_kernel_by_hand_equals_the_plan(monkeypatch, stencil, levels):
                   for lvl in top.levels()][:levels - 1]
     kernel = ColorMajorVCycle(sweeps, injections)
 
-    orders = [(*range(len(sweep.sizes)), *range(len(sweep.sizes))[::-1])
-              for sweep in sweeps]
     got = np.full(problem.n, 7.0)
     kernel.load(r)
-    for _, _, programs in kernel.schedule(orders, 1, 1):
-        for calls in programs:
-            execute(calls)
+    for _, _, calls in kernel.schedule():
+        execute(calls)
     kernel.store(got)
     assert_bit_identical(got, z.to_dense())
 

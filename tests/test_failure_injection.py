@@ -3,6 +3,7 @@ faults (stragglers, heterogeneous speeds, message loss, node crashes)
 are deterministic, priced honestly, and recovered from exactly."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.dist import (
     RefDistRun,
     Straggler,
 )
+from repro.dist.faults import losses
 from repro.hpcg.cg import pcg
 from repro.hpcg.coloring import color_masks, lattice_coloring
 from repro.hpcg.multigrid import MGPreconditioner, build_hierarchy
@@ -515,8 +517,12 @@ class TestLossBlocks:
             assert np.array_equal(called.retry_counts(n), drawn)
             lost = np.flatnonzero(drawn)
             steps = step + lost + (drawn.cumsum() - drawn)[lost]
-            for inj in (booked, called):
-                inj.book_losses(steps, [f"x{i}"] * len(lost), drawn[lost])
+            if len(lost):
+                for inj in (booked, called):
+                    inj.exchange_retries += int(drawn.sum())
+                    inj.book(functools.partial(
+                        losses, steps, [f"x{i}"] * len(lost), drawn[lost]),
+                        {"message_loss": len(lost)})
             for at, retries in zip(steps.tolist(), drawn[lost].tolist()):
                 recorded.record("message_loss", at, label=f"x{i}",
                                 retries=retries)

@@ -8,6 +8,8 @@ actually runs — for the honest executors (SpMV, RBGS sweeps) and for
 full CG+MG residual histories on all three simulated backends.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,7 +22,7 @@ from repro.dist import (
     RefDistRun,
     bfs_partition,
 )
-from repro.dist.bsp import ARM_CLUSTER_NODE, BSPMachine
+from repro.dist.bsp import ARM_CLUSTER_NODE
 from repro.dist.comm import CommTracker
 from repro.dist.halo import LocalRBGSExecutor, LocalSpmvExecutor
 from repro.hpcg.coloring import lattice_coloring
@@ -236,27 +238,19 @@ class TestBackendEquivalence:
         assert over.hidden_comm_seconds == pytest.approx(0.0)
 
     def test_overlap_efficiency_knob(self, dist_problem):
+        """The machine's efficiency is the one knob: at 0.0 nothing
+        hides, and the posted run prices as the eager one."""
         full = RefDistRun(dist_problem, nprocs=4, mg_levels=2,
                           comm_mode="overlap").run_cg(max_iters=2)
         none = RefDistRun(dist_problem, nprocs=4, mg_levels=2,
-                          comm_mode="overlap",
-                          overlap_efficiency=0.0).run_cg(max_iters=2)
+                          machine=dataclasses.replace(
+                              ARM_CLUSTER_NODE, overlap_efficiency=0.0),
+                          comm_mode="overlap").run_cg(max_iters=2)
         eager = RefDistRun(dist_problem, nprocs=4, mg_levels=2,
                            comm_mode="eager").run_cg(max_iters=2)
         assert none.modelled_seconds == pytest.approx(eager.modelled_seconds)
         assert full.modelled_seconds < none.modelled_seconds
-
-    def test_efficiency_override_consistent_with_trace_helpers(
-            self, dist_problem):
-        """The override is folded into run.machine, so machine-based
-        trace helpers agree with the run's own accounting."""
-        from repro.perf.model import overlap_savings
-        run = RefDistRun(dist_problem, nprocs=4, mg_levels=2,
-                         comm_mode="overlap", overlap_efficiency=0.0)
-        assert run.machine.overlap_efficiency == 0.0
-        res = run.run_cg(max_iters=2)
-        assert res.hidden_comm_seconds == pytest.approx(0.0)
-        assert overlap_savings(run.machine, res.tracker) == pytest.approx(0.0)
+        assert none.hidden_comm_seconds == pytest.approx(0.0)
 
     def test_exposed_comm_breakdown(self, dist_problem):
         over = RefDistRun(dist_problem, nprocs=4, mg_levels=3,
@@ -278,24 +272,3 @@ class TestBackendEquivalence:
         assert res.comm_mode == "overlap"
         assert "[overlap:" in res.summary()
 
-
-# --- the perf layer ----------------------------------------------------------
-
-class TestPerfReporting:
-    def test_comm_overlap_stream(self):
-        from repro.perf.model import comm_overlap_stream, overlap_savings
-        m = BSPMachine("toy", 1000.0, 100.0, 1.0)
-        t = CommTracker(2)
-        t.send(0, 1, 100, label="halo")
-        t.wait(t.post(label="halo").overlap(500.0))
-        t.send(1, 0, 100, label="dot")
-        t.sync(label="dot")
-        stream = comm_overlap_stream(m, t)
-        assert stream["halo"]["full"] == pytest.approx(2.0)
-        assert stream["halo"]["hidden"] == pytest.approx(0.5)
-        assert stream["dot"]["hidden"] == pytest.approx(0.0)
-        assert overlap_savings(m, t) == pytest.approx(0.5 / 4.0)
-
-    def test_overlap_savings_empty_trace(self):
-        from repro.perf.model import overlap_savings
-        assert overlap_savings(ARM_CLUSTER_NODE, CommTracker(2)) == 0.0

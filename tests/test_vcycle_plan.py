@@ -23,8 +23,9 @@ assert that the plan *ran*.
 """
 
 import dataclasses
+import itertools
 import tracemalloc
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import graphblas as grb
 from repro import obs
+from repro.dist import RefDistRun
 from repro.graphblas import fused as fused_mod
 from repro.graphblas import substrate
 from repro.graphblas.substrate import csr as csr_mod
@@ -119,7 +121,6 @@ LATTICE = [
     for scheme in ("auto", "jp")
     if all(d % 2 ** (levels - 1) == 0 for d in dims)
 ]
-SWEEPS = [(pre, post) for pre in (0, 1, 2) for post in (0, 1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +131,8 @@ SWEEPS = [(pre, post) for pre in (0, 1, 2) for post in (0, 1, 2)]
 class TestPlanEqualsTranscription:
     """With the lattice colouring the injection points are the colour a
     symmetric pass relaxes last, so after a pre-smooth the restricted
-    residual is rounding noise; the Jones-Plassmann colourings and the
-    ``pre_sweeps=0`` cases are where the grid transfers carry weight."""
+    residual is rounding noise; the Jones-Plassmann colourings are where
+    the grid transfers carry weight."""
 
     @pytest.mark.parametrize("stencil,grid,levels,scheme", LATTICE)
     def test_z_and_residual_histories(self, loads, stencil, grid, levels,
@@ -140,25 +141,18 @@ class TestPlanEqualsTranscription:
         plan_h = hierarchy(problem, levels, scheme)
         oracle_h = hierarchy(problem, levels, scheme, fused=False)
         r = random_rhs(problem.n)
-        # the pinned transcription is slow at 16^3: all nine sweep pairs
-        # on the small grids, three there
-        for pre, post in (SWEEPS if problem.n <= 512
-                          else [(1, 1), (2, 0), (0, 1)]):
-            M = MGPreconditioner(plan_h, pre_sweeps=pre, post_sweeps=post)
-            oracle = MGPreconditioner(oracle_h, pre_sweeps=pre,
-                                      post_sweeps=post)
-            z = apply(M, r)
-            assert_bit_identical(z, apply(oracle, r))
-            if z.any():     # M = 0 breaks CG down on either path
-                got = pcg(problem.A, problem.b, problem.x0.dup(),
-                          preconditioner=M, max_iters=4)
-                want = pcg(problem.A, problem.b, problem.x0.dup(),
-                           preconditioner=oracle, max_iters=4)
-                assert got.residuals == want.residuals
-                assert_bit_identical(got.x.to_dense(), want.x.to_dense())
-            ran = loads(M)
-            assert ran and all(ran), (pre, post)
-            assert not any(loads(oracle))
+        M, oracle = MGPreconditioner(plan_h), MGPreconditioner(oracle_h)
+        z = apply(M, r)
+        assert_bit_identical(z, apply(oracle, r))
+        got = pcg(problem.A, problem.b, problem.x0.dup(), preconditioner=M,
+                  max_iters=4)
+        want = pcg(problem.A, problem.b, problem.x0.dup(),
+                   preconditioner=oracle, max_iters=4)
+        assert got.residuals == want.residuals
+        assert_bit_identical(got.x.to_dense(), want.x.to_dense())
+        ran = loads(M)
+        assert ran and all(ran)
+        assert not any(loads(oracle))
 
     EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300,
             1.7e308, 1.0, -1.5]
@@ -177,12 +171,9 @@ class TestPlanEqualsTranscription:
             st.sampled_from(self.EDGE)
             | st.floats(allow_nan=False, allow_infinity=False),
             min_size=problem4.n, max_size=problem4.n)))
-        pre, post = data.draw(st.sampled_from(SWEEPS))
         scheme = data.draw(st.sampled_from(["auto", "jp"]))
-        M = MGPreconditioner(hierarchy(problem4, 3, scheme),
-                             pre_sweeps=pre, post_sweeps=post)
-        oracle = MGPreconditioner(hierarchy(problem4, 3, scheme, fused=False),
-                                  pre_sweeps=pre, post_sweeps=post)
+        M = MGPreconditioner(hierarchy(problem4, 3, scheme))
+        oracle = MGPreconditioner(hierarchy(problem4, 3, scheme, fused=False))
         unsigned = np.where(values == 0.0, 0.0, values)
         with np.errstate(all="ignore"):
             for v in (values, unsigned):
@@ -410,7 +401,7 @@ def test_ambient_kill_switch(loads, problem16):
 
 class TestBoundaryErrors:
     """Fail at the boundary, in both twins: an aliased call used to
-    return all zeros, a negative count to skip the smoother."""
+    return all zeros."""
 
     def test_aliased_output_raises_before_the_fill(self, problem8):
         M = MGPreconditioner(build_hierarchy(problem8, levels=3))
@@ -426,15 +417,6 @@ class TestBoundaryErrors:
             with pytest.raises(OutputAliasing):
                 M(alias, v)
         assert np.array_equal(v, problem8.b.to_dense())
-
-    @pytest.mark.parametrize("kwargs", [{"pre_sweeps": -1},
-                                        {"post_sweeps": -2}])
-    def test_negative_sweep_counts(self, problem8, kwargs):
-        with pytest.raises(InvalidValue, match="non-negative"):
-            MGPreconditioner(build_hierarchy(problem8, levels=2), **kwargs)
-        with pytest.raises(InvalidValue, match="non-negative"):
-            RefMGPreconditioner(build_ref_hierarchy(problem8, levels=2),
-                                **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +468,12 @@ class TestInvalidation:
 # (iv) the traced application records the transcription's spans
 # ---------------------------------------------------------------------------
 
+def listing(keys):
+    """A timer registry that lists the keys it measures, in order."""
+    return SimpleNamespace(
+        measure=lambda key: keys.append(key) or nullcontext())
+
+
 def span_tree(ctx):
     """(name, parent name, args) per span, in closing order."""
     by_id = {s.id: s for s in ctx.tracer.spans}
@@ -495,11 +483,9 @@ def span_tree(ctx):
 
 @pytest.mark.usefixtures("armed")
 class TestTracedApplication:
-    @pytest.mark.parametrize("pre,post", [(1, 1), (2, 0), (0, 3)])
-    def test_same_spans_as_the_transcription(self, loads, problem8, pre,
-                                             post):
-        M = MGPreconditioner(build_hierarchy(problem8, levels=3),
-                             pre_sweeps=pre, post_sweeps=post)
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_same_spans_as_the_transcription(self, loads, problem8, levels):
+        M = MGPreconditioner(build_hierarchy(problem8, levels=levels))
 
         def walked():
             # a collector declines the plan and nothing else: the
@@ -519,10 +505,10 @@ class TestTracedApplication:
                   if s.name == "smoother/rbgs_sweep"]
         assert [(s.args["level"], s.args["fused"]) for s in sweeps] == [
             (level, True) for level in
-            [0] * pre + [1] * pre + [2] * pre + [1] * post + [0] * post]
+            [*range(levels), *range(levels - 2, -1, -1)]]
         assert plan_ctx.metrics.snapshot() == walk_ctx.metrics.snapshot()
         visits = plan_ctx.metrics.counter("mg_level_visits_total")
-        assert [visits.value(level=i) for i in range(3)] == [1, 1, 1]
+        assert [visits.value(level=i) for i in range(levels)] == [1] * levels
 
     def test_timer_keys_and_counts(self, loads, problem8):
         plan_t, walk_t = TimerRegistry(), TimerRegistry()
@@ -645,19 +631,17 @@ def sweep_nnz(level):
 @pytest.mark.usefixtures("armed")
 class TestNoUnreadPass:
     @pytest.mark.parametrize("stencil", ["27pt", "7pt"])
-    @pytest.mark.parametrize("pre", [0, 1, 2])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_entries_one_application_reads(self, loads, entries_read,
-                                           stencil, pre):
+                                           levels, stencil):
         """Per non-coarsest level the residual reads ``nnz(A[injection])``
         (its ``n`` columns), a colour step its stored entries and two
         more a row (``2n`` columns: ``z`` and ``r``), and the first colour
         relaxed from a zero iterate reads nothing (before: ``5 nnz`` a
-        level — two sweeps and a full residual).  Without a pre-smooth
-        ``prolong`` ends the zero iterate, so the post-smooth reads
-        everything; with two, only the first does not."""
+        level — two sweeps and a full residual)."""
         problem = generate_problem(8, stencil=stencil)
-        top = hierarchy(problem, 3)
-        M = MGPreconditioner(top, pre_sweeps=pre, post_sweeps=1)
+        top = hierarchy(problem, levels)
+        M = MGPreconditioner(top)
         apply(M, problem.b)                 # builds the kernel
         entries_read()
         apply(M, problem.b)
@@ -666,18 +650,18 @@ class TestNoUnreadPass:
         for level in top.levels():
             sweep = sweep_nnz(level)
             if level.coarser is None:       # pre-smoothed only
-                assert got.get(2 * level.n, []) == (pre * sweep)[1:]
+                assert got.get(2 * level.n, []) == sweep[1:]
                 assert level.n not in got
                 continue
-            assert got[2 * level.n] == (pre * sweep)[1:] + sweep
+            assert got[2 * level.n] == sweep[1:] + sweep
             assert got[level.n] == [injected_nnz(level)]
             assert injected_nnz(level) < level.A.nvals / 4
 
     EDGE_R = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.5])
 
     @pytest.mark.parametrize("operator", ["A", "-A"])
-    @pytest.mark.parametrize("pre,post", [(0, 1), (1, 1), (2, 0)])
-    def test_zero_start_is_bit_identical(self, loads, operator, pre, post):
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_zero_start_is_bit_identical(self, loads, levels, operator):
         """``r_k - (+0.0)`` is ``r_k``: signed zeros, subnormals and
         values that overflow come out as the product would make them,
         under a negative diagonal too.  With ``-0.0`` in ``r`` the plan
@@ -685,10 +669,8 @@ class TestNoUnreadPass:
         problem = generate_problem(8)
         if operator == "-A":
             problem = negated(problem)
-        M = MGPreconditioner(hierarchy(problem, 3),
-                             pre_sweeps=pre, post_sweeps=post)
-        oracle = MGPreconditioner(hierarchy(problem, 3, fused=False),
-                                  pre_sweeps=pre, post_sweeps=post)
+        M = MGPreconditioner(hierarchy(problem, levels))
+        oracle = MGPreconditioner(hierarchy(problem, levels, fused=False))
         with np.errstate(all="ignore"):
             for edge in (self.EDGE_R, self.EDGE_R[1:]):
                 r = grb.Vector.from_dense(np.resize(edge, problem.n))
@@ -754,18 +736,44 @@ class TestNoUnreadPass:
 
 @pytest.mark.usefixtures("armed")
 class TestSchedule:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_vcycle_is_listing_1(self, depth):
+        """The skeleton alone: level ``i``'s steps run inside ``visit(i)``,
+        ``pre`` first and, above the coarsest, the residual, restriction,
+        the coarser cycle, refinement and ``post``.  A cycle started below
+        the top keeps the absolute level index."""
+        for start in range(depth):
+            events = []
+
+            @contextmanager
+            def visit(i):
+                events.append(("enter", i))
+                yield
+                events.append(("exit", i))
+
+            csr_mod.vcycle(depth, lambda i, name: events.append((i, name)),
+                           visit, start)
+            down = [event for i in range(start, depth - 1) for event in
+                    [("enter", i), (i, "pre"), (i, "spmv"), (i, "restrict")]]
+            coarsest = [("enter", depth - 1), (depth - 1, "pre"),
+                        ("exit", depth - 1)]
+            up = [event for i in range(depth - 2, start - 1, -1) for event in
+                  [(i, "prolong"), (i, "post"), ("exit", i)]]
+            assert events == down + coarsest + up
+
     @pytest.mark.parametrize("stencil", ["27pt", "7pt"])
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_schedule_equals_the_method_walk(self, stencil, levels):
-        """For every sweep-count pair, the schedule driven by hand is
-        Listing 1: the steps ``ref_mg_vcycle`` times in its order, one
-        program per pass and per grid transfer, and the transcription's
-        bits.  Each residual multiplies its sweep's plain copy of the
+        """The schedule driven by hand is Listing 1: the steps
+        ``ref_mg_vcycle`` times in its order, one program per symmetric
+        pass (the pre-smoothing's from the zeroed iterate) and per grid
+        transfer, and the transcription's bits.  The transcription's walk
+        and the engine's booked iteration take the same steps in the same
+        order.  Each residual multiplies its sweep's plain copy of the
         injected rows; ``load`` refuses an ``r`` holding ``-0.0``."""
         problem = generate_problem(8, stencil=stencil)
         hier = build_hierarchy(problem, levels=levels).levels()
         ref = build_ref_hierarchy(problem, levels=levels)
-        orders = [lvl.smoother.symmetric_order for lvl in hier]
         kernel = ColorMajorVCycle(
             [lvl.smoother.plan._current_sweep().twin() for lvl in hier],
             [lvl.grid.injection_indices() for lvl in hier[:-1]])
@@ -778,29 +786,34 @@ class TestSchedule:
         assert not kernel.load(r)
         assert fine._x.tobytes() == before
         r[::7] = 0.0
-        oracle = hierarchy(problem, levels, fused=False)
-        for pre, post in SWEEPS:
-            z = np.full(problem.n, 7.0)
-            assert kernel.load(r)
-            segments = kernel.schedule(orders, pre, post)
-            for _, _, programs in segments:
-                for calls in programs:
-                    execute(calls)
-            kernel.store(z)
-            assert_bit_identical(z, apply(MGPreconditioner(
-                oracle, pre_sweeps=pre, post_sweeps=post),
-                grb.Vector.from_dense(r)))
-            keys = []       # what ref_mg_vcycle times, in its order
-            ref_mg_vcycle(ref, np.zeros(problem.n), r, SimpleNamespace(
-                measure=lambda key: keys.append(key) or nullcontext()),
-                pre, post)
-            assert [f"mg/L{i}/{step}" for i, step, _ in segments] == keys
-            passes = [len(p) for _, step, p in segments if step == "rbgs"]
-            assert passes == [pre] * levels + [post] * (levels - 1)
-            assert all(len(p) == 1 for _, step, p in segments
-                       if step != "rbgs")
-        assert kernel.schedule(orders, 1, 1) is kernel.schedule(
-            [list(order) for order in orders], 1, 1)      # compiled once
+        z = np.full(problem.n, 7.0)
+        assert kernel.load(r)
+        segments = kernel.schedule()
+        for _, _, calls in segments:
+            execute(calls)
+        kernel.store(z)
+        walked = []     # what the transcription times, in its order
+        assert_bit_identical(z, apply(MGPreconditioner(
+            hierarchy(problem, levels, fused=False), timers=listing(walked)),
+            grb.Vector.from_dense(r)))
+        keys = []       # what ref_mg_vcycle times, in its order
+        ref_mg_vcycle(ref, np.zeros(problem.n), r, listing(keys))
+        assert [f"mg/L{i}/{step}" for i, step, _ in segments] == keys
+        assert walked == keys
+        run = RefDistRun(problem, 1, mg_levels=levels)
+        run.run_cg(max_iters=2)
+        (programs,) = run._numerics.programs.values()
+        booked = [key for key in programs["later"].keys
+                  if key.startswith("mg/")]
+        assert [key for key, _ in itertools.groupby(booked)] == keys
+        sweeps = [sweep for sweep, *_ in kernel._levels]
+        orders = [lvl.smoother.symmetric_order for lvl in hier]
+        assert [calls for _, step, calls in segments if step == "rbgs"] == [
+            *(sweep.program(order, True)
+              for sweep, order in zip(sweeps, orders)),
+            *(sweep.program(order)
+              for sweep, order in zip(sweeps[-2::-1], orders[-2::-1]))]
+        assert kernel.schedule() is segments      # compiled once
 
     def test_a_16_cubed_application_is_366_calls(self, loads):
         """Four levels at 16^3, eight colours each: three calls a colour
@@ -812,18 +825,15 @@ class TestSchedule:
         M = MGPreconditioner(build_hierarchy(problem, levels=4))
         apply(M, random_rhs(problem.n))
         assert loads(M) == [True]
-        orders = [lvl.smoother.symmetric_order
-                  for lvl in M.hierarchy.levels()]
-        segments = M._plan.kernel.schedule(orders, 1, 1)
-        assert sum(len(calls) for _, _, programs in segments
-                   for calls in programs) == 366
+        assert sum(len(calls) for _, _, calls
+                   in M._plan.kernel.schedule()) == 366
 
     def test_untraced_and_traced_solves_time_alike(self, loads, problem8):
         """The untraced solve runs the schedule, the traced one the
         recursive walk: the same ``mg/`` timer keys and counts."""
         def solve(timers):
             M = MGPreconditioner(build_hierarchy(problem8, levels=3),
-                                 timers=timers, pre_sweeps=2, post_sweeps=0)
+                                 timers=timers)
             pcg(problem8.A, problem8.b, problem8.x0.dup(), preconditioner=M,
                 max_iters=4)
             assert loads(M) == [True] * 4
