@@ -105,25 +105,13 @@ class BSPMachine:
         """Seconds for a purely local operation (no barrier, no network)."""
         return work_bytes / self.mem_bandwidth
 
-    def retry_comm_time(self, h_bytes: float, attempt: int = 0,
-                        backoff: float = 0.0) -> float:
-        """Price of re-driving a lost exchange (fault injection).
-
-        The ``attempt``-th retry pays the full wire time again plus an
-        exponential sender backoff of ``backoff * 2**attempt`` seconds —
-        a bounded-retry transport, with no compute to hide behind.
-        """
-        if attempt < 0:
-            raise InvalidValue(f"retry attempt must be >= 0, got {attempt}")
-        if backoff < 0:
-            raise InvalidValue(f"retry backoff must be >= 0, got {backoff}")
-        return self.comm_time(h_bytes) + backoff * (2.0 ** attempt)
-
     def retry_comm_times(self, h_bytes: np.ndarray, attempts: np.ndarray,
                          backoff: float = 0.0) -> np.ndarray:
-        """:meth:`retry_comm_time` of each ``(h_bytes[i], attempts[i])``
-        pair, as one array expression in its order of operations: every
-        price is bit-identical to the scalar one's."""
+        """Price of re-driving each lost exchange (fault injection), one
+        array expression: the ``attempts[i]``-th retry of an exchange of
+        ``h_bytes[i]`` pays the full wire time again plus an exponential
+        sender backoff of ``backoff * 2**attempts[i]`` seconds — a
+        bounded-retry transport, with no compute to hide behind."""
         return self.comm_time(h_bytes) + backoff * (2.0 ** attempts)
 
     def row_costs(self, work_bytes: np.ndarray, h_bytes: np.ndarray,

@@ -355,12 +355,6 @@ class FaultPlan:
             raise InvalidValue(f"fault plan {path!r} is not valid JSON: {exc}")
         return cls.from_dict(doc)
 
-    def to_json(self, path: str) -> str:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
 
 # ---------------------------------------------------------------------------
 # events and the injector

@@ -324,10 +324,6 @@ class LocalRBGSExecutor:
                     per[pair] = npoints * 8
             self._color_halo.append(per)
 
-    @property
-    def color_halo_bytes(self) -> List[Dict[Tuple[int, int], int]]:
-        return self._color_halo
-
     def _record_color_sends(self, c: int) -> None:
         for (src, dst), nbytes in self._color_halo[c].items():
             self.tracker.send(src, dst, nbytes, label="rbgs_halo")

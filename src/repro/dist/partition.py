@@ -151,7 +151,7 @@ class Grid3DPartition:
             raise InvalidValue(
                 f"process grid {shape} has {px * py * pz} nodes, expected {p}"
             )
-        if grid.nx % px or grid.ny % py or grid.nz % pz:
+        if not self.divides(grid, shape):
             raise InvalidValue(
                 f"grid {grid.dims} not divisible by process grid {shape}"
             )
@@ -162,6 +162,11 @@ class Grid3DPartition:
             self.p = p
             self.shape = (px, py, pz)
             self.local_dims = (grid.nx // px, grid.ny // py, grid.nz // pz)
+
+    @staticmethod
+    def divides(grid: Grid3D, shape: Tuple[int, int, int]) -> bool:
+        """Whether process grid ``shape`` cuts ``grid`` in equal boxes."""
+        return not any(n % s for n, s in zip(grid.dims, shape))
 
     def owner(self, indices) -> np.ndarray:
         ix, iy, iz = self.grid.coords(np.asarray(indices, dtype=np.int64))

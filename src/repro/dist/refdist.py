@@ -86,14 +86,10 @@ class RefDistRun(SimulatedDistRun):
         survivor count still factors into the grid, else fall back to
         the black-box BFS partition (which accepts any node count)."""
         kind, shape = self._partition_kind, factor3(nprocs)
-        if kind == "grid3d":
-            try:
-                # the boxes' own divisibility check, before anything is built
-                for level in self.levels:
-                    if not level.agglomerated:
-                        Grid3DPartition(level.grid, nprocs, shape=shape)
-            except InvalidValue:
-                kind = "bfs"
+        if kind == "grid3d" and not all(
+                Grid3DPartition.divides(level.grid, shape)
+                for level in self.levels if not level.agglomerated):
+            kind = "bfs"
         return super()._respawn(nprocs, _partition_kind=kind,
                                 _process_grid=shape)
 

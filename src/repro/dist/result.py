@@ -4,6 +4,7 @@ run state a solve accumulates and closes into it."""
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -17,6 +18,41 @@ from repro.ref.cg import CGState
 from repro.util.timer import TimerRegistry
 
 
+def _registry(booked: tuple, r: int) -> TimerRegistry:
+    """Registry ``r`` (0: the timers, 1: the wire seconds) of the totals
+    :func:`~repro.dist.tape.book_timers` booked: every timer ticked, in
+    the order of its first tick."""
+    layout, totals, counts, ticks = booked
+    totals, counts = totals.tolist(), counts.tolist()
+    return TimerRegistry.from_totals(
+        (layout[i][1], totals[i], counts[i])
+        for i in dict.fromkeys(itertools.chain.from_iterable(ticks))
+        if layout[i][0] == r)
+
+
+class _Registry:
+    """A registry field of :class:`DistRunResult`: the one given, else
+    the one built from the run's booked totals when first read."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.r = name, int(name == "comm_timers")
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None                 # the field's default
+        if self.name not in result.__dict__ and result._booked:
+            # two threads may both build; both read the one kept
+            result.__dict__.setdefault(self.name,
+                                       _registry(result._booked, self.r))
+        return result.__dict__.get(self.name)
+
+    def __set__(self, result, registry):
+        if registry is None:            # built when read, if booked
+            result.__dict__.pop(self.name, None)
+        else:
+            result.__dict__[self.name] = registry
+
+
 @dataclass
 class DistRunResult:
     """One simulated distributed CG(+MG) run.
@@ -24,7 +60,9 @@ class DistRunResult:
     ``modelled_seconds`` is the BSP-priced execution time; ``timers``
     holds its per-kernel decomposition under the same ``mg/L{i}/...`` /
     ``cg/...`` labels the serial driver uses, so the Figure 4-7
-    breakdown code consumes either interchangeably.
+    breakdown code consumes either interchangeably.  A run hands its
+    result plain per-key totals (``_booked``); ``timers`` and
+    ``comm_timers`` are built from them when first read, unless given.
 
     ``comm_seconds`` is the full wire time of the trace (every
     superstep's ``h*g + L``); ``exposed_comm_seconds`` is what remains
@@ -39,9 +77,9 @@ class DistRunResult:
     iterations: int
     residuals: List[float]
     modelled_seconds: float
-    timers: TimerRegistry
     tracker: CommTracker
     mg_levels: int
+    timers: Optional[TimerRegistry] = _Registry()
     comm_mode: str = "eager"
     comm_seconds: float = 0.0
     exposed_comm_seconds: float = 0.0
@@ -51,7 +89,7 @@ class DistRunResult:
     #: wire-time decomposition under ``full/<key>`` / ``exposed/<key>``
     #: labels — kept apart from ``timers`` so kernel-share reports
     #: still sum to ``modelled_seconds``
-    comm_timers: Optional[TimerRegistry] = None
+    comm_timers: Optional[TimerRegistry] = _Registry()
     #: run-provenance manifest (:mod:`repro.obs.manifest`), attached
     #: when observability was enabled during the run; None otherwise
     manifest: Optional[Dict] = None
@@ -68,6 +106,10 @@ class DistRunResult:
     #: builds :attr:`resilience` when it is first read; None for clean runs
     _resilience: Optional[Callable[[], Dict]] = field(
         default=None, repr=False, compare=False)
+    #: the run's booked timer totals (see :func:`_registry`), which
+    #: ``timers`` and ``comm_timers`` are built from; None when given
+    _booked: Optional[tuple] = field(default=None, repr=False,
+                                     compare=False)
 
     @cached_property
     def resilience(self) -> Optional[Dict]:
@@ -160,18 +202,18 @@ class _RunState:
     Recovery hands this object to the survivor run by reference, so the
     final totals honestly include every failed attempt.  Only the
     tracker restarts (its per-node arrays are sized to the node count);
-    what the discarded ones counted is kept in ``lost_*``.
+    the discarded ones are kept in ``lost_trackers``.
     """
 
     def __init__(self, nprocs: int, injector: Optional[FaultInjector],
                  machine, mode: str):
         self.tracker = CommTracker(nprocs)
         self.machine, self.mode = machine, mode
-        # the timers, then the wire seconds: a registry of their own so
-        # the main timers' report() shares still sum to modelled_seconds;
-        # both tick, from the terms the folds booked, when read
-        self.registries = TimerRegistry(), TimerRegistry()
+        # the terms the folds laid out, not yet booked, and the totals
+        # booked (tape.book_timers), whence the timers and the wire
+        # seconds are built when read
         self.terms: list = []
+        self.booked: Optional[tuple] = None
         self.seconds = 0.0
         self.comm_seconds = 0.0
         self.exposed_comm_seconds = 0.0
@@ -190,7 +232,6 @@ class _RunState:
         self.checkpoints = 0
         self.iteration = 0            # the iteration in progress
         self.reexecuted = 0
-        self.lost_supersteps = 0
         self.lost_trackers: List[CommTracker] = []   # a crash's, discarded
         # the program being recorded (rows and span marks), the kept
         # programs of the attempt's record by kind, and the stretch of
@@ -258,17 +299,14 @@ class _RunState:
         steps, lossy = program.reach
         self.reach += steps + self.cap * lossy
 
-    @property
-    def timers(self) -> TimerRegistry:
+    def book(self) -> Optional[tuple]:
+        """The timers' totals so far (see :func:`_registry`)."""
         if self.terms:
             book_timers(self)
-        return self.registries[0]
+        return self.booked
 
-    @property
-    def comm_timers(self) -> TimerRegistry:
-        if self.terms:
-            book_timers(self)
-        return self.registries[1]
+    timers = property(lambda self: _registry(self.book(), 0))
+    comm_timers = property(lambda self: _registry(self.book(), 1))
 
     def flush(self) -> None:
         """Book the stretch not yet booked, as one fold (which raises a
@@ -354,19 +392,18 @@ class _RunState:
             iterations=cg.k,
             residuals=cg.residuals,
             modelled_seconds=self.seconds,
-            timers=self.timers,
             tracker=self.tracker,
             mg_levels=run.mg_levels,
             comm_mode=run.comm_mode,
             comm_seconds=self.comm_seconds,
             exposed_comm_seconds=self.exposed_comm_seconds,
-            comm_timers=self.comm_timers,
             machine=run.machine.name,
             manifest=manifest,
             metrics=run_metrics,
             replayed=self.priced,
             transcribed=self.transcribed,
             _resilience=None if inj is None else self._resilience(run),
+            _booked=self.book(),
         )
 
     def _resilience(self, run) -> Callable[[], Dict]:
@@ -374,7 +411,7 @@ class _RunState:
         finished (see :attr:`DistRunResult.resilience`): its counts are
         taken now, its events (booked as blocks) listed and its bytes
         counted when it runs."""
-        inj = self.injector
+        inj, trackers = self.injector, [*self.lost_trackers, self.tracker]
         counts = {
             "injected": inj.injected_counts(),
             "recoveries": inj.recoveries,
@@ -384,9 +421,8 @@ class _RunState:
             "initial_nprocs": inj.nprocs,
             "final_nprocs": run.nprocs,
             "reexecuted_iterations": self.reexecuted,
-            "supersteps_total": self.lost_supersteps + self.tracker.num_syncs,
+            "supersteps_total": sum(t.num_syncs for t in trackers),
         }
-        trackers = [*self.lost_trackers, self.tracker]
         return lambda: {"plan": inj.plan.to_dict(), "seed": inj.plan.seed,
                         "events": [e.as_dict() for e in inj.events],
                         **counts, "comm_bytes_total": sum(

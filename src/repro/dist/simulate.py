@@ -435,7 +435,6 @@ class SimulatedDistRun:
         inj = state.injector
         resume_k = state.checkpoint.k if state.checkpoint is not None else 0
         state.reexecuted += max(state.iteration - resume_k, 0)
-        state.lost_supersteps += state.tracker.num_syncs
         state.lost_trackers.append(state.tracker)
         survivors = inj.alive_count
         with state.span("fault/recovery", "fault", {

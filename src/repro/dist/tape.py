@@ -31,25 +31,28 @@ over the stretch's terms in booking order, from their values so far.  The
 timers take each program's terms as it laid them out once
 (:attr:`Program.sums`), copy after copy; a faulted stretch puts each
 row's terms at its place (:attr:`Program.places`) and a lost exchange's
-retries in rows inserted after its own, so nothing is sorted.  They tick
-when read: one accumulate down each matrix.  Accumulate adds strictly
-left to right, as a scalar ``+=`` would, and a padding zero changes no
-total, so every total is bit-identical (``sum``, ``np.sum`` and
-``math.fsum`` would not be).  The tracker and the injector take the
+retries in rows inserted after its own, so nothing is sorted.  They are
+plain per-key totals, added once at the run's end (:func:`book_timers`:
+one accumulate down each matrix), and no ``Timer`` is made: the result's
+registries are built from the totals when first read.  Accumulate adds
+strictly left to right, as a scalar ``+=`` would, and a padding zero
+changes no total, so every total is bit-identical (``sum``, ``np.sum``
+and ``math.fsum`` would not be).  The tracker and the injector take the
 stretch's supersteps and fault events as blocks.  A traced run books the
 same rows, then emits their spans at the program's marks.  Nothing a
-fold draws or lays out is kept past it.
+fold draws or lays out is kept past it but a crash's cut copy, which its
+program keeps (:meth:`Program.head`).
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import numpy as np
 
 from repro.dist.comm import StepBlock
 from repro.dist.faults import FaultEvent, losses
-from repro.util.timer import Timer
 
 #: row kinds: local work, an eager or a posted exchange, a collective
 LOCAL, SYNC, POSTED, COLLECTIVE = range(4)
@@ -139,6 +142,28 @@ class Program:
         self.block = StepBlock([
             (plan, label, o, k == POSTED) for k, plan, label, o
             in zip(kinds, self.plans, labels, overlap) if k != LOCAL])
+        self._head = None           # the last cut, see head
+
+    def head(self, rows: int) -> "Program":
+        """The program cut after its first ``rows`` rows, as a crash cuts
+        a copy: its counts, ticks, supersteps' block and matrices, each
+        timer keeping its first terms (the rest zeroed), are of those
+        rows.  The last cut is kept: a planned crash cuts the same copy
+        at the same row in every run."""
+        head = self._head
+        if head is None or head.n != rows:
+            head = copy.copy(self)
+            key, step = self.key[:rows], self.step[:rows]
+            kept = np.bincount(key, minlength=self.parts[1].stop)
+            steps = np.bincount(key[step], minlength=len(kept))
+            head.n, head.tally = rows, np.array([kept, steps, steps]).T.ravel()
+            head.ticks = [i for i in self.ticks if head.tally[i]]
+            head.sums = tuple(np.where(np.arange(sums.shape[1])[:, None]
+                                       < kept[keyed], sums, 0.0)
+                              for sums, keyed in zip(self.sums, self.parts))
+            head.block = StepBlock(self.block.rows[:int(step.sum())])
+            head._head, self._head = None, head
+        return head
 
 
 def _cat(stretch, get, axis: int = 0) -> np.ndarray:
@@ -148,16 +173,16 @@ def _cat(stretch, get, axis: int = 0) -> np.ndarray:
                            for part in [get(p)] * times], axis=axis)
 
 
-def _cut(stretch: list, n: int) -> tuple:
-    """``stretch`` up to the copy holding its row ``n - 1`` — a checkpoint
-    the crash lands on is not taken — and how many rows of that copy
-    are kept."""
+def _cut(stretch: list, n: int) -> list:
+    """``stretch`` up to its row ``n - 1``, the copy holding it cut there
+    (:meth:`Program.head`); a checkpoint the crash lands on is not
+    taken."""
     out, at = [], 0
     for p, times, note in stretch:
         if at + p.n * times >= n:
             copies, kept = divmod(n - at - 1, p.n)
-            out.append([p, copies + 1, None])
-            return out, kept + 1
+            return out + [[p, copies, None]] * (copies > 0) + [
+                [p.head(kept + 1), 1, None]]
         out.append([p, times, note])
         at += p.n * times
 
@@ -168,7 +193,7 @@ def fold(state, stretch: list) -> None:
     on the run state ``state``; see the module docstring."""
     inj, machine = state.injector, state.machine
     step = _cat(stretch, lambda p: p.step)
-    n, cut, tail, clock, slowed = len(step), None, None, None, False
+    n, cut, clock, slowed = len(step), None, None, False
     lost = again = np.empty(0, dtype=np.intp)
     if inj is not None:
         # each lossy exchange's retries, keyed by its ordinal in the run;
@@ -190,7 +215,7 @@ def fold(state, stretch: list) -> None:
             # the crash cuts the stretch: the exchanges after it are not
             # booked, and take their ordinals again
             at = int((step & (clock <= fires)).nonzero()[0][-1])
-            (stretch, tail), cut = _cut(stretch, at + 1), fires
+            stretch, cut = _cut(stretch, at + 1), fires
             n, step, clock, end = at + 1, step[:at + 1], clock[:at + 1], \
                 fires + 1
             kept = int(lost.searchsorted(at)) + int(fires > clock[at])
@@ -234,8 +259,7 @@ def fold(state, stretch: list) -> None:
     running = np.add.accumulate(terms, axis=1)
     state.seconds, state.comm_seconds, state.exposed_comm_seconds = \
         running[:, -1].tolist()
-    programs = list({id(p): p for p, _, _ in stretch}.values())
-    tally, parts = _laid_out(stretch, tail)
+    programs, tally, parts = _laid_out(stretch)
     if len(changed) or len(lost):   # a fault transformed the terms
         # each row's at its place, each retry in a row inserted after its
         # exchange's; the parts' rows end to end, padded to one width
@@ -258,8 +282,8 @@ def fold(state, stretch: list) -> None:
         index = index[lost]
     state.terms.append((programs, tally, parts))
     synced = state.tracker.num_syncs
-    _book_steps(state.tracker, stretch, np.array([index, booked]).T
-                if len(lost) else (), tail)
+    state.tracker.book([(p.block, times) for p, times, _ in stretch],
+                       np.array([index, booked]).T if len(lost) else ())
     taken = _checkpoints(state, stretch, after, running[0])
     if inj is not None and (len(lost) or taken or announced):
         _book_events(inj, stretch, start, step, after, lost, again,
@@ -289,76 +313,42 @@ def _placed(stretch: list, n: int) -> tuple:
             index + steps_, h, low, low + high)
 
 
-def _laid_out(stretch: list, tail) -> tuple:
-    """How many terms each timer takes in ``stretch`` as its programs lay
-    them out, and its two lists of matrices: its programs' sums, copy
-    after copy (zero padding changes no total); with ``tail``, only
-    that many rows of the last copy."""
-    copies, tally, parts = {}, 0, ([], [])
-    for e, (p, times, _) in enumerate(stretch):
-        cut = tail is not None and e + 1 == len(stretch)
-        copies[p] = copies.get(p, 0) + times - cut
+def _laid_out(stretch: list) -> tuple:
+    """The programs of ``stretch``, how many terms each timer takes as
+    they lay them out, and its two lists of matrices: its programs'
+    sums, copy after copy (zero padding changes no total)."""
+    copies, parts = {}, ([], [])
+    for p, times, _ in stretch:
+        copies[p] = copies.get(p, 0) + times
         for q in (0, 1):
-            parts[q].extend([p.sums[q]] * (times - cut))
-        if cut:     # the copy the crash cuts: each timer's first terms
-            kept = np.bincount(p.key[:tail], minlength=p.parts[1].stop)
-            steps = np.bincount(p.key[:tail][p.step[:tail]],
-                                minlength=len(kept))
-            tally = np.array([kept, steps, steps]).T.ravel()
-            for q, keyed in enumerate(p.parts):
-                sums = p.sums[q]
-                parts[q].append(np.where(np.arange(sums.shape[1])[:, None]
-                                         < kept[keyed], sums, 0.0))
-    return tally + np.dot(list(copies.values()),
-                          [p.tally for p in copies]), parts
+            parts[q].extend([p.sums[q]] * times)
+    return list(copies), np.dot(list(copies.values()),
+                                [p.tally for p in copies]), parts
 
 
 def book_timers(state) -> None:
-    """Tick the run's timers with the terms its folds laid out since they
-    were last read (``state.terms``: per fold, its programs, how many
-    terms each timer takes and its matrices, see :func:`_laid_out`): each
-    timer's column of every fold's matrices under its total so far, one
-    accumulate down the rows a matrix.  The timers are made in the order
-    of their first ticks."""
+    """Add the terms the run's folds laid out (``state.terms``: per fold,
+    its programs, counts and matrices, see :func:`_laid_out`) to its
+    per-key totals, once, at its end: each timer's column of every
+    fold's matrices under its total so far, one accumulate down a
+    matrix.  ``state.booked`` is ``(layout, totals, counts, ticks)``:
+    the :func:`timer_layout`, each timer's total and count in its order,
+    and every folded program's :attr:`Program.ticks`.  No timer is made:
+    registries are built from these when read."""
     terms, state.terms = state.terms, []
     layout = terms[0][0][0].layout
-    registries = state.registries
-    timers = [registries[r].timers.get(name) for r, name in layout]
-    kept = [i for i, timer in enumerate(timers) if timer is not None]
-    tally, made = 0, []
-    for programs, ticked, _ in terms:
-        tally, ticked = tally + ticked, ticked.tolist()
-        made += [i for p in programs for i in p.ticks
-                 if ticked[i] and timers[i] is None]
-    init = np.zeros(len(timers))
-    init[kept] = [timers[i].total for i in kept]
-    init = init.reshape(-1, 3).T[:, None]
+    _, totals, counts, ticks = state.booked or (
+        layout, np.zeros(len(layout)), 0, [])
+    init = totals.reshape(-1, 3).T[:, None]
     totals = []
     for q, keys in enumerate(terms[0][0][0].parts):
         column = np.concatenate([init[:, :, keys]] + [
             sums for _, _, parts in terms for sums in parts[q]], axis=1)
         totals.append(np.add.accumulate(column, axis=1)[:, -1])
-    totals = np.concatenate(totals, axis=1).T.ravel().tolist()
-    tally = tally.tolist()
-    for i in kept:
-        if tally[i]:
-            timers[i].total, timers[i].count = totals[i], \
-                timers[i].count + tally[i]
-    for i in dict.fromkeys(made):   # the new ones, in first-tick order
-        r, name = layout[i]
-        registries[r].timers[name] = Timer(name, totals[i], tally[i])
-
-
-def _book_steps(tracker, stretch, retried, tail=None) -> None:
-    """The stretch's supersteps to the tracker, superstep ``at`` of each
-    ``(at, n)`` in ``retried`` re-driven ``n`` times right after it; with
-    ``tail``, only that many rows of the last copy."""
-    blocks = [(p.block, times) for p, times, _ in stretch]
-    if tail is not None:        # the copy the crash cuts, up to the crash
-        p, times, _ = stretch[-1]
-        blocks[-1:] = [(p.block, times - 1)] * (times > 1) + [
-            (p.block.head(int(p.step[:tail].sum())), 1)]
-    tracker.book(blocks, retried)
+    state.booked = (layout, np.concatenate(totals, axis=1).T.ravel(),
+                    counts + sum(tally for _, tally, _ in terms),
+                    ticks + [p.ticks for programs, _, _ in terms
+                             for p in programs])
 
 
 def _checkpoints(state, stretch, after: np.ndarray,

@@ -391,22 +391,6 @@ class TestBookedBlocks:
                                         walked.label_bytes, walked.label_syncs)
         assert self._read(booked) == self._read(walked)
 
-    @given(step_rows(), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_a_head_books_as_the_block_of_its_rows(self, case, data):
-        """A crash cuts a copy short: the head of a block books, retries
-        and all, as the block of its first rows."""
-        _, rows, retried = case
-        k = data.draw(st.integers(1, len(rows)))
-        retried = [(at, n) for at, n in retried if at < k]
-        head, whole = CommTracker(3), CommTracker(3)
-        head.book([(StepBlock(rows).head(k), 1)], retried)
-        whole.book([(StepBlock(rows[:k]), 1)], retried)
-        assert (head.num_syncs, head.total_bytes, head.label_bytes,
-                head.label_syncs) == (whole.num_syncs, whole.total_bytes,
-                                      whole.label_bytes, whole.label_syncs)
-        assert self._read(head) == self._read(whole)
-
     def test_blocks_booked_back_to_back_and_read_between(self):
         scratch = CommTracker(3)
         scratch.send(0, 2, 40)

@@ -19,6 +19,7 @@ from repro.dist import (
     Checkpoint,
     CommTracker,
     Crash,
+    DistRunResult,
     ExchangePlan,
     FaultPlan,
     Hybrid2DRun,
@@ -44,6 +45,7 @@ from repro.ref import build_ref_hierarchy
 from repro.ref.cg import CGState
 from repro.ref.multigrid import ref_mg_vcycle
 from repro.util.errors import InvalidValue
+from repro.util.timer import Timer, TimerRegistry
 from test_dist_vcycle import computed         # a solve that is not a replay
 from test_dist_vcycle import engine_apply     # as a priced iteration makes it
 from test_vcycle_plan import assert_bit_identical   # values and signbits
@@ -378,6 +380,74 @@ class TestHostCostPerSuperstep:
                      comm_mode="overlap").run_cg(max_iters=2)
         assert result.syncs > 50 and not closes
         assert reads and at_fold == [len(reads)]
+
+
+class TestTimersBuiltWhenRead:
+    """A run adds its timers' terms to plain per-key totals once, as it
+    ends; its result builds ``timers`` and ``comm_timers`` from them when
+    first read, equal to what a traced run (booked program by program)
+    reads, and keeps none of the run state."""
+
+    PLANS = {
+        "clean": None,
+        "crash": FaultPlan(checkpoint=Checkpoint(2),
+                           crashes=[Crash(node=1, superstep=120)]),
+        "loss": FaultPlan(seed=5, message_loss=MessageLoss(0.3, 3)),
+    }
+
+    @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS)
+    @pytest.mark.parametrize("cls", [RefDistRun, HybridALPRun, Hybrid2DRun])
+    def test_a_warm_untraced_run_makes_no_timer(self, problem8,
+                                                python_calls, cls, plan):
+        run = cls(problem8, 4, mg_levels=3, faults=plan)
+        run.run_cg(max_iters=4)                      # warm
+        results = []
+        made = python_calls(lambda: results.append(run.run_cg(max_iters=4)),
+                            code=Timer.__init__.__code__)
+        assert made == 0
+        assert python_calls(lambda: results[0].timers,
+                            code=Timer.__init__.__code__) > 0
+
+    @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS)
+    def test_registries_read_twice_are_one_and_equal_a_traced_runs(
+            self, problem8, plan):
+        run = RefDistRun(problem8, 4, mg_levels=3, faults=plan)
+        with obs.disabled():
+            result = run.run_cg(max_iters=4)
+        with obs.run():
+            traced = run.run_cg(max_iters=4)
+        assert result.timers is result.timers
+        assert result.comm_timers is result.comm_timers
+        for got, want in ((result.timers, traced.timers),
+                          (result.comm_timers, traced.comm_timers)):
+            assert got.as_dict(counts=True) == want.as_dict(counts=True)
+            assert list(got.timers) == list(want.timers)    # first ticks
+            assert got.total().hex() == want.total().hex()
+            assert got.report() == want.report()
+            assert got.rollup(2) == want.rollup(2)
+
+    def test_given_registries_are_kept(self):
+        timers, comm = TimerRegistry(), TimerRegistry()
+        result = DistRunResult(
+            backend="given", nprocs=2, n=8, iterations=0, residuals=[],
+            modelled_seconds=0.0, tracker=CommTracker(2), mg_levels=1,
+            timers=timers, comm_timers=comm)
+        assert result.timers is timers and result.comm_timers is comm
+        assert DistRunResult(
+            backend="given", nprocs=2, n=8, iterations=0, residuals=[],
+            modelled_seconds=0.0, tracker=CommTracker(2), mg_levels=1,
+            timers=timers).comm_timers is None
+
+    def test_the_result_keeps_no_run_state(self, problem8):
+        run = RefDistRun(problem8, 4, mg_levels=3,
+                         faults=self.PLANS["crash"])
+        result = run.run_cg(max_iters=4)
+        state = weakref.ref(run._state)
+        run._state = None
+        gc.collect()
+        assert state() is None
+        assert result.timers.total("mg/") > 0
+        assert result.comm_timers.total("full/") > 0
 
 
 # ---------------------------------------------------------------------------
