@@ -165,6 +165,14 @@ class StepBlock:
         self.row_labels = np.array([index.get(label, len(self.labels))
                                     for label in labels], dtype=np.intp)
 
+    def head(self, k: int) -> "StepBlock":
+        """The block of the first ``k`` rows (a crash cuts a copy)."""
+        head = StepBlock.__new__(StepBlock)
+        head.rows, head.labels = self.rows[:k], self.labels
+        head.row_bytes, head.row_labels = (self.row_bytes[:k],
+                                           self.row_labels[:k])
+        return head
+
     @cached_property
     def total_bytes(self) -> int:
         return int(self.row_bytes.sum())

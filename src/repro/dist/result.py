@@ -15,36 +15,40 @@ from repro.dist.comm import CommTracker
 from repro.dist.faults import FaultInjector
 from repro.dist.tape import book_timers, fold
 from repro.ref.cg import CGState
-from repro.util.timer import TimerRegistry
+from repro.util.timer import Timer, TimerRegistry
 
 
-def _registry(booked: tuple, r: int) -> TimerRegistry:
-    """Registry ``r`` (0: the timers, 1: the wire seconds) of the totals
+def _registries(booked: tuple) -> tuple:
+    """The timers and the wire seconds (registries 0 and 1) of the totals
     :func:`~repro.dist.tape.book_timers` booked: every timer ticked, in
-    the order of its first tick."""
+    the order of its first tick, both built in one pass."""
     layout, totals, counts, ticks = booked
     totals, counts = totals.tolist(), counts.tolist()
-    return TimerRegistry.from_totals(
-        (layout[i][1], totals[i], counts[i])
-        for i in dict.fromkeys(itertools.chain.from_iterable(ticks))
-        if layout[i][0] == r)
+    registries = TimerRegistry(), TimerRegistry()
+    for i in dict.fromkeys(itertools.chain.from_iterable(ticks)):
+        r, name = layout[i]
+        registries[r].timers[name] = Timer(name, totals[i], counts[i])
+    return registries
 
 
 class _Registry:
     """A registry field of :class:`DistRunResult`: the one given, else
-    the one built from the run's booked totals when first read."""
+    the one built, with its fellow, from the run's booked totals when
+    either is first read."""
 
     def __set_name__(self, owner, name):
-        self.name, self.r = name, int(name == "comm_timers")
+        self.name = name
 
     def __get__(self, result, owner=None):
         if result is None:
             return None                 # the field's default
-        if self.name not in result.__dict__ and result._booked:
+        kept = result.__dict__
+        if self.name not in kept and result._booked:
             # two threads may both build; both read the one kept
-            result.__dict__.setdefault(self.name,
-                                       _registry(result._booked, self.r))
-        return result.__dict__.get(self.name)
+            for name, registry in zip(("timers", "comm_timers"),
+                                      _registries(result._booked)):
+                kept.setdefault(name, registry)
+        return kept.get(self.name)
 
     def __set__(self, result, registry):
         if registry is None:            # built when read, if booked
@@ -106,7 +110,7 @@ class DistRunResult:
     #: builds :attr:`resilience` when it is first read; None for clean runs
     _resilience: Optional[Callable[[], Dict]] = field(
         default=None, repr=False, compare=False)
-    #: the run's booked timer totals (see :func:`_registry`), which
+    #: the run's booked timer totals (see :func:`_registries`), which
     #: ``timers`` and ``comm_timers`` are built from; None when given
     _booked: Optional[tuple] = field(default=None, repr=False,
                                      compare=False)
@@ -209,11 +213,10 @@ class _RunState:
                  machine, mode: str):
         self.tracker = CommTracker(nprocs)
         self.machine, self.mode = machine, mode
-        # the terms the folds laid out, not yet booked, and the totals
-        # booked (tape.book_timers), whence the timers and the wire
-        # seconds are built when read
+        # the terms the folds laid out, booked into totals at the end
+        # (tape.book_timers), whence the timers and the wire seconds are
+        # built when read
         self.terms: list = []
-        self.booked: Optional[tuple] = None
         self.seconds = 0.0
         self.comm_seconds = 0.0
         self.exposed_comm_seconds = 0.0
@@ -299,14 +302,9 @@ class _RunState:
         steps, lossy = program.reach
         self.reach += steps + self.cap * lossy
 
-    def book(self) -> Optional[tuple]:
-        """The timers' totals so far (see :func:`_registry`)."""
-        if self.terms:
-            book_timers(self)
-        return self.booked
-
-    timers = property(lambda self: _registry(self.book(), 0))
-    comm_timers = property(lambda self: _registry(self.book(), 1))
+    timers = property(lambda self: _registries(book_timers(self.terms))[0])
+    comm_timers = property(
+        lambda self: _registries(book_timers(self.terms))[1])
 
     def flush(self) -> None:
         """Book the stretch not yet booked, as one fold (which raises a
@@ -403,7 +401,7 @@ class _RunState:
             replayed=self.priced,
             transcribed=self.transcribed,
             _resilience=None if inj is None else self._resilience(run),
-            _booked=self.book(),
+            _booked=book_timers(self.terms),
         )
 
     def _resilience(self, run) -> Callable[[], Dict]:

@@ -40,8 +40,7 @@ changes no total, so every total is bit-identical (``sum``, ``np.sum``
 and ``math.fsum`` would not be).  The tracker and the injector take the
 stretch's supersteps and fault events as blocks.  A traced run books the
 same rows, then emits their spans at the program's marks.  Nothing a
-fold draws or lays out is kept past it but a crash's cut copy, which its
-program keeps (:meth:`Program.head`).
+fold draws or lays out is kept past it.
 """
 
 from __future__ import annotations
@@ -137,32 +136,33 @@ class Program:
         self.sums = tuple(np.zeros((3, counts[keyed].max(initial=0),
                                     keyed.stop - keyed.start))
                           for keyed in self.parts)
-        for sums, part in zip(self.sums, (smoother, ~smoother)):
-            sums[:, rank[part], self.places[2, part]] = self.values[:, part]
+        #: per matrix, the row whose term each slot holds (padding: n)
+        self.slots = tuple(np.full(sums.shape[1:], self.n)
+                           for sums in self.sums)
+        for sums, slots, part in zip(self.sums, self.slots,
+                                     (smoother, ~smoother)):
+            at = rank[part], self.places[2, part]
+            sums[:, at[0], at[1]] = self.values[:, part]
+            slots[at] = part.nonzero()[0]
         self.block = StepBlock([
             (plan, label, o, k == POSTED) for k, plan, label, o
             in zip(kinds, self.plans, labels, overlap) if k != LOCAL])
-        self._head = None           # the last cut, see head
 
     def head(self, rows: int) -> "Program":
         """The program cut after its first ``rows`` rows, as a crash cuts
         a copy: its counts, ticks, supersteps' block and matrices, each
         timer keeping its first terms (the rest zeroed), are of those
-        rows.  The last cut is kept: a planned crash cuts the same copy
-        at the same row in every run."""
-        head = self._head
-        if head is None or head.n != rows:
-            head = copy.copy(self)
-            key, step = self.key[:rows], self.step[:rows]
-            kept = np.bincount(key, minlength=self.parts[1].stop)
-            steps = np.bincount(key[step], minlength=len(kept))
-            head.n, head.tally = rows, np.array([kept, steps, steps]).T.ravel()
-            head.ticks = [i for i in self.ticks if head.tally[i]]
-            head.sums = tuple(np.where(np.arange(sums.shape[1])[:, None]
-                                       < kept[keyed], sums, 0.0)
-                              for sums, keyed in zip(self.sums, self.parts))
-            head.block = StepBlock(self.block.rows[:int(step.sum())])
-            head._head, self._head = None, head
+        rows."""
+        head = copy.copy(self)
+        key, step = self.key[:rows], self.step[:rows]
+        kept = np.bincount(key, minlength=self.parts[1].stop)
+        steps = np.bincount(key[step], minlength=len(kept))
+        head.n, head.tally = rows, np.array([kept, steps, steps]).T.ravel()
+        ticked = head.tally.tolist()
+        head.ticks = [i for i in self.ticks if ticked[i]]
+        head.sums = tuple(np.where(slots < rows, sums, 0.0)
+                          for sums, slots in zip(self.sums, self.slots))
+        head.block = self.block.head(int(step.sum()))
         return head
 
 
@@ -326,29 +326,27 @@ def _laid_out(stretch: list) -> tuple:
                                 [p.tally for p in copies]), parts
 
 
-def book_timers(state) -> None:
-    """Add the terms the run's folds laid out (``state.terms``: per fold,
-    its programs, counts and matrices, see :func:`_laid_out`) to its
-    per-key totals, once, at its end: each timer's column of every
-    fold's matrices under its total so far, one accumulate down a
-    matrix.  ``state.booked`` is ``(layout, totals, counts, ticks)``:
-    the :func:`timer_layout`, each timer's total and count in its order,
-    and every folded program's :attr:`Program.ticks`.  No timer is made:
-    registries are built from these when read."""
-    terms, state.terms = state.terms, []
-    layout = terms[0][0][0].layout
-    _, totals, counts, ticks = state.booked or (
-        layout, np.zeros(len(layout)), 0, [])
-    init = totals.reshape(-1, 3).T[:, None]
+def book_timers(terms: list) -> tuple:
+    """The per-key totals of the terms a run's folds laid out (per fold,
+    its programs, how many terms each timer takes and its matrices, see
+    :func:`_laid_out`), added once, at the run's end: each timer's column
+    of every fold's matrices, one accumulate down a matrix.  Returns
+    ``(layout, totals, counts, ticks)``: the :func:`timer_layout`, each
+    timer's total and count in its order, and each folded program's
+    :attr:`Program.ticks`, once a program.  No timer is made: registries
+    are built from these when read."""
+    programs = list(dict.fromkeys(p for folded, _, _ in terms
+                                  for p in folded))
+    layout, parts = programs[0].layout, programs[0].parts
     totals = []
-    for q, keys in enumerate(terms[0][0][0].parts):
-        column = np.concatenate([init[:, :, keys]] + [
-            sums for _, _, parts in terms for sums in parts[q]], axis=1)
+    for q, keys in enumerate(parts):
+        column = np.concatenate([np.zeros((3, 1, keys.stop - keys.start))]
+                                + [sums for _, _, laid in terms
+                                   for sums in laid[q]], axis=1)
         totals.append(np.add.accumulate(column, axis=1)[:, -1])
-    state.booked = (layout, np.concatenate(totals, axis=1).T.ravel(),
-                    counts + sum(tally for _, tally, _ in terms),
-                    ticks + [p.ticks for programs, _, _ in terms
-                             for p in programs])
+    return (layout, np.concatenate(totals, axis=1).T.ravel(),
+            sum(tally for _, tally, _ in terms),
+            [p.ticks for p in programs])
 
 
 def _checkpoints(state, stretch, after: np.ndarray,

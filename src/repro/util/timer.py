@@ -72,13 +72,6 @@ class TimerRegistry:
 
     timers: Dict[str, Timer] = field(default_factory=dict)
 
-    @classmethod
-    def from_totals(cls, entries) -> "TimerRegistry":
-        """A registry of one timer per ``(name, total, count)`` of
-        ``entries``, in their order."""
-        return cls({name: Timer(name, total, count)
-                    for name, total, count in entries})
-
     def get(self, name: str) -> Timer:
         timer = self.timers.get(name)
         if timer is None:

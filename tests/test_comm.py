@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dist.bsp import ARM_CLUSTER_NODE
 from repro.dist.comm import CommTracker, StepBlock
+from repro.dist.tape import LOCAL, POSTED, SYNC, Program, timer_layout
 from repro.util.errors import InvalidValue
+
+#: the timers a two-level solve ticks (see ``repro.dist.tape``)
+LAYOUT = timer_layout(2)
 
 
 class TestSend:
@@ -390,6 +395,50 @@ class TestBookedBlocks:
                 booked.label_syncs) == (walked.num_syncs, walked.total_bytes,
                                         walked.label_bytes, walked.label_syncs)
         assert self._read(booked) == self._read(walked)
+
+    @given(step_rows(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_a_head_books_as_the_block_of_its_rows(self, case, data):
+        """A crash cuts a copy short: the program's head books, retries
+        and all, as the program of its first rows — its block, counts,
+        first ticks, places and timer totals — however often it is cut."""
+        _, steps, retried = case
+        keys = [name for _, name in LAYOUT[::3]]
+        rows = []
+        for plan, label, o, posted in steps:
+            if data.draw(st.booleans()):
+                rows.append((LOCAL, data.draw(st.sampled_from(keys)), None,
+                             None, data.draw(st.sampled_from([8.0, 64.0])),
+                             0.0))
+            rows.append((POSTED if posted else SYNC,
+                         data.draw(st.sampled_from(keys)), plan, label,
+                         data.draw(st.sampled_from([0.0, 32.0])), o))
+        program = Program(rows, [], ARM_CLUSTER_NODE, LAYOUT)
+        for _ in range(2):
+            k = data.draw(st.integers(1, len(rows)))
+            head = program.head(k)
+            cut = Program(rows[:k], [], ARM_CLUSTER_NODE, LAYOUT)
+            kept = [(at, n) for at, n in retried if at < cut.reach[0]]
+            booked, whole = CommTracker(3), CommTracker(3)
+            booked.book([(head.block, 1)], kept)
+            whole.book([(cut.block, 1)], kept)
+            assert (booked.num_syncs, booked.total_bytes, booked.label_bytes,
+                    booked.label_syncs) == (whole.num_syncs, whole.total_bytes,
+                                            whole.label_bytes,
+                                            whole.label_syncs)
+            assert self._read(booked) == self._read(whole)
+            assert head.n == k and program.n == len(rows)
+            assert np.array_equal(head.tally, cut.tally)
+            assert head.ticks == cut.ticks
+            assert np.array_equal(head.places[:, :k], cut.places)
+            for laid, sums in zip(head.sums, cut.sums):
+                height = sums.shape[1]
+                assert np.array_equal(laid[:, :height], sums)
+                assert not laid[:, height:].any()
+                totals = [np.add.accumulate(np.concatenate(
+                    [np.zeros((3, 1, m.shape[2])), m], axis=1),
+                    axis=1)[:, -1] for m in (laid, sums)]
+                assert totals[0].tobytes() == totals[1].tobytes()
 
     def test_blocks_booked_back_to_back_and_read_between(self):
         scratch = CommTracker(3)

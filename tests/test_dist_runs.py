@@ -405,8 +405,11 @@ class TestTimersBuiltWhenRead:
         made = python_calls(lambda: results.append(run.run_cg(max_iters=4)),
                             code=Timer.__init__.__code__)
         assert made == 0
-        assert python_calls(lambda: results[0].timers,
+        assert python_calls(lambda: results[0].comm_timers,
                             code=Timer.__init__.__code__) > 0
+        # built in the same pass as the wire seconds' registry
+        assert python_calls(lambda: results[0].timers,
+                            code=Timer.__init__.__code__) == 0
 
     @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS)
     def test_registries_read_twice_are_one_and_equal_a_traced_runs(
