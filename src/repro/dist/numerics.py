@@ -15,8 +15,8 @@ dot products steer CG — the step lengths, the residual norms, the stop
 and the breakdown check.  So the numerics also keep one
 :class:`Trajectory` per ``(use_mg, b, x0)``: every dot value the first
 untraced run to compute returned, published when it finishes.  A later
-untraced run whose stop point the record covers runs the same loop on
-kernels that price and compute nothing, its dots returning the record
+untraced run whose stop point the record reaches takes its stop point
+and residual norms from it, and walks CG at most to record a program
 (see :meth:`~repro.dist.simulate.SimulatedDistRun.run_cg`).
 """
 
@@ -105,18 +105,18 @@ class Trajectory:
 
     def __init__(self, b: Vector, x0: Vector, dots: List[float]):
         self.b, self.x0, self.dots = b, x0, dots
+        #: the residual norms on record, ``||r_0||`` first
+        self.norms = [math.sqrt(dot) for dot in dots[::3]]
 
-    def covers(self, max_iters: int, tolerance: float) -> bool:
-        """Does the record reach the iteration a solve of ``max_iters``
-        and ``tolerance`` stops at?  The loop's own stopping rule, on the
-        recorded residual norms."""
-        norms = [math.sqrt(dot) for dot in self.dots[::3]]
-        for k in range(1, max_iters + 1):
-            if converged(norms[0], norms[k - 1], tolerance):
-                return True
-            if k == len(norms):     # iteration k is not on record
-                return False
-        return True
+    def stop(self, max_iters: int, tolerance: float) -> Optional[int]:
+        """The iteration a solve of ``max_iters`` and ``tolerance`` stops
+        at — the loop's own stopping rule, on the recorded residual norms
+        — or None when the record does not reach it."""
+        norms = self.norms
+        for k in range(min(max_iters, len(norms) - 1) + 1):
+            if k == max_iters or converged(norms[0], norms[k], tolerance):
+                return k
+        return None
 
 
 class _Numerics(list):

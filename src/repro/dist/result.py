@@ -13,8 +13,7 @@ from typing import Callable, Dict, List, Optional
 from repro import obs
 from repro.dist.comm import CommTracker
 from repro.dist.faults import FaultInjector
-from repro.dist.tape import book_timers, fold
-from repro.ref.cg import CGState
+from repro.dist.tape import book_timers
 from repro.util.timer import Timer, TimerRegistry
 
 
@@ -224,30 +223,26 @@ class _RunState:
         # only a lossy plan draws retries (any other draws none)
         self.lossy = (injector is not None
                       and injector.plan.message_loss is not None)
-        # the dots being recorded, or the trajectory a priced run
-        # returns (see run_cg), and the next dot's index in it
-        self.dots: Optional[list] = None
-        self.priced = False
+        # the run's trajectory (the dots being computed, or the record a
+        # run prices from), the next dot's index in it, and whether the
+        # kernels compute nothing (see SimulatedDistRun.run_cg)
+        self.dots: list = []
         self.cursor = 0
+        self.priced = False
         self.transcribed = 0          # applications the kernel declined
-        self.checkpoint: Optional[CGState] = None
+        self.checkpoint: Optional[int] = None   # the last one's iteration
         self.checkpoint_seconds = 0.0
         self.checkpoints = 0
         self.iteration = 0            # the iteration in progress
         self.reexecuted = 0
         self.lost_trackers: List[CommTracker] = []   # a crash's, discarded
-        # the program being recorded (rows and span marks), the kept
-        # programs of the attempt's record by kind, and the stretch of
-        # programs not yet booked: [program, times, note] entries (see
-        # SimulatedDistRun._opened and tape.fold)
+        # the program being recorded (rows and span marks), the run's
+        # record's programs by kind (SimulatedDistRun._recorded), and the
+        # entry and copy a crash cut the last fold in (tape._cut)
         self.recording: Optional[list] = None
         self.marks: list = []
         self.programs: dict = {}
-        self.stretch: list = []
-        # the most supersteps the stretch may close, retries included
-        self.reach = 0
-        self.cap = injector.plan.message_loss.max_retries if self.lossy \
-            else 0
+        self.cut: Optional[tuple] = None
         # the obs context, read once (no environment lookup per
         # superstep); the fault metrics are declared only on faulted runs
         self.ctx = obs.current()
@@ -290,28 +285,9 @@ class _RunState:
                 "dist_recoveries_total",
                 "crash recoveries (rollback + repartition onto survivors)")
 
-    def append(self, program, note=None) -> None:
-        """One more booking of ``program`` (``note``: a checkpoint's
-        iteration): it joins the stretch not yet booked."""
-        stretch = self.stretch
-        if (stretch and stretch[-1][0] is program and note is None
-                and stretch[-1][2] is None):
-            stretch[-1][1] += 1
-        else:
-            stretch.append([program, 1, note])
-        steps, lossy = program.reach
-        self.reach += steps + self.cap * lossy
-
     timers = property(lambda self: _registries(book_timers(self.terms))[0])
     comm_timers = property(
         lambda self: _registries(book_timers(self.terms))[1])
-
-    def flush(self) -> None:
-        """Book the stretch not yet booked, as one fold (which raises a
-        crash it cuts the stretch at)."""
-        if self.stretch:
-            stretch, self.stretch, self.reach = self.stretch, [], 0
-            fold(self, stretch)
 
     def ticked(self, name: str, category: str, args: Optional[dict] = None):
         """An obs span that, unless a crash unwinds it, is ticked with
@@ -328,14 +304,6 @@ class _RunState:
             yield sp
             sp.tick(self.seconds - before)
 
-    def snapshot(self, cg: CGState) -> CGState:
-        """``cg.copy()``, a checkpoint; a priced run's vectors hold nothing
-        to keep, so only ``k``, ``rtz`` and the residuals travel."""
-        if self.priced:
-            return CGState(cg.k, cg.x, cg.r, cg.p, cg.z, cg.Ap, cg.rtz,
-                           list(cg.residuals))
-        return cg.copy()
-
     def on_fault_event(self, event) -> None:
         """Mirror every injector event into the trace and metrics."""
         if self.ctx is not None:
@@ -346,11 +314,11 @@ class _RunState:
                                             "message_loss", "crash"):
             m.faults.inc(1, kind=event.kind)
 
-    def result(self, run, cg: CGState) -> DistRunResult:
+    def result(self, run, k: int, residuals: List[float],
+               replayed: bool) -> DistRunResult:
         """The result record of the solve ``run`` (the final run: the
-        survivors after a crash) finished, with manifest + compact
-        metrics attached when obs is on."""
-        self.flush()
+        survivors after a crash) finished at iteration ``k``, with
+        manifest + compact metrics attached when obs is on."""
         inj = self.injector
         manifest = run_metrics = None
         if self.ctx is not None:
@@ -377,7 +345,7 @@ class _RunState:
                 "exposed_comm_seconds": self.exposed_comm_seconds,
                 "hidden_comm_seconds": (
                     self.comm_seconds - self.exposed_comm_seconds),
-                "iterations": cg.k,
+                "iterations": k,
             }
             if inj is not None:
                 run_metrics["recoveries"] = inj.recoveries
@@ -387,8 +355,8 @@ class _RunState:
             backend=run.backend,
             nprocs=run.nprocs,
             n=run.n,
-            iterations=cg.k,
-            residuals=cg.residuals,
+            iterations=k,
+            residuals=residuals,
             modelled_seconds=self.seconds,
             tracker=self.tracker,
             mg_levels=run.mg_levels,
@@ -398,7 +366,7 @@ class _RunState:
             machine=run.machine.name,
             manifest=manifest,
             metrics=run_metrics,
-            replayed=self.priced,
+            replayed=replayed,
             transcribed=self.transcribed,
             _resilience=None if inj is None else self._resilience(run),
             _booked=book_timers(self.terms),

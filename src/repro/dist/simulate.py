@@ -9,12 +9,10 @@ on the :mod:`repro.ref` kernels, preconditioned by the compiled V-cycle
 kernel of the serial fused path, so residual histories are bit-identical
 to ``run_hpcg``.  The engine adds the accounting only: each kernel it
 hands the loop is followed by the backend's ``*_comm`` hook, which
-books the superstep's exchange plan; each preconditioner application by
-``_vcycle``, which books Listing 1's steps in the order
+records the superstep's exchange plan; each preconditioner application
+by ``_vcycle``, which records Listing 1's steps in the order
 :func:`~repro.graphblas.substrate.csr.vcycle` states (the kernel's
-schedule runs them in it) and runs none.  On a
-:class:`~repro.dist.faults.NodeCrash` ``run_cg`` repartitions onto the
-survivors and resumes from the last checkpoint.
+schedule runs them in it) and runs none.
 Convergence is unchanged by the distribution (the paper's Section V
 precondition), so backends compete purely on the communication they
 induce, priced on the ``machine=`` a run is given, else on the Table-II
@@ -25,20 +23,25 @@ pattern as an :class:`~repro.dist.comm.ExchangePlan`.  A hook prices
 nothing: each booking primitive (``_close_superstep``, ``_barrier``,
 ``_tick_local``) appends one row to the program being recorded, and the
 numerics keep one :class:`~repro.dist.tape.Program` per record, mode,
-machine, preconditioner and kind (``cg_start``, the first iteration, a
-later one, a checkpoint, a restore), priced once in arrays; a kernel
-whose program is kept runs its numerics alone.  Every program booked
-joins the run's stretch, which one fold (:func:`~repro.dist.tape.fold`)
-books when the run ends, faults applied as transforms of it — or after
-each program while a planned crash may land in it (the numerics stop at
-that iteration) or when the run is traced (its spans are emitted from
-the rows).  Nothing is priced superstep by superstep.
+machine, preconditioner and kind (``start``, the first iteration, a
+later one, a checkpoint, a restore), priced once in arrays.
 
-And the numerics run once per problem: a later untraced run whose stop
-point the first computing run's recorded dots reach *prices only* —
-its kernels compute nothing and ``_dot`` returns the recorded value, so
-the loop takes every branch the computed run took.
-``DistRunResult.replayed`` says which ran.
+A run walks CG only to compute its trajectory or to record a program,
+and never books while it walks.  The trajectory — every dot, so the
+stop point ``k`` and the residual norms — is computed once per problem:
+a later untraced run whose stop point the first computing run's record
+reaches prices only (``DistRunResult.replayed``), recording a program
+its record lacks by walking the pricing kernels (they compute nothing,
+``_dot`` returning the recorded value) for at most two iterations.
+Then one plan books the run — ``start``, ``first``, ``later`` x
+(k - 1), a checkpoint after every interval-th iteration — folded at
+once (:func:`~repro.dist.tape.fold`), faults applied as transforms of
+it.  A crash cuts the fold where it lands, and the survivors' plan books
+a restore of the last checkpoint (or the start) and the iterations on:
+a checkpoint is accounting, and a crash run's history is the clean one.
+Traced, the plan folds entry by entry inside its spans, so a
+``cg/iteration`` span holds its modelled ticks but not the numerics'
+wall-clock.  Nothing is priced superstep by superstep.
 
 Pricing options: an explicit ``comm_mode=``, else the ``REPRO_OVERLAP``
 force, else ``"eager"`` (each exchange a synchronous ``work + comm``);
@@ -71,7 +74,7 @@ from repro.dist.faults import FaultInjector, FaultPlan, NodeCrash
 from repro.dist.numerics import _SHARED, SimLevel, _Numerics, require_fits
 from repro.dist.partition import Block1D
 from repro.dist.result import DistRunResult, _RunState
-from repro.dist.tape import COLLECTIVE, LOCAL, POSTED, SYNC, Program
+from repro.dist.tape import COLLECTIVE, LOCAL, POSTED, SYNC, Program, fold
 from repro.graphblas.substrate.csr import ColorMajorVCycle, vcycle
 from repro.hpcg.problem import Problem
 from repro.ref.cg import CGState, cg_iterations, cg_start, require_cg_limits
@@ -246,32 +249,22 @@ class SimulatedDistRun:
               _RESTRICT_COPY_BYTES * vectors * self._vector_share(n))
 
     # --- programs and spans --------------------------------------------------
-    def _opened(self, kind: str):
-        """The program ``kind`` of the attempt's record if the numerics
-        keep it — the kernels then run their numerics alone — else None,
-        and the hooks record it."""
+    @contextlib.contextmanager
+    def _recorded(self, kind: str):
+        """Record the program ``kind`` while the body runs, unless this
+        run's record keeps it: the hooks then append its rows."""
         state = self._state
-        program = state.programs.get(kind)
-        if program is None:
-            state.recording, state.marks = [], []
-        return program
-
-    def _closed(self, kind: str, program, note: Optional[int] = None):
-        """Book ``program`` (recorded now if None) into the stretch;
-        ``note`` is a checkpoint's iteration.  Traced, or when a planned
-        crash may land in the stretch, the stretch is booked now (and a
-        crash it lands in raises here)."""
-        state = self._state
-        if program is None:
-            program = state.programs.setdefault(kind, Program(
+        if kind in state.programs:
+            yield
+            return
+        state.recording, state.marks = [], []
+        try:
+            yield
+            state.programs.setdefault(kind, Program(
                 state.recording, state.marks, self.machine,
                 self._numerics.layout))
+        finally:
             state.recording = None
-        state.append(program, note)
-        crash = state.injector and state.injector.next_crash
-        if state.ctx is not None or (crash is not None and (
-                state.injector.superstep + state.reach > crash.superstep)):
-            state.flush()
 
     def _span(self, name: str, category: str, args: Optional[dict] = None):
         """The run state's ticked span (the null span untraced)."""
@@ -282,20 +275,19 @@ class SimulatedDistRun:
         return float(-(-n // self.nprocs))
 
     # --- the kernels, each followed by its accounting ------------------------
-    # (a priced run computes none of them: see run_cg; one whose program
-    # is kept books none of them: see _opened)
+    # (a walk that prices computes none of them; one whose program the
+    # record keeps records none of them: see _recorded)
     def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
-        """``u'v``, recorded at the cursor; a priced run returns the
+        """``u'v``, recorded at the cursor; a walk that prices returns the
         recorded one."""
         state = self._state
-        dots, at = state.dots, state.cursor
+        at = state.cursor
         state.cursor += 1
         if state.priced:
-            value = dots[at]
+            value = state.dots[at]
         else:
             value = compute_dot(u, v)
-            if dots is not None and at == len(dots):  # not re-executed
-                dots.append(value)
+            state.dots.append(value)
         if state.recording is not None:
             self._barrier(self._dot_plan, "dot", "cg/dot",
                           _DOT_BYTES * self._vector_share(self.n))
@@ -383,38 +375,13 @@ class SimulatedDistRun:
     #: vectors a CG checkpoint persists (x, r, p)
     _CKPT_VECTORS = 3
 
-    def _take_checkpoint(self, cg: CGState) -> None:
-        """Snapshot CG state after iteration ``cg.k``, booked as a gather
-        of the three CG vectors to node 0 (which persists them).  The
-        snapshot is taken *after* the superstep is booked, so a crash on
-        the checkpoint barrier leaves the previous one as the rollback
-        target, as a torn write would; a priced run copies no vector."""
-        state = self._state
-        with self._span("fault/checkpoint", "fault",
-                        {"iteration": cg.k}) as sp:
-            before = state.seconds
-            self._book_vectors("checkpoint", True, cg.k)
-            state.checkpoint = state.snapshot(cg)
-            if sp is not None:
-                sp.set(seconds=state.seconds - before)
-
-    def _restore(self, checkpoint: CGState) -> CGState:
-        """Resume from ``checkpoint`` after a repartition: node 0
-        scatters each survivor its share of the checkpointed vectors
-        (one superstep on the *new* node count)."""
-        with self._span("fault/restore", "fault",
-                        {"iteration": checkpoint.k, "nprocs": self.nprocs}):
-            self._book_vectors("restore", False)
-        return self._state.snapshot(checkpoint)
-
-    def _book_vectors(self, kind: str, to_root: bool, note=None) -> None:
-        """Book the program ``kind``: the CG vectors gathered to node 0
-        (``to_root``) or scattered from it, one collective superstep."""
-        program = self._opened(kind)
-        if program is None:
-            self._root_exchange(self._barrier, kind, f"fault/{kind}",
-                                self.n, self._CKPT_VECTORS, to_root)
-        self._closed(kind, program, note)
+    def _book_vectors(self, kind: str) -> None:
+        """Record the program ``kind``: the CG vectors gathered to node 0
+        (a ``checkpoint``, which node 0 persists) or scattered from it (a
+        ``restore`` onto the survivors), one collective superstep."""
+        with self._recorded(kind):
+            self._root_exchange(self._barrier, kind, f"fault/{kind}", self.n,
+                                self._CKPT_VECTORS, kind == "checkpoint")
 
     # --- crash recovery ------------------------------------------------------
     def _respawn(self, nprocs: int, **changed) -> "SimulatedDistRun":
@@ -433,7 +400,7 @@ class SimulatedDistRun:
         run state (only the tracker restarts)."""
         state = self._state
         inj = state.injector
-        resume_k = state.checkpoint.k if state.checkpoint is not None else 0
+        resume_k = state.checkpoint or 0
         state.reexecuted += max(state.iteration - resume_k, 0)
         state.lost_trackers.append(state.tracker)
         survivors = inj.alive_count
@@ -454,71 +421,120 @@ class SimulatedDistRun:
             state.metrics.recoveries.inc(1)
         return survivor
 
-    # --- the CG loop (repro.ref.cg's, on the priced kernels) ---------------
+    # --- the walk: repro.ref.cg's loop on the kernels -----------------------
     @contextlib.contextmanager
     def _iteration(self, k: int):
-        """Iteration ``k`` in progress: its span, and its program (the
-        first iteration puts ``p <- z`` before the dot)."""
-        state = self._state
-        state.iteration, state.cursor = k, 3 * k - 2
-        kind = "later" if k > 1 else "first"
-        with self._span("cg/iteration", "cg", {"k": k}) as sp:
-            program = self._opened(kind)
-            yield sp
-            self._closed(kind, program)
+        """Iteration ``k`` of a walk: its dots' place, and its program
+        recorded unless kept (the first puts ``p <- z`` before the dot)."""
+        self._state.cursor = 3 * k - 2
+        with self._recorded("later" if k > 1 else "first"):
+            yield None
 
-    def _cg_attempt(self, max_iters: int, use_mg: bool,
-                    tolerance: float) -> CGState:
-        """One (re)execution attempt: :func:`repro.ref.cg.cg_iterations`
-        on the priced kernels, from ``x0`` or, after a crash, from the
-        restored checkpoint; a fold booking a planned failure raises
-        :class:`~repro.dist.faults.NodeCrash`."""
-        state = self._state
-        m = state.metrics
-        state.programs = self._numerics.programs.setdefault(
-            (self._record_key, self.comm_mode, self.machine, use_mg), {})
-        ckpt_plan = (state.injector.plan.checkpoint
-                     if state.injector is not None else None)
-        if state.checkpoint is None:
-            state.cursor = 0
-            b, x0 = self.problem.b, self.problem.x0
-            # a priced run reads no vector: empty stand-ins
-            b, x0 = ((np.empty(0),) * 2 if state.priced
-                     else (b.to_dense(), x0.to_dense()))
-            program = self._opened("start")
-            cg = cg_start(self._spmv, self._waxpby, self._dot, b, x0)
-            self._closed("start", program)
-            if m is not None:
-                m.residual.observe(cg.residuals[0], backend=self.backend)
-        else:
-            cg = self._restore(state.checkpoint)
+    def _walk(self, b: np.ndarray, x0: np.ndarray, max_iters: int,
+              use_mg: bool, tolerance: float,
+              cg: Optional[CGState] = None) -> CGState:
+        """:func:`repro.ref.cg.cg_iterations` on the kernels from ``cg``,
+        else from ``cg_start(b, x0)`` (the program ``start``): it computes
+        or prices, and records what the record lacks; it books nothing."""
+        if cg is None:
+            self._state.cursor = 0
+            with self._recorded("start"):
+                cg = cg_start(self._spmv, self._waxpby, self._dot, b, x0)
         for cg in cg_iterations(
                 cg, self._spmv, self._waxpby, self._dot,
                 self._precondition if use_mg else None, max_iters,
                 tolerance, self._iteration):
-            if m is not None:
-                m.residual.observe(cg.residuals[-1], backend=self.backend)
-                m.iteration.set(cg.k)
-                m.residual_last.set(cg.residuals[-1])
-            if (ckpt_plan is not None and cg.k % ckpt_plan.interval == 0
-                    and cg.k < max_iters):
-                self._take_checkpoint(cg)
+            pass
         return cg
+
+    def _programs(self, use_mg: bool) -> dict:
+        """This run's record's programs (per mode, machine, ``use_mg``)."""
+        return self._numerics.programs.setdefault(
+            (self._record_key, self.comm_mode, self.machine, use_mg), {})
+
+    # --- the plan: what a run books, from its trajectory --------------------
+    def _booked(self, k: int, max_iters: int, use_mg: bool,
+                residuals: list) -> None:
+        """Book this run's plan to the stop point ``k``, ``[kind, times,
+        note, iteration]`` entries: ``start`` or a ``restore`` of the last
+        checkpoint, each iteration on, a ``checkpoint`` (``note``: its
+        iteration) after every interval-th one below ``max_iters``
+        (``iteration``: the one in progress in the first copy, None: it
+        stays).  The programs the record lacks are recorded first, by
+        :meth:`_book_vectors` or a two-iteration walk of the pricing
+        kernels.  Untraced, the plan is one fold; traced, it folds entry
+        by entry in their spans.  A crash leaves where it landed — the
+        iteration in progress, the last checkpoint booked in full — on
+        the run state."""
+        state = self._state
+        state.programs = programs = self._programs(use_mg)
+        inj, resume = state.injector, state.checkpoint or 0
+        every = getattr(inj and inj.plan.checkpoint, "interval", 0)
+        plan = [["restore" if resume else "start", 1, None, None]]
+        for j in range(resume + 1, k + 1):
+            kind = "later" if j > 1 else "first"
+            if plan[-1][0] == kind:
+                plan[-1][1] += 1
+            else:
+                plan.append([kind, 1, None, j])
+            if every and j % every == 0 and j < max_iters:
+                plan.append(["checkpoint", 1, j, j])
+        missing = {kind for kind, *_ in plan}.difference(state.programs)
+        for kind in sorted(missing & {"checkpoint", "restore"}):
+            self._book_vectors(kind)
+        if missing - {"checkpoint", "restore"}:     # no vector: stand-ins
+            empty = np.empty(0)
+            self._walk(empty, empty, min(k, resume + 2), use_mg, 0.0, CGState(
+                resume, *[empty] * 5, state.dots[3 * resume - 2],
+                residuals[:resume + 1]) if resume else None)
+        try:
+            if state.ctx is None:
+                fold(state, [[programs[kind], times, note]
+                             for kind, times, note, _ in plan])
+                return
+            m = state.metrics
+            for at, (kind, times, note, first) in enumerate(plan):
+                for copy in range(times):
+                    j = (first or 0) + copy
+                    name, args = {      # the entry's span, its args
+                        "start": (None, None),
+                        "restore": ("fault/restore", {
+                            "iteration": state.checkpoint,
+                            "nprocs": self.nprocs}),
+                        "checkpoint": ("fault/checkpoint", {"iteration": j}),
+                    }.get(kind, ("cg/iteration", {"k": j}))
+                    with (self._span(name, name.partition("/")[0], args)
+                          if name else contextlib.nullcontext()) as sp:
+                        before = state.seconds
+                        if name == "cg/iteration":
+                            sp.set(normr=residuals[j])
+                        fold(state, [[programs[kind], 1, note]])
+                        if kind == "checkpoint":
+                            sp.set(seconds=state.seconds - before)
+                    if kind in ("start", "first", "later"):
+                        m.residual.observe(residuals[j], backend=self.backend)
+                    if kind in ("first", "later"):
+                        m.iteration.set(j)
+                        m.residual_last.set(residuals[j])
+        except NodeCrash:
+            at, copy = state.cut if state.ctx is None else (at, copy)
+            if plan[at][3] is not None:
+                state.iteration = plan[at][3] + copy
+            taken = [note for _, _, note, _ in plan[:at] if note is not None]
+            state.checkpoint = taken[-1] if taken else state.checkpoint
+            raise
 
     def run_cg(self, max_iters: int = 50, use_mg: bool = True,
                tolerance: float = 0.0) -> DistRunResult:
-        """Simulate a full preconditioned CG solve.
-
-        Attempts :meth:`_cg_attempt`; on a planned crash rolls back —
-        repartition onto the survivors, restore the last snapshot,
-        re-attempt from there.  The residual history is bit-identical
-        to the serial driver's in either mode and under any fault plan;
+        """Simulate a full preconditioned CG solve: its trajectory (the
+        numerics' record of ``(use_mg, b, x0)`` if untraced and it reaches
+        the stop point, else computed by a walk), then its plan booked; on
+        a planned crash the survivors book theirs from the last
+        checkpoint.  The residual history is bit-identical to the serial
+        driver's in either mode and under any fault plan;
         ``modelled_seconds`` includes checkpoints, rollback and
-        re-execution.  ``faults=None`` or an inactive plan: one attempt,
-        ``resilience=None``.  Untraced, the solve prices only if the
-        numerics keep a trajectory of ``(use_mg, b, x0)`` reaching its
-        stop point; else it computes and publishes what it recorded.
-        """
+        re-execution.  ``faults=None`` or an inactive plan:
+        ``resilience=None``."""
         require_cg_limits(max_iters, tolerance)
         injector = None
         if self.faults is not None and self.faults.active():
@@ -529,11 +545,10 @@ class SimulatedDistRun:
             injector.announce_speeds()
         b, x0 = self.problem.b, self.problem.x0
         key = _Numerics.trajectory_key(use_mg, b, x0)
-        if state.ctx is None:
-            kept = self._numerics.trajectories.get(key)
-            state.priced = kept is not None and kept.covers(max_iters,
-                                                            tolerance)
-            state.dots = kept.dots if state.priced else []
+        kept = (self._numerics.trajectories.get(key) if state.ctx is None
+                else None)
+        k = None if kept is None else kept.stop(max_iters, tolerance)
+        replayed = k is not None
 
         attrs = state.ctx and {
             "backend": self.backend, "nprocs": self.nprocs, "n": self.n,
@@ -542,17 +557,25 @@ class SimulatedDistRun:
                                             else {})}
         run = self
         with self._span("dist/run_cg", "dist", attrs) as rsp:
+            if replayed:
+                state.dots, residuals = kept.dots, kept.norms[:k + 1]
+            else:
+                state.programs = self._programs(use_mg)
+                cg = self._walk(b.to_dense(), x0.to_dense(), max_iters,
+                                use_mg, tolerance)
+                k, residuals = cg.k, cg.residuals
+            state.priced = True         # every walk from here prices
             while True:
                 try:
-                    cg = run._cg_attempt(max_iters, use_mg, tolerance)
+                    run._booked(k, max_iters, use_mg, residuals)
                     break
                 except NodeCrash as crash:
                     run = run._recover(crash)
             if rsp is not None:
-                rsp.set(iterations=cg.k)
+                rsp.set(iterations=k)
                 if injector is not None:
                     rsp.set(recoveries=injector.recoveries,
                             final_nprocs=run.nprocs)
-        if state.dots is not None and not state.priced:
+        if not replayed and state.ctx is None:
             self._numerics.publish(key, b, x0, state.dots)
-        return state.result(run, cg)
+        return state.result(run, k, residuals, replayed)

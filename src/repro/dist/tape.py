@@ -4,7 +4,7 @@ arrays.
 Each booking primitive of :mod:`repro.dist.simulate` — an exchange, a
 collective, a local work term — appends one row to the program being
 recorded: its kind, timer key, plan, label, work bytes and overlap
-bytes.  A solve books five kinds of program: ``cg_start``, the first CG
+bytes.  A solve books five kinds of program: ``start``, the first CG
 iteration (it puts ``p <- z`` before the dot), a later one, a checkpoint
 and a restore.  Each closes the same rows in every run on the same
 communication record, mode, machine and preconditioner, so the numerics
@@ -13,9 +13,9 @@ kind)``, priced once by :meth:`~repro.dist.bsp.BSPMachine.row_costs`:
 array expressions in ``superstep_costs``' order of operations, so every
 price is bit-identical to the scalar one.
 
-A run books its programs in **stretches** — every program since the
-last booking, consecutive copies of one as that program ``times`` over —
-and :func:`fold` books a stretch at once, faults transforming it first:
+A run books its plan as a **stretch** — its programs in order,
+consecutive copies of one as that program ``times`` over — and
+:func:`fold` books a stretch at once, faults transforming it first:
 
 * message loss inserts each lossy exchange's retries right after it,
   counts keyed by the seed and the exchange's ordinal in the run
@@ -23,8 +23,9 @@ and :func:`fold` books a stretch at once, faults transforming it first:
 * a straggler or node-speed window multiplies the work (and overlap) of
   the rows it covers, which are re-priced;
 * a crash cuts the stretch after its superstep, retries included, books
-  the cut and raises (the superstep is priced, then the failure
-  detected); the exchanges cut off leave their ordinals to the rerun.
+  the cut, notes the entry and copy it lands in and raises (the
+  superstep is priced, then the failure detected); the exchanges cut
+  off leave their ordinals to the survivors.
 
 The run's modelled, wire and exposed seconds are one ``np.add.accumulate``
 over the stretch's terms in booking order, from their values so far.  The
@@ -33,14 +34,15 @@ timers take each program's terms as it laid them out once
 row's terms at its place (:attr:`Program.places`) and a lost exchange's
 retries in rows inserted after its own, so nothing is sorted.  They are
 plain per-key totals, added once at the run's end (:func:`book_timers`:
-one accumulate down each matrix), and no ``Timer`` is made: the result's
-registries are built from the totals when first read.  Accumulate adds
+one accumulate down each matrix, the exposed plane skipped when no row
+hides wire time), and no ``Timer`` is made: the result's registries are
+built from the totals when first read.  Accumulate adds
 strictly left to right, as a scalar ``+=`` would, and a padding zero
 changes no total, so every total is bit-identical (``sum``, ``np.sum``
 and ``math.fsum`` would not be).  The tracker and the injector take the
-stretch's supersteps and fault events as blocks.  A traced run books the
-same rows, then emits their spans at the program's marks.  Nothing a
-fold draws or lays out is kept past it.
+stretch's supersteps and fault events as blocks.  A traced run folds
+its plan entry by entry, each fold emitting its rows' spans at the
+program's marks.  Nothing a fold draws or lays out is kept past it.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ class Program:
                                                   self.step),
                                work, overlap, h])
         self.values = self.table[:3].copy()
+        #: does a row hide wire time?  Else exposed = full - 0.0 = full
+        self.hides = bool((overlap > 0.0).any())
         #: each row's timer key, as its index among the layout's keys (a
         #: small int sorts by radix)
         index = {name: k for k, (_, name) in enumerate(layout[::3])}
@@ -173,16 +177,16 @@ def _cat(stretch, get, axis: int = 0) -> np.ndarray:
                            for part in [get(p)] * times], axis=axis)
 
 
-def _cut(stretch: list, n: int) -> list:
+def _cut(stretch: list, n: int) -> tuple:
     """``stretch`` up to its row ``n - 1``, the copy holding it cut there
-    (:meth:`Program.head`); a checkpoint the crash lands on is not
-    taken."""
+    (:meth:`Program.head`), and where that row lands: its entry's index
+    and the copy's; a checkpoint the crash lands on is not taken."""
     out, at = [], 0
-    for p, times, note in stretch:
+    for entry, (p, times, note) in enumerate(stretch):
         if at + p.n * times >= n:
             copies, kept = divmod(n - at - 1, p.n)
             return out + [[p, copies, None]] * (copies > 0) + [
-                [p.head(kept + 1), 1, None]]
+                [p.head(kept + 1), 1, None]], (entry, copies)
         out.append([p, times, note])
         at += p.n * times
 
@@ -215,7 +219,7 @@ def fold(state, stretch: list) -> None:
             # the crash cuts the stretch: the exchanges after it are not
             # booked, and take their ordinals again
             at = int((step & (clock <= fires)).nonzero()[0][-1])
-            stretch, cut = _cut(stretch, at + 1), fires
+            (stretch, state.cut), cut = _cut(stretch, at + 1), fires
             n, step, clock, end = at + 1, step[:at + 1], clock[:at + 1], \
                 fires + 1
             kept = int(lost.searchsorted(at)) + int(fires > clock[at])
@@ -338,12 +342,17 @@ def book_timers(terms: list) -> tuple:
     programs = list(dict.fromkeys(p for folded, _, _ in terms
                                   for p in folded))
     layout, parts = programs[0].layout, programs[0].parts
+    # no row hides wire time (eager): exposed = full term by term, retries
+    # too, so that plane is added once
+    planes = 3 if any(p.hides for p in programs) else 2
     totals = []
     for q, keys in enumerate(parts):
-        column = np.concatenate([np.zeros((3, 1, keys.stop - keys.start))]
-                                + [sums for _, _, laid in terms
-                                   for sums in laid[q]], axis=1)
-        totals.append(np.add.accumulate(column, axis=1)[:, -1])
+        column = np.concatenate(
+            [np.zeros((planes, 1, keys.stop - keys.start))]
+            + [sums[:planes] for _, _, laid in terms for sums in laid[q]],
+            axis=1)
+        totals.append(np.add.accumulate(column, axis=1)[
+            [0, 1, planes - 1], -1])
     return (layout, np.concatenate(totals, axis=1).T.ravel(),
             sum(tally for _, tally, _ in terms),
             [p.ticks for p in programs])

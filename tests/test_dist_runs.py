@@ -32,7 +32,6 @@ from repro.dist import (
     simulate,
     tape,
 )
-from repro.dist import result as result_module
 from repro.dist.cost import (interior_row_mask, per_entry_owners,
                              rows_touching_remote)
 from repro.dist.hybrid import _allgather_matrix
@@ -373,8 +372,8 @@ class TestHostCostPerSuperstep:
         for close in ("sync", "wait"):
             monkeypatch.setattr(CommTracker, close,
                                 lambda *a, **k: closes.append(1))
-        fold = result_module.fold
-        monkeypatch.setattr(result_module, "fold", lambda *a: (
+        fold = simulate.fold
+        monkeypatch.setattr(simulate, "fold", lambda *a: (
             at_fold.append(len(reads)), fold(*a)))
         result = cls(generate_problem(8), 4, mg_levels=3,
                      comm_mode="overlap").run_cg(max_iters=2)
@@ -503,12 +502,13 @@ def iteration_windows(run, solve):
 
 
 class TestTapeEqualsStepwise:
-    """An untraced run books its stretch of programs when it ends (after
-    each program while a crash is pending), a traced one after each
-    program, emitting its spans.  Both must price and count the same, to
-    the bit, whatever the backend, mode, agglomeration, preconditioner,
-    stopping rule and fault plan (``tests/data/dist_fingerprint.json``
-    pins the lattice; these draw plans off it)."""
+    """A run books its plan — the stretch of programs its trajectory
+    fixes — after the walk: untraced as one fold (a crash cuts it, and
+    the survivors fold theirs), traced entry by entry inside its spans,
+    emitting theirs.  Both must price and count the same, to the bit,
+    whatever the backend, mode, agglomeration, preconditioner, stopping
+    rule and fault plan (``tests/data/dist_fingerprint.json`` pins the
+    lattice; these draw plans off it)."""
 
     problem = generate_problem(8, 16, 16)
 
@@ -588,17 +588,96 @@ class TestTapeEqualsStepwise:
     def test_a_second_untraced_clean_run_walks_no_iteration(
             self, closes, monkeypatch):
         """Once one run has kept its programs, another records none (its
-        hooks book nothing) and, like every run, closes no superstep
-        stepwise: a silent fall-back to recording fails here."""
-        built = []
+        hooks book nothing), enters no CG iteration (it books its plan
+        from the trajectory) and, like every run, closes no superstep
+        stepwise: a silent fall-back to recording or walking fails here.
+        So does a warm lossy run's, and a warm crash run's."""
+        built, walks, entered = [], [], []
         monkeypatch.setattr(simulate, "Program", lambda *a: (
             built.append(1), tape.Program(*a))[1])
-        run = RefDistRun(generate_problem(8), 4, mg_levels=3)
+        cg_iterations = simulate.cg_iterations
+        monkeypatch.setattr(simulate, "cg_iterations", lambda *a: (
+            walks.append(1), cg_iterations(*a))[1])
+        iteration = simulate.SimulatedDistRun._iteration
+        monkeypatch.setattr(simulate.SimulatedDistRun, "_iteration",
+                            lambda run, k: (entered.append(k),
+                                            iteration(run, k))[1])
+        problem = generate_problem(8)
+        run = RefDistRun(problem, 4, mg_levels=3)
         with obs.disabled():
             run.run_cg(max_iters=10)
             assert len(built) == 3              # cg_start, first, later
+            assert len(walks) == 1 and len(entered) == 10
+            del walks[:], entered[:]
             result = run.run_cg(max_iters=10)
         assert len(built) == 3 and not closes and result.syncs > 800
+        assert result.replayed and not walks and not entered
+        for faults in (FaultPlan(seed=2, message_loss=MessageLoss(0.2, 4)),
+                       FaultPlan(seed=7, crashes=(Crash(1, 400),),
+                                 checkpoint=Checkpoint(2))):
+            run = RefDistRun(problem, 4, mg_levels=3, faults=faults)
+            with obs.disabled():
+                run.run_cg(max_iters=10)        # records what it lacks
+                del walks[:], entered[:]
+                warm = run.run_cg(max_iters=10)
+            assert warm.replayed and not walks and not entered
+        assert warm.resilience["recoveries"] == 1 and not closes
+
+    def test_a_priced_run_records_what_it_lacks_in_two_iterations(
+            self, monkeypatch):
+        """A run pricing from another's trajectory on a record that keeps
+        no program records its own by walking the pricing kernels from
+        its plan's start for at most two iterations — the survivors' too,
+        from the checkpoint — and books what a computing run books."""
+        walks = []
+        cg_iterations = simulate.cg_iterations
+
+        def counted(*args):
+            walks.append(0)
+            for cg in cg_iterations(*args):
+                walks[-1] += 1
+                yield cg
+
+        monkeypatch.setattr(simulate, "cg_iterations", counted)
+        problem = generate_problem(8, 16, 16)
+        first = RefDistRun(problem, 4, mg_levels=3)     # keeps numerics
+        with obs.disabled():
+            first.run_cg(max_iters=10)
+            for faults in (None, FaultPlan(seed=7, crashes=(Crash(1, 400),),
+                                           checkpoint=Checkpoint(2))):
+                del walks[:]
+                priced = HybridALPRun(problem, 4, mg_levels=3,
+                                      faults=faults).run_cg(max_iters=10)
+                walked = list(walks)
+                assert priced.replayed and walked and max(walked) <= 2, walked
+                computed = HybridALPRun(generate_problem(8, 16, 16), 4,
+                                        mg_levels=3,
+                                        faults=faults).run_cg(max_iters=10)
+                assert not computed.replayed
+                assert accounting(priced) == accounting(computed)
+        assert len(walked) == 1     # the survivors', from the checkpoint
+        assert priced.resilience["recoveries"] == 1
+
+    def test_a_computed_crash_run_applies_the_vcycle_k_times(
+            self, monkeypatch):
+        """A crash run's history is the clean trajectory: computed once,
+        traced or not, the V-cycle applied once an iteration, however many
+        iterations the survivors re-execute."""
+        applied, apply = [], numerics._Numerics.apply
+        monkeypatch.setattr(numerics._Numerics, "apply",
+                            lambda *a: applied.append(1) or apply(*a))
+        faults = FaultPlan(seed=7, crashes=(Crash(1, 400),),
+                           checkpoint=Checkpoint(2))
+        for session in (obs.disabled, obs.run):
+            del applied[:]
+            run = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3,
+                             faults=faults)
+            with session():
+                result = run.run_cg(max_iters=10)
+            r = result.resilience
+            assert not result.replayed and r["recoveries"] == 1
+            assert r["reexecuted_iterations"] > 0
+            assert len(applied) == result.iterations == 10
 
     def test_a_run_books_the_tapes_a_sibling_kept(self):
         """A checkpointed sibling solving fewer iterations keeps the
@@ -793,14 +872,17 @@ class TestPricedEqualsComputed:
     @pytest.mark.parametrize("use_mg", [True, False])
     def test_a_second_untraced_run_computes_nothing(self, use_mg):
         """No product, vector update or dot, no colour step and no
-        checkpoint copy: a silent fall-back to computing fails here."""
+        checkpoint copy: a silent fall-back to computing fails here.  (A
+        checkpoint is accounting: the computing run copies no vector
+        either.)"""
         run = RefDistRun(generate_problem(8, 16, 16), 4, mg_levels=3,
                          faults=FaultPlan(checkpoint=Checkpoint(2)))
         with obs.disabled():
             first = numeric_calls(lambda: run.run_cg(6, use_mg=use_mg))
             second = numeric_calls(lambda: run.run_cg(6, use_mg=use_mg))
         assert all(first[name] > 0 for name in KERNELS + (
-            "csr_matvec", "checkpoint copy")), first
+            "csr_matvec",)), first
+        assert first["checkpoint copy"] == 0, first
         assert sum(second.values()) == 0, second
 
     def test_a_crash_resumes_from_the_record(self):

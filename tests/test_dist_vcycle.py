@@ -8,7 +8,7 @@ V-cycle walk, the backend's exchange hook at each step.  Enforced here:
 (i) the ``z`` an application returns equals ``ref_mg_vcycle``'s value
 for value and the GraphBLAS transcription's bit for bit, whatever the
 backend, agglomeration or communication mode, and it skips the passes
-the serial application skips; (ii) a crash that unwinds the pricing walk
+the serial application skips; (ii) a crash that unwinds a traced V-cycle
 half-way leaves nothing behind in the shared kernel, and two runs on one
 problem write buffers of their own; (iii) a warm CG iteration allocates
 its CG vectors and nothing that grows with the grid, and ``repro.dist``
@@ -34,7 +34,7 @@ import repro.dist
 from repro import graphblas as grb
 from repro import obs
 from repro.dist import (Checkpoint, Crash, FaultPlan, Hybrid2DRun,
-                        HybridALPRun, RefDistRun, simulate)
+                        HybridALPRun, RefDistRun, simulate, tape)
 from repro.dist.simulate import _RunState
 from repro.graphblas import substrate
 from repro.graphblas.substrate import csr as csr_mod
@@ -56,10 +56,9 @@ def engine_apply(run, r):
     run._state = state = _RunState(run.nprocs, None, run.machine,
                                    run.comm_mode)
     z = np.full(r.size, 7.0)            # the application overwrites z
-    program = run._opened("application")
-    run._precondition(z, r)
-    run._closed("application", program)
-    state.flush()
+    with run._recorded("application"):
+        run._precondition(z, r)
+    tape.fold(state, [[state.programs["application"], 1, None]])
     return z
 
 
@@ -240,9 +239,9 @@ def snapshot(result):
 
 
 def walked(run, max_iters):
-    """``run.run_cg(max_iters)`` traced: it computes its numerics and
-    books every iteration as it ends, so a planned crash abandons the
-    solve in the iteration where it lands.  (Untraced, a solve whose dots
+    """``run.run_cg(max_iters)`` traced: it computes its numerics, then
+    folds its plan iteration by iteration, so a planned crash unwinds the
+    spans of the iteration where it lands.  (Untraced, a solve whose dots
     a run on the problem recorded applies no V-cycle.)"""
     with obs.run():
         result = run.run_cg(max_iters)
@@ -376,22 +375,19 @@ class TestGuards:
     @staticmethod
     def warm_iteration_peak(run, iters=3):
         """``tracemalloc`` peak, above its entry level, of the last CG
-        iteration of a short solve."""
+        iteration of a short solve's computing walk."""
         peaks = []
-        span = run._span
+        iteration = run._iteration
 
         @contextlib.contextmanager
-        def measured(name, *args):
-            with span(name, *args) as sp:
-                if name != "cg/iteration":
-                    yield sp
-                    return
+        def measured(k):
+            with iteration(k) as sp:
                 tracemalloc.reset_peak()
                 entry = tracemalloc.get_traced_memory()[0]
                 yield sp
                 peaks.append(tracemalloc.get_traced_memory()[1] - entry)
 
-        run._span = measured
+        run._iteration = measured
         with obs.disabled():        # spans are allocations too
             tracemalloc.start()
             try:
